@@ -117,12 +117,10 @@ class MemberDaySchedule:
     def total_flexible_kw(self) -> np.ndarray:
         """Controllable power: flexible devices plus battery charge minus discharge."""
         out = np.zeros_like(self.injection_kw)
-        for series in (self.ev_power_kw, self.wb_power_kw, self.hp_power_kw,
-                       self.bss_charge_kw):
+        for tag, sign in FLEX_TAGS:
+            series = getattr(self, SERIES_FIELDS[tag])
             if series is not None:
-                out = out + series
-        if self.bss_discharge_kw is not None:
-            out = out - self.bss_discharge_kw
+                out = out + sign * series
         return out
 
 
@@ -185,103 +183,64 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
     """
     T = len(m.fixed_load_kw)
     idx: dict[str, np.ndarray] = {}
+    after = np.arange(1, T)  # rows with a predecessor step
 
     def grid(tag: str, lb, ub) -> np.ndarray:
-        lbb = np.broadcast_to(np.asarray(lb, dtype=np.float64), (T,))
-        ubb = np.broadcast_to(np.asarray(ub, dtype=np.float64), (T,))
-        cols = np.empty(T, dtype=np.int64)
-        for t in range(T):
-            cols[t] = p.add_variable(f"{tag}.{m.id}.{t}", float(lbb[t]), float(ubb[t]))
-        idx[tag] = cols
-        return cols
+        idx[tag] = p.add_variables(f"{tag}.{m.id}", T, lb, ub)
+        return idx[tag]
 
     if m.bss is not None:
         bss = m.bss
         pcha = grid("pcha", 0.0, bss.max_power_kw)
         pdis = grid("pdis", 0.0, bss.max_power_kw)
         soc = grid("socb", bss.soc_min, bss.soc_max)
-        for t in range(T):
-            terms = [(int(soc[t]), 1.0),
-                     (int(pcha[t]), -dt * bss.efficiency / bss.capacity_kwh),
-                     (int(pdis[t]), dt / (bss.efficiency * bss.capacity_kwh))]
-            rhs = bss.soc_init if t == 0 else 0.0
-            if t > 0:
-                terms.append((int(soc[t - 1]), -1.0))
-            p.add_constraint(terms, "=", rhs)
+        rhs = np.zeros(T)
+        rhs[0] = bss.soc_init
+        p.add_rows("=", rhs, [(soc, 1.0), (pcha, -dt * bss.efficiency / bss.capacity_kwh),
+                              (pdis, dt / (bss.efficiency * bss.capacity_kwh)),
+                              (soc[:-1], -1.0, after)])
         # end-of-day recovery of the initial level
-        p.add_constraint([(int(soc[T - 1]), 1.0)], "=", bss.soc_init)
+        p.add_rows("=", bss.soc_init, [(soc[T - 1], 1.0)])
+
+    def flexible(tags, max_kw, ref, state_lb, state_ub, gain, keep, rhs, reluctance,
+                 target) -> None:
+        """Power, state and discomfort series of one flexible device:
+        ``state[t] = keep[t-1] * state[t-1] + gain * power[t] + rhs[t]`` (the
+        initial state is in ``rhs[0]``), daily energy equal to the reference,
+        discomfort >= ``reluctance * (target - state)``."""
+        power = grid(tags[0], *((ref, ref) if pinned else (0.0, max_kw)))
+        level = grid(tags[1], state_lb, state_ub)
+        discomfort = grid(tags[2], 0.0, np.inf)
+        p.add_rows("=", rhs, [(level, 1.0), (power, -gain), (level[:-1], -keep, after)])
+        p.add_rows("=", float(np.sum(ref)), [(power, 1.0, 0)])
+        p.add_rows(">=", reluctance * target, [(discomfort, 1.0), (level, reluctance)])
 
     if m.ev is not None:
         ev = m.ev
-        if pinned:
-            pev = grid("pev", refs.ev, refs.ev)
-        else:
-            pev = grid("pev", 0.0, ev.plugged * ev.max_charge_kw)
-        sev = grid("sev", ev.departure * ev.soc_ref, 1.0)
-        jev = grid("jev", 0.0, np.inf)
-        gain = dt * ev.efficiency / ev.capacity_kwh
-        s0 = state.ev_soc if state.ev_soc is not None else ev.soc_init
-        for t in range(T):
-            arr = float(ev.arrival[t])
-            terms = [(int(sev[t]), 1.0), (int(pev[t]), -gain)]
-            rhs = arr * float(ev.soc_arrival[t])
-            if t == 0:
-                rhs += (1.0 - arr) * s0
-            else:
-                terms.append((int(sev[t - 1]), -(1.0 - arr)))
-            p.add_constraint(terms, "=", rhs)
-        p.add_constraint([(int(pev[t]), 1.0) for t in range(T)], "=", float(np.sum(refs.ev)))
-        for t in range(T):
-            p.add_constraint([(int(jev[t]), 1.0), (int(sev[t]), ev.reluctance_eur)], ">=",
-                             ev.reluctance_eur * float(ev.soc_ref[t]))
+        rhs = ev.arrival * ev.soc_arrival
+        rhs[0] += (1.0 - ev.arrival[0]) * (
+            state.ev_soc if state.ev_soc is not None else ev.soc_init)
+        flexible(("pev", "sev", "jev"), ev.plugged * ev.max_charge_kw, refs.ev,
+                 ev.departure * ev.soc_ref, 1.0, dt * ev.efficiency / ev.capacity_kwh,
+                 1.0 - ev.arrival[1:], rhs, ev.reluctance_eur, ev.soc_ref)
 
     if m.wb is not None:
         wb = m.wb
-        if pinned:
-            pwb = grid("pwb", refs.wb, refs.wb)
-        else:
-            pwb = grid("pwb", 0.0, wb.max_power_kw)
-        # hard floor only at usage events; temperatures stay nonnegative
-        tlo = np.maximum(0.0, wb.usage_event * wb.temp_limit)
-        twb = grid("twb", tlo, wb.temp_max)
-        jwb = grid("jwb", 0.0, np.inf)
         k = dt * wb.thermal_coeff
-        t0 = state.wb_temp if state.wb_temp is not None else wb.temp_init
-        for t in range(T):
-            terms = [(int(twb[t]), 1.0), (int(pwb[t]), -k)]
-            rhs = -k * float(wb.usage_loss_kw[t] + wb.envelope_loss_kw[t])
-            if t == 0:
-                rhs += t0
-            else:
-                terms.append((int(twb[t - 1]), -1.0))
-            p.add_constraint(terms, "=", rhs)
-        p.add_constraint([(int(pwb[t]), 1.0) for t in range(T)], "=", float(np.sum(refs.wb)))
-        for t in range(T):
-            p.add_constraint([(int(jwb[t]), 1.0), (int(twb[t]), wb.reluctance_eur)], ">=",
-                             wb.reluctance_eur * float(wb.temp_limit[t]))
+        rhs = -k * (wb.usage_loss_kw + wb.envelope_loss_kw)
+        rhs[0] += state.wb_temp if state.wb_temp is not None else wb.temp_init
+        # hard floor only at usage events; temperatures stay nonnegative
+        flexible(("pwb", "twb", "jwb"), wb.max_power_kw, refs.wb,
+                 np.maximum(0.0, wb.usage_event * wb.temp_limit), wb.temp_max, k, 1.0, rhs,
+                 wb.reluctance_eur, wb.temp_limit)
 
     if m.hp is not None:
         hp = m.hp
-        if pinned:
-            php = grid("php", refs.hp, refs.hp)
-        else:
-            php = grid("php", 0.0, hp.max_power_kw)
-        thp = grid("thp", 0.0, np.inf)
-        jhp = grid("jhp", 0.0, np.inf)
         k = dt * hp.thermal_coeff
-        t0 = state.hp_temp if state.hp_temp is not None else hp.temp_init
-        for t in range(T):
-            terms = [(int(thp[t]), 1.0), (int(php[t]), -k * hp.cop)]
-            rhs = -k * float(hp.wall_loss_kw[t])
-            if t == 0:
-                rhs += t0
-            else:
-                terms.append((int(thp[t - 1]), -1.0))
-            p.add_constraint(terms, "=", rhs)
-        p.add_constraint([(int(php[t]), 1.0) for t in range(T)], "=", float(np.sum(refs.hp)))
-        for t in range(T):
-            p.add_constraint([(int(jhp[t]), 1.0), (int(thp[t]), hp.reluctance_eur)], ">=",
-                             hp.reluctance_eur * float(hp.temp_limit[t]))
+        rhs = -k * hp.wall_loss_kw
+        rhs[0] += state.hp_temp if state.hp_temp is not None else hp.temp_init
+        flexible(("php", "thp", "jhp"), hp.max_power_kw, refs.hp, 0.0, np.inf, k * hp.cop,
+                 1.0, rhs, hp.reluctance_eur, hp.temp_limit)
 
     return idx
 
@@ -291,6 +250,20 @@ FLEX_TAGS = (("pev", 1.0), ("pwb", 1.0), ("php", 1.0), ("pcha", 1.0), ("pdis", -
 
 #: Discomfort series tags.
 DISCOMFORT_TAGS = ("jev", "jwb", "jhp")
+
+#: Schedule field of each series tag :func:`add_device_block` returns.
+SERIES_FIELDS = {
+    "pcha": "bss_charge_kw", "pdis": "bss_discharge_kw", "socb": "bss_soc",
+    "pev": "ev_power_kw", "sev": "ev_soc", "jev": "ev_discomfort_eur",
+    "pwb": "wb_power_kw", "twb": "wb_temp_c", "jwb": "wb_discomfort_eur",
+    "php": "hp_power_kw", "thp": "hp_temp_c", "jhp": "hp_discomfort_eur",
+}
+
+
+def discomfort_eur(sched: MemberDaySchedule) -> float:
+    """A member's total discomfort cost over the day's devices."""
+    series = (getattr(sched, SERIES_FIELDS[tag]) for tag in DISCOMFORT_TAGS)
+    return sum((float(np.sum(s)) for s in series if s is not None), 0.0)
 
 
 class _DayModel:
@@ -308,84 +281,66 @@ class _DayModel:
         self.bill_idx: dict[str, int] = {}
         self._build()
 
-    def _grid(self, uid: str, tag: str, lb, ub) -> np.ndarray:
-        T = self.scenario.horizon.steps_per_day
-        lbb = np.broadcast_to(np.asarray(lb, dtype=np.float64), (T,))
-        ubb = np.broadcast_to(np.asarray(ub, dtype=np.float64), (T,))
-        cols = np.empty(T, dtype=np.int64)
-        for t in range(T):
-            cols[t] = self.problem.add_variable(f"{tag}.{uid}.{t}", float(lbb[t]), float(ubb[t]))
-        self.idx[(uid, tag)] = cols
-        return cols
-
     def _build(self) -> None:
         s = self.scenario
         T = s.horizon.steps_per_day
         dt = s.horizon.dt_hours
         p = self.problem
-        community = self.mode.community_allowed
+        even, odd = np.arange(0, 2 * T, 2), np.arange(1, 2 * T, 2)
 
         for m in s.members:
             uid = m.id
             state = self.initial_states.get(uid, CarriedState())
 
-            iret = self._grid(uid, "iret", 0.0, np.inf)
-            eret = self._grid(uid, "eret", 0.0, np.inf)
-            com_ub = np.inf if community else 0.0
-            icom = self._grid(uid, "icom", 0.0, com_ub)
-            ecom = self._grid(uid, "ecom", 0.0, com_ub)
-            pinj = self._grid(uid, "pinj", -np.inf, np.inf)
-            bill = p.add_variable(f"bill.{uid}", -np.inf, np.inf)
-            self.bill_idx[uid] = bill
+            def grid(tag: str, lb, ub) -> np.ndarray:
+                self.idx[(uid, tag)] = p.add_variables(f"{tag}.{uid}", T, lb, ub)
+                return self.idx[(uid, tag)]
+
+            iret = grid("iret", 0.0, np.inf)
+            eret = grid("eret", 0.0, np.inf)
+            com_ub = np.inf if self.mode.community_allowed else 0.0
+            icom = grid("icom", 0.0, com_ub)
+            ecom = grid("ecom", 0.0, com_ub)
+            pinj = grid("pinj", -np.inf, np.inf)
+            bill = self.bill_idx[uid] = p.add_variable(f"bill.{uid}", -np.inf, np.inf)
             if self.allow_curtailment:
-                self._grid(uid, "ppv", 0.0, m.pv_max_kw)
+                grid("ppv", 0.0, m.pv_max_kw)
 
             block = add_device_block(p, m, self.refs[uid], state, dt,
                                      pinned=self.mode.flexibility_pinned)
-            for tag, cols in block.items():
-                self.idx[(uid, tag)] = cols
+            self.idx.update({(uid, tag): cols for tag, cols in block.items()})
 
-            for t in range(T):
-                # physical balance at the point of common coupling
-                terms = [(int(pinj[t]), 1.0)]
-                rhs = -float(m.fixed_load_kw[t])
-                if self.allow_curtailment:
-                    terms.append((int(self.idx[(uid, "ppv")][t]), -1.0))
-                else:
-                    rhs += float(m.pv_max_kw[t])
-                for tag, sign in FLEX_TAGS:
-                    if (uid, tag) in self.idx:
-                        terms.append((int(self.idx[(uid, tag)][t]), sign))
-                p.add_constraint(terms, "=", rhs)
-
-                # split of the injection over retailer and community legs
-                p.add_constraint(
-                    [(int(pinj[t]), 1.0), (int(eret[t]), -1.0), (int(ecom[t]), -1.0),
-                     (int(iret[t]), 1.0), (int(icom[t]), 1.0)], "=", 0.0)
+            # per step, the physical balance at the point of common coupling
+            # (even rows) and the split of the injection over retailer and
+            # community legs (odd rows)
+            rhs = np.zeros(2 * T)
+            rhs[even] = -m.fixed_load_kw
+            terms = [(pinj, 1.0, even)]
+            if self.allow_curtailment:
+                terms.append((self.idx[(uid, "ppv")], -1.0, even))
+            else:
+                rhs[even] += m.pv_max_kw
+            terms += [(block[tag], sign, even) for tag, sign in FLEX_TAGS if tag in block]
+            terms += [(pinj, 1.0, odd), (eret, -1.0, odd), (ecom, -1.0, odd),
+                      (iret, 1.0, odd), (icom, 1.0, odd)]
+            p.add_rows("=", rhs, terms)
 
             # bill definition
-            pr = s.prices
-            terms = [(bill, 1.0)]
-            for t in range(T):
-                terms.append((int(iret[t]), -dt * float(pr.import_price[t])))
-                terms.append((int(eret[t]), dt * float(pr.export_price[t])))
-                terms.append((int(icom[t]), -dt * float(pr.community_fee[t])))
-                terms.append((int(ecom[t]), -dt * float(pr.community_fee[t])))
-            p.add_constraint(terms, "=", 0.0)
+            p.add_rows("=", 0.0, [(bill, 1.0), (iret, -dt * s.prices.import_price, 0),
+                                  (eret, dt * s.prices.export_price, 0),
+                                  (icom, -dt * s.prices.community_fee, 0),
+                                  (ecom, -dt * s.prices.community_fee, 0)])
 
-            p.add_objective_term(bill, 1.0)
+            p.add_objective(bill, 1.0)
             for tag in DISCOMFORT_TAGS:
-                if (uid, tag) in self.idx:
-                    for col in self.idx[(uid, tag)]:
-                        p.add_objective_term(int(col), 1.0)
+                if tag in block:
+                    p.add_objective(block[tag], 1.0)
 
         # community-level balance of shared volumes
-        for t in range(T):
-            terms = []
-            for m in s.members:
-                terms.append((int(self.idx[(m.id, "ecom")][t]), 1.0))
-                terms.append((int(self.idx[(m.id, "icom")][t]), -1.0))
-            p.add_constraint(terms, "=", 0.0)
+        terms = []
+        for m in s.members:
+            terms += [(self.idx[(m.id, "ecom")], 1.0), (self.idx[(m.id, "icom")], -1.0)]
+        p.add_rows("=", np.zeros(T), terms)
 
     def extract(self, solution: LpSolution, day: int) -> DaySchedule:
         s = self.scenario
@@ -410,37 +365,19 @@ class _DayModel:
                 injection_kw=series(uid, "pinj"),
                 pv_kw=pv,
             )
-            if m.bss is not None:
-                sched.bss_charge_kw = series(uid, "pcha")
-                sched.bss_discharge_kw = series(uid, "pdis")
-                sched.bss_soc = series(uid, "socb")
-            if m.ev is not None:
-                sched.ev_power_kw = series(uid, "pev")
-                sched.ev_soc = series(uid, "sev")
-                sched.ev_discomfort_eur = series(uid, "jev")
-                sched.ref_ev_kw = np.array(r.ev)
-            if m.wb is not None:
-                sched.wb_power_kw = series(uid, "pwb")
-                sched.wb_temp_c = series(uid, "twb")
-                sched.wb_discomfort_eur = series(uid, "jwb")
-                sched.ref_wb_kw = np.array(r.wb)
-            if m.hp is not None:
-                sched.hp_power_kw = series(uid, "php")
-                sched.hp_temp_c = series(uid, "thp")
-                sched.hp_discomfort_eur = series(uid, "jhp")
-                sched.ref_hp_kw = np.array(r.hp)
+            for tag, field in SERIES_FIELDS.items():
+                if (uid, tag) in self.idx:
+                    setattr(sched, field, series(uid, tag))
+            sched.ref_ev_kw = None if m.ev is None else np.array(r.ev)
+            sched.ref_wb_kw = None if m.wb is None else np.array(r.wb)
+            sched.ref_hp_kw = None if m.hp is None else np.array(r.hp)
 
             sched.bill = billing.compute_bill(
                 uid, sched.import_retailer_kw, sched.export_retailer_kw,
                 sched.import_community_kw, sched.export_community_kw, s.prices, dt)
             sched.lp_bill_eur = float(x[self.bill_idx[uid]])
-            disc = 0.0
-            for arr in (sched.ev_discomfort_eur, sched.wb_discomfort_eur,
-                        sched.hp_discomfort_eur):
-                if arr is not None:
-                    disc += float(np.sum(arr))
-            sched.discomfort_total_eur = disc
-            total_disc += disc
+            sched.discomfort_total_eur = discomfort_eur(sched)
+            total_disc += sched.discomfort_total_eur
             members.append(sched)
 
         return DaySchedule(
@@ -542,17 +479,12 @@ def repair_refs_for_state(m, refs: DeviceRefs, state: CarriedState,
     T = len(m.fixed_load_kw)
     p = LpProblem("refrepair")
     idx = add_device_block(p, m, refs, state, dt, pinned=False)
-    for tag in ("pev", "pwb", "php"):
-        if tag not in idx:
-            continue
-        ref = {"pev": refs.ev, "pwb": refs.wb, "php": refs.hp}[tag]
-        for t in range(T):
-            up = p.add_variable(f"dev+.{tag}.{t}", 0.0, np.inf)
-            dn = p.add_variable(f"dev-.{tag}.{t}", 0.0, np.inf)
-            p.add_constraint([(int(idx[tag][t]), 1.0), (up, -1.0), (dn, 1.0)],
-                             "=", float(ref[t]))
-            p.add_objective_term(up, 1.0)
-            p.add_objective_term(dn, 1.0)
+    for tag, ref in (("pev", refs.ev), ("pwb", refs.wb), ("php", refs.hp)):
+        if tag in idx:
+            # deviation above and below the old profile, interleaved per step
+            dev = p.add_variables(f"dev.{tag}", 2 * T)
+            p.add_rows("=", ref, [(idx[tag], 1.0), (dev[0::2], -1.0), (dev[1::2], 1.0)])
+            p.add_objective(dev, 1.0)
 
     solution = solve_lp(p)
     if solution.status is not LpStatus.OPTIMAL:

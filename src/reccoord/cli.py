@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +28,9 @@ from . import billing, central, decentral, reporting
 from .central import CarriedState, PlannerMode
 from .scenario import (Scenario, ScenarioError, SyntheticConfig, dump_scenario,
                        generate_synthetic, load_scenario)
+
+log = logging.getLogger(__name__)
+
 
 class UsageError(Exception):
     """Bad flags or inconsistent configuration; maps to exit code 2."""
@@ -182,7 +187,7 @@ class _Checkpoint:
         if stale:
             for item in self.dir.glob("*.json"):
                 item.unlink()
-            self.meta.write_text(json.dumps({"fingerprint": fingerprint}))
+            _write_atomic(self.meta, json.dumps({"fingerprint": fingerprint}))
 
     def _path(self, mode: str, day: int) -> Path:
         return self.dir / f"{mode}_{day:04d}.json"
@@ -191,13 +196,24 @@ class _Checkpoint:
         path = self._path(mode, day)
         if not path.exists():
             return None
-        doc = json.loads(path.read_text())
-        sched = reporting.schedule_from_dict(doc["schedule"])
-        return sched, doc["traces"]
+        try:
+            doc = json.loads(path.read_text())
+            return reporting.schedule_from_dict(doc["schedule"]), doc["traces"]
+        except (ValueError, KeyError, TypeError) as exc:
+            log.warning("%s day %d: unreadable checkpoint %s (%s: %s); recomputing",
+                        mode, day, path.name, type(exc).__name__, exc)
+            return None
 
     def store(self, mode: str, day: int, sched, trace_dicts: list[dict]) -> None:
         doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_dicts}
-        self._path(mode, day).write_text(json.dumps(doc, separators=(",", ":")))
+        _write_atomic(self._path(mode, day), json.dumps(doc, separators=(",", ":")))
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` by ``text`` so that a crash leaves the old file or the new one."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
@@ -267,16 +283,6 @@ def _verify_or_die(scenario: Scenario, day: int, sched, carried) -> None:
                          + "; ".join(problems[:5]))
 
 
-class _RawTrace:
-    """Adapter so cached trace dicts reuse the jsonl writer unchanged."""
-
-    def __init__(self, doc: dict):
-        self.doc = doc
-
-    def to_dict(self) -> dict:
-        return self.doc
-
-
 def run(config: RunConfig) -> reporting.ReportFiles:
     """Execute a full run configuration and write the report files."""
     if config.generate is not None:
@@ -318,7 +324,7 @@ def run(config: RunConfig) -> reporting.ReportFiles:
     benefits = billing.individual_benefits(results, baseline)
     return reporting.write_report(
         report, results, config.out_dir, benefits=benefits,
-        traces=[_RawTrace(doc) for doc in traces] if config.trace else ())
+        traces=traces if config.trace else ())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import billing
 from .central import (CarriedState, DaySchedule, DeviceRefs, FlexRefs, FLEX_TAGS,
-                      MemberDaySchedule, PlannerMode, add_device_block, default_refs,
-                      prioritize_self_consumption, final_states,
+                      MemberDaySchedule, PlannerMode, SERIES_FIELDS, add_device_block,
+                      default_refs, discomfort_eur, prioritize_self_consumption, final_states,
                       repair_refs_for_state, solve_centralized)
 from .kor import get_key
 from .lpcore import LpProblem, LpStatus, solve_lp
@@ -177,35 +177,20 @@ def settle_community(prices: Prices, dt_hours: float,
     steps = len(prices.import_price)
     p = LpProblem("settlement")
     ids = list(injections)
-    idx: dict[tuple[str, str], np.ndarray] = {}
+    idx = {(uid, tag): p.add_variables(f"{tag}.{uid}", steps)
+           for uid in ids for tag in ("iret", "eret", "icom", "ecom")}
     for uid in ids:
-        for tag in ("iret", "eret", "icom", "ecom"):
-            cols = np.empty(steps, dtype=np.int64)
-            for t in range(steps):
-                cols[t] = p.add_variable(f"{tag}.{uid}.{t}", 0.0, np.inf)
-            idx[(uid, tag)] = cols
+        iret, eret, icom, ecom = (idx[(uid, tag)] for tag in ("iret", "eret", "icom", "ecom"))
+        p.add_rows("=", np.asarray(injections[uid], dtype=np.float64),
+                   [(eret, 1.0), (ecom, 1.0), (iret, -1.0), (icom, -1.0)])
+        p.add_objective(iret, dt_hours * prices.import_price)
+        p.add_objective(eret, -dt_hours * prices.export_price)
+        p.add_objective(icom, dt_hours * prices.community_fee)
+        p.add_objective(ecom, dt_hours * prices.community_fee)
+    terms = []
     for uid in ids:
-        pinj = np.asarray(injections[uid], dtype=np.float64)
-        for t in range(steps):
-            p.add_constraint(
-                [(int(idx[(uid, "eret")][t]), 1.0), (int(idx[(uid, "ecom")][t]), 1.0),
-                 (int(idx[(uid, "iret")][t]), -1.0), (int(idx[(uid, "icom")][t]), -1.0)],
-                "=", float(pinj[t]))
-        for t in range(steps):
-            p.add_objective_term(int(idx[(uid, "iret")][t]),
-                                 dt_hours * float(prices.import_price[t]))
-            p.add_objective_term(int(idx[(uid, "eret")][t]),
-                                 -dt_hours * float(prices.export_price[t]))
-            p.add_objective_term(int(idx[(uid, "icom")][t]),
-                                 dt_hours * float(prices.community_fee[t]))
-            p.add_objective_term(int(idx[(uid, "ecom")][t]),
-                                 dt_hours * float(prices.community_fee[t]))
-    for t in range(steps):
-        terms = []
-        for uid in ids:
-            terms.append((int(idx[(uid, "ecom")][t]), 1.0))
-            terms.append((int(idx[(uid, "icom")][t]), -1.0))
-        p.add_constraint(terms, "=", 0.0)
+        terms += [(idx[(uid, "ecom")], 1.0), (idx[(uid, "icom")], -1.0)]
+    p.add_rows("=", np.zeros(steps), terms)
 
     solution = solve_lp(p)
     if solution.status is not LpStatus.OPTIMAL:
@@ -238,6 +223,8 @@ class MemberAgent:
         # working copy: commits replace array references, the base stays intact
         self.schedule = replace(base)
         self.refs_total = base.total_flexible_kw
+        if self.has_flexibility:
+            self._build()
 
     @property
     def has_flexibility(self) -> bool:
@@ -253,59 +240,52 @@ class MemberAgent:
         the operator, whose keys treat any positive entry as a provider."""
         return np.where(values > REQUEST_DUST_KW, values, 0.0)
 
-    def _solve(self, up_limit: np.ndarray, down_limit: np.ndarray):
-        """Revenue-maximizing shift around the committed reference.
+    def _build(self) -> None:
+        """The day's revenue-maximizing shift around the committed reference.
 
-        Device constraints stay exactly the planner's; the offered upward and
-        downward powers are bounded per step by the given limits, must match
-        in daily energy, and shift the controllable total away from the
-        committed reference.
+        Device constraints stay exactly the planner's.  Upward and downward
+        shifts match in daily energy; their per-step limits and the reference
+        rows' right-hand side are the only data that change between solves.
         """
         m = self.member
         T = len(m.fixed_load_kw)
-        p = LpProblem("member")
-        idx = add_device_block(p, m, self.refs, self.state, self.dt, pinned=False)
-
-        capu = np.empty(T, dtype=np.int64)
-        capd = np.empty(T, dtype=np.int64)
-        for t in range(T):
-            capu[t] = p.add_variable(f"capu.{m.id}.{t}", 0.0, float(up_limit[t]))
-            capd[t] = p.add_variable(f"capd.{m.id}.{t}", 0.0, float(down_limit[t]))
+        p = self._lp = LpProblem("member")
+        idx = self._idx = add_device_block(p, m, self.refs, self.state, self.dt, pinned=False)
+        cap = p.add_variables(f"cap.{m.id}", 2 * T)  # per step: upward, downward
+        self._capu, self._capd = cap[0::2], cap[1::2]
 
         # realized controllable power = committed reference + up - down
-        for t in range(T):
-            terms = [(int(capu[t]), -1.0), (int(capd[t]), 1.0)]
-            for tag, sign in FLEX_TAGS:
-                if tag in idx:
-                    terms.append((int(idx[tag][t]), sign))
-            p.add_constraint(terms, "=", float(self.refs_total[t]))
-
+        self._ref_rows = p.add_rows(
+            "=", self.refs_total, [(self._capu, -1.0), (self._capd, 1.0)]
+            + [(idx[tag], sign) for tag, sign in FLEX_TAGS if tag in idx])
         # shifts conserve daily energy
-        terms = [(int(capu[t]), 1.0) for t in range(T)]
-        terms += [(int(capd[t]), -1.0) for t in range(T)]
-        p.add_constraint(terms, "=", 0.0)
+        p.add_rows("=", 0.0, [(self._capu, 1.0, 0), (self._capd, -1.0, 0)])
 
-        for t in range(T):
-            p.add_objective_term(int(capu[t]), -self.dt * float(self.price[t]))
+        p.add_objective(self._capu, -self.dt * self.price)
         for tag in ("jev", "jwb", "jhp"):
             if tag in idx:
-                for col in idx[tag]:
-                    p.add_objective_term(int(col), 1.0)
+                p.add_objective(idx[tag], 1.0)
 
+    def _solve(self, up_limit: np.ndarray, down_limit: np.ndarray) -> np.ndarray:
+        """Optimal point of the subproblem under the given shift limits."""
+        p = self._lp
+        p.set_bounds(self._capu, 0.0, up_limit)
+        p.set_bounds(self._capd, 0.0, down_limit)
+        p.set_rhs(self._ref_rows, self.refs_total)
         solution = solve_lp(p)
         if solution.status is not LpStatus.OPTIMAL:
             raise DecentralError(
-                f"member {m.id} subproblem {solution.status.value}: committed "
+                f"member {self.member.id} subproblem {solution.status.value}: committed "
                 f"references should always stay feasible ({solution.message})")
-        return solution, idx, capu, capd
+        return solution.x
 
     def offer(self, request: FlexRequest) -> CapacityOffer:
         """Best-response capacity offer against the community request."""
         if not self.has_flexibility:
             return CapacityOffer(self.member.id, self._zero(), self._zero())
-        solution, _, capu, capd = self._solve(request.up_kw, request.down_kw)
-        return CapacityOffer(self.member.id, self._publish(solution.x[capu]),
-                             self._publish(solution.x[capd]))
+        x = self._solve(request.up_kw, request.down_kw)
+        return CapacityOffer(self.member.id, self._publish(x[self._capu]),
+                             self._publish(x[self._capd]))
 
     def activate(self, bounds: ActivationBounds) -> Activation:
         """Re-solve under the refined bounds and commit the outcome."""
@@ -315,33 +295,15 @@ class MemberAgent:
                 and float(np.max(bounds.down_kw, initial=0.0)) == 0.0:
             # nothing allotted: keep the committed dispatch untouched
             return Activation(self.member.id, self._zero(), self._zero())
-        solution, idx, capu, capd = self._solve(bounds.up_kw, bounds.down_kw)
-        up = self._publish(solution.x[capu])
-        down = self._publish(solution.x[capd])
-        self._commit(solution.x, idx)
+        x = self._solve(bounds.up_kw, bounds.down_kw)
+        up = self._publish(x[self._capu])
+        down = self._publish(x[self._capd])
+        # commit: the realized dispatch becomes the new reference
+        for tag, cols in self._idx.items():
+            setattr(self.schedule, SERIES_FIELDS[tag], x[cols])
+        self.refs_total = self.schedule.total_flexible_kw
         self.revenue_eur += float(self.dt * np.sum(self.price * up))
         return Activation(self.member.id, up, down)
-
-    def _commit(self, x: np.ndarray, idx: dict[str, np.ndarray]) -> None:
-        m = self.member
-        s = self.schedule
-        if m.bss is not None:
-            s.bss_charge_kw = x[idx["pcha"]]
-            s.bss_discharge_kw = x[idx["pdis"]]
-            s.bss_soc = x[idx["socb"]]
-        if m.ev is not None:
-            s.ev_power_kw = x[idx["pev"]]
-            s.ev_soc = x[idx["sev"]]
-            s.ev_discomfort_eur = x[idx["jev"]]
-        if m.wb is not None:
-            s.wb_power_kw = x[idx["pwb"]]
-            s.wb_temp_c = x[idx["twb"]]
-            s.wb_discomfort_eur = x[idx["jwb"]]
-        if m.hp is not None:
-            s.hp_power_kw = x[idx["php"]]
-            s.hp_temp_c = x[idx["thp"]]
-            s.hp_discomfort_eur = x[idx["jhp"]]
-        self.refs_total = s.total_flexible_kw
 
 
 # ---------------------------------------------------------------------------
@@ -449,42 +411,17 @@ def _assemble(day_s: Scenario, day: int, agents: Mapping[str, MemberAgent],
         m = day_s.member(uid)
         agent = agents[uid]
         ex = exchanges[uid]
-        s = agent.schedule
-        sched = MemberDaySchedule(
-            member_id=uid,
-            import_retailer_kw=ex["iret"],
-            export_retailer_kw=ex["eret"],
-            import_community_kw=ex["icom"],
-            export_community_kw=ex["ecom"],
-            injection_kw=injections[uid],
-            pv_kw=np.array(m.pv_max_kw),
-            bss_charge_kw=s.bss_charge_kw,
-            bss_discharge_kw=s.bss_discharge_kw,
-            bss_soc=s.bss_soc,
-            ev_power_kw=s.ev_power_kw,
-            ev_soc=s.ev_soc,
-            ev_discomfort_eur=s.ev_discomfort_eur,
-            wb_power_kw=s.wb_power_kw,
-            wb_temp_c=s.wb_temp_c,
-            wb_discomfort_eur=s.wb_discomfort_eur,
-            hp_power_kw=s.hp_power_kw,
-            hp_temp_c=s.hp_temp_c,
-            hp_discomfort_eur=s.hp_discomfort_eur,
-            ref_ev_kw=s.ref_ev_kw,
-            ref_wb_kw=s.ref_wb_kw,
-            ref_hp_kw=s.ref_hp_kw,
-            flex_revenue_eur=agent.revenue_eur,
-        )
+        # the committed dispatch with settled exchanges; no day LP priced it
+        sched = replace(
+            agent.schedule, import_retailer_kw=ex["iret"], export_retailer_kw=ex["eret"],
+            import_community_kw=ex["icom"], export_community_kw=ex["ecom"],
+            injection_kw=injections[uid], pv_kw=np.array(m.pv_max_kw), lp_bill_eur=0.0,
+            flex_revenue_eur=agent.revenue_eur)
         sched.bill = billing.compute_bill(
             uid, sched.import_retailer_kw, sched.export_retailer_kw,
             sched.import_community_kw, sched.export_community_kw, day_s.prices, dt)
-        disc = 0.0
-        for arr in (sched.ev_discomfort_eur, sched.wb_discomfort_eur,
-                    sched.hp_discomfort_eur):
-            if arr is not None:
-                disc += float(np.sum(arr))
-        sched.discomfort_total_eur = disc
-        total_disc += disc
+        sched.discomfort_total_eur = discomfort_eur(sched)
+        total_disc += sched.discomfort_total_eur
         members.append(sched)
 
     bill_total = sum(m.bill.total_eur for m in members)

@@ -1,10 +1,19 @@
 """Sparse linear-program container and the solver boundary.
 
-:class:`LpProblem` is a plain builder (variables with bounds, a minimizing
-objective, sparse constraint rows) that any exact LP method can sit behind.
-The default backend is HiGHS via ``scipy.optimize.linprog``; the
-``RECCOORD_SOLVER`` environment variable selects the backend when several are
-registered.
+:class:`LpProblem` declares variables and rows in vectorized blocks (one call
+adds the T variables or T rows of a series) under a minimizing objective.
+The ``RECCOORD_SOLVER`` environment variable selects the backend:
+
+* ``highs`` (default) keeps a persistent HiGHS model attached to the problem.
+  Bound and right-hand-side edits reach it in place, as changes of only the
+  entries that moved; a structural edit drops it.  The coordination loop's
+  member subproblems are built once per day and re-solved this way.
+* ``linprog`` hands the problem to ``scipy.optimize.linprog`` afresh.
+
+Every solve runs cold, so results do not depend on solve history.  Both
+backends give HiGHS the same model (inequality rows first as ``<=`` with
+``>=`` rows negated, then equalities; a CSC matrix) and the options
+``linprog`` uses, so they return bit-identical solutions.
 
 Solutions are checked against the declared rows before being reported
 ``optimal``: a backend claiming success on a primal-infeasible point is
@@ -17,11 +26,12 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 #: Absolute feasibility tolerance on constraint residuals and bound violations.
 TOL_FEAS = 1e-7
@@ -29,6 +39,8 @@ TOL_FEAS = 1e-7
 TOL_OPT = 1e-6
 
 Sense = Literal["<=", "=", ">="]
+_SENSES = ("<=", "=", ">=")
+_LE, _EQ, _GE = range(3)
 
 
 class LpStatus(Enum):
@@ -40,14 +52,6 @@ class LpStatus(Enum):
 
 class LpError(Exception):
     """Malformed problem: bad bounds, unknown variables, non-finite data."""
-
-
-@dataclass
-class _Row:
-    cols: np.ndarray
-    vals: np.ndarray
-    sense: Sense
-    rhs: float
 
 
 @dataclass
@@ -71,17 +75,31 @@ class LpSolution:
         return float(self.x[self.names.index(name)])
 
 
+class _Structure(NamedTuple):
+    """Arrays derived from the declarations, rebuilt after structural edits."""
+
+    check: sparse.csr_array    # declared rows stacked on the identity
+    highs: sparse.csc_array    # rows in the order HiGHS receives them
+    order: np.ndarray          # declared row of each ``highs`` row
+    num_ub: int                # leading inequality rows of ``highs``
+    c: np.ndarray              # objective vector
+
+
 class LpProblem:
-    """Minimization LP built incrementally: variables, objective, sparse rows."""
+    """Minimization LP built from blocks of variables and rows."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
         self._names: list[str] = []
         self._index: dict[str, int] = {}
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._obj: dict[int, float] = {}
-        self._rows: list[_Row] = []
+        # declared data as lists of array chunks, joined on first use
+        self._parts = {key: [np.empty(0, dtype=dtype)] for key, dtype in (
+            ("lb", np.float64), ("ub", np.float64), ("obj_col", np.int64),
+            ("obj_val", np.float64), ("rhs", np.float64), ("sense", np.int8),
+            ("row", np.int64), ("col", np.int64), ("val", np.float64))}
+        self._num_rows = 0
+        self._structure: _Structure | None = None
+        self._attached = None  # backend model; structural edits drop it
 
     # -- construction -------------------------------------------------------
 
@@ -91,104 +109,165 @@ class LpProblem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows)
+        return self._num_rows
 
     @property
     def variable_names(self) -> tuple[str, ...]:
         return tuple(self._names)
 
+    def _array(self, key: str) -> np.ndarray:
+        parts = self._parts[key]
+        if len(parts) > 1:
+            parts[:] = [np.concatenate(parts)]
+        return parts[0]
+
+    def _declare(self, **chunks: list[np.ndarray]) -> None:
+        for key, arrays in chunks.items():
+            self._parts[key].extend(arrays)
+        self._structure = self._attached = None
+
+    def add_variables(self, name: str, size: int, lb=0.0, ub=math.inf) -> np.ndarray:
+        """Add ``size`` variables named ``name.0`` ... and return their columns.
+
+        ``lb`` and ``ub`` are scalars or length-``size`` arrays.
+        """
+        return self._add_columns([f"{name}.{t}" for t in range(size)], lb, ub)
+
     def add_variable(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
-        if name in self._index:
-            raise LpError(f"duplicate variable name {name!r}")
-        if math.isnan(lb) or math.isnan(ub):
-            raise LpError(f"NaN bound on variable {name!r}")
-        if lb > ub:
-            raise LpError(f"variable {name!r} has lb {lb} > ub {ub}")
-        idx = len(self._names)
-        self._names.append(name)
-        self._index[name] = idx
-        self._lb.append(lb)
-        self._ub.append(ub)
-        return idx
+        return int(self._add_columns([name], lb, ub)[0])
 
-    def _col(self, var: int | str) -> int:
-        if isinstance(var, str):
-            try:
-                return self._index[var]
-            except KeyError:
-                raise LpError(f"unknown variable {var!r}") from None
-        if not 0 <= var < len(self._names):
-            raise LpError(f"variable index {var} out of range")
-        return var
+    def _add_columns(self, names: list[str], lb, ub) -> np.ndarray:
+        bad = next((n for n in names if n in self._index), None)
+        if bad is not None:
+            raise LpError(f"duplicate variable name {bad!r}")
+        lbb, ubb = _bound_arrays(lb, ub, len(names), names.__getitem__)
+        start = len(self._names)
+        self._names.extend(names)
+        self._index.update(zip(names, range(start, len(self._names))))
+        self._declare(lb=[lbb], ub=[ubb])
+        return np.arange(start, len(self._names))
 
-    def add_objective_term(self, var: int | str, coeff: float) -> None:
-        col = self._col(var)
-        if not math.isfinite(coeff):
-            raise LpError(f"non-finite objective coefficient on {self._names[col]!r}")
-        self._obj[col] = self._obj.get(col, 0.0) + coeff
+    def _cols(self, cols) -> np.ndarray:
+        """Columns of a variable name, a column index or an array of them."""
+        if isinstance(cols, str):
+            if cols not in self._index:
+                raise LpError(f"unknown variable {cols!r}")
+            cols = self._index[cols]
+        out = np.atleast_1d(np.asarray(cols, dtype=np.int64))
+        if out.size and (out.min() < 0 or out.max() >= len(self._names)):
+            raise LpError("variable index out of range")
+        return out
+
+    def add_objective(self, cols, coeffs) -> None:
+        """Add ``coeffs[j] * x[cols[j]]`` to the objective; repeats accumulate."""
+        c = self._cols(cols)
+        v = np.broadcast_to(np.asarray(coeffs, dtype=np.float64), c.shape)
+        if not np.isfinite(v).all():
+            raise LpError("non-finite objective coefficient")
+        self._declare(obj_col=[c], obj_val=[v])
+
+    add_objective_term = add_objective
+
+    def add_rows(self, sense: Sense, rhs, terms: Iterable[tuple]) -> np.ndarray:
+        """Add ``len(rhs)`` rows of one sense and return their row indexes.
+
+        Each term is ``(cols, coeffs)`` or ``(cols, coeffs, at)`` and adds
+        ``coeffs[j] * x[cols[j]]`` to row ``at[j]`` of the block; ``at``
+        defaults to ``j``.  ``coeffs`` and ``at`` broadcast against ``cols``.
+        """
+        if sense not in _SENSES:
+            raise LpError(f"bad constraint sense {sense!r}")
+        b = np.array(rhs, dtype=np.float64, ndmin=1)
+        if not np.isfinite(b).all():
+            raise LpError(f"non-finite rhs in {b}")
+        row0 = self._num_rows
+        rows, cols, vals = [], [], []
+        for term in terms:
+            c = self._cols(term[0])
+            v = np.broadcast_to(np.asarray(term[1], dtype=np.float64), c.shape)
+            at = (np.arange(c.size) if len(term) < 3
+                  else np.broadcast_to(np.asarray(term[2], dtype=np.int64), c.shape))
+            if not np.isfinite(v).all():
+                raise LpError("non-finite constraint coefficient")
+            if at.size and (at.min() < 0 or at.max() >= b.size):
+                raise LpError(f"term row outside the block of {b.size} rows")
+            rows.append(at + row0)
+            cols.append(c)
+            vals.append(v)
+        self._declare(row=rows, col=cols, val=vals, rhs=[b],
+                      sense=[np.full(b.size, _SENSES.index(sense), dtype=np.int8)])
+        self._num_rows += b.size
+        return np.arange(row0, self._num_rows)
 
     def add_constraint(self, terms: Iterable[tuple[int | str, float]], sense: Sense,
                        rhs: float) -> int:
-        if sense not in ("<=", "=", ">="):
-            raise LpError(f"bad constraint sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise LpError(f"non-finite rhs {rhs}")
-        acc: dict[int, float] = {}
-        for var, coeff in terms:
-            if not math.isfinite(coeff):
-                raise LpError("non-finite constraint coefficient")
-            col = self._col(var)
-            acc[col] = acc.get(col, 0.0) + coeff
-        cols = np.fromiter(acc.keys(), dtype=np.int64, count=len(acc))
-        vals = np.fromiter(acc.values(), dtype=np.float64, count=len(acc))
-        self._rows.append(_Row(cols=cols, vals=vals, sense=sense, rhs=float(rhs)))
-        return len(self._rows) - 1
+        return int(self.add_rows(sense, rhs, [(var, coeff, 0) for var, coeff in terms])[0])
 
-    def set_bounds(self, var: int | str, lb: float, ub: float) -> None:
-        col = self._col(var)
-        if math.isnan(lb) or math.isnan(ub):
-            raise LpError(f"NaN bound on variable {self._names[col]!r}")
-        if lb > ub:
-            raise LpError(f"variable {self._names[col]!r} has lb {lb} > ub {ub}")
-        self._lb[col] = lb
-        self._ub[col] = ub
+    def set_bounds(self, cols, lb, ub) -> None:
+        """Replace the bounds of one variable or an array of them."""
+        c = self._cols(cols)
+        lbb, ubb = _bound_arrays(lb, ub, c.size, lambda i: self._names[c[i]])
+        self._array("lb")[c] = lbb
+        self._array("ub")[c] = ubb
+
+    def set_rhs(self, rows, rhs) -> None:
+        """Replace the right-hand side of declared rows."""
+        r = np.atleast_1d(np.asarray(rows, dtype=np.int64))
+        b = np.broadcast_to(np.asarray(rhs, dtype=np.float64), r.shape)
+        if not np.isfinite(b).all():
+            raise LpError("non-finite rhs")
+        if r.size and (r.min() < 0 or r.max() >= self._num_rows):
+            raise LpError("row index out of range")
+        self._array("rhs")[r] = b
 
     # -- introspection ------------------------------------------------------
 
+    def _structured(self) -> _Structure:
+        if self._structure is None:
+            m, n = self._num_rows, len(self._names)
+            r, c, v, sense = (self._array(k) for k in ("row", "col", "val", "sense"))
+            ineq = sense != _EQ
+            order = np.concatenate([np.flatnonzero(ineq), np.flatnonzero(~ineq)])
+            position = np.empty(m, dtype=np.int64)
+            position[order] = np.arange(m)
+            self._structure = _Structure(
+                sparse.vstack([sparse.csr_array((v, (r, c)), shape=(m, n)),
+                               sparse.eye_array(n, format="csr")], format="csr"),
+                sparse.csc_array((np.where(sense[r] == _GE, -1.0 * v, v), (position[r], c)),
+                                 shape=(m, n)),
+                order, int(ineq.sum()),
+                np.bincount(self._array("obj_col"), self._array("obj_val"), minlength=n))
+        return self._structure
+
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self._lb), np.array(self._ub)
+        return self._array("lb").copy(), self._array("ub").copy()
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(len(self._names))
-        for col, coeff in self._obj.items():
-            c[col] = coeff
-        return c
+        return self._structured().c.copy()
 
-    def rows(self) -> Sequence[_Row]:
-        return tuple(self._rows)
+    def _highs_layout(self) -> tuple[sparse.csc_array, np.ndarray, np.ndarray]:
+        """Matrix and row limits in the layout HiGHS receives.
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
-        """Signed violation of each row at ``x`` (positive = infeasible)."""
-        out = np.zeros(len(self._rows))
-        for i, row in enumerate(self._rows):
-            lhs = float(row.vals @ x[row.cols])
-            if row.sense == "<=":
-                out[i] = lhs - row.rhs
-            elif row.sense == ">=":
-                out[i] = row.rhs - lhs
-            else:
-                out[i] = abs(lhs - row.rhs)
-        return out
+        Inequality rows come first as ``<=`` rows (``>=`` rows negated), then
+        the equalities, each group in declaration order.
+        """
+        s = self._structured()
+        b = self._array("rhs")[s.order]
+        b[:s.num_ub] *= np.where(self._array("sense")[s.order[:s.num_ub]] == _GE, -1.0, 1.0)
+        return s.highs, np.concatenate([np.full(s.num_ub, -math.inf), b[s.num_ub:]]), b
 
     def max_violation(self, x: np.ndarray) -> float:
-        """Largest constraint or bound violation at ``x``."""
-        lb, ub = self.bounds()
-        bound_viol = np.maximum(lb - x, x - ub)
-        bound_viol = np.where(np.isfinite(bound_viol), bound_viol, -math.inf)
-        worst_bound = float(bound_viol.max(initial=0.0))
-        res = self.residuals(x)
-        worst_row = float(res.max(initial=0.0))
-        return max(worst_bound, worst_row, 0.0)
+        """Largest row or bound violation at ``x``; a NaN violation reports inf.
+
+        One mat-vec of the rows stacked on the identity, against the row
+        limits followed by the variable bounds.
+        """
+        y = self._structured().check @ x
+        sense, rhs = self._array("sense"), self._array("rhs")
+        lo = np.concatenate([np.where(sense == _LE, -math.inf, rhs), self._array("lb")])
+        hi = np.concatenate([np.where(sense == _GE, math.inf, rhs), self._array("ub")])
+        viol = np.maximum(lo - y, y - hi)
+        return float(np.max(np.where(np.isnan(viol), math.inf, viol), initial=0.0))
 
     # -- MPS debug dump -----------------------------------------------------
 
@@ -198,43 +277,33 @@ class LpProblem:
         Original variable names appear in a leading comment block, one per
         generated column name, so external-solver cross-checks stay readable.
         """
+        s = self._structured()
         lines = [f"* problem: {self.name}"]
-        for i, name in enumerate(self._names):
-            lines.append(f"* X{i + 1} = {name}")
-        lines.append(f"NAME          {self.name.upper()[:8]}")
-        lines.append("ROWS")
-        lines.append(" N  COST")
-        sense_tag = {"<=": "L", ">=": "G", "=": "E"}
-        for i, row in enumerate(self._rows):
-            lines.append(f" {sense_tag[row.sense]}  R{i + 1}")
+        lines += [f"* X{i + 1} = {name}" for i, name in enumerate(self._names)]
+        lines += [f"NAME          {self.name.upper()[:8]}", "ROWS", " N  COST"]
+        lines += [f" {'LEG'[sense]}  R{i + 1}" for i, sense in enumerate(self._array("sense"))]
 
         # column-major entries: objective first, then rows that touch the column
-        by_col: dict[int, list[tuple[str, float]]] = {i: [] for i in range(len(self._names))}
-        for col, coeff in self._obj.items():
-            if coeff != 0.0:
-                by_col[col].append(("COST", coeff))
-        for i, row in enumerate(self._rows):
-            for col, coeff in zip(row.cols, row.vals):
-                if coeff != 0.0:
-                    by_col[int(col)].append((f"R{i + 1}", float(coeff)))
-
+        by_col = s.check[:self._num_rows].tocsc()
         lines.append("COLUMNS")
         for col in range(len(self._names)):
-            entries = by_col[col]
+            span = slice(by_col.indptr[col], by_col.indptr[col + 1])
+            entries = [("COST", s.c[col])] if s.c[col] != 0.0 else []
+            entries += [(f"R{r + 1}", v) for r, v in
+                        zip(by_col.indices[span], by_col.data[span]) if v != 0.0]
             for k in range(0, len(entries), 2):
-                pair = entries[k:k + 2]
                 text = f"    {f'X{col + 1}':<10}"
-                for rname, coeff in pair:
+                for rname, coeff in entries[k:k + 2]:
                     text += f"{rname:<10}{coeff:<15.10g}"
                 lines.append(text.rstrip())
 
         lines.append("RHS")
-        for i, row in enumerate(self._rows):
-            if row.rhs != 0.0:
-                lines.append(f"    {'RHS':<10}{f'R{i + 1}':<10}{row.rhs:<15.10g}".rstrip())
+        for i, rhs in enumerate(self._array("rhs")):
+            if rhs != 0.0:
+                lines.append(f"    {'RHS':<10}{f'R{i + 1}':<10}{rhs:<15.10g}".rstrip())
 
         lines.append("BOUNDS")
-        for col, (lb, ub) in enumerate(zip(self._lb, self._ub)):
+        for col, (lb, ub) in enumerate(zip(self._array("lb"), self._array("ub"))):
             vname = f"X{col + 1}"
             if lb == 0.0 and math.isinf(ub):
                 continue  # default bounds
@@ -251,50 +320,105 @@ class LpProblem:
         return "\n".join(lines) + "\n"
 
 
-def _solve_highs(problem: LpProblem) -> LpSolution:
+def _bound_arrays(lb, ub, size: int, name_of) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds broadcast to ``size`` entries; NaN and crossed bounds are rejected."""
+    lbb, ubb = (np.array(np.broadcast_to(np.asarray(b, dtype=np.float64), (size,)))
+                for b in (lb, ub))
+    bad = np.flatnonzero(np.isnan(lbb) | np.isnan(ubb))
+    if bad.size:
+        raise LpError(f"NaN bound on variable {name_of(bad[0])!r}")
+    bad = np.flatnonzero(lbb > ubb)
+    if bad.size:
+        i = bad[0]
+        raise LpError(f"variable {name_of(i)!r} has lb {lbb[i]} > ub {ubb[i]}")
+    return lbb, ubb
+
+
+def _solution(problem: LpProblem, status: LpStatus, x: np.ndarray | None,
+              message: str) -> LpSolution:
+    """A backend's result; an optimal point violating the problem is a numeric error."""
     names = problem.variable_names
-    n = len(names)
-    c = problem.objective_vector()
-    lb, ub = problem.bounds()
-
-    eq_rows = [r for r in problem.rows() if r.sense == "="]
-    ub_rows = [r for r in problem.rows() if r.sense != "="]
-
-    def matrix(rows, flip_ge: bool):
-        data, ridx, cidx, rhs = [], [], [], []
-        for i, row in enumerate(rows):
-            sign = -1.0 if (flip_ge and row.sense == ">=") else 1.0
-            data.extend(sign * row.vals)
-            ridx.extend([i] * len(row.cols))
-            cidx.extend(row.cols)
-            rhs.append(sign * row.rhs)
-        mat = sparse.csr_matrix((data, (ridx, cidx)), shape=(len(rows), n))
-        return mat, np.array(rhs)
-
-    kwargs = {}
-    if eq_rows:
-        kwargs["A_eq"], kwargs["b_eq"] = matrix(eq_rows, flip_ge=False)
-    if ub_rows:
-        kwargs["A_ub"], kwargs["b_ub"] = matrix(ub_rows, flip_ge=True)
-
-    res = linprog(c, bounds=np.column_stack([lb, ub]), method="highs", **kwargs)
-
-    if res.status == 2:
-        return LpSolution(LpStatus.INFEASIBLE, None, None, names, res.message)
-    if res.status == 3:
-        return LpSolution(LpStatus.UNBOUNDED, None, None, names, res.message)
-    if res.status != 0 or res.x is None:
-        return LpSolution(LpStatus.NUMERIC_ERROR, None, None, names, res.message)
-
-    x = np.asarray(res.x, dtype=np.float64)
-    violation = problem.max_violation(x)
-    if violation > TOL_FEAS:
-        return LpSolution(LpStatus.NUMERIC_ERROR, None, None, names,
-                          f"solver returned an infeasible point (violation {violation:.3e})")
-    return LpSolution(LpStatus.OPTIMAL, float(c @ x), x, names, res.message)
+    if status is LpStatus.OPTIMAL:
+        violation = problem.max_violation(x)
+        if violation <= TOL_FEAS:
+            return LpSolution(status, float(problem.objective_vector() @ x), x, names, message)
+        status = LpStatus.NUMERIC_ERROR
+        message = f"solver returned an infeasible point (violation {violation:.3e})"
+    return LpSolution(status, None, None, names, message)
 
 
-_BACKENDS = {"highs": _solve_highs}
+def _solve_linprog(problem: LpProblem) -> LpSolution:
+    a, _, rhs = problem._highs_layout()
+    k = problem._structured().num_ub
+    blocks = {"A_ub": a[:k], "b_ub": rhs[:k], "A_eq": a[k:], "b_eq": rhs[k:]}
+    res = linprog(problem.objective_vector(), bounds=np.column_stack(problem.bounds()),
+                  method="highs", **{key: v for key, v in blocks.items() if v.shape[0]})
+    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    return _solution(problem, status.get(res.status, LpStatus.NUMERIC_ERROR), res.x,
+                     res.message)
+
+
+#: The options ``linprog(method="highs")`` sets: presolve on, dual simplex, no log.
+_HIGHS_OPTIONS = (("presolve", "on"), ("highs_debug_level", 0), ("log_to_console", False),
+                  ("output_flag", False), ("simplex_strategy", 1))
+
+_HIGHS_STATUS = {_highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
+                 _highs.HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
+                 _highs.HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED}
+
+
+class _HighsModel:
+    """A HiGHS model attached to one problem; edits reach it as in-place diffs."""
+
+    def __init__(self, problem: LpProblem):
+        a, self.lhs, self.rhs = problem._highs_layout()
+        self.lb, self.ub = problem.bounds()
+        lp = _highs.HighsLp()
+        lp.num_row_, lp.num_col_ = a.shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
+            a.indptr, a.indices, a.data
+        lp.col_cost_ = problem.objective_vector()
+        lp.col_lower_, lp.col_upper_ = self.lb, self.ub
+        lp.row_lower_, lp.row_upper_ = self.lhs, self.rhs
+        self.highs = _highs._Highs()
+        for key, value in _HIGHS_OPTIONS:
+            self.highs.setOptionValue(key, value)
+        if self.highs.passModel(lp) == _highs.HighsStatus.kError:
+            raise LpError(f"HiGHS rejected the model of {problem.name!r}")
+
+    def sync(self, problem: LpProblem) -> None:
+        """Push the bounds and row limits that changed since the last solve."""
+        lb, ub = problem.bounds()
+        cols = np.flatnonzero(_moved(lb, self.lb) | _moved(ub, self.ub))
+        if cols.size:
+            self.highs.changeColsBounds(cols.size, cols.astype(np.int32), lb[cols], ub[cols])
+        _, lhs, rhs = problem._highs_layout()
+        for i in np.flatnonzero(_moved(lhs, self.lhs) | _moved(rhs, self.rhs)):
+            self.highs.changeRowBounds(int(i), lhs[i], rhs[i])
+        self.lb, self.ub, self.lhs, self.rhs = lb, ub, lhs, rhs
+
+
+def _moved(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Entries that differ bit for bit (so a sign change of zero counts)."""
+    return new.view(np.uint64) != old.view(np.uint64)
+
+
+def _solve_highs(problem: LpProblem) -> LpSolution:
+    model = problem._attached = problem._attached or _HighsModel(problem)
+    model.sync(problem)
+    h = model.highs
+    h.clearSolver()
+    h.run()
+    status = h.getModelStatus()
+    x = np.array(h.getSolution().col_value) if status == _highs.HighsModelStatus.kOptimal \
+        else None
+    return _solution(problem, _HIGHS_STATUS.get(status, LpStatus.NUMERIC_ERROR), x,
+                     h.modelStatusToString(status))
+
+
+_BACKENDS = {"highs": _solve_highs, "linprog": _solve_linprog}
 
 #: Environment variable selecting the LP backend.
 SOLVER_ENV_VAR = "RECCOORD_SOLVER"

@@ -86,7 +86,7 @@ def _member_series(m: MemberDaySchedule) -> dict[str, np.ndarray]:
 def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                  out_dir: str | Path,
                  benefits: Mapping[str, Sequence[MemberBenefit]] | None = None,
-                 traces: Iterable[IterationTrace] = (),
+                 traces: Iterable[IterationTrace | dict] = (),
                  ) -> ReportFiles:
     """Write the four report files under ``out_dir`` (created if missing)."""
     out = Path(out_dir)
@@ -138,7 +138,8 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
 
     with files.trace_jsonl.open("w", encoding="utf-8", newline="") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace.to_dict(), separators=(",", ":")))
+            doc = trace if isinstance(trace, dict) else trace.to_dict()
+            fh.write(json.dumps(doc, separators=(",", ":")))
             fh.write("\n")
 
     return files

@@ -150,3 +150,34 @@ def test_checkpoint_invalidated_when_settings_change(tmp_path):
     assert _run(["--generate", GEN, "--seed", "5", "--days", "1", "--dt", "1.0",
                  "--out", str(fresh), "--modes", "ecflexit", "--key", "cascade"]) == 0
     assert (out / "summary.csv").read_bytes() == (fresh / "summary.csv").read_bytes()
+
+
+def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
+    args = ["--generate", GEN, "--seed", "5", "--modes", "ecflex,ecflexit",
+            "--key", "equal", "--days", "1", "--dt", "1.0", "--trace"]
+    assert _run([*args, "--out", str(tmp_path / "full")]) == 0
+
+    resume = tmp_path / "resume"
+    assert _run([*args, "--out", str(resume)]) == 0
+    checkpoint = resume / "checkpoint" / "ECFlexIt_0000.json"
+    intact = checkpoint.read_bytes()
+    checkpoint.write_bytes(intact[: len(intact) // 2])
+    with caplog.at_level("WARNING", logger="reccoord.cli"):
+        assert _run([*args, "--out", str(resume)]) == 0
+    assert "ECFlexIt day 0: unreadable checkpoint" in caplog.text
+    assert checkpoint.read_bytes() == intact
+    assert not list((resume / "checkpoint").glob("*.tmp"))
+    for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
+        assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), name
+
+
+def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
+    args = ["--generate", "members=6", "--seed", "7", "--modes",
+            "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal",
+            "--trace"]
+    for backend in ("highs", "linprog"):
+        monkeypatch.setenv("RECCOORD_SOLVER", backend)
+        assert _run([*args, "--out", str(tmp_path / backend)]) == 0
+    for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
+        assert (tmp_path / "highs" / name).read_bytes() \
+            == (tmp_path / "linprog" / name).read_bytes(), name

@@ -1,5 +1,6 @@
 """LP container and solver boundary: worked examples, vertex-enumeration
-cross-checks, determinism, MPS dumping."""
+cross-checks, determinism, MPS dumping, the feasibility check and agreement
+between the persistent HiGHS backend and ``linprog``."""
 
 from __future__ import annotations
 
@@ -9,8 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from reccoord.billing import activation_price
+from reccoord.central import (CarriedState, PlannerMode, build_day_problem, default_refs,
+                              solve_centralized)
+from reccoord.decentral import MemberAgent, settle_community
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
                              solve_lp)
+from reccoord.scenario import SyntheticConfig, generate_synthetic
 
 
 def test_single_variable_lower_bounded():
@@ -216,3 +222,129 @@ def test_mps_dump_structure():
     assert "* X1 = flow" in text
     assert " FR BND       X2" in text
     assert p.to_mps() == text  # deterministic
+
+
+# ---------------------------------------------------------------------------
+# The feasibility check
+
+
+def _check_lp() -> LpProblem:
+    """u in [0, 1]; free v, w, z; rows 2v <= 4, w >= -1, z = 3."""
+    p = LpProblem("check")
+    p.add_variable("u", 0.0, 1.0)
+    for name in ("v", "w", "z"):
+        p.add_variable(name, -math.inf, math.inf)
+    p.add_constraint([("v", 2.0)], "<=", 4.0)
+    p.add_constraint([("w", 1.0)], ">=", -1.0)
+    p.add_constraint([("z", 1.0)], "=", 3.0)
+    return p
+
+
+@pytest.mark.parametrize("point, expected", [
+    ((0.5, 0.0, 0.0, 3.0), 0.0),         # feasible
+    ((0.5, 2.125, 0.0, 3.0), 0.25),      # <= row: 4.25 against 4
+    ((0.5, 0.0, -1.5, 3.0), 0.5),        # >= row: -1.5 against -1
+    ((0.5, 0.0, 0.0, 3.125), 0.125),     # = row, above
+    ((0.5, 0.0, 0.0, 2.75), 0.25),       # = row, below
+    ((-0.75, 0.0, 0.0, 3.0), 0.75),      # finite lower bound
+    ((1.0625, 0.0, 0.0, 3.0), 0.0625),   # finite upper bound
+    ((-0.75, 2.125, -1.5, 3.125), 0.75),  # the largest of several
+    ((0.5, -1e300, 1e300, 3.0), 0.0),    # infinite bounds never report
+])
+def test_max_violation_reports_the_exact_worst_violation(point, expected):
+    assert _check_lp().max_violation(np.array(point)) == expected
+
+
+# ---------------------------------------------------------------------------
+# Backend agreement: the persistent HiGHS model and linprog see the same model
+
+
+@pytest.fixture(scope="module")
+def community():
+    return generate_synthetic(SyntheticConfig(members=4, seed=11, steps_per_day=24,
+                                              dt_hours=1.0, pv_total_kwp=20.0))
+
+
+def _member_agent(scenario) -> MemberAgent:
+    day = scenario.for_day(0)
+    m = next(m for m in day.members if m.has_flexibility)
+    ecfix = solve_centralized(scenario, 0, PlannerMode.EC_FIX)
+    return MemberAgent(m, default_refs(day)[m.id], CarriedState(), day.horizon.dt_hours,
+                       ecfix.member(m.id), activation_price(day.prices))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _limit_member(agent: MemberAgent, scale: float) -> LpProblem:
+    """The agent's subproblem with shift limits and references set as for a solve."""
+    steps = len(agent.member.fixed_load_kw)
+    limits = scale * np.linspace(0.5, 2.0, steps)
+    agent._lp.set_bounds(agent._capu, 0.0, limits)
+    agent._lp.set_bounds(agent._capd, 0.0, limits[::-1])
+    agent._lp.set_rhs(agent._ref_rows, agent.refs_total)
+    return agent._lp
+
+
+def test_backends_agree_bit_for_bit_on_day_and_member_lps(community):
+    day_lp = build_day_problem(community, 0, PlannerMode.EC_FLEX)
+    member_lp = _limit_member(_member_agent(community), 1.0)
+    for problem in (day_lp, member_lp):
+        a = solve_lp(problem, backend="highs")
+        b = solve_lp(problem, backend="linprog")
+        assert a.status is b.status is LpStatus.OPTIMAL
+        assert _same_bits(a.x, b.x), problem.name
+        assert a.objective == b.objective
+
+
+def test_backends_agree_bit_for_bit_on_the_settlement(community, monkeypatch):
+    day = community.for_day(0)
+    sched = solve_centralized(community, 0, PlannerMode.EC_FLEX)
+    injections = {m.member_id: m.injection_kw for m in sched.members}
+    out = {}
+    for backend in ("highs", "linprog"):
+        monkeypatch.setenv("RECCOORD_SOLVER", backend)
+        out[backend] = settle_community(day.prices, day.horizon.dt_hours, injections)
+    for uid, legs in out["highs"].items():
+        for tag, values in legs.items():
+            assert _same_bits(values, out["linprog"][uid][tag]), (uid, tag)
+
+
+def test_in_place_resolve_matches_a_fresh_linprog_solve(community):
+    agent = _member_agent(community)
+    problem = _limit_member(agent, 1.0)
+    assert solve_lp(problem, backend="highs").status is LpStatus.OPTIMAL
+    attached = problem._attached
+    assert attached is not None
+
+    # a bound change and a right-hand-side change on the solved problem
+    steps = len(agent.member.fixed_load_kw)
+    problem.set_bounds(agent._capu, 0.0, 0.4 * np.linspace(0.5, 2.0, steps))
+    shifted = agent.refs_total.copy()
+    shifted[: steps // 2] += 0.05
+    shifted[steps // 2:] -= 0.05
+    problem.set_rhs(agent._ref_rows, shifted)
+    resolved = solve_lp(problem, backend="highs")
+    assert problem._attached is attached  # edited in place, not rebuilt
+
+    fresh_agent = _member_agent(community)
+    fresh = _limit_member(fresh_agent, 1.0)
+    fresh.set_bounds(fresh_agent._capu, 0.0, 0.4 * np.linspace(0.5, 2.0, steps))
+    fresh.set_rhs(fresh_agent._ref_rows, shifted)
+    expected = solve_lp(fresh, backend="linprog")
+    assert resolved.status is expected.status is LpStatus.OPTIMAL
+    assert _same_bits(resolved.x, expected.x)
+
+
+def test_structural_edit_drops_the_attached_model():
+    p = LpProblem()
+    x = p.add_variable("x", 0.0, 4.0)
+    p.add_objective_term(x, -1.0)
+    assert solve_lp(p, backend="highs").objective == -4.0
+    p.set_bounds(x, 0.0, 3.0)
+    assert solve_lp(p, backend="highs").objective == -3.0
+    assert p._attached is not None
+    p.add_constraint([(x, 1.0)], "<=", 2.0)
+    assert p._attached is None
+    assert solve_lp(p, backend="highs").objective == -2.0
