@@ -1,4 +1,5 @@
-"""Bill arithmetic, activation pricing, benefit individualization, summaries.
+"""Bill arithmetic, exchange settlement, activation pricing, benefit
+individualization, summaries.
 
 Money arithmetic that feeds user-facing numbers (the activation reward in
 particular) runs on :mod:`decimal` so that flat tariffs combine without
@@ -7,6 +8,7 @@ binary-float residue; schedule-dependent aggregation stays in floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -64,6 +66,31 @@ def compute_bill(member_id: str, import_retailer_kw, export_retailer_kw,
         community_fees_eur=fees,
         total_eur=cost - revenue + fees,
     )
+
+
+def settle_community(injections: Mapping[str, np.ndarray],
+                     community: bool = True) -> dict[str, dict[str, np.ndarray]]:
+    """Retailer and community legs of fixed net injections, in closed form.
+
+    At every step the community matches ``min(supply, demand)``, the smaller
+    of the summed exports and imports (nothing in a solo mode), which is the
+    cheapest split whenever import price > export price + 2 * fee.  The
+    matched volume is shared pro rata over exporters and over importers; the
+    rest of each member's injection goes to the retailer.  Totals are
+    correctly rounded sums, so every member's legs are bit-identical under
+    any order of ``injections``.
+    """
+    ids = list(injections)
+    inj = np.array([np.asarray(injections[uid], dtype=np.float64) for uid in ids], ndmin=2)
+    exports = np.where(inj > 0.0, inj, 0.0)
+    imports = np.where(inj < 0.0, -inj, 0.0)
+    supply = np.array([math.fsum(col) for col in exports.T])
+    demand = np.array([math.fsum(col) for col in imports.T])
+    matched = np.minimum(supply, demand) if community else np.zeros_like(supply)
+    ecom = exports * np.divide(matched, supply, out=np.zeros_like(supply), where=supply > 0)
+    icom = imports * np.divide(matched, demand, out=np.zeros_like(demand), where=demand > 0)
+    return {uid: {"iret": imports[u] - icom[u], "eret": exports[u] - ecom[u],
+                  "icom": icom[u], "ecom": ecom[u]} for u, uid in enumerate(ids)}
 
 
 def _decimal(x: float) -> Decimal:

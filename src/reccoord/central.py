@@ -8,6 +8,16 @@ and three benchmark variants obtained by adding constraints:
 * ``ECFix``    - community exchange allowed, flexible loads pinned;
 * ``ECFlex``   - community exchange allowed, flexible loads free.
 
+Each member only has nonnegative export and import columns tied to its
+devices by one balance row per step.  Community exchanges are three columns
+per step under two aggregate rows, ``sum(exports) = com + eret`` and
+``sum(imports) = com + iret``, priced ``dt * (import * iret - export * eret +
+2 * fee * com)``; ``com`` is fixed at 0 in the solo modes.  Because import
+exceeds export plus twice the fee, the optimum matches
+``min(sum(exports), sum(imports))``, so each member's retailer and community
+legs follow in closed form from its net injection
+(:func:`reccoord.billing.settle_community`) instead of from the LP vertex.
+
 Batteries are always dispatchable.  PV is treated as data (no curtailment)
 unless explicitly allowed, in which case production becomes a bounded
 variable.  Multi-day runs solve day problems sequentially: vehicle and
@@ -87,12 +97,13 @@ class MemberDaySchedule:
     """One member's optimized day: exchanges, device dispatch, states, money."""
 
     member_id: str
-    import_retailer_kw: np.ndarray
-    export_retailer_kw: np.ndarray
-    import_community_kw: np.ndarray
-    export_community_kw: np.ndarray
     injection_kw: np.ndarray
     pv_kw: np.ndarray
+    # retailer and community legs, set by :func:`settle_day`
+    import_retailer_kw: np.ndarray | None = None
+    export_retailer_kw: np.ndarray | None = None
+    import_community_kw: np.ndarray | None = None
+    export_community_kw: np.ndarray | None = None
     bss_charge_kw: np.ndarray | None = None
     bss_discharge_kw: np.ndarray | None = None
     bss_soc: np.ndarray | None = None
@@ -109,7 +120,6 @@ class MemberDaySchedule:
     ref_wb_kw: np.ndarray | None = None
     ref_hp_kw: np.ndarray | None = None
     bill: billing.Bill | None = None
-    lp_bill_eur: float = 0.0
     discomfort_total_eur: float = 0.0
     flex_revenue_eur: float = 0.0
 
@@ -269,16 +279,18 @@ def discomfort_eur(sched: MemberDaySchedule) -> float:
 class _DayModel:
     """LP for one day; keeps variable indexes so solutions map back to arrays."""
 
-    def __init__(self, day_scenario: Scenario, mode: PlannerMode, refs: FlexRefs,
-                 allow_curtailment: bool, initial_states: Mapping[str, CarriedState]):
-        self.scenario = day_scenario
+    def __init__(self, scenario: Scenario, day: int, mode: PlannerMode,
+                 refs: FlexRefs | None, allow_curtailment: bool,
+                 initial_states: Mapping[str, CarriedState] | None):
+        self.scenario = s = scenario.for_day(day)
+        self.day = day
         self.mode = mode
-        self.refs = refs
+        self.refs = default_refs(s) if refs is None else refs
+        _check_refs(self.refs, s)
         self.allow_curtailment = allow_curtailment
-        self.initial_states = initial_states
+        self.initial_states = initial_states or {}
         self.problem = LpProblem(name=mode.value.lower())
         self.idx: dict[tuple[str, str], np.ndarray] = {}
-        self.bill_idx: dict[str, int] = {}
         self._build()
 
     def _build(self) -> None:
@@ -286,7 +298,6 @@ class _DayModel:
         T = s.horizon.steps_per_day
         dt = s.horizon.dt_hours
         p = self.problem
-        even, odd = np.arange(0, 2 * T, 2), np.arange(1, 2 * T, 2)
 
         for m in s.members:
             uid = m.id
@@ -296,13 +307,8 @@ class _DayModel:
                 self.idx[(uid, tag)] = p.add_variables(f"{tag}.{uid}", T, lb, ub)
                 return self.idx[(uid, tag)]
 
-            iret = grid("iret", 0.0, np.inf)
-            eret = grid("eret", 0.0, np.inf)
-            com_ub = np.inf if self.mode.community_allowed else 0.0
-            icom = grid("icom", 0.0, com_ub)
-            ecom = grid("ecom", 0.0, com_ub)
-            pinj = grid("pinj", -np.inf, np.inf)
-            bill = self.bill_idx[uid] = p.add_variable(f"bill.{uid}", -np.inf, np.inf)
+            pexp = grid("pexp", 0.0, np.inf)
+            pimp = grid("pimp", 0.0, np.inf)
             if self.allow_curtailment:
                 grid("ppv", 0.0, m.pv_max_kw)
 
@@ -311,59 +317,46 @@ class _DayModel:
             self.idx.update({(uid, tag): cols for tag, cols in block.items()})
 
             # per step, the physical balance at the point of common coupling
-            # (even rows) and the split of the injection over retailer and
-            # community legs (odd rows)
-            rhs = np.zeros(2 * T)
-            rhs[even] = -m.fixed_load_kw
-            terms = [(pinj, 1.0, even)]
+            rhs = -m.fixed_load_kw
+            terms = [(pexp, 1.0), (pimp, -1.0)]
             if self.allow_curtailment:
-                terms.append((self.idx[(uid, "ppv")], -1.0, even))
+                terms.append((self.idx[(uid, "ppv")], -1.0))
             else:
-                rhs[even] += m.pv_max_kw
-            terms += [(block[tag], sign, even) for tag, sign in FLEX_TAGS if tag in block]
-            terms += [(pinj, 1.0, odd), (eret, -1.0, odd), (ecom, -1.0, odd),
-                      (iret, 1.0, odd), (icom, 1.0, odd)]
+                rhs = rhs + m.pv_max_kw
+            terms += [(block[tag], sign) for tag, sign in FLEX_TAGS if tag in block]
             p.add_rows("=", rhs, terms)
 
-            # bill definition
-            p.add_rows("=", 0.0, [(bill, 1.0), (iret, -dt * s.prices.import_price, 0),
-                                  (eret, dt * s.prices.export_price, 0),
-                                  (icom, -dt * s.prices.community_fee, 0),
-                                  (ecom, -dt * s.prices.community_fee, 0)])
-
-            p.add_objective(bill, 1.0)
             for tag in DISCOMFORT_TAGS:
                 if tag in block:
                     p.add_objective(block[tag], 1.0)
 
-        # community-level balance of shared volumes
-        terms = []
-        for m in s.members:
-            terms += [(self.idx[(m.id, "ecom")], 1.0), (self.idx[(m.id, "icom")], -1.0)]
-        p.add_rows("=", np.zeros(T), terms)
+        # community exchanges: exports and imports of all members, matched
+        # internally up to the community volume, the rest with the retailer
+        eret = p.add_variables("eret", T)
+        iret = p.add_variables("iret", T)
+        com = p.add_variables("com", T, 0.0, np.inf if self.mode.community_allowed else 0.0)
+        for tag, retailer in (("pexp", eret), ("pimp", iret)):
+            p.add_rows("=", np.zeros(T), [(self.idx[(m.id, tag)], 1.0) for m in s.members]
+                       + [(com, -1.0), (retailer, -1.0)])
+        p.add_objective(iret, dt * s.prices.import_price)
+        p.add_objective(eret, -dt * s.prices.export_price)
+        p.add_objective(com, 2.0 * dt * s.prices.community_fee)
 
-    def extract(self, solution: LpSolution, day: int) -> DaySchedule:
+    def extract(self, solution: LpSolution) -> DaySchedule:
         s = self.scenario
-        dt = s.horizon.dt_hours
         x = solution.x
 
         def series(uid: str, tag: str) -> np.ndarray:
             return x[self.idx[(uid, tag)]]
 
         members = []
-        total_disc = 0.0
         for m in s.members:
             uid = m.id
             r = self.refs[uid]
-            pv = series(uid, "ppv") if self.allow_curtailment else np.array(m.pv_max_kw)
             sched = MemberDaySchedule(
                 member_id=uid,
-                import_retailer_kw=series(uid, "iret"),
-                export_retailer_kw=series(uid, "eret"),
-                import_community_kw=series(uid, "icom"),
-                export_community_kw=series(uid, "ecom"),
-                injection_kw=series(uid, "pinj"),
-                pv_kw=pv,
+                injection_kw=series(uid, "pexp") - series(uid, "pimp"),
+                pv_kw=series(uid, "ppv") if self.allow_curtailment else np.array(m.pv_max_kw),
             )
             for tag, field in SERIES_FIELDS.items():
                 if (uid, tag) in self.idx:
@@ -371,24 +364,36 @@ class _DayModel:
             sched.ref_ev_kw = None if m.ev is None else np.array(r.ev)
             sched.ref_wb_kw = None if m.wb is None else np.array(r.wb)
             sched.ref_hp_kw = None if m.hp is None else np.array(r.hp)
-
-            sched.bill = billing.compute_bill(
-                uid, sched.import_retailer_kw, sched.export_retailer_kw,
-                sched.import_community_kw, sched.export_community_kw, s.prices, dt)
-            sched.lp_bill_eur = float(x[self.bill_idx[uid]])
-            sched.discomfort_total_eur = discomfort_eur(sched)
-            total_disc += sched.discomfort_total_eur
             members.append(sched)
+        return settle_day(s, self.mode.value, self.day, members,
+                          community=self.mode.community_allowed,
+                          objective=float(solution.objective))
 
-        return DaySchedule(
-            mode=self.mode.value,
-            day=day,
-            dt_hours=dt,
-            members=members,
-            objective_value=float(solution.objective),
-            community_bill_eur=sum(m.bill.total_eur for m in members),
-            community_discomfort_eur=total_disc,
-        )
+
+def settle_day(day_scenario: Scenario, mode: str, day: int,
+               members: list[MemberDaySchedule], community: bool = True,
+               objective: float | None = None) -> DaySchedule:
+    """The day of fixed member dispatches, with exchanges, bills and discomfort.
+
+    Each member's retailer and community legs follow from the net injections
+    in closed form (:func:`billing.settle_community`).  The objective defaults
+    to the community bill plus discomfort.
+    """
+    dt = day_scenario.horizon.dt_hours
+    legs = billing.settle_community({m.member_id: m.injection_kw for m in members},
+                                    community=community)
+    for m in members:
+        leg = legs[m.member_id]
+        m.import_retailer_kw, m.export_retailer_kw = leg["iret"], leg["eret"]
+        m.import_community_kw, m.export_community_kw = leg["icom"], leg["ecom"]
+        m.bill = billing.compute_bill(m.member_id, leg["iret"], leg["eret"], leg["icom"],
+                                      leg["ecom"], day_scenario.prices, dt)
+        m.discomfort_total_eur = discomfort_eur(m)
+    bill = sum(m.bill.total_eur for m in members)
+    discomfort = sum(m.discomfort_total_eur for m in members)
+    return DaySchedule(mode=mode, day=day, dt_hours=dt, members=members,
+                       objective_value=bill + discomfort if objective is None else objective,
+                       community_bill_eur=bill, community_discomfort_eur=discomfort)
 
 
 def build_day_problem(scenario: Scenario, day: int, mode: PlannerMode,
@@ -396,11 +401,7 @@ def build_day_problem(scenario: Scenario, day: int, mode: PlannerMode,
                       allow_curtailment: bool = False,
                       initial_states: Mapping[str, CarriedState] | None = None) -> LpProblem:
     """Build a single day's LP for the given mode, without solving it."""
-    day_scenario = scenario.for_day(day)
-    refs = default_refs(day_scenario) if refs is None else refs
-    _check_refs(refs, day_scenario)
-    model = _DayModel(day_scenario, mode, refs, allow_curtailment, initial_states or {})
-    return model.problem
+    return _DayModel(scenario, day, mode, refs, allow_curtailment, initial_states).problem
 
 
 def solve_centralized(scenario: Scenario, day: int, mode: PlannerMode,
@@ -408,16 +409,13 @@ def solve_centralized(scenario: Scenario, day: int, mode: PlannerMode,
                       allow_curtailment: bool = False,
                       initial_states: Mapping[str, CarriedState] | None = None) -> DaySchedule:
     """Solve one day under one mode and return the full schedule."""
-    day_scenario = scenario.for_day(day)
-    refs = default_refs(day_scenario) if refs is None else refs
-    _check_refs(refs, day_scenario)
-    model = _DayModel(day_scenario, mode, refs, allow_curtailment, initial_states or {})
+    model = _DayModel(scenario, day, mode, refs, allow_curtailment, initial_states)
     solution = solve_lp(model.problem)
     if solution.status is LpStatus.INFEASIBLE:
         raise InfeasibleDayError(mode.value, day, solution.message)
     if solution.status is not LpStatus.OPTIMAL:
         raise SolverFailureError(mode.value, day, f"{solution.status.value}: {solution.message}")
-    return model.extract(solution, day)
+    return model.extract(solution)
 
 
 def prioritize_self_consumption(scenario: Scenario, day: int,

@@ -7,7 +7,8 @@ Example::
 Days are solved sequentially per mode with device-state carry-over.  Every
 completed (mode, day) is checkpointed under ``<out>/checkpoint/`` so that
 interrupted long runs resume instead of re-solving; a checkpoint is only
-reused when the scenario content and run parameters hash identically.
+reused when the scenario content, run parameters and checkpoint format hash
+identically.
 
 Exit codes: 0 success, 1 solve/runtime failure (diagnostic names the mode
 and day), 2 usage or input errors.
@@ -216,10 +217,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+#: Version of the schedules a checkpoint holds; raised whenever the planners
+#: or the settlement change what they write, so older checkpoints are recomputed.
+CHECKPOINT_FORMAT = 2
+
+
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
     h = hashlib.sha256()
     h.update(scenario_bytes)
     settings = {
+        "checkpoint_format": CHECKPOINT_FORMAT,
         "key": config.key,
         "days": config.days,
         "allow_curtailment": config.allow_curtailment,

@@ -11,10 +11,12 @@ residual request or the activated volume vanishes.
 Member-side optimization sees private device parameters; the operator-side
 functions (:func:`initial_request`, :func:`refine_bounds`,
 :func:`settle_community`) consume only offers, activations, aggregate
-requests and net injections.  Running members in any order yields identical
-results: within an iteration every subproblem depends only on the shared
-request and the member's own committed state, and all aggregation happens in
-canonical member order.
+requests and net injections.  The final settlement shares each step's
+matched volume pro rata over exporters and over importers, the same closed
+form that gives the centralized planners' legs.  Running members in any order
+yields identical results: within an iteration every subproblem depends only
+on the shared request and the member's own committed state, and all
+aggregation happens in canonical member order.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import billing
-from .central import (CarriedState, DaySchedule, DeviceRefs, FlexRefs, FLEX_TAGS,
-                      MemberDaySchedule, PlannerMode, SERIES_FIELDS, add_device_block,
-                      default_refs, discomfort_eur, prioritize_self_consumption, final_states,
-                      repair_refs_for_state, solve_centralized)
+from .billing import settle_community  # the operator-side settlement
+from .central import (CarriedState, DaySchedule, DeviceRefs, FLEX_TAGS, MemberDaySchedule,
+                      PlannerMode, SERIES_FIELDS, add_device_block, default_refs,
+                      prioritize_self_consumption, final_states, repair_refs_for_state,
+                      settle_day, solve_centralized)
 from .kor import get_key
 from .lpcore import LpProblem, LpStatus, solve_lp
 from .scenario import Member, Prices, Scenario
@@ -164,40 +167,6 @@ def refine_bounds(offers: Sequence[CapacityOffer], request: FlexRequest,
         down[:, t] = key_fn([o.down_kw[t] for o in offers], float(request.down_kw[t]))
     return [ActivationBounds(member_id=o.member_id, up_kw=up[u], down_kw=down[u])
             for u, o in enumerate(offers)]
-
-
-def settle_community(prices: Prices, dt_hours: float,
-                     injections: Mapping[str, np.ndarray]) -> dict[str, dict[str, np.ndarray]]:
-    """Cheapest retailer/community split of fixed net injections.
-
-    Solves the exchange-matching problem with all device decisions frozen:
-    community imports and exports must balance at every step, and every
-    member's legs must add up to its injection.
-    """
-    steps = len(prices.import_price)
-    p = LpProblem("settlement")
-    ids = list(injections)
-    idx = {(uid, tag): p.add_variables(f"{tag}.{uid}", steps)
-           for uid in ids for tag in ("iret", "eret", "icom", "ecom")}
-    for uid in ids:
-        iret, eret, icom, ecom = (idx[(uid, tag)] for tag in ("iret", "eret", "icom", "ecom"))
-        p.add_rows("=", np.asarray(injections[uid], dtype=np.float64),
-                   [(eret, 1.0), (ecom, 1.0), (iret, -1.0), (icom, -1.0)])
-        p.add_objective(iret, dt_hours * prices.import_price)
-        p.add_objective(eret, -dt_hours * prices.export_price)
-        p.add_objective(icom, dt_hours * prices.community_fee)
-        p.add_objective(ecom, dt_hours * prices.community_fee)
-    terms = []
-    for uid in ids:
-        terms += [(idx[(uid, "ecom")], 1.0), (idx[(uid, "icom")], -1.0)]
-    p.add_rows("=", np.zeros(steps), terms)
-
-    solution = solve_lp(p)
-    if solution.status is not LpStatus.OPTIMAL:
-        raise DecentralError(f"settlement failed: {solution.status.value} {solution.message}")
-    x = solution.x
-    return {uid: {tag: x[idx[(uid, tag)]] for tag in ("iret", "eret", "icom", "ecom")}
-            for uid in ids}
 
 
 # ---------------------------------------------------------------------------
@@ -397,43 +366,16 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
 def _assemble(day_s: Scenario, day: int, agents: Mapping[str, MemberAgent],
               member_ids: Sequence[str], mode: str) -> DaySchedule:
     """Final settlement: freeze member dispatches, re-net community exchanges."""
-    dt = day_s.horizon.dt_hours
-    injections = {}
-    for uid in member_ids:
-        m = day_s.member(uid)
-        injections[uid] = np.asarray(m.pv_max_kw) - np.asarray(m.fixed_load_kw) \
-            - agents[uid].refs_total
-    exchanges = settle_community(day_s.prices, dt, injections)
-
     members = []
-    total_disc = 0.0
     for uid in member_ids:
         m = day_s.member(uid)
         agent = agents[uid]
-        ex = exchanges[uid]
-        # the committed dispatch with settled exchanges; no day LP priced it
-        sched = replace(
-            agent.schedule, import_retailer_kw=ex["iret"], export_retailer_kw=ex["eret"],
-            import_community_kw=ex["icom"], export_community_kw=ex["ecom"],
-            injection_kw=injections[uid], pv_kw=np.array(m.pv_max_kw), lp_bill_eur=0.0,
-            flex_revenue_eur=agent.revenue_eur)
-        sched.bill = billing.compute_bill(
-            uid, sched.import_retailer_kw, sched.export_retailer_kw,
-            sched.import_community_kw, sched.export_community_kw, day_s.prices, dt)
-        sched.discomfort_total_eur = discomfort_eur(sched)
-        total_disc += sched.discomfort_total_eur
-        members.append(sched)
-
-    bill_total = sum(m.bill.total_eur for m in members)
-    return DaySchedule(
-        mode=mode,
-        day=day,
-        dt_hours=dt,
-        members=members,
-        objective_value=bill_total + total_disc,
-        community_bill_eur=bill_total,
-        community_discomfort_eur=total_disc,
-    )
+        # the committed dispatch, settled afresh; no day LP priced it
+        members.append(replace(
+            agent.schedule, pv_kw=np.array(m.pv_max_kw), flex_revenue_eur=agent.revenue_eur,
+            injection_kw=np.asarray(m.pv_max_kw) - np.asarray(m.fixed_load_kw)
+            - agent.refs_total))
+    return settle_day(day_s, mode, day, members)
 
 
 def run_ecflexit_over_days(scenario: Scenario, key: str = "equal",

@@ -202,7 +202,6 @@ def schedule_to_dict(sched: DaySchedule) -> dict:
                 "community_fees_eur": m.bill.community_fees_eur,
                 "total_eur": m.bill.total_eur,
             },
-            "lp_bill_eur": m.lp_bill_eur,
             "discomfort_total_eur": m.discomfort_total_eur,
             "flex_revenue_eur": m.flex_revenue_eur,
         })
@@ -253,7 +252,6 @@ def schedule_from_dict(doc: dict) -> DaySchedule:
             ref_wb_kw=_arr(m["ref_wb_kw"]),
             ref_hp_kw=_arr(m["ref_hp_kw"]),
             bill=bill,
-            lp_bill_eur=m["lp_bill_eur"],
             discomfort_total_eur=m["discomfort_total_eur"],
             flex_revenue_eur=m["flex_revenue_eur"],
         ))

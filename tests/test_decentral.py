@@ -16,8 +16,7 @@ from reccoord.decentral import (FlexRequest, IterationLimitError, MemberAgent,
                                 initial_request, refine_bounds, run_ecflexit,
                                 run_ecflexit_over_days, settle_community)
 from reccoord.scenario import SyntheticConfig, generate_synthetic
-from helpers import (flat_prices, make_member, make_scenario, series, simple_ev,
-                     simple_wb)
+from helpers import make_member, make_scenario, series, simple_ev, simple_wb
 
 
 def _agent(scenario, member_id: str) -> MemberAgent:
@@ -164,8 +163,7 @@ class TestMemberActivate:
 
 
 def test_settlement_matches_counterparties_through_the_community():
-    prices = flat_prices(2)
-    exchanges = settle_community(prices, 1.0, {
+    exchanges = settle_community({
         "a": np.array([1.0, 0.0]), "b": np.array([-1.0, 0.0])})
     assert exchanges["a"]["ecom"][0] == pytest.approx(1.0, abs=1e-9)
     assert exchanges["b"]["icom"][0] == pytest.approx(1.0, abs=1e-9)

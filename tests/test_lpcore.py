@@ -13,7 +13,7 @@ import pytest
 from reccoord.billing import activation_price
 from reccoord.central import (CarriedState, PlannerMode, build_day_problem, default_refs,
                               solve_centralized)
-from reccoord.decentral import MemberAgent, settle_community
+from reccoord.decentral import MemberAgent
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
                              solve_lp)
 from reccoord.scenario import SyntheticConfig, generate_synthetic
@@ -296,19 +296,6 @@ def test_backends_agree_bit_for_bit_on_day_and_member_lps(community):
         assert a.status is b.status is LpStatus.OPTIMAL
         assert _same_bits(a.x, b.x), problem.name
         assert a.objective == b.objective
-
-
-def test_backends_agree_bit_for_bit_on_the_settlement(community, monkeypatch):
-    day = community.for_day(0)
-    sched = solve_centralized(community, 0, PlannerMode.EC_FLEX)
-    injections = {m.member_id: m.injection_kw for m in sched.members}
-    out = {}
-    for backend in ("highs", "linprog"):
-        monkeypatch.setenv("RECCOORD_SOLVER", backend)
-        out[backend] = settle_community(day.prices, day.horizon.dt_hours, injections)
-    for uid, legs in out["highs"].items():
-        for tag, values in legs.items():
-            assert _same_bits(values, out["linprog"][uid][tag]), (uid, tag)
 
 
 def test_in_place_resolve_matches_a_fresh_linprog_solve(community):
