@@ -36,18 +36,16 @@ class Bill:
     total_eur: float
 
 
-def compute_bill(member_id: str, import_retailer_kw, export_retailer_kw,
-                 import_community_kw, export_community_kw,
+def compute_bill(member_id: str, iret, eret, icom, ecom,
                  prices: Prices, dt_hours: float) -> Bill:
     """Bill for one member over one horizon slice.
 
-    Retailer imports are charged and exports credited at the per-step tariffs;
-    the community fee applies to community imports and exports alike.
+    ``iret``/``eret`` are the per-step retailer imports and exports and
+    ``icom``/``ecom`` the community ones, in kW.  Retailer imports are charged
+    and exports credited at the per-step tariffs; the community fee applies to
+    community imports and exports alike.
     """
-    iret = np.asarray(import_retailer_kw, dtype=np.float64)
-    eret = np.asarray(export_retailer_kw, dtype=np.float64)
-    icom = np.asarray(import_community_kw, dtype=np.float64)
-    ecom = np.asarray(export_community_kw, dtype=np.float64)
+    iret, eret, icom, ecom = (np.asarray(a, dtype=np.float64) for a in (iret, eret, icom, ecom))
     n = len(prices.import_price)
     for name, arr in (("import_retailer", iret), ("export_retailer", eret),
                       ("import_community", icom), ("export_community", ecom)):
@@ -181,6 +179,10 @@ def _shifted_energy_kwh(power: np.ndarray | None, ref: np.ndarray | None,
     return float(0.5 * np.sum(np.abs(power - ref)) * dt_hours)
 
 
+#: Power and discomfort series tags of each flexible device.
+_DEVICE_TAGS = {"ev": ("pev", "jev"), "wb": ("pwb", "jwb"), "hp": ("php", "jhp")}
+
+
 def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
     """Aggregate per-mode day schedules into the community result table.
 
@@ -192,39 +194,36 @@ def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
         raise BillingError("summarize needs at least one mode")
     summaries = []
     for mode, schedules in results.items():
-        bill = j_ev = j_wb = j_hp = 0.0
-        act_ev = act_wb = act_hp = dis_bss = 0.0
+        bill = dis_bss = 0.0
+        discomfort = dict.fromkeys(_DEVICE_TAGS, 0.0)
+        activated = dict.fromkeys(_DEVICE_TAGS, 0.0)
         for sched in schedules:
             dt = sched.dt_hours
             bill += sched.community_bill_eur
             for m in sched.members:
-                if m.ev_discomfort_eur is not None:
-                    j_ev += float(np.sum(m.ev_discomfort_eur))
-                if m.wb_discomfort_eur is not None:
-                    j_wb += float(np.sum(m.wb_discomfort_eur))
-                if m.hp_discomfort_eur is not None:
-                    j_hp += float(np.sum(m.hp_discomfort_eur))
-                act_ev += _shifted_energy_kwh(m.ev_power_kw, m.ref_ev_kw, dt)
-                act_wb += _shifted_energy_kwh(m.wb_power_kw, m.ref_wb_kw, dt)
-                act_hp += _shifted_energy_kwh(m.hp_power_kw, m.ref_hp_kw, dt)
-                if m.bss_discharge_kw is not None:
-                    dis_bss += float(np.sum(m.bss_discharge_kw)) * dt
+                series = m.series
+                for device, (power, disc) in _DEVICE_TAGS.items():
+                    if disc in series:
+                        discomfort[device] += float(np.sum(series[disc]))
+                    activated[device] += _shifted_energy_kwh(
+                        series.get(power), getattr(m.refs, device), dt)
+                if "pdis" in series:
+                    dis_bss += float(np.sum(series["pdis"])) * dt
         summaries.append(ModeSummary(
             mode=mode,
             bill_eur=bill,
-            discomfort_ev_eur=j_ev,
-            discomfort_wb_eur=j_wb,
-            discomfort_hp_eur=j_hp,
-            activated_kwh=act_ev + act_wb + act_hp,
-            activated_ev_kwh=act_ev,
-            activated_wb_kwh=act_wb,
-            activated_hp_kwh=act_hp,
+            discomfort_ev_eur=discomfort["ev"],
+            discomfort_wb_eur=discomfort["wb"],
+            discomfort_hp_eur=discomfort["hp"],
+            activated_kwh=activated["ev"] + activated["wb"] + activated["hp"],
+            activated_ev_kwh=activated["ev"],
+            activated_wb_kwh=activated["wb"],
+            activated_hp_kwh=activated["hp"],
             bss_discharge_kwh=dis_bss,
         ))
 
-    report = Report(modes=tuple(summaries), gaps={})
-    gaps = _gap_metrics({s.mode: s for s in summaries})
-    return Report(modes=report.modes, gaps=gaps)
+    return Report(modes=tuple(summaries),
+                  gaps=_gap_metrics({s.mode: s for s in summaries}))
 
 
 def _gap_metrics(by_mode: Mapping[str, ModeSummary]) -> dict[str, float]:

@@ -79,6 +79,11 @@ class DeviceRefs:
     wb: np.ndarray | None = None
     hp: np.ndarray | None = None
 
+    @classmethod
+    def of_powers(cls, series: Mapping[str, np.ndarray]) -> "DeviceRefs":
+        """References equal to the device powers of a series table."""
+        return cls(ev=series.get("pev"), wb=series.get("pwb"), hp=series.get("php"))
+
 
 FlexRefs = dict[str, DeviceRefs]
 
@@ -94,31 +99,17 @@ class CarriedState:
 
 @dataclass
 class MemberDaySchedule:
-    """One member's optimized day: exchanges, device dispatch, states, money."""
+    """One member's optimized day: per-step series, references, money.
+
+    ``series`` maps tags to per-step arrays and holds only what the member
+    has: the net injection ``pinj``, PV production ``ppv``, the device series
+    of :func:`add_device_block` and, once :func:`settle_day` has run, the
+    retailer and community legs ``iret``, ``eret``, ``icom`` and ``ecom``.
+    """
 
     member_id: str
-    injection_kw: np.ndarray
-    pv_kw: np.ndarray
-    # retailer and community legs, set by :func:`settle_day`
-    import_retailer_kw: np.ndarray | None = None
-    export_retailer_kw: np.ndarray | None = None
-    import_community_kw: np.ndarray | None = None
-    export_community_kw: np.ndarray | None = None
-    bss_charge_kw: np.ndarray | None = None
-    bss_discharge_kw: np.ndarray | None = None
-    bss_soc: np.ndarray | None = None
-    ev_power_kw: np.ndarray | None = None
-    ev_soc: np.ndarray | None = None
-    ev_discomfort_eur: np.ndarray | None = None
-    wb_power_kw: np.ndarray | None = None
-    wb_temp_c: np.ndarray | None = None
-    wb_discomfort_eur: np.ndarray | None = None
-    hp_power_kw: np.ndarray | None = None
-    hp_temp_c: np.ndarray | None = None
-    hp_discomfort_eur: np.ndarray | None = None
-    ref_ev_kw: np.ndarray | None = None
-    ref_wb_kw: np.ndarray | None = None
-    ref_hp_kw: np.ndarray | None = None
+    series: dict[str, np.ndarray]
+    refs: DeviceRefs = DeviceRefs()
     bill: billing.Bill | None = None
     discomfort_total_eur: float = 0.0
     flex_revenue_eur: float = 0.0
@@ -126,11 +117,10 @@ class MemberDaySchedule:
     @property
     def total_flexible_kw(self) -> np.ndarray:
         """Controllable power: flexible devices plus battery charge minus discharge."""
-        out = np.zeros_like(self.injection_kw)
+        out = np.zeros_like(self.series["pinj"])
         for tag, sign in FLEX_TAGS:
-            series = getattr(self, SERIES_FIELDS[tag])
-            if series is not None:
-                out = out + sign * series
+            if tag in self.series:
+                out = out + sign * self.series[tag]
         return out
 
 
@@ -261,19 +251,11 @@ FLEX_TAGS = (("pev", 1.0), ("pwb", 1.0), ("php", 1.0), ("pcha", 1.0), ("pdis", -
 #: Discomfort series tags.
 DISCOMFORT_TAGS = ("jev", "jwb", "jhp")
 
-#: Schedule field of each series tag :func:`add_device_block` returns.
-SERIES_FIELDS = {
-    "pcha": "bss_charge_kw", "pdis": "bss_discharge_kw", "socb": "bss_soc",
-    "pev": "ev_power_kw", "sev": "ev_soc", "jev": "ev_discomfort_eur",
-    "pwb": "wb_power_kw", "twb": "wb_temp_c", "jwb": "wb_discomfort_eur",
-    "php": "hp_power_kw", "thp": "hp_temp_c", "jhp": "hp_discomfort_eur",
-}
-
 
 def discomfort_eur(sched: MemberDaySchedule) -> float:
     """A member's total discomfort cost over the day's devices."""
-    series = (getattr(sched, SERIES_FIELDS[tag]) for tag in DISCOMFORT_TAGS)
-    return sum((float(np.sum(s)) for s in series if s is not None), 0.0)
+    return sum((float(np.sum(sched.series[tag])) for tag in DISCOMFORT_TAGS
+                if tag in sched.series), 0.0)
 
 
 class _DayModel:
@@ -290,7 +272,7 @@ class _DayModel:
         self.allow_curtailment = allow_curtailment
         self.initial_states = initial_states or {}
         self.problem = LpProblem(name=mode.value.lower())
-        self.idx: dict[tuple[str, str], np.ndarray] = {}
+        self.idx: dict[str, dict[str, np.ndarray]] = {}  # member id -> tag -> columns
         self._build()
 
     def _build(self) -> None:
@@ -302,25 +284,20 @@ class _DayModel:
         for m in s.members:
             uid = m.id
             state = self.initial_states.get(uid, CarriedState())
-
-            def grid(tag: str, lb, ub) -> np.ndarray:
-                self.idx[(uid, tag)] = p.add_variables(f"{tag}.{uid}", T, lb, ub)
-                return self.idx[(uid, tag)]
-
-            pexp = grid("pexp", 0.0, np.inf)
-            pimp = grid("pimp", 0.0, np.inf)
+            idx = self.idx[uid] = {tag: p.add_variables(f"{tag}.{uid}", T)
+                                   for tag in ("pexp", "pimp")}
             if self.allow_curtailment:
-                grid("ppv", 0.0, m.pv_max_kw)
+                idx["ppv"] = p.add_variables(f"ppv.{uid}", T, 0.0, m.pv_max_kw)
 
             block = add_device_block(p, m, self.refs[uid], state, dt,
                                      pinned=self.mode.flexibility_pinned)
-            self.idx.update({(uid, tag): cols for tag, cols in block.items()})
+            idx.update(block)
 
             # per step, the physical balance at the point of common coupling
             rhs = -m.fixed_load_kw
-            terms = [(pexp, 1.0), (pimp, -1.0)]
+            terms = [(idx["pexp"], 1.0), (idx["pimp"], -1.0)]
             if self.allow_curtailment:
-                terms.append((self.idx[(uid, "ppv")], -1.0))
+                terms.append((idx["ppv"], -1.0))
             else:
                 rhs = rhs + m.pv_max_kw
             terms += [(block[tag], sign) for tag, sign in FLEX_TAGS if tag in block]
@@ -336,7 +313,7 @@ class _DayModel:
         iret = p.add_variables("iret", T)
         com = p.add_variables("com", T, 0.0, np.inf if self.mode.community_allowed else 0.0)
         for tag, retailer in (("pexp", eret), ("pimp", iret)):
-            p.add_rows("=", np.zeros(T), [(self.idx[(m.id, tag)], 1.0) for m in s.members]
+            p.add_rows("=", np.zeros(T), [(self.idx[m.id][tag], 1.0) for m in s.members]
                        + [(com, -1.0), (retailer, -1.0)])
         p.add_objective(iret, dt * s.prices.import_price)
         p.add_objective(eret, -dt * s.prices.export_price)
@@ -345,26 +322,12 @@ class _DayModel:
     def extract(self, solution: LpSolution) -> DaySchedule:
         s = self.scenario
         x = solution.x
-
-        def series(uid: str, tag: str) -> np.ndarray:
-            return x[self.idx[(uid, tag)]]
-
         members = []
         for m in s.members:
-            uid = m.id
-            r = self.refs[uid]
-            sched = MemberDaySchedule(
-                member_id=uid,
-                injection_kw=series(uid, "pexp") - series(uid, "pimp"),
-                pv_kw=series(uid, "ppv") if self.allow_curtailment else np.array(m.pv_max_kw),
-            )
-            for tag, field in SERIES_FIELDS.items():
-                if (uid, tag) in self.idx:
-                    setattr(sched, field, series(uid, tag))
-            sched.ref_ev_kw = None if m.ev is None else np.array(r.ev)
-            sched.ref_wb_kw = None if m.wb is None else np.array(r.wb)
-            sched.ref_hp_kw = None if m.hp is None else np.array(r.hp)
-            members.append(sched)
+            series = {tag: x[cols] for tag, cols in self.idx[m.id].items()}
+            series["pinj"] = series.pop("pexp") - series.pop("pimp")
+            series.setdefault("ppv", np.array(m.pv_max_kw))
+            members.append(MemberDaySchedule(m.id, series, refs=self.refs[m.id]))
         return settle_day(s, self.mode.value, self.day, members,
                           community=self.mode.community_allowed,
                           objective=float(solution.objective))
@@ -380,14 +343,13 @@ def settle_day(day_scenario: Scenario, mode: str, day: int,
     to the community bill plus discomfort.
     """
     dt = day_scenario.horizon.dt_hours
-    legs = billing.settle_community({m.member_id: m.injection_kw for m in members},
+    legs = billing.settle_community({m.member_id: m.series["pinj"] for m in members},
                                     community=community)
     for m in members:
         leg = legs[m.member_id]
-        m.import_retailer_kw, m.export_retailer_kw = leg["iret"], leg["eret"]
-        m.import_community_kw, m.export_community_kw = leg["icom"], leg["ecom"]
-        m.bill = billing.compute_bill(m.member_id, leg["iret"], leg["eret"], leg["icom"],
-                                      leg["ecom"], day_scenario.prices, dt)
+        m.series.update(leg)
+        m.bill = billing.compute_bill(m.member_id, prices=day_scenario.prices, dt_hours=dt,
+                                      **leg)
         m.discomfort_total_eur = discomfort_eur(m)
     bill = sum(m.bill.total_eur for m in members)
     discomfort = sum(m.discomfort_total_eur for m in members)
@@ -431,14 +393,7 @@ def prioritize_self_consumption(scenario: Scenario, day: int,
     sched = solve_centralized(scenario, day, PlannerMode.SOLO_FLEX,
                               allow_curtailment=allow_curtailment,
                               initial_states=initial_states)
-    refs: FlexRefs = {}
-    for m in sched.members:
-        refs[m.member_id] = DeviceRefs(
-            ev=None if m.ev_power_kw is None else np.array(m.ev_power_kw),
-            wb=None if m.wb_power_kw is None else np.array(m.wb_power_kw),
-            hp=None if m.hp_power_kw is None else np.array(m.hp_power_kw),
-        )
-    return refs
+    return {m.member_id: DeviceRefs.of_powers(m.series) for m in sched.members}
 
 
 def _reference_state_feasible(m, refs: DeviceRefs, state: CarriedState,
@@ -489,24 +444,18 @@ def repair_refs_for_state(m, refs: DeviceRefs, state: CarriedState,
         raise PlannerError(
             f"member {m.id}: no feasible reference profile from the carried "
             f"state ({solution.status.value})")
-    x = solution.x
-    return DeviceRefs(
-        ev=x[idx["pev"]] if "pev" in idx else None,
-        wb=x[idx["pwb"]] if "pwb" in idx else None,
-        hp=x[idx["php"]] if "php" in idx else None,
-    )
+    return DeviceRefs.of_powers({tag: solution.x[cols] for tag, cols in idx.items()})
 
 
 def final_states(sched: DaySchedule) -> dict[str, CarriedState]:
     """End-of-day device states, for carrying into the next day's problem."""
-    out: dict[str, CarriedState] = {}
-    for m in sched.members:
-        out[m.member_id] = CarriedState(
-            ev_soc=None if m.ev_soc is None else float(m.ev_soc[-1]),
-            wb_temp=None if m.wb_temp_c is None else float(m.wb_temp_c[-1]),
-            hp_temp=None if m.hp_temp_c is None else float(m.hp_temp_c[-1]),
-        )
-    return out
+    def last(series: Mapping[str, np.ndarray], tag: str) -> float | None:
+        return float(series[tag][-1]) if tag in series else None
+
+    return {m.member_id: CarriedState(ev_soc=last(m.series, "sev"),
+                                      wb_temp=last(m.series, "twb"),
+                                      hp_temp=last(m.series, "thp"))
+            for m in sched.members}
 
 
 def run_mode(scenario: Scenario, mode: PlannerMode, num_days: int | None = None,
@@ -559,105 +508,99 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
 
     for m in s.members:
         ms = sched.member(m.id)
+        ss = ms.series
         state = initial_states.get(m.id, CarriedState())
-        flex = np.zeros_like(ms.injection_kw)
-        cha = ms.bss_charge_kw if ms.bss_charge_kw is not None else 0.0
-        dis = ms.bss_discharge_kw if ms.bss_discharge_kw is not None else 0.0
-        for series in (ms.ev_power_kw, ms.wb_power_kw, ms.hp_power_kw):
-            if series is not None:
-                flex = flex + series
+        inj, pv = ss["pinj"], ss["ppv"]
+        iret, eret, icom, ecom = ss["iret"], ss["eret"], ss["icom"], ss["ecom"]
+        flex = np.zeros_like(inj)
+        for tag in ("pev", "pwb", "php"):
+            if tag in ss:
+                flex = flex + ss[tag]
 
-        check(np.min(ms.pv_kw) >= -tol and np.max(ms.pv_kw - m.pv_max_kw) <= tol,
+        check(np.min(pv) >= -tol and np.max(pv - m.pv_max_kw) <= tol,
               f"{m.id}: PV production outside availability")
 
-        phys = ms.pv_kw + dis - m.fixed_load_kw - flex - cha - ms.injection_kw
+        phys = pv + ss.get("pdis", 0.0) - m.fixed_load_kw - flex - ss.get("pcha", 0.0) - inj
         check(np.max(np.abs(phys)) <= tol,
               f"{m.id}: physical balance violated by {np.max(np.abs(phys)):.3e}")
 
-        virt = (ms.export_retailer_kw + ms.export_community_kw
-                - ms.import_retailer_kw - ms.import_community_kw - ms.injection_kw)
+        virt = eret + ecom - iret - icom - inj
         check(np.max(np.abs(virt)) <= tol,
               f"{m.id}: virtual balance violated by {np.max(np.abs(virt)):.3e}")
 
-        for name, arr in (("import_retailer", ms.import_retailer_kw),
-                          ("export_retailer", ms.export_retailer_kw),
-                          ("import_community", ms.import_community_kw),
-                          ("export_community", ms.export_community_kw)):
+        for name, arr in (("import_retailer", iret), ("export_retailer", eret),
+                          ("import_community", icom), ("export_community", ecom)):
             check(np.min(arr) >= -tol, f"{m.id}: negative {name}")
 
-        ecom_total += ms.export_community_kw
-        icom_total += ms.import_community_kw
+        ecom_total += ecom
+        icom_total += icom
 
         if sched.mode.startswith(("SoloFix", "SoloFlex")):
-            check(np.max(ms.import_community_kw) <= tol
-                  and np.max(ms.export_community_kw) <= tol,
+            check(np.max(icom) <= tol and np.max(ecom) <= tol,
                   f"{m.id}: community exchange in a solo mode")
 
-        bill = billing.compute_bill(m.id, ms.import_retailer_kw, ms.export_retailer_kw,
-                                    ms.import_community_kw, ms.export_community_kw,
-                                    s.prices, dt)
+        bill = billing.compute_bill(m.id, iret, eret, icom, ecom, s.prices, dt)
         check(abs(bill.total_eur - ms.bill.total_eur) <= 1e-6,
               f"{m.id}: stored bill {ms.bill.total_eur} != recomputed {bill.total_eur}")
 
         if m.bss is not None:
-            soc = devices.simulate_bss(m.bss, ms.bss_charge_kw, ms.bss_discharge_kw, dt)
-            check(np.max(np.abs(soc - ms.bss_soc)) <= tol,
-                  f"{m.id}: battery SoC mismatch {np.max(np.abs(soc - ms.bss_soc)):.3e}")
-            check(np.min(ms.bss_soc) >= m.bss.soc_min - tol
-                  and np.max(ms.bss_soc) <= m.bss.soc_max + tol,
+            cha, dis, level = ss["pcha"], ss["pdis"], ss["socb"]
+            soc = devices.simulate_bss(m.bss, cha, dis, dt)
+            check(np.max(np.abs(soc - level)) <= tol,
+                  f"{m.id}: battery SoC mismatch {np.max(np.abs(soc - level)):.3e}")
+            check(np.min(level) >= m.bss.soc_min - tol and np.max(level) <= m.bss.soc_max + tol,
                   f"{m.id}: battery SoC out of bounds")
             check(abs(soc[-1] - m.bss.soc_init) <= tol,
                   f"{m.id}: battery does not recover its initial level")
-            check(np.min(ms.bss_charge_kw) >= -tol
-                  and np.max(ms.bss_charge_kw) <= m.bss.max_power_kw + tol,
+            check(np.min(cha) >= -tol and np.max(cha) <= m.bss.max_power_kw + tol,
                   f"{m.id}: battery charge power out of bounds")
-            check(np.min(ms.bss_discharge_kw) >= -tol
-                  and np.max(ms.bss_discharge_kw) <= m.bss.max_power_kw + tol,
+            check(np.min(dis) >= -tol and np.max(dis) <= m.bss.max_power_kw + tol,
                   f"{m.id}: battery discharge power out of bounds")
 
         if m.ev is not None:
-            soc = devices.simulate_ev(m.ev, ms.ev_power_kw, dt, soc_start=state.ev_soc)
-            check(np.max(np.abs(soc - ms.ev_soc)) <= tol,
-                  f"{m.id}: EV SoC mismatch {np.max(np.abs(soc - ms.ev_soc)):.3e}")
+            power, level = ss["pev"], ss["sev"]
+            soc = devices.simulate_ev(m.ev, power, dt, soc_start=state.ev_soc)
+            check(np.max(np.abs(soc - level)) <= tol,
+                  f"{m.id}: EV SoC mismatch {np.max(np.abs(soc - level)):.3e}")
             check(np.max(soc) <= 1.0 + tol, f"{m.id}: EV SoC above 1")
             dep = m.ev.departure * m.ev.soc_ref
             check(np.min(soc - dep) >= -tol, f"{m.id}: EV misses departure target")
-            check(np.min(ms.ev_power_kw) >= -tol, f"{m.id}: negative EV power")
-            check(np.max(ms.ev_power_kw - m.ev.plugged * m.ev.max_charge_kw) <= tol,
+            check(np.min(power) >= -tol, f"{m.id}: negative EV power")
+            check(np.max(power - m.ev.plugged * m.ev.max_charge_kw) <= tol,
                   f"{m.id}: EV charging beyond availability")
-            check(abs(float(np.sum(ms.ev_power_kw - ms.ref_ev_kw))) * dt <= tol,
+            check(abs(float(np.sum(power - ms.refs.ev))) * dt <= tol,
                   f"{m.id}: EV daily energy not conserved")
             hinge = devices.discomfort_ev(soc, m.ev.soc_ref, m.ev.reluctance_eur)
-            check(np.max(np.abs(hinge.per_step - ms.ev_discomfort_eur)) <= tol,
+            check(np.max(np.abs(hinge.per_step - ss["jev"])) <= tol,
                   f"{m.id}: EV discomfort mismatch")
 
         if m.wb is not None:
-            temp = devices.simulate_wb(m.wb, ms.wb_power_kw, dt, temp_start=state.wb_temp)
-            check(np.max(np.abs(temp - ms.wb_temp_c)) <= tol,
-                  f"{m.id}: boiler temperature mismatch {np.max(np.abs(temp - ms.wb_temp_c)):.3e}")
+            power, level = ss["pwb"], ss["twb"]
+            temp = devices.simulate_wb(m.wb, power, dt, temp_start=state.wb_temp)
+            check(np.max(np.abs(temp - level)) <= tol,
+                  f"{m.id}: boiler temperature mismatch {np.max(np.abs(temp - level)):.3e}")
             check(np.max(temp - m.wb.temp_max) <= tol, f"{m.id}: boiler above maximum")
             floor = m.wb.usage_event * m.wb.temp_limit
             check(np.min(temp - floor) >= -tol, f"{m.id}: boiler below usage floor")
-            check(np.min(ms.wb_power_kw) >= -tol
-                  and np.max(ms.wb_power_kw) <= m.wb.max_power_kw + tol,
+            check(np.min(power) >= -tol and np.max(power) <= m.wb.max_power_kw + tol,
                   f"{m.id}: boiler power out of bounds")
-            check(abs(float(np.sum(ms.wb_power_kw - ms.ref_wb_kw))) * dt <= tol,
+            check(abs(float(np.sum(power - ms.refs.wb))) * dt <= tol,
                   f"{m.id}: boiler daily energy not conserved")
             hinge = devices.discomfort_thermal(temp, m.wb.temp_limit, m.wb.reluctance_eur)
-            check(np.max(np.abs(hinge.per_step - ms.wb_discomfort_eur)) <= tol,
+            check(np.max(np.abs(hinge.per_step - ss["jwb"])) <= tol,
                   f"{m.id}: boiler discomfort mismatch")
 
         if m.hp is not None:
-            temp = devices.simulate_hp(m.hp, ms.hp_power_kw, dt, temp_start=state.hp_temp)
-            check(np.max(np.abs(temp - ms.hp_temp_c)) <= tol,
-                  f"{m.id}: heat pump temperature mismatch {np.max(np.abs(temp - ms.hp_temp_c)):.3e}")
-            check(np.min(ms.hp_power_kw) >= -tol
-                  and np.max(ms.hp_power_kw) <= m.hp.max_power_kw + tol,
+            power, level = ss["php"], ss["thp"]
+            temp = devices.simulate_hp(m.hp, power, dt, temp_start=state.hp_temp)
+            check(np.max(np.abs(temp - level)) <= tol,
+                  f"{m.id}: heat pump temperature mismatch {np.max(np.abs(temp - level)):.3e}")
+            check(np.min(power) >= -tol and np.max(power) <= m.hp.max_power_kw + tol,
                   f"{m.id}: heat pump power out of bounds")
-            check(abs(float(np.sum(ms.hp_power_kw - ms.ref_hp_kw))) * dt <= tol,
+            check(abs(float(np.sum(power - ms.refs.hp))) * dt <= tol,
                   f"{m.id}: heat pump daily energy not conserved")
             hinge = devices.discomfort_thermal(temp, m.hp.temp_limit, m.hp.reluctance_eur)
-            check(np.max(np.abs(hinge.per_step - ms.hp_discomfort_eur)) <= tol,
+            check(np.max(np.abs(hinge.per_step - ss["jhp"])) <= tol,
                   f"{m.id}: heat pump discomfort mismatch")
 
     check(np.max(np.abs(ecom_total - icom_total)) <= tol,

@@ -27,8 +27,8 @@ from pathlib import Path
 
 from . import billing, central, decentral, reporting
 from .central import CarriedState, PlannerMode
-from .scenario import (Scenario, ScenarioError, SyntheticConfig, dump_scenario,
-                       generate_synthetic, load_scenario)
+from .scenario import (Scenario, ScenarioError, SyntheticConfig, SyntheticConfigError,
+                       dump_scenario, generate_synthetic, load_scenario)
 
 log = logging.getLogger(__name__)
 
@@ -52,6 +52,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.modes:
             raise UsageError("at least one mode is required")
+        if self.days is not None and self.days < 1:
+            raise UsageError("--days must be at least 1")
         if any(m.startswith("ECFlexIt") for m in self.modes) and self.key is None:
             raise UsageError("decentralized modes require --key "
                              "(equal, prorate or cascade)")
@@ -105,6 +107,10 @@ def _parse_generate(text: str, seed: int, days: int, dt_hours: float) -> Synthet
             raise UsageError(f"--generate {key} needs a {conv.__name__}, got {value!r}")
     if "members" not in kwargs:
         raise UsageError("--generate needs at least members=N")
+    if seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {seed}")
+    if not 0.0 < dt_hours <= 24.0:
+        raise UsageError(f"--dt must be in (0, 24] hours, got {dt_hours}")
     steps = 24.0 / dt_hours
     if abs(steps - round(steps)) > 1e-9:
         raise UsageError(f"--dt {dt_hours} does not divide 24 hours evenly")
@@ -219,7 +225,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 #: Version of the schedules a checkpoint holds; raised whenever the planners
 #: or the settlement change what they write, so older checkpoints are recomputed.
-CHECKPOINT_FORMAT = 2
+CHECKPOINT_FORMAT = 3
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
@@ -293,7 +299,10 @@ def _verify_or_die(scenario: Scenario, day: int, sched, carried) -> None:
 def run(config: RunConfig) -> reporting.ReportFiles:
     """Execute a full run configuration and write the report files."""
     if config.generate is not None:
-        scenario = generate_synthetic(config.generate)
+        try:
+            scenario = generate_synthetic(config.generate)
+        except SyntheticConfigError as exc:
+            raise UsageError(f"--generate: {exc}") from exc
         scenario_bytes = dump_scenario(scenario)
     else:
         try:
@@ -303,8 +312,6 @@ def run(config: RunConfig) -> reporting.ReportFiles:
         scenario = load_scenario(scenario_bytes)
 
     days = config.days if config.days is not None else scenario.horizon.num_days
-    if days < 1:
-        raise UsageError("--days must be at least 1")
     if days > scenario.horizon.num_days:
         raise UsageError(f"--days {days} exceeds the scenario horizon "
                          f"of {scenario.horizon.num_days} day(s)")

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import billing
 from .billing import settle_community  # the operator-side settlement
-from .central import (CarriedState, DaySchedule, DeviceRefs, FLEX_TAGS, MemberDaySchedule,
-                      PlannerMode, SERIES_FIELDS, add_device_block, default_refs,
+from .central import (CarriedState, DaySchedule, DeviceRefs, DISCOMFORT_TAGS, FLEX_TAGS,
+                      MemberDaySchedule, PlannerMode, add_device_block, default_refs,
                       prioritize_self_consumption, final_states, repair_refs_for_state,
                       settle_day, solve_centralized)
 from .kor import get_key
@@ -146,8 +146,8 @@ def initial_request(ecfix: DaySchedule, prices: Prices) -> FlexRequest:
     up = np.zeros(steps)
     down = np.zeros(steps)
     for m in ecfix.members:
-        up += m.export_retailer_kw
-        down += m.import_retailer_kw
+        up += m.series["eret"]
+        down += m.series["iret"]
     up = np.where(up > REQUEST_DUST_KW, up, 0.0)
     down = np.where(down > REQUEST_DUST_KW, down, 0.0)
     return FlexRequest(up_kw=up, down_kw=down,
@@ -189,8 +189,8 @@ class MemberAgent:
         self.dt = dt_hours
         self.price = np.asarray(activation_price, dtype=np.float64)
         self.revenue_eur = 0.0
-        # working copy: commits replace array references, the base stays intact
-        self.schedule = replace(base)
+        # working copy: commits replace series in its own table, the base stays intact
+        self.schedule = replace(base, series=dict(base.series))
         self.refs_total = base.total_flexible_kw
         if self.has_flexibility:
             self._build()
@@ -231,7 +231,7 @@ class MemberAgent:
         p.add_rows("=", 0.0, [(self._capu, 1.0, 0), (self._capd, -1.0, 0)])
 
         p.add_objective(self._capu, -self.dt * self.price)
-        for tag in ("jev", "jwb", "jhp"):
+        for tag in DISCOMFORT_TAGS:
             if tag in idx:
                 p.add_objective(idx[tag], 1.0)
 
@@ -268,8 +268,7 @@ class MemberAgent:
         up = self._publish(x[self._capu])
         down = self._publish(x[self._capd])
         # commit: the realized dispatch becomes the new reference
-        for tag, cols in self._idx.items():
-            setattr(self.schedule, SERIES_FIELDS[tag], x[cols])
+        self.schedule.series.update({tag: x[cols] for tag, cols in self._idx.items()})
         self.refs_total = self.schedule.total_flexible_kw
         self.revenue_eur += float(self.dt * np.sum(self.price * up))
         return Activation(self.member.id, up, down)
@@ -371,10 +370,10 @@ def _assemble(day_s: Scenario, day: int, agents: Mapping[str, MemberAgent],
         m = day_s.member(uid)
         agent = agents[uid]
         # the committed dispatch, settled afresh; no day LP priced it
-        members.append(replace(
-            agent.schedule, pv_kw=np.array(m.pv_max_kw), flex_revenue_eur=agent.revenue_eur,
-            injection_kw=np.asarray(m.pv_max_kw) - np.asarray(m.fixed_load_kw)
-            - agent.refs_total))
+        series = {**agent.schedule.series, "ppv": np.array(m.pv_max_kw),
+                  "pinj": m.pv_max_kw - m.fixed_load_kw - agent.refs_total}
+        members.append(replace(agent.schedule, series=series,
+                               flex_revenue_eur=agent.revenue_eur))
     return settle_day(day_s, mode, day, members)
 
 

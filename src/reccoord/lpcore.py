@@ -269,56 +269,6 @@ class LpProblem:
         viol = np.maximum(lo - y, y - hi)
         return float(np.max(np.where(np.isnan(viol), math.inf, viol), initial=0.0))
 
-    # -- MPS debug dump -----------------------------------------------------
-
-    def to_mps(self) -> str:
-        """Fixed-layout MPS dump with generated short names.
-
-        Original variable names appear in a leading comment block, one per
-        generated column name, so external-solver cross-checks stay readable.
-        """
-        s = self._structured()
-        lines = [f"* problem: {self.name}"]
-        lines += [f"* X{i + 1} = {name}" for i, name in enumerate(self._names)]
-        lines += [f"NAME          {self.name.upper()[:8]}", "ROWS", " N  COST"]
-        lines += [f" {'LEG'[sense]}  R{i + 1}" for i, sense in enumerate(self._array("sense"))]
-
-        # column-major entries: objective first, then rows that touch the column
-        by_col = s.check[:self._num_rows].tocsc()
-        lines.append("COLUMNS")
-        for col in range(len(self._names)):
-            span = slice(by_col.indptr[col], by_col.indptr[col + 1])
-            entries = [("COST", s.c[col])] if s.c[col] != 0.0 else []
-            entries += [(f"R{r + 1}", v) for r, v in
-                        zip(by_col.indices[span], by_col.data[span]) if v != 0.0]
-            for k in range(0, len(entries), 2):
-                text = f"    {f'X{col + 1}':<10}"
-                for rname, coeff in entries[k:k + 2]:
-                    text += f"{rname:<10}{coeff:<15.10g}"
-                lines.append(text.rstrip())
-
-        lines.append("RHS")
-        for i, rhs in enumerate(self._array("rhs")):
-            if rhs != 0.0:
-                lines.append(f"    {'RHS':<10}{f'R{i + 1}':<10}{rhs:<15.10g}".rstrip())
-
-        lines.append("BOUNDS")
-        for col, (lb, ub) in enumerate(zip(self._array("lb"), self._array("ub"))):
-            vname = f"X{col + 1}"
-            if lb == 0.0 and math.isinf(ub):
-                continue  # default bounds
-            if math.isinf(lb) and math.isinf(ub):
-                lines.append(f" FR {'BND':<10}{vname:<10}")
-                continue
-            if math.isinf(lb):
-                lines.append(f" MI {'BND':<10}{vname:<10}")
-            elif lb != 0.0:
-                lines.append(f" LO {'BND':<10}{vname:<10}{lb:<15.10g}".rstrip())
-            if not math.isinf(ub):
-                lines.append(f" UP {'BND':<10}{vname:<10}{ub:<15.10g}".rstrip())
-        lines.append("ENDATA")
-        return "\n".join(lines) + "\n"
-
 
 def _bound_arrays(lb, ub, size: int, name_of) -> tuple[np.ndarray, np.ndarray]:
     """Bounds broadcast to ``size`` entries; NaN and crossed bounds are rejected."""

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .billing import Bill, MemberBenefit, Report
-from .central import DaySchedule, MemberDaySchedule
+from .central import DaySchedule, DeviceRefs, MemberDaySchedule
 from .decentral import IterationTrace
 
 #: Fixed row order of the summary table.
@@ -40,6 +40,17 @@ GAP_ROWS = (
     ("savings_gap", "_savings_gap"),
 )
 
+#: Variable name in ``schedules.csv`` of each member series tag.
+SERIES_NAMES = {
+    "iret": "import_retailer_kw", "eret": "export_retailer_kw",
+    "icom": "import_community_kw", "ecom": "export_community_kw",
+    "pinj": "injection_kw", "ppv": "pv_kw",
+    "pcha": "bss_charge_kw", "pdis": "bss_discharge_kw", "socb": "bss_soc",
+    "pev": "ev_power_kw", "sev": "ev_soc", "jev": "ev_discomfort_eur",
+    "pwb": "wb_power_kw", "twb": "wb_temp_c", "jwb": "wb_discomfort_eur",
+    "php": "hp_power_kw", "thp": "hp_temp_c", "jhp": "hp_discomfort_eur",
+}
+
 
 @dataclass(frozen=True)
 class ReportFiles:
@@ -56,31 +67,6 @@ def _fmt(value: float) -> str:
 def _open_csv(path: Path):
     handle = path.open("w", encoding="utf-8", newline="")
     return handle, csv.writer(handle, lineterminator="\n")
-
-
-def _member_series(m: MemberDaySchedule) -> dict[str, np.ndarray]:
-    """Present per-step series of one member schedule, by variable name."""
-    series = {
-        "import_retailer_kw": m.import_retailer_kw,
-        "export_retailer_kw": m.export_retailer_kw,
-        "import_community_kw": m.import_community_kw,
-        "export_community_kw": m.export_community_kw,
-        "injection_kw": m.injection_kw,
-        "pv_kw": m.pv_kw,
-        "bss_charge_kw": m.bss_charge_kw,
-        "bss_discharge_kw": m.bss_discharge_kw,
-        "bss_soc": m.bss_soc,
-        "ev_power_kw": m.ev_power_kw,
-        "ev_soc": m.ev_soc,
-        "ev_discomfort_eur": m.ev_discomfort_eur,
-        "wb_power_kw": m.wb_power_kw,
-        "wb_temp_c": m.wb_temp_c,
-        "wb_discomfort_eur": m.wb_discomfort_eur,
-        "hp_power_kw": m.hp_power_kw,
-        "hp_temp_c": m.hp_temp_c,
-        "hp_discomfort_eur": m.hp_discomfort_eur,
-    }
-    return {name: arr for name, arr in series.items() if arr is not None}
 
 
 def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
@@ -127,14 +113,16 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
         writer.writerow(["mode", "day", "t", "member", "variable", "value"])
         for mode, day_schedules in schedules.items():
             for sched in day_schedules:
-                per_member = {m.member_id: _member_series(m) for m in sched.members}
-                steps = 0 if not sched.members else len(sched.members[0].injection_kw)
+                # per member in id order, its (variable name, values) in name order
+                per_member = [(m.member_id, [(SERIES_NAMES[tag], m.series[tag]) for tag in
+                                             sorted(m.series, key=SERIES_NAMES.__getitem__)])
+                              for m in sorted(sched.members, key=lambda m: m.member_id)]
+                steps = len(sched.members[0].series["pinj"]) if sched.members else 0
                 for t in range(steps):
-                    for member_id in sorted(per_member):
-                        series = per_member[member_id]
-                        for variable in sorted(series):
+                    for member_id, series in per_member:
+                        for variable, values in series:
                             writer.writerow([mode, sched.day, t, member_id, variable,
-                                             _fmt(series[variable][t])])
+                                             _fmt(values[t])])
 
     with files.trace_jsonl.open("w", encoding="utf-8", newline="") as fh:
         for trace in traces:
@@ -161,106 +149,25 @@ def load_schedules_csv(path: str | Path) -> list[dict]:
 # Schedule (de)serialization, used for day-level checkpointing
 
 
-def _arr(values) -> np.ndarray | None:
-    return None if values is None else np.array(values, dtype=np.float64)
+def _lists(arrays: Mapping[str, np.ndarray | None]) -> dict[str, list[float]]:
+    return {key: np.asarray(arr, dtype=np.float64).tolist()
+            for key, arr in arrays.items() if arr is not None}
 
 
-def _lst(arr: np.ndarray | None) -> list[float] | None:
-    return None if arr is None else [float(v) for v in arr]
+def _arrays(lists: Mapping[str, list[float]]) -> dict[str, np.ndarray]:
+    return {key: np.array(values, dtype=np.float64) for key, values in lists.items()}
 
 
 def schedule_to_dict(sched: DaySchedule) -> dict:
-    members = []
-    for m in sched.members:
-        members.append({
-            "member_id": m.member_id,
-            "import_retailer_kw": _lst(m.import_retailer_kw),
-            "export_retailer_kw": _lst(m.export_retailer_kw),
-            "import_community_kw": _lst(m.import_community_kw),
-            "export_community_kw": _lst(m.export_community_kw),
-            "injection_kw": _lst(m.injection_kw),
-            "pv_kw": _lst(m.pv_kw),
-            "bss_charge_kw": _lst(m.bss_charge_kw),
-            "bss_discharge_kw": _lst(m.bss_discharge_kw),
-            "bss_soc": _lst(m.bss_soc),
-            "ev_power_kw": _lst(m.ev_power_kw),
-            "ev_soc": _lst(m.ev_soc),
-            "ev_discomfort_eur": _lst(m.ev_discomfort_eur),
-            "wb_power_kw": _lst(m.wb_power_kw),
-            "wb_temp_c": _lst(m.wb_temp_c),
-            "wb_discomfort_eur": _lst(m.wb_discomfort_eur),
-            "hp_power_kw": _lst(m.hp_power_kw),
-            "hp_temp_c": _lst(m.hp_temp_c),
-            "hp_discomfort_eur": _lst(m.hp_discomfort_eur),
-            "ref_ev_kw": _lst(m.ref_ev_kw),
-            "ref_wb_kw": _lst(m.ref_wb_kw),
-            "ref_hp_kw": _lst(m.ref_hp_kw),
-            "bill": None if m.bill is None else {
-                "member_id": m.bill.member_id,
-                "retailer_cost_eur": m.bill.retailer_cost_eur,
-                "retailer_revenue_eur": m.bill.retailer_revenue_eur,
-                "community_fees_eur": m.bill.community_fees_eur,
-                "total_eur": m.bill.total_eur,
-            },
-            "discomfort_total_eur": m.discomfort_total_eur,
-            "flex_revenue_eur": m.flex_revenue_eur,
-        })
-    return {
-        "mode": sched.mode,
-        "day": sched.day,
-        "dt_hours": sched.dt_hours,
-        "members": members,
-        "objective_value": sched.objective_value,
-        "community_bill_eur": sched.community_bill_eur,
-        "community_discomfort_eur": sched.community_discomfort_eur,
-    }
+    members = [{**vars(m), "series": _lists(m.series), "refs": _lists(vars(m.refs)),
+                "bill": None if m.bill is None else asdict(m.bill)}
+               for m in sched.members]
+    return {**vars(sched), "members": members}
 
 
 def schedule_from_dict(doc: dict) -> DaySchedule:
-    members = []
-    for m in doc["members"]:
-        bill = None
-        if m["bill"] is not None:
-            bill = Bill(
-                member_id=m["bill"]["member_id"],
-                retailer_cost_eur=m["bill"]["retailer_cost_eur"],
-                retailer_revenue_eur=m["bill"]["retailer_revenue_eur"],
-                community_fees_eur=m["bill"]["community_fees_eur"],
-                total_eur=m["bill"]["total_eur"],
-            )
-        members.append(MemberDaySchedule(
-            member_id=m["member_id"],
-            import_retailer_kw=_arr(m["import_retailer_kw"]),
-            export_retailer_kw=_arr(m["export_retailer_kw"]),
-            import_community_kw=_arr(m["import_community_kw"]),
-            export_community_kw=_arr(m["export_community_kw"]),
-            injection_kw=_arr(m["injection_kw"]),
-            pv_kw=_arr(m["pv_kw"]),
-            bss_charge_kw=_arr(m["bss_charge_kw"]),
-            bss_discharge_kw=_arr(m["bss_discharge_kw"]),
-            bss_soc=_arr(m["bss_soc"]),
-            ev_power_kw=_arr(m["ev_power_kw"]),
-            ev_soc=_arr(m["ev_soc"]),
-            ev_discomfort_eur=_arr(m["ev_discomfort_eur"]),
-            wb_power_kw=_arr(m["wb_power_kw"]),
-            wb_temp_c=_arr(m["wb_temp_c"]),
-            wb_discomfort_eur=_arr(m["wb_discomfort_eur"]),
-            hp_power_kw=_arr(m["hp_power_kw"]),
-            hp_temp_c=_arr(m["hp_temp_c"]),
-            hp_discomfort_eur=_arr(m["hp_discomfort_eur"]),
-            ref_ev_kw=_arr(m["ref_ev_kw"]),
-            ref_wb_kw=_arr(m["ref_wb_kw"]),
-            ref_hp_kw=_arr(m["ref_hp_kw"]),
-            bill=bill,
-            discomfort_total_eur=m["discomfort_total_eur"],
-            flex_revenue_eur=m["flex_revenue_eur"],
-        ))
-    return DaySchedule(
-        mode=doc["mode"],
-        day=doc["day"],
-        dt_hours=doc["dt_hours"],
-        members=members,
-        objective_value=doc["objective_value"],
-        community_bill_eur=doc["community_bill_eur"],
-        community_discomfort_eur=doc["community_discomfort_eur"],
-    )
+    members = [MemberDaySchedule(**{**m, "series": _arrays(m["series"]),
+                                    "refs": DeviceRefs(**_arrays(m["refs"])),
+                                    "bill": None if m["bill"] is None else Bill(**m["bill"])})
+               for m in doc["members"]]
+    return DaySchedule(**{**doc, "members": members})

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Sequence
 
@@ -32,6 +32,10 @@ class ScenarioError(Exception):
 
 class ScenarioParseError(ScenarioError):
     """The document is malformed: bad JSON, wrong schema, missing fields."""
+
+
+class SyntheticConfigError(ValueError):
+    """A synthetic generator setting is out of range."""
 
 
 class ScenarioValidationError(ScenarioError):
@@ -66,6 +70,18 @@ def _series(values: Any) -> np.ndarray:
 def _freeze_series_fields(obj: Any, names: Sequence[str]) -> None:
     for name in names:
         object.__setattr__(obj, name, _series(getattr(obj, name)))
+
+
+class _DeviceSeries:
+    """Device parameters whose ``_SERIES`` fields are per-step arrays."""
+
+    _SERIES: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        _freeze_series_fields(self, self._SERIES)
+
+    def sliced(self, sl: slice):
+        return replace(self, **{name: getattr(self, name)[sl] for name in self._SERIES})
 
 
 @dataclass(frozen=True)
@@ -117,7 +133,7 @@ class BssParams:
 
 
 @dataclass(frozen=True, eq=False)
-class EvParams:
+class EvParams(_DeviceSeries):
     """Electric vehicle charger with plug-in windows, trips and a charge target.
 
     ``arrival``/``departure`` are indicator series; several trips per day are
@@ -141,18 +157,9 @@ class EvParams:
 
     _SERIES = ("plugged", "arrival", "departure", "soc_arrival", "soc_ref", "power_ref_kw")
 
-    def __post_init__(self) -> None:
-        _freeze_series_fields(self, self._SERIES)
-
-    def sliced(self, sl: slice) -> "EvParams":
-        kw = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in self._SERIES:
-            kw[name] = kw[name][sl]
-        return EvParams(**kw)
-
 
 @dataclass(frozen=True, eq=False)
-class WbParams:
+class WbParams(_DeviceSeries):
     """Hot-water boiler as an equivalent thermal battery.
 
     ``thermal_coeff`` converts energy to temperature (degC per kWh).  The tank
@@ -176,18 +183,9 @@ class WbParams:
     _SERIES = ("temp_max", "temp_limit", "usage_event", "usage_loss_kw",
                "envelope_loss_kw", "power_ref_kw")
 
-    def __post_init__(self) -> None:
-        _freeze_series_fields(self, self._SERIES)
-
-    def sliced(self, sl: slice) -> "WbParams":
-        kw = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in self._SERIES:
-            kw[name] = kw[name][sl]
-        return WbParams(**kw)
-
 
 @dataclass(frozen=True, eq=False)
-class HpParams:
+class HpParams(_DeviceSeries):
     """Heat pump heating a single-state indoor air mass.
 
     Electrical input times ``cop`` gives thermal power; there is no hard upper
@@ -205,15 +203,6 @@ class HpParams:
     energy_cap_kwh: float | None = None
 
     _SERIES = ("temp_limit", "wall_loss_kw", "power_ref_kw")
-
-    def __post_init__(self) -> None:
-        _freeze_series_fields(self, self._SERIES)
-
-    def sliced(self, sl: slice) -> "HpParams":
-        kw = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in self._SERIES:
-            kw[name] = kw[name][sl]
-        return HpParams(**kw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -798,11 +787,11 @@ def generate_synthetic(config: SyntheticConfig) -> Scenario:
     device constraints by construction.
     """
     if config.members <= 0:
-        raise ValueError("synthetic config needs at least one member")
+        raise SyntheticConfigError("synthetic config needs at least one member")
     for name in ("wb_rate", "ev_rate", "hp_rate", "bss_rate", "pv_rate"):
         rate = getattr(config, name)
         if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{name} must be in [0,1], got {rate}")
+            raise SyntheticConfigError(f"{name} must be in [0,1], got {rate}")
 
     rng = np.random.default_rng(config.seed)
     n_members = config.members

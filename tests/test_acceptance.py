@@ -177,27 +177,27 @@ def test_criterion_6_resimulation_reproduces_every_optimal_schedule():
             ms = sched.member(m.id)
             state = states.get(m.id)
             if m.bss is not None:
-                soc = simulate_bss(m.bss, ms.bss_charge_kw, ms.bss_discharge_kw,
+                soc = simulate_bss(m.bss, ms.series["pcha"], ms.series["pdis"],
                                    day_s.horizon.dt_hours)
-                assert np.max(np.abs(soc - ms.bss_soc)) <= 1e-6
+                assert np.max(np.abs(soc - ms.series["socb"])) <= 1e-6
             if m.ev is not None:
-                soc = simulate_ev(m.ev, ms.ev_power_kw, day_s.horizon.dt_hours,
+                soc = simulate_ev(m.ev, ms.series["pev"], day_s.horizon.dt_hours,
                                   soc_start=None if state is None else state.ev_soc)
-                assert np.max(np.abs(soc - ms.ev_soc)) <= 1e-6
+                assert np.max(np.abs(soc - ms.series["sev"])) <= 1e-6
                 hinge = discomfort_ev(soc, m.ev.soc_ref, m.ev.reluctance_eur)
-                assert np.max(np.abs(hinge.per_step - ms.ev_discomfort_eur)) <= 1e-6
+                assert np.max(np.abs(hinge.per_step - ms.series["jev"])) <= 1e-6
             if m.wb is not None:
-                temp = simulate_wb(m.wb, ms.wb_power_kw, day_s.horizon.dt_hours,
+                temp = simulate_wb(m.wb, ms.series["pwb"], day_s.horizon.dt_hours,
                                    temp_start=None if state is None else state.wb_temp)
-                assert np.max(np.abs(temp - ms.wb_temp_c)) <= 1e-6
+                assert np.max(np.abs(temp - ms.series["twb"])) <= 1e-6
                 hinge = discomfort_thermal(temp, m.wb.temp_limit, m.wb.reluctance_eur)
-                assert np.max(np.abs(hinge.per_step - ms.wb_discomfort_eur)) <= 1e-6
+                assert np.max(np.abs(hinge.per_step - ms.series["jwb"])) <= 1e-6
             if m.hp is not None:
-                temp = simulate_hp(m.hp, ms.hp_power_kw, day_s.horizon.dt_hours,
+                temp = simulate_hp(m.hp, ms.series["php"], day_s.horizon.dt_hours,
                                    temp_start=None if state is None else state.hp_temp)
-                assert np.max(np.abs(temp - ms.hp_temp_c)) <= 1e-6
+                assert np.max(np.abs(temp - ms.series["thp"])) <= 1e-6
                 hinge = discomfort_thermal(temp, m.hp.temp_limit, m.hp.reluctance_eur)
-                assert np.max(np.abs(hinge.per_step - ms.hp_discomfort_eur)) <= 1e-6
+                assert np.max(np.abs(hinge.per_step - ms.series["jhp"])) <= 1e-6
     _ok(6, f"re-simulation matches LP states and discomforts on "
            f"{len(_SCHEDULES)} schedules (1e-6)")
 
@@ -235,11 +235,11 @@ def test_criterion_8_conservation_everywhere():
         ecom = np.zeros(steps)
         icom = np.zeros(steps)
         for ms in sched.members:
-            ecom += ms.export_community_kw
-            icom += ms.import_community_kw
-            for power, ref in ((ms.ev_power_kw, ms.ref_ev_kw),
-                               (ms.wb_power_kw, ms.ref_wb_kw),
-                               (ms.hp_power_kw, ms.ref_hp_kw)):
+            ecom += ms.series["ecom"]
+            icom += ms.series["icom"]
+            for power, ref in ((ms.series.get("pev"), ms.refs.ev),
+                               (ms.series.get("pwb"), ms.refs.wb),
+                               (ms.series.get("php"), ms.refs.hp)):
                 if power is not None:
                     drift = abs(float(np.sum(power - ref))) * dt
                     assert drift <= 1e-6, f"{sched.mode} day {day}: {drift}"

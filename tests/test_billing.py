@@ -7,7 +7,7 @@ import pytest
 
 from reccoord.billing import (BillingError, activation_price, compute_bill,
                               individual_benefits, summarize)
-from reccoord.central import DaySchedule, MemberDaySchedule
+from reccoord.central import DaySchedule, DeviceRefs, MemberDaySchedule
 from helpers import flat_prices
 
 
@@ -81,18 +81,17 @@ def _member(member_id: str, n: int, *, bill_total: float = 0.0,
             bss_discharge=None) -> MemberDaySchedule:
     from reccoord.billing import Bill
 
-    zeros = np.zeros(n)
+    def arr(values):
+        return None if values is None else np.asarray(values, dtype=float)
+
+    series = {tag: np.zeros(n) for tag in ("iret", "eret", "icom", "ecom", "pinj", "ppv")}
+    optional = {"pwb": arr(wb_power), "pev": arr(ev_power), "pdis": arr(bss_discharge),
+                "jev": np.full(n, discomfort / n) if discomfort else None}
+    series.update({tag: values for tag, values in optional.items() if values is not None})
     return MemberDaySchedule(
         member_id=member_id,
-        import_retailer_kw=zeros, export_retailer_kw=zeros,
-        import_community_kw=zeros, export_community_kw=zeros,
-        injection_kw=zeros, pv_kw=zeros,
-        wb_power_kw=None if wb_power is None else np.asarray(wb_power, dtype=float),
-        ref_wb_kw=None if ref_wb is None else np.asarray(ref_wb, dtype=float),
-        ev_power_kw=None if ev_power is None else np.asarray(ev_power, dtype=float),
-        ref_ev_kw=None if ref_ev is None else np.asarray(ref_ev, dtype=float),
-        ev_discomfort_eur=np.full(n, discomfort / n) if discomfort else None,
-        bss_discharge_kw=None if bss_discharge is None else np.asarray(bss_discharge, dtype=float),
+        series=series,
+        refs=DeviceRefs(ev=arr(ref_ev), wb=arr(ref_wb)),
         bill=Bill(member_id, max(bill_total, 0.0), max(-bill_total, 0.0), 0.0, bill_total),
         discomfort_total_eur=discomfort,
         flex_revenue_eur=revenue,

@@ -46,8 +46,8 @@ def test_ecfix_routes_matched_volume_through_the_community():
     # producer sells 1 kW to the community all day, pays the fee; consumer
     # buys it, pays the fee; nobody touches the retailer
     assert sched.community_bill_eur == pytest.approx(24.0 * 0.02, abs=1e-6)
-    assert np.sum(sched.member("cons").import_retailer_kw) == pytest.approx(0.0, abs=1e-6)
-    assert np.sum(sched.member("prod").export_community_kw) * DT6 == pytest.approx(24.0, abs=1e-6)
+    assert np.sum(sched.member("cons").series["iret"]) == pytest.approx(0.0, abs=1e-6)
+    assert np.sum(sched.member("prod").series["ecom"]) * DT6 == pytest.approx(24.0, abs=1e-6)
     assert verify_day_schedule(s, 0, sched) == []
 
     solo = solve_centralized(s, 0, PlannerMode.SOLO_FIX)
@@ -93,8 +93,8 @@ def test_ecflex_shifts_boiler_into_pv_hours_matching_brute_force():
 
     assert sched.objective_value == pytest.approx(brute, abs=1e-7)
     m = sched.member("u1")
-    assert m.wb_power_kw[1] == pytest.approx(2.0, abs=1e-6)  # into the PV window
-    assert m.wb_power_kw[3] == pytest.approx(0.0, abs=1e-6)
+    assert m.series["pwb"][1] == pytest.approx(2.0, abs=1e-6)  # into the PV window
+    assert m.series["pwb"][3] == pytest.approx(0.0, abs=1e-6)
     assert sched.community_discomfort_eur <= 1e-9
     assert verify_day_schedule(s, 0, sched) == []
 
@@ -166,9 +166,9 @@ def test_pinned_modes_keep_devices_exactly_on_reference():
     for mode in (PlannerMode.SOLO_FIX, PlannerMode.EC_FIX):
         sched = solve_centralized(s, 0, mode)
         for m in sched.members:
-            for power, ref in ((m.ev_power_kw, m.ref_ev_kw),
-                               (m.wb_power_kw, m.ref_wb_kw),
-                               (m.hp_power_kw, m.ref_hp_kw)):
+            for power, ref in ((m.series.get("pev"), m.refs.ev),
+                               (m.series.get("pwb"), m.refs.wb),
+                               (m.series.get("php"), m.refs.hp)):
                 if power is not None:
                     assert float(np.abs(power - ref).sum()) <= 1e-9
 
@@ -222,7 +222,7 @@ class TestPrioritization:
         refs = prioritize_self_consumption(s, 0)
         sched = solve_centralized(s, 0, PlannerMode.EC_FIX, refs=refs)
         # boiler pinned on the primed profile; hinge still measured vs temp_limit
-        assert sched.member("u1").wb_power_kw == pytest.approx(np.asarray(refs["u1"].wb))
+        assert sched.member("u1").series["pwb"] == pytest.approx(np.asarray(refs["u1"].wb))
         assert verify_day_schedule(s, 0, sched) == []
 
 
@@ -254,9 +254,9 @@ def test_multi_day_carry_over_and_daily_battery_anchor():
         assert verify_day_schedule(s, day, sched, initial_states=carried) == []
         carried = final_states(sched)
         for m in sched.members:
-            if m.bss_soc is not None:
+            if m.series.get("socb") is not None:
                 member = s.member(m.member_id)
-                assert m.bss_soc[-1] == pytest.approx(member.bss.soc_init, abs=1e-6)
+                assert m.series["socb"][-1] == pytest.approx(member.bss.soc_init, abs=1e-6)
 
 
 def test_curtailment_option_is_free_under_positive_export_price():
@@ -282,8 +282,8 @@ def test_solo_modes_never_touch_community_exchange():
     for mode in (PlannerMode.SOLO_FIX, PlannerMode.SOLO_FLEX):
         sched = solve_centralized(s, 0, mode)
         for m in sched.members:
-            assert np.max(m.import_community_kw) <= 1e-9
-            assert np.max(m.export_community_kw) <= 1e-9
+            assert np.max(m.series["icom"]) <= 1e-9
+            assert np.max(m.series["ecom"]) <= 1e-9
 
 
 def test_member_without_assets_sees_no_difference_from_sharing():

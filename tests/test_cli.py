@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 
@@ -57,6 +58,19 @@ def test_unknown_mode_is_a_usage_error(tmp_path, capsys):
     code = _run(["--generate", GEN, "--modes", "ecmagic", "--out", str(tmp_path)])
     assert code == 2
     assert "unknown mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--generate", "members=0"],
+    ["--generate", "members=3,wb=2"],
+    ["--generate", "members=3", "--days", "0"],
+    ["--generate", "members=3", "--dt", "0"],
+    ["--generate", "members=3", "--seed", "-1"],
+], ids=["no-members", "rate-above-one", "zero-days", "zero-dt", "negative-seed"])
+def test_bad_generator_input_is_a_usage_error(tmp_path, capsys, args):
+    code = _run([*args, "--modes", "solofix", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_days_beyond_horizon_rejected(tmp_path, capsys):
@@ -205,3 +219,29 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
         assert (tmp_path / "highs" / name).read_bytes() \
             == (tmp_path / "linprog" / name).read_bytes(), name
+
+
+#: sha256 of the report files of :data:`GOLDEN_ARGS`, recorded with scipy 1.17.1
+#: (HiGHS 1.12.0).
+GOLDEN_ARGS = ["--generate", "members=6", "--seed", "7", "--modes",
+               "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal",
+               "--trace", "--days", "1"]
+GOLDEN_SHA256 = {
+    "summary.csv": "dd2fc224b09e193a08f3c9daa53e417861736f9dba7c38a967e78db0ab3818b1",
+    "benefits.csv": "0a34a65651c29442a128dfc4bc0221c20acdc4b6825621d88b01c577f8c2776c",
+    "schedules.csv": "6c2a50fac9cea41b7c45b4f29dcfa9095d8f8c2d03659e314a0fac022d985707",
+    "trace.jsonl": "5e7f5faccf05312cc8a822b975e9dfc42f0f36212cd281301875eae9a069409b",
+}
+
+
+def test_reports_match_the_golden_hashes(tmp_path):
+    """The four report files of a six-mode run are pinned byte for byte.
+
+    Refactors must keep these bytes.  A HiGHS upgrade that moves the optimal
+    vertex changes them legitimately; then record the hashes again from a run
+    of the unchanged code under the new solver.
+    """
+    assert _run([*GOLDEN_ARGS, "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256

@@ -102,6 +102,26 @@ class TestMemberOffer:
             assert float(offer.up_kw.sum() + offer.down_kw.sum()) <= 1e-9
 
 
+def test_activation_leaves_the_base_schedule_unchanged():
+    """The agent commits into its own copy of the series table; the ECFix
+    schedule it started from keeps every array it had."""
+    from reccoord.decentral import ActivationBounds
+
+    s = make_scenario([_evening_wb_member()], steps=4)
+    day = s.for_day(0)
+    base = solve_centralized(s, 0, PlannerMode.EC_FIX).member("w")
+    before = {tag: arr.copy() for tag, arr in base.series.items()}
+    agent = MemberAgent(day.member("w"), default_refs(day)["w"], CarriedState(),
+                        day.horizon.dt_hours, base, activation_price(day.prices))
+    act = agent.activate(ActivationBounds("w", up_kw=series(4, t1=2.0),
+                                          down_kw=series(4, t3=2.0)))
+    assert act.up_kw[1] == pytest.approx(2.0, abs=1e-6)
+    assert agent.schedule.series["pwb"][1] == pytest.approx(2.0, abs=1e-6)
+    assert base.series.keys() == before.keys()
+    for tag, arr in before.items():
+        np.testing.assert_array_equal(base.series[tag], arr, err_msg=tag)
+
+
 class TestRefineBounds:
     def test_single_offer_capped_by_request(self):
         from reccoord.decentral import CapacityOffer

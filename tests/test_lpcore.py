@@ -1,6 +1,6 @@
 """LP container and solver boundary: worked examples, vertex-enumeration
-cross-checks, determinism, MPS dumping, the feasibility check and agreement
-between the persistent HiGHS backend and ``linprog``."""
+cross-checks, determinism, the feasibility check and agreement between the
+persistent HiGHS backend and ``linprog``."""
 
 from __future__ import annotations
 
@@ -201,27 +201,6 @@ def test_resolving_identical_problem_is_deterministic():
     a, b = build(), build()
     assert a.objective == b.objective
     assert list(a.x) == list(b.x)
-
-
-def test_mps_dump_structure():
-    p = LpProblem("demo")
-    x = p.add_variable("flow", 1.0, 10.0)
-    y = p.add_variable("level", -math.inf, math.inf)
-    p.add_constraint([(x, 2.0), (y, -1.0)], "<=", 4.0)
-    p.add_constraint([(x, 1.0)], ">=", 1.5)
-    p.add_constraint([(y, 1.0)], "=", 0.5)
-    p.add_objective_term(x, 3.0)
-    text = p.to_mps()
-
-    for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert section in text
-    assert " N  COST" in text
-    assert " L  R1" in text
-    assert " G  R2" in text
-    assert " E  R3" in text
-    assert "* X1 = flow" in text
-    assert " FR BND       X2" in text
-    assert p.to_mps() == text  # deterministic
 
 
 # ---------------------------------------------------------------------------

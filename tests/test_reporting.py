@@ -79,7 +79,7 @@ def test_schedule_rows_are_ordered_and_reparse_within_precision(toy_results, tmp
     wanted = [r for r in rows if r["mode"] == "ECFlex" and r["t"] == 5
               and r["member"] == member.member_id and r["variable"] == "injection_kw"]
     assert len(wanted) == 1
-    assert wanted[0]["value"] == pytest.approx(member.injection_kw[5], rel=1e-8)
+    assert wanted[0]["value"] == pytest.approx(member.series["pinj"][5], rel=1e-8)
 
 
 def test_trace_lines_are_valid_json(toy_results, tmp_path):
@@ -102,8 +102,8 @@ def test_schedule_serialization_round_trip(toy_results):
     for original, restored in zip(sched.members, back.members):
         assert restored.member_id == original.member_id
         assert restored.bill.total_eur == original.bill.total_eur
-        np.testing.assert_array_equal(restored.injection_kw, original.injection_kw)
-        if original.wb_power_kw is None:
-            assert restored.wb_power_kw is None
+        np.testing.assert_array_equal(restored.series["pinj"], original.series["pinj"])
+        if original.series.get("pwb") is None:
+            assert restored.series.get("pwb") is None
         else:
-            np.testing.assert_array_equal(restored.wb_power_kw, original.wb_power_kw)
+            np.testing.assert_array_equal(restored.series["pwb"], original.series["pwb"])
