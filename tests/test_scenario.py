@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from reccoord.scenario import (ScenarioParseError, ScenarioValidationError,
-                               SyntheticConfig, dump_scenario, generate_synthetic,
+                               SyntheticConfig, Violation, dump_scenario, generate_synthetic,
                                load_bundled_scenario, load_scenario,
                                scenario_to_dict, validate_scenario)
-from helpers import make_member, make_scenario, simple_ev, simple_wb
+from helpers import (make_member, make_scenario, simple_bss, simple_ev, simple_hp,
+                     simple_wb)
 
 MINIMAL_DOC = {
     "schema": 1,
@@ -124,13 +128,30 @@ def test_temp_limit_above_max_flagged():
     assert any("temp_limit above temp_max" in v.message for v in validate_scenario(s))
 
 
-def test_round_trip_preserves_document():
-    raw = json.dumps(MINIMAL_DOC)
+#: sha256 of the canonical dump of each round-trip document that has devices.
+DUMP_SHA256 = {
+    "community20": "5b42db8976da7d98c003a6815d112395c180588be06327793f44eee2d2e51b28",
+    "generated80": "e267eecf39f8b4f8ab48bd774e50ef73f35d69568b1679a07ef2f710c252eb05",
+}
+
+ROUND_TRIP_SOURCES = {
+    "minimal": lambda: json.dumps(MINIMAL_DOC),
+    "community20": lambda: resources.files("reccoord").joinpath(
+        "data/community20.json").read_bytes(),
+    "generated80": lambda: dump_scenario(generate_synthetic(SyntheticConfig(members=80, seed=3))),
+}
+
+
+@pytest.mark.parametrize("source", list(ROUND_TRIP_SOURCES))
+def test_round_trip_preserves_document(source):
+    raw = ROUND_TRIP_SOURCES[source]()
     s = load_scenario(raw)
     dumped = dump_scenario(s)
     s2 = load_scenario(dumped)
     assert scenario_to_dict(s) == scenario_to_dict(s2)
     assert dump_scenario(s2) == dumped
+    if source in DUMP_SHA256:
+        assert hashlib.sha256(dumped).hexdigest() == DUMP_SHA256[source]
 
 
 def test_for_day_slices_all_series():
@@ -194,3 +215,55 @@ def test_bundled_community20():
     assert sum(m.hp is not None for m in s.members) == 10
     assert sum(m.bss is not None for m in s.members) == 5
     assert sum(m.pv_max_kw.max() for m in s.members) == pytest.approx(147.0, rel=1e-9)
+
+
+def _all_devices_scenario(device: str | None = None, **changes):
+    """One member owning every device, with one device's parameters changed."""
+    n = 4
+    devices = {"bss": simple_bss(), "ev": simple_ev(n, np.zeros(n)),
+               "wb": simple_wb(n, np.zeros(n)), "hp": simple_hp(n, np.zeros(n))}
+    if device is not None:
+        devices[device] = replace(devices[device], **changes)
+    return make_scenario([make_member("u01", n, **devices)], steps=n)
+
+
+def test_a_member_with_every_device_is_valid():
+    assert validate_scenario(_all_devices_scenario()) == []
+
+
+@pytest.mark.parametrize("device,field,value,path,message", [
+    ("bss", "capacity_kwh", 0.0, "capacity_kwh", "must be > 0"),
+    ("bss", "max_power_kw", -1.0, "max_power_kw", "must be >= 0"),
+    ("bss", "efficiency", 1.5, "efficiency", "value 1.5 out of (0,1]"),
+    ("bss", "soc_min", -0.1, "soc_min", "value -0.1 out of [0,1]"),
+    ("bss", "soc_max", 1.2, "soc_max", "value 1.2 out of [0,1]"),
+    ("ev", "capacity_kwh", 0.0, "capacity_kwh", "must be > 0"),
+    ("ev", "max_charge_kw", -1.0, "max_charge_kw", "must be >= 0"),
+    ("ev", "efficiency", 0.0, "efficiency", "value 0.0 out of (0,1]"),
+    ("ev", "soc_init", 1.5, "soc_init", "value 1.5 out of [0,1]"),
+    ("ev", "reluctance_eur", -1.0, "reluctance_eur", "must be >= 0"),
+    ("ev", "plugged", [1, 0.5, 1, 1], "plugged[1]", "indicator value 0.5 not in {0,1}"),
+    ("ev", "arrival", [0, 0, 2, 0], "arrival[2]", "indicator value 2.0 not in {0,1}"),
+    ("ev", "departure", [0, 0, 0, -1], "departure[3]", "indicator value -1.0 not in {0,1}"),
+    ("ev", "soc_arrival", [0, 1.5, 0, 0], "soc_arrival[1]", "value 1.5 out of [0,1]"),
+    ("ev", "soc_ref", [-0.5, 0, 0, 0], "soc_ref[0]", "value -0.5 out of [0,1]"),
+    ("ev", "power_ref_kw", [0, 0, -1, 0], "power_ref_kw[2]", "negative value -1.0"),
+    ("wb", "thermal_coeff", 0.0, "thermal_coeff", "must be > 0"),
+    ("wb", "max_power_kw", -1.0, "max_power_kw", "must be >= 0"),
+    ("wb", "reluctance_eur", -1.0, "reluctance_eur", "must be >= 0"),
+    ("wb", "temp_max", [80, 80, 80], "temp_max", "series length 3 != horizon length 4"),
+    ("wb", "usage_event", [0, 0.5, 0, 0], "usage_event[1]", "indicator value 0.5 not in {0,1}"),
+    ("wb", "usage_loss_kw", [0, -2, 0, 0], "usage_loss_kw[1]", "negative value -2.0"),
+    ("wb", "envelope_loss_kw", [-1, 0, 0, 0], "envelope_loss_kw[0]", "negative value -1.0"),
+    ("wb", "power_ref_kw", [0, 0, 0, -1], "power_ref_kw[3]", "negative value -1.0"),
+    ("hp", "thermal_coeff", 0.0, "thermal_coeff", "must be > 0"),
+    ("hp", "cop", 0.0, "cop", "must be > 0"),
+    ("hp", "max_power_kw", -1.0, "max_power_kw", "must be >= 0"),
+    ("hp", "reluctance_eur", -1.0, "reluctance_eur", "must be >= 0"),
+    ("hp", "temp_limit", [19, float("nan"), 19, 19], "temp_limit[1]", "non-finite value"),
+    ("hp", "wall_loss_kw", [0, 0, -3, 0], "wall_loss_kw[2]", "negative value -3.0"),
+    ("hp", "power_ref_kw", [-1, 0, 0, 0], "power_ref_kw[0]", "negative value -1.0"),
+])
+def test_each_domain_rule_names_its_field(device, field, value, path, message):
+    s = _all_devices_scenario(device, **{field: value})
+    assert Violation(f"members[0].{device}.{path}", message) in validate_scenario(s)
