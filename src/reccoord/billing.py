@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
+from .devices import DEVICES
 from .scenario import Prices
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -179,10 +180,6 @@ def _shifted_energy_kwh(power: np.ndarray | None, ref: np.ndarray | None,
     return float(0.5 * np.sum(np.abs(power - ref)) * dt_hours)
 
 
-#: Power and discomfort series tags of each flexible device.
-_DEVICE_TAGS = {"ev": ("pev", "jev"), "wb": ("pwb", "jwb"), "hp": ("php", "jhp")}
-
-
 def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
     """Aggregate per-mode day schedules into the community result table.
 
@@ -195,18 +192,18 @@ def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
     summaries = []
     for mode, schedules in results.items():
         bill = dis_bss = 0.0
-        discomfort = dict.fromkeys(_DEVICE_TAGS, 0.0)
-        activated = dict.fromkeys(_DEVICE_TAGS, 0.0)
+        discomfort = {spec.name: 0.0 for spec in DEVICES}
+        activated = {spec.name: 0.0 for spec in DEVICES}
         for sched in schedules:
             dt = sched.dt_hours
             bill += sched.community_bill_eur
             for m in sched.members:
                 series = m.series
-                for device, (power, disc) in _DEVICE_TAGS.items():
-                    if disc in series:
-                        discomfort[device] += float(np.sum(series[disc]))
-                    activated[device] += _shifted_energy_kwh(
-                        series.get(power), getattr(m.refs, device), dt)
+                for spec in DEVICES:
+                    if spec.discomfort in series:
+                        discomfort[spec.name] += float(np.sum(series[spec.discomfort]))
+                    activated[spec.name] += _shifted_energy_kwh(
+                        series.get(spec.power), getattr(m.refs, spec.name), dt)
                 if "pdis" in series:
                     dis_bss += float(np.sum(series["pdis"])) * dt
         summaries.append(ModeSummary(

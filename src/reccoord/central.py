@@ -33,7 +33,8 @@ from typing import Mapping
 
 import numpy as np
 
-from . import billing, devices
+from . import billing
+from .devices import DEVICES, simulate_bss
 from .lpcore import LpProblem, LpSolution, LpStatus, solve_lp
 from .scenario import Member, Scenario
 
@@ -82,7 +83,7 @@ class DeviceRefs:
     @classmethod
     def of_powers(cls, series: Mapping[str, np.ndarray]) -> "DeviceRefs":
         """References equal to the device powers of a series table."""
-        return cls(ev=series.get("pev"), wb=series.get("pwb"), hp=series.get("php"))
+        return cls(**{spec.name: series.get(spec.power) for spec in DEVICES})
 
 
 FlexRefs = dict[str, DeviceRefs]
@@ -90,11 +91,11 @@ FlexRefs = dict[str, DeviceRefs]
 
 @dataclass(frozen=True)
 class CarriedState:
-    """Initial device states for a day, carried from the previous day's end."""
+    """Each device's initial state for a day (EV SoC, temperatures), carried over."""
 
-    ev_soc: float | None = None
-    wb_temp: float | None = None
-    hp_temp: float | None = None
+    ev: float | None = None
+    wb: float | None = None
+    hp: float | None = None
 
 
 @dataclass
@@ -145,14 +146,10 @@ class DaySchedule:
 
 def default_refs(day_scenario: Scenario) -> FlexRefs:
     """Reference powers straight from the scenario's device profiles."""
-    refs: FlexRefs = {}
-    for m in day_scenario.members:
-        refs[m.id] = DeviceRefs(
-            ev=None if m.ev is None else np.array(m.ev.power_ref_kw),
-            wb=None if m.wb is None else np.array(m.wb.power_ref_kw),
-            hp=None if m.hp is None else np.array(m.hp.power_ref_kw),
-        )
-    return refs
+    return {m.id: DeviceRefs(**{spec.name: np.array(device.power_ref_kw)
+                                for spec in DEVICES
+                                if (device := getattr(m, spec.name)) is not None})
+            for m in day_scenario.members}
 
 
 def _check_refs(refs: FlexRefs, day_scenario: Scenario) -> None:
@@ -161,13 +158,14 @@ def _check_refs(refs: FlexRefs, day_scenario: Scenario) -> None:
         r = refs.get(m.id)
         if r is None:
             raise PlannerError(f"missing reference profiles for member {m.id}")
-        for name, series, dev in (("ev", r.ev, m.ev), ("wb", r.wb, m.wb), ("hp", r.hp, m.hp)):
-            if dev is not None:
+        for spec in DEVICES:
+            if getattr(m, spec.name) is not None:
+                series = getattr(r, spec.name)
                 if series is None:
-                    raise PlannerError(f"member {m.id}: missing {name} reference profile")
+                    raise PlannerError(f"member {m.id}: missing {spec.name} reference profile")
                 if len(series) != steps:
-                    raise PlannerError(
-                        f"member {m.id}: {name} reference length {len(series)} != {steps}")
+                    raise PlannerError(f"member {m.id}: {spec.name} reference length "
+                                       f"{len(series)} != {steps}")
 
 
 def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedState,
@@ -202,15 +200,17 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
         # end-of-day recovery of the initial level
         p.add_rows("=", bss.soc_init, [(soc[T - 1], 1.0)])
 
-    def flexible(tags, max_kw, ref, state_lb, state_ub, gain, keep, rhs, reluctance,
+    ev_spec, wb_spec, hp_spec = DEVICES
+
+    def flexible(spec, max_kw, ref, state_lb, state_ub, gain, keep, rhs, reluctance,
                  target) -> None:
         """Power, state and discomfort series of one flexible device:
         ``state[t] = keep[t-1] * state[t-1] + gain * power[t] + rhs[t]`` (the
         initial state is in ``rhs[0]``), daily energy equal to the reference,
         discomfort >= ``reluctance * (target - state)``."""
-        power = grid(tags[0], *((ref, ref) if pinned else (0.0, max_kw)))
-        level = grid(tags[1], state_lb, state_ub)
-        discomfort = grid(tags[2], 0.0, np.inf)
+        power = grid(spec.power, *((ref, ref) if pinned else (0.0, max_kw)))
+        level = grid(spec.state, state_lb, state_ub)
+        discomfort = grid(spec.discomfort, 0.0, np.inf)
         p.add_rows("=", rhs, [(level, 1.0), (power, -gain), (level[:-1], -keep, after)])
         p.add_rows("=", float(np.sum(ref)), [(power, 1.0, 0)])
         p.add_rows(">=", reluctance * target, [(discomfort, 1.0), (level, reluctance)])
@@ -218,9 +218,8 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
     if m.ev is not None:
         ev = m.ev
         rhs = ev.arrival * ev.soc_arrival
-        rhs[0] += (1.0 - ev.arrival[0]) * (
-            state.ev_soc if state.ev_soc is not None else ev.soc_init)
-        flexible(("pev", "sev", "jev"), ev.plugged * ev.max_charge_kw, refs.ev,
+        rhs[0] += (1.0 - ev.arrival[0]) * (state.ev if state.ev is not None else ev.soc_init)
+        flexible(ev_spec, ev.plugged * ev.max_charge_kw, refs.ev,
                  ev.departure * ev.soc_ref, 1.0, dt * ev.efficiency / ev.capacity_kwh,
                  1.0 - ev.arrival[1:], rhs, ev.reluctance_eur, ev.soc_ref)
 
@@ -228,9 +227,9 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
         wb = m.wb
         k = dt * wb.thermal_coeff
         rhs = -k * (wb.usage_loss_kw + wb.envelope_loss_kw)
-        rhs[0] += state.wb_temp if state.wb_temp is not None else wb.temp_init
+        rhs[0] += state.wb if state.wb is not None else wb.temp_init
         # hard floor only at usage events; temperatures stay nonnegative
-        flexible(("pwb", "twb", "jwb"), wb.max_power_kw, refs.wb,
+        flexible(wb_spec, wb.max_power_kw, refs.wb,
                  np.maximum(0.0, wb.usage_event * wb.temp_limit), wb.temp_max, k, 1.0, rhs,
                  wb.reluctance_eur, wb.temp_limit)
 
@@ -238,18 +237,18 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
         hp = m.hp
         k = dt * hp.thermal_coeff
         rhs = -k * hp.wall_loss_kw
-        rhs[0] += state.hp_temp if state.hp_temp is not None else hp.temp_init
-        flexible(("php", "thp", "jhp"), hp.max_power_kw, refs.hp, 0.0, np.inf, k * hp.cop,
+        rhs[0] += state.hp if state.hp is not None else hp.temp_init
+        flexible(hp_spec, hp.max_power_kw, refs.hp, 0.0, np.inf, k * hp.cop,
                  1.0, rhs, hp.reluctance_eur, hp.temp_limit)
 
     return idx
 
 
 #: Series tags whose variables enter the member's controllable power, with sign.
-FLEX_TAGS = (("pev", 1.0), ("pwb", 1.0), ("php", 1.0), ("pcha", 1.0), ("pdis", -1.0))
+FLEX_TAGS = tuple((spec.power, 1.0) for spec in DEVICES) + (("pcha", 1.0), ("pdis", -1.0))
 
 #: Discomfort series tags.
-DISCOMFORT_TAGS = ("jev", "jwb", "jhp")
+DISCOMFORT_TAGS = tuple(spec.discomfort for spec in DEVICES)
 
 
 def discomfort_eur(sched: MemberDaySchedule) -> float:
@@ -399,17 +398,14 @@ def prioritize_self_consumption(scenario: Scenario, day: int,
 def _reference_state_feasible(m, refs: DeviceRefs, state: CarriedState,
                               dt: float, tol: float = 1e-9) -> bool:
     """Do the reference powers respect the hard state windows from this state?"""
-    if m.ev is not None:
-        traj = devices.simulate_ev(m.ev, refs.ev, dt, soc_start=state.ev_soc)
-        if np.max(traj) > 1.0 + tol:
+    for spec in DEVICES:
+        device = getattr(m, spec.name)
+        if device is None or (spec.floor is None and spec.ceiling is None):
+            continue
+        traj = spec.simulate(device, getattr(refs, spec.name), dt, getattr(state, spec.name))
+        if spec.ceiling is not None and np.max(traj - spec.ceiling(device)) > tol:
             return False
-        if np.min(traj - m.ev.departure * m.ev.soc_ref) < -tol:
-            return False
-    if m.wb is not None:
-        traj = devices.simulate_wb(m.wb, refs.wb, dt, temp_start=state.wb_temp)
-        if np.max(traj - m.wb.temp_max) > tol:
-            return False
-        if np.min(traj - m.wb.usage_event * m.wb.temp_limit) < -tol:
+        if spec.floor is not None and np.min(traj - spec.floor(device)) < -tol:
             return False
     return True
 
@@ -432,11 +428,12 @@ def repair_refs_for_state(m, refs: DeviceRefs, state: CarriedState,
     T = len(m.fixed_load_kw)
     p = LpProblem("refrepair")
     idx = add_device_block(p, m, refs, state, dt, pinned=False)
-    for tag, ref in (("pev", refs.ev), ("pwb", refs.wb), ("php", refs.hp)):
-        if tag in idx:
+    for spec in DEVICES:
+        if spec.power in idx:
             # deviation above and below the old profile, interleaved per step
-            dev = p.add_variables(f"dev.{tag}", 2 * T)
-            p.add_rows("=", ref, [(idx[tag], 1.0), (dev[0::2], -1.0), (dev[1::2], 1.0)])
+            dev = p.add_variables(f"dev.{spec.power}", 2 * T)
+            p.add_rows("=", getattr(refs, spec.name),
+                       [(idx[spec.power], 1.0), (dev[0::2], -1.0), (dev[1::2], 1.0)])
             p.add_objective(dev, 1.0)
 
     solution = solve_lp(p)
@@ -452,9 +449,8 @@ def final_states(sched: DaySchedule) -> dict[str, CarriedState]:
     def last(series: Mapping[str, np.ndarray], tag: str) -> float | None:
         return float(series[tag][-1]) if tag in series else None
 
-    return {m.member_id: CarriedState(ev_soc=last(m.series, "sev"),
-                                      wb_temp=last(m.series, "twb"),
-                                      hp_temp=last(m.series, "thp"))
+    return {m.member_id: CarriedState(**{spec.name: last(m.series, spec.state)
+                                         for spec in DEVICES})
             for m in sched.members}
 
 
@@ -513,9 +509,9 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
         inj, pv = ss["pinj"], ss["ppv"]
         iret, eret, icom, ecom = ss["iret"], ss["eret"], ss["icom"], ss["ecom"]
         flex = np.zeros_like(inj)
-        for tag in ("pev", "pwb", "php"):
-            if tag in ss:
-                flex = flex + ss[tag]
+        for spec in DEVICES:
+            if spec.power in ss:
+                flex = flex + ss[spec.power]
 
         check(np.min(pv) >= -tol and np.max(pv - m.pv_max_kw) <= tol,
               f"{m.id}: PV production outside availability")
@@ -545,7 +541,7 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
 
         if m.bss is not None:
             cha, dis, level = ss["pcha"], ss["pdis"], ss["socb"]
-            soc = devices.simulate_bss(m.bss, cha, dis, dt)
+            soc = simulate_bss(m.bss, cha, dis, dt)
             check(np.max(np.abs(soc - level)) <= tol,
                   f"{m.id}: battery SoC mismatch {np.max(np.abs(soc - level)):.3e}")
             check(np.min(level) >= m.bss.soc_min - tol and np.max(level) <= m.bss.soc_max + tol,
@@ -557,51 +553,25 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
             check(np.min(dis) >= -tol and np.max(dis) <= m.bss.max_power_kw + tol,
                   f"{m.id}: battery discharge power out of bounds")
 
-        if m.ev is not None:
-            power, level = ss["pev"], ss["sev"]
-            soc = devices.simulate_ev(m.ev, power, dt, soc_start=state.ev_soc)
-            check(np.max(np.abs(soc - level)) <= tol,
-                  f"{m.id}: EV SoC mismatch {np.max(np.abs(soc - level)):.3e}")
-            check(np.max(soc) <= 1.0 + tol, f"{m.id}: EV SoC above 1")
-            dep = m.ev.departure * m.ev.soc_ref
-            check(np.min(soc - dep) >= -tol, f"{m.id}: EV misses departure target")
-            check(np.min(power) >= -tol, f"{m.id}: negative EV power")
-            check(np.max(power - m.ev.plugged * m.ev.max_charge_kw) <= tol,
-                  f"{m.id}: EV charging beyond availability")
-            check(abs(float(np.sum(power - ms.refs.ev))) * dt <= tol,
-                  f"{m.id}: EV daily energy not conserved")
-            hinge = devices.discomfort_ev(soc, m.ev.soc_ref, m.ev.reluctance_eur)
-            check(np.max(np.abs(hinge.per_step - ss["jev"])) <= tol,
-                  f"{m.id}: EV discomfort mismatch")
-
-        if m.wb is not None:
-            power, level = ss["pwb"], ss["twb"]
-            temp = devices.simulate_wb(m.wb, power, dt, temp_start=state.wb_temp)
-            check(np.max(np.abs(temp - level)) <= tol,
-                  f"{m.id}: boiler temperature mismatch {np.max(np.abs(temp - level)):.3e}")
-            check(np.max(temp - m.wb.temp_max) <= tol, f"{m.id}: boiler above maximum")
-            floor = m.wb.usage_event * m.wb.temp_limit
-            check(np.min(temp - floor) >= -tol, f"{m.id}: boiler below usage floor")
-            check(np.min(power) >= -tol and np.max(power) <= m.wb.max_power_kw + tol,
-                  f"{m.id}: boiler power out of bounds")
-            check(abs(float(np.sum(power - ms.refs.wb))) * dt <= tol,
-                  f"{m.id}: boiler daily energy not conserved")
-            hinge = devices.discomfort_thermal(temp, m.wb.temp_limit, m.wb.reluctance_eur)
-            check(np.max(np.abs(hinge.per_step - ss["jwb"])) <= tol,
-                  f"{m.id}: boiler discomfort mismatch")
-
-        if m.hp is not None:
-            power, level = ss["php"], ss["thp"]
-            temp = devices.simulate_hp(m.hp, power, dt, temp_start=state.hp_temp)
-            check(np.max(np.abs(temp - level)) <= tol,
-                  f"{m.id}: heat pump temperature mismatch {np.max(np.abs(temp - level)):.3e}")
-            check(np.min(power) >= -tol and np.max(power) <= m.hp.max_power_kw + tol,
-                  f"{m.id}: heat pump power out of bounds")
-            check(abs(float(np.sum(power - ms.refs.hp))) * dt <= tol,
-                  f"{m.id}: heat pump daily energy not conserved")
-            hinge = devices.discomfort_thermal(temp, m.hp.temp_limit, m.hp.reluctance_eur)
-            check(np.max(np.abs(hinge.per_step - ss["jhp"])) <= tol,
-                  f"{m.id}: heat pump discomfort mismatch")
+        for spec in DEVICES:
+            device = getattr(m, spec.name)
+            if device is None:
+                continue
+            what = f"{m.id}: {spec.label}"
+            power, level = ss[spec.power], ss[spec.state]
+            traj = spec.simulate(device, power, dt, getattr(state, spec.name))
+            check(np.max(np.abs(traj - level)) <= tol,
+                  f"{what} state mismatch {np.max(np.abs(traj - level)):.3e}")
+            if spec.ceiling is not None:
+                check(np.max(traj - spec.ceiling(device)) <= tol, f"{what} state above ceiling")
+            if spec.floor is not None:
+                check(np.min(traj - spec.floor(device)) >= -tol, f"{what} state below floor")
+            check(np.min(power) >= -tol and np.max(power - spec.max_power(device)) <= tol,
+                  f"{what} power out of bounds")
+            check(abs(float(np.sum(power - getattr(ms.refs, spec.name)))) * dt <= tol,
+                  f"{what} daily energy not conserved")
+            check(np.max(np.abs(spec.hinge(device, traj).per_step - ss[spec.discomfort])) <= tol,
+                  f"{what} discomfort mismatch")
 
     check(np.max(np.abs(ecom_total - icom_total)) <= tol,
           f"community exchange imbalance {np.max(np.abs(ecom_total - icom_total)):.3e}")

@@ -54,6 +54,8 @@ class RunConfig:
             raise UsageError("at least one mode is required")
         if self.days is not None and self.days < 1:
             raise UsageError("--days must be at least 1")
+        if self.max_iterations < 1:
+            raise UsageError("--max-iters must be at least 1")
         if any(m.startswith("ECFlexIt") for m in self.modes) and self.key is None:
             raise UsageError("decentralized modes require --key "
                              "(equal, prorate or cascade)")
@@ -280,7 +282,8 @@ def _run_decentral_mode(scenario: Scenario, mode_name: str, days: int,
             trace_dicts = [t.to_dict() for t in traces]
             checkpoint.store(mode_name, day, sched, trace_dicts)
         schedules.append(sched)
-        all_traces.extend(trace_dicts)
+        if config.trace:  # only the trace report reads them
+            all_traces.extend(trace_dicts)
         carried = central.final_states(sched)
     return schedules, all_traces
 
@@ -337,8 +340,7 @@ def run(config: RunConfig) -> reporting.ReportFiles:
     baseline = next((m for m in ("ECFix", "SoloFix") if m in results), config.modes[0])
     benefits = billing.individual_benefits(results, baseline)
     return reporting.write_report(
-        report, results, config.out_dir, benefits=benefits,
-        traces=traces if config.trace else ())
+        report, results, config.out_dir, benefits=benefits, traces=traces)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,6 +6,14 @@ degrees Celsius for thermal devices) with no clipping and no feasibility
 repair.  Planners use them to cross-check optimizer output, so they must stay
 independent of any LP machinery.
 
+:data:`DEVICES` describes the three flexible devices (EV, boiler, heat pump)
+once.  Each :class:`DeviceSpec` names the device's slot (the attribute of
+``Member``, ``DeviceRefs`` and ``CarriedState``), its power, state and
+discomfort series tags, its simulator, its hard state floor and ceiling, its
+power rating and its discomfort target.  Reference handling, carried state,
+the verifier and the report tables loop over it; the battery, with two powers
+and no discomfort, stays outside.
+
 Conventions:
 
 * the state stored at index ``t`` is the state at the *end* of step ``t``;
@@ -17,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -112,3 +121,52 @@ def discomfort_ev(trajectory, soc_ref, reluctance_eur: float) -> Discomfort:
 def discomfort_thermal(trajectory, temp_limit, reluctance_eur: float) -> Discomfort:
     """Linear penalty for cooling below the temperature limit (overheating is free)."""
     return _hinge(trajectory, temp_limit, reluctance_eur)
+
+
+@dataclass(frozen=True)
+class DeviceSpec:
+    """One flexible device: slot name, series tags and physics accessors.
+
+    ``label`` names the device in verifier messages and ``state_column`` its
+    state in ``schedules.csv``.  The accessors take the device's parameters:
+    ``floor`` and ``ceiling`` bound the state hard (``None``: unbounded),
+    ``max_power`` bounds the power and ``target`` is the state below which
+    discomfort accrues at ``reluctance_eur`` per unit.
+    """
+
+    name: str
+    label: str
+    power: str
+    state: str
+    discomfort: str
+    state_column: str
+    simulator: str
+    floor: Callable[[Any], Any] | None
+    ceiling: Callable[[Any], Any] | None
+    max_power: Callable[[Any], Any]
+    target: Callable[[Any], np.ndarray]
+
+    def simulate(self, params, power_kw, dt_hours: float, start: float | None = None):
+        """State trajectory from ``start`` (the initial state when ``None``)."""
+        # looked up at call time, so a rebound module attribute is honoured
+        return globals()[self.simulator](params, power_kw, dt_hours, start)
+
+    def hinge(self, params, trajectory) -> Discomfort:
+        return _hinge(trajectory, self.target(params), params.reluctance_eur)
+
+
+#: The flexible devices, in the order their series enter every table.
+DEVICES = (
+    DeviceSpec("ev", "EV", power="pev", state="sev", discomfort="jev",
+               state_column="ev_soc", simulator="simulate_ev",
+               floor=lambda ev: ev.departure * ev.soc_ref, ceiling=lambda ev: 1.0,
+               max_power=lambda ev: ev.plugged * ev.max_charge_kw,
+               target=lambda ev: ev.soc_ref),
+    DeviceSpec("wb", "boiler", power="pwb", state="twb", discomfort="jwb",
+               state_column="wb_temp_c", simulator="simulate_wb",
+               floor=lambda wb: wb.usage_event * wb.temp_limit, ceiling=lambda wb: wb.temp_max,
+               max_power=lambda wb: wb.max_power_kw, target=lambda wb: wb.temp_limit),
+    DeviceSpec("hp", "heat pump", power="php", state="thp", discomfort="jhp",
+               state_column="hp_temp_c", simulator="simulate_hp", floor=None, ceiling=None,
+               max_power=lambda hp: hp.max_power_kw, target=lambda hp: hp.temp_limit),
+)

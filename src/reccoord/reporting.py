@@ -20,6 +20,7 @@ import numpy as np
 from .billing import Bill, MemberBenefit, Report
 from .central import DaySchedule, DeviceRefs, MemberDaySchedule
 from .decentral import IterationTrace
+from .devices import DEVICES
 
 #: Fixed row order of the summary table.
 SUMMARY_METRICS = (
@@ -46,9 +47,9 @@ SERIES_NAMES = {
     "icom": "import_community_kw", "ecom": "export_community_kw",
     "pinj": "injection_kw", "ppv": "pv_kw",
     "pcha": "bss_charge_kw", "pdis": "bss_discharge_kw", "socb": "bss_soc",
-    "pev": "ev_power_kw", "sev": "ev_soc", "jev": "ev_discomfort_eur",
-    "pwb": "wb_power_kw", "twb": "wb_temp_c", "jwb": "wb_discomfort_eur",
-    "php": "hp_power_kw", "thp": "hp_temp_c", "jhp": "hp_discomfort_eur",
+    **{tag: name for spec in DEVICES for tag, name in (
+        (spec.power, f"{spec.name}_power_kw"), (spec.state, spec.state_column),
+        (spec.discomfort, f"{spec.name}_discomfort_eur"))},
 }
 
 

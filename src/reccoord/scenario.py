@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -67,18 +67,20 @@ def _series(values: Any) -> np.ndarray:
     return arr
 
 
-def _freeze_series_fields(obj: Any, names: Sequence[str]) -> None:
-    for name in names:
-        object.__setattr__(obj, name, _series(getattr(obj, name)))
+class _Series:
+    """Dataclass whose ``_SERIES`` fields are per-step arrays, locked read-only.
 
-
-class _DeviceSeries:
-    """Device parameters whose ``_SERIES`` fields are per-step arrays."""
+    ``_DOMAINS`` maps fields to the value range :func:`validate_scenario`
+    enforces on them (on every entry of a series): ``">0"``, ``">=0"``,
+    ``"(0,1]"``, ``"[0,1]"`` or ``"{0,1}"``.
+    """
 
     _SERIES: tuple[str, ...] = ()
+    _DOMAINS: dict[str, str] = {}
 
     def __post_init__(self) -> None:
-        _freeze_series_fields(self, self._SERIES)
+        for name in self._SERIES:
+            object.__setattr__(self, name, _series(getattr(self, name)))
 
     def sliced(self, sl: slice):
         return replace(self, **{name: getattr(self, name)[sl] for name in self._SERIES})
@@ -103,22 +105,19 @@ class Horizon:
 
 
 @dataclass(frozen=True, eq=False)
-class Prices:
+class Prices(_Series):
     """Per-timestep tariffs in EUR/kWh: retailer import/export and community fee."""
 
     import_price: np.ndarray
     export_price: np.ndarray
     community_fee: np.ndarray
 
-    def __post_init__(self) -> None:
-        _freeze_series_fields(self, ("import_price", "export_price", "community_fee"))
-
-    def sliced(self, sl: slice) -> "Prices":
-        return Prices(self.import_price[sl], self.export_price[sl], self.community_fee[sl])
+    _SERIES = ("import_price", "export_price", "community_fee")
+    _DOMAINS = dict.fromkeys(_SERIES, ">=0")
 
 
 @dataclass(frozen=True, eq=False)
-class BssParams:
+class BssParams(_Series):
     """Stationary battery: capacity, symmetric power limit, round-trip split efficiency."""
 
     capacity_kwh: float
@@ -128,12 +127,12 @@ class BssParams:
     soc_min: float = 0.0
     soc_max: float = 1.0
 
-    def sliced(self, sl: slice) -> "BssParams":
-        return self
+    _DOMAINS = {"capacity_kwh": ">0", "max_power_kw": ">=0", "efficiency": "(0,1]",
+                "soc_min": "[0,1]", "soc_max": "[0,1]"}
 
 
 @dataclass(frozen=True, eq=False)
-class EvParams(_DeviceSeries):
+class EvParams(_Series):
     """Electric vehicle charger with plug-in windows, trips and a charge target.
 
     ``arrival``/``departure`` are indicator series; several trips per day are
@@ -153,13 +152,16 @@ class EvParams(_DeviceSeries):
     soc_ref: np.ndarray
     power_ref_kw: np.ndarray
     reluctance_eur: float
-    energy_cap_kwh: float | None = None
 
     _SERIES = ("plugged", "arrival", "departure", "soc_arrival", "soc_ref", "power_ref_kw")
+    _DOMAINS = {"capacity_kwh": ">0", "max_charge_kw": ">=0", "efficiency": "(0,1]",
+                "soc_init": "[0,1]", "reluctance_eur": ">=0", "plugged": "{0,1}",
+                "arrival": "{0,1}", "departure": "{0,1}", "soc_arrival": "[0,1]",
+                "soc_ref": "[0,1]", "power_ref_kw": ">=0"}
 
 
 @dataclass(frozen=True, eq=False)
-class WbParams(_DeviceSeries):
+class WbParams(_Series):
     """Hot-water boiler as an equivalent thermal battery.
 
     ``thermal_coeff`` converts energy to temperature (degC per kWh).  The tank
@@ -178,14 +180,16 @@ class WbParams(_DeviceSeries):
     envelope_loss_kw: np.ndarray
     power_ref_kw: np.ndarray
     reluctance_eur: float
-    energy_cap_kwh: float | None = None
 
     _SERIES = ("temp_max", "temp_limit", "usage_event", "usage_loss_kw",
                "envelope_loss_kw", "power_ref_kw")
+    _DOMAINS = {"thermal_coeff": ">0", "max_power_kw": ">=0", "reluctance_eur": ">=0",
+                "usage_event": "{0,1}", "usage_loss_kw": ">=0", "envelope_loss_kw": ">=0",
+                "power_ref_kw": ">=0"}
 
 
 @dataclass(frozen=True, eq=False)
-class HpParams(_DeviceSeries):
+class HpParams(_Series):
     """Heat pump heating a single-state indoor air mass.
 
     Electrical input times ``cop`` gives thermal power; there is no hard upper
@@ -200,13 +204,18 @@ class HpParams(_DeviceSeries):
     wall_loss_kw: np.ndarray
     power_ref_kw: np.ndarray
     reluctance_eur: float
-    energy_cap_kwh: float | None = None
 
     _SERIES = ("temp_limit", "wall_loss_kw", "power_ref_kw")
+    _DOMAINS = {"thermal_coeff": ">0", "cop": ">0", "max_power_kw": ">=0",
+                "reluctance_eur": ">=0", "wall_loss_kw": ">=0", "power_ref_kw": ">=0"}
+
+
+#: Each member's device slots: attribute and document key -> parameter class.
+DEVICE_PARAMS = {"bss": BssParams, "ev": EvParams, "wb": WbParams, "hp": HpParams}
 
 
 @dataclass(frozen=True, eq=False)
-class Member:
+class Member(_Series):
     """One community member: fixed load, PV availability, optional devices."""
 
     id: str
@@ -216,27 +225,22 @@ class Member:
     ev: EvParams | None = None
     wb: WbParams | None = None
     hp: HpParams | None = None
-    flexible_energy_cap_kwh: float | None = None
 
-    def __post_init__(self) -> None:
-        _freeze_series_fields(self, ("fixed_load_kw", "pv_max_kw"))
+    _SERIES = ("fixed_load_kw", "pv_max_kw")
+    _DOMAINS = dict.fromkeys(_SERIES, ">=0")
+
+    def devices(self) -> dict[str, _Series]:
+        """The member's devices by slot name, in :data:`DEVICE_PARAMS` order."""
+        return {name: d for name in DEVICE_PARAMS if (d := getattr(self, name)) is not None}
 
     @property
     def has_flexibility(self) -> bool:
         """Whether the member owns any controllable asset (device or battery)."""
-        return any(d is not None for d in (self.bss, self.ev, self.wb, self.hp))
+        return bool(self.devices())
 
     def sliced(self, sl: slice) -> "Member":
-        return Member(
-            id=self.id,
-            fixed_load_kw=self.fixed_load_kw[sl],
-            pv_max_kw=self.pv_max_kw[sl],
-            bss=self.bss.sliced(sl) if self.bss else None,
-            ev=self.ev.sliced(sl) if self.ev else None,
-            wb=self.wb.sliced(sl) if self.wb else None,
-            hp=self.hp.sliced(sl) if self.hp else None,
-            flexible_energy_cap_kwh=self.flexible_energy_cap_kwh,
-        )
+        return replace(self, fixed_load_kw=self.fixed_load_kw[sl], pv_max_kw=self.pv_max_kw[sl],
+                       **{name: d.sliced(sl) for name, d in self.devices().items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,9 +274,24 @@ class Scenario:
 # Validation
 
 
+#: Scalar value ranges: domain -> (holds, message).
+_SCALAR_DOMAINS = {
+    ">0": (lambda v: v > 0, "must be > 0"),
+    ">=0": (lambda v: v >= 0, "must be >= 0"),
+    "(0,1]": (lambda v: 0.0 < v <= 1.0, "value {} out of (0,1]"),
+    "[0,1]": (lambda v: 0.0 <= v <= 1.0, "value {} out of [0,1]"),
+}
+
+#: Per-entry series value ranges: domain -> (entries that hold, message).
+_SERIES_DOMAINS = {
+    ">=0": (lambda a: a >= 0, "negative value {}"),
+    "{0,1}": (lambda a: np.isin(a, _BINARY), "indicator value {} not in {{0,1}}"),
+    "[0,1]": (lambda a: (a >= 0) & (a <= 1), "value {} out of [0,1]"),
+}
+
+
 def _check_series(out: list[Violation], path: str, arr: np.ndarray, n: int,
-                  nonneg: bool = False, binary: bool = False,
-                  unit_interval: bool = False) -> bool:
+                  domain: str | None = None) -> bool:
     """Length and per-entry domain checks. Returns False on length mismatch."""
     if len(arr) != n:
         out.append(Violation(path, f"series length {len(arr)} != horizon length {n}"))
@@ -281,124 +300,70 @@ def _check_series(out: list[Violation], path: str, arr: np.ndarray, n: int,
         t = int(np.flatnonzero(~np.isfinite(arr))[0])
         out.append(Violation(f"{path}[{t}]", "non-finite value"))
         return False
-    if nonneg and np.any(arr < 0):
-        t = int(np.flatnonzero(arr < 0)[0])
-        out.append(Violation(f"{path}[{t}]", f"negative value {arr[t]}"))
-    if binary and not np.all(np.isin(arr, _BINARY)):
-        t = int(np.flatnonzero(~np.isin(arr, _BINARY))[0])
-        out.append(Violation(f"{path}[{t}]", f"indicator value {arr[t]} not in {{0,1}}"))
-    if unit_interval and np.any((arr < 0) | (arr > 1)):
-        t = int(np.flatnonzero((arr < 0) | (arr > 1))[0])
-        out.append(Violation(f"{path}[{t}]", f"value {arr[t]} out of [0,1]"))
+    if domain is not None:
+        holds, message = _SERIES_DOMAINS[domain]
+        bad = np.flatnonzero(~holds(arr))
+        if bad.size:
+            t = int(bad[0])
+            out.append(Violation(f"{path}[{t}]", message.format(arr[t])))
     return True
 
 
-def _check_fraction(out: list[Violation], path: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        out.append(Violation(path, f"value {value} out of [0,1]"))
+def _every(out: list[Violation], path: str, bad: np.ndarray, message: str) -> None:
+    """Report every step flagged in ``bad``."""
+    out.extend(Violation(f"{path}[{t}]", message) for t in np.flatnonzero(bad).tolist())
 
 
-def _validate_bss(out: list[Violation], path: str, bss: BssParams) -> None:
-    if not bss.capacity_kwh > 0:
-        out.append(Violation(f"{path}.capacity_kwh", "must be > 0"))
-    if bss.max_power_kw < 0:
-        out.append(Violation(f"{path}.max_power_kw", "must be >= 0"))
-    if not 0.0 < bss.efficiency <= 1.0:
-        out.append(Violation(f"{path}.efficiency", f"value {bss.efficiency} out of (0,1]"))
-    _check_fraction(out, f"{path}.soc_min", bss.soc_min)
-    _check_fraction(out, f"{path}.soc_max", bss.soc_max)
-    if bss.soc_min > bss.soc_max:
-        out.append(Violation(f"{path}.soc_min", "soc_min > soc_max"))
-    if not bss.soc_min <= bss.soc_init <= bss.soc_max:
-        out.append(Violation(f"{path}.soc_init", "soc_init out of [soc_min,soc_max]"))
+def _check_domains(out: list[Violation], path: str, obj: _Series, n: int) -> bool:
+    """The declared scalar domains, then every series' length and domain.
+    Returns False when a series is unusable (wrong length or non-finite)."""
+    for name, domain in obj._DOMAINS.items():
+        if name not in obj._SERIES:
+            holds, message = _SCALAR_DOMAINS[domain]
+            value = getattr(obj, name)
+            if not holds(value):
+                out.append(Violation(f"{path}.{name}", message.format(value)))
+    ok = True
+    for name in obj._SERIES:
+        ok &= _check_series(out, f"{path}.{name}", getattr(obj, name), n,
+                            obj._DOMAINS.get(name))
+    return ok
 
 
-def _validate_ev(out: list[Violation], path: str, ev: EvParams, n: int,
-                 steps_per_day: int) -> None:
-    if not ev.capacity_kwh > 0:
-        out.append(Violation(f"{path}.capacity_kwh", "must be > 0"))
-    if ev.max_charge_kw < 0:
-        out.append(Violation(f"{path}.max_charge_kw", "must be >= 0"))
-    if not 0.0 < ev.efficiency <= 1.0:
-        out.append(Violation(f"{path}.efficiency", f"value {ev.efficiency} out of (0,1]"))
-    _check_fraction(out, f"{path}.soc_init", ev.soc_init)
-    if ev.reluctance_eur < 0:
-        out.append(Violation(f"{path}.reluctance_eur", "must be >= 0"))
-
-    ok = _check_series(out, f"{path}.plugged", ev.plugged, n, binary=True)
-    ok &= _check_series(out, f"{path}.arrival", ev.arrival, n, binary=True)
-    ok &= _check_series(out, f"{path}.departure", ev.departure, n, binary=True)
-    ok &= _check_series(out, f"{path}.soc_arrival", ev.soc_arrival, n, unit_interval=True)
-    ok &= _check_series(out, f"{path}.soc_ref", ev.soc_ref, n, unit_interval=True)
-    ok &= _check_series(out, f"{path}.power_ref_kw", ev.power_ref_kw, n, nonneg=True)
-    if not ok:
+def _validate_device(out: list[Violation], path: str, d: _Series, n: int,
+                     steps_per_day: int) -> None:
+    """The declared domains, then the rules that relate several fields."""
+    if not _check_domains(out, path, d, n):
         return
 
-    for t in range(n):
-        if ev.arrival[t] == 1.0 and ev.plugged[t] != 1.0:
-            out.append(Violation(f"{path}.arrival[{t}]", "arrival while not plugged"))
-        if ev.departure[t] == 1.0:
-            if ev.plugged[t] != 1.0:
-                out.append(Violation(f"{path}.departure[{t}]", "departure while not plugged"))
-            nxt = t + 1
-            if nxt % steps_per_day != 0 and nxt < n and ev.plugged[nxt] != 0.0:
-                out.append(Violation(f"{path}.departure[{t}]",
-                                     "still plugged at the step after departure"))
-        if ev.power_ref_kw[t] > 0 and ev.plugged[t] != 1.0:
+    if isinstance(d, BssParams):
+        if d.soc_min > d.soc_max:
+            out.append(Violation(f"{path}.soc_min", "soc_min > soc_max"))
+        if not d.soc_min <= d.soc_init <= d.soc_max:
+            out.append(Violation(f"{path}.soc_init", "soc_init out of [soc_min,soc_max]"))
+    elif isinstance(d, EvParams):
+        unplugged = d.plugged != 1.0
+        plugged_next = np.append(d.plugged[1:] != 0.0, False)
+        plugged_next[steps_per_day - 1::steps_per_day] = False  # a new day starts over
+        _every(out, f"{path}.arrival", (d.arrival == 1.0) & unplugged,
+               "arrival while not plugged")
+        _every(out, f"{path}.departure", (d.departure == 1.0) & unplugged,
+               "departure while not plugged")
+        _every(out, f"{path}.departure", (d.departure == 1.0) & plugged_next,
+               "still plugged at the step after departure")
+        _every(out, f"{path}.power_ref_kw", (d.power_ref_kw > 0) & unplugged,
+               "positive reference power while not plugged")
+        for t in np.flatnonzero(d.power_ref_kw > d.max_charge_kw + 1e-9).tolist():
             out.append(Violation(f"{path}.power_ref_kw[{t}]",
-                                 "positive reference power while not plugged"))
-        if ev.power_ref_kw[t] > ev.max_charge_kw + 1e-9:
-            out.append(Violation(f"{path}.power_ref_kw[{t}]",
-                                 f"reference power {ev.power_ref_kw[t]} above charger limit"))
-
-
-def _validate_wb(out: list[Violation], path: str, wb: WbParams, n: int) -> None:
-    if not wb.thermal_coeff > 0:
-        out.append(Violation(f"{path}.thermal_coeff", "must be > 0"))
-    if wb.max_power_kw < 0:
-        out.append(Violation(f"{path}.max_power_kw", "must be >= 0"))
-    if wb.reluctance_eur < 0:
-        out.append(Violation(f"{path}.reluctance_eur", "must be >= 0"))
-
-    ok = _check_series(out, f"{path}.temp_max", wb.temp_max, n)
-    ok &= _check_series(out, f"{path}.temp_limit", wb.temp_limit, n)
-    ok &= _check_series(out, f"{path}.usage_event", wb.usage_event, n, binary=True)
-    ok &= _check_series(out, f"{path}.usage_loss_kw", wb.usage_loss_kw, n, nonneg=True)
-    ok &= _check_series(out, f"{path}.envelope_loss_kw", wb.envelope_loss_kw, n, nonneg=True)
-    ok &= _check_series(out, f"{path}.power_ref_kw", wb.power_ref_kw, n, nonneg=True)
-    if not ok:
-        return
-
-    bad = np.flatnonzero(wb.temp_limit > wb.temp_max)
-    if bad.size:
-        t = int(bad[0])
-        out.append(Violation(f"{path}.temp_limit[{t}]", "temp_limit above temp_max"))
-    bad = np.flatnonzero(wb.power_ref_kw > wb.max_power_kw + 1e-9)
-    if bad.size:
-        t = int(bad[0])
-        out.append(Violation(f"{path}.power_ref_kw[{t}]", "reference power above rating"))
-
-
-def _validate_hp(out: list[Violation], path: str, hp: HpParams, n: int) -> None:
-    if not hp.thermal_coeff > 0:
-        out.append(Violation(f"{path}.thermal_coeff", "must be > 0"))
-    if not hp.cop > 0:
-        out.append(Violation(f"{path}.cop", "must be > 0"))
-    if hp.max_power_kw < 0:
-        out.append(Violation(f"{path}.max_power_kw", "must be >= 0"))
-    if hp.reluctance_eur < 0:
-        out.append(Violation(f"{path}.reluctance_eur", "must be >= 0"))
-
-    ok = _check_series(out, f"{path}.temp_limit", hp.temp_limit, n)
-    ok &= _check_series(out, f"{path}.wall_loss_kw", hp.wall_loss_kw, n, nonneg=True)
-    ok &= _check_series(out, f"{path}.power_ref_kw", hp.power_ref_kw, n, nonneg=True)
-    if not ok:
-        return
-
-    bad = np.flatnonzero(hp.power_ref_kw > hp.max_power_kw + 1e-9)
-    if bad.size:
-        t = int(bad[0])
-        out.append(Violation(f"{path}.power_ref_kw[{t}]", "reference power above rating"))
+                                 f"reference power {d.power_ref_kw[t]} above charger limit"))
+    else:
+        # the first offending step only
+        if isinstance(d, WbParams) and np.any(bad := d.temp_limit > d.temp_max):
+            out.append(Violation(f"{path}.temp_limit[{np.argmax(bad)}]",
+                                 "temp_limit above temp_max"))
+        if np.any(bad := d.power_ref_kw > d.max_power_kw + 1e-9):
+            out.append(Violation(f"{path}.power_ref_kw[{np.argmax(bad)}]",
+                                 "reference power above rating"))
 
 
 def validate_scenario(scenario: Scenario) -> list[Violation]:
@@ -419,10 +384,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             "horizon", f"steps_per_day*dt_hours = {hor.steps_per_day * hor.dt_hours} != 24"))
 
     n = hor.total_steps
-    ok = _check_series(out, "prices.import_price", scenario.prices.import_price, n, nonneg=True)
-    ok &= _check_series(out, "prices.export_price", scenario.prices.export_price, n, nonneg=True)
-    ok &= _check_series(out, "prices.community_fee", scenario.prices.community_fee, n, nonneg=True)
-    if ok:
+    if _check_domains(out, "prices", scenario.prices, n):
         from . import billing  # local import: billing depends on this module
 
         reward = billing.activation_price_values(
@@ -442,16 +404,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         if m.id in seen:
             out.append(Violation(f"{path}.id", f"duplicate member id {m.id!r}"))
         seen.add(m.id)
-        _check_series(out, f"{path}.fixed_load_kw", m.fixed_load_kw, n, nonneg=True)
-        _check_series(out, f"{path}.pv_max_kw", m.pv_max_kw, n, nonneg=True)
-        if m.bss is not None:
-            _validate_bss(out, f"{path}.bss", m.bss)
-        if m.ev is not None:
-            _validate_ev(out, f"{path}.ev", m.ev, n, hor.steps_per_day)
-        if m.wb is not None:
-            _validate_wb(out, f"{path}.wb", m.wb, n)
-        if m.hp is not None:
-            _validate_hp(out, f"{path}.hp", m.hp, n)
+        _check_domains(out, path, m, n)
+        for name, device in m.devices().items():
+            _validate_device(out, f"{path}.{name}", device, n, hor.steps_per_day)
 
     return out
 
@@ -464,11 +419,6 @@ def _require(obj: dict, key: str, where: str) -> Any:
     if key not in obj:
         raise ScenarioParseError(f"{where}: missing required field {key!r}")
     return obj[key]
-
-
-def _opt_float(obj: dict, key: str) -> float | None:
-    v = obj.get(key)
-    return None if v is None else float(v)
 
 
 def _parse_thermal_limit(obj: dict, where: str) -> np.ndarray:
@@ -488,75 +438,35 @@ def _parse_thermal_limit(obj: dict, where: str) -> np.ndarray:
     raise ScenarioParseError(f"{where}: need temp_limit or the (temp_ref, temp_set) pair")
 
 
+def _parse_device(cls: type, obj: Any, where: str) -> _Series:
+    """Device parameters from their document block; unknown keys are ignored."""
+    if not isinstance(obj, dict):
+        raise ScenarioParseError(f"{where}: expected an object")
+    kwargs: dict[str, Any] = {}
+    for f in fields(cls):
+        if f.name == "temp_limit":
+            kwargs[f.name] = _parse_thermal_limit(obj, where)
+        elif f.name in cls._SERIES:
+            kwargs[f.name] = _series(_require(obj, f.name, where))
+        elif f.default is MISSING:
+            kwargs[f.name] = float(_require(obj, f.name, where))
+        else:
+            kwargs[f.name] = float(obj.get(f.name, f.default))
+    return cls(**kwargs)
+
+
 def _parse_member(obj: dict, idx: int) -> Member:
     where = f"members[{idx}]"
     if not isinstance(obj, dict):
         raise ScenarioParseError(f"{where}: expected an object")
     member_id = str(_require(obj, "id", where))
     where = f"members[{idx}] (id={member_id})"
-
-    bss = ev = wb = hp = None
-    if obj.get("bss") is not None:
-        b = obj["bss"]
-        bss = BssParams(
-            capacity_kwh=float(_require(b, "capacity_kwh", f"{where}.bss")),
-            max_power_kw=float(_require(b, "max_power_kw", f"{where}.bss")),
-            efficiency=float(_require(b, "efficiency", f"{where}.bss")),
-            soc_init=float(_require(b, "soc_init", f"{where}.bss")),
-            soc_min=float(b.get("soc_min", 0.0)),
-            soc_max=float(b.get("soc_max", 1.0)),
-        )
-    if obj.get("ev") is not None:
-        e = obj["ev"]
-        ev = EvParams(
-            capacity_kwh=float(_require(e, "capacity_kwh", f"{where}.ev")),
-            max_charge_kw=float(_require(e, "max_charge_kw", f"{where}.ev")),
-            efficiency=float(_require(e, "efficiency", f"{where}.ev")),
-            soc_init=float(_require(e, "soc_init", f"{where}.ev")),
-            plugged=_series(_require(e, "plugged", f"{where}.ev")),
-            arrival=_series(_require(e, "arrival", f"{where}.ev")),
-            departure=_series(_require(e, "departure", f"{where}.ev")),
-            soc_arrival=_series(_require(e, "soc_arrival", f"{where}.ev")),
-            soc_ref=_series(_require(e, "soc_ref", f"{where}.ev")),
-            power_ref_kw=_series(_require(e, "power_ref_kw", f"{where}.ev")),
-            reluctance_eur=float(_require(e, "reluctance_eur", f"{where}.ev")),
-            energy_cap_kwh=_opt_float(e, "energy_cap_kwh"),
-        )
-    if obj.get("wb") is not None:
-        w = obj["wb"]
-        wb = WbParams(
-            thermal_coeff=float(_require(w, "thermal_coeff", f"{where}.wb")),
-            max_power_kw=float(_require(w, "max_power_kw", f"{where}.wb")),
-            temp_init=float(_require(w, "temp_init", f"{where}.wb")),
-            temp_max=_series(_require(w, "temp_max", f"{where}.wb")),
-            temp_limit=_parse_thermal_limit(w, f"{where}.wb"),
-            usage_event=_series(_require(w, "usage_event", f"{where}.wb")),
-            usage_loss_kw=_series(_require(w, "usage_loss_kw", f"{where}.wb")),
-            envelope_loss_kw=_series(_require(w, "envelope_loss_kw", f"{where}.wb")),
-            power_ref_kw=_series(_require(w, "power_ref_kw", f"{where}.wb")),
-            reluctance_eur=float(_require(w, "reluctance_eur", f"{where}.wb")),
-            energy_cap_kwh=_opt_float(w, "energy_cap_kwh"),
-        )
-    if obj.get("hp") is not None:
-        h = obj["hp"]
-        hp = HpParams(
-            thermal_coeff=float(_require(h, "thermal_coeff", f"{where}.hp")),
-            max_power_kw=float(_require(h, "max_power_kw", f"{where}.hp")),
-            cop=float(_require(h, "cop", f"{where}.hp")),
-            temp_init=float(_require(h, "temp_init", f"{where}.hp")),
-            temp_limit=_parse_thermal_limit(h, f"{where}.hp"),
-            wall_loss_kw=_series(_require(h, "wall_loss_kw", f"{where}.hp")),
-            power_ref_kw=_series(_require(h, "power_ref_kw", f"{where}.hp")),
-            reluctance_eur=float(_require(h, "reluctance_eur", f"{where}.hp")),
-            energy_cap_kwh=_opt_float(h, "energy_cap_kwh"),
-        )
-
     return Member(
         id=member_id,
         fixed_load_kw=_series(_require(obj, "fixed_load_kw", where)),
         pv_max_kw=_series(_require(obj, "pv_max_kw", where)),
-        bss=bss, ev=ev, wb=wb, hp=hp,
-        flexible_energy_cap_kwh=_opt_float(obj, "flexible_energy_cap_kwh"),
+        **{name: _parse_device(cls, obj[name], f"{where}.{name}")
+           for name, cls in DEVICE_PARAMS.items() if obj.get(name) is not None},
     )
 
 
@@ -575,11 +485,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         num_days=int(h.get("num_days", 1)),
     )
     p = _require(doc, "prices", "document")
-    prices = Prices(
-        import_price=_series(_require(p, "import_price", "prices")),
-        export_price=_series(_require(p, "export_price", "prices")),
-        community_fee=_series(_require(p, "community_fee", "prices")),
-    )
+    prices = Prices(**{name: _series(_require(p, name, "prices")) for name in Prices._SERIES})
     raw_members = _require(doc, "members", "document")
     if not isinstance(raw_members, list):
         raise ScenarioParseError("members: expected an array")
@@ -611,67 +517,20 @@ def _list(arr: np.ndarray) -> list[float]:
     return [float(v) for v in arr]
 
 
+def _device_to_dict(d: _Series) -> dict[str, Any]:
+    return {f.name: _list(getattr(d, f.name)) if f.name in d._SERIES else getattr(d, f.name)
+            for f in fields(d)}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical document form; field order is fixed for byte-stable dumps."""
     members = []
     for m in s.members:
-        obj: dict[str, Any] = {
-            "id": m.id,
-            "fixed_load_kw": _list(m.fixed_load_kw),
-            "pv_max_kw": _list(m.pv_max_kw),
-            "bss": None, "ev": None, "wb": None, "hp": None,
-            "flexible_energy_cap_kwh": m.flexible_energy_cap_kwh,
-        }
-        if m.bss:
-            obj["bss"] = {
-                "capacity_kwh": m.bss.capacity_kwh,
-                "max_power_kw": m.bss.max_power_kw,
-                "efficiency": m.bss.efficiency,
-                "soc_init": m.bss.soc_init,
-                "soc_min": m.bss.soc_min,
-                "soc_max": m.bss.soc_max,
-            }
-        if m.ev:
-            obj["ev"] = {
-                "capacity_kwh": m.ev.capacity_kwh,
-                "max_charge_kw": m.ev.max_charge_kw,
-                "efficiency": m.ev.efficiency,
-                "soc_init": m.ev.soc_init,
-                "plugged": _list(m.ev.plugged),
-                "arrival": _list(m.ev.arrival),
-                "departure": _list(m.ev.departure),
-                "soc_arrival": _list(m.ev.soc_arrival),
-                "soc_ref": _list(m.ev.soc_ref),
-                "power_ref_kw": _list(m.ev.power_ref_kw),
-                "reluctance_eur": m.ev.reluctance_eur,
-                "energy_cap_kwh": m.ev.energy_cap_kwh,
-            }
-        if m.wb:
-            obj["wb"] = {
-                "thermal_coeff": m.wb.thermal_coeff,
-                "max_power_kw": m.wb.max_power_kw,
-                "temp_init": m.wb.temp_init,
-                "temp_max": _list(m.wb.temp_max),
-                "temp_limit": _list(m.wb.temp_limit),
-                "usage_event": _list(m.wb.usage_event),
-                "usage_loss_kw": _list(m.wb.usage_loss_kw),
-                "envelope_loss_kw": _list(m.wb.envelope_loss_kw),
-                "power_ref_kw": _list(m.wb.power_ref_kw),
-                "reluctance_eur": m.wb.reluctance_eur,
-                "energy_cap_kwh": m.wb.energy_cap_kwh,
-            }
-        if m.hp:
-            obj["hp"] = {
-                "thermal_coeff": m.hp.thermal_coeff,
-                "max_power_kw": m.hp.max_power_kw,
-                "cop": m.hp.cop,
-                "temp_init": m.hp.temp_init,
-                "temp_limit": _list(m.hp.temp_limit),
-                "wall_loss_kw": _list(m.hp.wall_loss_kw),
-                "power_ref_kw": _list(m.hp.power_ref_kw),
-                "reluctance_eur": m.hp.reluctance_eur,
-                "energy_cap_kwh": m.hp.energy_cap_kwh,
-            }
+        obj: dict[str, Any] = {"id": m.id, "fixed_load_kw": _list(m.fixed_load_kw),
+                               "pv_max_kw": _list(m.pv_max_kw)}
+        for name in DEVICE_PARAMS:
+            device = getattr(m, name)
+            obj[name] = None if device is None else _device_to_dict(device)
         members.append(obj)
 
     return {
@@ -681,11 +540,7 @@ def scenario_to_dict(s: Scenario) -> dict:
             "dt_hours": s.horizon.dt_hours,
             "num_days": s.horizon.num_days,
         },
-        "prices": {
-            "import_price": _list(s.prices.import_price),
-            "export_price": _list(s.prices.export_price),
-            "community_fee": _list(s.prices.community_fee),
-        },
+        "prices": {name: _list(getattr(s.prices, name)) for name in Prices._SERIES},
         "members": members,
     }
 
@@ -739,41 +594,20 @@ def _gauss_bump(hours: np.ndarray, center: float, width: float) -> np.ndarray:
     return np.exp(-0.5 * ((hours - center) / width) ** 2)
 
 
-def _thermostat_wb(wb_kwargs: dict, hours_len: int, dt: float) -> np.ndarray:
-    """Reference boiler heating: top the tank back up whenever it cools below
-    a deadband under the initial temperature. Guarantees a limit-respecting
-    reference trajectory by construction."""
-    coeff = wb_kwargs["thermal_coeff"]
-    pmax = wb_kwargs["max_power_kw"]
-    target = wb_kwargs["temp_init"]
-    usage = wb_kwargs["usage_loss_kw"]
-    envelope = wb_kwargs["envelope_loss_kw"]
-    power = np.zeros(hours_len)
+def _thermostat(loss_kw: np.ndarray, gain: float, coeff: float, pmax: float, target: float,
+                deadband: float, dt: float) -> np.ndarray:
+    """Reference heating: top the temperature back up to ``target`` whenever
+    it would drift more than ``deadband`` below it, ``gain`` kW of heat per kW
+    of input.  Guarantees a limit-respecting reference trajectory by
+    construction."""
+    power = np.zeros(len(loss_kw))
     temp = target
-    for t in range(hours_len):
-        loss = usage[t] + envelope[t]
-        drift = temp - dt * loss * coeff
-        if drift < target - 0.5:
-            need = (target - drift) / (dt * coeff)
+    for t in range(len(loss_kw)):
+        drift = temp - dt * loss_kw[t] * coeff
+        if drift < target - deadband:
+            need = (target - drift) / (dt * coeff * gain)
             power[t] = min(pmax, need)
-        temp = temp + dt * (power[t] - loss) * coeff
-    return power
-
-
-def _thermostat_hp(hp_kwargs: dict, hours_len: int, dt: float) -> np.ndarray:
-    coeff = hp_kwargs["thermal_coeff"]
-    pmax = hp_kwargs["max_power_kw"]
-    cop = hp_kwargs["cop"]
-    target = hp_kwargs["temp_init"]
-    loss = hp_kwargs["wall_loss_kw"]
-    power = np.zeros(hours_len)
-    temp = target
-    for t in range(hours_len):
-        drift = temp - dt * loss[t] * coeff
-        if drift < target - 0.25:
-            need = (target - drift) / (dt * coeff * cop)
-            power[t] = min(pmax, need)
-        temp = temp + dt * (cop * power[t] - loss[t]) * coeff
+        temp = temp + dt * (gain * power[t] - loss_kw[t]) * coeff
     return power
 
 
@@ -840,40 +674,20 @@ def generate_synthetic(config: SyntheticConfig) -> Scenario:
 
         pv = _round6(kwp[i] * bell) if kwp[i] > 0 else np.zeros(total)
 
-        bss = None
-        if i in bss_owners:
-            bss = BssParams(
-                capacity_kwh=round(rng.uniform(5.0, 14.0), 3),
-                max_power_kw=round(rng.uniform(3.0, 6.0), 3),
-                efficiency=0.95,
-                soc_init=0.5,
-                soc_min=0.1,
-                soc_max=0.95,
-            )
-
-        ev = None
-        if i in ev_owners:
-            ev = _make_ev(rng, steps, config.num_days, dt)
-
-        wb = None
-        if i in wb_owners:
-            wb = _make_wb(rng, hours, total, dt)
-
-        hp = None
-        if i in hp_owners:
-            hp = _make_hp(rng, hours, total, dt)
-
-        flex_cap = 0.0
-        for dev in (ev, wb, hp):
-            if dev is not None:
-                flex_cap += float(np.sum(dev.power_ref_kw)) * dt
-        members.append(Member(
-            id=member_id,
-            fixed_load_kw=fixed,
-            pv_max_kw=pv,
-            bss=bss, ev=ev, wb=wb, hp=hp,
-            flexible_energy_cap_kwh=round(flex_cap, 6) if flex_cap else None,
-        ))
+        # devices draw from the generator in this order: bss, ev, wb, hp
+        bss = BssParams(
+            capacity_kwh=round(rng.uniform(5.0, 14.0), 3),
+            max_power_kw=round(rng.uniform(3.0, 6.0), 3),
+            efficiency=0.95,
+            soc_init=0.5,
+            soc_min=0.1,
+            soc_max=0.95,
+        ) if i in bss_owners else None
+        ev = _make_ev(rng, steps, config.num_days, dt) if i in ev_owners else None
+        wb = _make_wb(rng, hours, total, dt) if i in wb_owners else None
+        hp = _make_hp(rng, hours, total, dt) if i in hp_owners else None
+        members.append(Member(id=member_id, fixed_load_kw=fixed, pv_max_kw=pv,
+                              bss=bss, ev=ev, wb=wb, hp=hp))
 
     n = total
     prices = Prices(
@@ -942,7 +756,6 @@ def _make_ev(rng: np.random.Generator, steps: int, num_days: int, dt: float) -> 
         soc_ref=np.minimum(soc_ref, 1.0),
         power_ref_kw=power_ref,
         reluctance_eur=round(rng.uniform(0.5, 2.0), 3),
-        energy_cap_kwh=round(float(np.sum(power_ref)) * dt, 6),
     )
 
 
@@ -958,14 +771,7 @@ def _make_wb(rng: np.random.Generator, hours: np.ndarray, total: int, dt: float)
     usage_event = (usage > 0).astype(float)
     envelope = np.full(total, round(rng.uniform(0.04, 0.09), 6))
 
-    kwargs = dict(
-        thermal_coeff=coeff,
-        max_power_kw=pmax,
-        temp_init=60.0,
-        usage_loss_kw=usage,
-        envelope_loss_kw=envelope,
-    )
-    power_ref = _round6(_thermostat_wb(kwargs, total, dt))
+    power_ref = _round6(_thermostat(usage + envelope, 1.0, coeff, pmax, 60.0, 0.5, dt))
     return WbParams(
         thermal_coeff=coeff,
         max_power_kw=pmax,
@@ -977,7 +783,6 @@ def _make_wb(rng: np.random.Generator, hours: np.ndarray, total: int, dt: float)
         envelope_loss_kw=envelope,
         power_ref_kw=power_ref,
         reluctance_eur=1.0,
-        energy_cap_kwh=round(float(np.sum(power_ref)) * dt, 6),
     )
 
 
@@ -989,14 +794,7 @@ def _make_hp(rng: np.random.Generator, hours: np.ndarray, total: int, dt: float)
     # Colder (larger losses) at night, mildest mid-afternoon.
     loss = _round6(base_loss * (1.0 + 0.35 * np.cos(2 * np.pi * (hours - 14.0) / 24.0)))
 
-    kwargs = dict(
-        thermal_coeff=coeff,
-        max_power_kw=pmax,
-        cop=cop,
-        temp_init=20.5,
-        wall_loss_kw=loss,
-    )
-    power_ref = _round6(_thermostat_hp(kwargs, total, dt))
+    power_ref = _round6(_thermostat(loss, cop, coeff, pmax, 20.5, 0.25, dt))
     return HpParams(
         thermal_coeff=coeff,
         max_power_kw=pmax,
@@ -1006,5 +804,4 @@ def _make_hp(rng: np.random.Generator, hours: np.ndarray, total: int, dt: float)
         wall_loss_kw=loss,
         power_ref_kw=power_ref,
         reluctance_eur=1.0,
-        energy_cap_kwh=round(float(np.sum(power_ref)) * dt, 6),
     )

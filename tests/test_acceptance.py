@@ -182,19 +182,19 @@ def test_criterion_6_resimulation_reproduces_every_optimal_schedule():
                 assert np.max(np.abs(soc - ms.series["socb"])) <= 1e-6
             if m.ev is not None:
                 soc = simulate_ev(m.ev, ms.series["pev"], day_s.horizon.dt_hours,
-                                  soc_start=None if state is None else state.ev_soc)
+                                  soc_start=None if state is None else state.ev)
                 assert np.max(np.abs(soc - ms.series["sev"])) <= 1e-6
                 hinge = discomfort_ev(soc, m.ev.soc_ref, m.ev.reluctance_eur)
                 assert np.max(np.abs(hinge.per_step - ms.series["jev"])) <= 1e-6
             if m.wb is not None:
                 temp = simulate_wb(m.wb, ms.series["pwb"], day_s.horizon.dt_hours,
-                                   temp_start=None if state is None else state.wb_temp)
+                                   temp_start=None if state is None else state.wb)
                 assert np.max(np.abs(temp - ms.series["twb"])) <= 1e-6
                 hinge = discomfort_thermal(temp, m.wb.temp_limit, m.wb.reluctance_eur)
                 assert np.max(np.abs(hinge.per_step - ms.series["jwb"])) <= 1e-6
             if m.hp is not None:
                 temp = simulate_hp(m.hp, ms.series["php"], day_s.horizon.dt_hours,
-                                   temp_start=None if state is None else state.hp_temp)
+                                   temp_start=None if state is None else state.hp)
                 assert np.max(np.abs(temp - ms.series["thp"])) <= 1e-6
                 hinge = discomfort_thermal(temp, m.hp.temp_limit, m.hp.reluctance_eur)
                 assert np.max(np.abs(hinge.per_step - ms.series["jhp"])) <= 1e-6

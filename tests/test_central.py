@@ -318,7 +318,7 @@ class TestReferenceRepair:
 
         m = make_scenario([self._ev_member()], steps=24).for_day(0).members[0]
         refs = default_refs(make_scenario([self._ev_member()], steps=24).for_day(0))["e"]
-        out = repair_refs_for_state(m, refs, CarriedState(ev_soc=0.7), 1.0)
+        out = repair_refs_for_state(m, refs, CarriedState(ev=0.7), 1.0)
         assert out is refs
 
     def test_depleted_vehicle_replans_the_morning_minimally(self):
@@ -328,7 +328,7 @@ class TestReferenceRepair:
         s = make_scenario([self._ev_member()], steps=24)
         m = s.for_day(0).members[0]
         refs = default_refs(s.for_day(0))["e"]
-        out = repair_refs_for_state(m, refs, CarriedState(ev_soc=0.6), 1.0)
+        out = repair_refs_for_state(m, refs, CarriedState(ev=0.6), 1.0)
 
         assert out is not refs
         assert float(np.sum(out.ev)) == pytest.approx(2.0, abs=1e-8)  # daily energy kept
@@ -346,7 +346,7 @@ class TestReferenceRepair:
         # daily budget is 2 kWh = 0.2 SoC: from 0.3 the step-6 target of 0.7
         # is out of reach no matter how the profile is rearranged
         with pytest.raises(PlannerError, match="no feasible reference"):
-            repair_refs_for_state(m, refs, CarriedState(ev_soc=0.3), 1.0)
+            repair_refs_for_state(m, refs, CarriedState(ev=0.3), 1.0)
 
 
 def test_battery_arbitrage_is_used_when_pv_is_stranded():

@@ -245,3 +245,25 @@ def test_reports_match_the_golden_hashes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_iters_below_one_is_a_usage_error(tmp_path, capsys, value):
+    code = _run(["--generate", "members=2", "--modes", "ecflexit", "--key", "equal",
+                 "--max-iters", value, "--out", str(tmp_path)])
+    assert code == 2
+    assert "--max-iters must be at least 1" in capsys.readouterr().err
+
+
+def test_trace_dicts_are_kept_only_with_trace(tmp_path):
+    """Without --trace a decentralized mode hands back no trace dicts, while
+    its checkpoint still stores them for a later traced resume."""
+    scenario = generate_synthetic(SyntheticConfig(members=4, seed=5, wb_rate=0.5, ev_rate=0.25,
+                                                  hp_rate=0.25, bss_rate=0.25,
+                                                  pv_total_kwp=16.0, steps_per_day=24,
+                                                  dt_hours=1.0))
+    for trace in (False, True):
+        config = cli.RunConfig(None, None, ["ECFlexIt"], "equal", 1, tmp_path, trace=trace)
+        checkpoint = cli._Checkpoint(tmp_path, cli._fingerprint(dump_scenario(scenario), config))
+        _, traces = cli._run_decentral_mode(scenario, "ECFlexIt", 1, config, checkpoint)
+        assert bool(traces) is trace

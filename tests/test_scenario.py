@@ -128,10 +128,11 @@ def test_temp_limit_above_max_flagged():
     assert any("temp_limit above temp_max" in v.message for v in validate_scenario(s))
 
 
-#: sha256 of the canonical dump of each round-trip document that has devices.
+#: sha256 of the canonical dump of each round-trip document that has devices
+#: (the dump has no energy-cap keys; see test_energy_cap_keys_are_ignored).
 DUMP_SHA256 = {
-    "community20": "5b42db8976da7d98c003a6815d112395c180588be06327793f44eee2d2e51b28",
-    "generated80": "e267eecf39f8b4f8ab48bd774e50ef73f35d69568b1679a07ef2f710c252eb05",
+    "community20": "84933c8bf4be6c33a41bb1af6107ced76d7b3c434d4044718265bf17a79c9651",
+    "generated80": "db792dc002d9800f5ee1016febf6f192b30d0924964bce088dfab8696675ea1a",
 }
 
 ROUND_TRIP_SOURCES = {
@@ -152,6 +153,22 @@ def test_round_trip_preserves_document(source):
     assert dump_scenario(s2) == dumped
     if source in DUMP_SHA256:
         assert hashlib.sha256(dumped).hexdigest() == DUMP_SHA256[source]
+
+
+def test_energy_cap_keys_are_ignored():
+    """Older documents carry per-device and per-member energy caps; no model
+    reads them, so they load exactly like the document without them."""
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    member = doc["members"][0]
+    member["hp"] = {
+        "thermal_coeff": 0.2, "max_power_kw": 3.0, "cop": 3.0, "temp_init": 20.0,
+        "temp_limit": [19.0] * 4, "wall_loss_kw": [0.1] * 4, "power_ref_kw": [0.1] * 4,
+        "reluctance_eur": 1.0,
+    }
+    plain = dump_scenario(load_scenario(json.dumps(doc)))
+    member["hp"]["energy_cap_kwh"] = 2.4
+    member["flexible_energy_cap_kwh"] = 2.4
+    assert dump_scenario(load_scenario(json.dumps(doc))) == plain
 
 
 def test_for_day_slices_all_series():
@@ -267,3 +284,37 @@ def test_a_member_with_every_device_is_valid():
 def test_each_domain_rule_names_its_field(device, field, value, path, message):
     s = _all_devices_scenario(device, **{field: value})
     assert Violation(f"members[0].{device}.{path}", message) in validate_scenario(s)
+
+
+def _ev_plug_rules_by_step(ev, steps_per_day: int, path: str = "members[0].ev") -> set:
+    """The EV plug, trip and reference-power rules as a plain per-step loop."""
+    n = len(ev.plugged)
+    out = set()
+    for t in range(n):
+        if ev.arrival[t] == 1.0 and ev.plugged[t] != 1.0:
+            out.add((f"{path}.arrival[{t}]", "arrival while not plugged"))
+        if ev.departure[t] == 1.0:
+            if ev.plugged[t] != 1.0:
+                out.add((f"{path}.departure[{t}]", "departure while not plugged"))
+            nxt = t + 1
+            if nxt % steps_per_day != 0 and nxt < n and ev.plugged[nxt] != 0.0:
+                out.add((f"{path}.departure[{t}]", "still plugged at the step after departure"))
+        if ev.power_ref_kw[t] > 0 and ev.plugged[t] != 1.0:
+            out.add((f"{path}.power_ref_kw[{t}]", "positive reference power while not plugged"))
+        if ev.power_ref_kw[t] > ev.max_charge_kw + 1e-9:
+            out.add((f"{path}.power_ref_kw[{t}]",
+                     f"reference power {ev.power_ref_kw[t]} above charger limit"))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_ev_plug_rules_match_the_per_step_loop(seed):
+    rng = np.random.default_rng(seed)
+    steps, days = 6, 2
+    n = steps * days
+    ev = simple_ev(n, power_ref=rng.choice([0.0, 1.0, 6.0], n), plugged=rng.integers(0, 2, n),
+                   arrival=rng.integers(0, 2, n), departure=rng.integers(0, 2, n), pmax=5.0)
+    s = make_scenario([make_member("u01", n, ev=ev)], steps=steps, num_days=days)
+    want = _ev_plug_rules_by_step(ev, steps)
+    assert want, "the random pattern should break some rule"
+    assert {(v.path, v.message) for v in validate_scenario(s)} == want
