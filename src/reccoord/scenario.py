@@ -291,7 +291,7 @@ _SERIES_DOMAINS = {
 
 
 def _check_series(out: list[Violation], path: str, arr: np.ndarray, n: int,
-                  domain: str | None = None) -> bool:
+                  domain: str | None) -> bool:
     """Length and per-entry domain checks. Returns False on length mismatch."""
     if len(arr) != n:
         out.append(Violation(path, f"series length {len(arr)} != horizon length {n}"))
