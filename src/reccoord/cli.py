@@ -191,7 +191,7 @@ class _Checkpoint:
         if self.meta.exists():
             try:
                 stale = json.loads(self.meta.read_text())["fingerprint"] != fingerprint
-            except (json.JSONDecodeError, KeyError):
+            except (ValueError, KeyError, TypeError):  # not UTF-8, not JSON, not an object
                 stale = True
         if stale:
             for item in self.dir.glob("*.json"):
@@ -201,13 +201,15 @@ class _Checkpoint:
     def _path(self, mode: str, day: int) -> Path:
         return self.dir / f"{mode}_{day:04d}.json"
 
-    def load(self, mode: str, day: int):
+    def load(self, mode: str, day: int, scenario: Scenario):
         path = self._path(mode, day)
         if not path.exists():
             return None
         try:
             doc = json.loads(path.read_text())
-            return reporting.schedule_from_dict(doc["schedule"]), doc["traces"]
+            sched = reporting.schedule_from_dict(doc["schedule"])
+            _check_fits(sched, scenario)
+            return sched, doc["traces"]
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("%s day %d: unreadable checkpoint %s (%s: %s); recomputing",
                         mode, day, path.name, type(exc).__name__, exc)
@@ -216,6 +218,17 @@ class _Checkpoint:
     def store(self, mode: str, day: int, sched, trace_dicts: list[dict]) -> None:
         doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_dicts}
         _write_atomic(self._path(mode, day), json.dumps(doc, separators=(",", ":")))
+
+
+def _check_fits(sched, scenario: Scenario) -> None:
+    """Raise ``ValueError`` unless ``sched`` holds the scenario's members in
+    scenario order, each series and reference with one day of entries."""
+    if [m.member_id for m in sched.members] != [m.id for m in scenario.members]:
+        raise ValueError("member ids differ from the scenario's")
+    for m in sched.members:
+        for tag, values in (*m.series.items(), *vars(m.refs).items()):
+            if values is not None and values.shape != (scenario.horizon.steps_per_day,):
+                raise ValueError(f"{m.member_id} {tag} has shape {values.shape}")
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -250,7 +263,7 @@ def _run_central_mode(scenario: Scenario, mode_name: str, days: int,
     schedules = []
     carried: dict[str, CarriedState] = {}
     for day in range(days):
-        cached = checkpoint.load(mode_name, day)
+        cached = checkpoint.load(mode_name, day, scenario)
         if cached is not None:
             sched = cached[0]
         else:
@@ -271,7 +284,7 @@ def _run_decentral_mode(scenario: Scenario, mode_name: str, days: int,
     all_traces: list[dict] = []
     carried: dict[str, CarriedState] = {}
     for day in range(days):
-        cached = checkpoint.load(mode_name, day)
+        cached = checkpoint.load(mode_name, day, scenario)
         if cached is not None:
             sched, trace_dicts = cached
         else:

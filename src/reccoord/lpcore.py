@@ -1,36 +1,30 @@
-"""Sparse linear-program container and the solver boundary.
+"""Sparse linear-program container and the HiGHS solve.
 
-:class:`LpProblem` declares variables and rows in vectorized blocks (one call
+:class:`LpProblem` declares columns and rows in vectorized blocks (one call
 adds the T variables or T rows of a series) under a minimizing objective.
-The ``RECCOORD_SOLVER`` environment variable selects the backend:
+Columns are indexes; a block keeps only its first column and its name, so
+that a bound error can name a column ``name.t``.
 
-* ``highs`` (default) keeps a persistent HiGHS model attached to the problem.
-  Bound and right-hand-side edits reach it in place, as changes of only the
-  entries that moved; a structural edit drops it.  The coordination loop's
-  member subproblems are built once per day and re-solved this way.
-* ``linprog`` hands the problem to ``scipy.optimize.linprog`` afresh.
-
-Every solve runs cold, so results do not depend on solve history.  Both
-backends give HiGHS the same model (inequality rows first as ``<=`` with
-``>=`` rows negated, then equalities; a CSC matrix) and the options
-``linprog`` uses, so they return bit-identical solutions.
-
-Solutions are checked against the declared rows before being reported
-``optimal``: a backend claiming success on a primal-infeasible point is
-downgraded to ``numeric_error`` rather than silently returned.
+:func:`solve_lp` keeps a persistent HiGHS model attached to the problem:
+bound and right-hand-side edits reach it in place, as changes of only the
+entries that moved, and a structural edit drops it.  Every solve runs cold,
+so results do not depend on solve history.  HiGHS receives the inequality
+rows first as ``<=`` rows (``>=`` rows negated), then the equalities, as a
+CSC matrix, under the options SciPy's HiGHS method sets; the tests solve
+that layout through SciPy's own HiGHS interface and require the same bits.
+A solution is checked against the declared rows before it is reported
+``optimal``; an infeasible point is downgraded to ``numeric_error``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
 #: Absolute feasibility tolerance on constraint residuals and bound violations.
@@ -51,7 +45,7 @@ class LpStatus(Enum):
 
 
 class LpError(Exception):
-    """Malformed problem: bad bounds, unknown variables, non-finite data."""
+    """Malformed problem: bad bounds, out-of-range columns, non-finite data."""
 
 
 @dataclass
@@ -59,20 +53,7 @@ class LpSolution:
     status: LpStatus
     objective: float | None
     x: np.ndarray | None
-    names: tuple[str, ...]
     message: str = ""
-
-    @property
-    def values(self) -> dict[str, float]:
-        """Variable assignment by name (empty unless optimal)."""
-        if self.x is None:
-            return {}
-        return {n: float(v) for n, v in zip(self.names, self.x)}
-
-    def value(self, name: str) -> float:
-        if self.x is None:
-            raise LpError(f"no assignment available (status {self.status.value})")
-        return float(self.x[self.names.index(name)])
 
 
 class _Structure(NamedTuple):
@@ -90,8 +71,8 @@ class LpProblem:
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
+        self._num_cols = 0
+        self._blocks: list[tuple[int, str]] = []  # (first column, name) per block
         # declared data as lists of array chunks, joined on first use
         self._parts = {key: [np.empty(0, dtype=dtype)] for key, dtype in (
             ("lb", np.float64), ("ub", np.float64), ("obj_col", np.int64),
@@ -99,21 +80,17 @@ class LpProblem:
             ("row", np.int64), ("col", np.int64), ("val", np.float64))}
         self._num_rows = 0
         self._structure: _Structure | None = None
-        self._attached = None  # backend model; structural edits drop it
+        self._attached = None  # HiGHS model; structural edits drop it
 
     # -- construction -------------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self._names)
+        return self._num_cols
 
     @property
     def num_constraints(self) -> int:
         return self._num_rows
-
-    @property
-    def variable_names(self) -> tuple[str, ...]:
-        return tuple(self._names)
 
     def _array(self, key: str) -> np.ndarray:
         parts = self._parts[key]
@@ -127,34 +104,25 @@ class LpProblem:
         self._structure = self._attached = None
 
     def add_variables(self, name: str, size: int, lb=0.0, ub=math.inf) -> np.ndarray:
-        """Add ``size`` variables named ``name.0`` ... and return their columns.
+        """Add ``size`` variables ``name.0`` ... and return their columns.
 
         ``lb`` and ``ub`` are scalars or length-``size`` arrays.
         """
-        return self._add_columns([f"{name}.{t}" for t in range(size)], lb, ub)
-
-    def add_variable(self, name: str, lb: float = 0.0, ub: float = math.inf) -> int:
-        return int(self._add_columns([name], lb, ub)[0])
-
-    def _add_columns(self, names: list[str], lb, ub) -> np.ndarray:
-        bad = next((n for n in names if n in self._index), None)
-        if bad is not None:
-            raise LpError(f"duplicate variable name {bad!r}")
-        lbb, ubb = _bound_arrays(lb, ub, len(names), names.__getitem__)
-        start = len(self._names)
-        self._names.extend(names)
-        self._index.update(zip(names, range(start, len(self._names))))
+        lbb, ubb = _bound_arrays(lb, ub, size, lambda t: f"{name}.{t}")
+        start = self._num_cols
+        self._blocks.append((start, name))
+        self._num_cols += size
         self._declare(lb=[lbb], ub=[ubb])
-        return np.arange(start, len(self._names))
+        return np.arange(start, self._num_cols)
+
+    def _column_name(self, col: int) -> str:
+        start, name = [b for b in self._blocks if b[0] <= col][-1]  # the block holding it
+        return f"{name}.{col - start}"
 
     def _cols(self, cols) -> np.ndarray:
-        """Columns of a variable name, a column index or an array of them."""
-        if isinstance(cols, str):
-            if cols not in self._index:
-                raise LpError(f"unknown variable {cols!r}")
-            cols = self._index[cols]
+        """A column index or an array of them, range-checked."""
         out = np.atleast_1d(np.asarray(cols, dtype=np.int64))
-        if out.size and (out.min() < 0 or out.max() >= len(self._names)):
+        if out.size and (out.min() < 0 or out.max() >= self._num_cols):
             raise LpError("variable index out of range")
         return out
 
@@ -165,8 +133,6 @@ class LpProblem:
         if not np.isfinite(v).all():
             raise LpError("non-finite objective coefficient")
         self._declare(obj_col=[c], obj_val=[v])
-
-    add_objective_term = add_objective
 
     def add_rows(self, sense: Sense, rhs, terms: Iterable[tuple]) -> np.ndarray:
         """Add ``len(rhs)`` rows of one sense and return their row indexes.
@@ -199,14 +165,10 @@ class LpProblem:
         self._num_rows += b.size
         return np.arange(row0, self._num_rows)
 
-    def add_constraint(self, terms: Iterable[tuple[int | str, float]], sense: Sense,
-                       rhs: float) -> int:
-        return int(self.add_rows(sense, rhs, [(var, coeff, 0) for var, coeff in terms])[0])
-
     def set_bounds(self, cols, lb, ub) -> None:
         """Replace the bounds of one variable or an array of them."""
         c = self._cols(cols)
-        lbb, ubb = _bound_arrays(lb, ub, c.size, lambda i: self._names[c[i]])
+        lbb, ubb = _bound_arrays(lb, ub, c.size, lambda i: self._column_name(c[i]))
         self._array("lb")[c] = lbb
         self._array("ub")[c] = ubb
 
@@ -224,7 +186,7 @@ class LpProblem:
 
     def _structured(self) -> _Structure:
         if self._structure is None:
-            m, n = self._num_rows, len(self._names)
+            m, n = self._num_rows, self._num_cols
             r, c, v, sense = (self._array(k) for k in ("row", "col", "val", "sense"))
             ineq = sense != _EQ
             order = np.concatenate([np.flatnonzero(ineq), np.flatnonzero(~ineq)])
@@ -286,29 +248,17 @@ def _bound_arrays(lb, ub, size: int, name_of) -> tuple[np.ndarray, np.ndarray]:
 
 def _solution(problem: LpProblem, status: LpStatus, x: np.ndarray | None,
               message: str) -> LpSolution:
-    """A backend's result; an optimal point violating the problem is a numeric error."""
-    names = problem.variable_names
+    """A solver's result; an optimal point violating the problem is a numeric error."""
     if status is LpStatus.OPTIMAL:
         violation = problem.max_violation(x)
         if violation <= TOL_FEAS:
-            return LpSolution(status, float(problem.objective_vector() @ x), x, names, message)
+            return LpSolution(status, float(problem.objective_vector() @ x), x, message)
         status = LpStatus.NUMERIC_ERROR
         message = f"solver returned an infeasible point (violation {violation:.3e})"
-    return LpSolution(status, None, None, names, message)
+    return LpSolution(status, None, None, message)
 
 
-def _solve_linprog(problem: LpProblem) -> LpSolution:
-    a, _, rhs = problem._highs_layout()
-    k = problem._structured().num_ub
-    blocks = {"A_ub": a[:k], "b_ub": rhs[:k], "A_eq": a[k:], "b_eq": rhs[k:]}
-    res = linprog(problem.objective_vector(), bounds=np.column_stack(problem.bounds()),
-                  method="highs", **{key: v for key, v in blocks.items() if v.shape[0]})
-    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
-    return _solution(problem, status.get(res.status, LpStatus.NUMERIC_ERROR), res.x,
-                     res.message)
-
-
-#: The options ``linprog(method="highs")`` sets: presolve on, dual simplex, no log.
+#: The options SciPy's HiGHS method sets: presolve on, dual simplex, no log.
 _HIGHS_OPTIONS = (("presolve", "on"), ("highs_debug_level", 0), ("log_to_console", False),
                   ("output_flag", False), ("simplex_strategy", 1))
 
@@ -355,7 +305,8 @@ def _moved(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return new.view(np.uint64) != old.view(np.uint64)
 
 
-def _solve_highs(problem: LpProblem) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve a minimization LP; deterministic for identical input."""
     model = problem._attached = problem._attached or _HighsModel(problem)
     model.sync(problem)
     h = model.highs
@@ -367,23 +318,3 @@ def _solve_highs(problem: LpProblem) -> LpSolution:
     return _solution(problem, _HIGHS_STATUS.get(status, LpStatus.NUMERIC_ERROR), x,
                      h.modelStatusToString(status))
 
-
-_BACKENDS = {"highs": _solve_highs, "linprog": _solve_linprog}
-
-#: Environment variable selecting the LP backend.
-SOLVER_ENV_VAR = "RECCOORD_SOLVER"
-
-
-def solve_lp(problem: LpProblem, backend: str | None = None) -> LpSolution:
-    """Solve a minimization LP; deterministic for identical input.
-
-    Backend resolution order: explicit argument, ``RECCOORD_SOLVER``
-    environment variable, built-in default.
-    """
-    if backend is None:
-        backend = os.environ.get(SOLVER_ENV_VAR, "highs")
-    try:
-        fn = _BACKENDS[backend]
-    except KeyError:
-        raise LpError(f"unknown LP backend {backend!r}; available: {sorted(_BACKENDS)}") from None
-    return fn(problem)

@@ -59,12 +59,23 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-def _series(values: Any) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+def _series(values: Any, path: str) -> np.ndarray:
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ScenarioParseError(f"{path}: expected a flat numeric array") from None
     if arr.ndim != 1:
-        raise ScenarioParseError(f"expected a flat numeric array, got shape {arr.shape}")
+        raise ScenarioParseError(f"{path}: expected a flat numeric array, got shape {arr.shape}")
     arr.flags.writeable = False
     return arr
+
+
+def _scalar(conv: type, value: Any, path: str) -> Any:
+    """``conv(value)``; a value it cannot convert is a parse error naming ``path``."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError):
+        raise ScenarioParseError(f"{path}: expected {conv.__name__}, got {value!r}") from None
 
 
 class _Series:
@@ -80,7 +91,7 @@ class _Series:
 
     def __post_init__(self) -> None:
         for name in self._SERIES:
-            object.__setattr__(self, name, _series(getattr(self, name)))
+            object.__setattr__(self, name, _series(getattr(self, name), name))
 
     def sliced(self, sl: slice):
         return replace(self, **{name: getattr(self, name)[sl] for name in self._SERIES})
@@ -415,7 +426,9 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 # JSON ingestion / serialization
 
 
-def _require(obj: dict, key: str, where: str) -> Any:
+def _require(obj: Any, key: str, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ScenarioParseError(f"{where}: expected an object")
     if key not in obj:
         raise ScenarioParseError(f"{where}: missing required field {key!r}")
     return obj[key]
@@ -428,10 +441,10 @@ def _parse_thermal_limit(obj: dict, where: str) -> np.ndarray:
     the two series.
     """
     if "temp_limit" in obj and obj["temp_limit"] is not None:
-        return _series(obj["temp_limit"])
+        return _series(obj["temp_limit"], f"{where}.temp_limit")
     if "temp_ref" in obj and "temp_set" in obj:
-        ref = _series(obj["temp_ref"])
-        set_ = _series(obj["temp_set"])
+        ref = _series(obj["temp_ref"], f"{where}.temp_ref")
+        set_ = _series(obj["temp_set"], f"{where}.temp_set")
         if len(ref) != len(set_):
             raise ScenarioParseError(f"{where}: temp_ref and temp_set lengths differ")
         return np.minimum(ref, set_)
@@ -444,14 +457,15 @@ def _parse_device(cls: type, obj: Any, where: str) -> _Series:
         raise ScenarioParseError(f"{where}: expected an object")
     kwargs: dict[str, Any] = {}
     for f in fields(cls):
+        path = f"{where}.{f.name}"
         if f.name == "temp_limit":
             kwargs[f.name] = _parse_thermal_limit(obj, where)
         elif f.name in cls._SERIES:
-            kwargs[f.name] = _series(_require(obj, f.name, where))
+            kwargs[f.name] = _series(_require(obj, f.name, where), path)
         elif f.default is MISSING:
-            kwargs[f.name] = float(_require(obj, f.name, where))
+            kwargs[f.name] = _scalar(float, _require(obj, f.name, where), path)
         else:
-            kwargs[f.name] = float(obj.get(f.name, f.default))
+            kwargs[f.name] = _scalar(float, obj.get(f.name, f.default), path)
     return cls(**kwargs)
 
 
@@ -463,8 +477,8 @@ def _parse_member(obj: dict, idx: int) -> Member:
     where = f"members[{idx}] (id={member_id})"
     return Member(
         id=member_id,
-        fixed_load_kw=_series(_require(obj, "fixed_load_kw", where)),
-        pv_max_kw=_series(_require(obj, "pv_max_kw", where)),
+        **{name: _series(_require(obj, name, where), f"{where}.{name}")
+           for name in Member._SERIES},
         **{name: _parse_device(cls, obj[name], f"{where}.{name}")
            for name, cls in DEVICE_PARAMS.items() if obj.get(name) is not None},
     )
@@ -480,12 +494,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     h = _require(doc, "horizon", "document")
     horizon = Horizon(
-        steps_per_day=int(_require(h, "steps_per_day", "horizon")),
-        dt_hours=float(_require(h, "dt_hours", "horizon")),
-        num_days=int(h.get("num_days", 1)),
+        steps_per_day=_scalar(int, _require(h, "steps_per_day", "horizon"),
+                              "horizon.steps_per_day"),
+        dt_hours=_scalar(float, _require(h, "dt_hours", "horizon"), "horizon.dt_hours"),
+        num_days=_scalar(int, h.get("num_days", 1), "horizon.num_days"),
     )
     p = _require(doc, "prices", "document")
-    prices = Prices(**{name: _series(_require(p, name, "prices")) for name in Prices._SERIES})
+    prices = Prices(**{name: _series(_require(p, name, "prices"), f"prices.{name}")
+                       for name in Prices._SERIES})
     raw_members = _require(doc, "members", "document")
     if not isinstance(raw_members, list):
         raise ScenarioParseError("members: expected an array")
@@ -500,10 +516,10 @@ def load_scenario(data: bytes | str) -> Scenario:
     :class:`ScenarioValidationError` (carrying all violations) on invariant
     breaches.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"document is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"not valid JSON: {exc}") from exc
     scenario = scenario_from_dict(doc)

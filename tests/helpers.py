@@ -1,9 +1,13 @@
-"""Hand-built scenario fixtures shared across the test modules."""
+"""Hand-built scenario fixtures and the ``linprog`` reference solve shared
+across the test modules."""
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
 
+from reccoord import lpcore
+from reccoord.lpcore import LpProblem, LpSolution, LpStatus
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
                                Prices, Scenario, WbParams)
 
@@ -101,3 +105,16 @@ def simple_bss(capacity: float = 10.0, pmax: float = 5.0, eta: float = 1.0,
                soc_max: float = 1.0) -> BssParams:
     return BssParams(capacity_kwh=capacity, max_power_kw=pmax, efficiency=eta,
                      soc_init=soc_init, soc_min=soc_min, soc_max=soc_max)
+
+
+def solve_with_linprog(problem: LpProblem) -> LpSolution:
+    """``problem`` solved afresh by ``scipy.optimize.linprog`` from the layout
+    HiGHS receives, and checked as :func:`reccoord.lpcore.solve_lp` checks."""
+    a, _, rhs = problem._highs_layout()
+    k = problem._structured().num_ub
+    blocks = {"A_ub": a[:k], "b_ub": rhs[:k], "A_eq": a[k:], "b_eq": rhs[k:]}
+    res = linprog(problem.objective_vector(), bounds=np.column_stack(problem.bounds()),
+                  method="highs", **{key: v for key, v in blocks.items() if v.shape[0]})
+    status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
+    return lpcore._solution(problem, status.get(res.status, LpStatus.NUMERIC_ERROR), res.x,
+                            res.message)

@@ -8,9 +8,10 @@ import shutil
 
 import pytest
 
-from reccoord import cli
+from reccoord import central, cli, decentral
 from reccoord.cli import main
 from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic
+from helpers import solve_with_linprog
 
 GEN = "members=4,wb=0.5,ev=0.25,hp=0.25,bss=0.25,pv=16"
 
@@ -114,6 +115,18 @@ def test_invalid_scenario_file_is_an_input_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_scenario_field_exits_2_naming_it(tmp_path, capsys):
+    doc = json.loads(dump_scenario(generate_synthetic(SyntheticConfig(
+        members=2, seed=1, bss_rate=1.0, steps_per_day=24, dt_hours=1.0))))
+    doc["members"][1]["bss"]["capacity_kwh"] = "big"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = _run(["--scenario", str(path), "--modes", "solofix", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "error: members[1] (id=u02).bss.capacity_kwh: expected float, got 'big'\n"
+
+
 def test_runs_are_deterministic_across_directories(tmp_path):
     args = ["--generate", GEN, "--seed", "5", "--modes", "solofix,ecflexit",
             "--key", "cascade", "--days", "1", "--dt", "1.0", "--trace"]
@@ -208,14 +221,50 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
         assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), name
 
+    # unusable metadata, and decodable checkpoints that do not fit the scenario
+    def edit_schedule(mode, edit):
+        def corrupt():
+            path = resume / "checkpoint" / f"{mode}_0000.json"
+            doc = json.loads(path.read_text())
+            edit(doc["schedule"]["members"])
+            path.write_text(json.dumps(doc))
+        return corrupt
+
+    def cut(members, key, tag):  # every member's ``key[tag]`` to 3 entries
+        assert any(tag in m[key] for m in members)
+        for m in members:
+            if tag in m[key]:
+                m[key][tag] = m[key][tag][:3]
+
+    meta = resume / "checkpoint" / "meta.json"
+    corruptions = [  # (case, mode whose checkpoint is reported, corruption)
+        ("meta not UTF-8", None, lambda: meta.write_bytes(b"\xff\xfe")),
+        ("meta not an object", None, lambda: meta.write_text("[1]")),
+        ("member dropped", "ECFlex", edit_schedule("ECFlex", lambda ms: ms.pop(1))),
+        ("members reordered", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: ms.reverse())),
+        ("series cut", "ECFlex", edit_schedule("ECFlex", lambda ms: cut(ms, "series", "pinj"))),
+        ("ref cut", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: cut(ms, "refs", "wb"))),
+    ]
+    for case, mode, corrupt in corruptions:
+        corrupt()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="reccoord.cli"):
+            assert _run([*args, "--out", str(resume)]) == 0, case
+        if mode is not None:
+            assert f"{mode} day 0: unreadable checkpoint" in caplog.text, case
+        for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
+            assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), \
+                (case, name)
+
 
 def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
     args = ["--generate", "members=6", "--seed", "7", "--modes",
             "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal",
             "--trace"]
-    for backend in ("highs", "linprog"):
-        monkeypatch.setenv("RECCOORD_SOLVER", backend)
-        assert _run([*args, "--out", str(tmp_path / backend)]) == 0
+    assert _run([*args, "--out", str(tmp_path / "highs")]) == 0
+    monkeypatch.setattr(central, "solve_lp", solve_with_linprog)
+    monkeypatch.setattr(decentral, "solve_lp", solve_with_linprog)
+    assert _run([*args, "--out", str(tmp_path / "linprog")]) == 0
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
         assert (tmp_path / "highs" / name).read_bytes() \
             == (tmp_path / "linprog" / name).read_bytes(), name

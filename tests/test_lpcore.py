@@ -1,6 +1,6 @@
 """LP container and solver boundary: worked examples, vertex-enumeration
-cross-checks, determinism, the feasibility check and agreement between the
-persistent HiGHS backend and ``linprog``."""
+cross-checks, determinism, the feasibility check and bit-for-bit agreement
+between the persistent HiGHS model and the ``linprog`` reference."""
 
 from __future__ import annotations
 
@@ -17,24 +17,25 @@ from reccoord.decentral import MemberAgent
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
                              solve_lp)
 from reccoord.scenario import SyntheticConfig, generate_synthetic
+from helpers import solve_with_linprog
 
 
 def test_single_variable_lower_bounded():
     p = LpProblem()
-    x = p.add_variable("x", 0.0, 10.0)
-    p.add_constraint([(x, 1.0)], ">=", 3.0)
-    p.add_objective_term(x, 1.0)
+    (x,) = p.add_variables("x", 1, 0.0, 10.0)
+    p.add_rows(">=", 3.0, [(x, 1.0)])
+    p.add_objective(x, 1.0)
     sol = solve_lp(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(3.0, abs=1e-9)
-    assert sol.values["x"] == pytest.approx(3.0, abs=1e-9)
+    assert sol.x[x] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_contradictory_rows_are_infeasible():
     p = LpProblem()
-    x = p.add_variable("x", 0.0, 10.0)
-    p.add_constraint([(x, 1.0)], ">=", 3.0)
-    p.add_constraint([(x, 1.0)], "<=", 2.0)
+    (x,) = p.add_variables("x", 1, 0.0, 10.0)
+    p.add_rows(">=", 3.0, [(x, 1.0)])
+    p.add_rows("<=", 2.0, [(x, 1.0)])
     sol = solve_lp(p)
     assert sol.status is LpStatus.INFEASIBLE
     assert sol.x is None
@@ -42,8 +43,8 @@ def test_contradictory_rows_are_infeasible():
 
 def test_unbounded_detected():
     p = LpProblem()
-    x = p.add_variable("x", 0.0, math.inf)
-    p.add_objective_term(x, -1.0)
+    (x,) = p.add_variables("x", 1, 0.0, math.inf)
+    p.add_objective(x, -1.0)
     sol = solve_lp(p)
     assert sol.status is LpStatus.UNBOUNDED
 
@@ -51,58 +52,53 @@ def test_unbounded_detected():
 def test_simplex_edge_optimum():
     """min -x-y over the unit simplex: both vertices optimal at -1."""
     p = LpProblem()
-    x = p.add_variable("x")
-    y = p.add_variable("y")
-    p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0)
-    p.add_objective_term(x, -1.0)
-    p.add_objective_term(y, -1.0)
+    (x,) = p.add_variables("x", 1)
+    (y,) = p.add_variables("y", 1)
+    p.add_rows("<=", 1.0, [(x, 1.0), (y, 1.0)])
+    p.add_objective(x, -1.0)
+    p.add_objective(y, -1.0)
     sol = solve_lp(p)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective == pytest.approx(-1.0, abs=1e-9)
-    assert sol.values["x"] + sol.values["y"] == pytest.approx(1.0, abs=1e-9)
+    assert sol.x[x] + sol.x[y] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_duplicate_terms_accumulate():
     p = LpProblem()
-    x = p.add_variable("x", 0.0, 5.0)
-    p.add_constraint([(x, 1.0), (x, 1.0)], ">=", 4.0)  # 2x >= 4
-    p.add_objective_term(x, 1.0)
+    (x,) = p.add_variables("x", 1, 0.0, 5.0)
+    p.add_rows(">=", 4.0, [(x, 1.0), (x, 1.0)])  # 2x >= 4
+    p.add_objective(x, 1.0)
     sol = solve_lp(p)
-    assert sol.values["x"] == pytest.approx(2.0, abs=1e-9)
+    assert sol.x[x] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_builder_rejects_malformed_input():
     p = LpProblem()
-    x = p.add_variable("x")
-    with pytest.raises(LpError, match="duplicate"):
-        p.add_variable("x")
+    (x,) = p.add_variables("x", 1)
     with pytest.raises(LpError, match="lb"):
-        p.add_variable("y", 2.0, 1.0)
-    with pytest.raises(LpError, match="unknown variable"):
-        p.add_constraint([("nope", 1.0)], "<=", 1.0)
+        p.add_variables("y", 1, 2.0, 1.0)
+    with pytest.raises(LpError, match="out of range"):
+        p.add_rows("<=", 1.0, [(1, 1.0)])
     with pytest.raises(LpError, match="non-finite"):
-        p.add_constraint([(x, math.nan)], "<=", 1.0)
+        p.add_rows("<=", 1.0, [(x, math.nan)])
     with pytest.raises(LpError, match="non-finite"):
-        p.add_constraint([(x, 1.0)], "<=", math.inf)
+        p.add_rows("<=", math.inf, [(x, 1.0)])
     with pytest.raises(LpError, match="sense"):
-        p.add_constraint([(x, 1.0)], "<", 1.0)
+        p.add_rows("<", 1.0, [(x, 1.0)])
 
 
-def test_unknown_backend_rejected():
+def test_crossed_bounds_name_the_column():
     p = LpProblem()
-    p.add_variable("x", 0.0, 1.0)
-    with pytest.raises(LpError, match="unknown LP backend"):
-        solve_lp(p, backend="cplex")
-
-
-def test_backend_from_environment(monkeypatch):
-    p = LpProblem()
-    p.add_variable("x", 0.0, 1.0)
-    monkeypatch.setenv("RECCOORD_SOLVER", "highs")
-    assert solve_lp(p).status is LpStatus.OPTIMAL
-    monkeypatch.setenv("RECCOORD_SOLVER", "bogus")
-    with pytest.raises(LpError, match="unknown LP backend"):
-        solve_lp(p)
+    p.add_variables("a", 2)
+    p.add_variables("empty", 0)
+    soc = p.add_variables("soc", 4, 0.0, 1.0)
+    with pytest.raises(LpError, match=r"^variable 'pv\.2' has lb 2\.0 > ub 1\.0$"):
+        p.add_variables("pv", 3, [0.0, 0.0, 2.0], 1.0)
+    with pytest.raises(LpError, match=r"^variable 'soc\.3' has lb 5\.0 > ub 1\.0$"):
+        p.set_bounds(soc[[1, 3]], [0.0, 5.0], 1.0)
+    with pytest.raises(LpError, match=r"^variable 'a\.0' has lb 1\.0 > ub 0\.0$"):
+        p.set_bounds(0, 1.0, 0.0)
+    assert p.num_variables == 6
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +144,10 @@ def test_solver_matches_vertex_enumeration_on_random_lps():
         ub = rng.uniform(0.5, 3.0, size=n)
 
         p = LpProblem(f"rand{trial}")
-        cols = [p.add_variable(f"x{i}", lb[i], ub[i]) for i in range(n)]
+        cols = p.add_variables("x", n, lb, ub)
         for row, r in zip(rows, rhs):
-            p.add_constraint([(cols[i], row[i]) for i in range(n)], "<=", float(r))
-        for i in range(n):
-            p.add_objective_term(cols[i], float(c[i]))
+            p.add_rows("<=", float(r), [(cols, row, 0)])
+        p.add_objective(cols, c)
 
         sol = solve_lp(p)
         expected = _enumerate_optimum(c, rows, rhs, lb, ub)
@@ -175,11 +170,10 @@ def test_constraint_order_does_not_change_objective():
 
     def build(order):
         p = LpProblem()
-        cols = [p.add_variable(f"x{i}", 0.0, 2.0) for i in range(n)]
+        cols = p.add_variables("x", n, 0.0, 2.0)
         for k in order:
-            p.add_constraint([(cols[i], rows[k][i]) for i in range(n)], "<=", float(rhs[k]))
-        for i in range(n):
-            p.add_objective_term(cols[i], float(c[i]))
+            p.add_rows("<=", float(rhs[k]), [(cols, rows[k], 0)])
+        p.add_objective(cols, c)
         return solve_lp(p)
 
     base = build(range(m))
@@ -191,11 +185,11 @@ def test_constraint_order_does_not_change_objective():
 def test_resolving_identical_problem_is_deterministic():
     def build():
         p = LpProblem()
-        x = p.add_variable("x", 0.0, 4.0)
-        y = p.add_variable("y", 0.0, 4.0)
-        p.add_constraint([(x, 1.0), (y, 2.0)], "<=", 5.0)
-        p.add_objective_term(x, -1.0)
-        p.add_objective_term(y, -1.0)
+        (x,) = p.add_variables("x", 1, 0.0, 4.0)
+        (y,) = p.add_variables("y", 1, 0.0, 4.0)
+        p.add_rows("<=", 5.0, [(x, 1.0), (y, 2.0)])
+        p.add_objective(x, -1.0)
+        p.add_objective(y, -1.0)
         return solve_lp(p)
 
     a, b = build(), build()
@@ -210,12 +204,11 @@ def test_resolving_identical_problem_is_deterministic():
 def _check_lp() -> LpProblem:
     """u in [0, 1]; free v, w, z; rows 2v <= 4, w >= -1, z = 3."""
     p = LpProblem("check")
-    p.add_variable("u", 0.0, 1.0)
-    for name in ("v", "w", "z"):
-        p.add_variable(name, -math.inf, math.inf)
-    p.add_constraint([("v", 2.0)], "<=", 4.0)
-    p.add_constraint([("w", 1.0)], ">=", -1.0)
-    p.add_constraint([("z", 1.0)], "=", 3.0)
+    p.add_variables("u", 1, 0.0, 1.0)
+    v, w, z = p.add_variables("free", 3, -math.inf, math.inf)
+    p.add_rows("<=", 4.0, [(v, 2.0)])
+    p.add_rows(">=", -1.0, [(w, 1.0)])
+    p.add_rows("=", 3.0, [(z, 1.0)])
     return p
 
 
@@ -235,7 +228,8 @@ def test_max_violation_reports_the_exact_worst_violation(point, expected):
 
 
 # ---------------------------------------------------------------------------
-# Backend agreement: the persistent HiGHS model and linprog see the same model
+# Agreement with the reference: the persistent HiGHS model and linprog solve
+# the same layout
 
 
 @pytest.fixture(scope="module")
@@ -270,8 +264,8 @@ def test_backends_agree_bit_for_bit_on_day_and_member_lps(community):
     day_lp = build_day_problem(community, 0, PlannerMode.EC_FLEX)
     member_lp = _limit_member(_member_agent(community), 1.0)
     for problem in (day_lp, member_lp):
-        a = solve_lp(problem, backend="highs")
-        b = solve_lp(problem, backend="linprog")
+        a = solve_lp(problem)
+        b = solve_with_linprog(problem)
         assert a.status is b.status is LpStatus.OPTIMAL
         assert _same_bits(a.x, b.x), problem.name
         assert a.objective == b.objective
@@ -280,7 +274,7 @@ def test_backends_agree_bit_for_bit_on_day_and_member_lps(community):
 def test_in_place_resolve_matches_a_fresh_linprog_solve(community):
     agent = _member_agent(community)
     problem = _limit_member(agent, 1.0)
-    assert solve_lp(problem, backend="highs").status is LpStatus.OPTIMAL
+    assert solve_lp(problem).status is LpStatus.OPTIMAL
     attached = problem._attached
     assert attached is not None
 
@@ -291,26 +285,26 @@ def test_in_place_resolve_matches_a_fresh_linprog_solve(community):
     shifted[: steps // 2] += 0.05
     shifted[steps // 2:] -= 0.05
     problem.set_rhs(agent._ref_rows, shifted)
-    resolved = solve_lp(problem, backend="highs")
+    resolved = solve_lp(problem)
     assert problem._attached is attached  # edited in place, not rebuilt
 
     fresh_agent = _member_agent(community)
     fresh = _limit_member(fresh_agent, 1.0)
     fresh.set_bounds(fresh_agent._capu, 0.0, 0.4 * np.linspace(0.5, 2.0, steps))
     fresh.set_rhs(fresh_agent._ref_rows, shifted)
-    expected = solve_lp(fresh, backend="linprog")
+    expected = solve_with_linprog(fresh)
     assert resolved.status is expected.status is LpStatus.OPTIMAL
     assert _same_bits(resolved.x, expected.x)
 
 
 def test_structural_edit_drops_the_attached_model():
     p = LpProblem()
-    x = p.add_variable("x", 0.0, 4.0)
-    p.add_objective_term(x, -1.0)
-    assert solve_lp(p, backend="highs").objective == -4.0
+    (x,) = p.add_variables("x", 1, 0.0, 4.0)
+    p.add_objective(x, -1.0)
+    assert solve_lp(p).objective == -4.0
     p.set_bounds(x, 0.0, 3.0)
-    assert solve_lp(p, backend="highs").objective == -3.0
+    assert solve_lp(p).objective == -3.0
     assert p._attached is not None
-    p.add_constraint([(x, 1.0)], "<=", 2.0)
+    p.add_rows("<=", 2.0, [(x, 1.0)])
     assert p._attached is None
-    assert solve_lp(p, backend="highs").objective == -2.0
+    assert solve_lp(p).objective == -2.0

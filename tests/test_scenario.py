@@ -57,6 +57,41 @@ def test_wrong_schema_version_rejected():
         load_scenario(json.dumps(doc))
 
 
+def _edited(edit) -> bytes:
+    """:data:`MINIMAL_DOC` after ``edit``, as document bytes."""
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _member_bss(doc, **changes):
+    doc["members"][0]["bss"] = {"capacity_kwh": 10.0, "max_power_kw": 5.0, "efficiency": 0.9,
+                                "soc_init": 0.5, **changes}
+
+
+@pytest.mark.parametrize("data, message", [
+    (json.dumps(MINIMAL_DOC).encode().replace(b"u01", b"u\xff1"),
+     "document is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    (_edited(lambda d: d["members"][0].update(fixed_load_kw=["x", "y"])),
+     "members[0] (id=u01).fixed_load_kw: expected a flat numeric array"),
+    (_edited(lambda d: d["prices"].update(community_fee=[[0.01]] * 4)),
+     "prices.community_fee: expected a flat numeric array, got shape (4, 1)"),
+    (_edited(lambda d: _member_bss(d, capacity_kwh="big")),
+     "members[0] (id=u01).bss.capacity_kwh: expected float, got 'big'"),
+    (_edited(lambda d: _member_bss(d, soc_min=None)),
+     "members[0] (id=u01).bss.soc_min: expected float, got None"),
+    (_edited(lambda d: d["horizon"].update(steps_per_day="two")),
+     "horizon.steps_per_day: expected int, got 'two'"),
+    (_edited(lambda d: d.update(prices=None)), "prices: expected an object"),
+    (_edited(lambda d: d.update(horizon=[4, 6.0])), "horizon: expected an object"),
+], ids=["not-utf8", "series-of-strings", "nested-series", "scalar-string", "scalar-null",
+        "int-string", "prices-null", "horizon-array"])
+def test_malformed_document_is_a_parse_error_naming_the_field(data, message):
+    with pytest.raises(ScenarioParseError) as err:
+        load_scenario(data)
+    assert str(err.value).startswith(message)
+
+
 def test_soc_init_out_of_window_is_a_validation_error():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["members"][0]["bss"] = {
