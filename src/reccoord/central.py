@@ -105,7 +105,8 @@ class MemberDaySchedule:
     ``series`` maps tags to per-step arrays and holds only what the member
     has: the net injection ``pinj``, PV production ``ppv``, the device series
     of :func:`add_device_block` and, once :func:`settle_day` has run, the
-    retailer and community legs ``iret``, ``eret``, ``icom`` and ``ecom``.
+    retailer and community legs ``iret``, ``eret``, ``icom`` and ``ecom``
+    (:func:`series_tags` lists them).
     """
 
     member_id: str
@@ -123,6 +124,18 @@ class MemberDaySchedule:
             if tag in self.series:
                 out = out + sign * self.series[tag]
         return out
+
+
+def series_tags(m: Member) -> set[str]:
+    """The tags of a settled :class:`MemberDaySchedule` of ``m``: the exchange
+    legs, net injection and PV, then the battery's and each owned device's."""
+    tags = {"iret", "eret", "icom", "ecom", "pinj", "ppv"}
+    if m.bss is not None:
+        tags |= {"pcha", "pdis", "socb"}
+    for spec in DEVICES:
+        if getattr(m, spec.name) is not None:
+            tags |= {spec.power, spec.state, spec.discomfort}
+    return tags
 
 
 @dataclass

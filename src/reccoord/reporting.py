@@ -5,11 +5,17 @@ All writers are deterministic: fixed column orders, rows sorted by
 significant digits, UTF-8, LF line endings, RFC-4180 quoting.  Identical
 inputs produce byte-identical files, so the outputs are usable as golden
 files in regression tests.
+
+``schedules.csv`` has one row per mode, day, step, member and variable.  Its
+rows are written one step per ``write``: the mode, day, member and variable
+cells are quoted once by the same ``csv`` dialect as the other files, and
+only the values are formatted per row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -70,6 +76,30 @@ def _open_csv(path: Path):
     return handle, csv.writer(handle, lineterminator="\n")
 
 
+def _csv_cells(*cells) -> str:
+    """``cells`` as one row of the report dialect, without the line terminator."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()[:-1]
+
+
+def _write_schedule_rows(handle, mode: str, sched: DaySchedule) -> None:
+    """Append ``sched``'s rows of ``schedules.csv``, one ``write`` per step."""
+    # per member in id order, its variables in name order
+    columns = [(m.member_id, SERIES_NAMES[tag], m.series[tag])
+               for m in sorted(sched.members, key=lambda m: m.member_id)
+               for tag in sorted(m.series, key=SERIES_NAMES.__getitem__)]
+    if not columns:
+        return
+    head = _csv_cells(mode, sched.day)
+    tails = [_csv_cells(member_id, variable) for member_id, variable, _ in columns]
+    values = np.column_stack([series for _, _, series in columns])
+    for t in range(values.shape[0]):
+        lead = f"{head},{t},"
+        handle.write("".join([f"{lead}{tail},{v:.9g}\n"
+                              for tail, v in zip(tails, values[t].tolist())]))
+
+
 def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                  out_dir: str | Path,
                  benefits: Mapping[str, Sequence[MemberBenefit]] | None = None,
@@ -114,16 +144,7 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
         writer.writerow(["mode", "day", "t", "member", "variable", "value"])
         for mode, day_schedules in schedules.items():
             for sched in day_schedules:
-                # per member in id order, its (variable name, values) in name order
-                per_member = [(m.member_id, [(SERIES_NAMES[tag], m.series[tag]) for tag in
-                                             sorted(m.series, key=SERIES_NAMES.__getitem__)])
-                              for m in sorted(sched.members, key=lambda m: m.member_id)]
-                steps = len(sched.members[0].series["pinj"]) if sched.members else 0
-                for t in range(steps):
-                    for member_id, series in per_member:
-                        for variable, values in series:
-                            writer.writerow([mode, sched.day, t, member_id, variable,
-                                             _fmt(values[t])])
+                _write_schedule_rows(handle, mode, sched)
 
     with files.trace_jsonl.open("w", encoding="utf-8", newline="") as fh:
         for trace in traces:

@@ -71,8 +71,12 @@ def _series(values: Any, path: str) -> np.ndarray:
 
 
 def _scalar(conv: type, value: Any, path: str) -> Any:
-    """``conv(value)``; a value it cannot convert is a parse error naming ``path``."""
+    """``conv(value)``; a value it cannot convert exactly is a parse error
+    naming ``path``: a bool, or for ``int`` a float with a fractional part."""
     try:
+        if isinstance(value, bool) or (conv is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise ValueError
         return conv(value)
     except (TypeError, ValueError):
         raise ScenarioParseError(f"{path}: expected {conv.__name__}, got {value!r}") from None

@@ -1,13 +1,17 @@
-"""Hand-built scenario fixtures and the ``linprog`` reference solve shared
-across the test modules."""
+"""Hand-built scenario fixtures, the ``linprog`` reference solve and the
+per-cell ``schedules.csv`` reference writer shared across the test modules."""
 
 from __future__ import annotations
+
+import csv
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
 
 from reccoord import lpcore
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
+from reccoord.reporting import SERIES_NAMES
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
                                Prices, Scenario, WbParams)
 
@@ -118,3 +122,20 @@ def solve_with_linprog(problem: LpProblem) -> LpSolution:
     status = {0: LpStatus.OPTIMAL, 2: LpStatus.INFEASIBLE, 3: LpStatus.UNBOUNDED}
     return lpcore._solution(problem, status.get(res.status, LpStatus.NUMERIC_ERROR), res.x,
                             res.message)
+
+
+def write_schedules_csv_reference(schedules, path: Path) -> None:
+    """``schedules.csv`` written one ``csv.writerow`` per cell, the layout
+    :func:`reccoord.reporting.write_report` must reproduce byte for byte."""
+    with Path(path).open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["mode", "day", "t", "member", "variable", "value"])
+        for mode, day_schedules in schedules.items():
+            for sched in day_schedules:
+                members = sorted(sched.members, key=lambda m: m.member_id)
+                steps = len(members[0].series["pinj"]) if members else 0
+                for t in range(steps):
+                    for m in members:
+                        for tag in sorted(m.series, key=SERIES_NAMES.__getitem__):
+                            writer.writerow([mode, sched.day, t, m.member_id,
+                                             SERIES_NAMES[tag], f"{float(m.series[tag][t]):.9g}"])

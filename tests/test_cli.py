@@ -236,6 +236,13 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
             if tag in m[key]:
                 m[key][tag] = m[key][tag][:3]
 
+    def drop(members, tag):  # the first member holding series ``tag`` loses it
+        next(m for m in members if tag in m["series"])["series"].pop(tag)
+
+    def add(members, tag):  # the first member without series ``tag`` gains it
+        m = next(m for m in members if tag not in m["series"])
+        m["series"][tag] = m["series"]["pinj"]
+
     meta = resume / "checkpoint" / "meta.json"
     corruptions = [  # (case, mode whose checkpoint is reported, corruption)
         ("meta not UTF-8", None, lambda: meta.write_bytes(b"\xff\xfe")),
@@ -244,6 +251,9 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         ("members reordered", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: ms.reverse())),
         ("series cut", "ECFlex", edit_schedule("ECFlex", lambda ms: cut(ms, "series", "pinj"))),
         ("ref cut", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: cut(ms, "refs", "wb"))),
+        ("device series dropped", "ECFlex", edit_schedule("ECFlex", lambda ms: drop(ms, "php"))),
+        ("pinj dropped", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: drop(ms, "pinj"))),
+        ("device series added", "ECFlex", edit_schedule("ECFlex", lambda ms: add(ms, "pev"))),
     ]
     for case, mode, corrupt in corruptions:
         corrupt()
@@ -255,6 +265,23 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
             assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), \
                 (case, name)
+
+
+def test_series_tags_are_those_of_solved_schedules():
+    """The series set a checkpoint must hold is what every mode writes."""
+    scenario = generate_synthetic(SyntheticConfig(members=8, seed=3, wb_rate=0.5, ev_rate=0.5,
+                                                  hp_rate=0.5, bss_rate=0.5, pv_total_kwp=30.0,
+                                                  steps_per_day=24, dt_hours=1.0))
+    schedules = [central.solve_centralized(scenario, 0, mode) for mode in central.PlannerMode]
+    schedules += [decentral.run_ecflexit(scenario, 0, key="equal", primed=primed)[0]
+                  for primed in (False, True)]
+    assert len({sched.mode for sched in schedules}) == 6
+    owned = set()
+    for sched in schedules:
+        for member, m in zip(scenario.members, sched.members):
+            assert set(m.series) == central.series_tags(member), (sched.mode, m.member_id)
+            owned.add(frozenset(m.series))
+    assert len(owned) >= 6  # the device mix differs between members
 
 
 def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):

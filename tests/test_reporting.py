@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
+from reccoord import reporting
 from reccoord.billing import Report, individual_benefits, summarize
-from reccoord.central import PlannerMode, solve_centralized
+from reccoord.central import DaySchedule, MemberDaySchedule, PlannerMode, solve_centralized
 from reccoord.decentral import run_ecflexit
 from reccoord.reporting import (load_schedules_csv, schedule_from_dict,
                                 schedule_to_dict, write_report)
 from reccoord.scenario import SyntheticConfig, generate_synthetic
+from helpers import write_schedules_csv_reference
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +111,73 @@ def test_schedule_serialization_round_trip(toy_results):
             assert restored.series.get("pwb") is None
         else:
             np.testing.assert_array_equal(restored.series["pwb"], original.series["pwb"])
+
+
+#: Member ids that need ``csv`` quoting (or, for ``\r``, none under the report
+#: dialect), listed out of id order, each with a different device set.
+ODD_MEMBERS = (
+    ("zoë", ()),
+    ('say "hi"', ("pcha", "pdis", "socb")),
+    ("line\nbreak", ("pev", "sev", "jev")),
+    ("a,b", ("pwb", "twb", "jwb", "php", "thp", "jhp")),
+    ("cr\rid", ("pcha", "pdis", "socb", "pev", "sev", "jev", "pwb", "twb", "jwb")),
+    ("u01", ()),
+)
+SPECIAL_VALUES = (-0.0, float("nan"), float("inf"), 1e-300, 123456789.123, -float("inf"))
+
+
+def _hand_built(mode: str, day: int, members=ODD_MEMBERS, steps: int = 3) -> DaySchedule:
+    rng = np.random.default_rng(day)
+    base = ("iret", "eret", "icom", "ecom", "pinj", "ppv")
+    built = []
+    for k, (member_id, devices) in enumerate(members):
+        tags = base + devices
+        values = rng.normal(scale=10.0 ** (k - 2), size=(len(tags), steps))
+        for j, v in enumerate(SPECIAL_VALUES):  # every special value somewhere
+            values.flat[(k + 7 * j) % values.size] = v
+        built.append(MemberDaySchedule(member_id, dict(zip(tags, values))))
+    return DaySchedule(mode=mode, day=day, dt_hours=1.0, members=built, objective_value=0.0,
+                       community_bill_eur=0.0, community_discomfort_eur=0.0)
+
+
+def _hand_built_schedules(members=ODD_MEMBERS):
+    return {"ECFlex": [_hand_built("ECFlex", 0, members), _hand_built("ECFlex", 1, members)],
+            "ECFlexIt": [_hand_built("ECFlexIt", 0, members),
+                         _hand_built("ECFlexIt", 1, members=())]}
+
+
+def _written(schedules, out) -> bytes:
+    files = write_report(Report(modes=(), gaps={}), schedules, out)
+    return files.schedules_csv.read_bytes()
+
+
+def test_schedules_csv_matches_the_per_cell_writer(tmp_path):
+    schedules = _hand_built_schedules()
+    write_schedules_csv_reference(schedules, tmp_path / "reference.csv")
+    expected = (tmp_path / "reference.csv").read_bytes()
+    assert _written(schedules, tmp_path / "report") == expected
+    text = expected.decode()
+    for needle in ('"line\nbreak"', '"say ""hi"""', '"a,b"', "cr\rid", "zoë", ",-0\n",
+                   ",nan\n", ",inf\n", ",-inf\n", ",1e-300\n", ",123456789\n"):
+        assert needle in text, needle
+    assert "\nECFlex,1,0," in text and "\nECFlexIt,0,0," in text
+    assert "\nECFlexIt,1," not in text  # a day without members adds no rows
+
+
+def test_an_unquoted_line_break_in_an_id_is_caught(tmp_path, monkeypatch):
+    """Cells rendered with an empty line terminator leave ``\n`` unquoted; the
+    comparison above must see that."""
+    def no_terminator(*cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(cells)
+        return buf.getvalue()
+
+    monkeypatch.setattr(reporting, "_csv_cells", no_terminator)
+    schedules = _hand_built_schedules()
+    write_schedules_csv_reference(schedules, tmp_path / "reference.csv")
+    assert _written(schedules, tmp_path / "a") != (tmp_path / "reference.csv").read_bytes()
+
+    plain = tuple(m for m in ODD_MEMBERS if "\n" not in m[0])
+    schedules = _hand_built_schedules(plain)
+    write_schedules_csv_reference(schedules, tmp_path / "plain.csv")
+    assert _written(schedules, tmp_path / "b") == (tmp_path / "plain.csv").read_bytes()

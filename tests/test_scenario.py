@@ -82,14 +82,31 @@ def _member_bss(doc, **changes):
      "members[0] (id=u01).bss.soc_min: expected float, got None"),
     (_edited(lambda d: d["horizon"].update(steps_per_day="two")),
      "horizon.steps_per_day: expected int, got 'two'"),
+    (_edited(lambda d: d["horizon"].update(num_days=1.9)),
+     "horizon.num_days: expected int, got 1.9"),
+    (_edited(lambda d: d["horizon"].update(num_days=True)),
+     "horizon.num_days: expected int, got True"),
+    (_edited(lambda d: d["horizon"].update(steps_per_day=float("inf"))),
+     "horizon.steps_per_day: expected int, got inf"),
+    (_edited(lambda d: d["horizon"].update(dt_hours=False)),
+     "horizon.dt_hours: expected float, got False"),
+    (_edited(lambda d: _member_bss(d, efficiency=True)),
+     "members[0] (id=u01).bss.efficiency: expected float, got True"),
     (_edited(lambda d: d.update(prices=None)), "prices: expected an object"),
     (_edited(lambda d: d.update(horizon=[4, 6.0])), "horizon: expected an object"),
 ], ids=["not-utf8", "series-of-strings", "nested-series", "scalar-string", "scalar-null",
-        "int-string", "prices-null", "horizon-array"])
+        "int-string", "int-fraction", "int-bool", "int-infinite", "float-bool",
+        "device-float-bool", "prices-null", "horizon-array"])
 def test_malformed_document_is_a_parse_error_naming_the_field(data, message):
     with pytest.raises(ScenarioParseError) as err:
         load_scenario(data)
     assert str(err.value).startswith(message)
+
+
+def test_integral_float_is_an_int():
+    s = load_scenario(_edited(lambda d: d["horizon"].update(num_days=1.0, steps_per_day=4.0)))
+    assert (s.horizon.num_days, s.horizon.steps_per_day) == (1, 4)
+    assert type(s.horizon.num_days) is int and type(s.horizon.steps_per_day) is int
 
 
 def test_soc_init_out_of_window_is_a_validation_error():
