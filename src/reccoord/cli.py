@@ -27,6 +27,7 @@ from pathlib import Path
 
 from . import billing, central, decentral, reporting
 from .central import CarriedState, PlannerMode
+from .devices import DEVICES
 from .scenario import (Scenario, ScenarioError, SyntheticConfig, SyntheticConfigError,
                        dump_scenario, generate_synthetic, load_scenario)
 
@@ -222,15 +223,19 @@ class _Checkpoint:
 
 def _check_fits(sched, scenario: Scenario) -> None:
     """Raise ``ValueError`` unless ``sched`` holds the scenario's members in
-    scenario order, each with the series of its devices, and each series and
-    reference with one day of entries."""
+    scenario order, each with the series and references of its devices, and
+    each series and reference with one day of entries."""
     if [m.member_id for m in sched.members] != [m.id for m in scenario.members]:
         raise ValueError("member ids differ from the scenario's")
     for m, member in zip(sched.members, scenario.members):
-        expected, held = central.series_tags(member), set(m.series)
-        if held != expected:
-            raise ValueError(f"{m.member_id} series do not fit its devices: missing "
-                             f"{sorted(expected - held)}, extra {sorted(held - expected)}")
+        owned = {spec.name for spec in DEVICES if getattr(member, spec.name) is not None}
+        for what, expected, held in (
+                ("series", central.series_tags(member), set(m.series)),
+                ("references", owned,
+                 {name for name, values in vars(m.refs).items() if values is not None})):
+            if held != expected:
+                raise ValueError(f"{m.member_id} {what} do not fit its devices: missing "
+                                 f"{sorted(expected - held)}, extra {sorted(held - expected)}")
         for tag, values in (*m.series.items(), *vars(m.refs).items()):
             if values is not None and values.shape != (scenario.horizon.steps_per_day,):
                 raise ValueError(f"{m.member_id} {tag} has shape {values.shape}")

@@ -17,6 +17,13 @@ form that gives the centralized planners' legs.  Running members in any order
 yields identical results: within an iteration every subproblem depends only
 on the shared request and the member's own committed state, and all
 aggregation happens in canonical member order.
+
+That independence lets the member HiGHS solves of each phase (offers, then
+activations) run concurrently, on the calling thread and one helper thread
+when the process may use two or more CPUs (its affinity), through
+:func:`reccoord.lpcore.run_ahead`.  Only HiGHS leaves the calling thread;
+every Python step of the loop stays on it, and the results are bit-identical
+on any number of cores.  There is no option for it.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .central import (CarriedState, DaySchedule, DeviceRefs, DISCOMFORT_TAGS, FL
                       prioritize_self_consumption, final_states, repair_refs_for_state,
                       settle_day, solve_centralized)
 from .kor import get_key
-from .lpcore import LpProblem, LpStatus, solve_lp
+from .lpcore import LpProblem, LpStatus, run_ahead, solve_lp
 from .scenario import Member, Prices, Scenario
 
 #: Termination threshold: request entries and activated volumes below this
@@ -90,6 +97,12 @@ class ActivationBounds:
     member_id: str
     up_kw: np.ndarray
     down_kw: np.ndarray
+
+    @property
+    def empty(self) -> bool:
+        """Nothing allotted in either direction: the member keeps its dispatch."""
+        return (float(np.max(self.up_kw, initial=0.0)) == 0.0
+                and float(np.max(self.down_kw, initial=0.0)) == 0.0)
 
 
 @dataclass(frozen=True)
@@ -158,13 +171,9 @@ def refine_bounds(offers: Sequence[CapacityOffer], request: FlexRequest,
                   key: str) -> list[ActivationBounds]:
     """Split the request over the offers, per step and direction independently."""
     key_fn = get_key(key)
-    steps = len(request.up_kw)
-    n = len(offers)
-    up = np.zeros((n, steps))
-    down = np.zeros((n, steps))
-    for t in range(steps):
-        up[:, t] = key_fn([o.up_kw[t] for o in offers], float(request.up_kw[t]))
-        down[:, t] = key_fn([o.down_kw[t] for o in offers], float(request.down_kw[t]))
+    shape = (len(offers), len(request.up_kw))
+    up = key_fn(np.array([o.up_kw for o in offers]).reshape(shape), request.up_kw)
+    down = key_fn(np.array([o.down_kw for o in offers]).reshape(shape), request.down_kw)
     return [ActivationBounds(member_id=o.member_id, up_kw=up[u], down_kw=down[u])
             for u, o in enumerate(offers)]
 
@@ -235,13 +244,17 @@ class MemberAgent:
             if tag in idx:
                 p.add_objective(idx[tag], 1.0)
 
-    def _solve(self, up_limit: np.ndarray, down_limit: np.ndarray) -> np.ndarray:
-        """Optimal point of the subproblem under the given shift limits."""
+    def stage(self, up_limit: np.ndarray, down_limit: np.ndarray) -> LpProblem:
+        """The subproblem set up for the given shift limits, not yet solved."""
         p = self._lp
         p.set_bounds(self._capu, 0.0, up_limit)
         p.set_bounds(self._capd, 0.0, down_limit)
         p.set_rhs(self._ref_rows, self.refs_total)
-        solution = solve_lp(p)
+        return p
+
+    def _solve(self, up_limit: np.ndarray, down_limit: np.ndarray) -> np.ndarray:
+        """Optimal point of the subproblem under the given shift limits."""
+        solution = solve_lp(self.stage(up_limit, down_limit))
         if solution.status is not LpStatus.OPTIMAL:
             raise DecentralError(
                 f"member {self.member.id} subproblem {solution.status.value}: committed "
@@ -260,9 +273,7 @@ class MemberAgent:
         """Re-solve under the refined bounds and commit the outcome."""
         if not self.has_flexibility:
             return Activation(self.member.id, self._zero(), self._zero())
-        if float(np.max(bounds.up_kw, initial=0.0)) == 0.0 \
-                and float(np.max(bounds.down_kw, initial=0.0)) == 0.0:
-            # nothing allotted: keep the committed dispatch untouched
+        if bounds.empty:  # keep the committed dispatch untouched
             return Activation(self.member.id, self._zero(), self._zero())
         x = self._solve(bounds.up_kw, bounds.down_kw)
         up = self._publish(x[self._capu])
@@ -329,10 +340,16 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
             raise IterationLimitError(day, traces)
         iteration += 1
 
+        # each phase's member LPs run concurrently first; the loops read them
+        run_ahead([agents[uid].stage(request.up_kw, request.down_kw)
+                   for uid in order if agents[uid].has_flexibility])
         offers_by = {uid: agents[uid].offer(request) for uid in order}
         offers = [offers_by[uid] for uid in member_ids]
         bounds = refine_bounds(offers, request, key)
         bounds_by = {b.member_id: b for b in bounds}
+        run_ahead([agents[uid].stage(bounds_by[uid].up_kw, bounds_by[uid].down_kw)
+                   for uid in order
+                   if agents[uid].has_flexibility and not bounds_by[uid].empty])
         acts_by = {uid: agents[uid].activate(bounds_by[uid]) for uid in order}
         activations = [acts_by[uid] for uid in member_ids]
 

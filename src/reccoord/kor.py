@@ -1,66 +1,92 @@
 """Keys of Repartition: rule-based splitting of a requested volume over offers.
 
-Each key takes a vector of nonnegative per-member capacity offers (kW) and a
-requested volume (kW) for one timestep and one direction, and returns the
-activated power per member.  Every key guarantees
+Each key takes the nonnegative capacity offers (kW) of the members, shape
+``(members, steps)``, and the requested volume (kW) of each step, shape
+``(steps,)``, for one direction, and returns the activated power per member
+and step.  Steps are split independently; ``(members,)`` offers with a
+scalar request are one step.  Every key guarantees, per step,
 
     0 <= activation[u] <= offers[u]      and      sum(activation) <= request.
 
-The arithmetic runs on exact rationals so that equal splits and caps compose
-without float drift; results are converted back to floats at the end.
+The equal key runs in float64 on all steps at once and gives the bits of
+exact rational arithmetic: its one division is correctly rounded, and the
+minimum against a representable cap commutes with rounding.  The prorate and
+cascade keys run on exact rationals per step, so that shares and caps
+compose without float drift; results are converted back to floats at the
+end.  NaN, infinite and negative inputs are rejected.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 
-def _to_fractions(offers: Sequence[float]) -> list[Fraction]:
-    out = []
-    for cap in offers:
-        f = Fraction(float(cap))
-        if f < 0:
-            raise ValueError(f"offer {cap} is negative")
-        out.append(f)
-    return out
+def _checked(values, what: str) -> np.ndarray:
+    """``values`` as float64; NaN and ±inf are rejected as ``Fraction`` rejects
+    them (``ValueError``, ``OverflowError``), negative values by ``ValueError``."""
+    arr = np.asarray(values, dtype=np.float64)
+    bad = arr[~((arr >= 0.0) & (arr < math.inf))]
+    if bad.size:
+        value = float(bad.flat[0])
+        if math.isnan(value):
+            raise ValueError(f"{what} is NaN")
+        if math.isinf(value):
+            raise OverflowError(f"{what} {value} is infinite")
+        raise ValueError(f"{what} {value} is negative")
+    return arr
 
 
-def _request_fraction(request: float) -> Fraction:
-    r = Fraction(float(request))
-    if r < 0:
-        raise ValueError(f"request {request} is negative")
-    return r
+def _inputs(offers, request) -> tuple[np.ndarray, np.ndarray]:
+    caps = _checked(offers, "offer")
+    req = _checked(request, "request")
+    if caps.ndim == 0 or req.shape != caps.shape[1:]:
+        raise ValueError(f"offers of shape {caps.shape} do not fit a request of "
+                         f"shape {req.shape}")
+    return caps, req
 
 
-def equal_key(offers: Sequence[float], request: float) -> np.ndarray:
+def equal_key(offers, request) -> np.ndarray:
     """Split the request equally over members that offered anything.
 
     Shares capped by an offer are *not* redistributed, so the dispatched total
     can undershoot the request; the cascade key exists to close that gap.
     """
-    caps = _to_fractions(offers)
-    req = _request_fraction(request)
-    providers = sum(1 for c in caps if c > 0)
-    if providers == 0 or req == 0:
-        return np.zeros(len(caps))
-    share = req / providers
-    return np.array([float(min(share, c)) if c > 0 else 0.0 for c in caps])
+    caps, req = _inputs(offers, request)
+    providers = np.count_nonzero(caps > 0.0, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        share = req / providers
+    return np.where((caps > 0.0) & (req > 0.0), np.minimum(share, caps), 0.0)
 
 
-def prorate_key(offers: Sequence[float], request: float) -> np.ndarray:
+def _per_step(split: Callable[[list[Fraction], Fraction], list[Fraction]],
+              offers, request) -> np.ndarray:
+    """The exact ``split`` of one step applied to every step."""
+    caps, req = _inputs(offers, request)
+    columns = caps.reshape(len(caps), req.size)
+    out = np.empty(columns.shape)
+    for t, r in enumerate(req.flat):
+        out[:, t] = [float(a) for a in split([Fraction(c) for c in columns[:, t]],
+                                             Fraction(r))]
+    return out.reshape(caps.shape)
+
+
+def prorate_key(offers, request) -> np.ndarray:
     """Split the request proportionally to each member's offered capacity."""
-    caps = _to_fractions(offers)
-    req = _request_fraction(request)
+    return _per_step(_prorate, offers, request)
+
+
+def _prorate(caps: list[Fraction], req: Fraction) -> list[Fraction]:
     total = sum(caps, Fraction(0))
     if total == 0 or req == 0:
-        return np.zeros(len(caps))
-    return np.array([float(min(c / total * req, c)) for c in caps])
+        return [Fraction(0)] * len(caps)
+    return [min(c / total * req, c) for c in caps]
 
 
-def cascade_key(offers: Sequence[float], request: float) -> np.ndarray:
+def cascade_key(offers, request) -> np.ndarray:
     """Iterated equal splits over members with remaining capacity.
 
     Re-offers the undershoot of each equal round to the members that still
@@ -69,10 +95,12 @@ def cascade_key(offers: Sequence[float], request: float) -> np.ndarray:
 
     The rational arithmetic makes zero-thresholds safe: every round either
     saturates a member exactly or exhausts the request exactly, so the loop
-    runs at most ``len(offers) + 1`` times.
+    runs at most ``len(offers) + 1`` times per step.
     """
-    caps = _to_fractions(offers)
-    req = _request_fraction(request)
+    return _per_step(_cascade, offers, request)
+
+
+def _cascade(caps: list[Fraction], req: Fraction) -> list[Fraction]:
     act = [Fraction(0)] * len(caps)
     remaining_req = req
     while remaining_req > 0:
@@ -83,7 +111,7 @@ def cascade_key(offers: Sequence[float], request: float) -> np.ndarray:
         for u in providers:
             act[u] = min(caps[u], act[u] + share)
         remaining_req = req - sum(act, Fraction(0))
-    return np.array([float(a) for a in act])
+    return act
 
 
 KEYS = {

@@ -8,17 +8,28 @@ that a bound error can name a column ``name.t``.
 :func:`solve_lp` keeps a persistent HiGHS model attached to the problem:
 bound and right-hand-side edits reach it in place, as changes of only the
 entries that moved, and a structural edit drops it.  Every solve runs cold,
-so results do not depend on solve history.  HiGHS receives the inequality
-rows first as ``<=`` rows (``>=`` rows negated), then the equalities, as a
-CSC matrix, under the options SciPy's HiGHS method sets; the tests solve
-that layout through SciPy's own HiGHS interface and require the same bits.
-A solution is checked against the declared rows before it is reported
+so results do not depend on solve history, and a model that has not changed
+since its last run is not run again.  HiGHS receives the inequality rows
+first as ``<=`` rows (``>=`` rows negated), then the equalities, as a CSC
+matrix, under the options SciPy's HiGHS method sets; the tests solve that
+layout through SciPy's own HiGHS interface and require the same bits.  A
+solution is checked against the declared rows before it is reported
 ``optimal``; an infeasible point is downgraded to ``numeric_error``.
+
+:func:`run_ahead` runs the HiGHS models of independent problems (the member
+solves of one coordination phase) concurrently on the calling thread and
+one helper thread kept for the life of the process, when the process may
+use two or more CPUs (its affinity).  Only the HiGHS runs leave the calling
+thread, each on its own model under identical options, so results are
+bit-identical on any number of cores.  There is no option for it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, NamedTuple
@@ -268,9 +279,13 @@ _HIGHS_STATUS = {_highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
 
 
 class _HighsModel:
-    """A HiGHS model attached to one problem; edits reach it as in-place diffs."""
+    """A HiGHS model attached to one problem; edits reach it as in-place diffs.
+
+    ``fresh`` says that the last run saw the model as it is now.
+    """
 
     def __init__(self, problem: LpProblem):
+        self.fresh = False
         a, self.lhs, self.rhs = problem._highs_layout()
         self.lb, self.ub = problem.bounds()
         lp = _highs.HighsLp()
@@ -295,8 +310,11 @@ class _HighsModel:
         if cols.size:
             self.highs.changeColsBounds(cols.size, cols.astype(np.int32), lb[cols], ub[cols])
         _, lhs, rhs = problem._highs_layout()
-        for i in np.flatnonzero(_moved(lhs, self.lhs) | _moved(rhs, self.rhs)):
+        rows = np.flatnonzero(_moved(lhs, self.lhs) | _moved(rhs, self.rhs))
+        for i in rows:
             self.highs.changeRowBounds(int(i), lhs[i], rhs[i])
+        if cols.size or rows.size:
+            self.fresh = False
         self.lb, self.ub, self.lhs, self.rhs = lb, ub, lhs, rhs
 
 
@@ -305,16 +323,95 @@ def _moved(new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return new.view(np.uint64) != old.view(np.uint64)
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve a minimization LP; deterministic for identical input."""
+def _synced(problem: LpProblem) -> _HighsModel:
+    """The problem's HiGHS model, attached if need be, holding its current data."""
     model = problem._attached = problem._attached or _HighsModel(problem)
     model.sync(problem)
+    return model
+
+
+def _run(model: _HighsModel) -> None:
+    """A cold HiGHS run; releases the GIL, so it may run on the helper thread."""
+    model.highs.clearSolver()
+    model.highs.run()
+    model.fresh = True
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _drain(pending: queue.SimpleQueue) -> None:
+    while True:
+        try:
+            model = pending.get_nowait()
+        except queue.Empty:
+            return
+        _run(model)
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The helper thread's loop: drain each queue handed over, then say so."""
+    while True:
+        pending, done = jobs.get()
+        try:
+            _drain(pending)
+        finally:
+            done.set()
+
+
+#: The helper thread and its job queue.  There is one helper for the life of
+#: the process (restarted if it died or the process forked): each thread that
+#: runs HiGHS costs a malloc arena and a HiGHS scheduler of its own, and only
+#: one helper beside the caller has been measured.
+_helper: tuple[threading.Thread, queue.SimpleQueue] | None = None
+
+
+def _helper_jobs() -> queue.SimpleQueue:
+    """The helper thread's job queue; the thread starts on first use."""
+    global _helper
+    if _helper is None or not _helper[0].is_alive():
+        jobs: queue.SimpleQueue = queue.SimpleQueue()
+        thread = threading.Thread(target=_serve, args=(jobs,), name="highs", daemon=True)
+        thread.start()
+        _helper = thread, jobs
+    return _helper[1]
+
+
+def run_ahead(problems: Iterable[LpProblem]) -> None:
+    """Run the HiGHS models of independent problems concurrently.
+
+    Every problem's model is attached and synced here, on the calling thread.
+    The stale ones are then run from one shared queue by this thread and the
+    process's one helper thread, which executes only :func:`_run`.  A later
+    :func:`solve_lp` of a problem left unchanged reads its result without
+    running HiGHS again.  With one CPU in the process's affinity, or fewer
+    than two stale models, nothing runs here.
+    """
+    stale = [model for model in map(_synced, problems) if not model.fresh]
+    if len(stale) < 2 or _cpus() < 2:
+        return
+    pending: queue.SimpleQueue = queue.SimpleQueue()
+    for model in stale:
+        pending.put(model)
+    done = threading.Event()
+    _helper_jobs().put((pending, done))
+    _drain(pending)
+    done.wait()
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve a minimization LP; deterministic for identical input."""
+    model = _synced(problem)
+    if not model.fresh:
+        _run(model)
     h = model.highs
-    h.clearSolver()
-    h.run()
     status = h.getModelStatus()
     x = np.array(h.getSolution().col_value) if status == _highs.HighsModelStatus.kOptimal \
         else None
     return _solution(problem, _HIGHS_STATUS.get(status, LpStatus.NUMERIC_ERROR), x,
                      h.modelStatusToString(status))
-

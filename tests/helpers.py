@@ -1,9 +1,11 @@
-"""Hand-built scenario fixtures, the ``linprog`` reference solve and the
-per-cell ``schedules.csv`` reference writer shared across the test modules."""
+"""Hand-built scenario fixtures, the ``linprog`` reference solve, the exact
+rational equal key and the per-cell ``schedules.csv`` reference writer shared
+across the test modules."""
 
 from __future__ import annotations
 
 import csv
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -139,3 +141,22 @@ def write_schedules_csv_reference(schedules, path: Path) -> None:
                         for tag in sorted(m.series, key=SERIES_NAMES.__getitem__):
                             writer.writerow([mode, sched.day, t, m.member_id,
                                              SERIES_NAMES[tag], f"{float(m.series[tag][t]):.9g}"])
+
+
+def equal_key_fraction(offers, request: float) -> np.ndarray:
+    """The equal key of one step on exact rationals, the split
+    :func:`reccoord.kor.equal_key` must reproduce bit for bit."""
+    caps = []
+    for cap in offers:
+        f = Fraction(float(cap))
+        if f < 0:
+            raise ValueError(f"offer {cap} is negative")
+        caps.append(f)
+    req = Fraction(float(request))
+    if req < 0:
+        raise ValueError(f"request {request} is negative")
+    providers = sum(1 for c in caps if c > 0)
+    if providers == 0 or req == 0:
+        return np.zeros(len(caps))
+    share = req / providers
+    return np.array([float(min(share, c)) if c > 0 else 0.0 for c in caps])

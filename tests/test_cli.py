@@ -236,12 +236,12 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
             if tag in m[key]:
                 m[key][tag] = m[key][tag][:3]
 
-    def drop(members, tag):  # the first member holding series ``tag`` loses it
-        next(m for m in members if tag in m["series"])["series"].pop(tag)
+    def drop(members, key, tag):  # the first member holding ``key[tag]`` loses it
+        next(m for m in members if tag in m[key])[key].pop(tag)
 
-    def add(members, tag):  # the first member without series ``tag`` gains it
-        m = next(m for m in members if tag not in m["series"])
-        m["series"][tag] = m["series"]["pinj"]
+    def add(members, key, tag):  # the first member without ``key[tag]`` gains it
+        m = next(m for m in members if tag not in m[key])
+        m[key][tag] = m["series"]["pinj"]
 
     meta = resume / "checkpoint" / "meta.json"
     corruptions = [  # (case, mode whose checkpoint is reported, corruption)
@@ -251,9 +251,16 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         ("members reordered", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: ms.reverse())),
         ("series cut", "ECFlex", edit_schedule("ECFlex", lambda ms: cut(ms, "series", "pinj"))),
         ("ref cut", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: cut(ms, "refs", "wb"))),
-        ("device series dropped", "ECFlex", edit_schedule("ECFlex", lambda ms: drop(ms, "php"))),
-        ("pinj dropped", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: drop(ms, "pinj"))),
-        ("device series added", "ECFlex", edit_schedule("ECFlex", lambda ms: add(ms, "pev"))),
+        ("device series dropped", "ECFlex",
+         edit_schedule("ECFlex", lambda ms: drop(ms, "series", "php"))),
+        ("pinj dropped", "ECFlexIt",
+         edit_schedule("ECFlexIt", lambda ms: drop(ms, "series", "pinj"))),
+        ("device ref dropped", "ECFlex",
+         edit_schedule("ECFlex", lambda ms: drop(ms, "refs", "wb"))),
+        ("device ref added", "ECFlexIt",
+         edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "ev"))),
+        ("device series added", "ECFlex",
+         edit_schedule("ECFlex", lambda ms: add(ms, "series", "pev"))),
     ]
     for case, mode, corrupt in corruptions:
         corrupt()
@@ -268,7 +275,7 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
 
 
 def test_series_tags_are_those_of_solved_schedules():
-    """The series set a checkpoint must hold is what every mode writes."""
+    """The series and references a checkpoint must hold are what every mode writes."""
     scenario = generate_synthetic(SyntheticConfig(members=8, seed=3, wb_rate=0.5, ev_rate=0.5,
                                                   hp_rate=0.5, bss_rate=0.5, pv_total_kwp=30.0,
                                                   steps_per_day=24, dt_hours=1.0))
@@ -280,6 +287,8 @@ def test_series_tags_are_those_of_solved_schedules():
     for sched in schedules:
         for member, m in zip(scenario.members, sched.members):
             assert set(m.series) == central.series_tags(member), (sched.mode, m.member_id)
+            assert {name for name, ref in vars(m.refs).items() if ref is not None} \
+                == {name for name in ("ev", "wb", "hp") if getattr(member, name) is not None}
             owned.add(frozenset(m.series))
     assert len(owned) >= 6  # the device mix differs between members
 
@@ -291,6 +300,7 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
     assert _run([*args, "--out", str(tmp_path / "highs")]) == 0
     monkeypatch.setattr(central, "solve_lp", solve_with_linprog)
     monkeypatch.setattr(decentral, "solve_lp", solve_with_linprog)
+    monkeypatch.setattr(decentral, "run_ahead", lambda problems: None)  # no HiGHS ahead
     assert _run([*args, "--out", str(tmp_path / "linprog")]) == 0
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
         assert (tmp_path / "highs" / name).read_bytes() \

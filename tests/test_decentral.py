@@ -9,12 +9,14 @@ import json
 import numpy as np
 import pytest
 
+from reccoord import decentral, lpcore
 from reccoord.billing import activation_price
 from reccoord.central import (CarriedState, PlannerMode, default_refs, final_states,
                               solve_centralized, verify_day_schedule)
 from reccoord.decentral import (FlexRequest, IterationLimitError, MemberAgent,
                                 initial_request, refine_bounds, run_ecflexit,
                                 run_ecflexit_over_days, settle_community)
+from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic
 from helpers import make_member, make_scenario, series, simple_ev, simple_wb
 
@@ -271,6 +273,26 @@ class TestRunLoop:
         dump_b = json.dumps([t.to_dict() for t in traces_b])
         assert dump_a == dump_b
         assert sched_a.community_bill_eur == sched_b.community_bill_eur
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_running_member_lps_ahead_changes_no_bit(self, monkeypatch, primed):
+        """Concurrent member solves (two threads even on one CPU) give the
+        traces and schedules of solving every member in turn."""
+        s = generate_synthetic(SyntheticConfig(members=6, seed=7))
+        monkeypatch.setattr(lpcore, "_cpus", lambda: 2)
+        runs = []
+        run = lpcore._run
+        monkeypatch.setattr(lpcore, "_run", lambda model: (runs.append(1), run(model)))
+        results = [run_ecflexit(s, 0, key="equal", primed=primed)]
+        ahead = len(runs)
+        monkeypatch.setattr(decentral, "run_ahead", lambda problems: None)
+        results.append(run_ecflexit(s, 0, key="equal", primed=primed))
+        assert len(runs) == 2 * ahead
+        (sched_a, traces_a), (sched_b, traces_b) = results
+        assert len(traces_a) > 1
+        assert json.dumps([t.to_dict() for t in traces_a]) \
+            == json.dumps([t.to_dict() for t in traces_b])
+        assert json.dumps(schedule_to_dict(sched_a)) == json.dumps(schedule_to_dict(sched_b))
 
     def test_iteration_cap_raises_with_the_trace_attached(self):
         s = generate_synthetic(SyntheticConfig(members=4, seed=7, steps_per_day=24,

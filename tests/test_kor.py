@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from reccoord.kor import cascade_key, equal_key, get_key, prorate_key
+from helpers import equal_key_fraction
 
 
 def test_equal_caps_bind_without_redistribution():
@@ -104,3 +107,58 @@ def test_prorate_with_binding_total_returns_offers():
         offers = rng.uniform(0.0, 3.0, size=4)
         request = offers.sum() + rng.uniform(0.0, 5.0)
         assert prorate_key(offers, request) == pytest.approx(offers)
+
+
+def _edge_case_steps(rng, members: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offers and requests mixing zeros, negative zeros, subnormals, values that
+    tie with the equal share, and all-zero columns."""
+    pool = np.array([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                     1.0 / 3.0, 0.1, 0.5, 1.0, 2.0, 7.0, 1e6, 1e300])
+    offers = np.where(rng.random((members, steps)) < 0.5, rng.choice(pool, (members, steps)),
+                      rng.uniform(0.0, 5.0, (members, steps)))
+    offers[:, rng.random(steps) < 0.1] = 0.0
+    offers[:, rng.random(steps) < 0.05] = -0.0
+    request = np.where(rng.random(steps) < 0.5, rng.choice(pool, steps),
+                       rng.uniform(0.0, 12.0, steps))
+    # requests that split exactly onto an offer
+    tie = rng.random(steps) < 0.1
+    request[tie] = offers[0, tie] * np.count_nonzero(offers[:, tie] > 0, axis=0)
+    return offers, request
+
+
+def test_equal_key_on_arrays_has_the_bits_of_the_exact_split():
+    rng = np.random.default_rng(2024)
+    for members in (1, 2, 3, 7, 20):
+        offers, request = _edge_case_steps(rng, members, 500)
+        fast = equal_key(offers, request)
+        exact = np.column_stack([equal_key_fraction(offers[:, t], request[t])
+                                 for t in range(len(request))])
+        assert fast.shape == offers.shape
+        assert np.array_equal(fast.view(np.uint64), exact.view(np.uint64)), members
+
+
+@pytest.mark.parametrize("name", ["equal", "prorate", "cascade"])
+def test_keys_on_arrays_split_every_step_as_one_step_calls(name):
+    key = get_key(name)
+    offers, request = _edge_case_steps(np.random.default_rng(7), 5, 60)
+    whole = key(offers, request)
+    per_step = np.column_stack([key(offers[:, t], request[t]) for t in range(len(request))])
+    assert np.array_equal(whole.view(np.uint64), per_step.view(np.uint64))
+    assert key(np.zeros((0, 3)), np.ones(3)).shape == (0, 3)
+
+
+@pytest.mark.parametrize("name", ["equal", "prorate", "cascade"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_keys_reject_what_exact_arithmetic_rejects(name, bad):
+    key = get_key(name)
+    offers = np.array([[1.0, 2.0], [0.5, 0.0]])
+    with pytest.raises(Exception) as exact:
+        equal_key_fraction([1.0, bad], 1.0)
+    bad_offers = offers.copy()
+    bad_offers[1, 1] = bad
+    with pytest.raises(exact.type):
+        key(bad_offers, np.ones(2))
+    with pytest.raises(exact.type):
+        key(offers, np.array([1.0, bad]))
+    with pytest.raises(exact.type):
+        key([1.0, bad], 1.0)

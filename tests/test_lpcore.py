@@ -1,11 +1,15 @@
 """LP container and solver boundary: worked examples, vertex-enumeration
 cross-checks, determinism, the feasibility check and bit-for-bit agreement
-between the persistent HiGHS model and the ``linprog`` reference."""
+between the persistent HiGHS model and the ``linprog`` reference, and the
+concurrent runs of :func:`run_ahead`."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import queue
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,9 +17,10 @@ import pytest
 from reccoord.billing import activation_price
 from reccoord.central import (CarriedState, PlannerMode, build_day_problem, default_refs,
                               solve_centralized)
+from reccoord import lpcore
 from reccoord.decentral import MemberAgent
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
-                             solve_lp)
+                             run_ahead, solve_lp)
 from reccoord.scenario import SyntheticConfig, generate_synthetic
 from helpers import solve_with_linprog
 
@@ -308,3 +313,163 @@ def test_structural_edit_drops_the_attached_model():
     p.add_rows("<=", 2.0, [(x, 1.0)])
     assert p._attached is None
     assert solve_lp(p).objective == -2.0
+
+
+# ---------------------------------------------------------------------------
+# Running ahead: concurrent HiGHS runs read back by solve_lp
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The HiGHS models run, in order; run_ahead uses its helper thread
+    whatever the machine's affinity."""
+    runs = []
+    run = lpcore._run
+
+    def counting(model):
+        runs.append(model)
+        run(model)
+
+    monkeypatch.setattr(lpcore, "_run", counting)
+    monkeypatch.setattr(lpcore, "_cpus", lambda: 2)
+    return runs
+
+
+def _three_lps(scenario) -> list[LpProblem]:
+    """A day LP and two member LPs of one community, set up for a solve."""
+    return [build_day_problem(scenario, 0, PlannerMode.EC_FLEX),
+            _limit_member(_member_agent(scenario), 1.0),
+            _limit_member(_member_agent(scenario), 0.3)]
+
+
+def _ran(runs: list, problems: list[LpProblem]) -> list[int]:
+    """HiGHS runs of each problem's model."""
+    return [sum(model is p._attached for model in runs) for p in problems]
+
+
+def test_run_ahead_then_solve_gives_the_bits_of_a_solve_alone(community, runs):
+    ahead, alone = _three_lps(community), _three_lps(community)
+    runs.clear()
+    run_ahead(ahead)
+    assert _ran(runs, ahead) == [1, 1, 1]
+    for a, b in zip(map(solve_lp, ahead), map(solve_lp, alone)):
+        assert a.status is b.status is LpStatus.OPTIMAL
+        assert _same_bits(a.x, b.x)
+        assert a.objective == b.objective
+    assert _ran(runs, ahead) == _ran(runs, alone) == [1, 1, 1]
+
+
+def test_a_change_after_run_ahead_forces_a_new_run(community, runs):
+    """A bound change on one member LP and a right-hand-side change on another."""
+    agents = [_member_agent(community) for _ in range(4)]
+    ahead = [_limit_member(agent, 1.0) for agent in agents[:2]]
+    expected = [_limit_member(agent, 1.0) for agent in agents[2:]]
+    run_ahead(ahead)
+    steps = community.horizon.steps_per_day
+    shifted = agents[1].refs_total.copy()
+    shifted[: steps // 2] += 0.05
+    shifted[steps // 2:] -= 0.05
+    for bounded, moved in (agents[:2], agents[2:]):
+        bounded._lp.set_bounds(bounded._capu, 0.0, 0.4 * np.linspace(0.5, 2.0, steps))
+        moved._lp.set_rhs(moved._ref_rows, shifted)
+    runs.clear()
+    results = [solve_lp(p) for p in ahead]
+    assert _ran(runs, ahead) == [1, 1]
+    for got, problem in zip(results, expected):
+        want = solve_with_linprog(problem)
+        assert got.status is want.status is LpStatus.OPTIMAL
+        assert _same_bits(got.x, want.x)
+
+
+def test_no_highs_run_is_repeated_or_thrown_away(community, runs, monkeypatch):
+    problems = _three_lps(community)
+    runs.clear()
+    run_ahead(problems)
+    run_ahead(problems)  # nothing changed: nothing to run
+    for problem in problems:
+        solve_lp(problem)
+        solve_lp(problem)
+    assert _ran(runs, problems) == [1, 1, 1]
+
+    # a single stale model is left to solve_lp
+    problems[1].set_rhs([0], problems[1]._array("rhs")[0] + 1e-3)
+    run_ahead(problems)
+    assert _ran(runs, problems) == [1, 1, 1]
+    solve_lp(problems[1])
+    assert _ran(runs, problems) == [1, 2, 1]
+
+    # one CPU runs nothing ahead
+    monkeypatch.setattr(lpcore, "_cpus", lambda: 1)
+    fresh = _three_lps(community)
+    runs.clear()
+    run_ahead(fresh)
+    assert runs == []
+
+
+def _random_lp(seed: int) -> LpProblem:
+    """A small feasible LP: 12 columns in boxes, 8 ``<=`` rows met at zero."""
+    rng = np.random.default_rng(seed)
+    p = LpProblem(f"rand{seed}")
+    cols = p.add_variables("x", 12, 0.0, rng.uniform(0.5, 3.0, 12))
+    p.add_rows("<=", rng.uniform(0.0, 2.0, 8),
+               [(np.tile(cols, 8), rng.uniform(-1.0, 1.0, 96), np.repeat(np.arange(8), 12))])
+    p.add_objective(cols, rng.uniform(-2.0, 2.0, 12))
+    return p
+
+
+def test_run_ahead_under_fast_thread_switches_runs_each_model_once(runs):
+    """The caller and the helper switching every microsecond: each model runs
+    exactly once and reads back the bits of a solve on its own."""
+    alone = [solve_lp(_random_lp(seed)) for seed in range(64)]
+    problems = [_random_lp(seed) for seed in range(64)]
+    runs.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        run_ahead(problems)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _ran(runs, problems) == [1] * 64
+    for problem, want in zip(problems, alone):
+        got = solve_lp(problem)
+        assert got.status is want.status is LpStatus.OPTIMAL
+        assert _same_bits(got.x, want.x)
+    assert _ran(runs, problems) == [1] * 64
+
+
+def test_run_ahead_keeps_one_helper_thread(runs, monkeypatch):
+    """Every call hands its models to the same helper thread, whatever the
+    number of CPUs; a helper that is gone is started again."""
+    monkeypatch.setattr(lpcore, "_cpus", lambda: 64)
+    threads = set()
+    counting = lpcore._run
+
+    def on_thread(model):
+        threads.add(threading.current_thread())
+        counting(model)
+
+    monkeypatch.setattr(lpcore, "_run", on_thread)
+
+    def helpers() -> list[threading.Thread]:
+        return [t for t in threading.enumerate() if t.name == "highs"]
+
+    for seed in range(0, 24, 3):
+        run_ahead([_random_lp(seed + k) for k in range(3)])
+    assert len(runs) == 24
+    assert len(helpers()) == 1
+    assert threads <= {threading.main_thread(), *helpers()}
+
+    # a model that fails to run ends the helper; the next call starts another
+    monkeypatch.setattr(threading, "excepthook", lambda args: None)
+    (dead,) = helpers()
+    broken, done = queue.SimpleQueue(), threading.Event()
+    broken.put(None)
+    lpcore._helper_jobs().put((broken, done))
+    assert done.wait(10.0)
+    dead.join(10.0)
+    assert not dead.is_alive()
+    problems = [_random_lp(seed) for seed in range(3)]
+    runs.clear()
+    run_ahead(problems)
+    assert _ran(runs, problems) == [1, 1, 1]
+    assert helpers() == [lpcore._helper[0]] != [dead]
