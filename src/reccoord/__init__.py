@@ -5,12 +5,11 @@ from .billing import (Bill, BillingError, MemberBenefit, ModeSummary, Report,
 from .central import (CarriedState, DaySchedule, DeviceRefs, FlexRefs,
                       InfeasibleDayError, MemberDaySchedule, PlannerMode, PlannerError,
                       SolverFailureError, build_day_problem, default_refs, final_states,
-                      prioritize_self_consumption, run_mode, solve_centralized,
+                      prioritize_self_consumption, solve_centralized,
                       verify_day_schedule)
 from .decentral import (Activation, ActivationBounds, CapacityOffer, DecentralError,
                         FlexRequest, IterationLimitError, IterationTrace, MemberAgent,
-                        initial_request, refine_bounds, run_ecflexit,
-                        run_ecflexit_over_days, settle_community)
+                        initial_request, refine_bounds, run_ecflexit, settle_community)
 from .devices import (Discomfort, discomfort_ev, discomfort_thermal, simulate_bss,
                       simulate_ev, simulate_hp, simulate_wb)
 from .kor import cascade_key, equal_key, get_key, prorate_key

@@ -392,9 +392,9 @@ def solve_centralized(scenario: Scenario, day: int, mode: PlannerMode,
     return model.extract(solution)
 
 
-def prioritize_self_consumption(scenario: Scenario, day: int,
-                                initial_states: Mapping[str, CarriedState] | None = None,
-                                allow_curtailment: bool = False) -> FlexRefs:
+def prioritize_self_consumption(
+        scenario: Scenario, day: int,
+        initial_states: Mapping[str, CarriedState] | None = None) -> FlexRefs:
     """Rewrite device references to each member's individually optimal dispatch.
 
     Solves the no-community flexible problem and returns its device schedules
@@ -403,7 +403,6 @@ def prioritize_self_consumption(scenario: Scenario, day: int,
     optimization is carried into any coordination built on top.
     """
     sched = solve_centralized(scenario, day, PlannerMode.SOLO_FLEX,
-                              allow_curtailment=allow_curtailment,
                               initial_states=initial_states)
     return {m.member_id: DeviceRefs.of_powers(m.series) for m in sched.members}
 
@@ -465,29 +464,6 @@ def final_states(sched: DaySchedule) -> dict[str, CarriedState]:
     return {m.member_id: CarriedState(**{spec.name: last(m.series, spec.state)
                                          for spec in DEVICES})
             for m in sched.members}
-
-
-def run_mode(scenario: Scenario, mode: PlannerMode, num_days: int | None = None,
-             primed: bool = False, allow_curtailment: bool = False) -> list[DaySchedule]:
-    """Solve consecutive days with state carry-over.
-
-    With ``primed``, each day's references are first rewritten to the
-    individually self-consumption-optimal profiles.
-    """
-    days = scenario.horizon.num_days if num_days is None else num_days
-    out: list[DaySchedule] = []
-    carried: dict[str, CarriedState] = {}
-    for day in range(days):
-        refs = None
-        if primed:
-            refs = prioritize_self_consumption(scenario, day, initial_states=carried,
-                                               allow_curtailment=allow_curtailment)
-        sched = solve_centralized(scenario, day, mode, refs=refs,
-                                  allow_curtailment=allow_curtailment,
-                                  initial_states=carried)
-        out.append(sched)
-        carried = final_states(sched)
-    return out
 
 
 # ---------------------------------------------------------------------------

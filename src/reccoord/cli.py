@@ -210,6 +210,7 @@ class _Checkpoint:
             doc = json.loads(path.read_text())
             sched = reporting.schedule_from_dict(doc["schedule"])
             _check_fits(sched, scenario)
+            _check_traces(doc["traces"], mode, day)
             return sched, doc["traces"]
         except (ValueError, KeyError, TypeError) as exc:
             log.warning("%s day %d: unreadable checkpoint %s (%s: %s); recomputing",
@@ -241,6 +242,19 @@ def _check_fits(sched, scenario: Scenario) -> None:
                 raise ValueError(f"{m.member_id} {tag} has shape {values.shape}")
 
 
+def _check_traces(traces, mode: str, day: int) -> None:
+    """Raise ``ValueError`` unless ``traces`` are rounds 1, 2, ... of ``day`` as
+    objects, and none at all for a centralized mode."""
+    if not isinstance(traces, list):
+        raise ValueError(f"traces are {type(traces).__name__}, not a list")
+    if traces and not mode.startswith("ECFlexIt"):
+        raise ValueError(f"a centralized mode holds {len(traces)} trace(s)")
+    for iteration, trace in enumerate(traces, 1):
+        if not isinstance(trace, dict) or (trace.get("day"), trace.get("iteration")) \
+                != (day, iteration):
+            raise ValueError(f"trace {iteration} is not round {iteration} of day {day}")
+
+
 def _write_atomic(path: Path, text: str) -> None:
     """Replace ``path`` by ``text`` so that a crash leaves the old file or the new one."""
     tmp = path.with_name(path.name + ".tmp")
@@ -267,43 +281,34 @@ def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
     return h.hexdigest()
 
 
-def _run_central_mode(scenario: Scenario, mode_name: str, days: int,
-                      config: RunConfig, checkpoint: _Checkpoint):
-    mode = {m.value: m for m in PlannerMode}[mode_name]
-    schedules = []
-    carried: dict[str, CarriedState] = {}
-    for day in range(days):
-        cached = checkpoint.load(mode_name, day, scenario)
-        if cached is not None:
-            sched = cached[0]
-        else:
-            sched = central.solve_centralized(
-                scenario, day, mode, initial_states=carried,
-                allow_curtailment=config.allow_curtailment)
-            _verify_or_die(scenario, day, sched, carried)
-            checkpoint.store(mode_name, day, sched, [])
-        schedules.append(sched)
-        carried = central.final_states(sched)
-    return schedules, []
+def _solve_day(scenario: Scenario, mode_name: str, day: int,
+               carried: dict[str, CarriedState], config: RunConfig):
+    """One day of one mode from the carried device states, with its coordination
+    rounds (none for a centralized mode)."""
+    if mode_name.startswith("ECFlexIt"):
+        return decentral.run_ecflexit(
+            scenario, day, key=config.key, primed=mode_name == "ECFlexItPrimed",
+            max_iterations=config.max_iterations, initial_states=carried)
+    return central.solve_centralized(
+        scenario, day, PlannerMode(mode_name), initial_states=carried,
+        allow_curtailment=config.allow_curtailment), []
 
 
-def _run_decentral_mode(scenario: Scenario, mode_name: str, days: int,
-                        config: RunConfig, checkpoint: _Checkpoint):
-    primed = mode_name == "ECFlexItPrimed"
+def _run_mode(scenario: Scenario, mode_name: str, days: int,
+              config: RunConfig, checkpoint: _Checkpoint):
+    """Solve ``days`` consecutive days of one mode, carrying device states from
+    each day into the next and reusing every day the checkpoint holds."""
     schedules = []
     all_traces: list[dict] = []
     carried: dict[str, CarriedState] = {}
     for day in range(days):
         cached = checkpoint.load(mode_name, day, scenario)
-        if cached is not None:
-            sched, trace_dicts = cached
-        else:
-            sched, traces = decentral.run_ecflexit(
-                scenario, day, key=config.key, primed=primed,
-                max_iterations=config.max_iterations, initial_states=carried)
+        if cached is None:
+            sched, traces = _solve_day(scenario, mode_name, day, carried, config)
             _verify_or_die(scenario, day, sched, carried)
-            trace_dicts = [t.to_dict() for t in traces]
-            checkpoint.store(mode_name, day, sched, trace_dicts)
+            cached = sched, [t.to_dict() for t in traces]
+            checkpoint.store(mode_name, day, *cached)
+        sched, trace_dicts = cached
         schedules.append(sched)
         if config.trace:  # only the trace report reads them
             all_traces.extend(trace_dicts)
@@ -342,22 +347,20 @@ def run(config: RunConfig) -> reporting.ReportFiles:
         raise UsageError(f"--days {days} exceeds the scenario horizon "
                          f"of {scenario.horizon.num_days} day(s)")
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        checkpoint = _Checkpoint(config.out_dir, _fingerprint(scenario_bytes, config))
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory: {exc}") from exc
     if config.generate is not None:
         (config.out_dir / "scenario.json").write_bytes(scenario_bytes)
-
-    checkpoint = _Checkpoint(config.out_dir, _fingerprint(scenario_bytes, config))
 
     results: dict[str, list] = {}
     traces: list[dict] = []
     for mode_name in config.modes:
-        if mode_name in ("ECFlexIt", "ECFlexItPrimed"):
-            schedules, mode_traces = _run_decentral_mode(
-                scenario, mode_name, days, config, checkpoint)
-            traces.extend(mode_traces)
-        else:
-            schedules, _ = _run_central_mode(scenario, mode_name, days, config, checkpoint)
-        results[mode_name] = schedules
+        results[mode_name], mode_traces = _run_mode(scenario, mode_name, days, config,
+                                                    checkpoint)
+        traces.extend(mode_traces)
 
     report = billing.summarize(results)
     baseline = next((m for m in ("ECFix", "SoloFix") if m in results), config.modes[0])

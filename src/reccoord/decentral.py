@@ -37,7 +37,7 @@ from . import billing
 from .billing import settle_community  # the operator-side settlement
 from .central import (CarriedState, DaySchedule, DeviceRefs, DISCOMFORT_TAGS, FLEX_TAGS,
                       MemberDaySchedule, PlannerMode, add_device_block, default_refs,
-                      prioritize_self_consumption, final_states, repair_refs_for_state,
+                      prioritize_self_consumption, repair_refs_for_state,
                       settle_day, solve_centralized)
 from .kor import get_key
 from .lpcore import LpProblem, LpStatus, run_ahead, solve_lp
@@ -392,23 +392,3 @@ def _assemble(day_s: Scenario, day: int, agents: Mapping[str, MemberAgent],
         members.append(replace(agent.schedule, series=series,
                                flex_revenue_eur=agent.revenue_eur))
     return settle_day(day_s, mode, day, members)
-
-
-def run_ecflexit_over_days(scenario: Scenario, key: str = "equal",
-                           primed: bool = False, num_days: int | None = None,
-                           max_iterations: int = 100,
-                           evaluation_order: Sequence[str] | None = None,
-                           ) -> tuple[list[DaySchedule], list[IterationTrace]]:
-    """Sequential multi-day coordination with device-state carry-over."""
-    days = scenario.horizon.num_days if num_days is None else num_days
-    schedules: list[DaySchedule] = []
-    traces: list[IterationTrace] = []
-    carried: dict[str, CarriedState] = {}
-    for day in range(days):
-        sched, day_traces = run_ecflexit(
-            scenario, day, key=key, primed=primed, max_iterations=max_iterations,
-            initial_states=carried, evaluation_order=evaluation_order)
-        schedules.append(sched)
-        traces.extend(day_traces)
-        carried = final_states(sched)
-    return schedules, traces

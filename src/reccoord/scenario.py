@@ -646,6 +646,8 @@ def generate_synthetic(config: SyntheticConfig) -> Scenario:
         rate = getattr(config, name)
         if not 0.0 <= rate <= 1.0:
             raise SyntheticConfigError(f"{name} must be in [0,1], got {rate}")
+    if not 0.0 <= config.pv_total_kwp < math.inf:
+        raise SyntheticConfigError(f"pv_total_kwp must be finite and >= 0, got {config.pv_total_kwp}")
 
     rng = np.random.default_rng(config.seed)
     n_members = config.members

@@ -1,6 +1,6 @@
-"""Hand-built scenario fixtures, the ``linprog`` reference solve, the exact
-rational equal key and the per-cell ``schedules.csv`` reference writer shared
-across the test modules."""
+"""Hand-built scenario fixtures, a multi-day loop, the ``linprog`` reference
+solve, the exact rational equal key and the per-cell ``schedules.csv``
+reference writer shared across the test modules."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from reccoord import lpcore
+from reccoord.central import final_states
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
 from reccoord.reporting import SERIES_NAMES
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
@@ -111,6 +112,16 @@ def simple_bss(capacity: float = 10.0, pmax: float = 5.0, eta: float = 1.0,
                soc_max: float = 1.0) -> BssParams:
     return BssParams(capacity_kwh=capacity, max_power_kw=pmax, efficiency=eta,
                      soc_init=soc_init, soc_min=soc_min, soc_max=soc_max)
+
+
+def run_days(scenario: Scenario, solve_day, num_days: int | None = None) -> list:
+    """Schedules of consecutive days, each from ``solve_day(day, carried)`` with
+    the device states the day before ended in (none on day 0)."""
+    schedules, carried = [], {}
+    for day in range(scenario.horizon.num_days if num_days is None else num_days):
+        schedules.append(solve_day(day, carried))
+        carried = final_states(schedules[-1])
+    return schedules
 
 
 def solve_with_linprog(problem: LpProblem) -> LpSolution:

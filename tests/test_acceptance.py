@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 
 from reccoord.billing import activation_price, summarize
-from reccoord.central import (PlannerMode, final_states, run_mode,
-                              solve_centralized, verify_day_schedule)
+from reccoord.central import (PlannerMode, final_states, solve_centralized,
+                              verify_day_schedule)
 from reccoord.devices import (discomfort_ev, discomfort_thermal, simulate_bss,
                               simulate_ev, simulate_hp, simulate_wb)
 from reccoord.kor import cascade_key, equal_key, get_key, prorate_key
 from reccoord.scenario import (SyntheticConfig, generate_synthetic,
                                load_bundled_scenario)
-from reccoord.decentral import run_ecflexit, run_ecflexit_over_days
-from helpers import flat_prices, make_member, make_scenario, series, simple_hp, simple_wb
+from reccoord.decentral import run_ecflexit
+from helpers import (flat_prices, make_member, make_scenario, run_days, series, simple_hp,
+                     simple_wb)
 
 # Schedules produced by criteria 2-5, re-verified by criteria 6 and 8:
 # entries are (scenario, day, schedule, initial_states).
@@ -86,14 +87,20 @@ def test_criterion_3_decentralized_lower_bound_and_gap_on_community20():
     s = load_bundled_scenario("community20")
     days = s.horizon.num_days
 
-    central = run_mode(s, PlannerMode.EC_FLEX)
+    central = run_days(s, lambda day, carried: solve_centralized(
+        s, day, PlannerMode.EC_FLEX, initial_states=carried))
     carried = {}
     for day, sched in enumerate(central):
         _SCHEDULES.append((s, day, sched, dict(carried)))
         carried = final_states(sched)
 
-    schedules, traces = run_ecflexit_over_days(s, key="equal", primed=True)
-    _TRACES.extend((s.horizon.dt_hours, t) for t in traces)
+    def solve_day(day, carried):
+        sched, traces = run_ecflexit(s, day, key="equal", primed=True,
+                                     initial_states=carried)
+        _TRACES.extend((s.horizon.dt_hours, t) for t in traces)
+        return sched
+
+    schedules = run_days(s, solve_day)
     carried = {}
     for day, sched in enumerate(schedules):
         _SCHEDULES.append((s, day, sched, dict(carried)))

@@ -11,12 +11,13 @@ import pytest
 
 from reccoord.central import (DeviceRefs, InfeasibleDayError, PlannerError,
                               PlannerMode, build_day_problem, default_refs,
-                              final_states, prioritize_self_consumption, run_mode,
+                              final_states, prioritize_self_consumption,
                               solve_centralized, verify_day_schedule)
 from reccoord.devices import simulate_wb
 from reccoord.lpcore import TOL_OPT
 from reccoord.scenario import SyntheticConfig, generate_synthetic, load_bundled_scenario
-from helpers import make_member, make_scenario, series, simple_bss, simple_ev, simple_wb
+from helpers import (make_member, make_scenario, run_days, series, simple_bss, simple_ev,
+                     simple_wb)
 
 DT6 = 6.0  # four-step day
 
@@ -232,8 +233,11 @@ def test_primed_centralized_chain_runs_and_verifies():
     cfg = SyntheticConfig(members=4, seed=5, steps_per_day=24, dt_hours=1.0,
                           num_days=2, pv_total_kwp=15.0)
     s = generate_synthetic(cfg)
-    plain = run_mode(s, PlannerMode.EC_FLEX)
-    primed = run_mode(s, PlannerMode.EC_FLEX, primed=True)
+    plain = run_days(s, lambda day, carried: solve_centralized(
+        s, day, PlannerMode.EC_FLEX, initial_states=carried))
+    primed = run_days(s, lambda day, carried: solve_centralized(
+        s, day, PlannerMode.EC_FLEX, initial_states=carried,
+        refs=prioritize_self_consumption(s, day, initial_states=carried)))
     carried = {}
     for day, sched in enumerate(primed):
         assert verify_day_schedule(s, day, sched, initial_states=carried) == []
@@ -247,7 +251,8 @@ def test_multi_day_carry_over_and_daily_battery_anchor():
     cfg = SyntheticConfig(members=4, seed=5, steps_per_day=24, dt_hours=1.0,
                           num_days=3, pv_total_kwp=15.0)
     s = generate_synthetic(cfg)
-    schedules = run_mode(s, PlannerMode.EC_FLEX)
+    schedules = run_days(s, lambda day, carried: solve_centralized(
+        s, day, PlannerMode.EC_FLEX, initial_states=carried))
     assert len(schedules) == 3
     carried = {}
     for day, sched in enumerate(schedules):

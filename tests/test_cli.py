@@ -67,9 +67,21 @@ def test_unknown_mode_is_a_usage_error(tmp_path, capsys):
     ["--generate", "members=3", "--days", "0"],
     ["--generate", "members=3", "--dt", "0"],
     ["--generate", "members=3", "--seed", "-1"],
-], ids=["no-members", "rate-above-one", "zero-days", "zero-dt", "negative-seed"])
+    ["--generate", "members=3,pv=inf"],
+    ["--generate", "members=3,pv=nan"],
+    ["--generate", "members=3,pv=-5"],
+], ids=["no-members", "rate-above-one", "zero-days", "zero-dt", "negative-seed",
+        "infinite-pv", "nan-pv", "negative-pv"])
 def test_bad_generator_input_is_a_usage_error(tmp_path, capsys, args):
     code = _run([*args, "--modes", "solofix", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = _run(["--generate", "members=2", "--modes", "solofix", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -222,13 +234,16 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), name
 
     # unusable metadata, and decodable checkpoints that do not fit the scenario
-    def edit_schedule(mode, edit):
+    def edit(mode, change):
         def corrupt():
             path = resume / "checkpoint" / f"{mode}_0000.json"
             doc = json.loads(path.read_text())
-            edit(doc["schedule"]["members"])
+            change(doc)
             path.write_text(json.dumps(doc))
         return corrupt
+
+    def edit_schedule(mode, change):
+        return edit(mode, lambda doc: change(doc["schedule"]["members"]))
 
     def cut(members, key, tag):  # every member's ``key[tag]`` to 3 entries
         assert any(tag in m[key] for m in members)
@@ -261,6 +276,11 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
          edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "ev"))),
         ("device series added", "ECFlex",
          edit_schedule("ECFlex", lambda ms: add(ms, "series", "pev"))),
+        ("traces not a list", "ECFlexIt", edit("ECFlexIt", lambda doc: doc.update(traces=5))),
+        ("trace not an object", "ECFlexIt",
+         edit("ECFlexIt", lambda doc: doc.update(traces=[1]))),
+        ("trace in a centralized mode", "ECFlex",
+         edit("ECFlex", lambda doc: doc.update(traces=[{"day": 0, "iteration": 1}]))),
     ]
     for case, mode, corrupt in corruptions:
         corrupt()
@@ -351,5 +371,5 @@ def test_trace_dicts_are_kept_only_with_trace(tmp_path):
     for trace in (False, True):
         config = cli.RunConfig(None, None, ["ECFlexIt"], "equal", 1, tmp_path, trace=trace)
         checkpoint = cli._Checkpoint(tmp_path, cli._fingerprint(dump_scenario(scenario), config))
-        _, traces = cli._run_decentral_mode(scenario, "ECFlexIt", 1, config, checkpoint)
+        _, traces = cli._run_mode(scenario, "ECFlexIt", 1, config, checkpoint)
         assert bool(traces) is trace

@@ -15,10 +15,10 @@ from reccoord.central import (CarriedState, PlannerMode, default_refs, final_sta
                               solve_centralized, verify_day_schedule)
 from reccoord.decentral import (FlexRequest, IterationLimitError, MemberAgent,
                                 initial_request, refine_bounds, run_ecflexit,
-                                run_ecflexit_over_days, settle_community)
+                                settle_community)
 from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic
-from helpers import make_member, make_scenario, series, simple_ev, simple_wb
+from helpers import make_member, make_scenario, run_days, series, simple_ev, simple_wb
 
 
 def _agent(scenario, member_id: str) -> MemberAgent:
@@ -317,8 +317,8 @@ class TestRunLoop:
         from reccoord.scenario import load_bundled_scenario
 
         s = load_bundled_scenario()
-        schedules, _traces = run_ecflexit_over_days(s, key="equal", primed=False,
-                                                    num_days=2)
+        schedules = run_days(s, lambda day, carried: run_ecflexit(
+            s, day, key="equal", primed=False, initial_states=carried)[0], num_days=2)
         assert len(schedules) == 2
         carried = {}
         for day, sched in enumerate(schedules):
@@ -329,7 +329,8 @@ class TestRunLoop:
         s = generate_synthetic(SyntheticConfig(members=4, seed=3, steps_per_day=24,
                                                dt_hours=1.0, num_days=2,
                                                pv_total_kwp=16.0))
-        schedules, traces = run_ecflexit_over_days(s, key="prorate", primed=True)
+        schedules = run_days(s, lambda day, carried: run_ecflexit(
+            s, day, key="prorate", primed=True, initial_states=carried)[0])
         assert len(schedules) == 2
         carried = {}
         for day, sched in enumerate(schedules):
