@@ -4,7 +4,7 @@ from .billing import (Bill, BillingError, MemberBenefit, ModeSummary, Report,
                       activation_price, compute_bill, individual_benefits, summarize)
 from .central import (CarriedState, DaySchedule, DeviceRefs, FlexRefs,
                       InfeasibleDayError, MemberDaySchedule, PlannerMode, PlannerError,
-                      SolverFailureError, build_day_problem, default_refs, final_states,
+                      SolverFailureError, default_refs, final_states,
                       prioritize_self_consumption, solve_centralized,
                       verify_day_schedule)
 from .decentral import (Activation, ActivationBounds, CapacityOffer, DecentralError,

@@ -23,6 +23,10 @@ unless explicitly allowed, in which case production becomes a bounded
 variable.  Multi-day runs solve day problems sequentially: vehicle and
 thermal states carry over, batteries re-anchor to their initial state each
 day because the day problem forces end-of-day recovery.
+
+ECFlex is solved in two phases on its own model: first with the device
+powers pinned to the references (the ECFix LP), then relaxed and re-run
+warm from that basis (:meth:`_DayModel.solve`).
 """
 
 from __future__ import annotations
@@ -285,6 +289,7 @@ class _DayModel:
         self.initial_states = initial_states or {}
         self.problem = LpProblem(name=mode.value.lower())
         self.idx: dict[str, dict[str, np.ndarray]] = {}  # member id -> tag -> columns
+        self._power: list[tuple[np.ndarray, np.ndarray]] = []  # device columns, reference
         self._build()
 
     def _build(self) -> None:
@@ -304,6 +309,8 @@ class _DayModel:
             block = add_device_block(p, m, self.refs[uid], state, dt,
                                      pinned=self.mode.flexibility_pinned)
             idx.update(block)
+            self._power += [(block[spec.power], getattr(self.refs[uid], spec.name))
+                            for spec in DEVICES if spec.power in block]
 
             # per step, the physical balance at the point of common coupling
             rhs = -m.fixed_load_kw
@@ -330,6 +337,27 @@ class _DayModel:
         p.add_objective(iret, dt * s.prices.import_price)
         p.add_objective(eret, -dt * s.prices.export_price)
         p.add_objective(com, 2.0 * dt * s.prices.community_fee)
+
+    def solve(self) -> LpSolution:
+        """The day's LP solved; ECFlex from its own pinned basis.
+
+        ECFlex first solves its model with every device power bound to its
+        reference, which is the ECFix LP.  That basis stays primal feasible
+        once the flexible bounds are restored, so HiGHS re-runs warm from it
+        instead of solving the relaxed model cold.  When the pinned phase is
+        not optimal (carried states can make the references infeasible), the
+        relaxed model is solved cold.
+        """
+        p = self.problem
+        if self.mode is not PlannerMode.EC_FLEX or not self._power:
+            return solve_lp(p)
+        cols = np.concatenate([c for c, _ in self._power])
+        refs = np.concatenate([r for _, r in self._power])
+        lb, ub = p.bounds()
+        p.set_bounds(cols, refs, refs)
+        pinned = solve_lp(p)
+        p.set_bounds(cols, lb[cols], ub[cols])
+        return solve_lp(p, warm=pinned.status is LpStatus.OPTIMAL)
 
     def extract(self, solution: LpSolution) -> DaySchedule:
         s = self.scenario
@@ -370,21 +398,13 @@ def settle_day(day_scenario: Scenario, mode: str, day: int,
                        community_bill_eur=bill, community_discomfort_eur=discomfort)
 
 
-def build_day_problem(scenario: Scenario, day: int, mode: PlannerMode,
-                      refs: FlexRefs | None = None,
-                      allow_curtailment: bool = False,
-                      initial_states: Mapping[str, CarriedState] | None = None) -> LpProblem:
-    """Build a single day's LP for the given mode, without solving it."""
-    return _DayModel(scenario, day, mode, refs, allow_curtailment, initial_states).problem
-
-
 def solve_centralized(scenario: Scenario, day: int, mode: PlannerMode,
                       refs: FlexRefs | None = None,
                       allow_curtailment: bool = False,
                       initial_states: Mapping[str, CarriedState] | None = None) -> DaySchedule:
     """Solve one day under one mode and return the full schedule."""
     model = _DayModel(scenario, day, mode, refs, allow_curtailment, initial_states)
-    solution = solve_lp(model.problem)
+    solution = model.solve()
     if solution.status is LpStatus.INFEASIBLE:
         raise InfeasibleDayError(mode.value, day, solution.message)
     if solution.status is not LpStatus.OPTIMAL:

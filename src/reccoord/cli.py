@@ -264,7 +264,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 #: Version of the schedules a checkpoint holds; raised whenever the planners
 #: or the settlement change what they write, so older checkpoints are recomputed.
-CHECKPOINT_FORMAT = 3
+CHECKPOINT_FORMAT = 4
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
@@ -279,6 +279,10 @@ def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
     }
     h.update(json.dumps(settings, sort_keys=True).encode())
     return h.hexdigest()
+
+
+class RunFailure(Exception):
+    """Problem while solving; maps to exit code 1."""
 
 
 def _solve_day(scenario: Scenario, mode_name: str, day: int,
@@ -304,7 +308,10 @@ def _run_mode(scenario: Scenario, mode_name: str, days: int,
     for day in range(days):
         cached = checkpoint.load(mode_name, day, scenario)
         if cached is None:
-            sched, traces = _solve_day(scenario, mode_name, day, carried, config)
+            try:
+                sched, traces = _solve_day(scenario, mode_name, day, carried, config)
+            except (central.PlannerError, decentral.DecentralError) as exc:
+                raise RunFailure(f"{mode_name} day {day}: {exc}") from exc
             _verify_or_die(scenario, day, sched, carried)
             cached = sched, [t.to_dict() for t in traces]
             checkpoint.store(mode_name, day, *cached)
@@ -314,10 +321,6 @@ def _run_mode(scenario: Scenario, mode_name: str, days: int,
             all_traces.extend(trace_dicts)
         carried = central.final_states(sched)
     return schedules, all_traces
-
-
-class RunFailure(Exception):
-    """Problem while solving; maps to exit code 1."""
 
 
 def _verify_or_die(scenario: Scenario, day: int, sched, carried) -> None:
@@ -350,10 +353,10 @@ def run(config: RunConfig) -> reporting.ReportFiles:
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint = _Checkpoint(config.out_dir, _fingerprint(scenario_bytes, config))
+        if config.generate is not None:
+            (config.out_dir / "scenario.json").write_bytes(scenario_bytes)
     except OSError as exc:
-        raise UsageError(f"cannot create output directory: {exc}") from exc
-    if config.generate is not None:
-        (config.out_dir / "scenario.json").write_bytes(scenario_bytes)
+        raise UsageError(f"cannot write to the output directory: {exc}") from exc
 
     results: dict[str, list] = {}
     traces: list[dict] = []
@@ -365,8 +368,11 @@ def run(config: RunConfig) -> reporting.ReportFiles:
     report = billing.summarize(results)
     baseline = next((m for m in ("ECFix", "SoloFix") if m in results), config.modes[0])
     benefits = billing.individual_benefits(results, baseline)
-    return reporting.write_report(
-        report, results, config.out_dir, benefits=benefits, traces=traces)
+    try:
+        return reporting.write_report(
+            report, results, config.out_dir, benefits=benefits, traces=traces)
+    except OSError as exc:
+        raise UsageError(f"cannot write the report: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -381,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (central.PlannerError, decentral.DecentralError, RunFailure) as exc:
+    except RunFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"report written to {files.summary_csv.parent}")

@@ -7,9 +7,14 @@ that a bound error can name a column ``name.t``.
 
 :func:`solve_lp` keeps a persistent HiGHS model attached to the problem:
 bound and right-hand-side edits reach it in place, as changes of only the
-entries that moved, and a structural edit drops it.  Every solve runs cold,
-so results do not depend on solve history, and a model that has not changed
-since its last run is not run again.  HiGHS receives the inequality rows
+entries that moved, and a structural edit drops it.  A solve runs cold, so
+its result does not depend on solve history, and a model that has not changed
+since its last run is not run again.  The one exception is asked for
+explicitly: ``solve_lp(problem, warm=True)`` re-runs HiGHS from the basis of
+its last run.  Only ECFlex uses it, from its own pinned solve (see
+:mod:`reccoord.central`); its optimal objective is the cold one, but where
+several dispatches are optimal the warm run can end on another of them, so
+its schedule is not the cold vertex.  HiGHS receives the inequality rows
 first as ``<=`` rows (``>=`` rows negated), then the equalities, as a CSC
 matrix, under the options SciPy's HiGHS method sets; the tests solve that
 layout through SciPy's own HiGHS interface and require the same bits.  A
@@ -281,11 +286,12 @@ _HIGHS_STATUS = {_highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
 class _HighsModel:
     """A HiGHS model attached to one problem; edits reach it as in-place diffs.
 
-    ``fresh`` says that the last run saw the model as it is now.
+    ``fresh`` says that the last run saw the model as it is now, and ``ran``
+    that a run has left a basis to start from.
     """
 
     def __init__(self, problem: LpProblem):
-        self.fresh = False
+        self.fresh = self.ran = False
         a, self.lhs, self.rhs = problem._highs_layout()
         self.lb, self.ub = problem.bounds()
         lp = _highs.HighsLp()
@@ -330,11 +336,13 @@ def _synced(problem: LpProblem) -> _HighsModel:
     return model
 
 
-def _run(model: _HighsModel) -> None:
-    """A cold HiGHS run; releases the GIL, so it may run on the helper thread."""
-    model.highs.clearSolver()
+def _run(model: _HighsModel, warm: bool = False) -> None:
+    """A HiGHS run, cold unless ``warm`` (then from the basis of the last run);
+    releases the GIL, so it may run on the helper thread."""
+    if not warm:
+        model.highs.clearSolver()
     model.highs.run()
-    model.fresh = True
+    model.fresh = model.ran = True
 
 
 def _cpus() -> int:
@@ -404,11 +412,17 @@ def run_ahead(problems: Iterable[LpProblem]) -> None:
     done.wait()
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve a minimization LP; deterministic for identical input."""
+def solve_lp(problem: LpProblem, warm: bool = False) -> LpSolution:
+    """Solve a minimization LP; deterministic for identical input.
+
+    ``warm=True`` re-runs HiGHS from the basis its last run of this model
+    left, with the bound and row-limit edits made since pushed in place.
+    A model that has not run since it was attached (a new problem, or one
+    structurally edited) is solved cold.
+    """
     model = _synced(problem)
     if not model.fresh:
-        _run(model)
+        _run(model, warm and model.ran)
     h = model.highs
     status = h.getModelStatus()
     x = np.array(h.getSolution().col_value) if status == _highs.HighsModelStatus.kOptimal \

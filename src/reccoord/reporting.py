@@ -155,18 +155,6 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
     return files
 
 
-def load_schedules_csv(path: str | Path) -> list[dict]:
-    """Parse a schedules CSV back into row dicts (numeric fields converted)."""
-    rows = []
-    with Path(path).open("r", encoding="utf-8", newline="") as fh:
-        for record in csv.DictReader(fh):
-            record["day"] = int(record["day"])
-            record["t"] = int(record["t"])
-            record["value"] = float(record["value"])
-            rows.append(record)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Schedule (de)serialization, used for day-level checkpointing
 

@@ -1,6 +1,6 @@
 """Hand-built scenario fixtures, a multi-day loop, the ``linprog`` reference
 solve, the exact rational equal key and the per-cell ``schedules.csv``
-reference writer shared across the test modules."""
+reference writer and reader shared across the test modules."""
 
 from __future__ import annotations
 
@@ -152,6 +152,18 @@ def write_schedules_csv_reference(schedules, path: Path) -> None:
                         for tag in sorted(m.series, key=SERIES_NAMES.__getitem__):
                             writer.writerow([mode, sched.day, t, m.member_id,
                                              SERIES_NAMES[tag], f"{float(m.series[tag][t]):.9g}"])
+
+
+def load_schedules_csv(path: str | Path) -> list[dict]:
+    """Parse a schedules CSV back into row dicts (numeric fields converted)."""
+    rows = []
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
+        for record in csv.DictReader(fh):
+            record["day"] = int(record["day"])
+            record["t"] = int(record["t"])
+            record["value"] = float(record["value"])
+            rows.append(record)
+    return rows
 
 
 def equal_key_fraction(offers, request: float) -> np.ndarray:

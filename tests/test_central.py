@@ -9,12 +9,13 @@ import itertools
 import numpy as np
 import pytest
 
-from reccoord.central import (DeviceRefs, InfeasibleDayError, PlannerError,
-                              PlannerMode, build_day_problem, default_refs,
+from reccoord import central
+from reccoord.central import (CarriedState, DeviceRefs, InfeasibleDayError, PlannerError,
+                              PlannerMode, _DayModel, default_refs,
                               final_states, prioritize_self_consumption,
                               solve_centralized, verify_day_schedule)
 from reccoord.devices import simulate_wb
-from reccoord.lpcore import TOL_OPT
+from reccoord.lpcore import TOL_OPT, LpStatus, solve_lp
 from reccoord.scenario import SyntheticConfig, generate_synthetic, load_bundled_scenario
 from helpers import (make_member, make_scenario, run_days, series, simple_bss, simple_ev,
                      simple_wb)
@@ -185,17 +186,59 @@ def test_infeasible_day_raises_with_mode_and_day():
     assert err.value.day == 0
 
 
+def _cold_ecflex(scenario, initial_states=None):
+    """ECFlex's own model solved cold, and that model."""
+    model = _DayModel(scenario, 0, PlannerMode.EC_FLEX, None, False, initial_states)
+    return solve_lp(model.problem), model
+
+
+def test_ecflex_warm_from_its_pinned_basis_reaches_the_cold_optimum():
+    s = generate_synthetic(SyntheticConfig(members=40, seed=3))
+    cold, cold_model = _cold_ecflex(s)
+    model = _DayModel(s, 0, PlannerMode.EC_FLEX, None, False, None)
+    warm = model.solve()
+    assert warm.objective == pytest.approx(cold.objective, rel=TOL_OPT)
+    assert verify_day_schedule(s, 0, model.extract(warm)) == []
+    # fewer iterations than cold: the warm run did start from the pinned basis
+    iterations = [m.problem._attached.highs.getInfo().simplex_iteration_count
+                  for m in (model, cold_model)]
+    assert iterations[0] < iterations[1]
+
+
+def test_ecflex_solves_cold_when_carried_state_breaks_the_references(monkeypatch):
+    """A vehicle left emptier than planned cannot follow its reference to the
+    departure target, so the pinned phase is infeasible; ECFlex itself is not."""
+    ev = simple_ev(24, power_ref=series(24, t20=2.0), capacity=10.0, pmax=5.0,
+                   soc_init=0.7, soc_ref=series(24, t6=0.7), departure=series(24, t6=1.0))
+    s = make_scenario([make_member("e", 24, ev=ev, pv=series(24, t12=3.0))], steps=24)
+    states = {"e": CarriedState(ev=0.6)}
+    cold, _ = _cold_ecflex(s, states)
+
+    solves = []
+
+    def recording(problem, warm=False):
+        solution = solve_lp(problem, warm)
+        solves.append((solution.status, warm))
+        return solution
+
+    monkeypatch.setattr(central, "solve_lp", recording)
+    sched = solve_centralized(s, 0, PlannerMode.EC_FLEX, initial_states=states)
+    assert solves == [(LpStatus.INFEASIBLE, False), (LpStatus.OPTIMAL, False)]
+    assert sched.objective_value == pytest.approx(cold.objective, rel=TOL_OPT)
+    assert verify_day_schedule(s, 0, sched, initial_states=states) == []
+
+
 def test_reference_dimension_mismatch_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     refs = {"u1": DeviceRefs(wb=np.zeros(3))}
     with pytest.raises(PlannerError, match="reference length"):
-        build_day_problem(s, 0, PlannerMode.EC_FLEX, refs=refs)
+        _DayModel(s, 0, PlannerMode.EC_FLEX, refs, False, None)
 
 
 def test_missing_member_reference_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     with pytest.raises(PlannerError, match="missing"):
-        build_day_problem(s, 0, PlannerMode.EC_FLEX, refs={})
+        _DayModel(s, 0, PlannerMode.EC_FLEX, {}, False, None)
 
 
 class TestPrioritization:

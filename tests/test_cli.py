@@ -10,7 +10,8 @@ import pytest
 
 from reccoord import central, cli, decentral
 from reccoord.cli import main
-from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic
+from reccoord.lpcore import TOL_OPT
+from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic, load_scenario
 from helpers import solve_with_linprog
 
 GEN = "members=4,wb=0.5,ev=0.25,hp=0.25,bss=0.25,pv=16"
@@ -86,6 +87,17 @@ def test_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("name", ["scenario.json", "summary.csv"])
+def test_out_holding_a_directory_in_place_of_an_output_file_is_a_usage_error(
+        tmp_path, capsys, name):
+    (tmp_path / name).mkdir()
+    code = _run(["--generate", "members=2", "--modes", "solofix", "--days", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 def test_days_beyond_horizon_rejected(tmp_path, capsys):
     code = _run(["--generate", GEN, "--seed", "1", "--modes", "solofix",
                  "--days", "3", "--dt", "1.0", "--out", str(tmp_path)])
@@ -116,6 +128,36 @@ def test_infeasible_day_exits_1_naming_mode_and_day(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "ECFlex" in err and "day 0" in err
+
+
+def test_a_failing_priming_day_names_the_user_mode(tmp_path, capsys):
+    """ECFlexItPrimed fails in its internal SoloFlex priming solve; the error
+    names the mode the user ran and the day, not only the planner."""
+    import numpy as np
+
+    from helpers import make_member, make_scenario, simple_ev
+
+    ev = simple_ev(4, power_ref=np.zeros(4), plugged=[1, 0, 0, 0],
+                   departure=[1, 0, 0, 0], soc_ref=[0.9, 0, 0, 0], soc_init=0.1)
+    path = tmp_path / "impossible.json"
+    path.write_bytes(dump_scenario(make_scenario([make_member("u1", 4, ev=ev)], steps=4)))
+    code = _run(["--scenario", str(path), "--modes", "ecflexitprimed", "--key", "equal",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: ECFlexItPrimed day 0: SoloFlex infeasible on day 0")
+
+
+def test_a_failing_member_subproblem_names_mode_and_day(tmp_path, capsys, monkeypatch):
+    def infeasible(self, up_limit, down_limit):
+        raise decentral.DecentralError(f"member {self.member.id} subproblem infeasible")
+
+    monkeypatch.setattr(decentral.MemberAgent, "_solve", infeasible)
+    code = _run(["--generate", GEN, "--seed", "5", "--dt", "1.0", "--modes",
+                 "solofix,ecflexit", "--key", "equal", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ECFlexIt day 0: member ") and err.count("\n") == 1
 
 
 def test_invalid_scenario_file_is_an_input_error(tmp_path, capsys):
@@ -314,10 +356,16 @@ def test_series_tags_are_those_of_solved_schedules():
 
 
 def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
+    """Every mode solved cold writes the bytes of the ``linprog`` reference.
+
+    ECFlex re-runs warm from its pinned basis, so by design its vertex is not
+    the cold one; it must reach the cold optimum and verify clean.
+    """
     args = ["--generate", "members=6", "--seed", "7", "--modes",
-            "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal",
-            "--trace"]
+            "solofix,soloflex,ecfix,ecflexit,ecflexitprimed", "--key", "equal", "--trace"]
     assert _run([*args, "--out", str(tmp_path / "highs")]) == 0
+    scenario = load_scenario((tmp_path / "highs" / "scenario.json").read_bytes())
+    ecflex = central.solve_centralized(scenario, 0, central.PlannerMode.EC_FLEX)
     monkeypatch.setattr(central, "solve_lp", solve_with_linprog)
     monkeypatch.setattr(decentral, "solve_lp", solve_with_linprog)
     monkeypatch.setattr(decentral, "run_ahead", lambda problems: None)  # no HiGHS ahead
@@ -326,6 +374,20 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
         assert (tmp_path / "highs" / name).read_bytes() \
             == (tmp_path / "linprog" / name).read_bytes(), name
 
+    cold = solve_with_linprog(
+        central._DayModel(scenario, 0, central.PlannerMode.EC_FLEX, None, False, None).problem)
+    assert ecflex.objective_value == pytest.approx(cold.objective, rel=TOL_OPT)
+    assert central.verify_day_schedule(scenario, 0, ecflex) == []
+
+
+def test_ecflex_does_not_depend_on_the_modes_run_before_it(tmp_path):
+    args = ["--generate", GEN, "--seed", "5", "--dt", "1.0"]
+    assert _run([*args, "--modes", "ecflex", "--out", str(tmp_path / "alone")]) == 0
+    assert _run([*args, "--modes", "ecfix,ecflex", "--out", str(tmp_path / "after")]) == 0
+    rows = [[line for line in (tmp_path / out / "schedules.csv").read_text().splitlines()
+             if line.startswith("ECFlex,")] for out in ("alone", "after")]
+    assert rows[0] and rows[0] == rows[1]
+
 
 #: sha256 of the report files of :data:`GOLDEN_ARGS`, recorded with scipy 1.17.1
 #: (HiGHS 1.12.0).
@@ -333,9 +395,9 @@ GOLDEN_ARGS = ["--generate", "members=6", "--seed", "7", "--modes",
                "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal",
                "--trace", "--days", "1"]
 GOLDEN_SHA256 = {
-    "summary.csv": "dd2fc224b09e193a08f3c9daa53e417861736f9dba7c38a967e78db0ab3818b1",
-    "benefits.csv": "0a34a65651c29442a128dfc4bc0221c20acdc4b6825621d88b01c577f8c2776c",
-    "schedules.csv": "6c2a50fac9cea41b7c45b4f29dcfa9095d8f8c2d03659e314a0fac022d985707",
+    "summary.csv": "e699074317c0e14ace4e3a3b9926ba7cb3782bcbe2aeb400e558502668aeb5c2",
+    "benefits.csv": "9b329c073a447cfe57da637caab4ef9db177b080da71ed7ff804c0c476820cc0",
+    "schedules.csv": "cefca04f518c7aea27df9c2f519937adb8b6b651d574d3f591fa98fd46a96fa7",
     "trace.jsonl": "5e7f5faccf05312cc8a822b975e9dfc42f0f36212cd281301875eae9a069409b",
 }
 

@@ -282,7 +282,8 @@ class TestRunLoop:
         monkeypatch.setattr(lpcore, "_cpus", lambda: 2)
         runs = []
         run = lpcore._run
-        monkeypatch.setattr(lpcore, "_run", lambda model: (runs.append(1), run(model)))
+        monkeypatch.setattr(lpcore, "_run",
+                            lambda model, warm=False: (runs.append(1), run(model, warm)))
         results = [run_ecflexit(s, 0, key="equal", primed=primed)]
         ahead = len(runs)
         monkeypatch.setattr(decentral, "run_ahead", lambda problems: None)

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 
 from reccoord.billing import activation_price
-from reccoord.central import (CarriedState, PlannerMode, build_day_problem, default_refs,
+from reccoord.central import (CarriedState, PlannerMode, _DayModel, default_refs,
                               solve_centralized)
 from reccoord import lpcore
 from reccoord.decentral import MemberAgent
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
                              run_ahead, solve_lp)
 from reccoord.scenario import SyntheticConfig, generate_synthetic
+from scipy.optimize._highspy import _core as _highs
 from helpers import solve_with_linprog
 
 
@@ -243,6 +244,10 @@ def community():
                                               dt_hours=1.0, pv_total_kwp=20.0))
 
 
+def _day_lp(scenario) -> LpProblem:
+    return _DayModel(scenario, 0, PlannerMode.EC_FLEX, None, False, None).problem
+
+
 def _member_agent(scenario) -> MemberAgent:
     day = scenario.for_day(0)
     m = next(m for m in day.members if m.has_flexibility)
@@ -266,7 +271,7 @@ def _limit_member(agent: MemberAgent, scale: float) -> LpProblem:
 
 
 def test_backends_agree_bit_for_bit_on_day_and_member_lps(community):
-    day_lp = build_day_problem(community, 0, PlannerMode.EC_FLEX)
+    day_lp = _day_lp(community)
     member_lp = _limit_member(_member_agent(community), 1.0)
     for problem in (day_lp, member_lp):
         a = solve_lp(problem)
@@ -316,6 +321,83 @@ def test_structural_edit_drops_the_attached_model():
 
 
 # ---------------------------------------------------------------------------
+# Warm re-runs: bound edits pushed in place, HiGHS started from its last basis
+
+
+def _pinned_day_lp(scenario):
+    """The ECFlex day LP with every device power bound to its reference, and
+    those columns with their flexible bounds."""
+    model = _DayModel(scenario, 0, PlannerMode.EC_FLEX, None, False, None)
+    p = model.problem
+    cols = np.concatenate([c for c, _ in model._power])
+    refs = np.concatenate([r for _, r in model._power])
+    lb, ub = p.bounds()
+    p.set_bounds(cols, refs, refs)
+    return p, cols, lb[cols], ub[cols]
+
+
+def test_warm_resolve_matches_a_highs_run_kept_from_the_pinned_basis(community):
+    p, cols, lb, ub = _pinned_day_lp(community)
+    assert solve_lp(p).status is LpStatus.OPTIMAL
+    p.set_bounds(cols, lb, ub)
+    warm = solve_lp(p, warm=True)
+
+    # a fresh HiGHS handed the pinned LP, run, relaxed in place and run again
+    pinned, _, _, _ = _pinned_day_lp(community)
+    a, lhs, rhs = pinned._highs_layout()
+    lp = _highs.HighsLp()
+    lp.num_row_, lp.num_col_ = a.shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_ = pinned.objective_vector()
+    lp.col_lower_, lp.col_upper_ = pinned.bounds()
+    lp.row_lower_, lp.row_upper_ = lhs, rhs
+    h = _highs._Highs()
+    for key, value in lpcore._HIGHS_OPTIONS:
+        h.setOptionValue(key, value)
+    h.passModel(lp)
+    h.run()
+    h.changeColsBounds(cols.size, cols.astype(np.int32), lb, ub)
+    h.run()
+    assert warm.status is LpStatus.OPTIMAL
+    assert _same_bits(warm.x, np.array(h.getSolution().col_value))
+    iterations = h.getInfo().simplex_iteration_count
+    assert p._attached.highs.getInfo().simplex_iteration_count == iterations
+
+    cold = _day_lp(community)
+    assert solve_lp(cold).objective == pytest.approx(warm.objective, rel=TOL_OPT)
+    assert iterations < cold._attached.highs.getInfo().simplex_iteration_count
+
+
+def test_warm_without_a_basis_to_start_from_runs_cold(community, monkeypatch):
+    """No earlier run, or a structural edit since it, leaves nothing to start
+    from: ``warm=True`` then solves cold, with the bits of a cold solve."""
+    warm_runs = []
+    run = lpcore._run
+
+    def recording(model, warm=False):
+        warm_runs.append(warm)
+        run(model, warm)
+
+    monkeypatch.setattr(lpcore, "_run", recording)
+    p, cols, lb, ub = _pinned_day_lp(community)
+    p.set_bounds(cols, lb, ub)
+    got = solve_lp(p, warm=True)
+    assert warm_runs == [False]
+    assert _same_bits(got.x, solve_with_linprog(p).x)
+
+    p.set_bounds(cols, lb, 2.0 * ub)  # a bound edit keeps the basis
+    assert solve_lp(p, warm=True).status is LpStatus.OPTIMAL
+    assert warm_runs == [False, True]
+
+    p.add_rows("<=", float(np.sum(ub)), [(cols, 1.0, 0)])  # a structural edit drops it
+    got = solve_lp(p, warm=True)
+    assert warm_runs == [False, True, False]
+    assert _same_bits(got.x, solve_with_linprog(p).x)
+
+
+# ---------------------------------------------------------------------------
 # Running ahead: concurrent HiGHS runs read back by solve_lp
 
 
@@ -326,9 +408,9 @@ def runs(monkeypatch):
     runs = []
     run = lpcore._run
 
-    def counting(model):
+    def counting(model, warm=False):
         runs.append(model)
-        run(model)
+        run(model, warm)
 
     monkeypatch.setattr(lpcore, "_run", counting)
     monkeypatch.setattr(lpcore, "_cpus", lambda: 2)
@@ -337,7 +419,7 @@ def runs(monkeypatch):
 
 def _three_lps(scenario) -> list[LpProblem]:
     """A day LP and two member LPs of one community, set up for a solve."""
-    return [build_day_problem(scenario, 0, PlannerMode.EC_FLEX),
+    return [_day_lp(scenario),
             _limit_member(_member_agent(scenario), 1.0),
             _limit_member(_member_agent(scenario), 0.3)]
 
@@ -444,9 +526,9 @@ def test_run_ahead_keeps_one_helper_thread(runs, monkeypatch):
     threads = set()
     counting = lpcore._run
 
-    def on_thread(model):
+    def on_thread(model, warm=False):
         threads.add(threading.current_thread())
-        counting(model)
+        counting(model, warm)
 
     monkeypatch.setattr(lpcore, "_run", on_thread)
 

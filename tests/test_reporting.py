@@ -13,10 +13,9 @@ from reccoord import reporting
 from reccoord.billing import Report, individual_benefits, summarize
 from reccoord.central import DaySchedule, MemberDaySchedule, PlannerMode, solve_centralized
 from reccoord.decentral import run_ecflexit
-from reccoord.reporting import (load_schedules_csv, schedule_from_dict,
-                                schedule_to_dict, write_report)
+from reccoord.reporting import schedule_from_dict, schedule_to_dict, write_report
 from reccoord.scenario import SyntheticConfig, generate_synthetic
-from helpers import write_schedules_csv_reference
+from helpers import load_schedules_csv, write_schedules_csv_reference
 
 
 @pytest.fixture(scope="module")
