@@ -2,16 +2,15 @@
 
 from .billing import (Bill, BillingError, MemberBenefit, ModeSummary, Report,
                       activation_price, compute_bill, individual_benefits, summarize)
-from .central import (CarriedState, DaySchedule, DeviceRefs, FlexRefs,
+from .central import (CarriedState, DayLpError, DaySchedule, DeviceRefs, FlexRefs,
                       InfeasibleDayError, MemberDaySchedule, PlannerMode, PlannerError,
-                      SolverFailureError, default_refs, final_states,
+                      SolvedDay, SolverFailureError, default_refs, final_states,
                       prioritize_self_consumption, solve_centralized,
                       verify_day_schedule)
 from .decentral import (Activation, ActivationBounds, CapacityOffer, DecentralError,
                         FlexRequest, IterationLimitError, IterationTrace, MemberAgent,
                         initial_request, refine_bounds, run_ecflexit, settle_community)
-from .devices import (Discomfort, discomfort_ev, discomfort_thermal, simulate_bss,
-                      simulate_ev, simulate_hp, simulate_wb)
+from .devices import Discomfort, simulate_bss, simulate_ev, simulate_hp, simulate_wb
 from .kor import cascade_key, equal_key, get_key, prorate_key
 from .lpcore import (LpError, LpProblem, LpSolution, LpStatus, TOL_FEAS, TOL_OPT,
                      solve_lp)

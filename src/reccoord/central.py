@@ -27,6 +27,13 @@ day because the day problem forces end-of-day recovery.
 ECFlex is solved in two phases on its own model: first with the device
 powers pinned to the references (the ECFix LP), then relaxed and re-run
 warm from that basis (:meth:`_DayModel.solve`).
+
+A :class:`SolvedDay` memo lets the solves of one day share their LPs: a
+schedule is solved once per mode, curtailment option, reference powers and
+carried states, and handed to every later solve asking for the same.  With
+it, ECFlex's pinned phase also gives ECFix's schedule when both modes are
+run on a day whose references and carried states coincide, as they do on
+the first day, where every mode starts from the scenario's states.
 """
 
 from __future__ import annotations
@@ -62,18 +69,25 @@ class PlannerError(Exception):
     """Base class for planner failures."""
 
 
-class InfeasibleDayError(PlannerError):
+class DayLpError(PlannerError):
+    """A day LP without an optimal solution.  The message names the planner
+    ``mode``; ``reason`` is the message without it, and ``day`` says which day."""
+
+    def __init__(self, mode: str, day: int, reason: str):
+        self.mode = mode
+        self.day = day
+        self.reason = reason
+        super().__init__(f"{mode} {reason}")
+
+
+class InfeasibleDayError(DayLpError):
     def __init__(self, mode: str, day: int, message: str = ""):
-        self.mode = mode
-        self.day = day
-        super().__init__(f"{mode} infeasible on day {day}" + (f": {message}" if message else ""))
+        super().__init__(mode, day, "infeasible" + (f": {message}" if message else ""))
 
 
-class SolverFailureError(PlannerError):
+class SolverFailureError(DayLpError):
     def __init__(self, mode: str, day: int, message: str):
-        self.mode = mode
-        self.day = day
-        super().__init__(f"{mode} solver failure on day {day}: {message}")
+        super().__init__(mode, day, f"solver failure: {message}")
 
 
 @dataclass(frozen=True)
@@ -290,6 +304,7 @@ class _DayModel:
         self.problem = LpProblem(name=mode.value.lower())
         self.idx: dict[str, dict[str, np.ndarray]] = {}  # member id -> tag -> columns
         self._power: list[tuple[np.ndarray, np.ndarray]] = []  # device columns, reference
+        self.pinned: LpSolution | None = None  # ECFlex's pinned phase, once solved
         self._build()
 
     def _build(self) -> None:
@@ -346,7 +361,7 @@ class _DayModel:
         once the flexible bounds are restored, so HiGHS re-runs warm from it
         instead of solving the relaxed model cold.  When the pinned phase is
         not optimal (carried states can make the references infeasible), the
-        relaxed model is solved cold.
+        relaxed model is solved cold.  The pinned phase stays in ``pinned``.
         """
         p = self.problem
         if self.mode is not PlannerMode.EC_FLEX or not self._power:
@@ -355,12 +370,15 @@ class _DayModel:
         refs = np.concatenate([r for _, r in self._power])
         lb, ub = p.bounds()
         p.set_bounds(cols, refs, refs)
-        pinned = solve_lp(p)
+        self.pinned = solve_lp(p)
         p.set_bounds(cols, lb[cols], ub[cols])
-        return solve_lp(p, warm=pinned.status is LpStatus.OPTIMAL)
+        return solve_lp(p, warm=self.pinned.status is LpStatus.OPTIMAL)
 
-    def extract(self, solution: LpSolution) -> DaySchedule:
+    def extract(self, solution: LpSolution, mode: PlannerMode | None = None) -> DaySchedule:
+        """The settled schedule of a solution, labelled ``mode`` (the model's
+        own by default)."""
         s = self.scenario
+        mode = mode or self.mode
         x = solution.x
         members = []
         for m in s.members:
@@ -368,8 +386,8 @@ class _DayModel:
             series["pinj"] = series.pop("pexp") - series.pop("pimp")
             series.setdefault("ppv", np.array(m.pv_max_kw))
             members.append(MemberDaySchedule(m.id, series, refs=self.refs[m.id]))
-        return settle_day(s, self.mode.value, self.day, members,
-                          community=self.mode.community_allowed,
+        return settle_day(s, mode.value, self.day, members,
+                          community=mode.community_allowed,
                           objective=float(solution.objective))
 
 
@@ -398,32 +416,95 @@ def settle_day(day_scenario: Scenario, mode: str, day: int,
                        community_bill_eur=bill, community_discomfort_eur=discomfort)
 
 
+class SolvedDay:
+    """The schedules solved on one day of one scenario, keyed by their LP.
+
+    The day LP is defined by the mode, the curtailment option and every
+    member's reference powers and carried state; a key compares them bit for
+    bit, with a missing state counting as ``CarriedState()``.  Only settled
+    schedules are kept, never a HiGHS model, and never a failure.  A hit hands
+    back the stored :class:`DaySchedule` itself, which its users only read.
+    """
+
+    def __init__(self, scenario: Scenario, day: int):
+        self.scenario = scenario
+        self.day = day
+        self.schedules: dict[tuple, DaySchedule] = {}
+        self._defaults: FlexRefs | None = None
+
+    def key(self, mode: PlannerMode, refs: FlexRefs | None, allow_curtailment: bool,
+            initial_states: Mapping[str, CarriedState] | None) -> tuple:
+        if refs is None:
+            if self._defaults is None:
+                self._defaults = default_refs(self.scenario.for_day(self.day))
+            refs = self._defaults
+        states = initial_states or {}
+        members = []
+        for m in self.scenario.members:
+            r = refs.get(m.id)
+            state = states.get(m.id, CarriedState())
+            members.append((m.id, None if r is None else
+                            tuple(_bits(getattr(r, spec.name)) for spec in DEVICES),
+                            tuple(_bits(getattr(state, spec.name)) for spec in DEVICES)))
+        return mode, allow_curtailment, tuple(members)
+
+
+def _bits(value) -> bytes | None:
+    """A number or a series as its float64 bytes, so that equal means bit-equal."""
+    return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
+
+
 def solve_centralized(scenario: Scenario, day: int, mode: PlannerMode,
                       refs: FlexRefs | None = None,
                       allow_curtailment: bool = False,
-                      initial_states: Mapping[str, CarriedState] | None = None) -> DaySchedule:
-    """Solve one day under one mode and return the full schedule."""
+                      initial_states: Mapping[str, CarriedState] | None = None,
+                      solved: SolvedDay | None = None) -> DaySchedule:
+    """Solve one day under one mode and return the full schedule.
+
+    With a ``solved`` memo of this scenario and day, a schedule it holds for
+    the same LP is returned as it is; otherwise the solved schedule is stored
+    there, and an ECFlex solve also stores its optimal pinned phase as ECFix's
+    schedule: that phase is the ECFix LP, solved cold as ECFix solves it.
+    """
+    key = None
+    if solved is not None:
+        if solved.scenario is not scenario or solved.day != day:
+            raise ValueError(f"the memo of day {solved.day} does not hold day {day} "
+                             f"of this scenario")
+        key = solved.key(mode, refs, allow_curtailment, initial_states)
+        if key in solved.schedules:
+            return solved.schedules[key]
     model = _DayModel(scenario, day, mode, refs, allow_curtailment, initial_states)
     solution = model.solve()
+    if key is not None and model.pinned is not None \
+            and model.pinned.status is LpStatus.OPTIMAL:
+        ecfix = solved.key(PlannerMode.EC_FIX, refs, allow_curtailment, initial_states)
+        if ecfix not in solved.schedules:
+            solved.schedules[ecfix] = model.extract(model.pinned, PlannerMode.EC_FIX)
     if solution.status is LpStatus.INFEASIBLE:
         raise InfeasibleDayError(mode.value, day, solution.message)
     if solution.status is not LpStatus.OPTIMAL:
         raise SolverFailureError(mode.value, day, f"{solution.status.value}: {solution.message}")
-    return model.extract(solution)
+    sched = model.extract(solution)
+    if key is not None:
+        solved.schedules[key] = sched
+    return sched
 
 
 def prioritize_self_consumption(
         scenario: Scenario, day: int,
-        initial_states: Mapping[str, CarriedState] | None = None) -> FlexRefs:
+        initial_states: Mapping[str, CarriedState] | None = None,
+        solved: SolvedDay | None = None) -> FlexRefs:
     """Rewrite device references to each member's individually optimal dispatch.
 
-    Solves the no-community flexible problem and returns its device schedules
-    as new reference profiles.  Discomfort references (SoC and temperature
-    targets) are left untouched, so discomfort created by the individual
-    optimization is carried into any coordination built on top.
+    Solves the no-community flexible problem (through the ``solved`` memo,
+    when given) and returns its device schedules as new reference profiles.
+    Discomfort references (SoC and temperature targets) are left untouched,
+    so discomfort created by the individual optimization is carried into any
+    coordination built on top.
     """
     sched = solve_centralized(scenario, day, PlannerMode.SOLO_FLEX,
-                              initial_states=initial_states)
+                              initial_states=initial_states, solved=solved)
     return {m.member_id: DeviceRefs.of_powers(m.series) for m in sched.members}
 
 

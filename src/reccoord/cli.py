@@ -4,11 +4,18 @@ Example::
 
     reccoord run --generate members=4 --seed 7 --modes solofix,ecfix --days 1 --out out/
 
-Days are solved sequentially per mode with device-state carry-over.  Every
-completed (mode, day) is checkpointed under ``<out>/checkpoint/`` so that
-interrupted long runs resume instead of re-solving; a checkpoint is only
-reused when the scenario content, run parameters and checkpoint format hash
-identically.
+One loop runs over the days.  Within a day the requested modes are solved
+in a fixed order, ECFlex, ECFix, SoloFlex, SoloFix, ECFlexIt, ECFlexItPrimed,
+through one :class:`~reccoord.central.SolvedDay` memo of that day, so each
+distinct day LP is solved once: ECFix comes from ECFlex's pinned phase, and
+the decentralized modes reuse the ECFix and SoloFlex schedules already solved,
+whenever their references and carried states coincide (on the first day in
+practice).  The memo is dropped with its day.  Each mode carries its own
+device states from one day into the next, and the reports list the modes in
+the order given.  Every completed (mode, day) is checkpointed under
+``<out>/checkpoint/`` so that interrupted long runs resume instead of
+re-solving; a checkpoint is only reused when the scenario content, run
+parameters and checkpoint format hash identically.
 
 Exit codes: 0 success, 1 solve/runtime failure (diagnostic names the mode
 and day), 2 usage or input errors.
@@ -285,42 +292,62 @@ class RunFailure(Exception):
     """Problem while solving; maps to exit code 1."""
 
 
+#: The order the modes of one day are solved in.  ECFlex's pinned phase
+#: gives ECFix, SoloFlex gives ECFlexItPrimed's priming, and ECFix the start
+#: of the plain coordination.
+SOLVE_ORDER = ("ECFlex", "ECFix", "SoloFlex", "SoloFix", "ECFlexIt", "ECFlexItPrimed")
+
+
 def _solve_day(scenario: Scenario, mode_name: str, day: int,
-               carried: dict[str, CarriedState], config: RunConfig):
-    """One day of one mode from the carried device states, with its coordination
-    rounds (none for a centralized mode)."""
-    if mode_name.startswith("ECFlexIt"):
-        return decentral.run_ecflexit(
-            scenario, day, key=config.key, primed=mode_name == "ECFlexItPrimed",
-            max_iterations=config.max_iterations, initial_states=carried)
-    return central.solve_centralized(
-        scenario, day, PlannerMode(mode_name), initial_states=carried,
-        allow_curtailment=config.allow_curtailment), []
+               carried: dict[str, CarriedState], config: RunConfig,
+               solved: central.SolvedDay):
+    """One day of one mode from the carried device states, verified, with its
+    coordination rounds (none for a centralized mode)."""
+    try:
+        if mode_name.startswith("ECFlexIt"):
+            sched, traces = decentral.run_ecflexit(
+                scenario, day, key=config.key, primed=mode_name == "ECFlexItPrimed",
+                max_iterations=config.max_iterations, initial_states=carried, solved=solved)
+        else:
+            sched, traces = central.solve_centralized(
+                scenario, day, PlannerMode(mode_name), initial_states=carried,
+                allow_curtailment=config.allow_curtailment, solved=solved), []
+    except (central.PlannerError, decentral.DecentralError) as exc:
+        # name the planner only where it is not the mode run
+        detail = exc.reason if isinstance(exc, central.DayLpError) \
+            and exc.mode == mode_name else exc
+        raise RunFailure(f"{mode_name} day {day}: {detail}") from exc
+    _verify_or_die(scenario, day, sched, carried)
+    return sched, [t.to_dict() for t in traces]
 
 
-def _run_mode(scenario: Scenario, mode_name: str, days: int,
-              config: RunConfig, checkpoint: _Checkpoint):
-    """Solve ``days`` consecutive days of one mode, carrying device states from
-    each day into the next and reusing every day the checkpoint holds."""
-    schedules = []
-    all_traces: list[dict] = []
-    carried: dict[str, CarriedState] = {}
+def _run_modes(scenario: Scenario, days: int, config: RunConfig,
+               checkpoint: _Checkpoint) -> tuple[dict[str, list], dict[str, list[dict]]]:
+    """Solve ``days`` consecutive days of every mode of ``config``, reusing
+    every (mode, day) the checkpoint holds.
+
+    Returns each mode's schedules and, with ``config.trace``, its trace dicts.
+    A day's modes run in :data:`SOLVE_ORDER` and share that day's memo; each
+    mode carries the device states its own last day ended in.
+    """
+    modes = [m for m in SOLVE_ORDER if m in config.modes]
+    schedules: dict[str, list] = {m: [] for m in modes}
+    traces: dict[str, list[dict]] = {m: [] for m in modes}
+    carried: dict[str, dict[str, CarriedState]] = {m: {} for m in modes}
     for day in range(days):
-        cached = checkpoint.load(mode_name, day, scenario)
-        if cached is None:
-            try:
-                sched, traces = _solve_day(scenario, mode_name, day, carried, config)
-            except (central.PlannerError, decentral.DecentralError) as exc:
-                raise RunFailure(f"{mode_name} day {day}: {exc}") from exc
-            _verify_or_die(scenario, day, sched, carried)
-            cached = sched, [t.to_dict() for t in traces]
-            checkpoint.store(mode_name, day, *cached)
-        sched, trace_dicts = cached
-        schedules.append(sched)
-        if config.trace:  # only the trace report reads them
-            all_traces.extend(trace_dicts)
-        carried = central.final_states(sched)
-    return schedules, all_traces
+        solved = central.SolvedDay(scenario, day)
+        for mode_name in modes:
+            cached = checkpoint.load(mode_name, day, scenario)
+            if cached is None:
+                cached = _solve_day(scenario, mode_name, day, carried[mode_name], config,
+                                    solved)
+                checkpoint.store(mode_name, day, *cached)
+            sched, trace_dicts = cached
+            schedules[mode_name].append(sched)
+            if config.trace:  # only the trace report reads them
+                traces[mode_name].extend(trace_dicts)
+            carried[mode_name] = central.final_states(sched)
+    return schedules, traces
 
 
 def _verify_or_die(scenario: Scenario, day: int, sched, carried) -> None:
@@ -358,12 +385,9 @@ def run(config: RunConfig) -> reporting.ReportFiles:
     except OSError as exc:
         raise UsageError(f"cannot write to the output directory: {exc}") from exc
 
-    results: dict[str, list] = {}
-    traces: list[dict] = []
-    for mode_name in config.modes:
-        results[mode_name], mode_traces = _run_mode(scenario, mode_name, days, config,
-                                                    checkpoint)
-        traces.extend(mode_traces)
+    schedules, mode_traces = _run_modes(scenario, days, config, checkpoint)
+    results = {mode_name: schedules[mode_name] for mode_name in config.modes}
+    traces = [t for mode_name in config.modes for t in mode_traces[mode_name]]
 
     report = billing.summarize(results)
     baseline = next((m for m in ("ECFix", "SoloFix") if m in results), config.modes[0])

@@ -36,8 +36,8 @@ import numpy as np
 from . import billing
 from .billing import settle_community  # the operator-side settlement
 from .central import (CarriedState, DaySchedule, DeviceRefs, DISCOMFORT_TAGS, FLEX_TAGS,
-                      MemberDaySchedule, PlannerMode, add_device_block, default_refs,
-                      prioritize_self_consumption, repair_refs_for_state,
+                      MemberDaySchedule, PlannerMode, SolvedDay, add_device_block,
+                      default_refs, prioritize_self_consumption, repair_refs_for_state,
                       settle_day, solve_centralized)
 from .kor import get_key
 from .lpcore import LpProblem, LpStatus, run_ahead, solve_lp
@@ -293,20 +293,23 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
                  primed: bool = False, max_iterations: int = 100,
                  initial_states: Mapping[str, CarriedState] | None = None,
                  evaluation_order: Sequence[str] | None = None,
+                 solved: SolvedDay | None = None,
                  ) -> tuple[DaySchedule, list[IterationTrace]]:
     """Run the full decentralized coordination for one day.
 
     With ``primed``, members first re-optimize their references for
     individual self-consumption; the coordination then works on the residual.
     ``evaluation_order`` only schedules the member subproblem calls; any
-    permutation produces identical results.
+    permutation produces identical results.  The centralized solves (the
+    priming and the ECFix start) go through the ``solved`` memo, when given;
+    the schedules it hands back are only read.
     """
     get_key(key)  # validate early
     day_s = scenario.for_day(day)
     dt = day_s.horizon.dt_hours
     states = dict(initial_states or {})
 
-    refs = (prioritize_self_consumption(scenario, day, initial_states=states)
+    refs = (prioritize_self_consumption(scenario, day, initial_states=states, solved=solved)
             if primed else default_refs(day_s))
     # members whose carried state no longer supports their planned profile
     # re-plan to the closest feasible reference before anything is netted
@@ -315,7 +318,7 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
         for m in day_s.members
     }
     ecfix = solve_centralized(scenario, day, PlannerMode.EC_FIX, refs=refs,
-                              initial_states=states)
+                              initial_states=states, solved=solved)
     request = initial_request(ecfix, day_s.prices)
 
     member_ids = [m.id for m in day_s.members]

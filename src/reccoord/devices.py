@@ -113,16 +113,6 @@ def _hinge(state: np.ndarray, reference: np.ndarray, reluctance: float) -> Disco
     return Discomfort(per_step=per_step, total=float(per_step.sum()))
 
 
-def discomfort_ev(trajectory, soc_ref, reluctance_eur: float) -> Discomfort:
-    """Linear penalty for running below the SoC reference trajectory."""
-    return _hinge(trajectory, soc_ref, reluctance_eur)
-
-
-def discomfort_thermal(trajectory, temp_limit, reluctance_eur: float) -> Discomfort:
-    """Linear penalty for cooling below the temperature limit (overheating is free)."""
-    return _hinge(trajectory, temp_limit, reluctance_eur)
-
-
 @dataclass(frozen=True)
 class DeviceSpec:
     """One flexible device: slot name, series tags and physics accessors.
@@ -152,6 +142,7 @@ class DeviceSpec:
         return globals()[self.simulator](params, power_kw, dt_hours, start)
 
     def hinge(self, params, trajectory) -> Discomfort:
+        """Linear penalty for a state trajectory below the target (above it is free)."""
         return _hinge(trajectory, self.target(params), params.reluctance_eur)
 
 

@@ -16,8 +16,7 @@ import pytest
 from reccoord.billing import activation_price, summarize
 from reccoord.central import (PlannerMode, final_states, solve_centralized,
                               verify_day_schedule)
-from reccoord.devices import (discomfort_ev, discomfort_thermal, simulate_bss,
-                              simulate_ev, simulate_hp, simulate_wb)
+from reccoord.devices import DEVICES, simulate_bss, simulate_ev, simulate_hp, simulate_wb
 from reccoord.kor import cascade_key, equal_key, get_key, prorate_key
 from reccoord.scenario import (SyntheticConfig, generate_synthetic,
                                load_bundled_scenario)
@@ -191,19 +190,19 @@ def test_criterion_6_resimulation_reproduces_every_optimal_schedule():
                 soc = simulate_ev(m.ev, ms.series["pev"], day_s.horizon.dt_hours,
                                   soc_start=None if state is None else state.ev)
                 assert np.max(np.abs(soc - ms.series["sev"])) <= 1e-6
-                hinge = discomfort_ev(soc, m.ev.soc_ref, m.ev.reluctance_eur)
+                hinge = DEVICES[0].hinge(m.ev, soc)
                 assert np.max(np.abs(hinge.per_step - ms.series["jev"])) <= 1e-6
             if m.wb is not None:
                 temp = simulate_wb(m.wb, ms.series["pwb"], day_s.horizon.dt_hours,
                                    temp_start=None if state is None else state.wb)
                 assert np.max(np.abs(temp - ms.series["twb"])) <= 1e-6
-                hinge = discomfort_thermal(temp, m.wb.temp_limit, m.wb.reluctance_eur)
+                hinge = DEVICES[1].hinge(m.wb, temp)
                 assert np.max(np.abs(hinge.per_step - ms.series["jwb"])) <= 1e-6
             if m.hp is not None:
                 temp = simulate_hp(m.hp, ms.series["php"], day_s.horizon.dt_hours,
                                    temp_start=None if state is None else state.hp)
                 assert np.max(np.abs(temp - ms.series["thp"])) <= 1e-6
-                hinge = discomfort_thermal(temp, m.hp.temp_limit, m.hp.reluctance_eur)
+                hinge = DEVICES[2].hinge(m.hp, temp)
                 assert np.max(np.abs(hinge.per_step - ms.series["jhp"])) <= 1e-6
     _ok(6, f"re-simulation matches LP states and discomforts on "
            f"{len(_SCHEDULES)} schedules (1e-6)")

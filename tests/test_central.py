@@ -5,17 +5,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from reccoord import central
 from reccoord.central import (CarriedState, DeviceRefs, InfeasibleDayError, PlannerError,
-                              PlannerMode, _DayModel, default_refs,
+                              PlannerMode, SolvedDay, _DayModel, default_refs,
                               final_states, prioritize_self_consumption,
                               solve_centralized, verify_day_schedule)
+from reccoord.decentral import run_ecflexit
 from reccoord.devices import simulate_wb
 from reccoord.lpcore import TOL_OPT, LpStatus, solve_lp
+from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic, load_bundled_scenario
 from helpers import (make_member, make_scenario, run_days, series, simple_bss, simple_ev,
                      simple_wb)
@@ -411,3 +414,97 @@ def test_battery_arbitrage_is_used_when_pv_is_stranded():
     assert sched.community_bill_eur < no_battery - 1e-6
     assert fix.community_bill_eur < no_battery - 1e-6
     assert verify_day_schedule(s, 0, sched) == []
+
+
+class TestSolvedDay:
+    """One day's memo: each distinct day LP is solved once and its schedule
+    shared, bit for bit what a solve of its own would give."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return generate_synthetic(SyntheticConfig(members=6, seed=7, steps_per_day=24,
+                                                  dt_hours=1.0))
+
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        builds = []
+        init = _DayModel.__init__
+
+        def counting(self, scenario, day, mode, *args):
+            builds.append(mode)
+            init(self, scenario, day, mode, *args)
+
+        monkeypatch.setattr(_DayModel, "__init__", counting)
+        return builds
+
+    def test_ecflex_pinned_phase_is_the_ecfix_schedule(self, scenario, monkeypatch):
+        alone = solve_centralized(scenario, 0, PlannerMode.EC_FIX)
+        builds = self._count_builds(monkeypatch)
+        solved = SolvedDay(scenario, 0)
+        solve_centralized(scenario, 0, PlannerMode.EC_FLEX, solved=solved)
+        shared = solve_centralized(scenario, 0, PlannerMode.EC_FIX, solved=solved)
+        assert builds == [PlannerMode.EC_FLEX]
+        assert shared.mode == "ECFix"
+        assert json.dumps(schedule_to_dict(shared)) == json.dumps(schedule_to_dict(alone))
+        assert verify_day_schedule(scenario, 0, shared) == []
+
+    def test_a_hit_needs_the_same_lp(self, scenario, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        solved = SolvedDay(scenario, 0)
+        sched = solve_centralized(scenario, 0, PlannerMode.SOLO_FLEX, solved=solved)
+        # explicit default references and initial states are the same LP
+        refs = default_refs(scenario.for_day(0))
+        states = {m.id: CarriedState() for m in scenario.members}
+        assert solve_centralized(scenario, 0, PlannerMode.SOLO_FLEX, refs=refs,
+                                 initial_states=states, solved=solved) is sched
+        assert len(builds) == 1
+        # another mode, option, state or reference is another LP
+        moved = dict(refs)
+        uid = next(m.id for m in scenario.members if m.wb is not None)
+        moved[uid] = dataclasses.replace(refs[uid], wb=np.roll(refs[uid].wb, 1))
+        for kwargs in ({"mode": PlannerMode.SOLO_FIX},
+                       {"allow_curtailment": True},
+                       {"initial_states": final_states(sched)},
+                       {"refs": moved}):
+            other = solve_centralized(scenario, 0, **{"mode": PlannerMode.SOLO_FLEX, **kwargs},
+                                      solved=solved)
+            assert other is not sched
+        assert len(builds) == 5
+
+    def test_without_a_memo_every_call_solves(self, scenario, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        for _ in range(2):
+            solve_centralized(scenario, 0, PlannerMode.EC_FLEX)
+            solve_centralized(scenario, 0, PlannerMode.EC_FIX)
+        prioritize_self_consumption(scenario, 0)
+        run_ecflexit(scenario, 0, key="equal", primed=True)
+        assert builds == [PlannerMode.EC_FLEX, PlannerMode.EC_FIX] * 2 + [
+            PlannerMode.SOLO_FLEX, PlannerMode.SOLO_FLEX, PlannerMode.EC_FIX]
+
+    def test_coordination_reuses_the_memo_and_leaves_it_unchanged(self, scenario,
+                                                                   monkeypatch):
+        solved = SolvedDay(scenario, 0)
+        shared = [solve_centralized(scenario, 0, mode, solved=solved)
+                  for mode in (PlannerMode.EC_FIX, PlannerMode.SOLO_FLEX)]
+        before = [json.dumps(schedule_to_dict(sched)) for sched in shared]
+        builds = self._count_builds(monkeypatch)
+        for primed in (False, True):
+            run_ecflexit(scenario, 0, key="equal", primed=primed, solved=solved)
+        assert builds == [PlannerMode.EC_FIX]  # the primed references' own
+        assert [json.dumps(schedule_to_dict(sched)) for sched in shared] == before
+
+    def test_a_memo_holds_one_day_of_one_scenario(self, scenario):
+        solved = SolvedDay(scenario, 0)
+        for s, day in ((scenario, 1), (dataclasses.replace(scenario), 0)):
+            with pytest.raises(ValueError, match="memo"):
+                solve_centralized(s, day, PlannerMode.EC_FIX, solved=solved)
+
+    def test_failures_are_not_stored(self):
+        ev = simple_ev(4, power_ref=np.zeros(4), plugged=[1, 0, 0, 0],
+                       departure=[1, 0, 0, 0], soc_ref=[0.9, 0, 0, 0], soc_init=0.1)
+        s = make_scenario([make_member("u1", 4, ev=ev)], steps=4)
+        solved = SolvedDay(s, 0)
+        for mode in (PlannerMode.EC_FLEX, PlannerMode.EC_FIX, PlannerMode.EC_FIX):
+            with pytest.raises(InfeasibleDayError):
+                solve_centralized(s, 0, mode, solved=solved)
+        assert solved.schedules == {}

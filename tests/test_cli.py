@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
-from reccoord import central, cli, decentral
+from reccoord import central, cli, decentral, lpcore
 from reccoord.cli import main
 from reccoord.lpcore import TOL_OPT
 from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic, load_scenario
@@ -127,7 +128,9 @@ def test_infeasible_day_exits_1_naming_mode_and_day(tmp_path, capsys):
                  str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert "ECFlex" in err and "day 0" in err
+    # the mode run and the day, each named once
+    assert err.startswith("error: ECFlex day 0: infeasible: ")
+    assert err.count("ECFlex") == 1 and err.count("day") == 1
 
 
 def test_a_failing_priming_day_names_the_user_mode(tmp_path, capsys):
@@ -144,8 +147,9 @@ def test_a_failing_priming_day_names_the_user_mode(tmp_path, capsys):
     code = _run(["--scenario", str(path), "--modes", "ecflexitprimed", "--key", "equal",
                  "--out", str(tmp_path / "out")])
     assert code == 1
-    assert capsys.readouterr().err.startswith(
-        "error: ECFlexItPrimed day 0: SoloFlex infeasible on day 0")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ECFlexItPrimed day 0: SoloFlex infeasible: ")
+    assert err.count("ECFlexItPrimed") == 1 and err.count("day") == 1
 
 
 def test_a_failing_member_subproblem_names_mode_and_day(tmp_path, capsys, monkeypatch):
@@ -380,13 +384,60 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
     assert central.verify_day_schedule(scenario, 0, ecflex) == []
 
 
-def test_ecflex_does_not_depend_on_the_modes_run_before_it(tmp_path):
-    args = ["--generate", GEN, "--seed", "5", "--dt", "1.0"]
-    assert _run([*args, "--modes", "ecflex", "--out", str(tmp_path / "alone")]) == 0
-    assert _run([*args, "--modes", "ecfix,ecflex", "--out", str(tmp_path / "after")]) == 0
-    rows = [[line for line in (tmp_path / out / "schedules.csv").read_text().splitlines()
-             if line.startswith("ECFlex,")] for out in ("alone", "after")]
-    assert rows[0] and rows[0] == rows[1]
+@pytest.mark.parametrize("community", [["--seed", "7", "--days", "1"],
+                                       ["--seed", "3", "--days", "3", "--dt", "1.0"]],
+                         ids=["golden-day", "three-hourly-days"])
+def test_each_mode_alone_writes_its_rows_of_the_six_mode_run(tmp_path, community):
+    """The modes of a day share their day LPs; no mode's schedules may depend
+    on which other modes were run."""
+    args = ["--generate", "members=6", "--key", "equal", *community]
+    modes = ("SoloFix", "SoloFlex", "ECFix", "ECFlex", "ECFlexIt", "ECFlexItPrimed")
+    assert _run([*args, "--modes", ",".join(modes), "--out", str(tmp_path / "all")]) == 0
+    together = (tmp_path / "all" / "schedules.csv").read_text().splitlines()
+    for mode in modes:
+        assert _run([*args, "--modes", mode, "--out", str(tmp_path / mode)]) == 0
+        alone = (tmp_path / mode / "schedules.csv").read_text().splitlines()
+        rows = [line for line in alone if line.startswith(f"{mode},")]
+        assert rows and len(rows) == len(alone) - 1, mode  # all but the header
+        assert rows == [line for line in together if line.startswith(f"{mode},")], mode
+
+
+def test_a_day_solves_each_distinct_day_lp_once(tmp_path, monkeypatch):
+    """On the first day every mode starts from the scenario's states: ECFlex's
+    pinned phase gives ECFix, ECFlexIt reuses that ECFix and ECFlexItPrimed's
+    priming reuses SoloFlex, so 4 day models and 5 HiGHS runs serve 7 solves.
+    On the next day each mode starts from its own states, and nothing of the
+    first day is reused: 7 models, 8 runs (ECFlex runs twice)."""
+    builds, runs, day_of = Counter(), Counter(), []
+
+    init = central._DayModel.__init__
+
+    def counting_init(self, scenario, day, *args):
+        builds[day] += 1
+        day_of.append(day)
+        init(self, scenario, day, *args)
+
+    def counting_run(model, warm=False):
+        runs[day_of[-1] if day_lp else None] += 1
+        run(model, warm)
+
+    def solve_lp(problem, warm=False):
+        nonlocal day_lp
+        day_lp = problem.name in {mode.value.lower() for mode in central.PlannerMode}
+        try:
+            return lpcore.solve_lp(problem, warm)
+        finally:
+            day_lp = False
+
+    day_lp, run = False, lpcore._run
+    monkeypatch.setattr(central._DayModel, "__init__", counting_init)
+    monkeypatch.setattr(lpcore, "_run", counting_run)
+    monkeypatch.setattr(central, "solve_lp", solve_lp)
+    assert _run(["--generate", "members=6", "--seed", "7", "--dt", "1.0", "--days", "2",
+                 "--modes", "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed",
+                 "--key", "equal", "--out", str(tmp_path)]) == 0
+    assert dict(builds) == {0: 4, 1: 7}
+    assert runs[0] == 5 and runs[1] == 8
 
 
 #: sha256 of the report files of :data:`GOLDEN_ARGS`, recorded with scipy 1.17.1
@@ -433,5 +484,5 @@ def test_trace_dicts_are_kept_only_with_trace(tmp_path):
     for trace in (False, True):
         config = cli.RunConfig(None, None, ["ECFlexIt"], "equal", 1, tmp_path, trace=trace)
         checkpoint = cli._Checkpoint(tmp_path, cli._fingerprint(dump_scenario(scenario), config))
-        _, traces = cli._run_mode(scenario, "ECFlexIt", 1, config, checkpoint)
-        assert bool(traces) is trace
+        _, traces = cli._run_modes(scenario, 1, config, checkpoint)
+        assert bool(traces["ECFlexIt"]) is trace

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from reccoord.devices import (discomfort_ev, discomfort_thermal, simulate_bss,
-                              simulate_ev, simulate_hp, simulate_wb)
+from reccoord.devices import DEVICES, simulate_bss, simulate_ev, simulate_hp, simulate_wb
 from helpers import simple_bss, simple_ev, simple_hp, simple_wb
 
 
@@ -107,27 +106,38 @@ class TestHp:
 
 
 class TestDiscomfort:
+    """The hinge of each device: below its target, reluctance per unit."""
+
+    EV, WB, HP = DEVICES
+
     def test_inactive_hinge_costs_nothing(self):
-        d = discomfort_ev(np.array([0.9, 0.8]), np.array([0.8, 0.8]), 1.0)
+        ev = simple_ev(2, power_ref=np.zeros(2), soc_ref=[0.8, 0.8])
+        d = self.EV.hinge(ev, np.array([0.9, 0.8]))
         assert d.total == 0.0
 
     def test_hinge_arithmetic(self):
-        d = discomfort_ev(np.array([0.7]), np.array([0.8]), 1.0)
+        ev = simple_ev(1, power_ref=np.zeros(1), soc_ref=[0.8])
+        d = self.EV.hinge(ev, np.array([0.7]))
         assert d.total == pytest.approx(0.1)
         assert d.per_step == pytest.approx([0.1])
 
     def test_overheat_then_cool_above_limit_is_free(self):
         traj = np.array([70.0, 66.0, 61.0, 55.0, 51.0])
-        d = discomfort_thermal(traj, np.full(5, 50.0), 1.0)
-        assert d.total == 0.0
+        wb = simple_wb(5, power_ref=np.zeros(5), limit=50.0)
+        hp = simple_hp(5, power_ref=np.zeros(5), limit=50.0)
+        assert self.WB.hinge(wb, traj).total == 0.0
+        assert self.HP.hinge(hp, traj).total == 0.0
 
     def test_reluctance_scales_penalty(self):
-        d = discomfort_thermal(np.array([48.0]), np.array([50.0]), 2.5)
-        assert d.total == pytest.approx(5.0)
+        wb = simple_wb(1, power_ref=np.zeros(1), limit=50.0, reluctance=2.5)
+        hp = simple_hp(1, power_ref=np.zeros(1), limit=50.0, reluctance=2.5)
+        assert self.WB.hinge(wb, np.array([48.0])).total == pytest.approx(5.0)
+        assert self.HP.hinge(hp, np.array([48.0])).total == pytest.approx(5.0)
 
     def test_length_mismatch_rejected(self):
+        ev = simple_ev(4, power_ref=np.zeros(4))
         with pytest.raises(ValueError):
-            discomfort_ev(np.zeros(3), np.zeros(4), 1.0)
+            self.EV.hinge(ev, np.zeros(3))
 
 
 def test_lossless_simulators_are_affine_in_the_schedule():
