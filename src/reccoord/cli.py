@@ -271,7 +271,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 #: Version of the schedules a checkpoint holds; raised whenever the planners
 #: or the settlement change what they write, so older checkpoints are recomputed.
-CHECKPOINT_FORMAT = 4
+CHECKPOINT_FORMAT = 5
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:

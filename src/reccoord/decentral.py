@@ -24,6 +24,13 @@ when the process may use two or more CPUs (its affinity), through
 :func:`reccoord.lpcore.run_ahead`.  Only HiGHS leaves the calling thread;
 every Python step of the loop stays on it, and the results are bit-identical
 on any number of cores.  There is no option for it.
+
+Each member re-solves its subproblem warm, from the basis of its own previous
+run of the day (``solve_lp(..., warm=True)``); its first run of the day has
+no basis yet and is cold.  Agents and their HiGHS models are built per call
+of :func:`run_ecflexit` and no basis is checkpointed, so a recomputed or
+resumed day replays the same chain.  Where several responses are equally
+good, the warm run can end on another of them than a cold solve would.
 """
 
 from __future__ import annotations
@@ -253,8 +260,9 @@ class MemberAgent:
         return p
 
     def _solve(self, up_limit: np.ndarray, down_limit: np.ndarray) -> np.ndarray:
-        """Optimal point of the subproblem under the given shift limits."""
-        solution = solve_lp(self.stage(up_limit, down_limit))
+        """Optimal point of the subproblem under the given shift limits,
+        re-solved warm from the member's previous run."""
+        solution = solve_lp(self.stage(up_limit, down_limit), warm=True)
         if solution.status is not LpStatus.OPTIMAL:
             raise DecentralError(
                 f"member {self.member.id} subproblem {solution.status.value}: committed "
@@ -345,14 +353,15 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
 
         # each phase's member LPs run concurrently first; the loops read them
         run_ahead([agents[uid].stage(request.up_kw, request.down_kw)
-                   for uid in order if agents[uid].has_flexibility])
+                   for uid in order if agents[uid].has_flexibility], warm=True)
         offers_by = {uid: agents[uid].offer(request) for uid in order}
         offers = [offers_by[uid] for uid in member_ids]
         bounds = refine_bounds(offers, request, key)
         bounds_by = {b.member_id: b for b in bounds}
         run_ahead([agents[uid].stage(bounds_by[uid].up_kw, bounds_by[uid].down_kw)
                    for uid in order
-                   if agents[uid].has_flexibility and not bounds_by[uid].empty])
+                   if agents[uid].has_flexibility and not bounds_by[uid].empty],
+                  warm=True)
         acts_by = {uid: agents[uid].activate(bounds_by[uid]) for uid in order}
         activations = [acts_by[uid] for uid in member_ids]
 

@@ -9,24 +9,30 @@ that a bound error can name a column ``name.t``.
 bound and right-hand-side edits reach it in place, as changes of only the
 entries that moved, and a structural edit drops it.  A solve runs cold, so
 its result does not depend on solve history, and a model that has not changed
-since its last run is not run again.  The one exception is asked for
+since its last run is not run again.  The exception is asked for
 explicitly: ``solve_lp(problem, warm=True)`` re-runs HiGHS from the basis of
-its last run.  Only ECFlex uses it, from its own pinned solve (see
-:mod:`reccoord.central`); its optimal objective is the cold one, but where
-several dispatches are optimal the warm run can end on another of them, so
-its schedule is not the cold vertex.  HiGHS receives the inequality rows
-first as ``<=`` rows (``>=`` rows negated), then the equalities, as a CSC
-matrix, under the options SciPy's HiGHS method sets; the tests solve that
-layout through SciPy's own HiGHS interface and require the same bits.  A
-solution is checked against the declared rows before it is reported
-``optimal``; an infeasible point is downgraded to ``numeric_error``.
+its last run.  ECFlex uses it from its own pinned solve (see
+:mod:`reccoord.central`), and each coordination member from its previous
+subproblem run of the day (see :mod:`reccoord.decentral`).  A warm run
+reaches the cold optimal objective, but where several dispatches are optimal
+it can end on another of them, so its point is not the cold vertex.  A warm
+run that does not end optimal (a bad status, or a point failing the
+feasibility check) is run again cold, once, and that result is final.
+
+HiGHS receives the inequality rows first as ``<=`` rows (``>=`` rows
+negated), then the equalities, as a CSC matrix, under the options SciPy's
+HiGHS method sets; the tests solve that layout through SciPy's own HiGHS
+interface and require the same bits.  A solution is checked against the
+declared rows before it is reported ``optimal``; an infeasible point is
+downgraded to ``numeric_error``.
 
 :func:`run_ahead` runs the HiGHS models of independent problems (the member
 solves of one coordination phase) concurrently on the calling thread and
 one helper thread kept for the life of the process, when the process may
 use two or more CPUs (its affinity).  Only the HiGHS runs leave the calling
-thread, each on its own model under identical options, so results are
-bit-identical on any number of cores.  There is no option for it.
+thread, each on its own model under identical options and from its own last
+basis when warm, so results are bit-identical on any number of cores.  There
+is no option for it.
 """
 
 from __future__ import annotations
@@ -286,12 +292,13 @@ _HIGHS_STATUS = {_highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
 class _HighsModel:
     """A HiGHS model attached to one problem; edits reach it as in-place diffs.
 
-    ``fresh`` says that the last run saw the model as it is now, and ``ran``
-    that a run has left a basis to start from.
+    ``fresh`` says that the last run saw the model as it is now, ``ran``
+    that a run has left a basis to start from, and ``warm`` that the last run
+    started from one.
     """
 
     def __init__(self, problem: LpProblem):
-        self.fresh = self.ran = False
+        self.fresh = self.ran = self.warm = False
         a, self.lhs, self.rhs = problem._highs_layout()
         self.lb, self.ub = problem.bounds()
         lp = _highs.HighsLp()
@@ -343,6 +350,7 @@ def _run(model: _HighsModel, warm: bool = False) -> None:
         model.highs.clearSolver()
     model.highs.run()
     model.fresh = model.ran = True
+    model.warm = warm
 
 
 def _cpus() -> int:
@@ -356,10 +364,10 @@ def _cpus() -> int:
 def _drain(pending: queue.SimpleQueue) -> None:
     while True:
         try:
-            model = pending.get_nowait()
+            model, warm = pending.get_nowait()
         except queue.Empty:
             return
-        _run(model)
+        _run(model, warm)
 
 
 def _serve(jobs: queue.SimpleQueue) -> None:
@@ -390,22 +398,24 @@ def _helper_jobs() -> queue.SimpleQueue:
     return _helper[1]
 
 
-def run_ahead(problems: Iterable[LpProblem]) -> None:
+def run_ahead(problems: Iterable[LpProblem], warm: bool = False) -> None:
     """Run the HiGHS models of independent problems concurrently.
 
     Every problem's model is attached and synced here, on the calling thread.
     The stale ones are then run from one shared queue by this thread and the
-    process's one helper thread, which executes only :func:`_run`.  A later
+    process's one helper thread, which executes only :func:`_run`.  Each
+    model gets the run ``solve_lp(problem, warm)`` would make, so a later
     :func:`solve_lp` of a problem left unchanged reads its result without
-    running HiGHS again.  With one CPU in the process's affinity, or fewer
-    than two stale models, nothing runs here.
+    running HiGHS again (or re-runs it cold, if a warm run ended non-optimal).
+    With one CPU in the process's affinity, or fewer than two stale models,
+    nothing runs here.
     """
     stale = [model for model in map(_synced, problems) if not model.fresh]
     if len(stale) < 2 or _cpus() < 2:
         return
     pending: queue.SimpleQueue = queue.SimpleQueue()
     for model in stale:
-        pending.put(model)
+        pending.put((model, warm and model.ran))
     done = threading.Event()
     _helper_jobs().put((pending, done))
     _drain(pending)
@@ -418,11 +428,22 @@ def solve_lp(problem: LpProblem, warm: bool = False) -> LpSolution:
     ``warm=True`` re-runs HiGHS from the basis its last run of this model
     left, with the bound and row-limit edits made since pushed in place.
     A model that has not run since it was attached (a new problem, or one
-    structurally edited) is solved cold.
+    structurally edited) is solved cold.  A warm run, made here or by
+    :func:`run_ahead`, whose result is not optimal is run again cold, once;
+    the cold result is final.
     """
     model = _synced(problem)
     if not model.fresh:
         _run(model, warm and model.ran)
+    solution = _read(problem, model)
+    if model.warm and solution.status is not LpStatus.OPTIMAL:
+        _run(model)
+        solution = _read(problem, model)
+    return solution
+
+
+def _read(problem: LpProblem, model: _HighsModel) -> LpSolution:
+    """The checked result of the model's last run."""
     h = model.highs
     status = h.getModelStatus()
     x = np.array(h.getSolution().col_value) if status == _highs.HighsModelStatus.kOptimal \

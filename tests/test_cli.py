@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from reccoord import central, cli, decentral, lpcore
+from reccoord import central, cli, decentral, lpcore, reporting
 from reccoord.cli import main
 from reccoord.lpcore import TOL_OPT
 from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic, load_scenario
@@ -362,26 +362,33 @@ def test_series_tags_are_those_of_solved_schedules():
 def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
     """Every mode solved cold writes the bytes of the ``linprog`` reference.
 
-    ECFlex re-runs warm from its pinned basis, so by design its vertex is not
-    the cold one; it must reach the cold optimum and verify clean.
+    ECFlex re-runs warm from its pinned basis, and each coordination member
+    from its own previous run of the day, so by design their vertices are not
+    the cold ones.  ECFlex must reach the cold optimum, and each warm member
+    solve is held to its cold optimum in ``test_decentral``; their schedules
+    must verify clean.
     """
-    args = ["--generate", "members=6", "--seed", "7", "--modes",
-            "solofix,soloflex,ecfix,ecflexit,ecflexitprimed", "--key", "equal", "--trace"]
-    assert _run([*args, "--out", str(tmp_path / "highs")]) == 0
+    args = ["--generate", "members=6", "--seed", "7", "--key", "equal", "--trace"]
+    cold = ["--modes", "solofix,soloflex,ecfix"]
+    warm = ["ECFlexIt", "ECFlexItPrimed"]
+    assert _run([*args, *cold, "--out", str(tmp_path / "highs")]) == 0
+    assert _run([*args, "--modes", ",".join(warm), "--out", str(tmp_path / "warm")]) == 0
     scenario = load_scenario((tmp_path / "highs" / "scenario.json").read_bytes())
     ecflex = central.solve_centralized(scenario, 0, central.PlannerMode.EC_FLEX)
     monkeypatch.setattr(central, "solve_lp", solve_with_linprog)
-    monkeypatch.setattr(decentral, "solve_lp", solve_with_linprog)
-    monkeypatch.setattr(decentral, "run_ahead", lambda problems: None)  # no HiGHS ahead
-    assert _run([*args, "--out", str(tmp_path / "linprog")]) == 0
+    assert _run([*args, *cold, "--out", str(tmp_path / "linprog")]) == 0
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
         assert (tmp_path / "highs" / name).read_bytes() \
             == (tmp_path / "linprog" / name).read_bytes(), name
 
-    cold = solve_with_linprog(
+    cold_ecflex = solve_with_linprog(
         central._DayModel(scenario, 0, central.PlannerMode.EC_FLEX, None, False, None).problem)
-    assert ecflex.objective_value == pytest.approx(cold.objective, rel=TOL_OPT)
+    assert ecflex.objective_value == pytest.approx(cold_ecflex.objective, rel=TOL_OPT)
     assert central.verify_day_schedule(scenario, 0, ecflex) == []
+    for mode in warm:
+        doc = json.loads((tmp_path / "warm" / "checkpoint" / f"{mode}_0000.json").read_text())
+        sched = reporting.schedule_from_dict(doc["schedule"])
+        assert central.verify_day_schedule(scenario, 0, sched) == [], mode
 
 
 @pytest.mark.parametrize("community", [["--seed", "7", "--days", "1"],
@@ -446,10 +453,10 @@ GOLDEN_ARGS = ["--generate", "members=6", "--seed", "7", "--modes",
                "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal",
                "--trace", "--days", "1"]
 GOLDEN_SHA256 = {
-    "summary.csv": "e699074317c0e14ace4e3a3b9926ba7cb3782bcbe2aeb400e558502668aeb5c2",
-    "benefits.csv": "9b329c073a447cfe57da637caab4ef9db177b080da71ed7ff804c0c476820cc0",
-    "schedules.csv": "cefca04f518c7aea27df9c2f519937adb8b6b651d574d3f591fa98fd46a96fa7",
-    "trace.jsonl": "5e7f5faccf05312cc8a822b975e9dfc42f0f36212cd281301875eae9a069409b",
+    "summary.csv": "0ac0400f56b1e1e3c3a8964d099919c3b093d4c78fc104c2eadb5fc803bbdc39",
+    "benefits.csv": "7529af7d0bde0d9b17ac11c97fdb3715304151858a27d1ba8ea51df1d35d959f",
+    "schedules.csv": "942784b3618a80bc97fd464818cfd3709416dc65c0d6f84d839df24ee01bc23a",
+    "trace.jsonl": "a57dfbdc841c79bdd2406c213d50a0441990a840b0605470669bcab781c1da5c",
 }
 
 

@@ -16,9 +16,11 @@ from reccoord.central import (CarriedState, PlannerMode, default_refs, final_sta
 from reccoord.decentral import (FlexRequest, IterationLimitError, MemberAgent,
                                 initial_request, refine_bounds, run_ecflexit,
                                 settle_community)
+from reccoord.lpcore import TOL_OPT, LpStatus
 from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic
-from helpers import make_member, make_scenario, run_days, series, simple_ev, simple_wb
+from helpers import (make_member, make_scenario, run_days, series, simple_ev, simple_wb,
+                     solve_with_linprog)
 
 
 def _agent(scenario, member_id: str) -> MemberAgent:
@@ -286,7 +288,7 @@ class TestRunLoop:
                             lambda model, warm=False: (runs.append(1), run(model, warm)))
         results = [run_ecflexit(s, 0, key="equal", primed=primed)]
         ahead = len(runs)
-        monkeypatch.setattr(decentral, "run_ahead", lambda problems: None)
+        monkeypatch.setattr(decentral, "run_ahead", lambda problems, warm=False: None)
         results.append(run_ecflexit(s, 0, key="equal", primed=primed))
         assert len(runs) == 2 * ahead
         (sched_a, traces_a), (sched_b, traces_b) = results
@@ -294,6 +296,42 @@ class TestRunLoop:
         assert json.dumps([t.to_dict() for t in traces_a]) \
             == json.dumps([t.to_dict() for t in traces_b])
         assert json.dumps(schedule_to_dict(sched_a)) == json.dumps(schedule_to_dict(sched_b))
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_warm_member_solves_reach_the_cold_optimum_in_fewer_iterations(
+            self, monkeypatch, primed):
+        """Members re-solve warm from their own previous run of the day: every
+        solve reaches the optimum of a fresh ``linprog`` solve of the same
+        staged subproblem, and the day costs fewer simplex iterations than
+        with every HiGHS run cold."""
+        s = generate_synthetic(SyntheticConfig(members=6, seed=7))
+        iterations = []
+        run = lpcore._run
+
+        def counting(model, warm=False):
+            run(model, warm)
+            iterations.append(model.highs.getInfo().simplex_iteration_count)
+
+        started_warm = []
+
+        def checked(problem, warm=False):
+            got = lpcore.solve_lp(problem, warm)
+            want = solve_with_linprog(problem)
+            assert got.status is want.status is LpStatus.OPTIMAL
+            assert got.objective == pytest.approx(want.objective, rel=TOL_OPT, abs=1e-9)
+            started_warm.append(problem._attached.warm)
+            return got
+
+        monkeypatch.setattr(lpcore, "_run", counting)
+        monkeypatch.setattr(decentral, "solve_lp", checked)
+        run_ecflexit(s, 0, key="equal", primed=primed)
+        warm = sum(iterations)
+        assert sum(started_warm) > len(started_warm) // 2
+
+        iterations.clear()
+        monkeypatch.setattr(lpcore, "_run", lambda model, warm=False: counting(model))
+        run_ecflexit(s, 0, key="equal", primed=primed)
+        assert warm < sum(iterations)
 
     def test_iteration_cap_raises_with_the_trace_attached(self):
         s = generate_synthetic(SyntheticConfig(members=4, seed=7, steps_per_day=24,

@@ -397,6 +397,42 @@ def test_warm_without_a_basis_to_start_from_runs_cold(community, monkeypatch):
     assert _same_bits(got.x, solve_with_linprog(p).x)
 
 
+def _stop_warm_runs(monkeypatch) -> list[tuple[bool, LpStatus | None]]:
+    """Warm HiGHS runs stopped before their first simplex iteration; returns
+    the record of every run: started warm, and the status it ended with."""
+    record = []
+    run = lpcore._run
+
+    def stopping(model, warm=False):
+        if warm:
+            model.highs.setOptionValue("simplex_iteration_limit", 0)
+        try:
+            run(model, warm)
+        finally:
+            model.highs.setOptionValue("simplex_iteration_limit", 2147483647)  # the default
+        record.append((warm, lpcore._HIGHS_STATUS.get(model.highs.getModelStatus())))
+
+    monkeypatch.setattr(lpcore, "_run", stopping)
+    return record
+
+
+def test_a_warm_run_that_stops_short_is_run_again_cold(community, monkeypatch):
+    """A warm run that does not end optimal is run again cold, once, and the
+    cold result is the answer."""
+    agent = _member_agent(community)
+    problem = _limit_member(agent, 1.0)
+    record = _stop_warm_runs(monkeypatch)
+    assert solve_lp(problem, warm=True).status is LpStatus.OPTIMAL  # no basis yet: cold
+    _limit_member(agent, 0.3)
+    got = solve_lp(problem, warm=True)
+    assert record == [(False, LpStatus.OPTIMAL), (True, None), (False, LpStatus.OPTIMAL)]
+    want = solve_with_linprog(problem)
+    assert got.status is want.status is LpStatus.OPTIMAL
+    assert _same_bits(got.x, want.x)
+    assert solve_lp(problem, warm=True).objective == got.objective
+    assert len(record) == 3  # the cold result stands: nothing runs again
+
+
 # ---------------------------------------------------------------------------
 # Running ahead: concurrent HiGHS runs read back by solve_lp
 
@@ -486,6 +522,27 @@ def test_no_highs_run_is_repeated_or_thrown_away(community, runs, monkeypatch):
     runs.clear()
     run_ahead(fresh)
     assert runs == []
+
+
+def test_a_warm_run_ahead_that_stops_short_is_run_again_cold(community, runs, monkeypatch):
+    """Run ahead warm, each model gets the warm run ``solve_lp`` would make;
+    one that does not end optimal is run again cold by ``solve_lp``, once."""
+    agents = [_member_agent(community) for _ in range(2)]
+    problems = [_limit_member(agent, 1.0) for agent in agents]
+    for problem in problems:
+        assert solve_lp(problem, warm=True).status is LpStatus.OPTIMAL
+    record = _stop_warm_runs(monkeypatch)
+    for agent in agents:
+        _limit_member(agent, 0.3)
+    run_ahead(problems, warm=True)
+    assert record == [(True, None), (True, None)]
+    got = [solve_lp(problem, warm=True) for problem in problems]
+    assert record[2:] == [(False, LpStatus.OPTIMAL), (False, LpStatus.OPTIMAL)]
+    for result, problem in zip(got, problems):
+        want = solve_with_linprog(problem)
+        assert result.status is want.status is LpStatus.OPTIMAL
+        assert _same_bits(result.x, want.x)
+    assert _ran(runs, problems) == [3, 3]
 
 
 def _random_lp(seed: int) -> LpProblem:
