@@ -64,13 +64,13 @@ class DecentralError(Exception):
 
 
 class IterationLimitError(DecentralError):
-    """The coordination loop did not terminate within the iteration cap."""
+    """The coordination loop did not terminate within the iteration cap.  The
+    message leaves the day out; ``day`` says which day it was."""
 
     def __init__(self, day: int, traces: list["IterationTrace"]):
         self.day = day
         self.traces = traces
-        super().__init__(f"iteration cap exceeded on day {day} "
-                         f"after {len(traces)} iterations")
+        super().__init__(f"iteration cap exceeded after {len(traces)} iterations")
 
 
 @dataclass(frozen=True)

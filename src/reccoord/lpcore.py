@@ -21,10 +21,16 @@ feasibility check) is run again cold, once, and that result is final.
 
 HiGHS receives the inequality rows first as ``<=`` rows (``>=`` rows
 negated), then the equalities, as a CSC matrix, under the options SciPy's
-HiGHS method sets; the tests solve that layout through SciPy's own HiGHS
-interface and require the same bits.  A solution is checked against the
-declared rows before it is reported ``optimal``; an infeasible point is
+HiGHS method sets.  The matrix is assembled with numpy into the arrays
+SciPy's canonical CSC format holds (entries sorted by column, then row;
+repeats summed; explicit zeros kept); the tests hand that layout to SciPy's
+own HiGHS interface and require the same bits.  A solution is checked against
+the declared rows before it is reported ``optimal``; an infeasible point is
 downgraded to ``numeric_error``.
+
+The HiGHS binary is the one SciPy ships, loaded from SciPy's files by
+:func:`_load_highs` without importing ``scipy.optimize``, which would bring
+in most of SciPy; ``scipy.sparse`` is not used either.
 
 :func:`run_ahead` runs the HiGHS models of independent problems (the member
 solves of one coordination phase) concurrently on the calling thread and
@@ -37,17 +43,19 @@ is no option for it.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 import queue
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as _highs
+import scipy
 
 #: Absolute feasibility tolerance on constraint residuals and bound violations.
 TOL_FEAS = 1e-7
@@ -78,11 +86,14 @@ class LpSolution:
     message: str = ""
 
 
+#: A CSC matrix as the arrays ``(indptr, indices, data)``.
+_Csc = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 class _Structure(NamedTuple):
     """Arrays derived from the declarations, rebuilt after structural edits."""
 
-    check: sparse.csr_array    # declared rows stacked on the identity
-    highs: sparse.csc_array    # rows in the order HiGHS receives them
+    highs: _Csc                # rows in the order HiGHS receives them
     order: np.ndarray          # declared row of each ``highs`` row
     num_ub: int                # leading inequality rows of ``highs``
     c: np.ndarray              # objective vector
@@ -215,10 +226,7 @@ class LpProblem:
             position = np.empty(m, dtype=np.int64)
             position[order] = np.arange(m)
             self._structure = _Structure(
-                sparse.vstack([sparse.csr_array((v, (r, c)), shape=(m, n)),
-                               sparse.eye_array(n, format="csr")], format="csr"),
-                sparse.csc_array((np.where(sense[r] == _GE, -1.0 * v, v), (position[r], c)),
-                                 shape=(m, n)),
+                _csc(position[r], c, np.where(sense[r] == _GE, -1.0 * v, v), n),
                 order, int(ineq.sum()),
                 np.bincount(self._array("obj_col"), self._array("obj_val"), minlength=n))
         return self._structure
@@ -229,8 +237,9 @@ class LpProblem:
     def objective_vector(self) -> np.ndarray:
         return self._structured().c.copy()
 
-    def _highs_layout(self) -> tuple[sparse.csc_array, np.ndarray, np.ndarray]:
-        """Matrix and row limits in the layout HiGHS receives.
+    def _highs_layout(self) -> tuple[_Csc, np.ndarray, np.ndarray]:
+        """The CSC arrays of the matrix, and the row limits, in the layout
+        HiGHS receives.
 
         Inequality rows come first as ``<=`` rows (``>=`` rows negated), then
         the equalities, each group in declaration order.
@@ -243,15 +252,33 @@ class LpProblem:
     def max_violation(self, x: np.ndarray) -> float:
         """Largest row or bound violation at ``x``; a NaN violation reports inf.
 
-        One mat-vec of the rows stacked on the identity, against the row
-        limits followed by the variable bounds.
+        The row activities are summed over the declared entries, and checked
+        against the row limits; ``x`` itself against the variable bounds.
         """
-        y = self._structured().check @ x
+        r, c, v = (self._array(k) for k in ("row", "col", "val"))
+        y = np.concatenate([np.bincount(r, v * x[c], minlength=self._num_rows), x])
         sense, rhs = self._array("sense"), self._array("rhs")
         lo = np.concatenate([np.where(sense == _LE, -math.inf, rhs), self._array("lb")])
         hi = np.concatenate([np.where(sense == _GE, math.inf, rhs), self._array("ub")])
         viol = np.maximum(lo - y, y - hi)
         return float(np.max(np.where(np.isnan(viol), math.inf, viol), initial=0.0))
+
+
+def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, num_cols: int) -> _Csc:
+    """The arrays of SciPy's canonical CSC form of the entries ``vals`` at
+    ``(rows, cols)``: sorted by column, then row; repeated entries summed in
+    declaration order (SciPy's order, and so its bits, may differ from three
+    repeats on); explicit zeros kept; int32 indexes."""
+    key = np.lexsort((rows, cols))
+    rows, cols, vals = rows[key], cols[key], vals[key]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = vals[first]
+    if not first.all():
+        np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
+    indptr = np.zeros(num_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols[first], minlength=num_cols), out=indptr[1:])
+    return indptr, rows[first].astype(np.int32), data
 
 
 def _bound_arrays(lb, ub, size: int, name_of) -> tuple[np.ndarray, np.ndarray]:
@@ -280,6 +307,33 @@ def _solution(problem: LpProblem, status: LpStatus, x: np.ndarray | None,
     return LpSolution(status, None, None, message)
 
 
+def _load_highs():
+    """SciPy's compiled HiGHS extension ``scipy.optimize._highspy._core``,
+    loaded from its file in SciPy's tree without running
+    ``scipy/optimize/__init__.py``.
+
+    The module is registered under its own name, so a later ``import
+    scipy.optimize`` uses it, and an already imported one is reused: the
+    file is loaded at most once per process.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    spec = importlib.machinery.FileFinder(where, (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no HiGHS extension module _core in {where} "
+                          f"(scipy {scipy.__version__})", name=name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
+
 #: The options SciPy's HiGHS method sets: presolve on, dual simplex, no log.
 _HIGHS_OPTIONS = (("presolve", "on"), ("highs_debug_level", 0), ("log_to_console", False),
                   ("output_flag", False), ("simplex_strategy", 1))
@@ -301,12 +355,12 @@ class _HighsModel:
         self.fresh = self.ran = self.warm = False
         a, self.lhs, self.rhs = problem._highs_layout()
         self.lb, self.ub = problem.bounds()
+        shape = problem.num_constraints, problem.num_variables
         lp = _highs.HighsLp()
-        lp.num_row_, lp.num_col_ = a.shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+        lp.num_row_, lp.num_col_ = shape
+        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = \
-            a.indptr, a.indices, a.data
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a
         lp.col_cost_ = problem.objective_vector()
         lp.col_lower_, lp.col_upper_ = self.lb, self.ub
         lp.row_lower_, lp.row_upper_ = self.lhs, self.rhs

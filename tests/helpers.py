@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csc_array
 
 from reccoord import lpcore
 from reccoord.central import final_states
@@ -127,7 +128,9 @@ def run_days(scenario: Scenario, solve_day, num_days: int | None = None) -> list
 def solve_with_linprog(problem: LpProblem) -> LpSolution:
     """``problem`` solved afresh by ``scipy.optimize.linprog`` from the layout
     HiGHS receives, and checked as :func:`reccoord.lpcore.solve_lp` checks."""
-    a, _, rhs = problem._highs_layout()
+    (indptr, indices, data), _, rhs = problem._highs_layout()
+    a = csc_array((data, indices, indptr),
+                  shape=(problem.num_constraints, problem.num_variables))
     k = problem._structured().num_ub
     blocks = {"A_ub": a[:k], "b_ub": rhs[:k], "A_eq": a[k:], "b_eq": rhs[k:]}
     res = linprog(problem.objective_vector(), bounds=np.column_stack(problem.bounds()),

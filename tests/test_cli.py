@@ -6,6 +6,7 @@ import hashlib
 import json
 import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +163,16 @@ def test_a_failing_member_subproblem_names_mode_and_day(tmp_path, capsys, monkey
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ECFlexIt day 0: member ") and err.count("\n") == 1
+
+
+def test_the_iteration_cap_names_mode_and_day_once(tmp_path, capsys):
+    bundled = Path(cli.__file__).parent / "data" / "community20.json"
+    code = _run(["--scenario", str(bundled), "--modes", "ecflexit", "--key", "equal",
+                 "--days", "1", "--max-iters", "1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: ECFlexIt day 0: iteration cap exceeded after 1 iterations\n"
+    assert err.count("ECFlexIt") == 1 and err.count("day") == 1
 
 
 def test_invalid_scenario_file_is_an_input_error(tmp_path, capsys):

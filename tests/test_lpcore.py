@@ -1,15 +1,20 @@
 """LP container and solver boundary: worked examples, vertex-enumeration
-cross-checks, determinism, the feasibility check and bit-for-bit agreement
-between the persistent HiGHS model and the ``linprog`` reference, and the
-concurrent runs of :func:`run_ahead`."""
+cross-checks, determinism, the feasibility check, the numpy-built CSC layout
+against SciPy's, bit-for-bit agreement between the persistent HiGHS model and
+the ``linprog`` reference, the concurrent runs of :func:`run_ahead`, and the
+HiGHS extension loaded without ``scipy.optimize``."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import queue
+import subprocess
 import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,9 @@ from reccoord.decentral import MemberAgent
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
                              run_ahead, solve_lp)
 from reccoord.scenario import SyntheticConfig, generate_synthetic
+import scipy
 from scipy.optimize._highspy import _core as _highs
+from scipy.sparse import csc_array
 from helpers import solve_with_linprog
 
 
@@ -234,6 +241,84 @@ def test_max_violation_reports_the_exact_worst_violation(point, expected):
 
 
 # ---------------------------------------------------------------------------
+# The matrix layout, assembled with numpy, against SciPy's
+
+
+def _random_entries(rng, most: int) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray]:
+    """A shape ``(m, n)`` and entries ``(r, c, v)`` at random distinct
+    positions, each repeated up to ``most`` times, about a fifth of them
+    explicit zeros, in random order."""
+    m, n = (int(k) for k in rng.integers(1, 12, size=2))
+    pos = rng.choice(m * n, size=int(rng.integers(1, m * n + 1)), replace=False)
+    pos = rng.permutation(np.repeat(pos, rng.integers(1, most + 1, size=pos.size)))
+    v = rng.normal(size=pos.size)
+    v[rng.random(pos.size) < 0.2] = 0.0
+    return m, n, pos // n, pos % n, v
+
+
+def _scipy_csc(v, r, c, shape) -> csc_array:
+    """SciPy's canonical CSC matrix of the entries, with int32 indexes as
+    HiGHS takes them (SciPy keeps the index type it is given)."""
+    return csc_array((v, (r.astype(np.int32), c.astype(np.int32))), shape=shape)
+
+
+def _one_block(sense: str, m: int, n: int, r, c, v) -> LpProblem:
+    p = LpProblem("block")
+    x = p.add_variables("x", n, -1.0, 1.0)
+    p.add_rows(sense, np.zeros(m), [(x[c], v, r)])
+    return p
+
+
+@pytest.mark.parametrize("sense", ["<=", ">=", "="])
+@pytest.mark.parametrize("seed", range(20))
+def test_csc_arrays_are_scipys_bit_for_bit(sense, seed):
+    """One block of rows with explicit zeros and entries repeated at most
+    twice: the arrays HiGHS receives are those of SciPy's canonical CSC matrix
+    of the same entries (``>=`` rows negated), zeros and signs of zero kept."""
+    m, n, r, c, v = _random_entries(np.random.default_rng(seed), most=2)
+    a = _one_block(sense, m, n, r, c, v)._highs_layout()[0]
+    ref = _scipy_csc(-1.0 * v if sense == ">=" else v, r, c, (m, n))
+    for got, want in zip(a, (ref.indptr, ref.indices, ref.data)):
+        assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_entries_repeated_more_often_give_scipys_structure(seed):
+    """Three or more repeats of an entry are summed in another order than
+    SciPy's, so only the last bit of their sum may differ."""
+    m, n, r, c, v = _random_entries(np.random.default_rng(seed), most=5)
+    indptr, indices, data = _one_block("<=", m, n, r, c, v)._highs_layout()[0]
+    ref = _scipy_csc(v, r, c, (m, n))
+    assert _same_bits(indptr, ref.indptr) and _same_bits(indices, ref.indices)
+    np.testing.assert_allclose(data, ref.data, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_max_violation_matches_a_dense_reference(seed):
+    rng = np.random.default_rng(seed)
+    p = LpProblem("dense")
+    n = 8
+    x = p.add_variables("x", n, rng.uniform(-1.0, 0.0, n), rng.uniform(0.0, 1.0, n))
+    dense, lo, hi = [], [], []
+    for sense in ("<=", ">=", "="):
+        m, _, r, c, v = _random_entries(rng, most=3)
+        c = c * n // (c.max() + 1)  # spread over the n columns
+        b = rng.normal(size=m)
+        p.add_rows(sense, b, [(x[c], v, r)])
+        a = np.zeros((m, n))
+        np.add.at(a, (r, c), v)
+        dense.append(a)
+        lo.append(np.full(m, -math.inf) if sense == "<=" else b)
+        hi.append(np.full(m, math.inf) if sense == ">=" else b)
+    point = rng.normal(size=n)
+    y = np.concatenate(dense) @ point
+    lb, ub = p.bounds()
+    expected = max(0.0, np.max(np.concatenate(lo) - y), np.max(y - np.concatenate(hi)),
+                   np.max(lb - point), np.max(point - ub))
+    assert p.max_violation(point) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # Agreement with the reference: the persistent HiGHS model and linprog solve
 # the same layout
 
@@ -345,11 +430,12 @@ def test_warm_resolve_matches_a_highs_run_kept_from_the_pinned_basis(community):
     # a fresh HiGHS handed the pinned LP, run, relaxed in place and run again
     pinned, _, _, _ = _pinned_day_lp(community)
     a, lhs, rhs = pinned._highs_layout()
+    shape = pinned.num_constraints, pinned.num_variables
     lp = _highs.HighsLp()
-    lp.num_row_, lp.num_col_ = a.shape
-    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = a.shape
+    lp.num_row_, lp.num_col_ = shape
+    lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a
     lp.col_cost_ = pinned.objective_vector()
     lp.col_lower_, lp.col_upper_ = pinned.bounds()
     lp.row_lower_, lp.row_upper_ = lhs, rhs
@@ -612,3 +698,89 @@ def test_run_ahead_keeps_one_helper_thread(runs, monkeypatch):
     run_ahead(problems)
     assert _ran(runs, problems) == [1, 1, 1]
     assert helpers() == [lpcore._helper[0]] != [dead]
+
+
+# ---------------------------------------------------------------------------
+# The HiGHS extension, loaded from SciPy's files without scipy.optimize
+
+
+def _fresh(*pieces: str) -> None:
+    """Run the code ``pieces`` in a fresh interpreter that imports reccoord
+    from where this process does; it fails the test by failing an assert or
+    raising."""
+    src = str(Path(lpcore.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "\n".join(map(textwrap.dedent, pieces))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+_SMALL_SOLVE = """
+    p = lpcore.LpProblem()
+    (x,) = p.add_variables("x", 1, 0.0, 10.0)
+    p.add_rows(">=", 3.0, [(x, 1.0)])
+    p.add_objective(x, 1.0)
+    solution = lpcore.solve_lp(p)
+    assert solution.status is lpcore.LpStatus.OPTIMAL and solution.objective == 3.0
+"""
+
+#: Records in ``loads`` the name of every extension module loaded from a file
+#: from here on.  CPython hands a second load of an extension the module it
+#: made first, so only the record shows whether one was loaded twice.
+_RECORD_LOADS = """
+    import importlib.machinery
+    import sys
+    CORE = "scipy.optimize._highspy._core"
+    loads = []
+    create = importlib.machinery.ExtensionFileLoader.create_module
+
+    def recording(self, spec):
+        loads.append(spec.name)
+        return create(self, spec)
+
+    importlib.machinery.ExtensionFileLoader.create_module = recording
+"""
+
+
+def test_the_cli_imports_neither_scipy_optimize_nor_scipy_sparse():
+    _fresh("""
+        import sys
+        import reccoord.cli
+        from reccoord import lpcore
+    """, _SMALL_SOLVE, """
+        leaked = [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+        assert not leaked, leaked
+    """)
+
+
+def test_a_later_scipy_optimize_uses_the_loaded_extension():
+    _fresh(_RECORD_LOADS, """
+        from reccoord import lpcore
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        assert _core is lpcore._highs is sys.modules[CORE]
+        assert loads.count(CORE) == 1, loads
+        res = scipy.optimize.linprog([1.0], A_ub=[[-1.0]], b_ub=[-3.0], bounds=[(0.0, 10.0)],
+                                     method="highs")
+        assert res.status == 0 and res.x[0] == 3.0
+    """)
+
+
+def test_an_earlier_scipy_optimize_extension_is_reused():
+    _fresh(_RECORD_LOADS, """
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        from reccoord import lpcore
+        assert lpcore._highs is _core
+        assert loads.count(CORE) == 1, loads
+    """, _SMALL_SOLVE)
+
+
+def test_a_missing_extension_names_the_directory_and_the_scipy_version(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError) as err:
+        lpcore._load_highs()
+    assert str(tmp_path / "optimize" / "_highspy") in str(err.value)
+    assert scipy.__version__ in str(err.value)
