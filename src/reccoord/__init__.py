@@ -10,7 +10,7 @@ from .central import (CarriedState, DayLpError, DaySchedule, DeviceRefs, FlexRef
 from .decentral import (Activation, ActivationBounds, CapacityOffer, DecentralError,
                         FlexRequest, IterationLimitError, IterationTrace, MemberAgent,
                         initial_request, refine_bounds, run_ecflexit, settle_community)
-from .devices import Discomfort, simulate_bss, simulate_ev, simulate_hp, simulate_wb
+from .devices import simulate_bss, simulate_ev, simulate_hp, simulate_wb
 from .kor import cascade_key, equal_key, get_key, prorate_key
 from .lpcore import (LpError, LpProblem, LpSolution, LpStatus, TOL_FEAS, TOL_OPT,
                      solve_lp)

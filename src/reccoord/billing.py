@@ -138,7 +138,8 @@ class MemberBenefit:
 
 @dataclass(frozen=True)
 class ModeSummary:
-    """Community-level aggregates for one mode, over all days run."""
+    """Community-level aggregates for one mode, over all days run; the fields
+    after ``mode`` are the rows of ``summary.csv``, in order."""
 
     mode: str
     bill_eur: float
@@ -207,17 +208,10 @@ def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
                 if "pdis" in series:
                     dis_bss += float(np.sum(series["pdis"])) * dt
         summaries.append(ModeSummary(
-            mode=mode,
-            bill_eur=bill,
-            discomfort_ev_eur=discomfort["ev"],
-            discomfort_wb_eur=discomfort["wb"],
-            discomfort_hp_eur=discomfort["hp"],
-            activated_kwh=activated["ev"] + activated["wb"] + activated["hp"],
-            activated_ev_kwh=activated["ev"],
-            activated_wb_kwh=activated["wb"],
-            activated_hp_kwh=activated["hp"],
+            mode=mode, bill_eur=bill, activated_kwh=sum(activated.values()),
             bss_discharge_kwh=dis_bss,
-        ))
+            **{f"discomfort_{name}_eur": eur for name, eur in discomfort.items()},
+            **{f"activated_{name}_kwh": kwh for name, kwh in activated.items()}))
 
     return Report(modes=tuple(summaries),
                   gaps=_gap_metrics({s.mode: s for s in summaries}))

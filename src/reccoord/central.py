@@ -144,16 +144,25 @@ class MemberDaySchedule:
         return out
 
 
+#: Every member series tag: its variable in ``schedules.csv`` and the device
+#: slot a member needs to have it (``None``: every member has it).
+SERIES = {
+    "iret": ("import_retailer_kw", None), "eret": ("export_retailer_kw", None),
+    "icom": ("import_community_kw", None), "ecom": ("export_community_kw", None),
+    "pinj": ("injection_kw", None), "ppv": ("pv_kw", None),
+    "pcha": ("bss_charge_kw", "bss"), "pdis": ("bss_discharge_kw", "bss"),
+    "socb": ("bss_soc", "bss"),
+    **{tag: (variable, spec.name) for spec in DEVICES for tag, variable in (
+        (spec.power, f"{spec.name}_power_kw"), (spec.state, spec.state_column),
+        (spec.discomfort, f"{spec.name}_discomfort_eur"))},
+}
+
+
 def series_tags(m: Member) -> set[str]:
-    """The tags of a settled :class:`MemberDaySchedule` of ``m``: the exchange
-    legs, net injection and PV, then the battery's and each owned device's."""
-    tags = {"iret", "eret", "icom", "ecom", "pinj", "ppv"}
-    if m.bss is not None:
-        tags |= {"pcha", "pdis", "socb"}
-    for spec in DEVICES:
-        if getattr(m, spec.name) is not None:
-            tags |= {spec.power, spec.state, spec.discomfort}
-    return tags
+    """The tags of a settled :class:`MemberDaySchedule` of ``m``: those of
+    :data:`SERIES` that need no device or a device ``m`` owns."""
+    return {tag for tag, (_, slot) in SERIES.items()
+            if slot is None or getattr(m, slot) is not None}
 
 
 @dataclass
@@ -205,10 +214,11 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
 
     Covers power/state bounds, state recurrences, end-of-day battery
     recovery, daily energy conservation against the references, and the
-    discomfort epigraph rows.  Returns column indexes per series tag.
-    The same block backs both the community planners and the per-member
-    subproblems of the iterative coordination, so their physics cannot
-    drift apart.
+    discomfort epigraph rows.  Each flexible device's part is built from its
+    :data:`~reccoord.devices.DEVICES` entry.  Returns column indexes per
+    series tag.  The same block backs both the community planners and the
+    per-member subproblems of the iterative coordination, so their physics
+    cannot drift apart.
     """
     T = len(m.fixed_load_kw)
     idx: dict[str, np.ndarray] = {}
@@ -231,46 +241,28 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
         # end-of-day recovery of the initial level
         p.add_rows("=", bss.soc_init, [(soc[T - 1], 1.0)])
 
-    ev_spec, wb_spec, hp_spec = DEVICES
-
-    def flexible(spec, max_kw, ref, state_lb, state_ub, gain, keep, rhs, reluctance,
-                 target) -> None:
-        """Power, state and discomfort series of one flexible device:
-        ``state[t] = keep[t-1] * state[t-1] + gain * power[t] + rhs[t]`` (the
-        initial state is in ``rhs[0]``), daily energy equal to the reference,
-        discomfort >= ``reluctance * (target - state)``."""
-        power = grid(spec.power, *((ref, ref) if pinned else (0.0, max_kw)))
-        level = grid(spec.state, state_lb, state_ub)
+    for spec in DEVICES:
+        device = getattr(m, spec.name)
+        if device is None:
+            continue
+        ref = getattr(refs, spec.name)
+        power = grid(spec.power, *((ref, ref) if pinned else (0.0, spec.max_power(device))))
+        # states stay nonnegative; a hard floor may bind at some steps only
+        floor = 0.0 if spec.floor is None else np.maximum(0.0, spec.floor(device))
+        level = grid(spec.state, floor, np.inf if spec.ceiling is None else spec.ceiling(device))
         discomfort = grid(spec.discomfort, 0.0, np.inf)
-        p.add_rows("=", rhs, [(level, 1.0), (power, -gain), (level[:-1], -keep, after)])
+        gain, keep, drift = spec.recurrence(device, dt)
+        keep = np.broadcast_to(keep, T)
+        start = getattr(state, spec.name)
+        rhs = np.array(drift)
+        rhs[0] += keep[0] * (getattr(device, spec.initial) if start is None else start)
+        p.add_rows("=", rhs, [(level, 1.0), (power, -gain), (level[:-1], -keep[1:], after)])
+        # daily energy equal to the reference's
         p.add_rows("=", float(np.sum(ref)), [(power, 1.0, 0)])
-        p.add_rows(">=", reluctance * target, [(discomfort, 1.0), (level, reluctance)])
-
-    if m.ev is not None:
-        ev = m.ev
-        rhs = ev.arrival * ev.soc_arrival
-        rhs[0] += (1.0 - ev.arrival[0]) * (state.ev if state.ev is not None else ev.soc_init)
-        flexible(ev_spec, ev.plugged * ev.max_charge_kw, refs.ev,
-                 ev.departure * ev.soc_ref, 1.0, dt * ev.efficiency / ev.capacity_kwh,
-                 1.0 - ev.arrival[1:], rhs, ev.reluctance_eur, ev.soc_ref)
-
-    if m.wb is not None:
-        wb = m.wb
-        k = dt * wb.thermal_coeff
-        rhs = -k * (wb.usage_loss_kw + wb.envelope_loss_kw)
-        rhs[0] += state.wb if state.wb is not None else wb.temp_init
-        # hard floor only at usage events; temperatures stay nonnegative
-        flexible(wb_spec, wb.max_power_kw, refs.wb,
-                 np.maximum(0.0, wb.usage_event * wb.temp_limit), wb.temp_max, k, 1.0, rhs,
-                 wb.reluctance_eur, wb.temp_limit)
-
-    if m.hp is not None:
-        hp = m.hp
-        k = dt * hp.thermal_coeff
-        rhs = -k * hp.wall_loss_kw
-        rhs[0] += state.hp if state.hp is not None else hp.temp_init
-        flexible(hp_spec, hp.max_power_kw, refs.hp, 0.0, np.inf, k * hp.cop,
-                 1.0, rhs, hp.reluctance_eur, hp.temp_limit)
+        # discomfort >= reluctance * (target - state)
+        reluctance = device.reluctance_eur
+        p.add_rows(">=", reluctance * spec.target(device),
+                   [(discomfort, 1.0), (level, reluctance)])
 
     return idx
 
@@ -660,7 +652,7 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
                   f"{what} power out of bounds")
             check(abs(float(np.sum(power - getattr(ms.refs, spec.name)))) * dt <= tol,
                   f"{what} daily energy not conserved")
-            check(np.max(np.abs(spec.hinge(device, traj).per_step - ss[spec.discomfort])) <= tol,
+            check(np.max(np.abs(spec.hinge(device, traj) - ss[spec.discomfort])) <= tol,
                   f"{what} discomfort mismatch")
 
     check(np.max(np.abs(ecom_total - icom_total)) <= tol,

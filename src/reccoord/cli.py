@@ -35,6 +35,7 @@ from pathlib import Path
 from . import billing, central, decentral, reporting
 from .central import CarriedState, PlannerMode
 from .devices import DEVICES
+from .lpcore import LpError
 from .scenario import (Scenario, ScenarioError, SyntheticConfig, SyntheticConfigError,
                        dump_scenario, generate_synthetic, load_scenario)
 
@@ -312,7 +313,7 @@ def _solve_day(scenario: Scenario, mode_name: str, day: int,
             sched, traces = central.solve_centralized(
                 scenario, day, PlannerMode(mode_name), initial_states=carried,
                 allow_curtailment=config.allow_curtailment, solved=solved), []
-    except (central.PlannerError, decentral.DecentralError) as exc:
+    except (central.PlannerError, decentral.DecentralError, LpError) as exc:
         # name the planner only where it is not the mode run
         detail = exc.reason if isinstance(exc, central.DayLpError) \
             and exc.mode == mode_name else exc

@@ -9,10 +9,14 @@ independent of any LP machinery.
 :data:`DEVICES` describes the three flexible devices (EV, boiler, heat pump)
 once.  Each :class:`DeviceSpec` names the device's slot (the attribute of
 ``Member``, ``DeviceRefs`` and ``CarriedState``), its power, state and
-discomfort series tags, its simulator, its hard state floor and ceiling, its
-power rating and its discomfort target.  Reference handling, carried state,
-the verifier and the report tables loop over it; the battery, with two powers
-and no discomfort, stays outside.
+discomfort series tags, its simulator, its initial state, its state
+recurrence as LP coefficients, its hard state floor and ceiling, its power
+rating and its discomfort target.  The LP device block
+(:func:`reccoord.central.add_device_block`), reference handling, carried
+state, the verifier and the report tables loop over it; the battery, with two
+powers and no discomfort, stays outside.  The simulators are written out on
+their own rather than from the recurrence: they are the verifier's
+independent check of the LP.
 
 Conventions:
 
@@ -30,19 +34,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .scenario import BssParams, EvParams, HpParams, WbParams
-
-
-@dataclass(frozen=True)
-class Discomfort:
-    """Nonnegative per-step hinge penalties (EUR) and their total."""
-
-    per_step: np.ndarray
-    total: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.per_step, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "per_step", arr)
 
 
 def _as_schedule(power_kw, n_expected: int | None = None) -> np.ndarray:
@@ -104,24 +95,27 @@ def simulate_hp(params: HpParams, power_kw, dt_hours: float,
     return t0 + np.cumsum(dt_hours * net * params.thermal_coeff)
 
 
-def _hinge(state: np.ndarray, reference: np.ndarray, reluctance: float) -> Discomfort:
+def _hinge(state: np.ndarray, reference: np.ndarray, reluctance: float) -> np.ndarray:
     state = np.asarray(state, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     if state.shape != reference.shape:
         raise ValueError(f"state length {state.shape} != reference length {reference.shape}")
-    per_step = reluctance * np.maximum(0.0, reference - state)
-    return Discomfort(per_step=per_step, total=float(per_step.sum()))
+    return reluctance * np.maximum(0.0, reference - state)
 
 
 @dataclass(frozen=True)
 class DeviceSpec:
     """One flexible device: slot name, series tags and physics accessors.
 
-    ``label`` names the device in verifier messages and ``state_column`` its
-    state in ``schedules.csv``.  The accessors take the device's parameters:
-    ``floor`` and ``ceiling`` bound the state hard (``None``: unbounded),
-    ``max_power`` bounds the power and ``target`` is the state below which
-    discomfort accrues at ``reluctance_eur`` per unit.
+    ``label`` names the device in verifier messages, ``state_column`` its
+    state in ``schedules.csv`` and ``initial`` the parameter holding its
+    initial state.  The accessors take the device's parameters:
+    ``recurrence(params, dt)`` gives ``(gain, keep, drift)`` of
+    ``state[t] = keep[t] * state[t-1] + gain * power[t] + drift[t]``, where
+    ``keep[0]`` weighs the start state and a scalar ``keep`` holds for every
+    step; ``floor`` and ``ceiling`` bound the state hard (``None``:
+    unbounded), ``max_power`` bounds the power and ``target`` is the state
+    below which discomfort accrues at ``reluctance_eur`` per unit.
     """
 
     name: str
@@ -131,6 +125,8 @@ class DeviceSpec:
     discomfort: str
     state_column: str
     simulator: str
+    initial: str
+    recurrence: Callable[[Any, float], tuple]
     floor: Callable[[Any], Any] | None
     ceiling: Callable[[Any], Any] | None
     max_power: Callable[[Any], Any]
@@ -141,23 +137,33 @@ class DeviceSpec:
         # looked up at call time, so a rebound module attribute is honoured
         return globals()[self.simulator](params, power_kw, dt_hours, start)
 
-    def hinge(self, params, trajectory) -> Discomfort:
-        """Linear penalty for a state trajectory below the target (above it is free)."""
+    def hinge(self, params, trajectory) -> np.ndarray:
+        """Per-step linear penalty (EUR) for a state trajectory below the target
+        (above it is free)."""
         return _hinge(trajectory, self.target(params), params.reluctance_eur)
 
 
 #: The flexible devices, in the order their series enter every table.
 DEVICES = (
     DeviceSpec("ev", "EV", power="pev", state="sev", discomfort="jev",
-               state_column="ev_soc", simulator="simulate_ev",
+               state_column="ev_soc", simulator="simulate_ev", initial="soc_init",
+               # an arrival replaces the incoming state by the arrival SoC
+               recurrence=lambda ev, dt: (dt * ev.efficiency / ev.capacity_kwh,
+                                          1.0 - ev.arrival, ev.arrival * ev.soc_arrival),
                floor=lambda ev: ev.departure * ev.soc_ref, ceiling=lambda ev: 1.0,
                max_power=lambda ev: ev.plugged * ev.max_charge_kw,
                target=lambda ev: ev.soc_ref),
     DeviceSpec("wb", "boiler", power="pwb", state="twb", discomfort="jwb",
-               state_column="wb_temp_c", simulator="simulate_wb",
+               state_column="wb_temp_c", simulator="simulate_wb", initial="temp_init",
+               recurrence=lambda wb, dt: (
+                   dt * wb.thermal_coeff, 1.0,
+                   -(dt * wb.thermal_coeff) * (wb.usage_loss_kw + wb.envelope_loss_kw)),
                floor=lambda wb: wb.usage_event * wb.temp_limit, ceiling=lambda wb: wb.temp_max,
                max_power=lambda wb: wb.max_power_kw, target=lambda wb: wb.temp_limit),
     DeviceSpec("hp", "heat pump", power="php", state="thp", discomfort="jhp",
-               state_column="hp_temp_c", simulator="simulate_hp", floor=None, ceiling=None,
+               state_column="hp_temp_c", simulator="simulate_hp", initial="temp_init",
+               recurrence=lambda hp, dt: (dt * hp.thermal_coeff * hp.cop, 1.0,
+                                          -(dt * hp.thermal_coeff) * hp.wall_loss_kw),
+               floor=None, ceiling=None,
                max_power=lambda hp: hp.max_power_kw, target=lambda hp: hp.temp_limit),
 )

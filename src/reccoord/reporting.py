@@ -17,29 +17,18 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .billing import Bill, MemberBenefit, Report
-from .central import DaySchedule, DeviceRefs, MemberDaySchedule
+from .billing import Bill, MemberBenefit, ModeSummary, Report
+from .central import SERIES, DaySchedule, DeviceRefs, MemberDaySchedule
 from .decentral import IterationTrace
-from .devices import DEVICES
 
-#: Fixed row order of the summary table.
-SUMMARY_METRICS = (
-    "bill_eur",
-    "discomfort_ev_eur",
-    "discomfort_wb_eur",
-    "discomfort_hp_eur",
-    "activated_kwh",
-    "activated_ev_kwh",
-    "activated_wb_kwh",
-    "activated_hp_kwh",
-    "bss_discharge_kwh",
-)
+#: Fixed row order of the summary table: the fields of a mode's summary.
+SUMMARY_METRICS = tuple(f.name for f in fields(ModeSummary) if f.name != "mode")
 
 #: Gap metrics appear as extra summary rows under the decentralized mode column.
 GAP_ROWS = (
@@ -48,15 +37,7 @@ GAP_ROWS = (
 )
 
 #: Variable name in ``schedules.csv`` of each member series tag.
-SERIES_NAMES = {
-    "iret": "import_retailer_kw", "eret": "export_retailer_kw",
-    "icom": "import_community_kw", "ecom": "export_community_kw",
-    "pinj": "injection_kw", "ppv": "pv_kw",
-    "pcha": "bss_charge_kw", "pdis": "bss_discharge_kw", "socb": "bss_soc",
-    **{tag: name for spec in DEVICES for tag, name in (
-        (spec.power, f"{spec.name}_power_kw"), (spec.state, spec.state_column),
-        (spec.discomfort, f"{spec.name}_discomfort_eur"))},
-}
+SERIES_NAMES = {tag: variable for tag, (variable, _) in SERIES.items()}
 
 
 @dataclass(frozen=True)

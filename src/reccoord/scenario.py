@@ -330,15 +330,21 @@ def _every(out: list[Violation], path: str, bad: np.ndarray, message: str) -> No
 
 
 def _check_domains(out: list[Violation], path: str, obj: _Series, n: int) -> bool:
-    """The declared scalar domains, then every series' length and domain.
-    Returns False when a series is unusable (wrong length or non-finite)."""
-    for name, domain in obj._DOMAINS.items():
-        if name not in obj._SERIES:
-            holds, message = _SCALAR_DOMAINS[domain]
-            value = getattr(obj, name)
-            if not holds(value):
-                out.append(Violation(f"{path}.{name}", message.format(value)))
+    """Every scalar's finiteness and declared domain, then every series' length
+    and domain.  Returns False when a field is unusable (a non-finite scalar,
+    a series of the wrong length or with a non-finite entry)."""
     ok = True
+    for f in fields(obj):
+        if f.name in obj._SERIES:
+            continue
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            out.append(Violation(f"{path}.{f.name}", "non-finite value"))
+            ok = False
+        elif f.name in obj._DOMAINS:
+            holds, message = _SCALAR_DOMAINS[obj._DOMAINS[f.name]]
+            if not holds(value):
+                out.append(Violation(f"{path}.{f.name}", message.format(value)))
     for name in obj._SERIES:
         ok &= _check_series(out, f"{path}.{name}", getattr(obj, name), n,
                             obj._DOMAINS.get(name))

@@ -191,19 +191,19 @@ def test_criterion_6_resimulation_reproduces_every_optimal_schedule():
                                   soc_start=None if state is None else state.ev)
                 assert np.max(np.abs(soc - ms.series["sev"])) <= 1e-6
                 hinge = DEVICES[0].hinge(m.ev, soc)
-                assert np.max(np.abs(hinge.per_step - ms.series["jev"])) <= 1e-6
+                assert np.max(np.abs(hinge - ms.series["jev"])) <= 1e-6
             if m.wb is not None:
                 temp = simulate_wb(m.wb, ms.series["pwb"], day_s.horizon.dt_hours,
                                    temp_start=None if state is None else state.wb)
                 assert np.max(np.abs(temp - ms.series["twb"])) <= 1e-6
                 hinge = DEVICES[1].hinge(m.wb, temp)
-                assert np.max(np.abs(hinge.per_step - ms.series["jwb"])) <= 1e-6
+                assert np.max(np.abs(hinge - ms.series["jwb"])) <= 1e-6
             if m.hp is not None:
                 temp = simulate_hp(m.hp, ms.series["php"], day_s.horizon.dt_hours,
                                    temp_start=None if state is None else state.hp)
                 assert np.max(np.abs(temp - ms.series["thp"])) <= 1e-6
                 hinge = DEVICES[2].hinge(m.hp, temp)
-                assert np.max(np.abs(hinge.per_step - ms.series["jhp"])) <= 1e-6
+                assert np.max(np.abs(hinge - ms.series["jhp"])) <= 1e-6
     _ok(6, f"re-simulation matches LP states and discomforts on "
            f"{len(_SCHEDULES)} schedules (1e-6)")
 

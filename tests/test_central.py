@@ -16,12 +16,12 @@ from reccoord.central import (CarriedState, DeviceRefs, InfeasibleDayError, Plan
                               final_states, prioritize_self_consumption,
                               solve_centralized, verify_day_schedule)
 from reccoord.decentral import run_ecflexit
-from reccoord.devices import simulate_wb
-from reccoord.lpcore import TOL_OPT, LpStatus, solve_lp
+from reccoord.devices import DEVICES, simulate_wb
+from reccoord.lpcore import TOL_OPT, LpProblem, LpStatus, solve_lp
 from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic, load_bundled_scenario
 from helpers import (make_member, make_scenario, run_days, series, simple_bss, simple_ev,
-                     simple_wb)
+                     simple_hp, simple_wb)
 
 DT6 = 6.0  # four-step day
 
@@ -229,6 +229,47 @@ def test_ecflex_solves_cold_when_carried_state_breaks_the_references(monkeypatch
     assert solves == [(LpStatus.INFEASIBLE, False), (LpStatus.OPTIMAL, False)]
     assert sched.objective_value == pytest.approx(cold.objective, rel=TOL_OPT)
     assert verify_day_schedule(s, 0, sched, initial_states=states) == []
+
+
+def _one_device_member(name: str, arrival_at_0: bool):
+    """A member owning only device ``name``, with a random reference power."""
+    n = 8
+    rng = np.random.default_rng(11)
+    ref = rng.uniform(0.0, 0.5, n)
+    if name == "ev":
+        device = simple_ev(n, ref, arrival=series(n, t0=float(arrival_at_0), t5=1.0),
+                           soc_arrival=series(n, t0=0.25, t5=0.4), capacity=20.0, eta=0.9,
+                           soc_init=0.3)
+    elif name == "wb":
+        device = simple_wb(n, ref, coeff=0.5, usage_loss=rng.uniform(0.0, 1.0, n),
+                           envelope=np.full(n, 0.1))
+    else:
+        device = simple_hp(n, ref, wall_loss=rng.uniform(0.0, 2.0, n))
+    return make_member("u1", n, **{name: device})
+
+
+@pytest.mark.parametrize("name,start,arrival_at_0", [
+    ("ev", None, False), ("ev", 0.35, False), ("ev", 0.35, True),
+    ("wb", None, False), ("wb", 55.0, False),
+    ("hp", None, False), ("hp", 19.0, False),
+], ids=["ev-default", "ev-carried", "ev-arrival-at-0", "wb-default", "wb-carried",
+        "hp-default", "hp-carried"])
+def test_each_device_block_follows_its_simulator(name, start, arrival_at_0):
+    """Pinned to its reference, a device's LP states are its simulated ones,
+    from the default start, from a carried one, and for an EV arriving at
+    step 0, whose arrival replaces the start state."""
+    spec = next(spec for spec in DEVICES if spec.name == name)
+    m = _one_device_member(name, arrival_at_0)
+    device = getattr(m, name)
+    dt = 3.0
+    p = LpProblem("block")
+    idx = central.add_device_block(p, m, DeviceRefs(**{name: device.power_ref_kw}),
+                                   CarriedState(**{name: start}), dt, pinned=True)
+    p.add_objective(idx[spec.discomfort], 1.0)
+    solution = solve_lp(p)
+    assert solution.status is LpStatus.OPTIMAL
+    expected = spec.simulate(device, device.power_ref_kw, dt, start)
+    assert np.max(np.abs(solution.x[idx[spec.state]] - expected)) <= 1e-9
 
 
 def test_reference_dimension_mismatch_rejected():

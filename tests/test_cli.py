@@ -134,6 +134,35 @@ def test_infeasible_day_exits_1_naming_mode_and_day(tmp_path, capsys):
     assert err.count("ECFlex") == 1 and err.count("day") == 1
 
 
+def test_a_rejected_lp_names_mode_and_day(tmp_path, capsys):
+    """A finite but extreme capacity makes an LP coefficient overflow; the
+    run ends with a diagnostic, not a stack trace."""
+    import numpy as np
+
+    from helpers import make_member, make_scenario, simple_ev
+
+    ev = simple_ev(4, power_ref=np.zeros(4), capacity=1e-310)
+    path = tmp_path / "tiny.json"
+    path.write_bytes(dump_scenario(make_scenario([make_member("u1", 4, ev=ev)], steps=4)))
+    code = _run(["--scenario", str(path), "--modes", "solofix", "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SoloFix day 0: non-finite constraint coefficient")
+
+
+def test_a_non_finite_device_scalar_is_an_input_error(tmp_path, capsys):
+    assert _run(["--generate", "members=4", "--seed", "1", "--modes", "solofix",
+                 "--out", str(tmp_path / "gen")]) == 0
+    path = tmp_path / "gen" / "scenario.json"
+    doc = json.loads(path.read_text())
+    i, member = next((i, m) for i, m in enumerate(doc["members"]) if m["wb"] is not None)
+    member["wb"]["max_power_kw"] = float("inf")
+    path.write_text(json.dumps(doc))
+    code = _run(["--scenario", str(path), "--modes", "solofix", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"members[{i}].wb.max_power_kw: non-finite value" in capsys.readouterr().err
+
+
 def test_a_failing_priming_day_names_the_user_mode(tmp_path, capsys):
     """ECFlexItPrimed fails in its internal SoloFlex priming solve; the error
     names the mode the user ran and the day, not only the planner."""

@@ -113,26 +113,26 @@ class TestDiscomfort:
     def test_inactive_hinge_costs_nothing(self):
         ev = simple_ev(2, power_ref=np.zeros(2), soc_ref=[0.8, 0.8])
         d = self.EV.hinge(ev, np.array([0.9, 0.8]))
-        assert d.total == 0.0
+        assert d.sum() == 0.0
 
     def test_hinge_arithmetic(self):
         ev = simple_ev(1, power_ref=np.zeros(1), soc_ref=[0.8])
         d = self.EV.hinge(ev, np.array([0.7]))
-        assert d.total == pytest.approx(0.1)
-        assert d.per_step == pytest.approx([0.1])
+        assert d.sum() == pytest.approx(0.1)
+        assert d == pytest.approx([0.1])
 
     def test_overheat_then_cool_above_limit_is_free(self):
         traj = np.array([70.0, 66.0, 61.0, 55.0, 51.0])
         wb = simple_wb(5, power_ref=np.zeros(5), limit=50.0)
         hp = simple_hp(5, power_ref=np.zeros(5), limit=50.0)
-        assert self.WB.hinge(wb, traj).total == 0.0
-        assert self.HP.hinge(hp, traj).total == 0.0
+        assert self.WB.hinge(wb, traj).sum() == 0.0
+        assert self.HP.hinge(hp, traj).sum() == 0.0
 
     def test_reluctance_scales_penalty(self):
         wb = simple_wb(1, power_ref=np.zeros(1), limit=50.0, reluctance=2.5)
         hp = simple_hp(1, power_ref=np.zeros(1), limit=50.0, reluctance=2.5)
-        assert self.WB.hinge(wb, np.array([48.0])).total == pytest.approx(5.0)
-        assert self.HP.hinge(hp, np.array([48.0])).total == pytest.approx(5.0)
+        assert self.WB.hinge(wb, np.array([48.0])).sum() == pytest.approx(5.0)
+        assert self.HP.hinge(hp, np.array([48.0])).sum() == pytest.approx(5.0)
 
     def test_length_mismatch_rejected(self):
         ev = simple_ev(4, power_ref=np.zeros(4))

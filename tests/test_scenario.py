@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from reccoord.scenario import (ScenarioParseError, ScenarioValidationError,
+from reccoord.scenario import (DEVICE_PARAMS, ScenarioParseError, ScenarioValidationError,
                                SyntheticConfig, Violation, dump_scenario, generate_synthetic,
                                load_bundled_scenario, load_scenario,
                                scenario_to_dict, validate_scenario)
@@ -336,6 +336,15 @@ def test_a_member_with_every_device_is_valid():
 def test_each_domain_rule_names_its_field(device, field, value, path, message):
     s = _all_devices_scenario(device, **{field: value})
     assert Violation(f"members[0].{device}.{path}", message) in validate_scenario(s)
+
+
+@pytest.mark.parametrize("device,field", [
+    (device, f.name) for device, cls in DEVICE_PARAMS.items() for f in fields(cls)
+    if f.name not in cls._SERIES])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_each_non_finite_scalar_names_its_field(device, field, value):
+    s = _all_devices_scenario(device, **{field: value})
+    assert Violation(f"members[0].{device}.{field}", "non-finite value") in validate_scenario(s)
 
 
 def _ev_plug_rules_by_step(ev, steps_per_day: int, path: str = "members[0].ev") -> set:
