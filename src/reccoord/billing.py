@@ -204,7 +204,7 @@ def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
                     if spec.discomfort in series:
                         discomfort[spec.name] += float(np.sum(series[spec.discomfort]))
                     activated[spec.name] += _shifted_energy_kwh(
-                        series.get(spec.power), getattr(m.refs, spec.name), dt)
+                        series.get(spec.power), m.refs.get(spec.name), dt)
                 if "pdis" in series:
                     dis_bss += float(np.sum(series["pdis"])) * dt
         summaries.append(ModeSummary(

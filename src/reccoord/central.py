@@ -38,7 +38,7 @@ the first day, where every mode starts from the scenario's states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -90,30 +90,21 @@ class SolverFailureError(DayLpError):
         super().__init__(mode, day, f"solver failure: {message}")
 
 
-@dataclass(frozen=True)
-class DeviceRefs:
-    """Per-device reference power profiles for one member over one day."""
-
-    ev: np.ndarray | None = None
-    wb: np.ndarray | None = None
-    hp: np.ndarray | None = None
-
-    @classmethod
-    def of_powers(cls, series: Mapping[str, np.ndarray]) -> "DeviceRefs":
-        """References equal to the device powers of a series table."""
-        return cls(**{spec.name: series.get(spec.power) for spec in DEVICES})
-
+#: One member's reference power profiles over one day, by device slot
+#: (:attr:`~reccoord.devices.DeviceSpec.name`), for the devices it owns.
+DeviceRefs = dict[str, np.ndarray]
 
 FlexRefs = dict[str, DeviceRefs]
 
+#: One member's initial device states for a day (EV SoC, temperatures),
+#: carried over, by device slot; a device without an entry starts from its
+#: scenario state.
+CarriedState = dict[str, float]
 
-@dataclass(frozen=True)
-class CarriedState:
-    """Each device's initial state for a day (EV SoC, temperatures), carried over."""
 
-    ev: float | None = None
-    wb: float | None = None
-    hp: float | None = None
+def refs_of_powers(series: Mapping[str, np.ndarray]) -> DeviceRefs:
+    """References equal to the device powers of a series table."""
+    return {spec.name: series[spec.power] for spec in DEVICES if spec.power in series}
 
 
 @dataclass
@@ -129,7 +120,7 @@ class MemberDaySchedule:
 
     member_id: str
     series: dict[str, np.ndarray]
-    refs: DeviceRefs = DeviceRefs()
+    refs: DeviceRefs = field(default_factory=dict)
     bill: billing.Bill | None = None
     discomfort_total_eur: float = 0.0
     flex_revenue_eur: float = 0.0
@@ -186,9 +177,8 @@ class DaySchedule:
 
 def default_refs(day_scenario: Scenario) -> FlexRefs:
     """Reference powers straight from the scenario's device profiles."""
-    return {m.id: DeviceRefs(**{spec.name: np.array(device.power_ref_kw)
-                                for spec in DEVICES
-                                if (device := getattr(m, spec.name)) is not None})
+    return {m.id: {spec.name: np.array(device.power_ref_kw) for spec in DEVICES
+                   if (device := getattr(m, spec.name)) is not None}
             for m in day_scenario.members}
 
 
@@ -198,14 +188,18 @@ def _check_refs(refs: FlexRefs, day_scenario: Scenario) -> None:
         r = refs.get(m.id)
         if r is None:
             raise PlannerError(f"missing reference profiles for member {m.id}")
-        for spec in DEVICES:
-            if getattr(m, spec.name) is not None:
-                series = getattr(r, spec.name)
-                if series is None:
-                    raise PlannerError(f"member {m.id}: missing {spec.name} reference profile")
-                if len(series) != steps:
-                    raise PlannerError(f"member {m.id}: {spec.name} reference length "
-                                       f"{len(series)} != {steps}")
+        owned = [spec.name for spec in DEVICES if getattr(m, spec.name) is not None]
+        extra = sorted(set(r) - set(owned))
+        if extra:
+            raise PlannerError(f"member {m.id}: reference profiles for devices it does "
+                               f"not own: {extra}")
+        for name in owned:
+            series = r.get(name)
+            if series is None:
+                raise PlannerError(f"member {m.id}: missing {name} reference profile")
+            if len(series) != steps:
+                raise PlannerError(f"member {m.id}: {name} reference length "
+                                   f"{len(series)} != {steps}")
 
 
 def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedState,
@@ -245,7 +239,7 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
         device = getattr(m, spec.name)
         if device is None:
             continue
-        ref = getattr(refs, spec.name)
+        ref = refs[spec.name]
         power = grid(spec.power, *((ref, ref) if pinned else (0.0, spec.max_power(device))))
         # states stay nonnegative; a hard floor may bind at some steps only
         floor = 0.0 if spec.floor is None else np.maximum(0.0, spec.floor(device))
@@ -253,7 +247,7 @@ def add_device_block(p: LpProblem, m: Member, refs: DeviceRefs, state: CarriedSt
         discomfort = grid(spec.discomfort, 0.0, np.inf)
         gain, keep, drift = spec.recurrence(device, dt)
         keep = np.broadcast_to(keep, T)
-        start = getattr(state, spec.name)
+        start = state.get(spec.name)
         rhs = np.array(drift)
         rhs[0] += keep[0] * (getattr(device, spec.initial) if start is None else start)
         p.add_rows("=", rhs, [(level, 1.0), (power, -gain), (level[:-1], -keep[1:], after)])
@@ -293,7 +287,7 @@ class _DayModel:
         _check_refs(self.refs, s)
         self.allow_curtailment = allow_curtailment
         self.initial_states = initial_states or {}
-        self.problem = LpProblem(name=mode.value.lower())
+        self.problem = LpProblem("day")
         self.idx: dict[str, dict[str, np.ndarray]] = {}  # member id -> tag -> columns
         self._power: list[tuple[np.ndarray, np.ndarray]] = []  # device columns, reference
         self.pinned: LpSolution | None = None  # ECFlex's pinned phase, once solved
@@ -307,7 +301,7 @@ class _DayModel:
 
         for m in s.members:
             uid = m.id
-            state = self.initial_states.get(uid, CarriedState())
+            state = self.initial_states.get(uid, {})
             idx = self.idx[uid] = {tag: p.add_variables(f"{tag}.{uid}", T)
                                    for tag in ("pexp", "pimp")}
             if self.allow_curtailment:
@@ -316,7 +310,7 @@ class _DayModel:
             block = add_device_block(p, m, self.refs[uid], state, dt,
                                      pinned=self.mode.flexibility_pinned)
             idx.update(block)
-            self._power += [(block[spec.power], getattr(self.refs[uid], spec.name))
+            self._power += [(block[spec.power], self.refs[uid][spec.name])
                             for spec in DEVICES if spec.power in block]
 
             # per step, the physical balance at the point of common coupling
@@ -413,9 +407,10 @@ class SolvedDay:
 
     The day LP is defined by the mode, the curtailment option and every
     member's reference powers and carried state; a key compares them bit for
-    bit, with a missing state counting as ``CarriedState()``.  Only settled
-    schedules are kept, never a HiGHS model, and never a failure.  A hit hands
-    back the stored :class:`DaySchedule` itself, which its users only read.
+    bit per device slot, a slot missing from a mapping (or a member from the
+    carried states) keying as no value.  Only settled schedules are kept,
+    never a HiGHS model, and never a failure.  A hit hands back the stored
+    :class:`DaySchedule` itself, which its users only read.
     """
 
     def __init__(self, scenario: Scenario, day: int):
@@ -434,10 +429,10 @@ class SolvedDay:
         members = []
         for m in self.scenario.members:
             r = refs.get(m.id)
-            state = states.get(m.id, CarriedState())
+            state = states.get(m.id, {})
             members.append((m.id, None if r is None else
-                            tuple(_bits(getattr(r, spec.name)) for spec in DEVICES),
-                            tuple(_bits(getattr(state, spec.name)) for spec in DEVICES)))
+                            tuple(_bits(r.get(spec.name)) for spec in DEVICES),
+                            tuple(_bits(state.get(spec.name)) for spec in DEVICES)))
         return mode, allow_curtailment, tuple(members)
 
 
@@ -497,7 +492,7 @@ def prioritize_self_consumption(
     """
     sched = solve_centralized(scenario, day, PlannerMode.SOLO_FLEX,
                               initial_states=initial_states, solved=solved)
-    return {m.member_id: DeviceRefs.of_powers(m.series) for m in sched.members}
+    return {m.member_id: refs_of_powers(m.series) for m in sched.members}
 
 
 def _reference_state_feasible(m, refs: DeviceRefs, state: CarriedState,
@@ -507,7 +502,7 @@ def _reference_state_feasible(m, refs: DeviceRefs, state: CarriedState,
         device = getattr(m, spec.name)
         if device is None or (spec.floor is None and spec.ceiling is None):
             continue
-        traj = spec.simulate(device, getattr(refs, spec.name), dt, getattr(state, spec.name))
+        traj = spec.simulate(device, refs[spec.name], dt, state.get(spec.name))
         if spec.ceiling is not None and np.max(traj - spec.ceiling(device)) > tol:
             return False
         if spec.floor is not None and np.min(traj - spec.floor(device)) < -tol:
@@ -531,13 +526,13 @@ def repair_refs_for_state(m, refs: DeviceRefs, state: CarriedState,
         return refs
 
     T = len(m.fixed_load_kw)
-    p = LpProblem("refrepair")
+    p = LpProblem(f"repair {m.id}")
     idx = add_device_block(p, m, refs, state, dt, pinned=False)
     for spec in DEVICES:
         if spec.power in idx:
             # deviation above and below the old profile, interleaved per step
             dev = p.add_variables(f"dev.{spec.power}", 2 * T)
-            p.add_rows("=", getattr(refs, spec.name),
+            p.add_rows("=", refs[spec.name],
                        [(idx[spec.power], 1.0), (dev[0::2], -1.0), (dev[1::2], 1.0)])
             p.add_objective(dev, 1.0)
 
@@ -546,16 +541,13 @@ def repair_refs_for_state(m, refs: DeviceRefs, state: CarriedState,
         raise PlannerError(
             f"member {m.id}: no feasible reference profile from the carried "
             f"state ({solution.status.value})")
-    return DeviceRefs.of_powers({tag: solution.x[cols] for tag, cols in idx.items()})
+    return refs_of_powers({tag: solution.x[cols] for tag, cols in idx.items()})
 
 
 def final_states(sched: DaySchedule) -> dict[str, CarriedState]:
     """End-of-day device states, for carrying into the next day's problem."""
-    def last(series: Mapping[str, np.ndarray], tag: str) -> float | None:
-        return float(series[tag][-1]) if tag in series else None
-
-    return {m.member_id: CarriedState(**{spec.name: last(m.series, spec.state)
-                                         for spec in DEVICES})
+    return {m.member_id: {spec.name: float(m.series[spec.state][-1])
+                          for spec in DEVICES if spec.state in m.series}
             for m in sched.members}
 
 
@@ -587,7 +579,7 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
     for m in s.members:
         ms = sched.member(m.id)
         ss = ms.series
-        state = initial_states.get(m.id, CarriedState())
+        state = initial_states.get(m.id, {})
         inj, pv = ss["pinj"], ss["ppv"]
         iret, eret, icom, ecom = ss["iret"], ss["eret"], ss["icom"], ss["ecom"]
         flex = np.zeros_like(inj)
@@ -641,7 +633,7 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
                 continue
             what = f"{m.id}: {spec.label}"
             power, level = ss[spec.power], ss[spec.state]
-            traj = spec.simulate(device, power, dt, getattr(state, spec.name))
+            traj = spec.simulate(device, power, dt, state.get(spec.name))
             check(np.max(np.abs(traj - level)) <= tol,
                   f"{what} state mismatch {np.max(np.abs(traj - level)):.3e}")
             if spec.ceiling is not None:
@@ -650,7 +642,7 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
                 check(np.min(traj - spec.floor(device)) >= -tol, f"{what} state below floor")
             check(np.min(power) >= -tol and np.max(power - spec.max_power(device)) <= tol,
                   f"{what} power out of bounds")
-            check(abs(float(np.sum(power - getattr(ms.refs, spec.name)))) * dt <= tol,
+            check(abs(float(np.sum(power - ms.refs[spec.name]))) * dt <= tol,
                   f"{what} daily energy not conserved")
             check(np.max(np.abs(spec.hinge(device, traj) - ss[spec.discomfort])) <= tol,
                   f"{what} discomfort mismatch")

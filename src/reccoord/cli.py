@@ -240,13 +240,12 @@ def _check_fits(sched, scenario: Scenario) -> None:
         owned = {spec.name for spec in DEVICES if getattr(member, spec.name) is not None}
         for what, expected, held in (
                 ("series", central.series_tags(member), set(m.series)),
-                ("references", owned,
-                 {name for name, values in vars(m.refs).items() if values is not None})):
+                ("references", owned, set(m.refs))):
             if held != expected:
                 raise ValueError(f"{m.member_id} {what} do not fit its devices: missing "
                                  f"{sorted(expected - held)}, extra {sorted(held - expected)}")
-        for tag, values in (*m.series.items(), *vars(m.refs).items()):
-            if values is not None and values.shape != (scenario.horizon.steps_per_day,):
+        for tag, values in (*m.series.items(), *m.refs.items()):
+            if values.shape != (scenario.horizon.steps_per_day,):
                 raise ValueError(f"{m.member_id} {tag} has shape {values.shape}")
 
 

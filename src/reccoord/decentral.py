@@ -234,7 +234,7 @@ class MemberAgent:
         """
         m = self.member
         T = len(m.fixed_load_kw)
-        p = self._lp = LpProblem("member")
+        p = self._lp = LpProblem(f"member {m.id}")
         idx = self._idx = add_device_block(p, m, self.refs, self.state, self.dt, pinned=False)
         cap = p.add_variables(f"cap.{m.id}", 2 * T)  # per step: upward, downward
         self._capu, self._capd = cap[0::2], cap[1::2]
@@ -322,7 +322,7 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
     # members whose carried state no longer supports their planned profile
     # re-plan to the closest feasible reference before anything is netted
     refs = {
-        m.id: repair_refs_for_state(m, refs[m.id], states.get(m.id, CarriedState()), dt)
+        m.id: repair_refs_for_state(m, refs[m.id], states.get(m.id, {}), dt)
         for m in day_s.members
     }
     ecfix = solve_centralized(scenario, day, PlannerMode.EC_FIX, refs=refs,
@@ -335,7 +335,7 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
         raise DecentralError("evaluation_order must be a permutation of the member ids")
 
     agents = {
-        m.id: MemberAgent(m, refs[m.id], states.get(m.id, CarriedState()), dt,
+        m.id: MemberAgent(m, refs[m.id], states.get(m.id, {}), dt,
                           ecfix.member(m.id), request.activation_price)
         for m in day_s.members
     }

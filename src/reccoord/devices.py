@@ -8,10 +8,10 @@ independent of any LP machinery.
 
 :data:`DEVICES` describes the three flexible devices (EV, boiler, heat pump)
 once.  Each :class:`DeviceSpec` names the device's slot (the attribute of
-``Member``, ``DeviceRefs`` and ``CarriedState``), its power, state and
-discomfort series tags, its simulator, its initial state, its state
-recurrence as LP coefficients, its hard state floor and ceiling, its power
-rating and its discomfort target.  The LP device block
+``Member``, and the key of a member's references and carried states), its
+power, state and discomfort series tags, its simulator, its initial state,
+its state recurrence as LP coefficients, its hard state floor and ceiling,
+its power rating and its discomfort target.  The LP device block
 (:func:`reccoord.central.add_device_block`), reference handling, carried
 state, the verifier and the report tables loop over it; the battery, with two
 powers and no discomfort, stays outside.  The simulators are written out on

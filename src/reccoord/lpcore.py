@@ -368,7 +368,7 @@ class _HighsModel:
         for key, value in _HIGHS_OPTIONS:
             self.highs.setOptionValue(key, value)
         if self.highs.passModel(lp) == _highs.HighsStatus.kError:
-            raise LpError(f"HiGHS rejected the model of {problem.name!r}")
+            raise LpError(f"HiGHS rejected the {problem.name} LP")
 
     def sync(self, problem: LpProblem) -> None:
         """Push the bounds and row limits that changed since the last solve."""

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .billing import Bill, MemberBenefit, ModeSummary, Report
-from .central import SERIES, DaySchedule, DeviceRefs, MemberDaySchedule
+from .central import SERIES, DaySchedule, MemberDaySchedule
 from .decentral import IterationTrace
 
 #: Fixed row order of the summary table: the fields of a mode's summary.
@@ -150,7 +150,7 @@ def _arrays(lists: Mapping[str, list[float]]) -> dict[str, np.ndarray]:
 
 
 def schedule_to_dict(sched: DaySchedule) -> dict:
-    members = [{**vars(m), "series": _lists(m.series), "refs": _lists(vars(m.refs)),
+    members = [{**vars(m), "series": _lists(m.series), "refs": _lists(m.refs),
                 "bill": None if m.bill is None else asdict(m.bill)}
                for m in sched.members]
     return {**vars(sched), "members": members}
@@ -158,7 +158,7 @@ def schedule_to_dict(sched: DaySchedule) -> dict:
 
 def schedule_from_dict(doc: dict) -> DaySchedule:
     members = [MemberDaySchedule(**{**m, "series": _arrays(m["series"]),
-                                    "refs": DeviceRefs(**_arrays(m["refs"])),
+                                    "refs": _arrays(m["refs"]),
                                     "bill": None if m["bill"] is None else Bill(**m["bill"])})
                for m in doc["members"]]
     return DaySchedule(**{**doc, "members": members})

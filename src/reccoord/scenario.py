@@ -387,6 +387,52 @@ def _validate_device(out: list[Violation], path: str, d: _Series, n: int,
                                  "reference power above rating"))
 
 
+class _FieldReads:
+    """A device's parameters, recording the names of the fields read."""
+
+    def __init__(self, device: _Series):
+        self._device = device
+        self.names: list[str] = []
+
+    def __getattr__(self, name: str) -> Any:
+        self.names.append(name)
+        return getattr(self._device, name)
+
+
+def _check_lp_coefficients(out: list[Violation], path: str, name: str, d: _Series,
+                           dt: float) -> None:
+    """Each coefficient the LP device block derives from ``d``, a device that
+    passes every other rule, is finite.
+
+    Finite fields in their domains can still overflow in a product or a
+    quotient (a capacity of 1e-310 in a state gain); each non-finite
+    coefficient is reported once, naming the fields it comes from.
+    """
+    from .devices import DEVICES  # local import: devices depends on this module
+
+    if name == "bss":  # the state gains of the charge and discharge powers
+        coefficients = {
+            "charge gain": lambda bss: dt * bss.efficiency / bss.capacity_kwh,
+            "discharge gain": lambda bss: dt / (bss.efficiency * bss.capacity_kwh)}
+    else:
+        spec = next(spec for spec in DEVICES if spec.name == name)
+        coefficients = {
+            "state recurrence": lambda params: spec.recurrence(params, dt),
+            "power rating": spec.max_power, "state floor": spec.floor,
+            "state ceiling": spec.ceiling,
+            "discomfort offset": lambda params: params.reluctance_eur * spec.target(params)}
+    for what, coefficient in coefficients.items():
+        if coefficient is None:
+            continue
+        reads = _FieldReads(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = coefficient(reads)
+        if not all(np.isfinite(v).all() for v in
+                   (values if isinstance(values, tuple) else (values,))):
+            out.append(Violation(path, f"non-finite LP {what} coefficient from "
+                                       f"{', '.join(dict.fromkeys(reads.names))}"))
+
+
 def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Check every scenario invariant; an empty list means the scenario is valid."""
     out: list[Violation] = []
@@ -427,7 +473,10 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
         seen.add(m.id)
         _check_domains(out, path, m, n)
         for name, device in m.devices().items():
+            found = len(out)
             _validate_device(out, f"{path}.{name}", device, n, hor.steps_per_day)
+            if len(out) == found:
+                _check_lp_coefficients(out, f"{path}.{name}", name, device, hor.dt_hours)
 
     return out
 

@@ -188,19 +188,19 @@ def test_criterion_6_resimulation_reproduces_every_optimal_schedule():
                 assert np.max(np.abs(soc - ms.series["socb"])) <= 1e-6
             if m.ev is not None:
                 soc = simulate_ev(m.ev, ms.series["pev"], day_s.horizon.dt_hours,
-                                  soc_start=None if state is None else state.ev)
+                                  soc_start=None if state is None else state.get("ev"))
                 assert np.max(np.abs(soc - ms.series["sev"])) <= 1e-6
                 hinge = DEVICES[0].hinge(m.ev, soc)
                 assert np.max(np.abs(hinge - ms.series["jev"])) <= 1e-6
             if m.wb is not None:
                 temp = simulate_wb(m.wb, ms.series["pwb"], day_s.horizon.dt_hours,
-                                   temp_start=None if state is None else state.wb)
+                                   temp_start=None if state is None else state.get("wb"))
                 assert np.max(np.abs(temp - ms.series["twb"])) <= 1e-6
                 hinge = DEVICES[1].hinge(m.wb, temp)
                 assert np.max(np.abs(hinge - ms.series["jwb"])) <= 1e-6
             if m.hp is not None:
                 temp = simulate_hp(m.hp, ms.series["php"], day_s.horizon.dt_hours,
-                                   temp_start=None if state is None else state.hp)
+                                   temp_start=None if state is None else state.get("hp"))
                 assert np.max(np.abs(temp - ms.series["thp"])) <= 1e-6
                 hinge = DEVICES[2].hinge(m.hp, temp)
                 assert np.max(np.abs(hinge - ms.series["jhp"])) <= 1e-6
@@ -243,9 +243,9 @@ def test_criterion_8_conservation_everywhere():
         for ms in sched.members:
             ecom += ms.series["ecom"]
             icom += ms.series["icom"]
-            for power, ref in ((ms.series.get("pev"), ms.refs.ev),
-                               (ms.series.get("pwb"), ms.refs.wb),
-                               (ms.series.get("php"), ms.refs.hp)):
+            for power, ref in ((ms.series.get("pev"), ms.refs.get("ev")),
+                               (ms.series.get("pwb"), ms.refs.get("wb")),
+                               (ms.series.get("php"), ms.refs.get("hp"))):
                 if power is not None:
                     drift = abs(float(np.sum(power - ref))) * dt
                     assert drift <= 1e-6, f"{sched.mode} day {day}: {drift}"

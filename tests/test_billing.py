@@ -7,7 +7,7 @@ import pytest
 
 from reccoord.billing import (BillingError, activation_price, compute_bill,
                               individual_benefits, summarize)
-from reccoord.central import DaySchedule, DeviceRefs, MemberDaySchedule
+from reccoord.central import DaySchedule, MemberDaySchedule
 from helpers import flat_prices
 
 
@@ -91,7 +91,8 @@ def _member(member_id: str, n: int, *, bill_total: float = 0.0,
     return MemberDaySchedule(
         member_id=member_id,
         series=series,
-        refs=DeviceRefs(ev=arr(ref_ev), wb=arr(ref_wb)),
+        refs={name: arr(ref) for name, ref in (("ev", ref_ev), ("wb", ref_wb))
+              if ref is not None},
         bill=Bill(member_id, max(bill_total, 0.0), max(-bill_total, 0.0), 0.0, bill_total),
         discomfort_total_eur=discomfort,
         flex_revenue_eur=revenue,

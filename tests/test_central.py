@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reccoord import central
-from reccoord.central import (CarriedState, DeviceRefs, InfeasibleDayError, PlannerError,
+from reccoord.central import (InfeasibleDayError, PlannerError,
                               PlannerMode, SolvedDay, _DayModel, default_refs,
                               final_states, prioritize_self_consumption,
                               solve_centralized, verify_day_schedule)
@@ -171,9 +171,9 @@ def test_pinned_modes_keep_devices_exactly_on_reference():
     for mode in (PlannerMode.SOLO_FIX, PlannerMode.EC_FIX):
         sched = solve_centralized(s, 0, mode)
         for m in sched.members:
-            for power, ref in ((m.series.get("pev"), m.refs.ev),
-                               (m.series.get("pwb"), m.refs.wb),
-                               (m.series.get("php"), m.refs.hp)):
+            for power, ref in ((m.series.get("pev"), m.refs.get("ev")),
+                               (m.series.get("pwb"), m.refs.get("wb")),
+                               (m.series.get("php"), m.refs.get("hp"))):
                 if power is not None:
                     assert float(np.abs(power - ref).sum()) <= 1e-9
 
@@ -214,7 +214,7 @@ def test_ecflex_solves_cold_when_carried_state_breaks_the_references(monkeypatch
     ev = simple_ev(24, power_ref=series(24, t20=2.0), capacity=10.0, pmax=5.0,
                    soc_init=0.7, soc_ref=series(24, t6=0.7), departure=series(24, t6=1.0))
     s = make_scenario([make_member("e", 24, ev=ev, pv=series(24, t12=3.0))], steps=24)
-    states = {"e": CarriedState(ev=0.6)}
+    states = {"e": {"ev": 0.6}}
     cold, _ = _cold_ecflex(s, states)
 
     solves = []
@@ -263,8 +263,8 @@ def test_each_device_block_follows_its_simulator(name, start, arrival_at_0):
     device = getattr(m, name)
     dt = 3.0
     p = LpProblem("block")
-    idx = central.add_device_block(p, m, DeviceRefs(**{name: device.power_ref_kw}),
-                                   CarriedState(**{name: start}), dt, pinned=True)
+    idx = central.add_device_block(p, m, {name: device.power_ref_kw},
+                                   {} if start is None else {name: start}, dt, pinned=True)
     p.add_objective(idx[spec.discomfort], 1.0)
     solution = solve_lp(p)
     assert solution.status is LpStatus.OPTIMAL
@@ -274,8 +274,15 @@ def test_each_device_block_follows_its_simulator(name, start, arrival_at_0):
 
 def test_reference_dimension_mismatch_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
-    refs = {"u1": DeviceRefs(wb=np.zeros(3))}
+    refs = {"u1": {"wb": np.zeros(3)}}
     with pytest.raises(PlannerError, match="reference length"):
+        _DayModel(s, 0, PlannerMode.EC_FLEX, refs, False, None)
+
+
+def test_reference_for_a_device_not_owned_rejected():
+    s = make_scenario([_wb_pv_member()], steps=4)
+    refs = {"u1": {"wb": np.zeros(4), "ev": np.zeros(4), "bss": np.zeros(4)}}
+    with pytest.raises(PlannerError, match=r"member u1: .* not own: \['bss', 'ev'\]"):
         _DayModel(s, 0, PlannerMode.EC_FLEX, refs, False, None)
 
 
@@ -299,9 +306,9 @@ class TestPrioritization:
         s = make_scenario([_wb_pv_member()], steps=4)
         refs = prioritize_self_consumption(s, 0)
         original = s.members[0].wb.power_ref_kw
-        assert float(np.sum(refs["u1"].wb)) == pytest.approx(float(np.sum(original)), abs=1e-8)
-        assert refs["u1"].wb[1] > 1e-6  # mass moved into the PV window
-        assert abs(refs["u1"].wb[3]) <= 1e-6
+        assert float(np.sum(refs["u1"]["wb"])) == pytest.approx(float(np.sum(original)), abs=1e-8)
+        assert refs["u1"]["wb"][1] > 1e-6  # mass moved into the PV window
+        assert abs(refs["u1"]["wb"][3]) <= 1e-6
 
     def test_primed_run_keeps_discomfort_references(self):
         """Shifting in the priming stage must still be penalized downstream if
@@ -310,7 +317,7 @@ class TestPrioritization:
         refs = prioritize_self_consumption(s, 0)
         sched = solve_centralized(s, 0, PlannerMode.EC_FIX, refs=refs)
         # boiler pinned on the primed profile; hinge still measured vs temp_limit
-        assert sched.member("u1").series["pwb"] == pytest.approx(np.asarray(refs["u1"].wb))
+        assert sched.member("u1").series["pwb"] == pytest.approx(np.asarray(refs["u1"]["wb"]))
         assert verify_day_schedule(s, 0, sched) == []
 
 
@@ -364,8 +371,8 @@ def test_curtailment_option_is_free_under_positive_export_price():
 def test_default_refs_copy_scenario_profiles():
     s = make_scenario([_wb_pv_member()], steps=4)
     refs = default_refs(s.for_day(0))
-    assert refs["u1"].wb == pytest.approx(s.members[0].wb.power_ref_kw)
-    assert refs["u1"].ev is None
+    assert refs["u1"]["wb"] == pytest.approx(s.members[0].wb.power_ref_kw)
+    assert "ev" not in refs["u1"]
 
 
 def test_solo_modes_never_touch_community_exchange():
@@ -406,31 +413,31 @@ class TestReferenceRepair:
         return make_member("e", 24, ev=ev)
 
     def test_feasible_references_pass_through_unchanged(self):
-        from reccoord.central import CarriedState, repair_refs_for_state
+        from reccoord.central import repair_refs_for_state
 
         m = make_scenario([self._ev_member()], steps=24).for_day(0).members[0]
         refs = default_refs(make_scenario([self._ev_member()], steps=24).for_day(0))["e"]
-        out = repair_refs_for_state(m, refs, CarriedState(ev=0.7), 1.0)
+        out = repair_refs_for_state(m, refs, {"ev": 0.7}, 1.0)
         assert out is refs
 
     def test_depleted_vehicle_replans_the_morning_minimally(self):
-        from reccoord.central import CarriedState, repair_refs_for_state
+        from reccoord.central import repair_refs_for_state
         from reccoord.devices import simulate_ev
 
         s = make_scenario([self._ev_member()], steps=24)
         m = s.for_day(0).members[0]
         refs = default_refs(s.for_day(0))["e"]
-        out = repair_refs_for_state(m, refs, CarriedState(ev=0.6), 1.0)
+        out = repair_refs_for_state(m, refs, {"ev": 0.6}, 1.0)
 
         assert out is not refs
-        assert float(np.sum(out.ev)) == pytest.approx(2.0, abs=1e-8)  # daily energy kept
-        traj = simulate_ev(m.ev, out.ev, 1.0, soc_start=0.6)
+        assert float(np.sum(out["ev"])) == pytest.approx(2.0, abs=1e-8)  # daily energy kept
+        traj = simulate_ev(m.ev, out["ev"], 1.0, soc_start=0.6)
         assert traj[6] >= 0.7 - 1e-9  # departure target restored
         # minimal L1 repair: 1 kWh pulled forward, 1 kWh dropped later
-        assert float(np.abs(out.ev - refs.ev).sum()) == pytest.approx(2.0, abs=1e-6)
+        assert float(np.abs(out["ev"] - refs["ev"]).sum()) == pytest.approx(2.0, abs=1e-6)
 
     def test_unrecoverable_state_raises(self):
-        from reccoord.central import CarriedState, repair_refs_for_state
+        from reccoord.central import repair_refs_for_state
 
         s = make_scenario([self._ev_member()], steps=24)
         m = s.for_day(0).members[0]
@@ -438,7 +445,7 @@ class TestReferenceRepair:
         # daily budget is 2 kWh = 0.2 SoC: from 0.3 the step-6 target of 0.7
         # is out of reach no matter how the profile is rearranged
         with pytest.raises(PlannerError, match="no feasible reference"):
-            repair_refs_for_state(m, refs, CarriedState(ev=0.3), 1.0)
+            repair_refs_for_state(m, refs, {"ev": 0.3}, 1.0)
 
 
 def test_battery_arbitrage_is_used_when_pv_is_stranded():
@@ -495,14 +502,14 @@ class TestSolvedDay:
         sched = solve_centralized(scenario, 0, PlannerMode.SOLO_FLEX, solved=solved)
         # explicit default references and initial states are the same LP
         refs = default_refs(scenario.for_day(0))
-        states = {m.id: CarriedState() for m in scenario.members}
+        states = {m.id: {} for m in scenario.members}
         assert solve_centralized(scenario, 0, PlannerMode.SOLO_FLEX, refs=refs,
                                  initial_states=states, solved=solved) is sched
         assert len(builds) == 1
         # another mode, option, state or reference is another LP
         moved = dict(refs)
         uid = next(m.id for m in scenario.members if m.wb is not None)
-        moved[uid] = dataclasses.replace(refs[uid], wb=np.roll(refs[uid].wb, 1))
+        moved[uid] = {**refs[uid], "wb": np.roll(refs[uid]["wb"], 1)}
         for kwargs in ({"mode": PlannerMode.SOLO_FIX},
                        {"allow_curtailment": True},
                        {"initial_states": final_states(sched)},

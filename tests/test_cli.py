@@ -135,19 +135,43 @@ def test_infeasible_day_exits_1_naming_mode_and_day(tmp_path, capsys):
 
 
 def test_a_rejected_lp_names_mode_and_day(tmp_path, capsys):
-    """A finite but extreme capacity makes an LP coefficient overflow; the
-    run ends with a diagnostic, not a stack trace."""
+    """A finite but extreme thermal coefficient gives an LP coefficient HiGHS
+    rejects; the run ends with a diagnostic naming the mode, the day and the
+    LP, not a stack trace."""
     import numpy as np
 
-    from helpers import make_member, make_scenario, simple_ev
+    from helpers import make_member, make_scenario, simple_wb
 
-    ev = simple_ev(4, power_ref=np.zeros(4), capacity=1e-310)
-    path = tmp_path / "tiny.json"
-    path.write_bytes(dump_scenario(make_scenario([make_member("u1", 4, ev=ev)], steps=4)))
+    wb = simple_wb(24, power_ref=np.zeros(24), coeff=1e308)
+    path = tmp_path / "huge.json"
+    path.write_bytes(dump_scenario(make_scenario([make_member("u1", 24, wb=wb)], steps=24)))
     code = _run(["--scenario", str(path), "--modes", "solofix", "--out", str(tmp_path / "out")])
     assert code == 1
+    assert capsys.readouterr().err == "error: SoloFix day 0: HiGHS rejected the day LP\n"
+
+
+@pytest.mark.parametrize("i,slot,field,fields", [
+    (0, "ev", "capacity_kwh", "efficiency, capacity_kwh, arrival, soc_arrival"),
+    (1, "bss", "capacity_kwh", "efficiency, capacity_kwh"),
+    (1, "bss", "efficiency", "efficiency, capacity_kwh"),
+], ids=["ev-capacity", "bss-capacity", "bss-efficiency"])
+def test_an_overflowing_lp_coefficient_is_an_input_error(tmp_path, capsys, i, slot, field,
+                                                         fields):
+    """Fields inside their domains whose state gain overflows are reported
+    at the device, naming the fields the coefficient comes from."""
+    assert _run(["--generate", "members=4", "--seed", "1", "--modes", "solofix",
+                 "--out", str(tmp_path / "gen")]) == 0
+    capsys.readouterr()
+    path = tmp_path / "gen" / "scenario.json"
+    doc = json.loads(path.read_text())
+    doc["members"][i][slot][field] = 1e-310
+    path.write_text(json.dumps(doc))
+    code = _run(["--scenario", str(path), "--modes", "solofix,soloflex,ecflex",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: SoloFix day 0: non-finite constraint coefficient")
+    assert err.startswith("error: invalid scenario: ")
+    assert f"members[{i}].{slot}: non-finite LP " in err and f"coefficient from {fields}" in err
 
 
 def test_a_non_finite_device_scalar_is_an_input_error(tmp_path, capsys):
@@ -360,6 +384,8 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
          edit_schedule("ECFlex", lambda ms: drop(ms, "refs", "wb"))),
         ("device ref added", "ECFlexIt",
          edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "ev"))),
+        ("unknown ref slot", "ECFlexIt",
+         edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "bss"))),
         ("device series added", "ECFlex",
          edit_schedule("ECFlex", lambda ms: add(ms, "series", "pev"))),
         ("traces not a list", "ECFlexIt", edit("ECFlexIt", lambda doc: doc.update(traces=5))),
@@ -393,8 +419,8 @@ def test_series_tags_are_those_of_solved_schedules():
     for sched in schedules:
         for member, m in zip(scenario.members, sched.members):
             assert set(m.series) == central.series_tags(member), (sched.mode, m.member_id)
-            assert {name for name, ref in vars(m.refs).items() if ref is not None} \
-                == {name for name in ("ev", "wb", "hp") if getattr(member, name) is not None}
+            assert list(m.refs) \
+                == [name for name in ("ev", "wb", "hp") if getattr(member, name) is not None]
             owned.add(frozenset(m.series))
     assert len(owned) >= 6  # the device mix differs between members
 
@@ -470,7 +496,7 @@ def test_a_day_solves_each_distinct_day_lp_once(tmp_path, monkeypatch):
 
     def solve_lp(problem, warm=False):
         nonlocal day_lp
-        day_lp = problem.name in {mode.value.lower() for mode in central.PlannerMode}
+        day_lp = problem.name == "day"
         try:
             return lpcore.solve_lp(problem, warm)
         finally:

@@ -11,8 +11,8 @@ import pytest
 
 from reccoord import decentral, lpcore
 from reccoord.billing import activation_price
-from reccoord.central import (CarriedState, PlannerMode, default_refs, final_states,
-                              solve_centralized, verify_day_schedule)
+from reccoord.central import (PlannerMode, default_refs, final_states, solve_centralized,
+                              verify_day_schedule)
 from reccoord.decentral import (FlexRequest, IterationLimitError, MemberAgent,
                                 initial_request, refine_bounds, run_ecflexit,
                                 settle_community)
@@ -28,7 +28,7 @@ def _agent(scenario, member_id: str) -> MemberAgent:
     refs = default_refs(day)
     ecfix = solve_centralized(scenario, 0, PlannerMode.EC_FIX)
     price = activation_price(day.prices)
-    return MemberAgent(day.member(member_id), refs[member_id], CarriedState(),
+    return MemberAgent(day.member(member_id), refs[member_id], {},
                        day.horizon.dt_hours, ecfix.member(member_id), price)
 
 
@@ -115,7 +115,7 @@ def test_activation_leaves_the_base_schedule_unchanged():
     day = s.for_day(0)
     base = solve_centralized(s, 0, PlannerMode.EC_FIX).member("w")
     before = {tag: arr.copy() for tag, arr in base.series.items()}
-    agent = MemberAgent(day.member("w"), default_refs(day)["w"], CarriedState(),
+    agent = MemberAgent(day.member("w"), default_refs(day)["w"], {},
                         day.horizon.dt_hours, base, activation_price(day.prices))
     act = agent.activate(ActivationBounds("w", up_kw=series(4, t1=2.0),
                                           down_kw=series(4, t3=2.0)))

@@ -20,8 +20,7 @@ import numpy as np
 import pytest
 
 from reccoord.billing import activation_price
-from reccoord.central import (CarriedState, PlannerMode, _DayModel, default_refs,
-                              solve_centralized)
+from reccoord.central import PlannerMode, _DayModel, default_refs, solve_centralized
 from reccoord import lpcore
 from reccoord.decentral import MemberAgent
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
@@ -337,7 +336,7 @@ def _member_agent(scenario) -> MemberAgent:
     day = scenario.for_day(0)
     m = next(m for m in day.members if m.has_flexibility)
     ecfix = solve_centralized(scenario, 0, PlannerMode.EC_FIX)
-    return MemberAgent(m, default_refs(day)[m.id], CarriedState(), day.horizon.dt_hours,
+    return MemberAgent(m, default_refs(day)[m.id], {}, day.horizon.dt_hours,
                        ecfix.member(m.id), activation_price(day.prices))
 
 

@@ -62,7 +62,7 @@ def _problems(scenario: Scenario, solved, series=None, refs=None) -> list[str]:
     for tag, edit in (series or {}).items():
         new_series[tag] = edit(np.array(new_series[tag]))
     sched.members[0] = replace(flex, series=new_series,
-                               refs=replace(flex.refs, **(refs or {})))
+                               refs={**flex.refs, **(refs or {})})
     return verify_day_schedule(scenario, 0, sched)
 
 
@@ -104,7 +104,7 @@ def test_power_above_its_rating(solved, device, field, tags):
 
 @pytest.mark.parametrize("device", ["ev", "wb", "hp"])
 def test_daily_energy_off_the_reference(solved, device):
-    ref = np.array(getattr(solved.member("flex").refs, device))
+    ref = np.array(solved.member("flex").refs[device])
     ref[3] += 0.01
     _assert_flags_flex(_problems(SCENARIO, solved, refs={device: ref}))
 
