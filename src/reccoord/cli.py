@@ -225,8 +225,8 @@ class _Checkpoint:
                         mode, day, path.name, type(exc).__name__, exc)
             return None
 
-    def store(self, mode: str, day: int, sched, trace_dicts: list[dict]) -> None:
-        doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_dicts}
+    def store(self, mode: str, day: int, sched, trace_lines: list[str]) -> None:
+        doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_lines}
         _write_atomic(self._path(mode, day), json.dumps(doc, separators=(",", ":")))
 
 
@@ -250,13 +250,17 @@ def _check_fits(sched, scenario: Scenario) -> None:
 
 
 def _check_traces(traces, mode: str, day: int) -> None:
-    """Raise ``ValueError`` unless ``traces`` are rounds 1, 2, ... of ``day`` as
-    objects, and none at all for a centralized mode."""
+    """Raise ``ValueError`` unless ``traces`` are the ``trace.jsonl`` lines of
+    rounds 1, 2, ... of ``day``, each a JSON object, and none at all for a
+    centralized mode."""
     if not isinstance(traces, list):
         raise ValueError(f"traces are {type(traces).__name__}, not a list")
     if traces and not mode.startswith("ECFlexIt"):
         raise ValueError(f"a centralized mode holds {len(traces)} trace(s)")
-    for iteration, trace in enumerate(traces, 1):
+    for iteration, line in enumerate(traces, 1):
+        if not isinstance(line, str) or "\n" in line or "\r" in line:
+            raise ValueError(f"trace {iteration} is not one line")
+        trace = json.loads(line)
         if not isinstance(trace, dict) or (trace.get("day"), trace.get("iteration")) \
                 != (day, iteration):
             raise ValueError(f"trace {iteration} is not round {iteration} of day {day}")
@@ -271,7 +275,7 @@ def _write_atomic(path: Path, text: str) -> None:
 
 #: Version of the schedules a checkpoint holds; raised whenever the planners
 #: or the settlement change what they write, so older checkpoints are recomputed.
-CHECKPOINT_FORMAT = 5
+CHECKPOINT_FORMAT = 6
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
@@ -301,8 +305,8 @@ SOLVE_ORDER = ("ECFlex", "ECFix", "SoloFlex", "SoloFix", "ECFlexIt", "ECFlexItPr
 def _solve_day(scenario: Scenario, mode_name: str, day: int,
                carried: dict[str, CarriedState], config: RunConfig,
                solved: central.SolvedDay):
-    """One day of one mode from the carried device states, verified, with its
-    coordination rounds (none for a centralized mode)."""
+    """One day of one mode from the carried device states, verified, with the
+    ``trace.jsonl`` lines of its coordination rounds (none for a centralized mode)."""
     try:
         if mode_name.startswith("ECFlexIt"):
             sched, traces = decentral.run_ecflexit(
@@ -318,21 +322,21 @@ def _solve_day(scenario: Scenario, mode_name: str, day: int,
             and exc.mode == mode_name else exc
         raise RunFailure(f"{mode_name} day {day}: {detail}") from exc
     _verify_or_die(scenario, day, sched, carried)
-    return sched, [t.to_dict() for t in traces]
+    return sched, [reporting.trace_line(t) for t in traces]
 
 
 def _run_modes(scenario: Scenario, days: int, config: RunConfig,
-               checkpoint: _Checkpoint) -> tuple[dict[str, list], dict[str, list[dict]]]:
+               checkpoint: _Checkpoint) -> tuple[dict[str, list], dict[str, list[str]]]:
     """Solve ``days`` consecutive days of every mode of ``config``, reusing
     every (mode, day) the checkpoint holds.
 
-    Returns each mode's schedules and, with ``config.trace``, its trace dicts.
+    Returns each mode's schedules and, with ``config.trace``, its trace lines.
     A day's modes run in :data:`SOLVE_ORDER` and share that day's memo; each
     mode carries the device states its own last day ended in.
     """
     modes = [m for m in SOLVE_ORDER if m in config.modes]
     schedules: dict[str, list] = {m: [] for m in modes}
-    traces: dict[str, list[dict]] = {m: [] for m in modes}
+    traces: dict[str, list[str]] = {m: [] for m in modes}
     carried: dict[str, dict[str, CarriedState]] = {m: {} for m in modes}
     for day in range(days):
         solved = central.SolvedDay(scenario, day)
@@ -342,10 +346,10 @@ def _run_modes(scenario: Scenario, days: int, config: RunConfig,
                 cached = _solve_day(scenario, mode_name, day, carried[mode_name], config,
                                     solved)
                 checkpoint.store(mode_name, day, *cached)
-            sched, trace_dicts = cached
+            sched, trace_lines = cached
             schedules[mode_name].append(sched)
             if config.trace:  # only the trace report reads them
-                traces[mode_name].extend(trace_dicts)
+                traces[mode_name].extend(trace_lines)
             carried[mode_name] = central.final_states(sched)
     return schedules, traces
 

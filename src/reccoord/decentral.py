@@ -135,9 +135,11 @@ class IterationTrace:
     activated_volume_kwh: float
 
     def to_dict(self) -> dict:
+        def floats(values) -> list[float]:
+            return np.asarray(values, dtype=np.float64).tolist()
+
         def vectors(items) -> dict:
-            return {it.member_id: {"up": [float(v) for v in it.up_kw],
-                                   "down": [float(v) for v in it.down_kw]}
+            return {it.member_id: {"up": floats(it.up_kw), "down": floats(it.down_kw)}
                     for it in items}
 
         return {
@@ -146,8 +148,8 @@ class IterationTrace:
             "offers": vectors(self.offers),
             "bounds": vectors(self.bounds),
             "activations": vectors(self.activations),
-            "remaining_up_kw": [float(v) for v in self.remaining_up_kw],
-            "remaining_down_kw": [float(v) for v in self.remaining_down_kw],
+            "remaining_up_kw": floats(self.remaining_up_kw),
+            "remaining_down_kw": floats(self.remaining_down_kw),
             "activated_volume_kwh": self.activated_volume_kwh,
         }
 

@@ -8,12 +8,23 @@ files in regression tests.
 
 ``schedules.csv`` has one row per mode, day, step, member and variable.  Its
 rows are written one step per ``write``: the mode, day, member and variable
-cells are quoted once by the same ``csv`` dialect as the other files, and
-only the values are formatted per row.
+cells are quoted once by the same ``csv`` dialect as the other files into a
+``%`` template of the day, and each step's values are formatted by one ``%``.
+
+``trace.jsonl`` holds one :func:`trace_line` per coordination round.  A run
+serializes each round once; the checkpoint keeps those lines and the report
+writes them as they are.
+
+Checkpoints (format 6) store each member's ``series`` and ``refs`` arrays as
+the base64 of their little-endian float64 bytes, which round-trips every
+value bit for bit, NaN, infinities, ``-0.0`` and subnormals included.  The
+files are about 20% larger than decimal JSON lists, a zero costing 12
+characters, but nothing is formatted or parsed as decimal text.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -72,21 +83,29 @@ def _write_schedule_rows(handle, mode: str, sched: DaySchedule) -> None:
                for tag in sorted(m.series, key=SERIES_NAMES.__getitem__)]
     if not columns:
         return
-    head = _csv_cells(mode, sched.day)
-    tails = [_csv_cells(member_id, variable) for member_id, variable, _ in columns]
+    # "%.9g" % x formats as f"{x:.9g}"; the quoted cells are %-escaped
+    head = _csv_cells(mode, sched.day).replace("%", "%%")
+    pieces = ["", *(_csv_cells(member_id, variable).replace("%", "%%") + ",%.9g\n"
+                    for member_id, variable, _ in columns)]
     values = np.column_stack([series for _, _, series in columns])
-    for t in range(values.shape[0]):
-        lead = f"{head},{t},"
-        handle.write("".join([f"{lead}{tail},{v:.9g}\n"
-                              for tail, v in zip(tails, values[t].tolist())]))
+    for t, row in enumerate(values.tolist()):
+        handle.write(f"{head},{t},".join(pieces) % tuple(row))
+
+
+def trace_line(trace: IterationTrace) -> str:
+    """``trace`` as its line of ``trace.jsonl``, without the line break."""
+    return json.dumps(trace.to_dict(), separators=(",", ":"))
 
 
 def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                  out_dir: str | Path,
                  benefits: Mapping[str, Sequence[MemberBenefit]] | None = None,
-                 traces: Iterable[IterationTrace | dict] = (),
+                 traces: Iterable[IterationTrace | str] = (),
                  ) -> ReportFiles:
-    """Write the four report files under ``out_dir`` (created if missing)."""
+    """Write the four report files under ``out_dir`` (created if missing).
+
+    ``traces`` are rounds or their :func:`trace_line` strings, written as given.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = ReportFiles(
@@ -128,10 +147,8 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                 _write_schedule_rows(handle, mode, sched)
 
     with files.trace_jsonl.open("w", encoding="utf-8", newline="") as fh:
-        for trace in traces:
-            doc = trace if isinstance(trace, dict) else trace.to_dict()
-            fh.write(json.dumps(doc, separators=(",", ":")))
-            fh.write("\n")
+        fh.writelines(f"{trace if isinstance(trace, str) else trace_line(trace)}\n"
+                      for trace in traces)
 
     return files
 
@@ -140,25 +157,37 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
 # Schedule (de)serialization, used for day-level checkpointing
 
 
-def _lists(arrays: Mapping[str, np.ndarray | None]) -> dict[str, list[float]]:
-    return {key: np.asarray(arr, dtype=np.float64).tolist()
+def _encode(arrays: Mapping[str, np.ndarray | None]) -> dict[str, str]:
+    return {key: base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
             for key, arr in arrays.items() if arr is not None}
 
 
-def _arrays(lists: Mapping[str, list[float]]) -> dict[str, np.ndarray]:
-    return {key: np.array(values, dtype=np.float64) for key, values in lists.items()}
+def _decode(doc) -> dict[str, np.ndarray]:
+    """The arrays of an :func:`_encode` object; ``TypeError`` or ``ValueError``
+    (bad base64, a byte count not a multiple of 8) for anything else."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"arrays are {type(doc).__name__}, not an object")
+    arrays = {}
+    for key, text in doc.items():
+        if not isinstance(text, str):
+            raise TypeError(f"array {key} is {type(text).__name__}, not a string")
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) % 8:
+            raise ValueError(f"array {key} holds {len(raw)} bytes, not whole float64s")
+        arrays[key] = np.frombuffer(raw, "<f8").astype(np.float64)  # a writable copy
+    return arrays
 
 
 def schedule_to_dict(sched: DaySchedule) -> dict:
-    members = [{**vars(m), "series": _lists(m.series), "refs": _lists(m.refs),
+    members = [{**vars(m), "series": _encode(m.series), "refs": _encode(m.refs),
                 "bill": None if m.bill is None else asdict(m.bill)}
                for m in sched.members]
     return {**vars(sched), "members": members}
 
 
 def schedule_from_dict(doc: dict) -> DaySchedule:
-    members = [MemberDaySchedule(**{**m, "series": _arrays(m["series"]),
-                                    "refs": _arrays(m["refs"]),
+    members = [MemberDaySchedule(**{**m, "series": _decode(m["series"]),
+                                    "refs": _decode(m["refs"]),
                                     "bill": None if m["bill"] is None else Bill(**m["bill"])})
                for m in doc["members"]]
     return DaySchedule(**{**doc, "members": members})

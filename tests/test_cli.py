@@ -355,11 +355,13 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
     def edit_schedule(mode, change):
         return edit(mode, lambda doc: change(doc["schedule"]["members"]))
 
-    def cut(members, key, tag):  # every member's ``key[tag]`` to 3 entries
+    # every member's ``key[tag]`` cut to its first ``chars`` base64 characters;
+    # 32 characters are 24 bytes, 3 whole float64s
+    def cut(members, key, tag, chars=32):
         assert any(tag in m[key] for m in members)
         for m in members:
             if tag in m[key]:
-                m[key][tag] = m[key][tag][:3]
+                m[key][tag] = m[key][tag][:chars]
 
     def drop(members, key, tag):  # the first member holding ``key[tag]`` loses it
         next(m for m in members if tag in m[key])[key].pop(tag)
@@ -368,39 +370,77 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         m = next(m for m in members if tag not in m[key])
         m[key][tag] = m["series"]["pinj"]
 
+    # the first member's ``key``, or its ``key[tag]``, becomes ``value``
+    def replace(members, key, value, tag=None):
+        m = members[0]
+        if tag is None:
+            m[key] = value
+        else:
+            m[key][tag] = value
+
+    def lines(change):  # ``change`` applied to the list of trace lines
+        return lambda doc: doc.update(traces=change(doc["traces"]))
+
     meta = resume / "checkpoint" / "meta.json"
-    corruptions = [  # (case, mode whose checkpoint is reported, corruption)
-        ("meta not UTF-8", None, lambda: meta.write_bytes(b"\xff\xfe")),
-        ("meta not an object", None, lambda: meta.write_text("[1]")),
-        ("member dropped", "ECFlex", edit_schedule("ECFlex", lambda ms: ms.pop(1))),
-        ("members reordered", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: ms.reverse())),
-        ("series cut", "ECFlex", edit_schedule("ECFlex", lambda ms: cut(ms, "series", "pinj"))),
-        ("ref cut", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: cut(ms, "refs", "wb"))),
-        ("device series dropped", "ECFlex",
+    corruptions = [  # (case, mode whose checkpoint is reported, reason given, corruption)
+        ("meta not UTF-8", None, None, lambda: meta.write_bytes(b"\xff\xfe")),
+        ("meta not an object", None, None, lambda: meta.write_text("[1]")),
+        ("member dropped", "ECFlex", "member ids differ",
+         edit_schedule("ECFlex", lambda ms: ms.pop(1))),
+        ("members reordered", "ECFlexIt", "member ids differ",
+         edit_schedule("ECFlexIt", lambda ms: ms.reverse())),
+        ("series cut", "ECFlex", "pinj has shape (3,)",
+         edit_schedule("ECFlex", lambda ms: cut(ms, "series", "pinj"))),
+        ("ref cut", "ECFlexIt", "wb has shape (3,)",
+         edit_schedule("ECFlexIt", lambda ms: cut(ms, "refs", "wb"))),
+        ("device series dropped", "ECFlex", "series do not fit its devices: missing ['php']",
          edit_schedule("ECFlex", lambda ms: drop(ms, "series", "php"))),
-        ("pinj dropped", "ECFlexIt",
+        ("pinj dropped", "ECFlexIt", "series do not fit its devices: missing ['pinj']",
          edit_schedule("ECFlexIt", lambda ms: drop(ms, "series", "pinj"))),
-        ("device ref dropped", "ECFlex",
+        ("device ref dropped", "ECFlex", "references do not fit its devices: missing ['wb']",
          edit_schedule("ECFlex", lambda ms: drop(ms, "refs", "wb"))),
-        ("device ref added", "ECFlexIt",
-         edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "ev"))),
-        ("unknown ref slot", "ECFlexIt",
-         edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "bss"))),
-        ("device series added", "ECFlex",
-         edit_schedule("ECFlex", lambda ms: add(ms, "series", "pev"))),
-        ("traces not a list", "ECFlexIt", edit("ECFlexIt", lambda doc: doc.update(traces=5))),
-        ("trace not an object", "ECFlexIt",
+        ("device ref added", "ECFlexIt", "references do not fit its devices: missing [], "
+         "extra ['ev']", edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "ev"))),
+        ("unknown ref slot", "ECFlexIt", "references do not fit its devices: missing [], "
+         "extra ['bss']", edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "bss"))),
+        ("device series added", "ECFlex", "series do not fit its devices: missing [], "
+         "extra ['pev']", edit_schedule("ECFlex", lambda ms: add(ms, "series", "pev"))),
+        ("refs a JSON array", "ECFlexIt", "arrays are list, not an object",
+         edit_schedule("ECFlexIt", lambda ms: replace(ms, "refs", [1]))),
+        ("series a JSON array", "ECFlex", "arrays are list, not an object",
+         edit_schedule("ECFlex", lambda ms: replace(ms, "series", [1]))),
+        ("series a list of floats", "ECFlex", "array pinj is list, not a string",
+         edit_schedule("ECFlex", lambda ms: replace(ms, "series", [0.0] * 24, "pinj"))),
+        ("ref not a string", "ECFlexIt", "array wb is int, not a string",
+         edit_schedule("ECFlexIt", lambda ms: replace(ms, "refs", 5, "wb"))),
+        ("series not base64", "ECFlex", "Only base64 data is allowed",
+         edit_schedule("ECFlex", lambda ms: replace(ms, "series", "AAAA!AAA", "pinj"))),
+        ("series not whole float64s", "ECFlexIt", "array pinj holds 21 bytes",
+         edit_schedule("ECFlexIt", lambda ms: cut(ms, "series", "pinj", chars=28))),
+        ("traces not a list", "ECFlexIt", "traces are int, not a list",
+         edit("ECFlexIt", lambda doc: doc.update(traces=5))),
+        ("trace not a line", "ECFlexIt", "trace 1 is not one line",
          edit("ECFlexIt", lambda doc: doc.update(traces=[1]))),
-        ("trace in a centralized mode", "ECFlex",
-         edit("ECFlex", lambda doc: doc.update(traces=[{"day": 0, "iteration": 1}]))),
+        ("trace line broken in two", "ECFlexIt", "trace 1 is not one line",
+         edit("ECFlexIt", lines(lambda ts: [json.dumps(json.loads(ts[0]), indent=1),
+                                            *ts[1:]]))),
+        ("trace line not JSON", "ECFlexIt", "JSONDecodeError",
+         edit("ECFlexIt", lines(lambda ts: [ts[0][: len(ts[0]) // 2], *ts[1:]]))),
+        ("trace line not an object", "ECFlexIt", "trace 1 is not round 1 of day 0",
+         edit("ECFlexIt", lines(lambda ts: ["[1]", *ts[1:]]))),
+        ("trace line of another round", "ECFlexIt", "trace 2 is not round 2 of day 0",
+         edit("ECFlexIt", lines(lambda ts: [ts[0], *ts]))),
+        ("trace in a centralized mode", "ECFlex", "a centralized mode holds 1 trace(s)",
+         edit("ECFlex", lambda doc: doc.update(traces=['{"day":0,"iteration":1}']))),
     ]
-    for case, mode, corrupt in corruptions:
+    for case, mode, reason, corrupt in corruptions:
         corrupt()
         caplog.clear()
         with caplog.at_level("WARNING", logger="reccoord.cli"):
             assert _run([*args, "--out", str(resume)]) == 0, case
         if mode is not None:
             assert f"{mode} day 0: unreadable checkpoint" in caplog.text, case
+            assert reason in caplog.text, case
         for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
             assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), \
                 (case, name)
@@ -548,7 +588,7 @@ def test_max_iters_below_one_is_a_usage_error(tmp_path, capsys, value):
 
 
 def test_trace_dicts_are_kept_only_with_trace(tmp_path):
-    """Without --trace a decentralized mode hands back no trace dicts, while
+    """Without --trace a decentralized mode hands back no trace lines, while
     its checkpoint still stores them for a later traced resume."""
     scenario = generate_synthetic(SyntheticConfig(members=4, seed=5, wb_rate=0.5, ev_rate=0.25,
                                                   hp_rate=0.25, bss_rate=0.25,
@@ -559,3 +599,21 @@ def test_trace_dicts_are_kept_only_with_trace(tmp_path):
         checkpoint = cli._Checkpoint(tmp_path, cli._fingerprint(dump_scenario(scenario), config))
         _, traces = cli._run_modes(scenario, 1, config, checkpoint)
         assert bool(traces["ECFlexIt"]) is trace
+
+
+def test_a_checkpoint_written_without_trace_resumes_with_the_cold_trace(tmp_path, monkeypatch):
+    args = ["--generate", GEN, "--seed", "5", "--modes", "ecflex,ecflexit,ecflexitprimed",
+            "--key", "equal", "--days", "1", "--dt", "1.0"]
+    assert _run([*args, "--trace", "--out", str(tmp_path / "cold")]) == 0
+    resume = tmp_path / "resume"
+    assert _run([*args, "--out", str(resume)]) == 0
+    assert (resume / "trace.jsonl").read_bytes() == b""
+
+    def no_solve(*_):
+        raise AssertionError("a checkpointed day was solved again")
+
+    monkeypatch.setattr(cli, "_solve_day", no_solve)
+    assert _run([*args, "--trace", "--out", str(resume)]) == 0
+    assert (resume / "trace.jsonl").read_bytes()
+    for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
+        assert (tmp_path / "cold" / name).read_bytes() == (resume / name).read_bytes(), name

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -112,8 +113,52 @@ def test_schedule_serialization_round_trip(toy_results):
             np.testing.assert_array_equal(restored.series["pwb"], original.series["pwb"])
 
 
+def test_checkpoint_arrays_round_trip_bit_for_bit():
+    values = np.array([*SPECIAL_VALUES, 5e-324])
+    sched = DaySchedule(
+        mode="ECFlexIt", day=0, dt_hours=1.0, objective_value=0.0, community_bill_eur=0.0,
+        community_discomfort_eur=0.0,
+        members=[MemberDaySchedule("u01", {"pinj": values, "ppv": -values},
+                                   refs={"wb": values[::-1]})])
+    back = schedule_from_dict(json.loads(json.dumps(schedule_to_dict(sched))))
+    (original,), (restored,) = sched.members, back.members
+    for what in ("series", "refs"):
+        arrays, restored_arrays = getattr(original, what), getattr(restored, what)
+        assert list(restored_arrays) == list(arrays)
+        for tag, arr in arrays.items():
+            assert restored_arrays[tag].dtype == np.float64
+            assert restored_arrays[tag].flags.writeable
+            assert restored_arrays[tag].tobytes() == arr.tobytes(), (what, tag)
+
+
+def _b64(*floats) -> str:
+    return base64.b64encode(np.array(floats, dtype="<f8").tobytes()).decode()
+
+
+@pytest.mark.parametrize("series", [
+    [1],                                   # not an object
+    {"pinj": [0.0, 1.0]},                  # a decimal list, not a string
+    {"pinj": 5},
+    {"pinj": "AAAA!AAA"},                  # not base64
+    {"pinj": "AAAA"},                      # 3 bytes
+    {"pinj": _b64(1.0, 2.0)[:-4]},         # 16 bytes cut to 13
+], ids=["array", "list", "number", "bad-base64", "3-bytes", "cut"])
+def test_undecodable_checkpoint_arrays_are_rejected(series):
+    doc = {"mode": "SoloFix", "day": 0, "dt_hours": 1.0, "objective_value": 0.0,
+           "community_bill_eur": 0.0, "community_discomfort_eur": 0.0,
+           "members": [{"member_id": "u01", "series": {"pinj": _b64(1.0)}, "refs": {},
+                        "bill": None, "discomfort_total_eur": 0.0, "flex_revenue_eur": 0.0}]}
+    assert schedule_from_dict(doc).members[0].series["pinj"].tolist() == [1.0]
+    for key in ("series", "refs"):
+        bad = json.loads(json.dumps(doc))
+        bad["members"][0][key] = series
+        with pytest.raises((ValueError, TypeError)):
+            schedule_from_dict(bad)
+
+
 #: Member ids that need ``csv`` quoting (or, for ``\r``, none under the report
-#: dialect), listed out of id order, each with a different device set.
+#: dialect) or ``%``-escaping in the row template, listed out of id order, each
+#: with a different device set.
 ODD_MEMBERS = (
     ("zoë", ()),
     ('say "hi"', ("pcha", "pdis", "socb")),
@@ -121,6 +166,7 @@ ODD_MEMBERS = (
     ("a,b", ("pwb", "twb", "jwb", "php", "thp", "jhp")),
     ("cr\rid", ("pcha", "pdis", "socb", "pev", "sev", "jev", "pwb", "twb", "jwb")),
     ("u01", ()),
+    ("50%s off", ("php", "thp", "jhp")),
 )
 SPECIAL_VALUES = (-0.0, float("nan"), float("inf"), 1e-300, 123456789.123, -float("inf"))
 
@@ -156,8 +202,8 @@ def test_schedules_csv_matches_the_per_cell_writer(tmp_path):
     expected = (tmp_path / "reference.csv").read_bytes()
     assert _written(schedules, tmp_path / "report") == expected
     text = expected.decode()
-    for needle in ('"line\nbreak"', '"say ""hi"""', '"a,b"', "cr\rid", "zoë", ",-0\n",
-                   ",nan\n", ",inf\n", ",-inf\n", ",1e-300\n", ",123456789\n"):
+    for needle in ('"line\nbreak"', '"say ""hi"""', '"a,b"', "cr\rid", "zoë", ",50%s off,",
+                   ",-0\n", ",nan\n", ",inf\n", ",-inf\n", ",1e-300\n", ",123456789\n"):
         assert needle in text, needle
     assert "\nECFlex,1,0," in text and "\nECFlexIt,0,0," in text
     assert "\nECFlexIt,1," not in text  # a day without members adds no rows
