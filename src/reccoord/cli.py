@@ -361,8 +361,13 @@ def _verify_or_die(scenario: Scenario, day: int, sched, carried) -> None:
                          + "; ".join(problems[:5]))
 
 
-def run(config: RunConfig) -> reporting.ReportFiles:
-    """Execute a full run configuration and write the report files."""
+def _open(config: RunConfig) -> tuple[Scenario, int, _Checkpoint]:
+    """The run's scenario, its number of days and its opened checkpoint.
+
+    The scenario document's bytes live only here, for the fingerprint and,
+    for a generated scenario, ``scenario.json``; they are freed before the
+    first solve.
+    """
     if config.generate is not None:
         try:
             scenario = generate_synthetic(config.generate)
@@ -388,7 +393,12 @@ def run(config: RunConfig) -> reporting.ReportFiles:
             (config.out_dir / "scenario.json").write_bytes(scenario_bytes)
     except OSError as exc:
         raise UsageError(f"cannot write to the output directory: {exc}") from exc
+    return scenario, days, checkpoint
 
+
+def run(config: RunConfig) -> reporting.ReportFiles:
+    """Execute a full run configuration and write the report files."""
+    scenario, days, checkpoint = _open(config)
     schedules, mode_traces = _run_modes(scenario, days, config, checkpoint)
     results = {mode_name: schedules[mode_name] for mode_name in config.modes}
     traces = [t for mode_name in config.modes for t in mode_traces[mode_name]]

@@ -60,26 +60,41 @@ class Violation:
 
 
 def _series(values: Any, path: str) -> np.ndarray:
+    """``values`` as a read-only float64 vector.  A read-only view of a
+    read-only float64 vector is kept as it is, so slices share memory; any
+    other input is copied and locked."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1
+            and not values.flags.writeable and isinstance(values.base, np.ndarray)
+            and not values.base.flags.writeable):
+        return values
     try:
         arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError):
         raise ScenarioParseError(f"{path}: expected a flat numeric array") from None
+    except OverflowError:
+        raise ScenarioParseError(f"{path}: a number is out of the float range") from None
     if arr.ndim != 1:
         raise ScenarioParseError(f"{path}: expected a flat numeric array, got shape {arr.shape}")
     arr.flags.writeable = False
-    return arr
+    return arr.view()
 
 
 def _scalar(conv: type, value: Any, path: str) -> Any:
     """``conv(value)``; a value it cannot convert exactly is a parse error
-    naming ``path``: a bool, or for ``int`` a float with a fractional part."""
+    naming ``path``: a bool, for ``int`` a float with a fractional part, and
+    a number out of the float range (the horizon's arithmetic is in floats)."""
     try:
         if isinstance(value, bool) or (conv is int and isinstance(value, float)
                                        and not value.is_integer()):
             raise ValueError
+        if conv is int:
+            float(value)  # an OverflowError beyond the float range
         return conv(value)
     except (TypeError, ValueError):
         raise ScenarioParseError(f"{path}: expected {conv.__name__}, got {value!r}") from None
+    except OverflowError:
+        raise ScenarioParseError(f"{path}: expected {conv.__name__}, got a number out of "
+                                 f"the float range") from None
 
 
 class _Series:
@@ -568,18 +583,45 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(horizon=horizon, prices=prices, members=members)
 
 
+#: Document keys whose arrays :func:`load_scenario` decodes straight into
+#: read-only float64 vectors: every per-step series field, and the pair a
+#: thermal limit may be given by.
+_SERIES_KEYS = frozenset(
+    name for cls in (Prices, Member, *DEVICE_PARAMS.values()) for name in cls._SERIES
+) | {"temp_ref", "temp_set"}
+
+
+def _decode_series(obj: dict) -> dict:
+    """``json.loads`` object hook: each flat numeric list under a series key
+    as a read-only float64 vector, made as soon as the object holding it
+    closes.  A list that does not convert stays a list, for the parser to
+    reject naming its field."""
+    for key in _SERIES_KEYS.intersection(obj):
+        if isinstance(obj[key], list):
+            try:
+                obj[key] = _series(obj[key], key)
+            except ScenarioParseError:
+                pass
+    return obj
+
+
 def load_scenario(data: bytes | str) -> Scenario:
     """Parse and fully validate a scenario document.
+
+    Series are decoded straight into read-only float64 arrays, one object at
+    a time, so the numbers never all exist as Python floats: a load peaks at
+    about 2.5 times the document's size.
 
     Raises :class:`ScenarioParseError` on malformed documents and
     :class:`ScenarioValidationError` (carrying all violations) on invariant
     breaches.
     """
     try:
-        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data,
+                         object_hook=_decode_series)
     except UnicodeDecodeError as exc:
         raise ScenarioParseError(f"document is not UTF-8: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond Python's digit limit
         raise ScenarioParseError(f"not valid JSON: {exc}") from exc
     scenario = scenario_from_dict(doc)
     violations = validate_scenario(scenario)
@@ -589,7 +631,7 @@ def load_scenario(data: bytes | str) -> Scenario:
 
 
 def _list(arr: np.ndarray) -> list[float]:
-    return [float(v) for v in arr]
+    return arr.tolist()
 
 
 def _device_to_dict(d: _Series) -> dict[str, Any]:

@@ -134,6 +134,14 @@ def test_infeasible_day_exits_1_naming_mode_and_day(tmp_path, capsys):
     assert err.count("ECFlex") == 1 and err.count("day") == 1
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: day 2's ECFlex LP is infeasible "
+                                        "from the state day 1 carries (exits 1)")
+def test_ecflex_survives_the_states_it_carries_into_day_2(tmp_path):
+    """The smallest run that fails on a carried state sitting on a tolerance edge."""
+    assert _run(["--generate", "members=6", "--seed", "7", "--dt", "1.0", "--days", "3",
+                 "--modes", "ecflex", "--out", str(tmp_path)]) == 0
+
+
 def test_a_rejected_lp_names_mode_and_day(tmp_path, capsys):
     """A finite but extreme thermal coefficient gives an LP coefficient HiGHS
     rejects; the run ends with a diagnostic naming the mode, the day and the

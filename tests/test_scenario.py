@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from reccoord.scenario import (DEVICE_PARAMS, ScenarioParseError, ScenarioValidationError,
-                               SyntheticConfig, Violation, dump_scenario, generate_synthetic,
-                               load_bundled_scenario, load_scenario,
-                               scenario_to_dict, validate_scenario)
+from reccoord.scenario import (DEVICE_PARAMS, Member, ScenarioParseError,
+                               ScenarioValidationError, SyntheticConfig, Violation,
+                               dump_scenario, generate_synthetic, load_bundled_scenario,
+                               load_scenario, scenario_to_dict, validate_scenario)
 from helpers import (make_member, make_scenario, simple_bss, simple_ev, simple_hp,
                      simple_wb)
 
@@ -94,9 +95,19 @@ def _member_bss(doc, **changes):
      "members[0] (id=u01).bss.efficiency: expected float, got True"),
     (_edited(lambda d: d.update(prices=None)), "prices: expected an object"),
     (_edited(lambda d: d.update(horizon=[4, 6.0])), "horizon: expected an object"),
+    (_edited(lambda d: d["members"][0]["fixed_load_kw"].__setitem__(1, 10**400)),
+     "members[0] (id=u01).fixed_load_kw: a number is out of the float range"),
+    (_edited(lambda d: _member_bss(d, capacity_kwh=10**400)),
+     "members[0] (id=u01).bss.capacity_kwh: expected float, got a number out of the "
+     "float range"),
+    (_edited(lambda d: d["horizon"].update(steps_per_day=10**400)),
+     "horizon.steps_per_day: expected int, got a number out of the float range"),
+    (json.dumps(MINIMAL_DOC).replace('"num_days": 1', '"num_days": 1' + "0" * 5000),
+     "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
 ], ids=["not-utf8", "series-of-strings", "nested-series", "scalar-string", "scalar-null",
         "int-string", "int-fraction", "int-bool", "int-infinite", "float-bool",
-        "device-float-bool", "prices-null", "horizon-array"])
+        "device-float-bool", "prices-null", "horizon-array", "series-overflow",
+        "float-overflow", "int-overflow", "int-beyond-digit-limit"])
 def test_malformed_document_is_a_parse_error_naming_the_field(data, message):
     with pytest.raises(ScenarioParseError) as err:
         load_scenario(data)
@@ -233,6 +244,49 @@ def test_for_day_slices_all_series():
     assert m_day.fixed_load_kw == pytest.approx(m_full.fixed_load_kw[24:48])
     if m_full.ev is not None:
         assert m_day.ev.plugged == pytest.approx(m_full.ev.plugged[24:48])
+
+
+def test_loading_the_bundled_week_peaks_below_3_5_times_the_document():
+    """Series are decoded straight into arrays, not held as one Python float
+    per number (6.5 times the document when they were)."""
+    data = resources.files("reccoord").joinpath("data/community20.json").read_bytes()
+    load_scenario(data)  # the validators' first-call imports are not the load's
+    tracemalloc.start()
+    try:
+        load_scenario(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * len(data)
+
+
+def _series_arrays(s) -> list[np.ndarray]:
+    """Every per-step series of ``s``: prices, members and devices."""
+    holders = [s.prices, *s.members, *(d for m in s.members for d in m.devices().values())]
+    return [getattr(h, name) for h in holders for name in h._SERIES]
+
+
+def test_a_day_slice_shares_the_scenario_arrays_read_only():
+    s = load_bundled_scenario("community20")
+    week, day = _series_arrays(s), _series_arrays(s.for_day(3))
+    assert len(day) == len(week)
+    for full, part in zip(week, day):
+        assert np.shares_memory(full, part)
+        assert not part.flags.writeable
+        assert np.array_equal(part, full[3 * 96:4 * 96])
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["writable", "locked-view-of-writable"])
+def test_a_member_copies_an_array_someone_can_still_write(view):
+    load = np.array([0.5, 0.4, 0.3, 0.6])
+    given = load
+    if view:
+        given = load[:]
+        given.flags.writeable = False
+    m = Member(id="u01", fixed_load_kw=given, pv_max_kw=np.zeros(4))
+    load[0] = 9.0
+    assert m.fixed_load_kw.tolist() == [0.5, 0.4, 0.3, 0.6]
+    assert not m.fixed_load_kw.flags.writeable
 
 
 class TestGenerator:
