@@ -28,9 +28,14 @@ own HiGHS interface and require the same bits.  A solution is checked against
 the declared rows before it is reported ``optimal``; an infeasible point is
 downgraded to ``numeric_error``.
 
-The HiGHS binary is the one SciPy ships, loaded from SciPy's files by
-:func:`_load_highs` without importing ``scipy.optimize``, which would bring
-in most of SciPy; ``scipy.sparse`` is not used either.
+The HiGHS binary is the one SciPy ships.  :func:`_load_highs` loads it from
+SciPy's files the first time a problem is attached to a HiGHS model, on the
+calling thread, without running ``scipy/__init__.py`` or importing
+``scipy.optimize``, which would bring in most of SciPy; ``scipy.sparse`` is
+not used either.  A process that never solves (a resume, a usage or scenario
+error, a load, validation, dump, settlement or bill) never loads SciPy or
+HiGHS, and one whose solver cannot be loaded fails at its first solve with
+an :class:`LpError`.
 
 :func:`run_ahead` runs the HiGHS models of independent problems (the member
 solves of one coordination phase) concurrently on the calling thread and
@@ -55,7 +60,6 @@ from enum import Enum
 from typing import Iterable, Literal, NamedTuple
 
 import numpy as np
-import scipy
 
 #: Absolute feasibility tolerance on constraint residuals and bound violations.
 TOL_FEAS = 1e-7
@@ -307,40 +311,62 @@ def _solution(problem: LpProblem, status: LpStatus, x: np.ndarray | None,
     return LpSolution(status, None, None, message)
 
 
-def _load_highs():
-    """SciPy's compiled HiGHS extension ``scipy.optimize._highspy._core``,
-    loaded from its file in SciPy's tree without running
-    ``scipy/optimize/__init__.py``.
-
-    The module is registered under its own name, so a later ``import
-    scipy.optimize`` uses it, and an already imported one is reused: the
-    file is loaded at most once per process.
-    """
-    name = "scipy.optimize._highspy._core"
-    if name in sys.modules:
-        return sys.modules[name]
-    where = os.path.join(scipy.__path__[0], "optimize", "_highspy")
-    spec = importlib.machinery.FileFinder(where, (
-        importlib.machinery.ExtensionFileLoader,
-        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no HiGHS extension module _core in {where} "
-                          f"(scipy {scipy.__version__})", name=name)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-_highs = _load_highs()
+#: SciPy's HiGHS extension, or None until :func:`_load_highs` loads it.
+_highs = None
 
 #: The options SciPy's HiGHS method sets: presolve on, dual simplex, no log.
 _HIGHS_OPTIONS = (("presolve", "on"), ("highs_debug_level", 0), ("log_to_console", False),
                   ("output_flag", False), ("simplex_strategy", 1))
 
-_HIGHS_STATUS = {_highs.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
-                 _highs.HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
-                 _highs.HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED}
+#: HiGHS model statuses other than a numeric error, filled by the first load.
+_HIGHS_STATUS: dict = {}
+
+
+def _load_highs():
+    """SciPy's compiled HiGHS extension ``scipy.optimize._highspy._core``,
+    loaded on the first call from its file in SciPy's tree; later calls
+    return the same module.
+
+    SciPy's directory comes from its import spec, so neither
+    ``scipy/__init__.py`` nor ``scipy/optimize/__init__.py`` runs.  The
+    module is registered under its own name, so a later ``import
+    scipy.optimize`` uses it, and an already imported one is reused: the file
+    is loaded at most once per process.  A failed load raises an
+    ``ImportError`` naming SciPy's ``_highspy`` directory and SciPy's version,
+    and leaves nothing registered.
+    """
+    global _highs
+    if _highs is not None:
+        return _highs
+    name = "scipy.optimize._highspy._core"
+    module = sys.modules.get(name)
+    if module is None:
+        package = importlib.util.find_spec("scipy")
+        if package is None or not package.submodule_search_locations:
+            raise ImportError("scipy is not installed", name=name)
+        where = os.path.join(package.submodule_search_locations[0], "optimize", "_highspy")
+        spec = importlib.machinery.FileFinder(where, (
+            importlib.machinery.ExtensionFileLoader,
+            importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        try:
+            if spec is None:
+                raise ImportError("no HiGHS extension module _core")
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+        except ImportError as exc:
+            sys.modules.pop(name, None)
+            from importlib import metadata  # only here: it imports a few dozen modules
+            try:
+                version = metadata.version("scipy")
+            except metadata.PackageNotFoundError:
+                version = "version unknown"
+            raise ImportError(f"{exc} in {where} (scipy {version})", name=name) from exc
+    _HIGHS_STATUS.update({module.HighsModelStatus.kOptimal: LpStatus.OPTIMAL,
+                          module.HighsModelStatus.kInfeasible: LpStatus.INFEASIBLE,
+                          module.HighsModelStatus.kUnbounded: LpStatus.UNBOUNDED})
+    _highs = module
+    return module
 
 
 class _HighsModel:
@@ -352,22 +378,26 @@ class _HighsModel:
     """
 
     def __init__(self, problem: LpProblem):
+        try:
+            highs = _load_highs()
+        except ImportError as exc:
+            raise LpError(f"cannot load the HiGHS solver: {exc}") from exc
         self.fresh = self.ran = self.warm = False
         a, self.lhs, self.rhs = problem._highs_layout()
         self.lb, self.ub = problem.bounds()
         shape = problem.num_constraints, problem.num_variables
-        lp = _highs.HighsLp()
+        lp = highs.HighsLp()
         lp.num_row_, lp.num_col_ = shape
         lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
-        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
         lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a
         lp.col_cost_ = problem.objective_vector()
         lp.col_lower_, lp.col_upper_ = self.lb, self.ub
         lp.row_lower_, lp.row_upper_ = self.lhs, self.rhs
-        self.highs = _highs._Highs()
+        self.highs = highs._Highs()
         for key, value in _HIGHS_OPTIONS:
             self.highs.setOptionValue(key, value)
-        if self.highs.passModel(lp) == _highs.HighsStatus.kError:
+        if self.highs.passModel(lp) == highs.HighsStatus.kError:
             raise LpError(f"HiGHS rejected the {problem.name} LP")
 
     def sync(self, problem: LpProblem) -> None:
@@ -500,7 +530,6 @@ def _read(problem: LpProblem, model: _HighsModel) -> LpSolution:
     """The checked result of the model's last run."""
     h = model.highs
     status = h.getModelStatus()
-    x = np.array(h.getSolution().col_value) if status == _highs.HighsModelStatus.kOptimal \
-        else None
-    return _solution(problem, _HIGHS_STATUS.get(status, LpStatus.NUMERIC_ERROR), x,
-                     h.modelStatusToString(status))
+    ours = _HIGHS_STATUS.get(status, LpStatus.NUMERIC_ERROR)
+    x = np.array(h.getSolution().col_value) if ours is LpStatus.OPTIMAL else None
+    return _solution(problem, ours, x, h.modelStatusToString(status))

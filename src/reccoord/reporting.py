@@ -9,7 +9,8 @@ files in regression tests.
 ``schedules.csv`` has one row per mode, day, step, member and variable.  Its
 rows are written one step per ``write``: the mode, day, member and variable
 cells are quoted once by the same ``csv`` dialect as the other files into a
-``%`` template of the day, and each step's values are formatted by one ``%``.
+``%`` template of the day, and each step's values are formatted by one ``%``,
+except ``+0.0`` values, written as a literal ``0``.
 
 ``trace.jsonl`` holds one :func:`trace_line` per coordination round.  A run
 serializes each round once; the checkpoint keeps those lines and the report
@@ -83,13 +84,20 @@ def _write_schedule_rows(handle, mode: str, sched: DaySchedule) -> None:
                for tag in sorted(m.series, key=SERIES_NAMES.__getitem__)]
     if not columns:
         return
-    # "%.9g" % x formats as f"{x:.9g}"; the quoted cells are %-escaped
+    # "%.9g" % x formats as f"{x:.9g}"; the quoted cells are %-escaped.  A
+    # +0.0 (most values) takes a piece that writes its "0" unformatted.
     head = _csv_cells(mode, sched.day).replace("%", "%%")
-    pieces = ["", *(_csv_cells(member_id, variable).replace("%", "%%") + ",%.9g\n"
-                    for member_id, variable, _ in columns)]
+    cells = [_csv_cells(member_id, variable).replace("%", "%%")
+             for member_id, variable, _ in columns]
+    formatted = np.array([c + ",%.9g\n" for c in cells], dtype=object)
+    literal = np.array([c + ",0\n" for c in cells], dtype=object)
     values = np.column_stack([series for _, _, series in columns])
-    for t, row in enumerate(values.tolist()):
-        handle.write(f"{head},{t},".join(pieces) % tuple(row))
+    zero = (values == 0) & ~np.signbit(values)
+    rest = values[~zero].tolist()  # the values to format, step after step
+    stops = np.cumsum((~zero).sum(axis=1)).tolist()
+    for t, (is_zero, start, stop) in enumerate(zip(zero, [0, *stops], stops)):
+        pieces = np.where(is_zero, literal, formatted).tolist()
+        handle.write(f"{head},{t},".join(["", *pieces]) % tuple(rest[start:stop]))
 
 
 def trace_line(trace: IterationTrace) -> str:

@@ -480,6 +480,8 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 "non-positive activation reward: import_price must exceed "
                 "export_price + 2*community_fee"))
 
+    if not scenario.members:
+        out.append(Violation("members", "needs at least one member"))
     seen: set[str] = set()
     for i, m in enumerate(scenario.members):
         path = f"members[{i}]"
@@ -547,7 +549,9 @@ def _parse_member(obj: dict, idx: int) -> Member:
     where = f"members[{idx}]"
     if not isinstance(obj, dict):
         raise ScenarioParseError(f"{where}: expected an object")
-    member_id = str(_require(obj, "id", where))
+    member_id = _require(obj, "id", where)
+    if not isinstance(member_id, str):
+        raise ScenarioParseError(f"{where}.id: expected a string, got {member_id!r}")
     where = f"members[{idx}] (id={member_id})"
     return Member(
         id=member_id,

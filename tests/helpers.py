@@ -1,10 +1,15 @@
 """Hand-built scenario fixtures, a multi-day loop, the ``linprog`` reference
-solve, the exact rational equal key and the per-cell ``schedules.csv``
-reference writer and reader shared across the test modules."""
+solve, the exact rational equal key, the per-cell ``schedules.csv``
+reference writer and reader, and fresh interpreters with or without a HiGHS
+solver, shared across the test modules."""
 
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -186,3 +191,22 @@ def equal_key_fraction(offers, request: float) -> np.ndarray:
         return np.zeros(len(caps))
     share = req / providers
     return np.array([float(min(share, c)) if c > 0 else 0.0 for c in caps])
+
+
+def run_python(*pieces: str) -> subprocess.CompletedProcess:
+    """The code ``pieces`` run by a fresh interpreter that imports reccoord
+    from where this process does, with its output captured."""
+    src = str(Path(lpcore.__file__).resolve().parents[1])
+    code = "\n".join(map(textwrap.dedent, pieces))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+def scipy_without_highs(root: Path) -> Path:
+    """A ``scipy`` package under ``root`` whose ``optimize/_highspy``
+    directory holds no extension and whose ``__init__.py`` fails if it runs;
+    returns that directory.  Put ``root`` first on ``sys.path`` to use it."""
+    where = root / "scipy" / "optimize" / "_highspy"
+    where.mkdir(parents=True)
+    (root / "scipy" / "__init__.py").write_text("raise ImportError('scipy/__init__.py ran')\n")
+    return where

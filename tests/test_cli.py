@@ -9,12 +9,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+import scipy
 
 from reccoord import central, cli, decentral, lpcore, reporting
 from reccoord.cli import main
 from reccoord.lpcore import TOL_OPT
 from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic, load_scenario
-from helpers import solve_with_linprog
+from helpers import run_python, scipy_without_highs, solve_with_linprog
 
 GEN = "members=4,wb=0.5,ev=0.25,hp=0.25,bss=0.25,pv=16"
 
@@ -158,6 +159,30 @@ def test_a_rejected_lp_names_mode_and_day(tmp_path, capsys):
     assert capsys.readouterr().err == "error: SoloFix day 0: HiGHS rejected the day LP\n"
 
 
+def test_a_solver_that_cannot_load_fails_only_the_solving_run(tmp_path):
+    """Without a loadable HiGHS extension, help still works and a run fails
+    at its first solve with exit 1, naming the mode, the day, SciPy's
+    ``_highspy`` directory and SciPy's version, not with a stack trace."""
+    where = scipy_without_highs(tmp_path / "site")
+    done = run_python(f"""
+        import contextlib
+        import io
+        import sys
+        sys.path.insert(0, {str(tmp_path / "site")!r})
+        from reccoord.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            try:
+                main(["--help"])
+            except SystemExit as exc:
+                assert exc.code == 0, exc.code
+        sys.exit(main(["run", "--generate", {GEN!r}, "--seed", "7", "--modes", "solofix",
+                       "--days", "1", "--dt", "1.0", "--out", {str(tmp_path / "out")!r}]))
+    """)
+    assert (done.returncode, done.stderr) == (
+        1, f"error: SoloFix day 0: cannot load the HiGHS solver: no HiGHS extension module "
+           f"_core in {where} (scipy {scipy.__version__})\n")
+
+
 @pytest.mark.parametrize("i,slot,field,fields", [
     (0, "ev", "capacity_kwh", "efficiency, capacity_kwh, arrival, soc_arrival"),
     (1, "bss", "capacity_kwh", "efficiency, capacity_kwh"),
@@ -255,6 +280,20 @@ def test_malformed_scenario_field_exits_2_naming_it(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err \
         == "error: members[1] (id=u02).bss.capacity_kwh: expected float, got 'big'\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["members"][0].update(id=None), "members[0].id: expected a string, got None"),
+    (lambda doc: doc.update(members=[]), "invalid scenario: members: needs at least one member"),
+], ids=["id-null", "no-member"])
+def test_a_non_string_id_or_no_member_exits_2_naming_it(tmp_path, capsys, edit, message):
+    doc = json.loads(dump_scenario(generate_synthetic(SyntheticConfig(
+        members=1, seed=1, steps_per_day=24, dt_hours=1.0))))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = _run(["--scenario", str(path), "--modes", "solofix", "--out", str(tmp_path / "out")])
+    assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 def test_runs_are_deterministic_across_directories(tmp_path):

@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import queue
-import subprocess
 import sys
-import textwrap
 import threading
 from pathlib import Path
 
@@ -21,6 +18,7 @@ import pytest
 
 from reccoord.billing import activation_price
 from reccoord.central import PlannerMode, _DayModel, default_refs, solve_centralized
+from reccoord.cli import main
 from reccoord import lpcore
 from reccoord.decentral import MemberAgent
 from reccoord.lpcore import (LpError, LpProblem, LpStatus, TOL_FEAS, TOL_OPT,
@@ -29,7 +27,7 @@ from reccoord.scenario import SyntheticConfig, generate_synthetic
 import scipy
 from scipy.optimize._highspy import _core as _highs
 from scipy.sparse import csc_array
-from helpers import solve_with_linprog
+from helpers import run_python, scipy_without_highs, solve_with_linprog
 
 
 def test_single_variable_lower_bounded():
@@ -707,19 +705,18 @@ def _fresh(*pieces: str) -> None:
     """Run the code ``pieces`` in a fresh interpreter that imports reccoord
     from where this process does; it fails the test by failing an assert or
     raising."""
-    src = str(Path(lpcore.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "\n".join(map(textwrap.dedent, pieces))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_python(*pieces)
     assert done.returncode == 0, done.stderr
 
 
-_SMALL_SOLVE = """
+_SMALL_LP = """
     p = lpcore.LpProblem()
     (x,) = p.add_variables("x", 1, 0.0, 10.0)
     p.add_rows(">=", 3.0, [(x, 1.0)])
     p.add_objective(x, 1.0)
+"""
+
+_SMALL_SOLVE = _SMALL_LP + """
     solution = lpcore.solve_lp(p)
     assert solution.status is lpcore.LpStatus.OPTIMAL and solution.objective == 3.0
 """
@@ -741,6 +738,12 @@ _RECORD_LOADS = """
     importlib.machinery.ExtensionFileLoader.create_module = recording
 """
 
+#: Fails unless neither SciPy's package nor its HiGHS extension is loaded.
+_NOTHING_LOADED = """
+    loaded = [m for m in ("scipy", CORE) if m in sys.modules]
+    assert not loaded and lpcore._highs is None and CORE not in loads, loaded
+"""
+
 
 def test_the_cli_imports_neither_scipy_optimize_nor_scipy_sparse():
     _fresh("""
@@ -753,9 +756,62 @@ def test_the_cli_imports_neither_scipy_optimize_nor_scipy_sparse():
     """)
 
 
+def test_what_solves_nothing_loads_neither_scipy_nor_highs(tmp_path):
+    """Importing the CLI, loading, validating and dumping a scenario, help
+    and input errors leave SciPy and HiGHS unloaded; the first solve loads
+    the extension, once, and still not SciPy's package."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    _fresh(_RECORD_LOADS, f"""
+        import contextlib
+        import io
+        import reccoord.cli
+        from reccoord import lpcore
+        from reccoord.scenario import (dump_scenario, load_bundled_scenario, load_scenario,
+                                       validate_scenario)
+
+        scenario = load_scenario(dump_scenario(load_bundled_scenario()))
+        assert validate_scenario(scenario) == []
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["--help"], ["run", "--help"], ["run", "--modes", "fifo"]):
+                try:
+                    reccoord.cli.main(argv)
+                except SystemExit:
+                    pass
+                else:
+                    raise AssertionError(argv)
+            assert reccoord.cli.main(["run", "--scenario", {str(bad)!r}, "--modes", "solofix",
+                                      "--out", {str(tmp_path / "out")!r}]) == 2
+    """, _NOTHING_LOADED, _SMALL_SOLVE, _SMALL_SOLVE, """
+        assert loads.count(CORE) == 1 and CORE in sys.modules and "scipy" not in sys.modules, \
+            loads
+    """)
+
+
+def test_a_complete_resume_loads_neither_scipy_nor_highs(tmp_path):
+    """A resume over the complete checkpoints of the bundled community's day
+    0 (six modes) solves nothing, so it loads no solver and rewrites the
+    same reports."""
+    bundled = Path(lpcore.__file__).parent / "data" / "community20.json"
+    argv = ["run", "--scenario", str(bundled), "--modes",
+            "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal", "--trace",
+            "--days", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    names = ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl")
+    reports = {name: (tmp_path / name).read_bytes() for name in names}
+    _fresh(_RECORD_LOADS, f"""
+        import reccoord.cli
+        from reccoord import lpcore
+        assert reccoord.cli.main({argv!r}) == 0
+    """, _NOTHING_LOADED)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == reports
+
+
 def test_a_later_scipy_optimize_uses_the_loaded_extension():
     _fresh(_RECORD_LOADS, """
         from reccoord import lpcore
+    """, _SMALL_SOLVE, """
         import scipy.optimize
         from scipy.optimize._highspy import _core
         assert _core is lpcore._highs is sys.modules[CORE]
@@ -771,15 +827,29 @@ def test_an_earlier_scipy_optimize_extension_is_reused():
         import scipy.optimize
         from scipy.optimize._highspy import _core
         from reccoord import lpcore
+    """, _SMALL_SOLVE, """
         assert lpcore._highs is _core
         assert loads.count(CORE) == 1, loads
-    """, _SMALL_SOLVE)
+    """)
 
 
-def test_a_missing_extension_names_the_directory_and_the_scipy_version(tmp_path, monkeypatch):
-    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
-    with pytest.raises(ImportError) as err:
-        lpcore._load_highs()
-    assert str(tmp_path / "optimize" / "_highspy") in str(err.value)
-    assert scipy.__version__ in str(err.value)
+def test_a_missing_extension_names_the_directory_and_the_scipy_version(tmp_path):
+    """A SciPy tree without the extension fails each solve with an
+    ``LpError`` naming its ``_highspy`` directory and the installed SciPy's
+    version, and never runs that tree's ``scipy/__init__.py``."""
+    where = scipy_without_highs(tmp_path)
+    _fresh(_RECORD_LOADS, f"""
+        sys.path.insert(0, {str(tmp_path)!r})
+        from reccoord import lpcore
+    """, _SMALL_LP, f"""
+        for attempt in range(2):
+            try:
+                lpcore.solve_lp(p)
+            except lpcore.LpError as exc:
+                message = str(exc)
+            else:
+                raise AssertionError("solved without a solver")
+            assert message.startswith("cannot load the HiGHS solver: "), message
+            assert {str(where)!r} in message, message
+            assert "(scipy {scipy.__version__})" in message, message
+    """, _NOTHING_LOADED)

@@ -104,10 +104,14 @@ def _member_bss(doc, **changes):
      "horizon.steps_per_day: expected int, got a number out of the float range"),
     (json.dumps(MINIMAL_DOC).replace('"num_days": 1', '"num_days": 1' + "0" * 5000),
      "not valid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    (_edited(lambda d: d["members"][0].update(id=None)),
+     "members[0].id: expected a string, got None"),
+    (_edited(lambda d: d["members"].append(dict(d["members"][0], id=1))),
+     "members[1].id: expected a string, got 1"),
 ], ids=["not-utf8", "series-of-strings", "nested-series", "scalar-string", "scalar-null",
         "int-string", "int-fraction", "int-bool", "int-infinite", "float-bool",
         "device-float-bool", "prices-null", "horizon-array", "series-overflow",
-        "float-overflow", "int-overflow", "int-beyond-digit-limit"])
+        "float-overflow", "int-overflow", "int-beyond-digit-limit", "id-null", "id-number"])
 def test_malformed_document_is_a_parse_error_naming_the_field(data, message):
     with pytest.raises(ScenarioParseError) as err:
         load_scenario(data)
@@ -118,6 +122,12 @@ def test_integral_float_is_an_int():
     s = load_scenario(_edited(lambda d: d["horizon"].update(num_days=1.0, steps_per_day=4.0)))
     assert (s.horizon.num_days, s.horizon.steps_per_day) == (1, 4)
     assert type(s.horizon.num_days) is int and type(s.horizon.steps_per_day) is int
+
+
+def test_a_community_without_members_is_a_validation_error():
+    with pytest.raises(ScenarioValidationError) as err:
+        load_scenario(_edited(lambda d: d.update(members=[])))
+    assert err.value.violations == [Violation("members", "needs at least one member")]
 
 
 def test_soc_init_out_of_window_is_a_validation_error():
