@@ -495,17 +495,21 @@ def prioritize_self_consumption(
     return {m.member_id: refs_of_powers(m.series) for m in sched.members}
 
 
-def _reference_state_feasible(m, refs: DeviceRefs, state: CarriedState,
-                              dt: float, tol: float = 1e-9) -> bool:
+#: How far a reference trajectory may leave a hard state window and still
+#: count as feasible.
+_TOL_REFERENCE_STATE = 1e-9
+
+
+def _reference_state_feasible(m, refs: DeviceRefs, state: CarriedState, dt: float) -> bool:
     """Do the reference powers respect the hard state windows from this state?"""
     for spec in DEVICES:
         device = getattr(m, spec.name)
         if device is None or (spec.floor is None and spec.ceiling is None):
             continue
         traj = spec.simulate(device, refs[spec.name], dt, state.get(spec.name))
-        if spec.ceiling is not None and np.max(traj - spec.ceiling(device)) > tol:
+        if spec.ceiling is not None and np.max(traj - spec.ceiling(device)) > _TOL_REFERENCE_STATE:
             return False
-        if spec.floor is not None and np.min(traj - spec.floor(device)) < -tol:
+        if spec.floor is not None and np.min(traj - spec.floor(device)) < -_TOL_REFERENCE_STATE:
             return False
     return True
 
@@ -555,9 +559,13 @@ def final_states(sched: DaySchedule) -> dict[str, CarriedState]:
 # Independent verification
 
 
+#: The verifier's tolerance on every re-simulated quantity: powers, energies,
+#: states, discomforts and bills.
+TOL_VERIFY = 1e-6
+
+
 def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
-                        initial_states: Mapping[str, CarriedState] | None = None,
-                        tol: float = 1e-6) -> list[str]:
+                        initial_states: Mapping[str, CarriedState] | None = None) -> list[str]:
     """Check a day schedule against the scenario without reading LP internals.
 
     Re-simulates every device from its power schedule, recomputes hinge
@@ -566,6 +574,7 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
     """
     s = scenario.for_day(day)
     dt = s.horizon.dt_hours
+    tol = TOL_VERIFY
     problems: list[str] = []
     initial_states = initial_states or {}
 
@@ -610,7 +619,7 @@ def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
                   f"{m.id}: community exchange in a solo mode")
 
         bill = billing.compute_bill(m.id, iret, eret, icom, ecom, s.prices, dt)
-        check(abs(bill.total_eur - ms.bill.total_eur) <= 1e-6,
+        check(abs(bill.total_eur - ms.bill.total_eur) <= tol,
               f"{m.id}: stored bill {ms.bill.total_eur} != recomputed {bill.total_eur}")
 
         if m.bss is not None:

@@ -71,9 +71,7 @@ class RunConfig:
 
 
 def _parse_modes(text: str) -> list[str]:
-    canonical = {"solofix": "SoloFix", "soloflex": "SoloFlex", "ecfix": "ECFix",
-                 "ecflex": "ECFlex", "ecflexit": "ECFlexIt",
-                 "ecflexitprimed": "ECFlexItPrimed"}
+    canonical = {name.lower(): name for name in SOLVE_ORDER}
     out: list[str] = []
     for raw in text.split(","):
         name = raw.strip().lower()
@@ -419,10 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from_args(args)
         files = run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ScenarioError as exc:
+    except (UsageError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RunFailure as exc:

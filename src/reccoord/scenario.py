@@ -8,6 +8,11 @@ flat arrays of length ``steps_per_day * num_days``.
 Types are immutable after construction (arrays are locked read-only) and
 deliberately permissive: semantic checks live in :func:`validate_scenario`,
 which returns machine-readable violations instead of raising.
+
+The dataclasses are also the document format: a scenario document's keys are
+their field names, and a key is optional when its field has a default.  Both
+directions walk the fields: :func:`scenario_from_dict` reads each one's key,
+and :func:`dump_scenario` writes them in declaration order.
 """
 
 from __future__ import annotations
@@ -113,7 +118,14 @@ class _Series:
             object.__setattr__(self, name, _series(getattr(self, name), name))
 
     def sliced(self, sl: slice):
-        return replace(self, **{name: getattr(self, name)[sl] for name in self._SERIES})
+        """A copy holding views on ``sl`` of every series, its devices' too."""
+        changes: dict[str, Any] = {}
+        for name, value in vars(self).items():
+            if name in self._SERIES:
+                changes[name] = value[sl]
+            elif isinstance(value, _Series):
+                changes[name] = value.sliced(sl)
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True)
@@ -267,10 +279,6 @@ class Member(_Series):
     def has_flexibility(self) -> bool:
         """Whether the member owns any controllable asset (device or battery)."""
         return bool(self.devices())
-
-    def sliced(self, sl: slice) -> "Member":
-        return replace(self, fixed_load_kw=self.fixed_load_kw[sl], pv_max_kw=self.pv_max_kw[sl],
-                       **{name: d.sliced(sl) for name, d in self.devices().items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,39 +535,40 @@ def _parse_thermal_limit(obj: dict, where: str) -> np.ndarray:
     raise ScenarioParseError(f"{where}: need temp_limit or the (temp_ref, temp_set) pair")
 
 
-def _parse_device(cls: type, obj: Any, where: str) -> _Series:
-    """Device parameters from their document block; unknown keys are ignored."""
+#: Scalar field annotations -> the type a document value must convert to.
+_SCALAR_TYPES = {"int": int, "float": float}
+
+
+def _parse(cls: type, obj: Any, where: str, **given: Any) -> Any:
+    """A ``cls`` instance from document object ``obj``, one key per field in
+    declaration order; ``given`` holds fields already read.  A series goes
+    through :func:`_series`, a scalar through :func:`_scalar` with its
+    annotated type, a device slot (unless absent or null) through its class
+    and ``temp_limit`` through :func:`_parse_thermal_limit`; a missing key
+    with a default takes the default, and unknown keys are ignored."""
     if not isinstance(obj, dict):
         raise ScenarioParseError(f"{where}: expected an object")
-    kwargs: dict[str, Any] = {}
     for f in fields(cls):
-        path = f"{where}.{f.name}"
-        if f.name == "temp_limit":
-            kwargs[f.name] = _parse_thermal_limit(obj, where)
-        elif f.name in cls._SERIES:
-            kwargs[f.name] = _series(_require(obj, f.name, where), path)
-        elif f.default is MISSING:
-            kwargs[f.name] = _scalar(float, _require(obj, f.name, where), path)
+        name, path = f.name, f"{where}.{f.name}"
+        if name in given or (name not in obj and f.default is not MISSING):
+            continue
+        if name == "temp_limit":
+            given[name] = _parse_thermal_limit(obj, where)
+        elif name in DEVICE_PARAMS:
+            if obj[name] is not None:
+                given[name] = _parse(DEVICE_PARAMS[name], obj[name], path)
+        elif name in getattr(cls, "_SERIES", ()):
+            given[name] = _series(_require(obj, name, where), path)
         else:
-            kwargs[f.name] = _scalar(float, obj.get(f.name, f.default), path)
-    return cls(**kwargs)
+            given[name] = _scalar(_SCALAR_TYPES[f.type], _require(obj, name, where), path)
+    return cls(**given)
 
 
-def _parse_member(obj: dict, idx: int) -> Member:
-    where = f"members[{idx}]"
-    if not isinstance(obj, dict):
-        raise ScenarioParseError(f"{where}: expected an object")
-    member_id = _require(obj, "id", where)
+def _parse_member(obj: Any, idx: int) -> Member:
+    member_id = _require(obj, "id", f"members[{idx}]")
     if not isinstance(member_id, str):
-        raise ScenarioParseError(f"{where}.id: expected a string, got {member_id!r}")
-    where = f"members[{idx}] (id={member_id})"
-    return Member(
-        id=member_id,
-        **{name: _series(_require(obj, name, where), f"{where}.{name}")
-           for name in Member._SERIES},
-        **{name: _parse_device(cls, obj[name], f"{where}.{name}")
-           for name, cls in DEVICE_PARAMS.items() if obj.get(name) is not None},
-    )
+        raise ScenarioParseError(f"members[{idx}].id: expected a string, got {member_id!r}")
+    return _parse(Member, obj, f"members[{idx}] (id={member_id})", id=member_id)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -570,16 +579,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     if schema != SCHEMA_VERSION:
         raise ScenarioParseError(f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
 
-    h = _require(doc, "horizon", "document")
-    horizon = Horizon(
-        steps_per_day=_scalar(int, _require(h, "steps_per_day", "horizon"),
-                              "horizon.steps_per_day"),
-        dt_hours=_scalar(float, _require(h, "dt_hours", "horizon"), "horizon.dt_hours"),
-        num_days=_scalar(int, h.get("num_days", 1), "horizon.num_days"),
-    )
-    p = _require(doc, "prices", "document")
-    prices = Prices(**{name: _series(_require(p, name, "prices"), f"prices.{name}")
-                       for name in Prices._SERIES})
+    horizon = _parse(Horizon, _require(doc, "horizon", "document"), "horizon")
+    prices = _parse(Prices, _require(doc, "prices", "document"), "prices")
     raw_members = _require(doc, "members", "document")
     if not isinstance(raw_members, list):
         raise ScenarioParseError("members: expected an array")
@@ -634,36 +635,24 @@ def load_scenario(data: bytes | str) -> Scenario:
     return scenario
 
 
-def _list(arr: np.ndarray) -> list[float]:
-    return arr.tolist()
-
-
-def _device_to_dict(d: _Series) -> dict[str, Any]:
-    return {f.name: _list(getattr(d, f.name)) if f.name in d._SERIES else getattr(d, f.name)
-            for f in fields(d)}
+def _to_dict(obj: Any) -> dict[str, Any]:
+    """A dataclass's fields in declaration order: arrays as lists, devices as
+    nested objects and absent devices as ``null``."""
+    out: dict[str, Any] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, _Series):
+            value = _to_dict(value)
+        out[f.name] = value
+    return out
 
 
 def scenario_to_dict(s: Scenario) -> dict:
     """Canonical document form; field order is fixed for byte-stable dumps."""
-    members = []
-    for m in s.members:
-        obj: dict[str, Any] = {"id": m.id, "fixed_load_kw": _list(m.fixed_load_kw),
-                               "pv_max_kw": _list(m.pv_max_kw)}
-        for name in DEVICE_PARAMS:
-            device = getattr(m, name)
-            obj[name] = None if device is None else _device_to_dict(device)
-        members.append(obj)
-
-    return {
-        "schema": SCHEMA_VERSION,
-        "horizon": {
-            "steps_per_day": s.horizon.steps_per_day,
-            "dt_hours": s.horizon.dt_hours,
-            "num_days": s.horizon.num_days,
-        },
-        "prices": {name: _list(getattr(s.prices, name)) for name in Prices._SERIES},
-        "members": members,
-    }
+    return {"schema": SCHEMA_VERSION, "horizon": _to_dict(s.horizon),
+            "prices": _to_dict(s.prices), "members": [_to_dict(m) for m in s.members]}
 
 
 def dump_scenario(s: Scenario) -> bytes:

@@ -292,6 +292,19 @@ def test_missing_member_reference_rejected():
         _DayModel(s, 0, PlannerMode.EC_FLEX, {}, False, None)
 
 
+@pytest.mark.parametrize("refs, message", [
+    ({"u2": {"wb": np.zeros(4)}}, "missing reference profiles for member u1"),
+    ({"u1": {"wb": np.zeros(4), "ev": np.zeros(4)}},
+     "member u1: reference profiles for devices it does not own: ['ev']"),
+    ({"u1": {}}, "member u1: missing wb reference profile"),
+], ids=["member", "device-not-owned", "slot"])
+def test_a_solve_with_incomplete_references_names_what_is_wrong(refs, message):
+    s = make_scenario([_wb_pv_member()], steps=4)
+    with pytest.raises(PlannerError) as err:
+        solve_centralized(s, 0, PlannerMode.EC_FLEX, refs=refs)
+    assert str(err.value) == message
+
+
 class TestPrioritization:
     def test_without_pv_the_bill_is_unchanged(self):
         """Flat prices make shifting pointless without local generation."""
@@ -544,8 +557,10 @@ class TestSolvedDay:
     def test_a_memo_holds_one_day_of_one_scenario(self, scenario):
         solved = SolvedDay(scenario, 0)
         for s, day in ((scenario, 1), (dataclasses.replace(scenario), 0)):
-            with pytest.raises(ValueError, match="memo"):
+            with pytest.raises(ValueError) as err:
                 solve_centralized(s, day, PlannerMode.EC_FIX, solved=solved)
+            assert str(err.value) == f"the memo of day 0 does not hold day {day} of this scenario"
+        assert solved.schedules == {}
 
     def test_failures_are_not_stored(self):
         ev = simple_ev(4, power_ref=np.zeros(4), plugged=[1, 0, 0, 0],
