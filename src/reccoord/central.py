@@ -28,12 +28,12 @@ ECFlex is solved in two phases on its own model: first with the device
 powers pinned to the references (the ECFix LP), then relaxed and re-run
 warm from that basis (:meth:`_DayModel.solve`).
 
-A :class:`SolvedDay` memo lets the solves of one day share their LPs: a
-schedule is solved once per mode, curtailment option, reference powers and
-carried states, and handed to every later solve asking for the same.  With
-it, ECFlex's pinned phase also gives ECFix's schedule when both modes are
-run on a day whose references and carried states coincide, as they do on
-the first day, where every mode starts from the scenario's states.
+Every solve works on a :class:`SolvedDay`, one day sliced once with the
+schedules solved on it: each is solved once per mode, curtailment option,
+reference powers and carried states, and handed to every later solve asking
+for the same.  ECFlex's pinned phase also gives ECFix's schedule when both
+modes start from the same references and carried states, as on the first
+day.  A fresh :class:`SolvedDay` shares nothing.
 """
 
 from __future__ import annotations
@@ -277,13 +277,13 @@ def discomfort_eur(sched: MemberDaySchedule) -> float:
 class _DayModel:
     """LP for one day; keeps variable indexes so solutions map back to arrays."""
 
-    def __init__(self, scenario: Scenario, day: int, mode: PlannerMode,
+    def __init__(self, solved: SolvedDay, mode: PlannerMode,
                  refs: FlexRefs | None, allow_curtailment: bool,
                  initial_states: Mapping[str, CarriedState] | None):
-        self.scenario = s = scenario.for_day(day)
-        self.day = day
+        self.scenario = s = solved.scenario
+        self.day = solved.day
         self.mode = mode
-        self.refs = default_refs(s) if refs is None else refs
+        self.refs = solved.defaults if refs is None else refs
         _check_refs(self.refs, s)
         self.allow_curtailment = allow_curtailment
         self.initial_states = initial_states or {}
@@ -403,28 +403,27 @@ def settle_day(day_scenario: Scenario, mode: str, day: int,
 
 
 class SolvedDay:
-    """The schedules solved on one day of one scenario, keyed by their LP.
+    """One day of a scenario and the schedules solved on it, keyed by their LP.
 
-    The day LP is defined by the mode, the curtailment option and every
-    member's reference powers and carried state; a key compares them bit for
-    bit per device slot, a slot missing from a mapping (or a member from the
-    carried states) keying as no value.  Only settled schedules are kept,
-    never a HiGHS model, and never a failure.  A hit hands back the stored
-    :class:`DaySchedule` itself, which its users only read.
+    ``scenario`` is the day's slice of the scenario, ``day`` its index and
+    ``defaults`` its :func:`default_refs`.  The day LP is defined by the mode,
+    the curtailment option and every member's reference powers and carried
+    state; a key compares them bit for bit per device slot, a slot missing
+    from a mapping (or a member from the carried states) keying as no value.
+    Only settled schedules are kept, never a HiGHS model, and never a failure.
+    A hit hands back the stored :class:`DaySchedule` itself, which its users
+    only read.
     """
 
     def __init__(self, scenario: Scenario, day: int):
-        self.scenario = scenario
+        self.scenario = scenario.for_day(day)
         self.day = day
         self.schedules: dict[tuple, DaySchedule] = {}
-        self._defaults: FlexRefs | None = None
+        self.defaults = default_refs(self.scenario)
 
     def key(self, mode: PlannerMode, refs: FlexRefs | None, allow_curtailment: bool,
             initial_states: Mapping[str, CarriedState] | None) -> tuple:
-        if refs is None:
-            if self._defaults is None:
-                self._defaults = default_refs(self.scenario.for_day(self.day))
-            refs = self._defaults
+        refs = self.defaults if refs is None else refs
         states = initial_states or {}
         members = []
         for m in self.scenario.members:
@@ -441,57 +440,47 @@ def _bits(value) -> bytes | None:
     return None if value is None else np.asarray(value, dtype=np.float64).tobytes()
 
 
-def solve_centralized(scenario: Scenario, day: int, mode: PlannerMode,
+def solve_centralized(solved: SolvedDay, mode: PlannerMode,
                       refs: FlexRefs | None = None,
                       allow_curtailment: bool = False,
-                      initial_states: Mapping[str, CarriedState] | None = None,
-                      solved: SolvedDay | None = None) -> DaySchedule:
-    """Solve one day under one mode and return the full schedule.
+                      initial_states: Mapping[str, CarriedState] | None = None) -> DaySchedule:
+    """Solve the day of ``solved`` under one mode and return the full schedule.
 
-    With a ``solved`` memo of this scenario and day, a schedule it holds for
-    the same LP is returned as it is; otherwise the solved schedule is stored
-    there, and an ECFlex solve also stores its optimal pinned phase as ECFix's
-    schedule: that phase is the ECFix LP, solved cold as ECFix solves it.
+    A schedule ``solved`` holds for the same LP is returned as it is;
+    otherwise the solved schedule is stored there, and an ECFlex solve also
+    stores its optimal pinned phase as ECFix's schedule: that phase is the
+    ECFix LP, solved cold as ECFix solves it.
     """
-    key = None
-    if solved is not None:
-        if solved.scenario is not scenario or solved.day != day:
-            raise ValueError(f"the memo of day {solved.day} does not hold day {day} "
-                             f"of this scenario")
-        key = solved.key(mode, refs, allow_curtailment, initial_states)
-        if key in solved.schedules:
-            return solved.schedules[key]
-    model = _DayModel(scenario, day, mode, refs, allow_curtailment, initial_states)
+    key = solved.key(mode, refs, allow_curtailment, initial_states)
+    if key in solved.schedules:
+        return solved.schedules[key]
+    model = _DayModel(solved, mode, refs, allow_curtailment, initial_states)
     solution = model.solve()
-    if key is not None and model.pinned is not None \
-            and model.pinned.status is LpStatus.OPTIMAL:
+    if model.pinned is not None and model.pinned.status is LpStatus.OPTIMAL:
         ecfix = solved.key(PlannerMode.EC_FIX, refs, allow_curtailment, initial_states)
         if ecfix not in solved.schedules:
             solved.schedules[ecfix] = model.extract(model.pinned, PlannerMode.EC_FIX)
     if solution.status is LpStatus.INFEASIBLE:
-        raise InfeasibleDayError(mode.value, day, solution.message)
+        raise InfeasibleDayError(mode.value, solved.day, solution.message)
     if solution.status is not LpStatus.OPTIMAL:
-        raise SolverFailureError(mode.value, day, f"{solution.status.value}: {solution.message}")
-    sched = model.extract(solution)
-    if key is not None:
-        solved.schedules[key] = sched
+        raise SolverFailureError(mode.value, solved.day,
+                                 f"{solution.status.value}: {solution.message}")
+    solved.schedules[key] = sched = model.extract(solution)
     return sched
 
 
 def prioritize_self_consumption(
-        scenario: Scenario, day: int,
-        initial_states: Mapping[str, CarriedState] | None = None,
-        solved: SolvedDay | None = None) -> FlexRefs:
+        solved: SolvedDay,
+        initial_states: Mapping[str, CarriedState] | None = None) -> FlexRefs:
     """Rewrite device references to each member's individually optimal dispatch.
 
-    Solves the no-community flexible problem (through the ``solved`` memo,
-    when given) and returns its device schedules as new reference profiles.
-    Discomfort references (SoC and temperature targets) are left untouched,
-    so discomfort created by the individual optimization is carried into any
+    Solves the no-community flexible problem of the day of ``solved`` and
+    returns its device schedules as new reference profiles.  Discomfort
+    references (SoC and temperature targets) are left untouched, so
+    discomfort created by the individual optimization is carried into any
     coordination built on top.
     """
-    sched = solve_centralized(scenario, day, PlannerMode.SOLO_FLEX,
-                              initial_states=initial_states, solved=solved)
+    sched = solve_centralized(solved, PlannerMode.SOLO_FLEX, initial_states=initial_states)
     return {m.member_id: refs_of_powers(m.series) for m in sched.members}
 
 
@@ -564,15 +553,15 @@ def final_states(sched: DaySchedule) -> dict[str, CarriedState]:
 TOL_VERIFY = 1e-6
 
 
-def verify_day_schedule(scenario: Scenario, day: int, sched: DaySchedule,
+def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
                         initial_states: Mapping[str, CarriedState] | None = None) -> list[str]:
-    """Check a day schedule against the scenario without reading LP internals.
+    """Check a day schedule against its day's scenario without reading LP internals.
 
     Re-simulates every device from its power schedule, recomputes hinge
     discomforts and bills, and checks the power balances, daily conservation
     and community matching.  Returns human-readable problems; empty = clean.
     """
-    s = scenario.for_day(day)
+    s = day_scenario
     dt = s.horizon.dt_hours
     tol = TOL_VERIFY
     problems: list[str] = []

@@ -6,11 +6,11 @@ Example::
 
 One loop runs over the days.  Within a day the requested modes are solved
 in a fixed order, ECFlex, ECFix, SoloFlex, SoloFix, ECFlexIt, ECFlexItPrimed,
-through one :class:`~reccoord.central.SolvedDay` memo of that day, so each
-distinct day LP is solved once: ECFix comes from ECFlex's pinned phase, and
-the decentralized modes reuse the ECFix and SoloFlex schedules already solved,
-whenever their references and carried states coincide (on the first day in
-practice).  The memo is dropped with its day.  Each mode carries its own
+on one :class:`~reccoord.central.SolvedDay`, sliced on the day's first mode
+the checkpoint does not hold, so each distinct day LP is solved once: ECFix
+comes from ECFlex's pinned phase, and the decentralized modes reuse the
+ECFix and SoloFlex schedules already solved, whenever their references and
+carried states coincide (on the first day in practice).  Each mode carries its own
 device states from one day into the next, and the reports list the modes in
 the order given.  Every completed (mode, day) is checkpointed under
 ``<out>/checkpoint/`` so that interrupted long runs resume instead of
@@ -215,7 +215,7 @@ class _Checkpoint:
         try:
             doc = json.loads(path.read_text())
             sched = reporting.schedule_from_dict(doc["schedule"])
-            _check_fits(sched, scenario)
+            _check_fits(sched, mode, day, scenario)
             _check_traces(doc["traces"], mode, day)
             return sched, doc["traces"]
         except (ValueError, KeyError, TypeError) as exc:
@@ -228,13 +228,24 @@ class _Checkpoint:
         _write_atomic(self._path(mode, day), json.dumps(doc, separators=(",", ":")))
 
 
-def _check_fits(sched, scenario: Scenario) -> None:
-    """Raise ``ValueError`` unless ``sched`` holds the scenario's members in
-    scenario order, each with the series and references of its devices, and
-    each series and reference with one day of entries."""
+def _check_fits(sched, mode: str, day: int, scenario: Scenario) -> None:
+    """Raise ``ValueError`` unless ``sched`` is the schedule of ``mode`` on
+    ``day`` at the scenario's step, holds the scenario's members in scenario
+    order, each with a bill and the series and references of its devices, each
+    series and reference with one day of entries, and a float for every money
+    number."""
+    label = (sched.mode, sched.day, sched.dt_hours)
+    if label != (mode, day, scenario.horizon.dt_hours) or type(sched.day) is not int:
+        raise ValueError(f"the schedule of {label!r} is not {mode} day {day}")
     if [m.member_id for m in sched.members] != [m.id for m in scenario.members]:
         raise ValueError("member ids differ from the scenario's")
+    money = [sched.objective_value, sched.community_bill_eur, sched.community_discomfort_eur]
     for m, member in zip(sched.members, scenario.members):
+        if m.bill is None:
+            raise ValueError(f"{m.member_id} holds no bill")
+        bill = m.bill
+        money += [m.discomfort_total_eur, m.flex_revenue_eur, bill.retailer_cost_eur,
+                  bill.retailer_revenue_eur, bill.community_fees_eur, bill.total_eur]
         owned = {spec.name for spec in DEVICES if getattr(member, spec.name) is not None}
         for what, expected, held in (
                 ("series", central.series_tags(member), set(m.series)),
@@ -245,6 +256,9 @@ def _check_fits(sched, scenario: Scenario) -> None:
         for tag, values in (*m.series.items(), *m.refs.items()):
             if values.shape != (scenario.horizon.steps_per_day,):
                 raise ValueError(f"{m.member_id} {tag} has shape {values.shape}")
+    bad = [value for value in money if not isinstance(value, float)]
+    if bad:
+        raise ValueError(f"money numbers {bad!r} are not floats")
 
 
 def _check_traces(traces, mode: str, day: int) -> None:
@@ -300,26 +314,29 @@ class RunFailure(Exception):
 SOLVE_ORDER = ("ECFlex", "ECFix", "SoloFlex", "SoloFix", "ECFlexIt", "ECFlexItPrimed")
 
 
-def _solve_day(scenario: Scenario, mode_name: str, day: int,
-               carried: dict[str, CarriedState], config: RunConfig,
-               solved: central.SolvedDay):
-    """One day of one mode from the carried device states, verified, with the
-    ``trace.jsonl`` lines of its coordination rounds (none for a centralized mode)."""
+def _solve_day(solved: central.SolvedDay, mode_name: str,
+               carried: dict[str, CarriedState], config: RunConfig):
+    """The day of ``solved`` under one mode from the carried device states,
+    verified, with the ``trace.jsonl`` lines of its coordination rounds (none
+    for a centralized mode)."""
     try:
         if mode_name.startswith("ECFlexIt"):
             sched, traces = decentral.run_ecflexit(
-                scenario, day, key=config.key, primed=mode_name == "ECFlexItPrimed",
-                max_iterations=config.max_iterations, initial_states=carried, solved=solved)
+                solved, key=config.key, primed=mode_name == "ECFlexItPrimed",
+                max_iterations=config.max_iterations, initial_states=carried)
         else:
             sched, traces = central.solve_centralized(
-                scenario, day, PlannerMode(mode_name), initial_states=carried,
-                allow_curtailment=config.allow_curtailment, solved=solved), []
+                solved, PlannerMode(mode_name), initial_states=carried,
+                allow_curtailment=config.allow_curtailment), []
     except (central.PlannerError, decentral.DecentralError, LpError) as exc:
         # name the planner only where it is not the mode run
         detail = exc.reason if isinstance(exc, central.DayLpError) \
             and exc.mode == mode_name else exc
-        raise RunFailure(f"{mode_name} day {day}: {detail}") from exc
-    _verify_or_die(scenario, day, sched, carried)
+        raise RunFailure(f"{mode_name} day {solved.day}: {detail}") from exc
+    problems = central.verify_day_schedule(solved.scenario, sched, initial_states=carried)
+    if problems:
+        raise RunFailure(f"{mode_name} day {solved.day}: schedule failed verification: "
+                         + "; ".join(problems[:5]))
     return sched, [reporting.trace_line(t) for t in traces]
 
 
@@ -329,20 +346,23 @@ def _run_modes(scenario: Scenario, days: int, config: RunConfig,
     every (mode, day) the checkpoint holds.
 
     Returns each mode's schedules and, with ``config.trace``, its trace lines.
-    A day's modes run in :data:`SOLVE_ORDER` and share that day's memo; each
-    mode carries the device states its own last day ended in.
+    A day's modes run in :data:`SOLVE_ORDER` and share one
+    :class:`~reccoord.central.SolvedDay`, made on the first mode the
+    checkpoint does not hold; each mode carries the device states its own
+    last day ended in.
     """
     modes = [m for m in SOLVE_ORDER if m in config.modes]
     schedules: dict[str, list] = {m: [] for m in modes}
     traces: dict[str, list[str]] = {m: [] for m in modes}
     carried: dict[str, dict[str, CarriedState]] = {m: {} for m in modes}
     for day in range(days):
-        solved = central.SolvedDay(scenario, day)
+        solved = None
         for mode_name in modes:
             cached = checkpoint.load(mode_name, day, scenario)
             if cached is None:
-                cached = _solve_day(scenario, mode_name, day, carried[mode_name], config,
-                                    solved)
+                if solved is None:
+                    solved = central.SolvedDay(scenario, day)
+                cached = _solve_day(solved, mode_name, carried[mode_name], config)
                 checkpoint.store(mode_name, day, *cached)
             sched, trace_lines = cached
             schedules[mode_name].append(sched)
@@ -350,13 +370,6 @@ def _run_modes(scenario: Scenario, days: int, config: RunConfig,
                 traces[mode_name].extend(trace_lines)
             carried[mode_name] = central.final_states(sched)
     return schedules, traces
-
-
-def _verify_or_die(scenario: Scenario, day: int, sched, carried) -> None:
-    problems = central.verify_day_schedule(scenario, day, sched, initial_states=carried)
-    if problems:
-        raise RunFailure(f"{sched.mode} day {day}: schedule failed verification: "
-                         + "; ".join(problems[:5]))
 
 
 def _open(config: RunConfig) -> tuple[Scenario, int, _Checkpoint]:

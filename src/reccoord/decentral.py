@@ -18,6 +18,9 @@ yields identical results: within an iteration every subproblem depends only
 on the shared request and the member's own committed state, and all
 aggregation happens in canonical member order.
 
+:func:`run_ecflexit` works on one :class:`~reccoord.central.SolvedDay` and
+takes the priming and the ECFix start from the schedules it holds, if any.
+
 That independence lets the member HiGHS solves of each phase (offers, then
 activations) run concurrently, on the calling thread and one helper thread
 when the process may use two or more CPUs (its affinity), through
@@ -44,8 +47,8 @@ from . import billing
 from .billing import settle_community  # the operator-side settlement
 from .central import (CarriedState, DaySchedule, DeviceRefs, DISCOMFORT_TAGS, FLEX_TAGS,
                       MemberDaySchedule, PlannerMode, SolvedDay, add_device_block,
-                      default_refs, prioritize_self_consumption, repair_refs_for_state,
-                      settle_day, solve_centralized)
+                      prioritize_self_consumption, repair_refs_for_state, settle_day,
+                      solve_centralized)
 from .kor import get_key
 from .lpcore import LpProblem, LpStatus, run_ahead, solve_lp
 from .scenario import Member, Prices, Scenario
@@ -210,12 +213,8 @@ class MemberAgent:
         # working copy: commits replace series in its own table, the base stays intact
         self.schedule = replace(base, series=dict(base.series))
         self.refs_total = base.total_flexible_kw
-        if self.has_flexibility:
+        if member.has_flexibility:
             self._build()
-
-    @property
-    def has_flexibility(self) -> bool:
-        return self.member.has_flexibility
 
     def _zero(self) -> np.ndarray:
         return np.zeros(len(self.member.fixed_load_kw))
@@ -273,7 +272,7 @@ class MemberAgent:
 
     def offer(self, request: FlexRequest) -> CapacityOffer:
         """Best-response capacity offer against the community request."""
-        if not self.has_flexibility:
+        if not self.member.has_flexibility:
             return CapacityOffer(self.member.id, self._zero(), self._zero())
         x = self._solve(request.up_kw, request.down_kw)
         return CapacityOffer(self.member.id, self._publish(x[self._capu]),
@@ -281,7 +280,7 @@ class MemberAgent:
 
     def activate(self, bounds: ActivationBounds) -> Activation:
         """Re-solve under the refined bounds and commit the outcome."""
-        if not self.has_flexibility:
+        if not self.member.has_flexibility:
             return Activation(self.member.id, self._zero(), self._zero())
         if bounds.empty:  # keep the committed dispatch untouched
             return Activation(self.member.id, self._zero(), self._zero())
@@ -299,36 +298,34 @@ class MemberAgent:
 # The coordination loop
 
 
-def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
+def run_ecflexit(solved: SolvedDay, key: str = "equal",
                  primed: bool = False, max_iterations: int = 100,
                  initial_states: Mapping[str, CarriedState] | None = None,
                  evaluation_order: Sequence[str] | None = None,
-                 solved: SolvedDay | None = None,
                  ) -> tuple[DaySchedule, list[IterationTrace]]:
-    """Run the full decentralized coordination for one day.
+    """Run the full decentralized coordination for the day of ``solved``.
 
     With ``primed``, members first re-optimize their references for
     individual self-consumption; the coordination then works on the residual.
     ``evaluation_order`` only schedules the member subproblem calls; any
     permutation produces identical results.  The centralized solves (the
-    priming and the ECFix start) go through the ``solved`` memo, when given;
-    the schedules it hands back are only read.
+    priming and the ECFix start) go through ``solved``; the schedules it
+    hands back are only read.
     """
     get_key(key)  # validate early
-    day_s = scenario.for_day(day)
+    day_s, day = solved.scenario, solved.day
     dt = day_s.horizon.dt_hours
     states = dict(initial_states or {})
 
-    refs = (prioritize_self_consumption(scenario, day, initial_states=states, solved=solved)
-            if primed else default_refs(day_s))
+    refs = (prioritize_self_consumption(solved, initial_states=states)
+            if primed else solved.defaults)
     # members whose carried state no longer supports their planned profile
     # re-plan to the closest feasible reference before anything is netted
     refs = {
         m.id: repair_refs_for_state(m, refs[m.id], states.get(m.id, {}), dt)
         for m in day_s.members
     }
-    ecfix = solve_centralized(scenario, day, PlannerMode.EC_FIX, refs=refs,
-                              initial_states=states, solved=solved)
+    ecfix = solve_centralized(solved, PlannerMode.EC_FIX, refs=refs, initial_states=states)
     request = initial_request(ecfix, day_s.prices)
 
     member_ids = [m.id for m in day_s.members]
@@ -355,14 +352,14 @@ def run_ecflexit(scenario: Scenario, day: int, key: str = "equal",
 
         # each phase's member LPs run concurrently first; the loops read them
         run_ahead([agents[uid].stage(request.up_kw, request.down_kw)
-                   for uid in order if agents[uid].has_flexibility], warm=True)
+                   for uid in order if agents[uid].member.has_flexibility], warm=True)
         offers_by = {uid: agents[uid].offer(request) for uid in order}
         offers = [offers_by[uid] for uid in member_ids]
         bounds = refine_bounds(offers, request, key)
         bounds_by = {b.member_id: b for b in bounds}
         run_ahead([agents[uid].stage(bounds_by[uid].up_kw, bounds_by[uid].down_kw)
                    for uid in order
-                   if agents[uid].has_flexibility and not bounds_by[uid].empty],
+                   if agents[uid].member.has_flexibility and not bounds_by[uid].empty],
                   warm=True)
         acts_by = {uid: agents[uid].activate(bounds_by[uid]) for uid in order}
         activations = [acts_by[uid] for uid in member_ids]

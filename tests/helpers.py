@@ -18,7 +18,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from reccoord import lpcore
-from reccoord.central import final_states
+from reccoord.central import SolvedDay, final_states
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
 from reccoord.reporting import SERIES_NAMES
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
@@ -121,11 +121,12 @@ def simple_bss(capacity: float = 10.0, pmax: float = 5.0, eta: float = 1.0,
 
 
 def run_days(scenario: Scenario, solve_day, num_days: int | None = None) -> list:
-    """Schedules of consecutive days, each from ``solve_day(day, carried)`` with
-    the device states the day before ended in (none on day 0)."""
+    """Schedules of consecutive days, each from ``solve_day(solved, carried)``
+    with a fresh :class:`~reccoord.central.SolvedDay` of the day and the device
+    states the day before ended in (none on day 0)."""
     schedules, carried = [], {}
     for day in range(scenario.horizon.num_days if num_days is None else num_days):
-        schedules.append(solve_day(day, carried))
+        schedules.append(solve_day(SolvedDay(scenario, day), carried))
         carried = final_states(schedules[-1])
     return schedules
 

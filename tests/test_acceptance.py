@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from reccoord.billing import activation_price, summarize
-from reccoord.central import (PlannerMode, final_states, solve_centralized,
+from reccoord.central import (PlannerMode, SolvedDay, final_states, solve_centralized,
                               verify_day_schedule)
 from reccoord.devices import DEVICES, simulate_bss, simulate_ev, simulate_hp, simulate_wb
 from reccoord.kor import cascade_key, equal_key, get_key, prorate_key
@@ -63,7 +63,7 @@ def test_criterion_2_bill_hierarchy_on_50_random_communities():
         s = generate_synthetic(cfg)
         obj = {}
         for mode in PlannerMode:
-            sched = solve_centralized(s, 0, mode)
+            sched = solve_centralized(SolvedDay(s, 0), mode)
             obj[mode] = sched.objective_value
             _SCHEDULES.append((s, 0, sched, {}))
 
@@ -86,15 +86,15 @@ def test_criterion_3_decentralized_lower_bound_and_gap_on_community20():
     s = load_bundled_scenario("community20")
     days = s.horizon.num_days
 
-    central = run_days(s, lambda day, carried: solve_centralized(
-        s, day, PlannerMode.EC_FLEX, initial_states=carried))
+    central = run_days(s, lambda solved, carried: solve_centralized(
+        solved, PlannerMode.EC_FLEX, initial_states=carried))
     carried = {}
     for day, sched in enumerate(central):
         _SCHEDULES.append((s, day, sched, dict(carried)))
         carried = final_states(sched)
 
-    def solve_day(day, carried):
-        sched, traces = run_ecflexit(s, day, key="equal", primed=True,
+    def solve_day(solved, carried):
+        sched, traces = run_ecflexit(solved, key="equal", primed=True,
                                      initial_states=carried)
         _TRACES.extend((s.horizon.dt_hours, t) for t in traces)
         return sched
@@ -136,8 +136,8 @@ def _thermal_shift_scenario():
 
 def test_criterion_4_thermal_shifting_without_discomfort():
     s = _thermal_shift_scenario()
-    ecflex = solve_centralized(s, 0, PlannerMode.EC_FLEX)
-    it_sched, traces = run_ecflexit(s, 0, key="equal")
+    ecflex = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
+    it_sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal")
     _SCHEDULES.append((s, 0, ecflex, {}))
     _SCHEDULES.append((s, 0, it_sched, {}))
     _TRACES.extend((s.horizon.dt_hours, t) for t in traces)
@@ -159,7 +159,7 @@ def test_criterion_5_pinned_community_mode_never_activates_devices():
         scenarios.append(generate_synthetic(SyntheticConfig(
             members=5, seed=seed, steps_per_day=24, dt_hours=1.0, pv_total_kwp=15.0)))
     for s in scenarios:
-        sched = solve_centralized(s, 0, PlannerMode.EC_FIX)
+        sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
         _SCHEDULES.append((s, 0, sched, {}))
         report = summarize({"ECFix": [sched]})
         row = report.mode("ECFix")
@@ -175,7 +175,7 @@ def test_criterion_6_resimulation_reproduces_every_optimal_schedule():
     reproduce the LP trajectories and discomforts within 1e-6."""
     assert _SCHEDULES, "earlier criteria must register schedules first"
     for s, day, sched, states in _SCHEDULES:
-        problems = verify_day_schedule(s, day, sched, initial_states=states)
+        problems = verify_day_schedule(s.for_day(day), sched, initial_states=states)
         assert problems == [], f"{sched.mode} day {day}: {problems[:3]}"
 
         day_s = s.for_day(day)
@@ -266,12 +266,12 @@ def test_criterion_9_termination_and_order_independence():
                               steps_per_day=24, dt_hours=1.0,
                               pv_total_kwp=8.0 + 2 * seed)
         s = generate_synthetic(cfg)
-        sched, traces = run_ecflexit(s, 0, key="equal", max_iterations=100)
+        sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=100)
         assert len(traces) <= 100
         terminated += 1
 
         ids = [m.id for m in s.members]
-        sched_rev, traces_rev = run_ecflexit(s, 0, key="equal", max_iterations=100,
+        sched_rev, traces_rev = run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=100,
                                              evaluation_order=list(reversed(ids)))
         a = json.dumps([t.to_dict() for t in traces])
         b = json.dumps([t.to_dict() for t in traces_rev])

@@ -31,13 +31,13 @@ def test_solofix_single_member_bill_has_no_freedom():
     pv = np.array([0.0, 3.0, 1.0, 0.0])
     fixed = np.array([1.0, 0.5, 1.5, 2.0])
     s = make_scenario([make_member("u1", 4, fixed=fixed, pv=pv)], steps=4)
-    sched = solve_centralized(s, 0, PlannerMode.SOLO_FIX)
+    sched = solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX)
 
     injection = pv - fixed
     expected = DT6 * float(np.sum(0.4 * np.maximum(0, -injection)
                                   - 0.1 * np.maximum(0, injection)))
     assert sched.community_bill_eur == pytest.approx(expected, abs=1e-9)
-    assert verify_day_schedule(s, 0, sched) == []
+    assert verify_day_schedule(s.for_day(0), sched) == []
 
 
 def test_ecfix_routes_matched_volume_through_the_community():
@@ -46,16 +46,16 @@ def test_ecfix_routes_matched_volume_through_the_community():
     producer = make_member("prod", 4, pv=np.full(4, 1.0))
     consumer = make_member("cons", 4, fixed=np.full(4, 1.0))
     s = make_scenario([producer, consumer], steps=4)
-    sched = solve_centralized(s, 0, PlannerMode.EC_FIX)
+    sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
 
     # producer sells 1 kW to the community all day, pays the fee; consumer
     # buys it, pays the fee; nobody touches the retailer
     assert sched.community_bill_eur == pytest.approx(24.0 * 0.02, abs=1e-6)
     assert np.sum(sched.member("cons").series["iret"]) == pytest.approx(0.0, abs=1e-6)
     assert np.sum(sched.member("prod").series["ecom"]) * DT6 == pytest.approx(24.0, abs=1e-6)
-    assert verify_day_schedule(s, 0, sched) == []
+    assert verify_day_schedule(s.for_day(0), sched) == []
 
-    solo = solve_centralized(s, 0, PlannerMode.SOLO_FIX)
+    solo = solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX)
     assert solo.community_bill_eur == pytest.approx(24.0 * (0.4 - 0.1), abs=1e-6)
 
 
@@ -93,7 +93,7 @@ def _brute_force_wb_objective(member, prices_imp=0.4, prices_exp=0.1):
 
 def test_ecflex_shifts_boiler_into_pv_hours_matching_brute_force():
     s = make_scenario([_wb_pv_member()], steps=4)
-    sched = solve_centralized(s, 0, PlannerMode.EC_FLEX)
+    sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
     brute = _brute_force_wb_objective(s.members[0])
 
     assert sched.objective_value == pytest.approx(brute, abs=1e-7)
@@ -101,7 +101,7 @@ def test_ecflex_shifts_boiler_into_pv_hours_matching_brute_force():
     assert m.series["pwb"][1] == pytest.approx(2.0, abs=1e-6)  # into the PV window
     assert m.series["pwb"][3] == pytest.approx(0.0, abs=1e-6)
     assert sched.community_discomfort_eur <= 1e-9
-    assert verify_day_schedule(s, 0, sched) == []
+    assert verify_day_schedule(s.for_day(0), sched) == []
 
 
 def test_mode_hierarchy_on_random_communities():
@@ -112,9 +112,9 @@ def test_mode_hierarchy_on_random_communities():
         s = generate_synthetic(cfg)
         obj = {}
         for mode in PlannerMode:
-            sched = solve_centralized(s, 0, mode)
+            sched = solve_centralized(SolvedDay(s, 0), mode)
             obj[mode] = sched.objective_value
-            assert verify_day_schedule(s, 0, sched) == []
+            assert verify_day_schedule(s.for_day(0), sched) == []
 
         def leq(a, b):
             assert obj[a] <= obj[b] + 1e-6 * max(1.0, abs(obj[b]))
@@ -128,7 +128,7 @@ def test_mode_hierarchy_on_random_communities():
 def test_lp_bill_variable_matches_recomputed_bill():
     cfg = SyntheticConfig(members=4, seed=3, steps_per_day=24, dt_hours=1.0)
     s = generate_synthetic(cfg)
-    sched = solve_centralized(s, 0, PlannerMode.EC_FLEX)
+    sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
     assert sched.objective_value == pytest.approx(
         sched.community_bill_eur + sched.community_discomfort_eur, abs=1e-6)
 
@@ -145,9 +145,9 @@ COMMUNITY20_DAY0 = {
 def test_community20_day0_objectives_are_pinned():
     s = load_bundled_scenario("community20")
     for mode, expected in COMMUNITY20_DAY0.items():
-        sched = solve_centralized(s, 0, mode)
+        sched = solve_centralized(SolvedDay(s, 0), mode)
         assert sched.objective_value == pytest.approx(expected, rel=TOL_OPT), mode
-        assert verify_day_schedule(s, 0, sched) == []
+        assert verify_day_schedule(s.for_day(0), sched) == []
 
 
 def test_reversed_member_order_keeps_community_totals():
@@ -157,8 +157,8 @@ def test_reversed_member_order_keeps_community_totals():
         s = generate_synthetic(cfg)
         reversed_s = dataclasses.replace(s, members=tuple(reversed(s.members)))
         for mode in PlannerMode:
-            a = solve_centralized(s, 0, mode)
-            b = solve_centralized(reversed_s, 0, mode)
+            a = solve_centralized(SolvedDay(s, 0), mode)
+            b = solve_centralized(SolvedDay(reversed_s, 0), mode)
             assert b.objective_value == pytest.approx(
                 a.objective_value, rel=TOL_OPT, abs=1e-9), (seed, mode)
             assert b.community_bill_eur == pytest.approx(
@@ -169,7 +169,7 @@ def test_pinned_modes_keep_devices_exactly_on_reference():
     cfg = SyntheticConfig(members=5, seed=9, steps_per_day=24, dt_hours=1.0)
     s = generate_synthetic(cfg)
     for mode in (PlannerMode.SOLO_FIX, PlannerMode.EC_FIX):
-        sched = solve_centralized(s, 0, mode)
+        sched = solve_centralized(SolvedDay(s, 0), mode)
         for m in sched.members:
             for power, ref in ((m.series.get("pev"), m.refs.get("ev")),
                                (m.series.get("pwb"), m.refs.get("wb")),
@@ -184,24 +184,24 @@ def test_infeasible_day_raises_with_mode_and_day():
                    departure=[1, 0, 0, 0], soc_ref=[0.9, 0, 0, 0], soc_init=0.1)
     s = make_scenario([make_member("u1", 4, ev=ev)], steps=4)
     with pytest.raises(InfeasibleDayError) as err:
-        solve_centralized(s, 0, PlannerMode.EC_FLEX)
+        solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
     assert err.value.mode == "ECFlex"
     assert err.value.day == 0
 
 
 def _cold_ecflex(scenario, initial_states=None):
     """ECFlex's own model solved cold, and that model."""
-    model = _DayModel(scenario, 0, PlannerMode.EC_FLEX, None, False, initial_states)
+    model = _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, False, initial_states)
     return solve_lp(model.problem), model
 
 
 def test_ecflex_warm_from_its_pinned_basis_reaches_the_cold_optimum():
     s = generate_synthetic(SyntheticConfig(members=40, seed=3))
     cold, cold_model = _cold_ecflex(s)
-    model = _DayModel(s, 0, PlannerMode.EC_FLEX, None, False, None)
+    model = _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, None, False, None)
     warm = model.solve()
     assert warm.objective == pytest.approx(cold.objective, rel=TOL_OPT)
-    assert verify_day_schedule(s, 0, model.extract(warm)) == []
+    assert verify_day_schedule(s.for_day(0), model.extract(warm)) == []
     # fewer iterations than cold: the warm run did start from the pinned basis
     iterations = [m.problem._attached.highs.getInfo().simplex_iteration_count
                   for m in (model, cold_model)]
@@ -225,10 +225,10 @@ def test_ecflex_solves_cold_when_carried_state_breaks_the_references(monkeypatch
         return solution
 
     monkeypatch.setattr(central, "solve_lp", recording)
-    sched = solve_centralized(s, 0, PlannerMode.EC_FLEX, initial_states=states)
+    sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX, initial_states=states)
     assert solves == [(LpStatus.INFEASIBLE, False), (LpStatus.OPTIMAL, False)]
     assert sched.objective_value == pytest.approx(cold.objective, rel=TOL_OPT)
-    assert verify_day_schedule(s, 0, sched, initial_states=states) == []
+    assert verify_day_schedule(s.for_day(0), sched, initial_states=states) == []
 
 
 def _one_device_member(name: str, arrival_at_0: bool):
@@ -276,20 +276,20 @@ def test_reference_dimension_mismatch_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     refs = {"u1": {"wb": np.zeros(3)}}
     with pytest.raises(PlannerError, match="reference length"):
-        _DayModel(s, 0, PlannerMode.EC_FLEX, refs, False, None)
+        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, refs, False, None)
 
 
 def test_reference_for_a_device_not_owned_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     refs = {"u1": {"wb": np.zeros(4), "ev": np.zeros(4), "bss": np.zeros(4)}}
     with pytest.raises(PlannerError, match=r"member u1: .* not own: \['bss', 'ev'\]"):
-        _DayModel(s, 0, PlannerMode.EC_FLEX, refs, False, None)
+        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, refs, False, None)
 
 
 def test_missing_member_reference_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     with pytest.raises(PlannerError, match="missing"):
-        _DayModel(s, 0, PlannerMode.EC_FLEX, {}, False, None)
+        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, {}, False, None)
 
 
 @pytest.mark.parametrize("refs, message", [
@@ -301,7 +301,7 @@ def test_missing_member_reference_rejected():
 def test_a_solve_with_incomplete_references_names_what_is_wrong(refs, message):
     s = make_scenario([_wb_pv_member()], steps=4)
     with pytest.raises(PlannerError) as err:
-        solve_centralized(s, 0, PlannerMode.EC_FLEX, refs=refs)
+        solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX, refs=refs)
     assert str(err.value) == message
 
 
@@ -310,14 +310,14 @@ class TestPrioritization:
         """Flat prices make shifting pointless without local generation."""
         wb = simple_wb(4, power_ref=series(4, t3=2.0), coeff=1.0, pmax=2.0)
         s = make_scenario([make_member("u1", 4, fixed=np.full(4, 0.4), wb=wb)], steps=4)
-        base = solve_centralized(s, 0, PlannerMode.SOLO_FIX)
-        refs = prioritize_self_consumption(s, 0)
-        primed = solve_centralized(s, 0, PlannerMode.SOLO_FIX, refs=refs)
+        base = solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX)
+        refs = prioritize_self_consumption(SolvedDay(s, 0))
+        primed = solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX, refs=refs)
         assert primed.community_bill_eur == pytest.approx(base.community_bill_eur, abs=1e-7)
 
     def test_with_pv_references_move_but_conserve_energy(self):
         s = make_scenario([_wb_pv_member()], steps=4)
-        refs = prioritize_self_consumption(s, 0)
+        refs = prioritize_self_consumption(SolvedDay(s, 0))
         original = s.members[0].wb.power_ref_kw
         assert float(np.sum(refs["u1"]["wb"])) == pytest.approx(float(np.sum(original)), abs=1e-8)
         assert refs["u1"]["wb"][1] > 1e-6  # mass moved into the PV window
@@ -327,11 +327,11 @@ class TestPrioritization:
         """Shifting in the priming stage must still be penalized downstream if
         it dips below the original targets."""
         s = make_scenario([_wb_pv_member()], steps=4)
-        refs = prioritize_self_consumption(s, 0)
-        sched = solve_centralized(s, 0, PlannerMode.EC_FIX, refs=refs)
+        refs = prioritize_self_consumption(SolvedDay(s, 0))
+        sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX, refs=refs)
         # boiler pinned on the primed profile; hinge still measured vs temp_limit
         assert sched.member("u1").series["pwb"] == pytest.approx(np.asarray(refs["u1"]["wb"]))
-        assert verify_day_schedule(s, 0, sched) == []
+        assert verify_day_schedule(s.for_day(0), sched) == []
 
 
 def test_primed_centralized_chain_runs_and_verifies():
@@ -340,14 +340,14 @@ def test_primed_centralized_chain_runs_and_verifies():
     cfg = SyntheticConfig(members=4, seed=5, steps_per_day=24, dt_hours=1.0,
                           num_days=2, pv_total_kwp=15.0)
     s = generate_synthetic(cfg)
-    plain = run_days(s, lambda day, carried: solve_centralized(
-        s, day, PlannerMode.EC_FLEX, initial_states=carried))
-    primed = run_days(s, lambda day, carried: solve_centralized(
-        s, day, PlannerMode.EC_FLEX, initial_states=carried,
-        refs=prioritize_self_consumption(s, day, initial_states=carried)))
+    plain = run_days(s, lambda solved, carried: solve_centralized(
+        solved, PlannerMode.EC_FLEX, initial_states=carried))
+    primed = run_days(s, lambda solved, carried: solve_centralized(
+        solved, PlannerMode.EC_FLEX, initial_states=carried,
+        refs=prioritize_self_consumption(solved, initial_states=carried)))
     carried = {}
     for day, sched in enumerate(primed):
-        assert verify_day_schedule(s, day, sched, initial_states=carried) == []
+        assert verify_day_schedule(s.for_day(day), sched, initial_states=carried) == []
         carried = final_states(sched)
     total_plain = sum(d.objective_value for d in plain)
     total_primed = sum(d.objective_value for d in primed)
@@ -358,12 +358,12 @@ def test_multi_day_carry_over_and_daily_battery_anchor():
     cfg = SyntheticConfig(members=4, seed=5, steps_per_day=24, dt_hours=1.0,
                           num_days=3, pv_total_kwp=15.0)
     s = generate_synthetic(cfg)
-    schedules = run_days(s, lambda day, carried: solve_centralized(
-        s, day, PlannerMode.EC_FLEX, initial_states=carried))
+    schedules = run_days(s, lambda solved, carried: solve_centralized(
+        solved, PlannerMode.EC_FLEX, initial_states=carried))
     assert len(schedules) == 3
     carried = {}
     for day, sched in enumerate(schedules):
-        assert verify_day_schedule(s, day, sched, initial_states=carried) == []
+        assert verify_day_schedule(s.for_day(day), sched, initial_states=carried) == []
         carried = final_states(sched)
         for m in sched.members:
             if m.series.get("socb") is not None:
@@ -375,10 +375,10 @@ def test_curtailment_option_is_free_under_positive_export_price():
     cfg = SyntheticConfig(members=3, seed=2, steps_per_day=24, dt_hours=1.0,
                           pv_total_kwp=20.0)
     s = generate_synthetic(cfg)
-    base = solve_centralized(s, 0, PlannerMode.EC_FLEX)
-    curt = solve_centralized(s, 0, PlannerMode.EC_FLEX, allow_curtailment=True)
+    base = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
+    curt = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX, allow_curtailment=True)
     assert curt.objective_value == pytest.approx(base.objective_value, rel=1e-6, abs=1e-6)
-    assert verify_day_schedule(s, 0, curt) == []
+    assert verify_day_schedule(s.for_day(0), curt) == []
 
 
 def test_default_refs_copy_scenario_profiles():
@@ -392,7 +392,7 @@ def test_solo_modes_never_touch_community_exchange():
     cfg = SyntheticConfig(members=4, seed=13, steps_per_day=24, dt_hours=1.0)
     s = generate_synthetic(cfg)
     for mode in (PlannerMode.SOLO_FIX, PlannerMode.SOLO_FLEX):
-        sched = solve_centralized(s, 0, mode)
+        sched = solve_centralized(SolvedDay(s, 0), mode)
         for m in sched.members:
             assert np.max(m.series["icom"]) <= 1e-9
             assert np.max(m.series["ecom"]) <= 1e-9
@@ -407,8 +407,8 @@ def test_member_without_assets_sees_no_difference_from_sharing():
                for i in range(3)]
     s = make_scenario(members, steps=4)
     results = {
-        "SoloFix": [solve_centralized(s, 0, PlannerMode.SOLO_FIX)],
-        "ECFix": [solve_centralized(s, 0, PlannerMode.EC_FIX)],
+        "SoloFix": [solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX)],
+        "ECFix": [solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)],
     }
     benefits = individual_benefits(results, "SoloFix")
     for record in benefits["ECFix"]:
@@ -467,18 +467,18 @@ def test_battery_arbitrage_is_used_when_pv_is_stranded():
     member = make_member("u1", 4, fixed=series(4, t3=2.0), pv=series(4, t1=2.0),
                          bss=simple_bss(capacity=15.0, pmax=3.0, eta=1.0, soc_init=0.2))
     s = make_scenario([member], steps=4)
-    sched = solve_centralized(s, 0, PlannerMode.SOLO_FLEX)
-    fix = solve_centralized(s, 0, PlannerMode.SOLO_FIX)
+    sched = solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FLEX)
+    fix = solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX)
     # SoloFix also dispatches the battery, so both modes can shift; the point
     # of comparison is the no-battery tariff spread
     no_battery = DT6 * (0.4 * 2.0 - 0.1 * 2.0)
     assert sched.community_bill_eur < no_battery - 1e-6
     assert fix.community_bill_eur < no_battery - 1e-6
-    assert verify_day_schedule(s, 0, sched) == []
+    assert verify_day_schedule(s.for_day(0), sched) == []
 
 
 class TestSolvedDay:
-    """One day's memo: each distinct day LP is solved once and its schedule
+    """One day's solves: each distinct day LP is solved once and its schedule
     shared, bit for bit what a solve of its own would give."""
 
     @pytest.fixture(scope="class")
@@ -491,33 +491,33 @@ class TestSolvedDay:
         builds = []
         init = _DayModel.__init__
 
-        def counting(self, scenario, day, mode, *args):
+        def counting(self, solved, mode, *args):
             builds.append(mode)
-            init(self, scenario, day, mode, *args)
+            init(self, solved, mode, *args)
 
         monkeypatch.setattr(_DayModel, "__init__", counting)
         return builds
 
     def test_ecflex_pinned_phase_is_the_ecfix_schedule(self, scenario, monkeypatch):
-        alone = solve_centralized(scenario, 0, PlannerMode.EC_FIX)
+        alone = solve_centralized(SolvedDay(scenario, 0), PlannerMode.EC_FIX)
         builds = self._count_builds(monkeypatch)
         solved = SolvedDay(scenario, 0)
-        solve_centralized(scenario, 0, PlannerMode.EC_FLEX, solved=solved)
-        shared = solve_centralized(scenario, 0, PlannerMode.EC_FIX, solved=solved)
+        solve_centralized(solved, PlannerMode.EC_FLEX)
+        shared = solve_centralized(solved, PlannerMode.EC_FIX)
         assert builds == [PlannerMode.EC_FLEX]
         assert shared.mode == "ECFix"
         assert json.dumps(schedule_to_dict(shared)) == json.dumps(schedule_to_dict(alone))
-        assert verify_day_schedule(scenario, 0, shared) == []
+        assert verify_day_schedule(solved.scenario, shared) == []
 
     def test_a_hit_needs_the_same_lp(self, scenario, monkeypatch):
         builds = self._count_builds(monkeypatch)
         solved = SolvedDay(scenario, 0)
-        sched = solve_centralized(scenario, 0, PlannerMode.SOLO_FLEX, solved=solved)
+        sched = solve_centralized(solved, PlannerMode.SOLO_FLEX)
         # explicit default references and initial states are the same LP
-        refs = default_refs(scenario.for_day(0))
+        refs = default_refs(solved.scenario)
         states = {m.id: {} for m in scenario.members}
-        assert solve_centralized(scenario, 0, PlannerMode.SOLO_FLEX, refs=refs,
-                                 initial_states=states, solved=solved) is sched
+        assert solve_centralized(solved, PlannerMode.SOLO_FLEX, refs=refs,
+                                 initial_states=states) is sched
         assert len(builds) == 1
         # another mode, option, state or reference is another LP
         moved = dict(refs)
@@ -527,40 +527,31 @@ class TestSolvedDay:
                        {"allow_curtailment": True},
                        {"initial_states": final_states(sched)},
                        {"refs": moved}):
-            other = solve_centralized(scenario, 0, **{"mode": PlannerMode.SOLO_FLEX, **kwargs},
-                                      solved=solved)
+            other = solve_centralized(solved, **{"mode": PlannerMode.SOLO_FLEX, **kwargs})
             assert other is not sched
         assert len(builds) == 5
 
-    def test_without_a_memo_every_call_solves(self, scenario, monkeypatch):
+    def test_fresh_days_share_nothing(self, scenario, monkeypatch):
         builds = self._count_builds(monkeypatch)
         for _ in range(2):
-            solve_centralized(scenario, 0, PlannerMode.EC_FLEX)
-            solve_centralized(scenario, 0, PlannerMode.EC_FIX)
-        prioritize_self_consumption(scenario, 0)
-        run_ecflexit(scenario, 0, key="equal", primed=True)
+            solve_centralized(SolvedDay(scenario, 0), PlannerMode.EC_FLEX)
+            solve_centralized(SolvedDay(scenario, 0), PlannerMode.EC_FIX)
+        prioritize_self_consumption(SolvedDay(scenario, 0))
+        run_ecflexit(SolvedDay(scenario, 0), key="equal", primed=True)
         assert builds == [PlannerMode.EC_FLEX, PlannerMode.EC_FIX] * 2 + [
             PlannerMode.SOLO_FLEX, PlannerMode.SOLO_FLEX, PlannerMode.EC_FIX]
 
     def test_coordination_reuses_the_memo_and_leaves_it_unchanged(self, scenario,
                                                                    monkeypatch):
         solved = SolvedDay(scenario, 0)
-        shared = [solve_centralized(scenario, 0, mode, solved=solved)
+        shared = [solve_centralized(solved, mode)
                   for mode in (PlannerMode.EC_FIX, PlannerMode.SOLO_FLEX)]
         before = [json.dumps(schedule_to_dict(sched)) for sched in shared]
         builds = self._count_builds(monkeypatch)
         for primed in (False, True):
-            run_ecflexit(scenario, 0, key="equal", primed=primed, solved=solved)
+            run_ecflexit(solved, key="equal", primed=primed)
         assert builds == [PlannerMode.EC_FIX]  # the primed references' own
         assert [json.dumps(schedule_to_dict(sched)) for sched in shared] == before
-
-    def test_a_memo_holds_one_day_of_one_scenario(self, scenario):
-        solved = SolvedDay(scenario, 0)
-        for s, day in ((scenario, 1), (dataclasses.replace(scenario), 0)):
-            with pytest.raises(ValueError) as err:
-                solve_centralized(s, day, PlannerMode.EC_FIX, solved=solved)
-            assert str(err.value) == f"the memo of day 0 does not hold day {day} of this scenario"
-        assert solved.schedules == {}
 
     def test_failures_are_not_stored(self):
         ev = simple_ev(4, power_ref=np.zeros(4), plugged=[1, 0, 0, 0],
@@ -569,5 +560,5 @@ class TestSolvedDay:
         solved = SolvedDay(s, 0)
         for mode in (PlannerMode.EC_FLEX, PlannerMode.EC_FIX, PlannerMode.EC_FIX):
             with pytest.raises(InfeasibleDayError):
-                solve_centralized(s, 0, mode, solved=solved)
+                solve_centralized(solved, mode)
         assert solved.schedules == {}

@@ -14,7 +14,8 @@ import scipy
 from reccoord import central, cli, decentral, lpcore, reporting
 from reccoord.cli import main
 from reccoord.lpcore import TOL_OPT
-from reccoord.scenario import SyntheticConfig, dump_scenario, generate_synthetic, load_scenario
+from reccoord.scenario import (Scenario, SyntheticConfig, dump_scenario, generate_synthetic,
+                               load_scenario)
 from helpers import run_python, scipy_without_highs, solve_with_linprog
 
 GEN = "members=4,wb=0.5,ev=0.25,hp=0.25,bss=0.25,pv=16"
@@ -479,6 +480,26 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
          edit("ECFlexIt", lines(lambda ts: [ts[0], *ts]))),
         ("trace in a centralized mode", "ECFlex", "a centralized mode holds 1 trace(s)",
          edit("ECFlex", lambda doc: doc.update(traces=['{"day":0,"iteration":1}']))),
+        ("schedule of another day", "ECFlex",
+         "the schedule of ('ECFlex', 5, 1.0) is not ECFlex day 0",
+         edit("ECFlex", lambda doc: doc["schedule"].update(day=5))),
+        ("schedule of another mode", "ECFlexIt",
+         "the schedule of ('ECFlex', 0, 1.0) is not ECFlexIt day 0",
+         edit("ECFlexIt", lambda doc: doc["schedule"].update(mode="ECFlex"))),
+        ("schedule of another step", "ECFlex",
+         "the schedule of ('ECFlex', 0, 0.25) is not ECFlex day 0",
+         edit("ECFlex", lambda doc: doc["schedule"].update(dt_hours=0.25))),
+        ("day not an integer", "ECFlexIt",
+         "the schedule of ('ECFlexIt', 0.0, 1.0) is not ECFlexIt day 0",
+         edit("ECFlexIt", lambda doc: doc["schedule"].update(day=0.0))),
+        ("bill null", "ECFlex", "u01 holds no bill",
+         edit_schedule("ECFlex", lambda ms: replace(ms, "bill", None))),
+        ("community bill a string", "ECFlexIt", "money numbers ['x'] are not floats",
+         edit("ECFlexIt", lambda doc: doc["schedule"].update(community_bill_eur="x"))),
+        ("bill total an integer", "ECFlex", "money numbers [1] are not floats",
+         edit_schedule("ECFlex", lambda ms: ms[0]["bill"].update(total_eur=1))),
+        ("revenue null", "ECFlexIt", "money numbers [None] are not floats",
+         edit_schedule("ECFlexIt", lambda ms: replace(ms, "flex_revenue_eur", None))),
     ]
     for case, mode, reason, corrupt in corruptions:
         corrupt()
@@ -498,8 +519,10 @@ def test_series_tags_are_those_of_solved_schedules():
     scenario = generate_synthetic(SyntheticConfig(members=8, seed=3, wb_rate=0.5, ev_rate=0.5,
                                                   hp_rate=0.5, bss_rate=0.5, pv_total_kwp=30.0,
                                                   steps_per_day=24, dt_hours=1.0))
-    schedules = [central.solve_centralized(scenario, 0, mode) for mode in central.PlannerMode]
-    schedules += [decentral.run_ecflexit(scenario, 0, key="equal", primed=primed)[0]
+    schedules = [central.solve_centralized(central.SolvedDay(scenario, 0), mode)
+                 for mode in central.PlannerMode]
+    schedules += [decentral.run_ecflexit(central.SolvedDay(scenario, 0), key="equal",
+                                         primed=primed)[0]
                   for primed in (False, True)]
     assert len({sched.mode for sched in schedules}) == 6
     owned = set()
@@ -527,7 +550,8 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
     assert _run([*args, *cold, "--out", str(tmp_path / "highs")]) == 0
     assert _run([*args, "--modes", ",".join(warm), "--out", str(tmp_path / "warm")]) == 0
     scenario = load_scenario((tmp_path / "highs" / "scenario.json").read_bytes())
-    ecflex = central.solve_centralized(scenario, 0, central.PlannerMode.EC_FLEX)
+    day = central.SolvedDay(scenario, 0)
+    ecflex = central.solve_centralized(day, central.PlannerMode.EC_FLEX)
     monkeypatch.setattr(central, "solve_lp", solve_with_linprog)
     assert _run([*args, *cold, "--out", str(tmp_path / "linprog")]) == 0
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
@@ -535,13 +559,13 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
             == (tmp_path / "linprog" / name).read_bytes(), name
 
     cold_ecflex = solve_with_linprog(
-        central._DayModel(scenario, 0, central.PlannerMode.EC_FLEX, None, False, None).problem)
+        central._DayModel(day, central.PlannerMode.EC_FLEX, None, False, None).problem)
     assert ecflex.objective_value == pytest.approx(cold_ecflex.objective, rel=TOL_OPT)
-    assert central.verify_day_schedule(scenario, 0, ecflex) == []
+    assert central.verify_day_schedule(day.scenario, ecflex) == []
     for mode in warm:
         doc = json.loads((tmp_path / "warm" / "checkpoint" / f"{mode}_0000.json").read_text())
         sched = reporting.schedule_from_dict(doc["schedule"])
-        assert central.verify_day_schedule(scenario, 0, sched) == [], mode
+        assert central.verify_day_schedule(day.scenario, sched) == [], mode
 
 
 @pytest.mark.parametrize("community", [["--seed", "7", "--days", "1"],
@@ -572,10 +596,10 @@ def test_a_day_solves_each_distinct_day_lp_once(tmp_path, monkeypatch):
 
     init = central._DayModel.__init__
 
-    def counting_init(self, scenario, day, *args):
-        builds[day] += 1
-        day_of.append(day)
-        init(self, scenario, day, *args)
+    def counting_init(self, solved, *args):
+        builds[solved.day] += 1
+        day_of.append(solved.day)
+        init(self, solved, *args)
 
     def counting_run(model, warm=False):
         runs[day_of[-1] if day_lp else None] += 1
@@ -598,6 +622,27 @@ def test_a_day_solves_each_distinct_day_lp_once(tmp_path, monkeypatch):
                  "--key", "equal", "--out", str(tmp_path)]) == 0
     assert dict(builds) == {0: 4, 1: 7}
     assert runs[0] == 5 and runs[1] == 8
+
+
+def test_a_run_slices_each_day_once(tmp_path, monkeypatch):
+    """Every solve of a day works on one slice of it, made on the day's first
+    mode the checkpoint does not hold: one slice per day, none on a full resume."""
+    slices = []
+    for_day = Scenario.for_day
+
+    def counting(self, day):
+        slices.append(day)
+        return for_day(self, day)
+
+    monkeypatch.setattr(Scenario, "for_day", counting)
+    args = ["--generate", "members=6", "--seed", "7", "--days", "2", "--key", "equal",
+            "--modes", "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed",
+            "--out", str(tmp_path)]
+    assert _run(args) == 0
+    assert slices == [0, 1]
+    slices.clear()
+    assert _run(args) == 0
+    assert slices == []
 
 
 #: sha256 of the report files of :data:`GOLDEN_ARGS`, recorded with scipy 1.17.1

@@ -11,8 +11,8 @@ import pytest
 
 from reccoord import decentral, lpcore
 from reccoord.billing import activation_price
-from reccoord.central import (PlannerMode, default_refs, final_states, solve_centralized,
-                              verify_day_schedule)
+from reccoord.central import (PlannerMode, SolvedDay, default_refs, final_states,
+                              solve_centralized, verify_day_schedule)
 from reccoord.decentral import (FlexRequest, IterationLimitError, MemberAgent,
                                 initial_request, refine_bounds, run_ecflexit,
                                 settle_community)
@@ -26,7 +26,7 @@ from helpers import (make_member, make_scenario, run_days, series, simple_ev, si
 def _agent(scenario, member_id: str) -> MemberAgent:
     day = scenario.for_day(0)
     refs = default_refs(day)
-    ecfix = solve_centralized(scenario, 0, PlannerMode.EC_FIX)
+    ecfix = solve_centralized(SolvedDay(scenario, 0), PlannerMode.EC_FIX)
     price = activation_price(day.prices)
     return MemberAgent(day.member(member_id), refs[member_id], {},
                        day.horizon.dt_hours, ecfix.member(member_id), price)
@@ -45,21 +45,21 @@ class TestInitialRequest:
         producer = make_member("p", 4, pv=np.full(4, 1.0))
         consumer = make_member("c", 4, fixed=np.full(4, 1.0))
         s = make_scenario([producer, consumer], steps=4)
-        ecfix = solve_centralized(s, 0, PlannerMode.EC_FIX)
+        ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
         req = initial_request(ecfix, s.for_day(0).prices)
         assert np.max(req.up_kw) <= 1e-9
         assert np.max(req.down_kw) <= 1e-9
 
     def test_surplus_becomes_upward_request(self):
         s = make_scenario([make_member("p", 4, pv=series(4, t1=3.0))], steps=4)
-        ecfix = solve_centralized(s, 0, PlannerMode.EC_FIX)
+        ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
         req = initial_request(ecfix, s.for_day(0).prices)
         assert req.up_kw[1] == pytest.approx(3.0, abs=1e-6)
         assert req.up_kw[[0, 2, 3]] == pytest.approx([0, 0, 0], abs=1e-9)
 
     def test_reference_tariffs_give_28_cents(self):
         s = make_scenario([make_member("p", 4)], steps=4)
-        ecfix = solve_centralized(s, 0, PlannerMode.EC_FIX)
+        ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
         req = initial_request(ecfix, s.for_day(0).prices)
         assert list(req.activation_price) == [0.28] * 4
 
@@ -113,7 +113,7 @@ def test_activation_leaves_the_base_schedule_unchanged():
 
     s = make_scenario([_evening_wb_member()], steps=4)
     day = s.for_day(0)
-    base = solve_centralized(s, 0, PlannerMode.EC_FIX).member("w")
+    base = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX).member("w")
     before = {tag: arr.copy() for tag, arr in base.series.items()}
     agent = MemberAgent(day.member("w"), default_refs(day)["w"], {},
                         day.horizon.dt_hours, base, activation_price(day.prices))
@@ -199,8 +199,8 @@ class TestRunLoop:
         wb = simple_wb(24, power_ref=series(24, t19=2.0), coeff=1.0, pmax=2.0)
         s = make_scenario([make_member("w", 24, fixed=np.full(24, 0.3), wb=wb)],
                           steps=24)
-        ecfix = solve_centralized(s, 0, PlannerMode.EC_FIX)
-        sched, traces = run_ecflexit(s, 0, key="equal")
+        ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
+        sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal")
         assert traces == []
         assert sched.community_bill_eur == pytest.approx(
             ecfix.community_bill_eur, abs=1e-6)
@@ -209,8 +209,8 @@ class TestRunLoop:
         producer = make_member("p", 4, pv=series(4, t1=3.0))
         consumer = make_member("c", 4, fixed=np.full(4, 1.0))
         s = make_scenario([producer, consumer], steps=4)
-        ecfix = solve_centralized(s, 0, PlannerMode.EC_FIX)
-        sched, traces = run_ecflexit(s, 0, key="cascade")
+        ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
+        sched, traces = run_ecflexit(SolvedDay(s, 0), key="cascade")
         assert len(traces) == 1
         assert traces[0].activated_volume_kwh == 0.0
         assert sched.community_bill_eur == pytest.approx(
@@ -221,9 +221,9 @@ class TestRunLoop:
     def test_toy_community_lands_close_to_the_centralized_optimum(self, key, primed):
         s = generate_synthetic(SyntheticConfig(members=4, seed=7, steps_per_day=24,
                                                dt_hours=1.0, pv_total_kwp=20.0))
-        ecflex = solve_centralized(s, 0, PlannerMode.EC_FLEX)
-        sched, traces = run_ecflexit(s, 0, key=key, primed=primed)
-        assert verify_day_schedule(s, 0, sched) == []
+        ecflex = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
+        sched, traces = run_ecflexit(SolvedDay(s, 0), key=key, primed=primed)
+        assert verify_day_schedule(s.for_day(0), sched) == []
         assert sched.community_bill_eur >= ecflex.community_bill_eur - 1e-6
         deviation = (sched.community_bill_eur - ecflex.community_bill_eur) \
             / ecflex.community_bill_eur
@@ -232,7 +232,7 @@ class TestRunLoop:
     def test_trace_invariants(self):
         s = generate_synthetic(SyntheticConfig(members=5, seed=11, steps_per_day=24,
                                                dt_hours=1.0, pv_total_kwp=18.0))
-        sched, traces = run_ecflexit(s, 0, key="equal")
+        sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal")
         assert traces, "expected at least one coordination round"
         dt = sched.dt_hours
         prev_up = prev_down = None
@@ -255,7 +255,7 @@ class TestRunLoop:
     def test_revenues_equal_priced_activated_upward_energy(self):
         s = generate_synthetic(SyntheticConfig(members=5, seed=11, steps_per_day=24,
                                                dt_hours=1.0, pv_total_kwp=18.0))
-        sched, traces = run_ecflexit(s, 0, key="cascade")
+        sched, traces = run_ecflexit(SolvedDay(s, 0), key="cascade")
         dt = sched.dt_hours
         price = activation_price(s.for_day(0).prices)
         from_traces = sum(
@@ -268,8 +268,8 @@ class TestRunLoop:
         s = generate_synthetic(SyntheticConfig(members=5, seed=11, steps_per_day=24,
                                                dt_hours=1.0, pv_total_kwp=18.0))
         ids = [m.id for m in s.members]
-        sched_a, traces_a = run_ecflexit(s, 0, key="equal")
-        sched_b, traces_b = run_ecflexit(s, 0, key="equal",
+        sched_a, traces_a = run_ecflexit(SolvedDay(s, 0), key="equal")
+        sched_b, traces_b = run_ecflexit(SolvedDay(s, 0), key="equal",
                                          evaluation_order=list(reversed(ids)))
         dump_a = json.dumps([t.to_dict() for t in traces_a])
         dump_b = json.dumps([t.to_dict() for t in traces_b])
@@ -286,10 +286,10 @@ class TestRunLoop:
         run = lpcore._run
         monkeypatch.setattr(lpcore, "_run",
                             lambda model, warm=False: (runs.append(1), run(model, warm)))
-        results = [run_ecflexit(s, 0, key="equal", primed=primed)]
+        results = [run_ecflexit(SolvedDay(s, 0), key="equal", primed=primed)]
         ahead = len(runs)
         monkeypatch.setattr(decentral, "run_ahead", lambda problems, warm=False: None)
-        results.append(run_ecflexit(s, 0, key="equal", primed=primed))
+        results.append(run_ecflexit(SolvedDay(s, 0), key="equal", primed=primed))
         assert len(runs) == 2 * ahead
         (sched_a, traces_a), (sched_b, traces_b) = results
         assert len(traces_a) > 1
@@ -324,20 +324,20 @@ class TestRunLoop:
 
         monkeypatch.setattr(lpcore, "_run", counting)
         monkeypatch.setattr(decentral, "solve_lp", checked)
-        run_ecflexit(s, 0, key="equal", primed=primed)
+        run_ecflexit(SolvedDay(s, 0), key="equal", primed=primed)
         warm = sum(iterations)
         assert sum(started_warm) > len(started_warm) // 2
 
         iterations.clear()
         monkeypatch.setattr(lpcore, "_run", lambda model, warm=False: counting(model))
-        run_ecflexit(s, 0, key="equal", primed=primed)
+        run_ecflexit(SolvedDay(s, 0), key="equal", primed=primed)
         assert warm < sum(iterations)
 
     def test_iteration_cap_raises_with_the_trace_attached(self):
         s = generate_synthetic(SyntheticConfig(members=4, seed=7, steps_per_day=24,
                                                dt_hours=1.0, pv_total_kwp=20.0))
         with pytest.raises(IterationLimitError) as err:
-            run_ecflexit(s, 0, key="equal", max_iterations=1)
+            run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=1)
         assert err.value.day == 0
         assert len(err.value.traces) == 1
 
@@ -347,7 +347,7 @@ class TestRunLoop:
         from reccoord.decentral import DecentralError
 
         with pytest.raises(DecentralError, match="permutation"):
-            run_ecflexit(s, 0, key="equal", evaluation_order=["u01"])
+            run_ecflexit(SolvedDay(s, 0), key="equal", evaluation_order=["u01"])
 
     def test_plain_variant_survives_a_depleting_handoff(self):
         """Members may profitably end a day below their planned state; the
@@ -356,24 +356,24 @@ class TestRunLoop:
         from reccoord.scenario import load_bundled_scenario
 
         s = load_bundled_scenario()
-        schedules = run_days(s, lambda day, carried: run_ecflexit(
-            s, day, key="equal", primed=False, initial_states=carried)[0], num_days=2)
+        schedules = run_days(s, lambda solved, carried: run_ecflexit(
+            solved, key="equal", primed=False, initial_states=carried)[0], num_days=2)
         assert len(schedules) == 2
         carried = {}
         for day, sched in enumerate(schedules):
-            assert verify_day_schedule(s, day, sched, initial_states=carried) == []
+            assert verify_day_schedule(s.for_day(day), sched, initial_states=carried) == []
             carried = final_states(sched)
 
     def test_multi_day_run_verifies_with_carried_states(self):
         s = generate_synthetic(SyntheticConfig(members=4, seed=3, steps_per_day=24,
                                                dt_hours=1.0, num_days=2,
                                                pv_total_kwp=16.0))
-        schedules = run_days(s, lambda day, carried: run_ecflexit(
-            s, day, key="prorate", primed=True, initial_states=carried)[0])
+        schedules = run_days(s, lambda solved, carried: run_ecflexit(
+            solved, key="prorate", primed=True, initial_states=carried)[0])
         assert len(schedules) == 2
         carried = {}
         for day, sched in enumerate(schedules):
-            assert verify_day_schedule(s, day, sched, initial_states=carried) == []
+            assert verify_day_schedule(s.for_day(day), sched, initial_states=carried) == []
             carried = final_states(sched)
 
 

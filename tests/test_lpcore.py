@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from reccoord.billing import activation_price
-from reccoord.central import PlannerMode, _DayModel, default_refs, solve_centralized
+from reccoord.central import (PlannerMode, SolvedDay, _DayModel, default_refs,
+                              solve_centralized)
 from reccoord.cli import main
 from reccoord import lpcore
 from reccoord.decentral import MemberAgent
@@ -327,13 +328,13 @@ def community():
 
 
 def _day_lp(scenario) -> LpProblem:
-    return _DayModel(scenario, 0, PlannerMode.EC_FLEX, None, False, None).problem
+    return _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, False, None).problem
 
 
 def _member_agent(scenario) -> MemberAgent:
     day = scenario.for_day(0)
     m = next(m for m in day.members if m.has_flexibility)
-    ecfix = solve_centralized(scenario, 0, PlannerMode.EC_FIX)
+    ecfix = solve_centralized(SolvedDay(scenario, 0), PlannerMode.EC_FIX)
     return MemberAgent(m, default_refs(day)[m.id], {}, day.horizon.dt_hours,
                        ecfix.member(m.id), activation_price(day.prices))
 
@@ -409,7 +410,7 @@ def test_structural_edit_drops_the_attached_model():
 def _pinned_day_lp(scenario):
     """The ECFlex day LP with every device power bound to its reference, and
     those columns with their flexible bounds."""
-    model = _DayModel(scenario, 0, PlannerMode.EC_FLEX, None, False, None)
+    model = _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, False, None)
     p = model.problem
     cols = np.concatenate([c for c, _ in model._power])
     refs = np.concatenate([r for _, r in model._power])

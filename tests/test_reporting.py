@@ -12,7 +12,8 @@ import pytest
 
 from reccoord import reporting
 from reccoord.billing import Report, individual_benefits, summarize
-from reccoord.central import DaySchedule, MemberDaySchedule, PlannerMode, solve_centralized
+from reccoord.central import (DaySchedule, MemberDaySchedule, PlannerMode, SolvedDay,
+                              solve_centralized)
 from reccoord.decentral import run_ecflexit
 from reccoord.reporting import schedule_from_dict, schedule_to_dict, write_report
 from reccoord.scenario import SyntheticConfig, generate_synthetic
@@ -24,10 +25,10 @@ def toy_results():
     s = generate_synthetic(SyntheticConfig(members=3, seed=4, steps_per_day=24,
                                            dt_hours=1.0, pv_total_kwp=12.0))
     results = {
-        "SoloFix": [solve_centralized(s, 0, PlannerMode.SOLO_FIX)],
-        "ECFlex": [solve_centralized(s, 0, PlannerMode.EC_FLEX)],
+        "SoloFix": [solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX)],
+        "ECFlex": [solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)],
     }
-    sched, traces = run_ecflexit(s, 0, key="equal")
+    sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal")
     results["ECFlexIt"] = [sched]
     return s, results, traces
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reccoord.central import PlannerMode, solve_centralized, verify_day_schedule
+from reccoord.central import PlannerMode, SolvedDay, solve_centralized, verify_day_schedule
 from reccoord.scenario import Scenario
 from helpers import make_member, make_scenario, simple_bss, simple_ev, simple_hp, simple_wb
 
@@ -43,7 +43,7 @@ SCENARIO = make_scenario([_flex_member(), make_member("plain", N, fixed=np.full(
 
 @pytest.fixture(scope="module")
 def solved():
-    return solve_centralized(SCENARIO, 0, PlannerMode.SOLO_FLEX)
+    return solve_centralized(SolvedDay(SCENARIO, 0), PlannerMode.SOLO_FLEX)
 
 
 def _with_device(name: str, **changes) -> Scenario:
@@ -63,7 +63,7 @@ def _problems(scenario: Scenario, solved, series=None, refs=None) -> list[str]:
         new_series[tag] = edit(np.array(new_series[tag]))
     sched.members[0] = replace(flex, series=new_series,
                                refs={**flex.refs, **(refs or {})})
-    return verify_day_schedule(scenario, 0, sched)
+    return verify_day_schedule(scenario.for_day(0), sched)
 
 
 def _bumped(t: int, delta: float):
@@ -80,7 +80,7 @@ def _assert_flags_flex(problems: list[str]) -> None:
 
 
 def test_the_clean_schedule_verifies(solved):
-    assert verify_day_schedule(SCENARIO, 0, solved) == []
+    assert verify_day_schedule(SCENARIO.for_day(0), solved) == []
     flex = solved.member("flex")
     for tag in ("pcha", "pev", "pwb", "php"):
         assert np.max(flex.series[tag]) > 0.1, f"{tag} never runs: the faults below need it"
