@@ -116,15 +116,7 @@ def _parse_generate(text: str, seed: int, days: int, dt_hours: float) -> Synthet
             raise UsageError(f"--generate {key} needs a {conv.__name__}, got {value!r}")
     if "members" not in kwargs:
         raise UsageError("--generate needs at least members=N")
-    if seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {seed}")
-    if not 0.0 < dt_hours <= 24.0:
-        raise UsageError(f"--dt must be in (0, 24] hours, got {dt_hours}")
-    steps = 24.0 / dt_hours
-    if abs(steps - round(steps)) > 1e-9:
-        raise UsageError(f"--dt {dt_hours} does not divide 24 hours evenly")
-    return SyntheticConfig(seed=seed, num_days=days, dt_hours=dt_hours,
-                           steps_per_day=int(round(steps)), **kwargs)
+    return SyntheticConfig(seed=seed, num_days=days, dt_hours=dt_hours, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:

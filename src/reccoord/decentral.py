@@ -6,7 +6,10 @@ shiftable capacity against the request and the activation reward; the
 operator splits the request over the offers with a repartition key; members
 re-solve against their individual activation bounds and commit the result,
 which becomes their new reference consumption.  The loop ends when the
-residual request or the activated volume vanishes.
+residual request or the activated volume vanishes.  The operator's broadcast
+is a :class:`FlexRequest`, which carries the activation reward; a member's
+offer, its allotted bounds and its activation are each a :class:`Shift`, one
+member's upward and downward power per step.
 
 Member-side optimization sees private device parameters; the operator-side
 functions (:func:`initial_request`, :func:`refine_bounds`,
@@ -39,7 +42,7 @@ good, the warm run can end on another of them than a cold solve would.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -92,17 +95,10 @@ class FlexRequest:
 
 
 @dataclass(frozen=True)
-class CapacityOffer:
-    """One member's offered shiftable power per step and direction."""
-
-    member_id: str
-    up_kw: np.ndarray
-    down_kw: np.ndarray
-
-
-@dataclass(frozen=True)
-class ActivationBounds:
-    """Operator-refined per-member activation limits (never above the offer)."""
+class Shift:
+    """One member's upward and downward power per step: what it offers, the
+    bounds the operator allots it (never above the offer) and the shift it
+    commits within them."""
 
     member_id: str
     up_kw: np.ndarray
@@ -110,18 +106,9 @@ class ActivationBounds:
 
     @property
     def empty(self) -> bool:
-        """Nothing allotted in either direction: the member keeps its dispatch."""
+        """Nothing in either direction; as bounds, the member keeps its dispatch."""
         return (float(np.max(self.up_kw, initial=0.0)) == 0.0
                 and float(np.max(self.down_kw, initial=0.0)) == 0.0)
-
-
-@dataclass(frozen=True)
-class Activation:
-    """Power shifts a member actually committed in one iteration."""
-
-    member_id: str
-    up_kw: np.ndarray
-    down_kw: np.ndarray
 
 
 @dataclass
@@ -130,9 +117,9 @@ class IterationTrace:
 
     day: int
     iteration: int
-    offers: list[CapacityOffer]
-    bounds: list[ActivationBounds]
-    activations: list[Activation]
+    offers: list[Shift]
+    bounds: list[Shift]
+    activations: list[Shift]
     remaining_up_kw: np.ndarray
     remaining_down_kw: np.ndarray
     activated_volume_kwh: float
@@ -179,14 +166,13 @@ def initial_request(ecfix: DaySchedule, prices: Prices) -> FlexRequest:
                        activation_price=billing.activation_price(prices))
 
 
-def refine_bounds(offers: Sequence[CapacityOffer], request: FlexRequest,
-                  key: str) -> list[ActivationBounds]:
+def refine_bounds(offers: Sequence[Shift], request: FlexRequest, key: str) -> list[Shift]:
     """Split the request over the offers, per step and direction independently."""
     key_fn = get_key(key)
     shape = (len(offers), len(request.up_kw))
     up = key_fn(np.array([o.up_kw for o in offers]).reshape(shape), request.up_kw)
     down = key_fn(np.array([o.down_kw for o in offers]).reshape(shape), request.down_kw)
-    return [ActivationBounds(member_id=o.member_id, up_kw=up[u], down_kw=down[u])
+    return [Shift(member_id=o.member_id, up_kw=up[u], down_kw=down[u])
             for u, o in enumerate(offers)]
 
 
@@ -270,20 +256,17 @@ class MemberAgent:
                 f"references should always stay feasible ({solution.message})")
         return solution.x
 
-    def offer(self, request: FlexRequest) -> CapacityOffer:
+    def offer(self, request: FlexRequest) -> Shift:
         """Best-response capacity offer against the community request."""
         if not self.member.has_flexibility:
-            return CapacityOffer(self.member.id, self._zero(), self._zero())
+            return Shift(self.member.id, self._zero(), self._zero())
         x = self._solve(request.up_kw, request.down_kw)
-        return CapacityOffer(self.member.id, self._publish(x[self._capu]),
-                             self._publish(x[self._capd]))
+        return Shift(self.member.id, self._publish(x[self._capu]), self._publish(x[self._capd]))
 
-    def activate(self, bounds: ActivationBounds) -> Activation:
+    def activate(self, bounds: Shift) -> Shift:
         """Re-solve under the refined bounds and commit the outcome."""
-        if not self.member.has_flexibility:
-            return Activation(self.member.id, self._zero(), self._zero())
-        if bounds.empty:  # keep the committed dispatch untouched
-            return Activation(self.member.id, self._zero(), self._zero())
+        if not self.member.has_flexibility or bounds.empty:  # keep the committed dispatch
+            return Shift(self.member.id, self._zero(), self._zero())
         x = self._solve(bounds.up_kw, bounds.down_kw)
         up = self._publish(x[self._capu])
         down = self._publish(x[self._capd])
@@ -291,7 +274,7 @@ class MemberAgent:
         self.schedule.series.update({tag: x[cols] for tag, cols in self._idx.items()})
         self.refs_total = self.schedule.total_flexible_kw
         self.revenue_eur += float(self.dt * np.sum(self.price * up))
-        return Activation(self.member.id, up, down)
+        return Shift(self.member.id, up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +368,16 @@ def run_ecflexit(solved: SolvedDay, key: str = "equal",
         if delta_kwh <= EPSILON_KWH:
             break
 
-    schedule = _assemble(day_s, day, agents, member_ids,
-                         "ECFlexItPrimed" if primed else "ECFlexIt")
+    schedule = _assemble(day_s, day, agents.values(), "ECFlexItPrimed" if primed else "ECFlexIt")
     return schedule, traces
 
 
-def _assemble(day_s: Scenario, day: int, agents: Mapping[str, MemberAgent],
-              member_ids: Sequence[str], mode: str) -> DaySchedule:
-    """Final settlement: freeze member dispatches, re-net community exchanges."""
+def _assemble(day_s: Scenario, day: int, agents: Iterable[MemberAgent], mode: str) -> DaySchedule:
+    """Final settlement: freeze member dispatches, re-net community exchanges.
+    ``agents`` come in scenario member order."""
     members = []
-    for uid in member_ids:
-        m = day_s.member(uid)
-        agent = agents[uid]
+    for agent in agents:
+        m = agent.member
         # the committed dispatch, settled afresh; no day LP priced it
         series = {**agent.schedule.series, "ppv": np.array(m.pv_max_kw),
                   "pinj": m.pv_max_kw - m.fixed_load_kw - agent.refs_total}

@@ -108,11 +108,10 @@ def trace_line(trace: IterationTrace) -> str:
 def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                  out_dir: str | Path,
                  benefits: Mapping[str, Sequence[MemberBenefit]] | None = None,
-                 traces: Iterable[IterationTrace | str] = (),
-                 ) -> ReportFiles:
+                 traces: Iterable[str] = ()) -> ReportFiles:
     """Write the four report files under ``out_dir`` (created if missing).
 
-    ``traces`` are rounds or their :func:`trace_line` strings, written as given.
+    ``traces`` are the rounds' :func:`trace_line` strings, written as given.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -155,8 +154,7 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                 _write_schedule_rows(handle, mode, sched)
 
     with files.trace_jsonl.open("w", encoding="utf-8", newline="") as fh:
-        fh.writelines(f"{trace if isinstance(trace, str) else trace_line(trace)}\n"
-                      for trace in traces)
+        fh.writelines(f"{line}\n" for line in traces)
 
     return files
 

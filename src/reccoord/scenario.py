@@ -687,13 +687,18 @@ class SyntheticConfig:
     bss_rate: float = 0.25
     pv_rate: float = 0.75
     pv_total_kwp: float = 147.0
-    steps_per_day: int = 96
     dt_hours: float = 0.25
     num_days: int = 1
-    import_price: float = 0.4
-    export_price: float = 0.1
-    community_fee: float = 0.01
     seed: int = 0
+
+
+#: Flat prices of every generated scenario, EUR/kWh.
+SYNTHETIC_IMPORT_PRICE = 0.4
+SYNTHETIC_EXPORT_PRICE = 0.1
+SYNTHETIC_COMMUNITY_FEE = 0.01
+
+#: The generator's finest resolution: one-minute steps.
+SYNTHETIC_MAX_STEPS_PER_DAY = 1440
 
 
 def _round6(arr: np.ndarray) -> np.ndarray:
@@ -728,7 +733,8 @@ def generate_synthetic(config: SyntheticConfig) -> Scenario:
     Device counts are ``floor(rate * members)``; PV peak capacities sum to
     ``pv_total_kwp`` across owners.  Reference profiles come from simple
     thermostat / plug-and-charge controllers, so they are feasible for the
-    device constraints by construction.
+    device constraints by construction.  ``dt_hours`` must split the day into
+    whole steps, at most :data:`SYNTHETIC_MAX_STEPS_PER_DAY` of them.
     """
     if config.members <= 0:
         raise SyntheticConfigError("synthetic config needs at least one member")
@@ -738,11 +744,23 @@ def generate_synthetic(config: SyntheticConfig) -> Scenario:
             raise SyntheticConfigError(f"{name} must be in [0,1], got {rate}")
     if not 0.0 <= config.pv_total_kwp < math.inf:
         raise SyntheticConfigError(f"pv_total_kwp must be finite and >= 0, got {config.pv_total_kwp}")
+    dt = config.dt_hours
+    if not 0.0 < dt <= 24.0:
+        raise SyntheticConfigError(f"dt_hours must be in (0, 24], got {dt}")
+    per_day = 24.0 / dt
+    if per_day > SYNTHETIC_MAX_STEPS_PER_DAY:
+        raise SyntheticConfigError(f"dt_hours {dt} makes more than "
+                                   f"{SYNTHETIC_MAX_STEPS_PER_DAY} steps a day")
+    if abs(per_day - round(per_day)) > 1e-9:
+        raise SyntheticConfigError(f"dt_hours {dt} does not divide 24 hours evenly")
+    steps = round(per_day)
+    if config.num_days < 1:
+        raise SyntheticConfigError(f"num_days must be at least 1, got {config.num_days}")
+    if config.seed < 0:
+        raise SyntheticConfigError(f"seed must be nonnegative, got {config.seed}")
 
     rng = np.random.default_rng(config.seed)
     n_members = config.members
-    steps = config.steps_per_day
-    dt = config.dt_hours
     total = steps * config.num_days
     hours = ((np.arange(total) % steps) + 0.5) * dt  # step-center hour of day
     day_index = np.arange(total) // steps
@@ -803,9 +821,9 @@ def generate_synthetic(config: SyntheticConfig) -> Scenario:
 
     n = total
     prices = Prices(
-        import_price=np.full(n, config.import_price),
-        export_price=np.full(n, config.export_price),
-        community_fee=np.full(n, config.community_fee),
+        import_price=np.full(n, SYNTHETIC_IMPORT_PRICE),
+        export_price=np.full(n, SYNTHETIC_EXPORT_PRICE),
+        community_fee=np.full(n, SYNTHETIC_COMMUNITY_FEE),
     )
     return Scenario(
         horizon=Horizon(steps, dt, config.num_days),

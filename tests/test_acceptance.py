@@ -58,7 +58,7 @@ def test_criterion_2_bill_hierarchy_on_50_random_communities():
             bss_rate=float(rng.uniform(0.0, 0.8)),
             pv_rate=float(rng.uniform(0.3, 1.0)),
             pv_total_kwp=float(rng.uniform(4.0, 30.0)),
-            steps_per_day=24, dt_hours=1.0, seed=trial,
+            dt_hours=1.0, seed=trial,
         )
         s = generate_synthetic(cfg)
         obj = {}
@@ -157,7 +157,7 @@ def test_criterion_5_pinned_community_mode_never_activates_devices():
     scenarios = [_thermal_shift_scenario()]
     for seed in (0, 1):
         scenarios.append(generate_synthetic(SyntheticConfig(
-            members=5, seed=seed, steps_per_day=24, dt_hours=1.0, pv_total_kwp=15.0)))
+            members=5, seed=seed, dt_hours=1.0, pv_total_kwp=15.0)))
     for s in scenarios:
         sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
         _SCHEDULES.append((s, 0, sched, {}))
@@ -263,7 +263,7 @@ def test_criterion_9_termination_and_order_independence():
     terminated = 0
     for seed in range(8):
         cfg = SyntheticConfig(members=int(2 + seed % 4), seed=seed * 13,
-                              steps_per_day=24, dt_hours=1.0,
+                              dt_hours=1.0,
                               pv_total_kwp=8.0 + 2 * seed)
         s = generate_synthetic(cfg)
         sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=100)

@@ -107,8 +107,8 @@ def test_ecflex_shifts_boiler_into_pv_hours_matching_brute_force():
 def test_mode_hierarchy_on_random_communities():
     """Adding constraints can only cost: flexible <= pinned, shared <= solitary."""
     for seed in range(10):
-        cfg = SyntheticConfig(members=int(2 + seed % 5), seed=seed, steps_per_day=24,
-                              dt_hours=1.0, pv_total_kwp=10.0 + 3 * seed)
+        cfg = SyntheticConfig(members=int(2 + seed % 5), seed=seed, dt_hours=1.0,
+                              pv_total_kwp=10.0 + 3 * seed)
         s = generate_synthetic(cfg)
         obj = {}
         for mode in PlannerMode:
@@ -126,7 +126,7 @@ def test_mode_hierarchy_on_random_communities():
 
 
 def test_lp_bill_variable_matches_recomputed_bill():
-    cfg = SyntheticConfig(members=4, seed=3, steps_per_day=24, dt_hours=1.0)
+    cfg = SyntheticConfig(members=4, seed=3, dt_hours=1.0)
     s = generate_synthetic(cfg)
     sched = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
     assert sched.objective_value == pytest.approx(
@@ -152,8 +152,8 @@ def test_community20_day0_objectives_are_pinned():
 
 def test_reversed_member_order_keeps_community_totals():
     for seed in range(6):
-        cfg = SyntheticConfig(members=int(2 + seed % 5), seed=seed, steps_per_day=24,
-                              dt_hours=1.0, pv_total_kwp=10.0 + 3 * seed)
+        cfg = SyntheticConfig(members=int(2 + seed % 5), seed=seed, dt_hours=1.0,
+                              pv_total_kwp=10.0 + 3 * seed)
         s = generate_synthetic(cfg)
         reversed_s = dataclasses.replace(s, members=tuple(reversed(s.members)))
         for mode in PlannerMode:
@@ -166,7 +166,7 @@ def test_reversed_member_order_keeps_community_totals():
 
 
 def test_pinned_modes_keep_devices_exactly_on_reference():
-    cfg = SyntheticConfig(members=5, seed=9, steps_per_day=24, dt_hours=1.0)
+    cfg = SyntheticConfig(members=5, seed=9, dt_hours=1.0)
     s = generate_synthetic(cfg)
     for mode in (PlannerMode.SOLO_FIX, PlannerMode.EC_FIX):
         sched = solve_centralized(SolvedDay(s, 0), mode)
@@ -337,7 +337,7 @@ class TestPrioritization:
 def test_primed_centralized_chain_runs_and_verifies():
     """Community optimization on top of individually pre-optimized references:
     no cheaper than plain community optimization, but well-formed."""
-    cfg = SyntheticConfig(members=4, seed=5, steps_per_day=24, dt_hours=1.0,
+    cfg = SyntheticConfig(members=4, seed=5, dt_hours=1.0,
                           num_days=2, pv_total_kwp=15.0)
     s = generate_synthetic(cfg)
     plain = run_days(s, lambda solved, carried: solve_centralized(
@@ -355,7 +355,7 @@ def test_primed_centralized_chain_runs_and_verifies():
 
 
 def test_multi_day_carry_over_and_daily_battery_anchor():
-    cfg = SyntheticConfig(members=4, seed=5, steps_per_day=24, dt_hours=1.0,
+    cfg = SyntheticConfig(members=4, seed=5, dt_hours=1.0,
                           num_days=3, pv_total_kwp=15.0)
     s = generate_synthetic(cfg)
     schedules = run_days(s, lambda solved, carried: solve_centralized(
@@ -372,7 +372,7 @@ def test_multi_day_carry_over_and_daily_battery_anchor():
 
 
 def test_curtailment_option_is_free_under_positive_export_price():
-    cfg = SyntheticConfig(members=3, seed=2, steps_per_day=24, dt_hours=1.0,
+    cfg = SyntheticConfig(members=3, seed=2, dt_hours=1.0,
                           pv_total_kwp=20.0)
     s = generate_synthetic(cfg)
     base = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
@@ -389,7 +389,7 @@ def test_default_refs_copy_scenario_profiles():
 
 
 def test_solo_modes_never_touch_community_exchange():
-    cfg = SyntheticConfig(members=4, seed=13, steps_per_day=24, dt_hours=1.0)
+    cfg = SyntheticConfig(members=4, seed=13, dt_hours=1.0)
     s = generate_synthetic(cfg)
     for mode in (PlannerMode.SOLO_FIX, PlannerMode.SOLO_FLEX):
         sched = solve_centralized(SolvedDay(s, 0), mode)
@@ -483,8 +483,7 @@ class TestSolvedDay:
 
     @pytest.fixture(scope="class")
     def scenario(self):
-        return generate_synthetic(SyntheticConfig(members=6, seed=7, steps_per_day=24,
-                                                  dt_hours=1.0))
+        return generate_synthetic(SyntheticConfig(members=6, seed=7, dt_hours=1.0))
 
     @staticmethod
     def _count_builds(monkeypatch) -> list:

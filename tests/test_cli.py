@@ -75,8 +75,9 @@ def test_unknown_mode_is_a_usage_error(tmp_path, capsys):
     ["--generate", "members=3,pv=inf"],
     ["--generate", "members=3,pv=nan"],
     ["--generate", "members=3,pv=-5"],
+    ["--generate", "members=3", "--dt", "1e-300"],
 ], ids=["no-members", "rate-above-one", "zero-days", "zero-dt", "negative-seed",
-        "infinite-pv", "nan-pv", "negative-pv"])
+        "infinite-pv", "nan-pv", "negative-pv", "tiny-dt"])
 def test_bad_generator_input_is_a_usage_error(tmp_path, capsys, args):
     code = _run([*args, "--modes", "solofix", "--out", str(tmp_path)])
     assert code == 2
@@ -273,7 +274,7 @@ def test_invalid_scenario_file_is_an_input_error(tmp_path, capsys):
 
 def test_malformed_scenario_field_exits_2_naming_it(tmp_path, capsys):
     doc = json.loads(dump_scenario(generate_synthetic(SyntheticConfig(
-        members=2, seed=1, bss_rate=1.0, steps_per_day=24, dt_hours=1.0))))
+        members=2, seed=1, bss_rate=1.0, dt_hours=1.0))))
     doc["members"][1]["bss"]["capacity_kwh"] = "big"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -289,7 +290,7 @@ def test_malformed_scenario_field_exits_2_naming_it(tmp_path, capsys):
 ], ids=["id-null", "no-member"])
 def test_a_non_string_id_or_no_member_exits_2_naming_it(tmp_path, capsys, edit, message):
     doc = json.loads(dump_scenario(generate_synthetic(SyntheticConfig(
-        members=1, seed=1, steps_per_day=24, dt_hours=1.0))))
+        members=1, seed=1, dt_hours=1.0))))
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -310,7 +311,7 @@ def test_runs_are_deterministic_across_directories(tmp_path):
 
 def test_interrupted_runs_resume_from_the_checkpoint(tmp_path):
     scenario = generate_synthetic(SyntheticConfig(
-        members=3, seed=2, steps_per_day=24, dt_hours=1.0, num_days=2,
+        members=3, seed=2, dt_hours=1.0, num_days=2,
         pv_total_kwp=12.0))
     path = tmp_path / "scenario.json"
     path.write_bytes(dump_scenario(scenario))
@@ -518,7 +519,7 @@ def test_series_tags_are_those_of_solved_schedules():
     """The series and references a checkpoint must hold are what every mode writes."""
     scenario = generate_synthetic(SyntheticConfig(members=8, seed=3, wb_rate=0.5, ev_rate=0.5,
                                                   hp_rate=0.5, bss_rate=0.5, pv_total_kwp=30.0,
-                                                  steps_per_day=24, dt_hours=1.0))
+                                                  dt_hours=1.0))
     schedules = [central.solve_centralized(central.SolvedDay(scenario, 0), mode)
                  for mode in central.PlannerMode]
     schedules += [decentral.run_ecflexit(central.SolvedDay(scenario, 0), key="equal",
@@ -684,8 +685,7 @@ def test_trace_dicts_are_kept_only_with_trace(tmp_path):
     its checkpoint still stores them for a later traced resume."""
     scenario = generate_synthetic(SyntheticConfig(members=4, seed=5, wb_rate=0.5, ev_rate=0.25,
                                                   hp_rate=0.25, bss_rate=0.25,
-                                                  pv_total_kwp=16.0, steps_per_day=24,
-                                                  dt_hours=1.0))
+                                                  pv_total_kwp=16.0, dt_hours=1.0))
     for trace in (False, True):
         config = cli.RunConfig(None, None, ["ECFlexIt"], "equal", 1, tmp_path, trace=trace)
         checkpoint = cli._Checkpoint(tmp_path, cli._fingerprint(dump_scenario(scenario), config))

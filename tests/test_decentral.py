@@ -109,7 +109,7 @@ class TestMemberOffer:
 def test_activation_leaves_the_base_schedule_unchanged():
     """The agent commits into its own copy of the series table; the ECFix
     schedule it started from keeps every array it had."""
-    from reccoord.decentral import ActivationBounds
+    from reccoord.decentral import Shift
 
     s = make_scenario([_evening_wb_member()], steps=4)
     day = s.for_day(0)
@@ -117,8 +117,7 @@ def test_activation_leaves_the_base_schedule_unchanged():
     before = {tag: arr.copy() for tag, arr in base.series.items()}
     agent = MemberAgent(day.member("w"), default_refs(day)["w"], {},
                         day.horizon.dt_hours, base, activation_price(day.prices))
-    act = agent.activate(ActivationBounds("w", up_kw=series(4, t1=2.0),
-                                          down_kw=series(4, t3=2.0)))
+    act = agent.activate(Shift("w", up_kw=series(4, t1=2.0), down_kw=series(4, t3=2.0)))
     assert act.up_kw[1] == pytest.approx(2.0, abs=1e-6)
     assert agent.schedule.series["pwb"][1] == pytest.approx(2.0, abs=1e-6)
     assert base.series.keys() == before.keys()
@@ -128,9 +127,9 @@ def test_activation_leaves_the_base_schedule_unchanged():
 
 class TestRefineBounds:
     def test_single_offer_capped_by_request(self):
-        from reccoord.decentral import CapacityOffer
+        from reccoord.decentral import Shift
 
-        offer = CapacityOffer("m", up_kw=np.array([5.0, 1.0]), down_kw=np.array([0.0, 4.0]))
+        offer = Shift("m", up_kw=np.array([5.0, 1.0]), down_kw=np.array([0.0, 4.0]))
         req = _request(2, up=[3.0, 3.0], down=[3.0, 3.0])
         for key in ("equal", "prorate", "cascade"):
             bounds = refine_bounds([offer], req, key)[0]
@@ -138,17 +137,17 @@ class TestRefineBounds:
             assert bounds.down_kw == pytest.approx([0.0, 3.0])
 
     def test_cascade_matches_the_key_example(self):
-        from reccoord.decentral import CapacityOffer
+        from reccoord.decentral import Shift
 
-        offers = [CapacityOffer(m, up_kw=np.array([c]), down_kw=np.array([0.0]))
+        offers = [Shift(m, up_kw=np.array([c]), down_kw=np.array([0.0]))
                   for m, c in (("a", 2.0), ("b", 8.0), ("c", 8.0))]
         bounds = refine_bounds(offers, _request(1, up=[10.0]), "cascade")
         assert [b.up_kw[0] for b in bounds] == [2.0, 4.0, 4.0]
 
     def test_zero_request_zeroes_all_bounds(self):
-        from reccoord.decentral import CapacityOffer
+        from reccoord.decentral import Shift
 
-        offers = [CapacityOffer("a", up_kw=np.array([2.0]), down_kw=np.array([2.0]))]
+        offers = [Shift("a", up_kw=np.array([2.0]), down_kw=np.array([2.0]))]
         bounds = refine_bounds(offers, _request(1), "equal")
         assert not bounds[0].up_kw.any() and not bounds[0].down_kw.any()
 
@@ -175,11 +174,11 @@ class TestMemberActivate:
 
     def test_asymmetric_bounds_rebalance_energy_neutrally(self):
         """Halving the downward leg drags the upward one with it."""
-        from reccoord.decentral import ActivationBounds
+        from reccoord.decentral import Shift
 
         s = make_scenario([_evening_wb_member()], steps=4)
         agent = _agent(s, "w")
-        act = agent.activate(ActivationBounds(
+        act = agent.activate(Shift(
             "w", up_kw=series(4, t1=2.0), down_kw=series(4, t3=1.0)))
         assert float(act.up_kw.sum()) == pytest.approx(float(act.down_kw.sum()), abs=1e-9)
         assert act.up_kw[1] == pytest.approx(1.0, abs=1e-6)
@@ -219,8 +218,7 @@ class TestRunLoop:
     @pytest.mark.parametrize("key", ["equal", "prorate", "cascade"])
     @pytest.mark.parametrize("primed", [False, True])
     def test_toy_community_lands_close_to_the_centralized_optimum(self, key, primed):
-        s = generate_synthetic(SyntheticConfig(members=4, seed=7, steps_per_day=24,
-                                               dt_hours=1.0, pv_total_kwp=20.0))
+        s = generate_synthetic(SyntheticConfig(members=4, seed=7, dt_hours=1.0, pv_total_kwp=20.0))
         ecflex = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
         sched, traces = run_ecflexit(SolvedDay(s, 0), key=key, primed=primed)
         assert verify_day_schedule(s.for_day(0), sched) == []
@@ -230,8 +228,8 @@ class TestRunLoop:
         assert deviation <= 0.10
 
     def test_trace_invariants(self):
-        s = generate_synthetic(SyntheticConfig(members=5, seed=11, steps_per_day=24,
-                                               dt_hours=1.0, pv_total_kwp=18.0))
+        s = generate_synthetic(SyntheticConfig(members=5, seed=11, dt_hours=1.0,
+                                               pv_total_kwp=18.0))
         sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal")
         assert traces, "expected at least one coordination round"
         dt = sched.dt_hours
@@ -253,8 +251,8 @@ class TestRunLoop:
             prev_down = trace.remaining_down_kw
 
     def test_revenues_equal_priced_activated_upward_energy(self):
-        s = generate_synthetic(SyntheticConfig(members=5, seed=11, steps_per_day=24,
-                                               dt_hours=1.0, pv_total_kwp=18.0))
+        s = generate_synthetic(SyntheticConfig(members=5, seed=11, dt_hours=1.0,
+                                               pv_total_kwp=18.0))
         sched, traces = run_ecflexit(SolvedDay(s, 0), key="cascade")
         dt = sched.dt_hours
         price = activation_price(s.for_day(0).prices)
@@ -265,8 +263,8 @@ class TestRunLoop:
         assert booked == pytest.approx(from_traces, abs=1e-9)
 
     def test_member_evaluation_order_is_irrelevant(self):
-        s = generate_synthetic(SyntheticConfig(members=5, seed=11, steps_per_day=24,
-                                               dt_hours=1.0, pv_total_kwp=18.0))
+        s = generate_synthetic(SyntheticConfig(members=5, seed=11, dt_hours=1.0,
+                                               pv_total_kwp=18.0))
         ids = [m.id for m in s.members]
         sched_a, traces_a = run_ecflexit(SolvedDay(s, 0), key="equal")
         sched_b, traces_b = run_ecflexit(SolvedDay(s, 0), key="equal",
@@ -334,16 +332,14 @@ class TestRunLoop:
         assert warm < sum(iterations)
 
     def test_iteration_cap_raises_with_the_trace_attached(self):
-        s = generate_synthetic(SyntheticConfig(members=4, seed=7, steps_per_day=24,
-                                               dt_hours=1.0, pv_total_kwp=20.0))
+        s = generate_synthetic(SyntheticConfig(members=4, seed=7, dt_hours=1.0, pv_total_kwp=20.0))
         with pytest.raises(IterationLimitError) as err:
             run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=1)
         assert err.value.day == 0
         assert len(err.value.traces) == 1
 
     def test_bad_evaluation_order_rejected(self):
-        s = generate_synthetic(SyntheticConfig(members=3, seed=1, steps_per_day=24,
-                                               dt_hours=1.0))
+        s = generate_synthetic(SyntheticConfig(members=3, seed=1, dt_hours=1.0))
         from reccoord.decentral import DecentralError
 
         with pytest.raises(DecentralError, match="permutation"):
@@ -365,8 +361,7 @@ class TestRunLoop:
             carried = final_states(sched)
 
     def test_multi_day_run_verifies_with_carried_states(self):
-        s = generate_synthetic(SyntheticConfig(members=4, seed=3, steps_per_day=24,
-                                               dt_hours=1.0, num_days=2,
+        s = generate_synthetic(SyntheticConfig(members=4, seed=3, dt_hours=1.0, num_days=2,
                                                pv_total_kwp=16.0))
         schedules = run_days(s, lambda solved, carried: run_ecflexit(
             solved, key="prorate", primed=True, initial_states=carried)[0])

@@ -323,8 +323,7 @@ def test_max_violation_matches_a_dense_reference(seed):
 
 @pytest.fixture(scope="module")
 def community():
-    return generate_synthetic(SyntheticConfig(members=4, seed=11, steps_per_day=24,
-                                              dt_hours=1.0, pv_total_kwp=20.0))
+    return generate_synthetic(SyntheticConfig(members=4, seed=11, dt_hours=1.0, pv_total_kwp=20.0))
 
 
 def _day_lp(scenario) -> LpProblem:
@@ -854,3 +853,29 @@ def test_a_missing_extension_names_the_directory_and_the_scipy_version(tmp_path)
             assert {str(where)!r} in message, message
             assert "(scipy {scipy.__version__})" in message, message
     """, _NOTHING_LOADED)
+
+
+# ---------------------------------------------------------------------------
+# A run keeps bases, never models
+
+
+def test_no_lp_model_outlives_a_run(tmp_path):
+    """Once a six-mode run returns, a collection leaves no ``LpProblem`` and
+    no HiGHS model alive: what the coordination keeps between rounds are
+    the members' bases, never their models."""
+    _fresh(f"""
+        import contextlib, gc, io
+        import reccoord.cli
+        from reccoord import lpcore
+
+        argv = ["run", "--generate", "members=6", "--seed", "7", "--dt", "1.0", "--modes",
+                "solofix,soloflex,ecfix,ecflex,ecflexit,ecflexitprimed", "--key", "equal",
+                "--trace", "--out", {str(tmp_path)!r}]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert reccoord.cli.main(argv) == 0
+        gc.collect()
+        alive = [type(o).__name__ for o in gc.get_objects()
+                 if isinstance(o, (lpcore.LpProblem, lpcore._HighsModel))]
+        assert not alive, alive
+    """)
+    assert (tmp_path / "trace.jsonl").read_text(), "no coordination round ran"

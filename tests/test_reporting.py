@@ -15,15 +15,14 @@ from reccoord.billing import Report, individual_benefits, summarize
 from reccoord.central import (DaySchedule, MemberDaySchedule, PlannerMode, SolvedDay,
                               solve_centralized)
 from reccoord.decentral import run_ecflexit
-from reccoord.reporting import schedule_from_dict, schedule_to_dict, write_report
+from reccoord.reporting import schedule_from_dict, schedule_to_dict, trace_line, write_report
 from reccoord.scenario import SyntheticConfig, generate_synthetic
 from helpers import load_schedules_csv, write_schedules_csv_reference
 
 
 @pytest.fixture(scope="module")
 def toy_results():
-    s = generate_synthetic(SyntheticConfig(members=3, seed=4, steps_per_day=24,
-                                           dt_hours=1.0, pv_total_kwp=12.0))
+    s = generate_synthetic(SyntheticConfig(members=3, seed=4, dt_hours=1.0, pv_total_kwp=12.0))
     results = {
         "SoloFix": [solve_centralized(SolvedDay(s, 0), PlannerMode.SOLO_FIX)],
         "ECFlex": [solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)],
@@ -60,8 +59,10 @@ def test_identical_inputs_produce_identical_bytes(toy_results, tmp_path):
     _, results, traces = toy_results
     report = summarize(results)
     benefits = individual_benefits(results, "SoloFix")
-    a = write_report(report, results, tmp_path / "a", benefits=benefits, traces=traces)
-    b = write_report(report, results, tmp_path / "b", benefits=benefits, traces=traces)
+    a = write_report(report, results, tmp_path / "a", benefits=benefits,
+                     traces=map(trace_line, traces))
+    b = write_report(report, results, tmp_path / "b", benefits=benefits,
+                     traces=map(trace_line, traces))
     for name in ("summary_csv", "benefits_csv", "schedules_csv", "trace_jsonl"):
         assert getattr(a, name).read_bytes() == getattr(b, name).read_bytes()
 
@@ -89,7 +90,7 @@ def test_schedule_rows_are_ordered_and_reparse_within_precision(toy_results, tmp
 
 def test_trace_lines_are_valid_json(toy_results, tmp_path):
     _, results, traces = toy_results
-    files = write_report(summarize(results), results, tmp_path, traces=traces)
+    files = write_report(summarize(results), results, tmp_path, traces=map(trace_line, traces))
     lines = files.trace_jsonl.read_text().splitlines()
     assert len(lines) == len(traces)
     for line in lines:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from reccoord.scenario import (DEVICE_PARAMS, Member, ScenarioParseError,
-                               ScenarioValidationError, SyntheticConfig, Violation,
-                               dump_scenario, generate_synthetic, load_bundled_scenario,
-                               load_scenario, scenario_to_dict, validate_scenario)
+                               ScenarioValidationError, SyntheticConfig, SyntheticConfigError,
+                               Violation, dump_scenario, generate_synthetic,
+                               load_bundled_scenario, load_scenario, scenario_to_dict,
+                               validate_scenario)
 from helpers import (make_member, make_scenario, simple_bss, simple_ev, simple_hp,
                      simple_wb)
 
@@ -245,7 +246,7 @@ def test_energy_cap_keys_are_ignored():
 
 
 def test_for_day_slices_all_series():
-    cfg = SyntheticConfig(members=3, seed=1, steps_per_day=24, dt_hours=1.0, num_days=3)
+    cfg = SyntheticConfig(members=3, seed=1, dt_hours=1.0, num_days=3)
     s = generate_synthetic(cfg)
     day1 = s.for_day(1)
     assert day1.horizon.num_days == 1
@@ -303,7 +304,7 @@ class TestGenerator:
     def test_reference_scale_counts(self):
         cfg = SyntheticConfig(members=20, wb_rate=0.7, ev_rate=0.6, hp_rate=0.5,
                               bss_rate=0.25, pv_rate=0.75, pv_total_kwp=147.0,
-                              steps_per_day=96, dt_hours=0.25, seed=42)
+                              dt_hours=0.25, seed=42)
         s = generate_synthetic(cfg)
         assert sum(m.wb is not None for m in s.members) == 14
         assert sum(m.ev is not None for m in s.members) == 12
@@ -314,12 +315,12 @@ class TestGenerator:
         assert sum(m.pv_max_kw.max() for m in pv_owners) == pytest.approx(147.0, rel=1e-9)
 
     def test_same_seed_is_byte_identical(self):
-        cfg = SyntheticConfig(members=6, seed=42, steps_per_day=24, dt_hours=1.0)
+        cfg = SyntheticConfig(members=6, seed=42, dt_hours=1.0)
         assert dump_scenario(generate_synthetic(cfg)) == dump_scenario(generate_synthetic(cfg))
 
     def test_different_seed_changes_profiles(self):
-        a = generate_synthetic(SyntheticConfig(members=6, seed=42, steps_per_day=24, dt_hours=1.0))
-        b = generate_synthetic(SyntheticConfig(members=6, seed=43, steps_per_day=24, dt_hours=1.0))
+        a = generate_synthetic(SyntheticConfig(members=6, seed=42, dt_hours=1.0))
+        b = generate_synthetic(SyntheticConfig(members=6, seed=43, dt_hours=1.0))
         assert not np.allclose(a.members[0].fixed_load_kw, b.members[0].fixed_load_kw)
 
     def test_zero_members_rejected(self):
@@ -330,10 +331,31 @@ class TestGenerator:
         with pytest.raises(ValueError, match="wb_rate"):
             generate_synthetic(SyntheticConfig(members=3, wb_rate=1.5))
 
+    @pytest.mark.parametrize("dt, steps", [(1.0, 24), (1 / 60, 1440)])
+    def test_the_step_length_sets_the_steps_of_a_day(self, dt, steps):
+        s = generate_synthetic(SyntheticConfig(members=3, dt_hours=dt))
+        assert (s.horizon.steps_per_day, s.horizon.dt_hours) == (steps, dt)
+        assert validate_scenario(s) == []
+
+    @pytest.mark.parametrize("change, message", [
+        ({"dt_hours": 0.0}, "dt_hours must be in (0, 24], got 0.0"),
+        ({"dt_hours": 25.0}, "dt_hours must be in (0, 24], got 25.0"),
+        ({"dt_hours": float("nan")}, "dt_hours must be in (0, 24], got nan"),
+        ({"dt_hours": 7.0}, "dt_hours 7.0 does not divide 24 hours evenly"),
+        ({"dt_hours": 1e-300}, "dt_hours 1e-300 makes more than 1440 steps a day"),
+        ({"dt_hours": 5e-324}, "dt_hours 5e-324 makes more than 1440 steps a day"),
+        ({"num_days": 0}, "num_days must be at least 1, got 0"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ], ids=["zero-dt", "dt-above-a-day", "nan-dt", "uneven-dt", "tiny-dt", "subnormal-dt",
+            "no-days", "negative-seed"])
+    def test_a_bad_step_or_seed_is_a_config_error(self, change, message):
+        with pytest.raises(SyntheticConfigError) as err:
+            generate_synthetic(SyntheticConfig(members=3, **change))
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("seed", range(8))
     def test_generated_scenarios_are_always_valid(self, seed):
-        cfg = SyntheticConfig(members=5, seed=seed, steps_per_day=24, dt_hours=1.0,
-                              num_days=2, pv_total_kwp=25.0)
+        cfg = SyntheticConfig(members=5, seed=seed, dt_hours=1.0, num_days=2, pv_total_kwp=25.0)
         s = generate_synthetic(cfg)
         assert validate_scenario(s) == []
 
