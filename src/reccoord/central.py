@@ -71,23 +71,22 @@ class PlannerError(Exception):
 
 class DayLpError(PlannerError):
     """A day LP without an optimal solution.  The message names the planner
-    ``mode``; ``reason`` is the message without it, and ``day`` says which day."""
+    ``mode``; ``reason`` is the message without it."""
 
-    def __init__(self, mode: str, day: int, reason: str):
+    def __init__(self, mode: str, reason: str):
         self.mode = mode
-        self.day = day
         self.reason = reason
         super().__init__(f"{mode} {reason}")
 
 
 class InfeasibleDayError(DayLpError):
-    def __init__(self, mode: str, day: int, message: str = ""):
-        super().__init__(mode, day, "infeasible" + (f": {message}" if message else ""))
+    def __init__(self, mode: str, message: str = ""):
+        super().__init__(mode, "infeasible" + (f": {message}" if message else ""))
 
 
 class SolverFailureError(DayLpError):
-    def __init__(self, mode: str, day: int, message: str):
-        super().__init__(mode, day, f"solver failure: {message}")
+    def __init__(self, mode: str, message: str):
+        super().__init__(mode, f"solver failure: {message}")
 
 
 #: One member's reference power profiles over one day, by device slot
@@ -115,7 +114,7 @@ class MemberDaySchedule:
     has: the net injection ``pinj``, PV production ``ppv``, the device series
     of :func:`add_device_block` and, once :func:`settle_day` has run, the
     retailer and community legs ``iret``, ``eret``, ``icom`` and ``ecom``
-    (:func:`series_tags` lists them).
+    (:data:`SERIES` names every tag).
     """
 
     member_id: str
@@ -135,25 +134,16 @@ class MemberDaySchedule:
         return out
 
 
-#: Every member series tag: its variable in ``schedules.csv`` and the device
-#: slot a member needs to have it (``None``: every member has it).
+#: Every member series tag and its variable in ``schedules.csv``.
 SERIES = {
-    "iret": ("import_retailer_kw", None), "eret": ("export_retailer_kw", None),
-    "icom": ("import_community_kw", None), "ecom": ("export_community_kw", None),
-    "pinj": ("injection_kw", None), "ppv": ("pv_kw", None),
-    "pcha": ("bss_charge_kw", "bss"), "pdis": ("bss_discharge_kw", "bss"),
-    "socb": ("bss_soc", "bss"),
-    **{tag: (variable, spec.name) for spec in DEVICES for tag, variable in (
+    "iret": "import_retailer_kw", "eret": "export_retailer_kw",
+    "icom": "import_community_kw", "ecom": "export_community_kw",
+    "pinj": "injection_kw", "ppv": "pv_kw",
+    "pcha": "bss_charge_kw", "pdis": "bss_discharge_kw", "socb": "bss_soc",
+    **{tag: variable for spec in DEVICES for tag, variable in (
         (spec.power, f"{spec.name}_power_kw"), (spec.state, spec.state_column),
         (spec.discomfort, f"{spec.name}_discomfort_eur"))},
 }
-
-
-def series_tags(m: Member) -> set[str]:
-    """The tags of a settled :class:`MemberDaySchedule` of ``m``: those of
-    :data:`SERIES` that need no device or a device ``m`` owns."""
-    return {tag for tag, (_, slot) in SERIES.items()
-            if slot is None or getattr(m, slot) is not None}
 
 
 @dataclass
@@ -461,10 +451,9 @@ def solve_centralized(solved: SolvedDay, mode: PlannerMode,
         if ecfix not in solved.schedules:
             solved.schedules[ecfix] = model.extract(model.pinned, PlannerMode.EC_FIX)
     if solution.status is LpStatus.INFEASIBLE:
-        raise InfeasibleDayError(mode.value, solved.day, solution.message)
+        raise InfeasibleDayError(mode.value, solution.message)
     if solution.status is not LpStatus.OPTIMAL:
-        raise SolverFailureError(mode.value, solved.day,
-                                 f"{solution.status.value}: {solution.message}")
+        raise SolverFailureError(mode.value, f"{solution.status.value}: {solution.message}")
     solved.schedules[key] = sched = model.extract(solution)
     return sched
 

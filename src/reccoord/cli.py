@@ -15,7 +15,8 @@ device states from one day into the next, and the reports list the modes in
 the order given.  Every completed (mode, day) is checkpointed under
 ``<out>/checkpoint/`` so that interrupted long runs resume instead of
 re-solving; a checkpoint is only reused when the scenario content, run
-parameters and checkpoint format hash identically.
+parameters and checkpoint format hash identically, and a file only when its
+digest shows it holds the bytes written for that run, mode and day.
 
 Exit codes: 0 success, 1 solve/runtime failure (diagnostic names the mode
 and day), 2 usage or input errors.
@@ -34,7 +35,6 @@ from pathlib import Path
 
 from . import billing, central, decentral, reporting
 from .central import CarriedState, PlannerMode
-from .devices import DEVICES
 from .lpcore import LpError
 from .scenario import (Scenario, ScenarioError, SyntheticConfig, SyntheticConfigError,
                        dump_scenario, generate_synthetic, load_scenario)
@@ -178,8 +178,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # Checkpointed execution
 
 
+#: Length of a checkpoint file's digest key: ``{"sha256":"<64 hex>",``.
+_HEAD = 77
+
+
 class _Checkpoint:
-    """Per-(mode, day) result cache keyed by a hash of scenario and settings."""
+    """Per-(mode, day) result cache keyed by a hash of scenario and settings.
+
+    A file is one JSON object whose first key is ``sha256``: its first
+    :data:`_HEAD` bytes are ``{"sha256":"<64 hex>",`` and the rest completes
+    the object.  The digest is the SHA-256 of ``"<fingerprint> <mode> <day>\n"``
+    followed by that rest, so a file is reused only as the bytes written for
+    this run, mode and day; any other file, truncated, edited or copied from
+    another mode, day or run, is recomputed before any of it is parsed.
+    """
 
     def __init__(self, out_dir: Path, fingerprint: str):
         self.dir = out_dir / "checkpoint"
@@ -195,91 +207,45 @@ class _Checkpoint:
         if stale:
             for item in self.dir.glob("*.json"):
                 item.unlink()
-            _write_atomic(self.meta, json.dumps({"fingerprint": fingerprint}))
+            _write_atomic(self.meta, json.dumps({"fingerprint": fingerprint}).encode())
 
     def _path(self, mode: str, day: int) -> Path:
         return self.dir / f"{mode}_{day:04d}.json"
 
-    def load(self, mode: str, day: int, scenario: Scenario):
+    def _head(self, mode: str, day: int, rest: bytes) -> bytes:
+        """The :data:`_HEAD` bytes that precede ``rest`` in the file of ``mode`` on ``day``."""
+        digest = hashlib.sha256(f"{self.fingerprint} {mode} {day}\n".encode())
+        digest.update(rest)
+        return b'{"sha256":"%s",' % digest.hexdigest().encode()
+
+    def load(self, mode: str, day: int):
         path = self._path(mode, day)
         if not path.exists():
             return None
-        try:
-            doc = json.loads(path.read_text())
-            sched = reporting.schedule_from_dict(doc["schedule"])
-            _check_fits(sched, mode, day, scenario)
-            _check_traces(doc["traces"], mode, day)
-            return sched, doc["traces"]
-        except (ValueError, KeyError, TypeError) as exc:
-            log.warning("%s day %d: unreadable checkpoint %s (%s: %s); recomputing",
-                        mode, day, path.name, type(exc).__name__, exc)
+        raw = path.read_bytes()
+        if raw[:_HEAD] != self._head(mode, day, raw[_HEAD:]):
+            log.warning("%s day %d: unreadable checkpoint %s (its bytes are not those written "
+                        "for this run, mode and day); recomputing", mode, day, path.name)
             return None
+        doc = json.loads(raw)
+        return reporting.schedule_from_dict(doc["schedule"]), doc["traces"]
 
     def store(self, mode: str, day: int, sched, trace_lines: list[str]) -> None:
         doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_lines}
-        _write_atomic(self._path(mode, day), json.dumps(doc, separators=(",", ":")))
+        rest = json.dumps(doc, separators=(",", ":"))[1:].encode()  # after the "{"
+        _write_atomic(self._path(mode, day), self._head(mode, day, rest) + rest)
 
 
-def _check_fits(sched, mode: str, day: int, scenario: Scenario) -> None:
-    """Raise ``ValueError`` unless ``sched`` is the schedule of ``mode`` on
-    ``day`` at the scenario's step, holds the scenario's members in scenario
-    order, each with a bill and the series and references of its devices, each
-    series and reference with one day of entries, and a float for every money
-    number."""
-    label = (sched.mode, sched.day, sched.dt_hours)
-    if label != (mode, day, scenario.horizon.dt_hours) or type(sched.day) is not int:
-        raise ValueError(f"the schedule of {label!r} is not {mode} day {day}")
-    if [m.member_id for m in sched.members] != [m.id for m in scenario.members]:
-        raise ValueError("member ids differ from the scenario's")
-    money = [sched.objective_value, sched.community_bill_eur, sched.community_discomfort_eur]
-    for m, member in zip(sched.members, scenario.members):
-        if m.bill is None:
-            raise ValueError(f"{m.member_id} holds no bill")
-        bill = m.bill
-        money += [m.discomfort_total_eur, m.flex_revenue_eur, bill.retailer_cost_eur,
-                  bill.retailer_revenue_eur, bill.community_fees_eur, bill.total_eur]
-        owned = {spec.name for spec in DEVICES if getattr(member, spec.name) is not None}
-        for what, expected, held in (
-                ("series", central.series_tags(member), set(m.series)),
-                ("references", owned, set(m.refs))):
-            if held != expected:
-                raise ValueError(f"{m.member_id} {what} do not fit its devices: missing "
-                                 f"{sorted(expected - held)}, extra {sorted(held - expected)}")
-        for tag, values in (*m.series.items(), *m.refs.items()):
-            if values.shape != (scenario.horizon.steps_per_day,):
-                raise ValueError(f"{m.member_id} {tag} has shape {values.shape}")
-    bad = [value for value in money if not isinstance(value, float)]
-    if bad:
-        raise ValueError(f"money numbers {bad!r} are not floats")
-
-
-def _check_traces(traces, mode: str, day: int) -> None:
-    """Raise ``ValueError`` unless ``traces`` are the ``trace.jsonl`` lines of
-    rounds 1, 2, ... of ``day``, each a JSON object, and none at all for a
-    centralized mode."""
-    if not isinstance(traces, list):
-        raise ValueError(f"traces are {type(traces).__name__}, not a list")
-    if traces and not mode.startswith("ECFlexIt"):
-        raise ValueError(f"a centralized mode holds {len(traces)} trace(s)")
-    for iteration, line in enumerate(traces, 1):
-        if not isinstance(line, str) or "\n" in line or "\r" in line:
-            raise ValueError(f"trace {iteration} is not one line")
-        trace = json.loads(line)
-        if not isinstance(trace, dict) or (trace.get("day"), trace.get("iteration")) \
-                != (day, iteration):
-            raise ValueError(f"trace {iteration} is not round {iteration} of day {day}")
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` by ``text`` so that a crash leaves the old file or the new one."""
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` so that a crash leaves the old file or the new one."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
-#: Version of the schedules a checkpoint holds; raised whenever the planners
-#: or the settlement change what they write, so older checkpoints are recomputed.
-CHECKPOINT_FORMAT = 6
+#: Version of the checkpoint files; raised whenever their layout, or what the
+#: planners or the settlement write, changes, so older checkpoints are recomputed.
+CHECKPOINT_FORMAT = 7
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
@@ -350,7 +316,7 @@ def _run_modes(scenario: Scenario, days: int, config: RunConfig,
     for day in range(days):
         solved = None
         for mode_name in modes:
-            cached = checkpoint.load(mode_name, day, scenario)
+            cached = checkpoint.load(mode_name, day)
             if cached is None:
                 if solved is None:
                     solved = central.SolvedDay(scenario, day)

@@ -70,11 +70,10 @@ class DecentralError(Exception):
 
 
 class IterationLimitError(DecentralError):
-    """The coordination loop did not terminate within the iteration cap.  The
-    message leaves the day out; ``day`` says which day it was."""
+    """The coordination loop did not terminate within the iteration cap; the
+    message leaves the day out."""
 
-    def __init__(self, day: int, traces: list["IterationTrace"]):
-        self.day = day
+    def __init__(self, traces: list["IterationTrace"]):
         self.traces = traces
         super().__init__(f"iteration cap exceeded after {len(traces)} iterations")
 
@@ -330,7 +329,7 @@ def run_ecflexit(solved: SolvedDay, key: str = "equal",
         if not (up_open and down_open):
             break
         if iteration >= max_iterations:
-            raise IterationLimitError(day, traces)
+            raise IterationLimitError(traces)
         iteration += 1
 
         # each phase's member LPs run concurrently first; the loops read them

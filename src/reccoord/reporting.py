@@ -16,11 +16,14 @@ except ``+0.0`` values, written as a literal ``0``.
 serializes each round once; the checkpoint keeps those lines and the report
 writes them as they are.
 
-Checkpoints (format 6) store each member's ``series`` and ``refs`` arrays as
+Checkpoints (format 7) store each member's ``series`` and ``refs`` arrays as
 the base64 of their little-endian float64 bytes, which round-trips every
 value bit for bit, NaN, infinities, ``-0.0`` and subnormals included.  The
 files are about 20% larger than decimal JSON lists, a zero costing 12
-characters, but nothing is formatted or parsed as decimal text.
+characters, but nothing is formatted or parsed as decimal text.  Whether a
+file is reused is decided before it reaches :func:`schedule_from_dict`, by
+its digest (see :class:`reccoord.cli._Checkpoint`); the decoder still
+rejects what is not an :func:`_encode` object, for any caller.
 """
 
 from __future__ import annotations
@@ -47,9 +50,6 @@ GAP_ROWS = (
     ("raw_deviation", "_raw_deviation"),
     ("savings_gap", "_savings_gap"),
 )
-
-#: Variable name in ``schedules.csv`` of each member series tag.
-SERIES_NAMES = {tag: variable for tag, (variable, _) in SERIES.items()}
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,9 @@ def _csv_cells(*cells) -> str:
 def _write_schedule_rows(handle, mode: str, sched: DaySchedule) -> None:
     """Append ``sched``'s rows of ``schedules.csv``, one ``write`` per step."""
     # per member in id order, its variables in name order
-    columns = [(m.member_id, SERIES_NAMES[tag], m.series[tag])
+    columns = [(m.member_id, SERIES[tag], m.series[tag])
                for m in sorted(sched.members, key=lambda m: m.member_id)
-               for tag in sorted(m.series, key=SERIES_NAMES.__getitem__)]
+               for tag in sorted(m.series, key=SERIES.__getitem__)]
     if not columns:
         return
     # "%.9g" % x formats as f"{x:.9g}"; the quoted cells are %-escaped.  A

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 from typing import Any
@@ -736,6 +737,14 @@ def generate_synthetic(config: SyntheticConfig) -> Scenario:
     device constraints by construction.  ``dt_hours`` must split the day into
     whole steps, at most :data:`SYNTHETIC_MAX_STEPS_PER_DAY` of them.
     """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        integral = f.type == "int"
+        if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integral else numbers.Real):
+            raise SyntheticConfigError(f"{f.name} must be "
+                                       f"{'an integer' if integral else 'a real number'}, "
+                                       f"got {value!r}")
     if config.members <= 0:
         raise SyntheticConfigError("synthetic config needs at least one member")
     for name in ("wb_rate", "ev_rate", "hp_rate", "bss_rate", "pv_rate"):

@@ -18,9 +18,8 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from reccoord import lpcore
-from reccoord.central import SolvedDay, final_states
+from reccoord.central import SERIES, SolvedDay, final_states
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
-from reccoord.reporting import SERIES_NAMES
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
                                Prices, Scenario, WbParams)
 
@@ -158,9 +157,9 @@ def write_schedules_csv_reference(schedules, path: Path) -> None:
                 steps = len(members[0].series["pinj"]) if members else 0
                 for t in range(steps):
                     for m in members:
-                        for tag in sorted(m.series, key=SERIES_NAMES.__getitem__):
+                        for tag in sorted(m.series, key=SERIES.__getitem__):
                             writer.writerow([mode, sched.day, t, m.member_id,
-                                             SERIES_NAMES[tag], f"{float(m.series[tag][t]):.9g}"])
+                                             SERIES[tag], f"{float(m.series[tag][t]):.9g}"])
 
 
 def load_schedules_csv(path: str | Path) -> list[dict]:

@@ -356,26 +356,32 @@ def test_checkpoint_of_another_format_is_recomputed(tmp_path, monkeypatch):
             "--dt", "1.0"]
     assert _run([*args, "--out", str(tmp_path / "fresh")]) == 0
 
-    # a checkpoint written under an older format, with a recognizable bill
+    def no_solve(*_):
+        raise AssertionError("a checkpointed day was solved again")
+
+    # a checkpoint written under an older format
     out = tmp_path / "out"
     monkeypatch.setattr(cli, "CHECKPOINT_FORMAT", cli.CHECKPOINT_FORMAT - 1)
     assert _run([*args, "--out", str(out)]) == 0
     checkpoint = out / "checkpoint" / "ECFix_0000.json"
-    doc = json.loads(checkpoint.read_text())
-    doc["schedule"]["community_bill_eur"] = 12345.0
-    checkpoint.write_text(json.dumps(doc))
-    assert _run([*args, "--out", str(out)]) == 0
-    assert "12345" in (out / "summary.csv").read_text()  # same format: reused
+    older = checkpoint.read_bytes()
+    monkeypatch.setattr(cli, "_solve_day", no_solve)
+    assert _run([*args, "--out", str(out)]) == 0  # same format: reused
 
     monkeypatch.undo()
     assert _run([*args, "--out", str(out)]) == 0
-    assert json.loads(checkpoint.read_text())["schedule"]["community_bill_eur"] != 12345.0
+    assert checkpoint.read_bytes() != older
     for name in ("summary.csv", "benefits.csv", "schedules.csv"):
         assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
+#: Why a checkpoint file that is not the one written for its run, mode and day
+#: is recomputed.
+NOT_WRITTEN_HERE = "its bytes are not those written for this run, mode and day"
+
+
 def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
-    args = ["--generate", GEN, "--seed", "5", "--modes", "ecflex,ecflexit",
+    args = ["--generate", GEN, "--seed", "5", "--modes", "ecflex,ecfix,ecflexit",
             "--key", "equal", "--days", "1", "--dt", "1.0", "--trace"]
     assert _run([*args, "--out", str(tmp_path / "full")]) == 0
 
@@ -383,26 +389,36 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
     assert _run([*args, "--out", str(resume)]) == 0
     checkpoint = resume / "checkpoint" / "ECFlexIt_0000.json"
     intact = checkpoint.read_bytes()
+    # compact JSON: an edit below changes the bytes of what it edits only
+    assert json.dumps(json.loads(intact), separators=(",", ":")).encode() == intact
     checkpoint.write_bytes(intact[: len(intact) // 2])
     with caplog.at_level("WARNING", logger="reccoord.cli"):
         assert _run([*args, "--out", str(resume)]) == 0
-    assert "ECFlexIt day 0: unreadable checkpoint" in caplog.text
+    assert f"ECFlexIt day 0: unreadable checkpoint ECFlexIt_0000.json ({NOT_WRITTEN_HERE})" \
+        in caplog.text
     assert checkpoint.read_bytes() == intact
     assert not list((resume / "checkpoint").glob("*.tmp"))
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
         assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), name
 
-    # unusable metadata, and decodable checkpoints that do not fit the scenario
+    # the same mode and day of a run with another key
+    other_run = tmp_path / "cascade"
+    assert _run([*[a if a != "equal" else "cascade" for a in args], "--out", str(other_run)]) == 0
+
+    # unusable metadata, and checkpoints edited, cut or copied
     def edit(mode, change):
         def corrupt():
             path = resume / "checkpoint" / f"{mode}_0000.json"
             doc = json.loads(path.read_text())
             change(doc)
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(doc, separators=(",", ":")))
         return corrupt
 
     def edit_schedule(mode, change):
         return edit(mode, lambda doc: change(doc["schedule"]["members"]))
+
+    def copy(source, mode):  # ``source`` copied byte for byte over ``mode``'s day 0
+        return lambda: shutil.copyfile(source, resume / "checkpoint" / f"{mode}_0000.json")
 
     # every member's ``key[tag]`` cut to its first ``chars`` base64 characters;
     # 32 characters are 24 bytes, 3 whole float64s
@@ -427,96 +443,103 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         else:
             m[key][tag] = value
 
+    # the first member's ``key[tag]`` with its 10th base64 character changed: the
+    # top bits of its first value's exponent, and the same number of bytes
+    def recode(members, key, tag):
+        text = members[0][key][tag]
+        members[0][key][tag] = text[:9] + ("B" if text[9] != "B" else "C") + text[10:]
+
     def lines(change):  # ``change`` applied to the list of trace lines
         return lambda doc: doc.update(traces=change(doc["traces"]))
 
     meta = resume / "checkpoint" / "meta.json"
-    corruptions = [  # (case, mode whose checkpoint is reported, reason given, corruption)
-        ("meta not UTF-8", None, None, lambda: meta.write_bytes(b"\xff\xfe")),
-        ("meta not an object", None, None, lambda: meta.write_text("[1]")),
-        ("member dropped", "ECFlex", "member ids differ",
-         edit_schedule("ECFlex", lambda ms: ms.pop(1))),
-        ("members reordered", "ECFlexIt", "member ids differ",
-         edit_schedule("ECFlexIt", lambda ms: ms.reverse())),
-        ("series cut", "ECFlex", "pinj has shape (3,)",
-         edit_schedule("ECFlex", lambda ms: cut(ms, "series", "pinj"))),
-        ("ref cut", "ECFlexIt", "wb has shape (3,)",
-         edit_schedule("ECFlexIt", lambda ms: cut(ms, "refs", "wb"))),
-        ("device series dropped", "ECFlex", "series do not fit its devices: missing ['php']",
+    corruptions = [  # (case, mode whose checkpoint is reported, corruption)
+        ("meta not UTF-8", None, lambda: meta.write_bytes(b"\xff\xfe")),
+        ("meta not an object", None, lambda: meta.write_text("[1]")),
+        ("member dropped", "ECFlex", edit_schedule("ECFlex", lambda ms: ms.pop(1))),
+        ("members reordered", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: ms.reverse())),
+        ("series cut", "ECFlex", edit_schedule("ECFlex", lambda ms: cut(ms, "series", "pinj"))),
+        ("ref cut", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: cut(ms, "refs", "wb"))),
+        ("device series dropped", "ECFlex",
          edit_schedule("ECFlex", lambda ms: drop(ms, "series", "php"))),
-        ("pinj dropped", "ECFlexIt", "series do not fit its devices: missing ['pinj']",
-         edit_schedule("ECFlexIt", lambda ms: drop(ms, "series", "pinj"))),
-        ("device ref dropped", "ECFlex", "references do not fit its devices: missing ['wb']",
-         edit_schedule("ECFlex", lambda ms: drop(ms, "refs", "wb"))),
-        ("device ref added", "ECFlexIt", "references do not fit its devices: missing [], "
-         "extra ['ev']", edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "ev"))),
-        ("unknown ref slot", "ECFlexIt", "references do not fit its devices: missing [], "
-         "extra ['bss']", edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "bss"))),
-        ("device series added", "ECFlex", "series do not fit its devices: missing [], "
-         "extra ['pev']", edit_schedule("ECFlex", lambda ms: add(ms, "series", "pev"))),
-        ("refs a JSON array", "ECFlexIt", "arrays are list, not an object",
+        ("pinj dropped", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: drop(ms, "series", "pinj"))),
+        ("device ref dropped", "ECFlex", edit_schedule("ECFlex", lambda ms: drop(ms, "refs", "wb"))),
+        ("device ref added", "ECFlexIt", edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "ev"))),
+        ("unknown ref slot", "ECFlexIt",
+         edit_schedule("ECFlexIt", lambda ms: add(ms, "refs", "bss"))),
+        ("device series added", "ECFlex",
+         edit_schedule("ECFlex", lambda ms: add(ms, "series", "pev"))),
+        ("refs a JSON array", "ECFlexIt",
          edit_schedule("ECFlexIt", lambda ms: replace(ms, "refs", [1]))),
-        ("series a JSON array", "ECFlex", "arrays are list, not an object",
+        ("series a JSON array", "ECFlex",
          edit_schedule("ECFlex", lambda ms: replace(ms, "series", [1]))),
-        ("series a list of floats", "ECFlex", "array pinj is list, not a string",
+        ("series a list of floats", "ECFlex",
          edit_schedule("ECFlex", lambda ms: replace(ms, "series", [0.0] * 24, "pinj"))),
-        ("ref not a string", "ECFlexIt", "array wb is int, not a string",
+        ("ref not a string", "ECFlexIt",
          edit_schedule("ECFlexIt", lambda ms: replace(ms, "refs", 5, "wb"))),
-        ("series not base64", "ECFlex", "Only base64 data is allowed",
+        ("series not base64", "ECFlex",
          edit_schedule("ECFlex", lambda ms: replace(ms, "series", "AAAA!AAA", "pinj"))),
-        ("series not whole float64s", "ECFlexIt", "array pinj holds 21 bytes",
+        ("series not whole float64s", "ECFlexIt",
          edit_schedule("ECFlexIt", lambda ms: cut(ms, "series", "pinj", chars=28))),
-        ("traces not a list", "ECFlexIt", "traces are int, not a list",
-         edit("ECFlexIt", lambda doc: doc.update(traces=5))),
-        ("trace not a line", "ECFlexIt", "trace 1 is not one line",
-         edit("ECFlexIt", lambda doc: doc.update(traces=[1]))),
-        ("trace line broken in two", "ECFlexIt", "trace 1 is not one line",
+        ("traces not a list", "ECFlexIt", edit("ECFlexIt", lambda doc: doc.update(traces=5))),
+        ("trace not a line", "ECFlexIt", edit("ECFlexIt", lambda doc: doc.update(traces=[1]))),
+        ("trace line broken in two", "ECFlexIt",
          edit("ECFlexIt", lines(lambda ts: [json.dumps(json.loads(ts[0]), indent=1),
                                             *ts[1:]]))),
-        ("trace line not JSON", "ECFlexIt", "JSONDecodeError",
+        ("trace line not JSON", "ECFlexIt",
          edit("ECFlexIt", lines(lambda ts: [ts[0][: len(ts[0]) // 2], *ts[1:]]))),
-        ("trace line not an object", "ECFlexIt", "trace 1 is not round 1 of day 0",
+        ("trace line not an object", "ECFlexIt",
          edit("ECFlexIt", lines(lambda ts: ["[1]", *ts[1:]]))),
-        ("trace line of another round", "ECFlexIt", "trace 2 is not round 2 of day 0",
+        ("trace line of another round", "ECFlexIt",
          edit("ECFlexIt", lines(lambda ts: [ts[0], *ts]))),
-        ("trace in a centralized mode", "ECFlex", "a centralized mode holds 1 trace(s)",
+        ("trace in a centralized mode", "ECFlex",
          edit("ECFlex", lambda doc: doc.update(traces=['{"day":0,"iteration":1}']))),
         ("schedule of another day", "ECFlex",
-         "the schedule of ('ECFlex', 5, 1.0) is not ECFlex day 0",
          edit("ECFlex", lambda doc: doc["schedule"].update(day=5))),
         ("schedule of another mode", "ECFlexIt",
-         "the schedule of ('ECFlex', 0, 1.0) is not ECFlexIt day 0",
          edit("ECFlexIt", lambda doc: doc["schedule"].update(mode="ECFlex"))),
         ("schedule of another step", "ECFlex",
-         "the schedule of ('ECFlex', 0, 0.25) is not ECFlex day 0",
          edit("ECFlex", lambda doc: doc["schedule"].update(dt_hours=0.25))),
         ("day not an integer", "ECFlexIt",
-         "the schedule of ('ECFlexIt', 0.0, 1.0) is not ECFlexIt day 0",
          edit("ECFlexIt", lambda doc: doc["schedule"].update(day=0.0))),
-        ("bill null", "ECFlex", "u01 holds no bill",
-         edit_schedule("ECFlex", lambda ms: replace(ms, "bill", None))),
-        ("community bill a string", "ECFlexIt", "money numbers ['x'] are not floats",
+        ("bill null", "ECFlex", edit_schedule("ECFlex", lambda ms: replace(ms, "bill", None))),
+        ("community bill a string", "ECFlexIt",
          edit("ECFlexIt", lambda doc: doc["schedule"].update(community_bill_eur="x"))),
-        ("bill total an integer", "ECFlex", "money numbers [1] are not floats",
+        ("bill total an integer", "ECFlex",
          edit_schedule("ECFlex", lambda ms: ms[0]["bill"].update(total_eur=1))),
-        ("revenue null", "ECFlexIt", "money numbers [None] are not floats",
+        ("revenue null", "ECFlexIt",
          edit_schedule("ECFlexIt", lambda ms: replace(ms, "flex_revenue_eur", None))),
+        ("community bill another float", "ECFlex",
+         edit("ECFlex", lambda doc: doc["schedule"].update(
+             community_bill_eur=doc["schedule"]["community_bill_eur"] + 1.0))),
+        ("series character changed", "ECFlexIt",
+         edit_schedule("ECFlexIt", lambda ms: recode(ms, "series", "pinj"))),
+        ("checkpoint of another mode", "ECFix",
+         copy(resume / "checkpoint" / "ECFlex_0000.json", "ECFix")),
+        ("checkpoint of another run", "ECFlexIt",
+         copy(other_run / "checkpoint" / "ECFlexIt_0000.json", "ECFlexIt")),
     ]
-    for case, mode, reason, corrupt in corruptions:
+    for case, mode, corrupt in corruptions:
         corrupt()
         caplog.clear()
         with caplog.at_level("WARNING", logger="reccoord.cli"):
             assert _run([*args, "--out", str(resume)]) == 0, case
         if mode is not None:
-            assert f"{mode} day 0: unreadable checkpoint" in caplog.text, case
-            assert reason in caplog.text, case
+            assert f"{mode} day 0: unreadable checkpoint {mode}_0000.json ({NOT_WRITTEN_HERE})" \
+                in caplog.text, case
         for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
             assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), \
                 (case, name)
 
 
+#: The series tags a member's schedule holds for each device it owns.
+DEVICE_TAGS = {"bss": {"pcha", "pdis", "socb"}, "ev": {"pev", "sev", "jev"},
+               "wb": {"pwb", "twb", "jwb"}, "hp": {"php", "thp", "jhp"}}
+
+
 def test_series_tags_are_those_of_solved_schedules():
-    """The series and references a checkpoint must hold are what every mode writes."""
+    """Every mode writes the series of the member's devices and the references
+    of its flexible devices, each tag one of :data:`~reccoord.central.SERIES`."""
     scenario = generate_synthetic(SyntheticConfig(members=8, seed=3, wb_rate=0.5, ev_rate=0.5,
                                                   hp_rate=0.5, bss_rate=0.5, pv_total_kwp=30.0,
                                                   dt_hours=1.0))
@@ -529,7 +552,11 @@ def test_series_tags_are_those_of_solved_schedules():
     owned = set()
     for sched in schedules:
         for member, m in zip(scenario.members, sched.members):
-            assert set(m.series) == central.series_tags(member), (sched.mode, m.member_id)
+            tags = {"iret", "eret", "icom", "ecom", "pinj", "ppv"}.union(
+                *(device for slot, device in DEVICE_TAGS.items()
+                  if getattr(member, slot) is not None))
+            assert set(m.series) == tags, (sched.mode, m.member_id)
+            assert tags <= set(central.SERIES)
             assert list(m.refs) \
                 == [name for name in ("ev", "wb", "hp") if getattr(member, name) is not None]
             owned.add(frozenset(m.series))

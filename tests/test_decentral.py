@@ -335,7 +335,7 @@ class TestRunLoop:
         s = generate_synthetic(SyntheticConfig(members=4, seed=7, dt_hours=1.0, pv_total_kwp=20.0))
         with pytest.raises(IterationLimitError) as err:
             run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=1)
-        assert err.value.day == 0
+        assert str(err.value) == "iteration cap exceeded after 1 iterations"
         assert len(err.value.traces) == 1
 
     def test_bad_evaluation_order_rejected(self):

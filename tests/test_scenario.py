@@ -346,11 +346,19 @@ class TestGenerator:
         ({"dt_hours": 5e-324}, "dt_hours 5e-324 makes more than 1440 steps a day"),
         ({"num_days": 0}, "num_days must be at least 1, got 0"),
         ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"members": 2.5}, "members must be an integer, got 2.5"),
+        ({"members": True}, "members must be an integer, got True"),
+        ({"num_days": 1.5}, "num_days must be an integer, got 1.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"wb_rate": "x"}, "wb_rate must be a real number, got 'x'"),
+        ({"pv_total_kwp": None}, "pv_total_kwp must be a real number, got None"),
+        ({"dt_hours": "1"}, "dt_hours must be a real number, got '1'"),
     ], ids=["zero-dt", "dt-above-a-day", "nan-dt", "uneven-dt", "tiny-dt", "subnormal-dt",
-            "no-days", "negative-seed"])
+            "no-days", "negative-seed", "fractional-members", "bool-members",
+            "fractional-days", "fractional-seed", "string-rate", "null-pv", "string-dt"])
     def test_a_bad_step_or_seed_is_a_config_error(self, change, message):
         with pytest.raises(SyntheticConfigError) as err:
-            generate_synthetic(SyntheticConfig(members=3, **change))
+            generate_synthetic(SyntheticConfig(**{"members": 3, **change}))
         assert str(err.value) == message
 
     @pytest.mark.parametrize("seed", range(8))
