@@ -7,8 +7,8 @@ from .central import (CarriedState, DayLpError, DaySchedule, DeviceRefs, FlexRef
                       SolvedDay, SolverFailureError, default_refs, final_states,
                       prioritize_self_consumption, solve_centralized,
                       verify_day_schedule)
-from .decentral import (DecentralError, FlexRequest, IterationLimitError, IterationTrace,
-                        MemberAgent, Shift, initial_request, refine_bounds, run_ecflexit,
+from .decentral import (DecentralError, IterationLimitError, IterationTrace, MemberAgent,
+                        Shift, initial_request, refine_bounds, run_ecflexit,
                         settle_community)
 from .devices import simulate_bss, simulate_ev, simulate_hp, simulate_wb
 from .kor import cascade_key, equal_key, get_key, prorate_key

@@ -131,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--scenario", type=Path, help="scenario JSON document")
     src.add_argument("--generate", metavar="K=V,...",
                      help="synthesize a scenario, e.g. members=20,wb=0.7,pv=147")
-    run.add_argument("--seed", type=int, default=0, help="generator seed")
+    run.add_argument("--seed", type=int,
+                     help="generator seed (default 0, only with --generate)")
     run.add_argument("--modes", required=True,
                      help="comma list: solofix,soloflex,ecfix,ecflex,ecflexit,"
                           "ecflexitprimed")
@@ -157,10 +158,14 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.generate is not None:
         days = args.days if args.days is not None else 1
         dt = args.dt if args.dt is not None else 0.25
-        generate = _parse_generate(args.generate, args.seed, days, dt)
+        seed = args.seed if args.seed is not None else 0
+        generate = _parse_generate(args.generate, seed, days, dt)
     elif args.dt is not None:
         raise UsageError("--dt only applies to --generate; file scenarios "
                          "carry their own resolution")
+    elif args.seed is not None:
+        raise UsageError("--seed only applies to --generate; file scenarios "
+                         "are not drawn from a seed")
     return RunConfig(
         scenario_path=args.scenario,
         generate=generate,
@@ -222,7 +227,10 @@ class _Checkpoint:
         path = self._path(mode, day)
         if not path.exists():
             return None
-        raw = path.read_bytes()
+        try:
+            raw = path.read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read the checkpoint: {exc}") from exc
         if raw[:_HEAD] != self._head(mode, day, raw[_HEAD:]):
             log.warning("%s day %d: unreadable checkpoint %s (its bytes are not those written "
                         "for this run, mode and day); recomputing", mode, day, path.name)
@@ -233,7 +241,10 @@ class _Checkpoint:
     def store(self, mode: str, day: int, sched, trace_lines: list[str]) -> None:
         doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_lines}
         rest = json.dumps(doc, separators=(",", ":"))[1:].encode()  # after the "{"
-        _write_atomic(self._path(mode, day), self._head(mode, day, rest) + rest)
+        try:
+            _write_atomic(self._path(mode, day), self._head(mode, day, rest) + rest)
+        except OSError as exc:
+            raise UsageError(f"cannot write the checkpoint: {exc}") from exc
 
 
 def _write_atomic(path: Path, data: bytes) -> None:

@@ -6,10 +6,12 @@ shiftable capacity against the request and the activation reward; the
 operator splits the request over the offers with a repartition key; members
 re-solve against their individual activation bounds and commit the result,
 which becomes their new reference consumption.  The loop ends when the
-residual request or the activated volume vanishes.  The operator's broadcast
-is a :class:`FlexRequest`, which carries the activation reward; a member's
-offer, its allotted bounds and its activation are each a :class:`Shift`, one
-member's upward and downward power per step.
+residual request or the activated volume vanishes.  Every vector the
+protocol exchanges is a :class:`Shift`, upward and downward power per step:
+the operator's open request, and each member's offer, allotted bounds and
+activation.  A round's per-member shifts are dicts keyed by member id, in
+scenario member order.  The activation reward is fixed for the day and handed
+to each member once.
 
 Member-side optimization sees private device parameters; the operator-side
 functions (:func:`initial_request`, :func:`refine_bounds`,
@@ -54,14 +56,14 @@ from .central import (CarriedState, DaySchedule, DeviceRefs, DISCOMFORT_TAGS, FL
                       solve_centralized)
 from .kor import get_key
 from .lpcore import LpProblem, LpStatus, run_ahead, solve_lp
-from .scenario import Member, Prices, Scenario
+from .scenario import Member, Scenario
 
 #: Termination threshold: request entries and activated volumes below this
 #: many kWh count as zero.
 EPSILON_KWH = 1e-6
 
-#: Request entries below this many kW are flushed to zero at derivation time,
-#: so solver dust cannot leave both directions nominally "open" at one step.
+#: Request and offer entries below this many kW are flushed to zero, so solver
+#: dust cannot leave both directions nominally "open" at one step.
 REQUEST_DUST_KW = 1e-9
 
 
@@ -79,27 +81,11 @@ class IterationLimitError(DecentralError):
 
 
 @dataclass(frozen=True)
-class FlexRequest:
-    """Community-level residual request per step and direction, plus reward."""
-
-    up_kw: np.ndarray
-    down_kw: np.ndarray
-    activation_price: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("up_kw", "down_kw", "activation_price"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
 class Shift:
-    """One member's upward and downward power per step: what it offers, the
-    bounds the operator allots it (never above the offer) and the shift it
-    commits within them."""
+    """Upward and downward power per step: the operator's open request, and a
+    member's offer, the bounds the operator allots it (never above the offer)
+    and the shift it commits within them."""
 
-    member_id: str
     up_kw: np.ndarray
     down_kw: np.ndarray
 
@@ -112,24 +98,24 @@ class Shift:
 
 @dataclass
 class IterationTrace:
-    """Bookkeeping of one coordination round (canonical member order)."""
+    """Bookkeeping of one coordination round: the members' shifts keyed by
+    member id in scenario member order, and the request left open after it."""
 
     day: int
     iteration: int
-    offers: list[Shift]
-    bounds: list[Shift]
-    activations: list[Shift]
-    remaining_up_kw: np.ndarray
-    remaining_down_kw: np.ndarray
+    offers: dict[str, Shift]
+    bounds: dict[str, Shift]
+    activations: dict[str, Shift]
+    remaining: Shift
     activated_volume_kwh: float
 
     def to_dict(self) -> dict:
         def floats(values) -> list[float]:
             return np.asarray(values, dtype=np.float64).tolist()
 
-        def vectors(items) -> dict:
-            return {it.member_id: {"up": floats(it.up_kw), "down": floats(it.down_kw)}
-                    for it in items}
+        def vectors(shifts: dict[str, Shift]) -> dict:
+            return {uid: {"up": floats(s.up_kw), "down": floats(s.down_kw)}
+                    for uid, s in shifts.items()}
 
         return {
             "day": self.day,
@@ -137,8 +123,8 @@ class IterationTrace:
             "offers": vectors(self.offers),
             "bounds": vectors(self.bounds),
             "activations": vectors(self.activations),
-            "remaining_up_kw": floats(self.remaining_up_kw),
-            "remaining_down_kw": floats(self.remaining_down_kw),
+            "remaining_up_kw": floats(self.remaining.up_kw),
+            "remaining_down_kw": floats(self.remaining.down_kw),
             "activated_volume_kwh": self.activated_volume_kwh,
         }
 
@@ -147,32 +133,36 @@ class IterationTrace:
 # Operator side
 
 
-def initial_request(ecfix: DaySchedule, prices: Prices) -> FlexRequest:
+def _clean(values: np.ndarray) -> np.ndarray:
+    """A power vector for the wire: solver dust (tiny or slightly negative
+    entries within the LP feasibility tolerance) is flushed to zero, so it
+    neither leaves both directions nominally "open" at one step nor counts as
+    a provider under a repartition key."""
+    return np.where(values > REQUEST_DUST_KW, values, 0.0)
+
+
+def initial_request(ecfix: DaySchedule) -> Shift:
     """Residual community exchanges of the non-flexible dispatch, as requests.
 
     Upward flexibility (consume more) is requested where the community still
-    exports to the retailer; downward where it still imports.
+    exports to the retailer; downward where it still imports.  The members'
+    exchanges are summed in member order.
     """
-    steps = len(prices.import_price)
-    up = np.zeros(steps)
-    down = np.zeros(steps)
-    for m in ecfix.members:
-        up += m.series["eret"]
-        down += m.series["iret"]
-    up = np.where(up > REQUEST_DUST_KW, up, 0.0)
-    down = np.where(down > REQUEST_DUST_KW, down, 0.0)
-    return FlexRequest(up_kw=up, down_kw=down,
-                       activation_price=billing.activation_price(prices))
+    def total(tag: str) -> np.ndarray:
+        return _clean(sum((m.series[tag] for m in ecfix.members), 0.0))
+
+    return Shift(total("eret"), total("iret"))
 
 
-def refine_bounds(offers: Sequence[Shift], request: FlexRequest, key: str) -> list[Shift]:
-    """Split the request over the offers, per step and direction independently."""
+def refine_bounds(offers: Mapping[str, Shift], request: Shift, key: str) -> dict[str, Shift]:
+    """Split the request over the offers, per step and direction independently;
+    the bounds come keyed as the offers, in their order."""
     key_fn = get_key(key)
     shape = (len(offers), len(request.up_kw))
-    up = key_fn(np.array([o.up_kw for o in offers]).reshape(shape), request.up_kw)
-    down = key_fn(np.array([o.down_kw for o in offers]).reshape(shape), request.down_kw)
-    return [Shift(member_id=o.member_id, up_kw=up[u], down_kw=down[u])
-            for u, o in enumerate(offers)]
+    up = key_fn(np.array([o.up_kw for o in offers.values()]).reshape(shape), request.up_kw)
+    down = key_fn(np.array([o.down_kw for o in offers.values()]).reshape(shape),
+                  request.down_kw)
+    return {uid: Shift(up[u], down[u]) for u, uid in enumerate(offers)}
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +188,10 @@ class MemberAgent:
         # working copy: commits replace series in its own table, the base stays intact
         self.schedule = replace(base, series=dict(base.series))
         self.refs_total = base.total_flexible_kw
+        steps = len(member.fixed_load_kw)
+        self._idle = Shift(np.zeros(steps), np.zeros(steps))
         if member.has_flexibility:
             self._build()
-
-    def _zero(self) -> np.ndarray:
-        return np.zeros(len(self.member.fixed_load_kw))
-
-    @staticmethod
-    def _publish(values: np.ndarray) -> np.ndarray:
-        """Clean a capacity vector for the wire: solver dust (tiny or slightly
-        negative entries within the LP feasibility tolerance) must not reach
-        the operator, whose keys treat any positive entry as a provider."""
-        return np.where(values > REQUEST_DUST_KW, values, 0.0)
 
     def _build(self) -> None:
         """The day's revenue-maximizing shift around the committed reference.
@@ -255,25 +237,25 @@ class MemberAgent:
                 f"references should always stay feasible ({solution.message})")
         return solution.x
 
-    def offer(self, request: FlexRequest) -> Shift:
+    def offer(self, request: Shift) -> Shift:
         """Best-response capacity offer against the community request."""
         if not self.member.has_flexibility:
-            return Shift(self.member.id, self._zero(), self._zero())
+            return self._idle
         x = self._solve(request.up_kw, request.down_kw)
-        return Shift(self.member.id, self._publish(x[self._capu]), self._publish(x[self._capd]))
+        return Shift(_clean(x[self._capu]), _clean(x[self._capd]))
 
     def activate(self, bounds: Shift) -> Shift:
         """Re-solve under the refined bounds and commit the outcome."""
         if not self.member.has_flexibility or bounds.empty:  # keep the committed dispatch
-            return Shift(self.member.id, self._zero(), self._zero())
+            return self._idle
         x = self._solve(bounds.up_kw, bounds.down_kw)
-        up = self._publish(x[self._capu])
-        down = self._publish(x[self._capd])
+        up = _clean(x[self._capu])
+        down = _clean(x[self._capd])
         # commit: the realized dispatch becomes the new reference
         self.schedule.series.update({tag: x[cols] for tag, cols in self._idx.items()})
         self.refs_total = self.schedule.total_flexible_kw
         self.revenue_eur += float(self.dt * np.sum(self.price * up))
-        return Shift(self.member.id, up, down)
+        return Shift(up, down)
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +290,16 @@ def run_ecflexit(solved: SolvedDay, key: str = "equal",
         for m in day_s.members
     }
     ecfix = solve_centralized(solved, PlannerMode.EC_FIX, refs=refs, initial_states=states)
-    request = initial_request(ecfix, day_s.prices)
+    request = initial_request(ecfix)
 
     member_ids = [m.id for m in day_s.members]
     order = list(evaluation_order) if evaluation_order is not None else list(member_ids)
     if sorted(order) != sorted(member_ids):
         raise DecentralError("evaluation_order must be a permutation of the member ids")
 
+    price = billing.activation_price(day_s.prices)
     agents = {
-        m.id: MemberAgent(m, refs[m.id], states.get(m.id, {}), dt,
-                          ecfix.member(m.id), request.activation_price)
+        m.id: MemberAgent(m, refs[m.id], states.get(m.id, {}), dt, ecfix.member(m.id), price)
         for m in day_s.members
     }
 
@@ -332,38 +314,28 @@ def run_ecflexit(solved: SolvedDay, key: str = "equal",
             raise IterationLimitError(traces)
         iteration += 1
 
-        # each phase's member LPs run concurrently first; the loops read them
+        # each phase's member LPs run concurrently first; the loops read them,
+        # calling the members in ``order`` and keeping their shifts in member order
         run_ahead([agents[uid].stage(request.up_kw, request.down_kw)
                    for uid in order if agents[uid].member.has_flexibility], warm=True)
-        offers_by = {uid: agents[uid].offer(request) for uid in order}
-        offers = [offers_by[uid] for uid in member_ids]
+        offers = {uid: agents[uid].offer(request) for uid in order}
+        offers = {uid: offers[uid] for uid in member_ids}
         bounds = refine_bounds(offers, request, key)
-        bounds_by = {b.member_id: b for b in bounds}
-        run_ahead([agents[uid].stage(bounds_by[uid].up_kw, bounds_by[uid].down_kw)
+        run_ahead([agents[uid].stage(bounds[uid].up_kw, bounds[uid].down_kw)
                    for uid in order
-                   if agents[uid].member.has_flexibility and not bounds_by[uid].empty],
+                   if agents[uid].member.has_flexibility and not bounds[uid].empty],
                   warm=True)
-        acts_by = {uid: agents[uid].activate(bounds_by[uid]) for uid in order}
-        activations = [acts_by[uid] for uid in member_ids]
+        activations = {uid: agents[uid].activate(bounds[uid]) for uid in order}
+        activations = {uid: activations[uid] for uid in member_ids}
 
-        up_total = np.zeros(len(request.up_kw))
-        down_total = np.zeros(len(request.down_kw))
-        for act in activations:
-            up_total = up_total + act.up_kw
-            down_total = down_total + act.down_kw
-        request = FlexRequest(
-            up_kw=np.maximum(0.0, request.up_kw - up_total),
-            down_kw=np.maximum(0.0, request.down_kw - down_total),
-            activation_price=request.activation_price,
-        )
+        # summed in member order
+        up_total = sum((act.up_kw for act in activations.values()), 0.0)
+        down_total = sum((act.down_kw for act in activations.values()), 0.0)
+        request = Shift(np.maximum(0.0, request.up_kw - up_total),
+                        np.maximum(0.0, request.down_kw - down_total))
         delta_kwh = float(dt * (np.sum(up_total) + np.sum(down_total)))
-        traces.append(IterationTrace(
-            day=day, iteration=iteration, offers=offers, bounds=bounds,
-            activations=activations,
-            remaining_up_kw=np.array(request.up_kw),
-            remaining_down_kw=np.array(request.down_kw),
-            activated_volume_kwh=delta_kwh,
-        ))
+        traces.append(IterationTrace(day, iteration, offers, bounds, activations,
+                                     remaining=request, activated_volume_kwh=delta_kwh))
         if delta_kwh <= EPSILON_KWH:
             break
 

@@ -252,7 +252,7 @@ def test_criterion_8_conservation_everywhere():
         assert np.max(np.abs(ecom - icom)) <= 1e-6
 
     for dt, trace in _TRACES:
-        for act in trace.activations:
+        for act in trace.activations.values():
             imbalance_kwh = dt * abs(float(act.up_kw.sum() - act.down_kw.sum()))
             assert imbalance_kwh <= 1e-6
     _ok(8, "community balance, daily device conservation and per-iteration "

@@ -103,6 +103,32 @@ def test_out_holding_a_directory_in_place_of_an_output_file_is_a_usage_error(
     assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize("name", ["SoloFix_0000.json", "SoloFix_0000.json.tmp"])
+def test_a_directory_in_place_of_a_checkpoint_file_is_a_usage_error(tmp_path, capsys, name):
+    """The checkpoint of a run is read where it was, or written through its
+    ``.tmp`` twin; a directory at either path stops the run naming it."""
+    args = ["--generate", "members=2", "--seed", "1", "--dt", "1.0", "--modes", "solofix",
+            "--out", str(tmp_path)]
+    assert _run(args) == 0
+    (tmp_path / "checkpoint" / "SoloFix_0000.json").unlink()
+    path = tmp_path / "checkpoint" / name
+    path.mkdir()
+    capsys.readouterr()
+    assert _run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("flag", [["--seed", "99"], ["--dt", "1.0"]])
+def test_generator_flags_with_a_scenario_file_are_usage_errors(tmp_path, capsys, flag):
+    bundled = Path(cli.__file__).parent / "data" / "community20.json"
+    code = _run(["--scenario", str(bundled), *flag, "--modes", "solofix", "--days", "1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[0]} only applies to --generate; ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_days_beyond_horizon_rejected(tmp_path, capsys):
     code = _run(["--generate", GEN, "--seed", "1", "--modes", "solofix",
                  "--days", "3", "--dt", "1.0", "--out", str(tmp_path)])
@@ -684,6 +710,22 @@ GOLDEN_SHA256 = {
     "schedules.csv": "942784b3618a80bc97fd464818cfd3709416dc65c0d6f84d839df24ee01bc23a",
     "trace.jsonl": "a57dfbdc841c79bdd2406c213d50a0441990a840b0605470669bcab781c1da5c",
 }
+#: sha256 of the report files of :data:`GOLDEN_ARGS` over two days under the
+#: other two repartition keys, recorded under the same solver.
+GOLDEN_KEY_SHA256 = {
+    "prorate": {
+        "summary.csv": "f1be2cb58517d800993616ff53e8e15823734d77800addc68927ef8d97a064a7",
+        "benefits.csv": "6999ab689634bca65d96e17b417013743232b0fb008631c77c16d1389a1d8b01",
+        "schedules.csv": "0d13d00bc1eb7d4a225e264a697ee5f352f38758a7fd030041584dcd9c6ec72d",
+        "trace.jsonl": "c7d9b1eecf5c419b2dd86b470204e830e8e9d80ba27e5194703c9b938a130334",
+    },
+    "cascade": {
+        "summary.csv": "aabed8240e6cbfab2b0c36feb5e18e09a468768cfca8cf791f533c749fb93961",
+        "benefits.csv": "a876dc91810c8f4f9ac1609b385c694cc930757e1e3120de856b8aedb9c40ffa",
+        "schedules.csv": "4ec30d4635105412cc27d798b8d6d2db7b53d28c951d46a43831d655d92e2718",
+        "trace.jsonl": "a15d9a7b9f5f4360846b7c09cb3fcdcd872b416c32fb3bcf67b540fd78513599",
+    },
+}
 
 
 def test_reports_match_the_golden_hashes(tmp_path):
@@ -697,6 +739,17 @@ def test_reports_match_the_golden_hashes(tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_KEY_SHA256))
+def test_reports_under_the_other_keys_match_their_golden_hashes(tmp_path, key):
+    """The coordination's bytes over two days under ``prorate`` and ``cascade``,
+    whose splits run in exact rational arithmetic, are pinned as ``equal``'s."""
+    # the later --key and --days override those of GOLDEN_ARGS
+    assert _run([*GOLDEN_ARGS, "--key", key, "--days", "2", "--out", str(tmp_path)]) == 0
+    want = GOLDEN_KEY_SHA256[key]
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in want}
+    assert got == want
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

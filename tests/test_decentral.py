@@ -13,9 +13,8 @@ from reccoord import decentral, lpcore
 from reccoord.billing import activation_price
 from reccoord.central import (PlannerMode, SolvedDay, default_refs, final_states,
                               solve_centralized, verify_day_schedule)
-from reccoord.decentral import (FlexRequest, IterationLimitError, MemberAgent,
-                                initial_request, refine_bounds, run_ecflexit,
-                                settle_community)
+from reccoord.decentral import (IterationLimitError, MemberAgent, Shift, initial_request,
+                                refine_bounds, run_ecflexit, settle_community)
 from reccoord.lpcore import TOL_OPT, LpStatus
 from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic
@@ -32,12 +31,9 @@ def _agent(scenario, member_id: str) -> MemberAgent:
                        day.horizon.dt_hours, ecfix.member(member_id), price)
 
 
-def _request(n: int, up=None, down=None) -> FlexRequest:
-    return FlexRequest(
-        up_kw=np.zeros(n) if up is None else np.asarray(up, dtype=float),
-        down_kw=np.zeros(n) if down is None else np.asarray(down, dtype=float),
-        activation_price=np.full(n, 0.28),
-    )
+def _request(n: int, up=None, down=None) -> Shift:
+    return Shift(up_kw=np.zeros(n) if up is None else np.asarray(up, dtype=float),
+                 down_kw=np.zeros(n) if down is None else np.asarray(down, dtype=float))
 
 
 class TestInitialRequest:
@@ -46,22 +42,20 @@ class TestInitialRequest:
         consumer = make_member("c", 4, fixed=np.full(4, 1.0))
         s = make_scenario([producer, consumer], steps=4)
         ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
-        req = initial_request(ecfix, s.for_day(0).prices)
+        req = initial_request(ecfix)
         assert np.max(req.up_kw) <= 1e-9
         assert np.max(req.down_kw) <= 1e-9
 
     def test_surplus_becomes_upward_request(self):
         s = make_scenario([make_member("p", 4, pv=series(4, t1=3.0))], steps=4)
         ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
-        req = initial_request(ecfix, s.for_day(0).prices)
+        req = initial_request(ecfix)
         assert req.up_kw[1] == pytest.approx(3.0, abs=1e-6)
         assert req.up_kw[[0, 2, 3]] == pytest.approx([0, 0, 0], abs=1e-9)
 
     def test_reference_tariffs_give_28_cents(self):
         s = make_scenario([make_member("p", 4)], steps=4)
-        ecfix = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX)
-        req = initial_request(ecfix, s.for_day(0).prices)
-        assert list(req.activation_price) == [0.28] * 4
+        assert list(activation_price(s.for_day(0).prices)) == [0.28] * 4
 
 
 def _evening_wb_member(member_id: str = "w"):
@@ -109,15 +103,13 @@ class TestMemberOffer:
 def test_activation_leaves_the_base_schedule_unchanged():
     """The agent commits into its own copy of the series table; the ECFix
     schedule it started from keeps every array it had."""
-    from reccoord.decentral import Shift
-
     s = make_scenario([_evening_wb_member()], steps=4)
     day = s.for_day(0)
     base = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FIX).member("w")
     before = {tag: arr.copy() for tag, arr in base.series.items()}
     agent = MemberAgent(day.member("w"), default_refs(day)["w"], {},
                         day.horizon.dt_hours, base, activation_price(day.prices))
-    act = agent.activate(Shift("w", up_kw=series(4, t1=2.0), down_kw=series(4, t3=2.0)))
+    act = agent.activate(Shift(up_kw=series(4, t1=2.0), down_kw=series(4, t3=2.0)))
     assert act.up_kw[1] == pytest.approx(2.0, abs=1e-6)
     assert agent.schedule.series["pwb"][1] == pytest.approx(2.0, abs=1e-6)
     assert base.series.keys() == before.keys()
@@ -127,29 +119,24 @@ def test_activation_leaves_the_base_schedule_unchanged():
 
 class TestRefineBounds:
     def test_single_offer_capped_by_request(self):
-        from reccoord.decentral import Shift
-
-        offer = Shift("m", up_kw=np.array([5.0, 1.0]), down_kw=np.array([0.0, 4.0]))
+        offer = Shift(up_kw=np.array([5.0, 1.0]), down_kw=np.array([0.0, 4.0]))
         req = _request(2, up=[3.0, 3.0], down=[3.0, 3.0])
         for key in ("equal", "prorate", "cascade"):
-            bounds = refine_bounds([offer], req, key)[0]
+            bounds = refine_bounds({"m": offer}, req, key)["m"]
             assert bounds.up_kw == pytest.approx([3.0, 1.0])
             assert bounds.down_kw == pytest.approx([0.0, 3.0])
 
     def test_cascade_matches_the_key_example(self):
-        from reccoord.decentral import Shift
-
-        offers = [Shift(m, up_kw=np.array([c]), down_kw=np.array([0.0]))
-                  for m, c in (("a", 2.0), ("b", 8.0), ("c", 8.0))]
+        offers = {m: Shift(up_kw=np.array([c]), down_kw=np.array([0.0]))
+                  for m, c in (("a", 2.0), ("b", 8.0), ("c", 8.0))}
         bounds = refine_bounds(offers, _request(1, up=[10.0]), "cascade")
-        assert [b.up_kw[0] for b in bounds] == [2.0, 4.0, 4.0]
+        assert [(m, b.up_kw[0]) for m, b in bounds.items()] == [("a", 2.0), ("b", 4.0),
+                                                                 ("c", 4.0)]
 
     def test_zero_request_zeroes_all_bounds(self):
-        from reccoord.decentral import Shift
-
-        offers = [Shift("a", up_kw=np.array([2.0]), down_kw=np.array([2.0]))]
+        offers = {"a": Shift(up_kw=np.array([2.0]), down_kw=np.array([2.0]))}
         bounds = refine_bounds(offers, _request(1), "equal")
-        assert not bounds[0].up_kw.any() and not bounds[0].down_kw.any()
+        assert not bounds["a"].up_kw.any() and not bounds["a"].down_kw.any()
 
 
 class TestMemberActivate:
@@ -158,7 +145,7 @@ class TestMemberActivate:
         agent = _agent(s, "w")
         req = _request(4, up=series(4, t1=3.0), down=series(4, t3=3.0))
         offer = agent.offer(req)
-        bounds = refine_bounds([offer], req, "equal")[0]
+        bounds = refine_bounds({"w": offer}, req, "equal")["w"]
         act = agent.activate(bounds)
         assert act.up_kw == pytest.approx(offer.up_kw, abs=1e-6)
         assert act.down_kw == pytest.approx(offer.down_kw, abs=1e-6)
@@ -168,18 +155,15 @@ class TestMemberActivate:
         agent = _agent(s, "w")
         before = np.array(agent.refs_total)
         act = agent.activate(refine_bounds(
-            [agent.offer(_request(4))], _request(4), "equal")[0])
+            {"w": agent.offer(_request(4))}, _request(4), "equal")["w"])
         assert not act.up_kw.any() and not act.down_kw.any()
         assert agent.refs_total == pytest.approx(before)
 
     def test_asymmetric_bounds_rebalance_energy_neutrally(self):
         """Halving the downward leg drags the upward one with it."""
-        from reccoord.decentral import Shift
-
         s = make_scenario([_evening_wb_member()], steps=4)
         agent = _agent(s, "w")
-        act = agent.activate(Shift(
-            "w", up_kw=series(4, t1=2.0), down_kw=series(4, t3=1.0)))
+        act = agent.activate(Shift(up_kw=series(4, t1=2.0), down_kw=series(4, t3=1.0)))
         assert float(act.up_kw.sum()) == pytest.approx(float(act.down_kw.sum()), abs=1e-9)
         assert act.up_kw[1] == pytest.approx(1.0, abs=1e-6)
         assert agent.revenue_eur == pytest.approx(0.28 * 1.0 * 6.0, abs=1e-6)
@@ -233,9 +217,12 @@ class TestRunLoop:
         sched, traces = run_ecflexit(SolvedDay(s, 0), key="equal")
         assert traces, "expected at least one coordination round"
         dt = sched.dt_hours
-        prev_up = prev_down = None
+        ids = [m.id for m in s.members]
+        prev = None
         for trace in traces:
-            for offer, bound, act in zip(trace.offers, trace.bounds, trace.activations):
+            assert list(trace.offers) == list(trace.bounds) == list(trace.activations) == ids
+            for uid in ids:
+                offer, bound, act = trace.offers[uid], trace.bounds[uid], trace.activations[uid]
                 assert np.all(bound.up_kw <= offer.up_kw + 1e-9)
                 assert np.all(bound.down_kw <= offer.down_kw + 1e-9)
                 assert np.all(act.up_kw <= bound.up_kw + 1e-6)
@@ -244,11 +231,10 @@ class TestRunLoop:
                 for item in (offer, act):
                     shift = dt * float(item.up_kw.sum() - item.down_kw.sum())
                     assert abs(shift) <= 1e-6
-            if prev_up is not None:
-                assert np.all(trace.remaining_up_kw <= prev_up + 1e-9)
-                assert np.all(trace.remaining_down_kw <= prev_down + 1e-9)
-            prev_up = trace.remaining_up_kw
-            prev_down = trace.remaining_down_kw
+            if prev is not None:
+                assert np.all(trace.remaining.up_kw <= prev.up_kw + 1e-9)
+                assert np.all(trace.remaining.down_kw <= prev.down_kw + 1e-9)
+            prev = trace.remaining
 
     def test_revenues_equal_priced_activated_upward_energy(self):
         s = generate_synthetic(SyntheticConfig(members=5, seed=11, dt_hours=1.0,
@@ -258,7 +244,7 @@ class TestRunLoop:
         price = activation_price(s.for_day(0).prices)
         from_traces = sum(
             dt * float(np.sum(price * act.up_kw))
-            for trace in traces for act in trace.activations)
+            for trace in traces for act in trace.activations.values())
         booked = sum(m.flex_revenue_eur for m in sched.members)
         assert booked == pytest.approx(from_traces, abs=1e-9)
 
