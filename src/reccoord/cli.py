@@ -15,8 +15,10 @@ device states from one day into the next, and the reports list the modes in
 the order given.  Every completed (mode, day) is checkpointed under
 ``<out>/checkpoint/`` so that interrupted long runs resume instead of
 re-solving; a checkpoint is only reused when the scenario content, run
-parameters and checkpoint format hash identically, and a file only when its
-digest shows it holds the bytes written for that run, mode and day.
+parameters (``--days`` aside) and checkpoint format hash identically, and a
+file only when its digest shows it holds the bytes written for that run, mode
+and day.  A scenario file is parsed only when a day must be solved, so a
+complete resume parses none.
 
 Exit codes: 0 success, 1 solve/runtime failure (diagnostic names the mode
 and day), 2 usage or input errors.
@@ -32,6 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import billing, central, decentral, reporting
 from .central import CarriedState, PlannerMode
@@ -196,23 +199,23 @@ class _Checkpoint:
     followed by that rest, so a file is reused only as the bytes written for
     this run, mode and day; any other file, truncated, edited or copied from
     another mode, day or run, is recomputed before any of it is parsed.
+
+    Opening only reads ``meta.json``.  Under a missing or stale one every
+    :meth:`load` is ``None`` and touches no file; the first :meth:`store`
+    makes the directory, removes the stale files and writes ``meta.json``.
+    So a run that fails before it has a result to store writes nothing here.
     """
 
     def __init__(self, out_dir: Path, fingerprint: str):
         self.dir = out_dir / "checkpoint"
         self.meta = self.dir / "meta.json"
         self.fingerprint = fingerprint
-        self.dir.mkdir(parents=True, exist_ok=True)
-        stale = True
+        self.current = False
         if self.meta.exists():
             try:
-                stale = json.loads(self.meta.read_text())["fingerprint"] != fingerprint
+                self.current = json.loads(self.meta.read_text())["fingerprint"] == fingerprint
             except (ValueError, KeyError, TypeError):  # not UTF-8, not JSON, not an object
-                stale = True
-        if stale:
-            for item in self.dir.glob("*.json"):
-                item.unlink()
-            _write_atomic(self.meta, json.dumps({"fingerprint": fingerprint}).encode())
+                pass
 
     def _path(self, mode: str, day: int) -> Path:
         return self.dir / f"{mode}_{day:04d}.json"
@@ -225,7 +228,7 @@ class _Checkpoint:
 
     def load(self, mode: str, day: int):
         path = self._path(mode, day)
-        if not path.exists():
+        if not self.current or not path.exists():
             return None
         try:
             raw = path.read_bytes()
@@ -242,6 +245,12 @@ class _Checkpoint:
         doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_lines}
         rest = json.dumps(doc, separators=(",", ":"))[1:].encode()  # after the "{"
         try:
+            if not self.current:
+                self.dir.mkdir(parents=True, exist_ok=True)
+                for item in self.dir.glob("*.json"):
+                    item.unlink()
+                _write_atomic(self.meta, json.dumps({"fingerprint": self.fingerprint}).encode())
+                self.current = True
             _write_atomic(self._path(mode, day), self._head(mode, day, rest) + rest)
         except OSError as exc:
             raise UsageError(f"cannot write the checkpoint: {exc}") from exc
@@ -260,12 +269,15 @@ CHECKPOINT_FORMAT = 7
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
+    """The hash of a run's scenario document and of the settings a day's result
+    depends on.  ``--days`` is not one of them: day ``d`` depends on days
+    ``0..d`` only, so a longer run into the same ``--out`` reuses the days a
+    shorter one stored."""
     h = hashlib.sha256()
     h.update(scenario_bytes)
     settings = {
         "checkpoint_format": CHECKPOINT_FORMAT,
         "key": config.key,
-        "days": config.days,
         "allow_curtailment": config.allow_curtailment,
         "max_iterations": config.max_iterations,
     }
@@ -309,7 +321,7 @@ def _solve_day(solved: central.SolvedDay, mode_name: str,
     return sched, [reporting.trace_line(t) for t in traces]
 
 
-def _run_modes(scenario: Scenario, days: int, config: RunConfig,
+def _run_modes(scenario: Callable[[], Scenario], days: int, config: RunConfig,
                checkpoint: _Checkpoint) -> tuple[dict[str, list], dict[str, list[str]]]:
     """Solve ``days`` consecutive days of every mode of ``config``, reusing
     every (mode, day) the checkpoint holds.
@@ -318,7 +330,8 @@ def _run_modes(scenario: Scenario, days: int, config: RunConfig,
     A day's modes run in :data:`SOLVE_ORDER` and share one
     :class:`~reccoord.central.SolvedDay`, made on the first mode the
     checkpoint does not hold; each mode carries the device states its own
-    last day ended in.
+    last day ended in.  ``scenario()`` is called only there, so a run the
+    checkpoint holds completely never asks for the scenario.
     """
     modes = [m for m in SOLVE_ORDER if m in config.modes]
     schedules: dict[str, list] = {m: [] for m in modes}
@@ -330,7 +343,7 @@ def _run_modes(scenario: Scenario, days: int, config: RunConfig,
             cached = checkpoint.load(mode_name, day)
             if cached is None:
                 if solved is None:
-                    solved = central.SolvedDay(scenario, day)
+                    solved = central.SolvedDay(scenario(), day)
                 cached = _solve_day(solved, mode_name, carried[mode_name], config)
                 checkpoint.store(mode_name, day, *cached)
             sched, trace_lines = cached
@@ -341,36 +354,67 @@ def _run_modes(scenario: Scenario, days: int, config: RunConfig,
     return schedules, traces
 
 
-def _open(config: RunConfig) -> tuple[Scenario, int, _Checkpoint]:
-    """The run's scenario, its number of days and its opened checkpoint.
+class _Document:
+    """A scenario document read for its fingerprint and parsed on first call.
 
-    The scenario document's bytes live only here, for the fingerprint and,
-    for a generated scenario, ``scenario.json``; they are freed before the
-    first solve.
+    The parse validates the scenario and checks that it holds the run's
+    ``days``; the bytes are dropped once parsed, so a solving run holds what
+    an eager parse would.
+    """
+
+    def __init__(self, data: bytes, days: int | None):
+        self._data: bytes | None = data
+        self._days = days
+        self._scenario: Scenario | None = None
+
+    def __call__(self) -> Scenario:
+        if self._scenario is None:
+            scenario = load_scenario(self._data)
+            self._data = None
+            horizon = scenario.horizon.num_days
+            if self._days is not None and self._days > horizon:
+                raise UsageError(f"--days {self._days} exceeds the scenario horizon "
+                                 f"of {horizon} day(s)")
+            self._scenario = scenario
+        return self._scenario
+
+
+def _open(config: RunConfig) -> tuple[Callable[[], Scenario], int, _Checkpoint]:
+    """The run's scenario as a call, its number of days and its checkpoint.
+
+    A scenario file is read here for the fingerprint but parsed and validated
+    only when the run first needs it: at the first (mode, day) the checkpoint
+    does not hold, or here when no ``--days`` is given and the horizon sets
+    the run's length.  The fingerprint hashes the document's bytes and every
+    checkpoint's digest binds it to them, so a complete resume learns nothing
+    from a parse and makes none.  A generated scenario is made here, since
+    ``scenario.json`` is its dump.  Nothing is written to ``--out`` here but
+    that ``scenario.json``; the checkpoint directory is made at its first store.
     """
     if config.generate is not None:
         try:
-            scenario = generate_synthetic(config.generate)
+            generated = generate_synthetic(config.generate)
         except SyntheticConfigError as exc:
             raise UsageError(f"--generate: {exc}") from exc
-        scenario_bytes = dump_scenario(scenario)
+        scenario_bytes = dump_scenario(generated)
+        days = generated.horizon.num_days
+
+        def scenario() -> Scenario:
+            return generated
     else:
         try:
             scenario_bytes = config.scenario_path.read_bytes()
         except OSError as exc:
             raise UsageError(f"cannot read scenario: {exc}") from exc
-        scenario = load_scenario(scenario_bytes)
-
-    days = config.days if config.days is not None else scenario.horizon.num_days
-    if days > scenario.horizon.num_days:
-        raise UsageError(f"--days {days} exceeds the scenario horizon "
-                         f"of {scenario.horizon.num_days} day(s)")
+        scenario = _Document(scenario_bytes, config.days)
+        days = config.days if config.days is not None else scenario().horizon.num_days
 
     try:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint = _Checkpoint(config.out_dir, _fingerprint(scenario_bytes, config))
         if config.generate is not None:
-            (config.out_dir / "scenario.json").write_bytes(scenario_bytes)
+            config.out_dir.mkdir(parents=True, exist_ok=True)
+            with reporting.replacing(config.out_dir / "scenario.json") as tmp:
+                tmp.write_bytes(scenario_bytes)
     except OSError as exc:
         raise UsageError(f"cannot write to the output directory: {exc}") from exc
     return scenario, days, checkpoint

@@ -32,9 +32,10 @@ import base64
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -64,15 +65,42 @@ def _fmt(value: float) -> str:
     return f"{float(value):.9g}"
 
 
-def _open_csv(path: Path):
-    handle = path.open("w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+@contextmanager
+def replacing(path: Path) -> Iterator[Path]:
+    """The path to write the new bytes of ``path`` to; on exit they replace it.
+
+    The new bytes go to ``<name>.tmp``, then the old file is unlinked and the
+    temp file renamed into its place.  The old file is never truncated or
+    renamed over, either of which can make the write wait for disk writeback
+    (ext4 does), and a crash leaves the old file or no file, never a cut one.
+    If the old file cannot be removed (a directory in its place), the temp
+    file is removed and the error raised.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    yield tmp
+    try:
+        path.unlink(missing_ok=True)
+    except OSError:
+        tmp.unlink()
+        raise
+    tmp.rename(path)
+
+
+@contextmanager
+def _rewrite(path: Path) -> Iterator[TextIO]:
+    """A text handle whose bytes replace ``path`` (see :func:`replacing`) once it closes."""
+    with replacing(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as handle:
+        yield handle
+
+
+def _csv_writer(handle: TextIO):
+    return csv.writer(handle, lineterminator="\n")
 
 
 def _csv_cells(*cells) -> str:
     """``cells`` as one row of the report dialect, without the line terminator."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
+    _csv_writer(buf).writerow(cells)
     return buf.getvalue()[:-1]
 
 
@@ -112,6 +140,9 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
     """Write the four report files under ``out_dir`` (created if missing).
 
     ``traces`` are the rounds' :func:`trace_line` strings, written as given.
+    Each file replaces the one of an earlier run as :func:`replacing` does:
+    no earlier report is truncated or written through, so a re-run into the
+    same directory does not wait for the old files' pages to reach the disk.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -123,8 +154,8 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
     )
 
     modes = [s.mode for s in report.modes]
-    handle, writer = _open_csv(files.summary_csv)
-    with handle:
+    with _rewrite(files.summary_csv) as handle:
+        writer = _csv_writer(handle)
         writer.writerow(["metric", *modes])
         if modes:
             for metric in SUMMARY_METRICS:
@@ -137,8 +168,8 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                     writer.writerow([row_name,
                                      *[_fmt(values[m]) if m in values else "" for m in modes]])
 
-    handle, writer = _open_csv(files.benefits_csv)
-    with handle:
+    with _rewrite(files.benefits_csv) as handle:
+        writer = _csv_writer(handle)
         writer.writerow(["member_id", "mode", "bill_delta_eur",
                          "discomfort_delta_eur", "flex_revenue_eur"])
         for mode, rows in (benefits or {}).items():
@@ -146,14 +177,13 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                 writer.writerow([b.member_id, mode, _fmt(b.bill_delta_eur),
                                  _fmt(b.discomfort_delta_eur), _fmt(b.flex_revenue_eur)])
 
-    handle, writer = _open_csv(files.schedules_csv)
-    with handle:
-        writer.writerow(["mode", "day", "t", "member", "variable", "value"])
+    with _rewrite(files.schedules_csv) as handle:
+        _csv_writer(handle).writerow(["mode", "day", "t", "member", "variable", "value"])
         for mode, day_schedules in schedules.items():
             for sched in day_schedules:
                 _write_schedule_rows(handle, mode, sched)
 
-    with files.trace_jsonl.open("w", encoding="utf-8", newline="") as fh:
+    with _rewrite(files.trace_jsonl) as fh:
         fh.writelines(f"{line}\n" for line in traces)
 
     return files

@@ -12,6 +12,7 @@ import pytest
 import scipy
 
 from reccoord import central, cli, decentral, lpcore, reporting
+from reccoord import scenario as scenario_module
 from reccoord.cli import main
 from reccoord.lpcore import TOL_OPT
 from reccoord.scenario import (Scenario, SyntheticConfig, dump_scenario, generate_synthetic,
@@ -101,6 +102,7 @@ def test_out_holding_a_directory_in_place_of_an_output_file_is_a_usage_error(
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("name", ["SoloFix_0000.json", "SoloFix_0000.json.tmp"])
@@ -355,6 +357,131 @@ def test_interrupted_runs_resume_from_the_checkpoint(tmp_path):
 
     for name in ("summary.csv", "schedules.csv", "benefits.csv"):
         assert (out_full / name).read_bytes() == (out_resume / name).read_bytes(), name
+
+
+REPORTS = ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl")
+
+
+def _two_day_file(tmp_path: Path) -> Path:
+    path = tmp_path / "scenario.json"
+    path.write_bytes(dump_scenario(generate_synthetic(SyntheticConfig(
+        members=6, seed=7, dt_hours=1.0, num_days=2))))
+    return path
+
+
+def _count_solves(monkeypatch) -> list[tuple[str, int]]:
+    """The (mode, day) of every ``cli._solve_day`` call from now on."""
+    solves, solve_day = [], cli._solve_day
+
+    def counting(solved, mode_name, *args):
+        solves.append((mode_name, solved.day))
+        return solve_day(solved, mode_name, *args)
+
+    monkeypatch.setattr(cli, "_solve_day", counting)
+    return solves
+
+
+def test_a_longer_run_reuses_the_days_a_shorter_one_stored(tmp_path, monkeypatch):
+    """Day d's result depends on days 0..d only, so ``--days`` is not part of
+    the checkpoint's fingerprint: extending a run solves only the new days."""
+    args = ["--scenario", str(_two_day_file(tmp_path)), "--modes", "solofix,ecfix"]
+    assert _run([*args, "--days", "2", "--out", str(tmp_path / "fresh")]) == 0
+    out = tmp_path / "out"
+    assert _run([*args, "--days", "1", "--out", str(out)]) == 0
+    solves = _count_solves(monkeypatch)
+    assert _run([*args, "--days", "2", "--out", str(out)]) == 0
+    assert solves == [("ECFix", 1), ("SoloFix", 1)]
+    for name in REPORTS:
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+def test_a_complete_resume_parses_no_scenario(tmp_path, monkeypatch):
+    """The fingerprint hashes the document's bytes and every checkpoint's
+    digest binds the file to it, so a resume of every (mode, day) neither
+    parses nor validates the scenario."""
+    args = ["--scenario", str(_two_day_file(tmp_path)), "--modes", "solofix,ecfix,ecflexit",
+            "--key", "equal", "--trace", "--days", "2", "--out", str(tmp_path / "out")]
+    assert _run(args) == 0
+    cold = {name: (tmp_path / "out" / name).read_bytes() for name in REPORTS}
+
+    def no_parse(*_):
+        raise AssertionError("a complete resume parsed the scenario")
+
+    monkeypatch.setattr(cli, "load_scenario", no_parse)
+    monkeypatch.setattr(scenario_module, "validate_scenario", no_parse)
+    assert _run(args) == 0
+    for name in REPORTS:
+        assert (tmp_path / "out" / name).read_bytes() == cold[name], name
+
+
+def test_a_resume_parses_the_scenario_once_at_the_first_day_it_solves(tmp_path, monkeypatch):
+    """With one checkpoint file of day 1 edited, the days before it are read
+    from the checkpoint unparsed; the document is parsed once, at that file,
+    and only its (mode, day) is solved again."""
+    args = ["--scenario", str(_two_day_file(tmp_path)), "--modes", "solofix,ecfix",
+            "--days", "2", "--out", str(tmp_path / "out")]
+    assert _run(args) == 0
+    cold = {name: (tmp_path / "out" / name).read_bytes() for name in REPORTS}
+    path = tmp_path / "out" / "checkpoint" / "SoloFix_0001.json"
+    path.write_bytes(path.read_bytes().replace(b'"day":1', b'"day":0'))
+
+    events = []
+    load, decode = cli.load_scenario, reporting.schedule_from_dict
+
+    def parsing(data):
+        events.append("parse")
+        return load(data)
+
+    def decoding(doc):
+        events.append(("read", doc["mode"], doc["day"]))
+        return decode(doc)
+
+    monkeypatch.setattr(cli, "load_scenario", parsing)
+    monkeypatch.setattr(reporting, "schedule_from_dict", decoding)
+    solves = _count_solves(monkeypatch)
+    assert _run(args) == 0
+    assert events == [("read", "ECFix", 0), ("read", "SoloFix", 0), ("read", "ECFix", 1),
+                      "parse"]
+    assert solves == [("SoloFix", 1)]
+    for name in REPORTS:
+        assert (tmp_path / "out" / name).read_bytes() == cold[name], name
+
+
+@pytest.mark.parametrize("edit, days, message", [
+    (lambda doc: "{", "1", "not valid JSON: "),
+    (lambda doc: json.dumps({**doc, "members": []}), "1",
+     "invalid scenario: members: needs at least one member\n"),
+    (json.dumps, "9", "--days 9 exceeds the scenario horizon of 3 day(s)\n"),
+], ids=["not-json", "no-member", "days-beyond-horizon"])
+def test_a_scenario_error_into_a_fresh_out_writes_nothing(tmp_path, capsys, edit, days, message):
+    """The scenario is parsed before the first result is stored, so a document
+    that fails its parse exits 2 without making ``--out``."""
+    doc = json.loads(dump_scenario(generate_synthetic(SyntheticConfig(
+        members=2, seed=1, dt_hours=1.0, num_days=3))))
+    path = tmp_path / "scenario.json"
+    path.write_text(edit(doc))
+    out = tmp_path / "out"
+    assert _run(["--scenario", str(path), "--modes", "solofix", "--days", days,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", [*REPORTS, "scenario.json"])
+def test_a_rerun_replaces_its_files_instead_of_writing_through_them(tmp_path, name):
+    """A re-run unlinks each file it rewrites and renames a new one into its
+    place, so another link to the old file keeps the old bytes."""
+    args = ["--generate", "members=2", "--seed", "1", "--dt", "1.0", "--modes", "ecflexit",
+            "--key", "equal", "--trace", "--out", str(tmp_path / "out")]
+    assert _run(args) == 0
+    written = (tmp_path / "out" / name).read_bytes()
+    kept = tmp_path / "kept"
+    kept.hardlink_to(tmp_path / "out" / name)
+    kept.write_text("stale")
+    assert _run(args) == 0
+    assert kept.read_text() == "stale"
+    assert (tmp_path / "out" / name).read_bytes() == written
+    assert not list((tmp_path / "out").glob("*.tmp"))
 
 
 def test_checkpoint_invalidated_when_settings_change(tmp_path):
@@ -769,7 +896,7 @@ def test_trace_dicts_are_kept_only_with_trace(tmp_path):
     for trace in (False, True):
         config = cli.RunConfig(None, None, ["ECFlexIt"], "equal", 1, tmp_path, trace=trace)
         checkpoint = cli._Checkpoint(tmp_path, cli._fingerprint(dump_scenario(scenario), config))
-        _, traces = cli._run_modes(scenario, 1, config, checkpoint)
+        _, traces = cli._run_modes(lambda: scenario, 1, config, checkpoint)
         assert bool(traces["ECFlexIt"]) is trace
 
 
