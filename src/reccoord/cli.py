@@ -5,19 +5,20 @@ Example::
     reccoord run --generate members=4 --seed 7 --modes solofix,ecfix --days 1 --out out/
 
 One loop runs over the days.  Within a day the requested modes are solved
-in a fixed order, ECFlex, ECFix, SoloFlex, SoloFix, ECFlexIt, ECFlexItPrimed,
+in a fixed order, ECFlex, ECFix, SoloFlex, SoloFix, ECFlexItPrimed, ECFlexIt,
 on one :class:`~reccoord.central.SolvedDay`, sliced on the day's first mode
 the checkpoint does not hold, so each distinct day LP is solved once: ECFix
 comes from ECFlex's pinned phase, and the decentralized modes reuse the
 ECFix and SoloFlex schedules already solved, whenever their references and
-carried states coincide (on the first day in practice).  Each mode carries its own
-device states from one day into the next, and the reports list the modes in
-the order given.  Every completed (mode, day) is checkpointed under
-``<out>/checkpoint/`` so that interrupted long runs resume instead of
-re-solving; a checkpoint is only reused when the scenario content, run
-parameters (``--days`` aside) and checkpoint format hash identically, and a
-file only when its digest shows it holds the bytes written for that run, mode
-and day.  A scenario file is parsed only when a day must be solved, so a
+carried states coincide (on the first day in practice).  After each solved
+(mode, day) the heap the solvers freed is returned to the operating system.
+Each mode carries its own device states from one day into the next, and the
+reports list the modes in the order given.  Every completed (mode, day) is
+checkpointed under ``<out>/checkpoint/`` so that interrupted long runs resume
+instead of re-solving; a checkpoint is only reused when the scenario content,
+run parameters (``--days`` aside) and checkpoint format hash identically, and
+a file only when its digest shows it holds the bytes written for that run,
+mode and day.  A scenario file is parsed only when a day must be solved, so a
 complete resume parses none.
 
 Exit codes: 0 success, 1 solve/runtime failure (diagnostic names the mode
@@ -27,6 +28,8 @@ and day), 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import logging
@@ -290,9 +293,36 @@ class RunFailure(Exception):
 
 
 #: The order the modes of one day are solved in.  ECFlex's pinned phase
-#: gives ECFix, SoloFlex gives ECFlexItPrimed's priming, and ECFix the start
-#: of the plain coordination.
-SOLVE_ORDER = ("ECFlex", "ECFix", "SoloFlex", "SoloFix", "ECFlexIt", "ECFlexItPrimed")
+#: gives ECFix and the start of the plain coordination, and SoloFlex gives
+#: ECFlexItPrimed's priming.  The coordinations come last, the primed one
+#: first: its ECFix start, the day's last day LP, then runs before any
+#: coordination has held a HiGHS model per member.  The reports do not
+#: depend on this order, only the memory a day peaks at.
+SOLVE_ORDER = ("ECFlex", "ECFix", "SoloFlex", "SoloFix", "ECFlexItPrimed", "ECFlexIt")
+
+
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's ``malloc_trim``, looked up on first use; None where the C
+    library has none (musl, macOS, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+def _give_back_memory() -> None:
+    """Return the free heap of every malloc arena to the operating system.
+
+    A coordination holds one HiGHS model per flexible member, and the heap
+    they free stays with the process until trimmed; the next mode would
+    otherwise grow on top of it."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def _solve_day(solved: central.SolvedDay, mode_name: str,
@@ -331,7 +361,8 @@ def _run_modes(scenario: Callable[[], Scenario], days: int, config: RunConfig,
     :class:`~reccoord.central.SolvedDay`, made on the first mode the
     checkpoint does not hold; each mode carries the device states its own
     last day ended in.  ``scenario()`` is called only there, so a run the
-    checkpoint holds completely never asks for the scenario.
+    checkpoint holds completely never asks for the scenario.  Each solved
+    (mode, day), and no loaded one, ends in :func:`_give_back_memory`.
     """
     modes = [m for m in SOLVE_ORDER if m in config.modes]
     schedules: dict[str, list] = {m: [] for m in modes}
@@ -346,6 +377,7 @@ def _run_modes(scenario: Callable[[], Scenario], days: int, config: RunConfig,
                     solved = central.SolvedDay(scenario(), day)
                 cached = _solve_day(solved, mode_name, carried[mode_name], config)
                 checkpoint.store(mode_name, day, *cached)
+                _give_back_memory()
             sched, trace_lines = cached
             schedules[mode_name].append(sched)
             if config.trace:  # only the trace report reads them

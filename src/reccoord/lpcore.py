@@ -301,11 +301,14 @@ def _bound_arrays(lb, ub, size: int, name_of) -> tuple[np.ndarray, np.ndarray]:
 
 def _solution(problem: LpProblem, status: LpStatus, x: np.ndarray | None,
               message: str) -> LpSolution:
-    """A solver's result; an optimal point violating the problem is a numeric error."""
+    """A solver's result; an optimal point violating the problem is a numeric error.
+
+    The objective is summed without BLAS: a dot product of a day LP's length
+    wakes OpenBLAS's worker threads, which then spin beside the solver."""
     if status is LpStatus.OPTIMAL:
         violation = problem.max_violation(x)
         if violation <= TOL_FEAS:
-            return LpSolution(status, float(problem.objective_vector() @ x), x, message)
+            return LpSolution(status, float(np.sum(problem.objective_vector() * x)), x, message)
         status = LpStatus.NUMERIC_ERROR
         message = f"solver returned an infeasible point (violation {violation:.3e})"
     return LpSolution(status, None, None, message)

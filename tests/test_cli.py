@@ -879,6 +879,57 @@ def test_reports_under_the_other_keys_match_their_golden_hashes(tmp_path, key):
     assert got == want
 
 
+def test_reports_do_not_depend_on_the_solve_order(tmp_path, monkeypatch):
+    """A schedule the day's memo hands back is the one the mode's own solve
+    would make, so solving the modes of a day in the earlier order, the
+    current one or its reverse writes the same bytes over two days."""
+    earlier = ("ECFlex", "ECFix", "SoloFlex", "SoloFix", "ECFlexIt", "ECFlexItPrimed")
+    reports = []
+    for order in (earlier, cli.SOLVE_ORDER, cli.SOLVE_ORDER[::-1]):
+        monkeypatch.setattr(cli, "SOLVE_ORDER", order)
+        out = tmp_path / "-".join(order)
+        assert _run([*GOLDEN_ARGS, "--days", "2", "--out", str(out)]) == 0
+        reports.append({name: (out / name).read_bytes() for name in REPORTS})
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_each_solved_mode_day_gives_back_memory_once(tmp_path, monkeypatch):
+    """The heap is trimmed once after each (mode, day) solved, and never for
+    one the checkpoint holds."""
+    trims = []
+    monkeypatch.setattr(cli, "_malloc_trim", lambda: trims.append)
+    args = [*GOLDEN_ARGS, "--days", "2", "--out", str(tmp_path)]
+    assert _run(args) == 0
+    assert trims == [0] * 12
+    trims.clear()
+    assert _run(args) == 0
+    assert trims == []
+
+
+def _raising(exc: type[Exception]):
+    def cdll(name):
+        raise exc(name)
+    return cdll
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _raising(OSError),
+                                  _raising(TypeError)],
+                         ids=["no-symbol", "no-library", "no-default-library"])
+def test_a_c_library_without_malloc_trim_writes_the_same_reports(tmp_path, monkeypatch, cdll):
+    """Where the C library has no ``malloc_trim`` (musl, macOS) or none can be
+    opened by a null name (Windows), nothing is trimmed and nothing else changes."""
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._malloc_trim.cache_clear()
+    try:
+        assert cli._malloc_trim() is None
+        assert _run([*GOLDEN_ARGS, "--out", str(tmp_path)]) == 0
+    finally:
+        cli._malloc_trim.cache_clear()  # the real library is looked up again
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_SHA256}
+    assert got == GOLDEN_SHA256
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_max_iters_below_one_is_a_usage_error(tmp_path, capsys, value):
     code = _run(["--generate", "members=2", "--modes", "ecflexit", "--key", "equal",

@@ -879,3 +879,62 @@ def test_no_lp_model_outlives_a_run(tmp_path):
         assert not alive, alive
     """)
     assert (tmp_path / "trace.jsonl").read_text(), "no coordination round ran"
+
+
+# ---------------------------------------------------------------------------
+# Threads a solve wakes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="per-thread CPU times are read from /proc")
+@pytest.mark.skipif(lpcore._cpus() < 2, reason="one CPU: BLAS starts no worker thread")
+def test_a_day_solve_wakes_no_blas_thread():
+    """numpy's BLAS starts its worker threads at import, unless a variable
+    caps them at one; a BLAS call long enough to split, such as the dot
+    product of a day LP's objective (more than 16k columns), wakes them, and
+    they then spin beside HiGHS.  So with the variables unset, three day
+    solves leave every thread but the caller and ``lpcore``'s helper within
+    a few clock ticks of the CPU it had."""
+    _fresh("""
+        import os
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.pop(var, None)  # before numpy loads its BLAS
+        import threading
+        import time
+        from reccoord import central, lpcore
+        from reccoord.central import PlannerMode
+        from reccoord.scenario import SyntheticConfig, generate_synthetic
+
+        def cpu_ms():
+            out = {}
+            for tid in os.listdir("/proc/self/task"):
+                try:
+                    with open(f"/proc/self/task/{tid}/stat") as f:
+                        fields = f.read().rsplit(")", 1)[1].split()
+                except OSError:  # the thread ended
+                    continue
+                ticks = int(fields[11]) + int(fields[12])  # utime + stime
+                out[int(tid)] = ticks * 1000 / os.sysconf("SC_CLK_TCK")
+            return out
+
+        columns, solve = [], central.solve_lp
+
+        def recording(problem, warm=False):
+            columns.append(problem.num_variables)
+            return solve(problem, warm)
+
+        central.solve_lp = recording
+        solved = central.SolvedDay(generate_synthetic(SyntheticConfig(
+            members=24, seed=3, num_days=1)), 0)
+        before = cpu_ms()
+        for mode in (PlannerMode.SOLO_FIX, PlannerMode.EC_FIX, PlannerMode.SOLO_FLEX):
+            central.solve_centralized(solved, mode)
+        time.sleep(0.5)  # a woken BLAS thread spins on after the call returns
+        gained = {tid: ms - before.get(tid, 0.0) for tid, ms in cpu_ms().items()}
+        assert len(columns) == 3 and min(columns) > 16_000, columns
+        ours = {threading.get_native_id()}
+        if lpcore._helper is not None:
+            ours.add(lpcore._helper[0].native_id)
+        busy = {tid: ms for tid, ms in gained.items() if tid not in ours and ms > 30.0}
+        assert not busy, f"CPU ms gained by other threads: {busy}"
+    """)
