@@ -18,22 +18,22 @@ exceeds export plus twice the fee, the optimum matches
 legs follow in closed form from its net injection
 (:func:`reccoord.billing.settle_community`) instead of from the LP vertex.
 
-Batteries are always dispatchable.  PV is treated as data (no curtailment)
-unless explicitly allowed, in which case production becomes a bounded
-variable.  Multi-day runs solve day problems sequentially: vehicle and
-thermal states carry over, batteries re-anchor to their initial state each
-day because the day problem forces end-of-day recovery.
+Batteries are always dispatchable.  PV production is data: each member's
+balance row carries it on its right-hand side.  Multi-day runs solve day
+problems sequentially: vehicle and thermal states carry over, batteries
+re-anchor to their initial state each day because the day problem forces
+end-of-day recovery.
 
 ECFlex is solved in two phases on its own model: first with the device
 powers pinned to the references (the ECFix LP), then relaxed and re-run
 warm from that basis (:meth:`_DayModel.solve`).
 
 Every solve works on a :class:`SolvedDay`, one day sliced once with the
-schedules solved on it: each is solved once per mode, curtailment option,
-reference powers and carried states, and handed to every later solve asking
-for the same.  ECFlex's pinned phase also gives ECFix's schedule when both
-modes start from the same references and carried states, as on the first
-day.  A fresh :class:`SolvedDay` shares nothing.
+schedules solved on it: each is solved once per mode, reference powers and
+carried states, and handed to every later solve asking for the same.
+ECFlex's pinned phase also gives ECFix's schedule when both modes start from
+the same references and carried states, as on the first day.  A fresh
+:class:`SolvedDay` shares nothing.
 """
 
 from __future__ import annotations
@@ -267,15 +267,13 @@ def discomfort_eur(sched: MemberDaySchedule) -> float:
 class _DayModel:
     """LP for one day; keeps variable indexes so solutions map back to arrays."""
 
-    def __init__(self, solved: SolvedDay, mode: PlannerMode,
-                 refs: FlexRefs | None, allow_curtailment: bool,
+    def __init__(self, solved: SolvedDay, mode: PlannerMode, refs: FlexRefs | None,
                  initial_states: Mapping[str, CarriedState] | None):
         self.scenario = s = solved.scenario
         self.day = solved.day
         self.mode = mode
         self.refs = solved.defaults if refs is None else refs
         _check_refs(self.refs, s)
-        self.allow_curtailment = allow_curtailment
         self.initial_states = initial_states or {}
         self.problem = LpProblem("day")
         self.idx: dict[str, dict[str, np.ndarray]] = {}  # member id -> tag -> columns
@@ -294,8 +292,6 @@ class _DayModel:
             state = self.initial_states.get(uid, {})
             idx = self.idx[uid] = {tag: p.add_variables(f"{tag}.{uid}", T)
                                    for tag in ("pexp", "pimp")}
-            if self.allow_curtailment:
-                idx["ppv"] = p.add_variables(f"ppv.{uid}", T, 0.0, m.pv_max_kw)
 
             block = add_device_block(p, m, self.refs[uid], state, dt,
                                      pinned=self.mode.flexibility_pinned)
@@ -304,14 +300,9 @@ class _DayModel:
                             for spec in DEVICES if spec.power in block]
 
             # per step, the physical balance at the point of common coupling
-            rhs = -m.fixed_load_kw
             terms = [(idx["pexp"], 1.0), (idx["pimp"], -1.0)]
-            if self.allow_curtailment:
-                terms.append((idx["ppv"], -1.0))
-            else:
-                rhs = rhs + m.pv_max_kw
             terms += [(block[tag], sign) for tag, sign in FLEX_TAGS if tag in block]
-            p.add_rows("=", rhs, terms)
+            p.add_rows("=", m.pv_max_kw - m.fixed_load_kw, terms)
 
             for tag in DISCOMFORT_TAGS:
                 if tag in block:
@@ -360,7 +351,7 @@ class _DayModel:
         for m in s.members:
             series = {tag: x[cols] for tag, cols in self.idx[m.id].items()}
             series["pinj"] = series.pop("pexp") - series.pop("pimp")
-            series.setdefault("ppv", np.array(m.pv_max_kw))
+            series["ppv"] = np.array(m.pv_max_kw)
             members.append(MemberDaySchedule(m.id, series, refs=self.refs[m.id]))
         return settle_day(s, mode.value, self.day, members,
                           community=mode.community_allowed,
@@ -396,10 +387,10 @@ class SolvedDay:
     """One day of a scenario and the schedules solved on it, keyed by their LP.
 
     ``scenario`` is the day's slice of the scenario, ``day`` its index and
-    ``defaults`` its :func:`default_refs`.  The day LP is defined by the mode,
-    the curtailment option and every member's reference powers and carried
-    state; a key compares them bit for bit per device slot, a slot missing
-    from a mapping (or a member from the carried states) keying as no value.
+    ``defaults`` its :func:`default_refs`.  The day LP is defined by the mode
+    and every member's reference powers and carried state; a key compares them
+    bit for bit per device slot, a slot missing from a mapping (or a member
+    from the carried states) keying as no value.
     Only settled schedules are kept, never a HiGHS model, and never a failure.
     A hit hands back the stored :class:`DaySchedule` itself, which its users
     only read.
@@ -411,7 +402,7 @@ class SolvedDay:
         self.schedules: dict[tuple, DaySchedule] = {}
         self.defaults = default_refs(self.scenario)
 
-    def key(self, mode: PlannerMode, refs: FlexRefs | None, allow_curtailment: bool,
+    def key(self, mode: PlannerMode, refs: FlexRefs | None,
             initial_states: Mapping[str, CarriedState] | None) -> tuple:
         refs = self.defaults if refs is None else refs
         states = initial_states or {}
@@ -422,7 +413,7 @@ class SolvedDay:
             members.append((m.id, None if r is None else
                             tuple(_bits(r.get(spec.name)) for spec in DEVICES),
                             tuple(_bits(state.get(spec.name)) for spec in DEVICES)))
-        return mode, allow_curtailment, tuple(members)
+        return mode, tuple(members)
 
 
 def _bits(value) -> bytes | None:
@@ -432,7 +423,6 @@ def _bits(value) -> bytes | None:
 
 def solve_centralized(solved: SolvedDay, mode: PlannerMode,
                       refs: FlexRefs | None = None,
-                      allow_curtailment: bool = False,
                       initial_states: Mapping[str, CarriedState] | None = None) -> DaySchedule:
     """Solve the day of ``solved`` under one mode and return the full schedule.
 
@@ -441,13 +431,13 @@ def solve_centralized(solved: SolvedDay, mode: PlannerMode,
     stores its optimal pinned phase as ECFix's schedule: that phase is the
     ECFix LP, solved cold as ECFix solves it.
     """
-    key = solved.key(mode, refs, allow_curtailment, initial_states)
+    key = solved.key(mode, refs, initial_states)
     if key in solved.schedules:
         return solved.schedules[key]
-    model = _DayModel(solved, mode, refs, allow_curtailment, initial_states)
+    model = _DayModel(solved, mode, refs, initial_states)
     solution = model.solve()
     if model.pinned is not None and model.pinned.status is LpStatus.OPTIMAL:
-        ecfix = solved.key(PlannerMode.EC_FIX, refs, allow_curtailment, initial_states)
+        ecfix = solved.key(PlannerMode.EC_FIX, refs, initial_states)
         if ecfix not in solved.schedules:
             solved.schedules[ecfix] = model.extract(model.pinned, PlannerMode.EC_FIX)
     if solution.status is LpStatus.INFEASIBLE:

@@ -33,7 +33,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +60,6 @@ class RunConfig:
     days: int | None
     out_dir: Path
     trace: bool = False
-    allow_curtailment: bool = False
     max_iterations: int = 100
 
     def __post_init__(self) -> None:
@@ -151,8 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     run.add_argument("--trace", action="store_true",
                      help="write the coordination iteration trace")
-    run.add_argument("--allow-curtailment", action="store_true",
-                     help="let centralized modes curtail PV production")
     run.add_argument("--max-iters", type=int, default=100,
                      help="iteration cap of the coordination loop")
     return parser
@@ -180,7 +176,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         days=args.days,
         out_dir=args.out,
         trace=args.trace,
-        allow_curtailment=args.allow_curtailment,
         max_iterations=args.max_iters,
     )
 
@@ -260,10 +255,9 @@ class _Checkpoint:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` so that a crash leaves the old file or the new one."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    """Replace ``path`` by ``data`` as :func:`reporting.replacing` does."""
+    with reporting.replacing(path) as tmp:
+        tmp.write_bytes(data)
 
 
 #: Version of the checkpoint files; raised whenever their layout, or what the
@@ -281,7 +275,6 @@ def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
     settings = {
         "checkpoint_format": CHECKPOINT_FORMAT,
         "key": config.key,
-        "allow_curtailment": config.allow_curtailment,
         "max_iterations": config.max_iterations,
     }
     h.update(json.dumps(settings, sort_keys=True).encode())
@@ -337,8 +330,7 @@ def _solve_day(solved: central.SolvedDay, mode_name: str,
                 max_iterations=config.max_iterations, initial_states=carried)
         else:
             sched, traces = central.solve_centralized(
-                solved, PlannerMode(mode_name), initial_states=carried,
-                allow_curtailment=config.allow_curtailment), []
+                solved, PlannerMode(mode_name), initial_states=carried), []
     except (central.PlannerError, decentral.DecentralError, LpError) as exc:
         # name the planner only where it is not the mode run
         detail = exc.reason if isinstance(exc, central.DayLpError) \
@@ -445,8 +437,7 @@ def _open(config: RunConfig) -> tuple[Callable[[], Scenario], int, _Checkpoint]:
         checkpoint = _Checkpoint(config.out_dir, _fingerprint(scenario_bytes, config))
         if config.generate is not None:
             config.out_dir.mkdir(parents=True, exist_ok=True)
-            with reporting.replacing(config.out_dir / "scenario.json") as tmp:
-                tmp.write_bytes(scenario_bytes)
+            _write_atomic(config.out_dir / "scenario.json", scenario_bytes)
     except OSError as exc:
         raise UsageError(f"cannot write to the output directory: {exc}") from exc
     return scenario, days, checkpoint

@@ -32,7 +32,7 @@ import base64
 import csv
 import io
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
@@ -73,17 +73,18 @@ def replacing(path: Path) -> Iterator[Path]:
     temp file renamed into its place.  The old file is never truncated or
     renamed over, either of which can make the write wait for disk writeback
     (ext4 does), and a crash leaves the old file or no file, never a cut one.
-    If the old file cannot be removed (a directory in its place), the temp
-    file is removed and the error raised.
+    If the body fails (a full disk) or the old file cannot be removed (a
+    directory in its place), the temp file is removed and the error raised.
     """
     tmp = path.with_name(path.name + ".tmp")
-    yield tmp
     try:
+        yield tmp
         path.unlink(missing_ok=True)
-    except OSError:
-        tmp.unlink()
+        tmp.rename(path)
+    except BaseException:
+        with suppress(OSError):  # a directory in place of the temp file stays
+            tmp.unlink(missing_ok=True)
         raise
-    tmp.rename(path)
 
 
 @contextmanager

@@ -191,14 +191,14 @@ def test_infeasible_day_raises_naming_the_mode():
 
 def _cold_ecflex(scenario, initial_states=None):
     """ECFlex's own model solved cold, and that model."""
-    model = _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, False, initial_states)
+    model = _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, initial_states)
     return solve_lp(model.problem), model
 
 
 def test_ecflex_warm_from_its_pinned_basis_reaches_the_cold_optimum():
     s = generate_synthetic(SyntheticConfig(members=40, seed=3))
     cold, cold_model = _cold_ecflex(s)
-    model = _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, None, False, None)
+    model = _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, None, None)
     warm = model.solve()
     assert warm.objective == pytest.approx(cold.objective, rel=TOL_OPT)
     assert verify_day_schedule(s.for_day(0), model.extract(warm)) == []
@@ -276,20 +276,20 @@ def test_reference_dimension_mismatch_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     refs = {"u1": {"wb": np.zeros(3)}}
     with pytest.raises(PlannerError, match="reference length"):
-        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, refs, False, None)
+        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, refs, None)
 
 
 def test_reference_for_a_device_not_owned_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     refs = {"u1": {"wb": np.zeros(4), "ev": np.zeros(4), "bss": np.zeros(4)}}
     with pytest.raises(PlannerError, match=r"member u1: .* not own: \['bss', 'ev'\]"):
-        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, refs, False, None)
+        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, refs, None)
 
 
 def test_missing_member_reference_rejected():
     s = make_scenario([_wb_pv_member()], steps=4)
     with pytest.raises(PlannerError, match="missing"):
-        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, {}, False, None)
+        _DayModel(SolvedDay(s, 0), PlannerMode.EC_FLEX, {}, None)
 
 
 @pytest.mark.parametrize("refs, message", [
@@ -369,16 +369,6 @@ def test_multi_day_carry_over_and_daily_battery_anchor():
             if m.series.get("socb") is not None:
                 member = s.member(m.member_id)
                 assert m.series["socb"][-1] == pytest.approx(member.bss.soc_init, abs=1e-6)
-
-
-def test_curtailment_option_is_free_under_positive_export_price():
-    cfg = SyntheticConfig(members=3, seed=2, dt_hours=1.0,
-                          pv_total_kwp=20.0)
-    s = generate_synthetic(cfg)
-    base = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX)
-    curt = solve_centralized(SolvedDay(s, 0), PlannerMode.EC_FLEX, allow_curtailment=True)
-    assert curt.objective_value == pytest.approx(base.objective_value, rel=1e-6, abs=1e-6)
-    assert verify_day_schedule(s.for_day(0), curt) == []
 
 
 def test_default_refs_copy_scenario_profiles():
@@ -518,17 +508,16 @@ class TestSolvedDay:
         assert solve_centralized(solved, PlannerMode.SOLO_FLEX, refs=refs,
                                  initial_states=states) is sched
         assert len(builds) == 1
-        # another mode, option, state or reference is another LP
+        # another mode, state or reference is another LP
         moved = dict(refs)
         uid = next(m.id for m in scenario.members if m.wb is not None)
         moved[uid] = {**refs[uid], "wb": np.roll(refs[uid]["wb"], 1)}
         for kwargs in ({"mode": PlannerMode.SOLO_FIX},
-                       {"allow_curtailment": True},
                        {"initial_states": final_states(sched)},
                        {"refs": moved}):
             other = solve_centralized(solved, **{"mode": PlannerMode.SOLO_FLEX, **kwargs})
             assert other is not sched
-        assert len(builds) == 5
+        assert len(builds) == 4
 
     def test_fresh_days_share_nothing(self, scenario, monkeypatch):
         builds = self._count_builds(monkeypatch)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -47,12 +49,26 @@ def test_gap_rows_emitted_when_both_schemes_run(tmp_path):
     assert "savings_gap" in text
 
 
-def test_unknown_key_name_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [["--key", "fifo"],
+                                   ["--key", "equal", "--allow-curtailment"]],
+                         ids=["key-fifo", "allow-curtailment"])
+def test_unknown_key_name_is_a_usage_error(tmp_path, capsys, flags):
+    """argparse rejects a choice it does not know and a flag it does not have."""
     with pytest.raises(SystemExit) as err:
-        _run(["--generate", GEN, "--modes", "ecflexit", "--key", "fifo",
-              "--out", str(tmp_path)])
+        _run(["--generate", GEN, "--modes", "ecflexit", *flags, "--out", str(tmp_path)])
     assert err.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_the_readme_lists_every_run_flag():
+    """The README's ``Flags:`` paragraph names exactly the options of ``run``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("\nFlags: "):].split("\n\n")[0]
+    parser = cli.build_parser()
+    run = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    flags = {s for a in run._actions for s in a.option_strings} - {"-h", "--help"}
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == flags
 
 
 def test_decentral_mode_without_key_is_a_usage_error(tmp_path, capsys):
@@ -165,12 +181,15 @@ def test_infeasible_day_exits_1_naming_mode_and_day(tmp_path, capsys):
     assert err.count("ECFlex") == 1 and err.count("day") == 1
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: day 2's ECFlex LP is infeasible "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: day 2's LP is infeasible "
                                         "from the state day 1 carries (exits 1)")
-def test_ecflex_survives_the_states_it_carries_into_day_2(tmp_path):
-    """The smallest run that fails on a carried state sitting on a tolerance edge."""
+@pytest.mark.parametrize("modes", [["ecflex"], ["ecflexitprimed", "--key", "equal"]],
+                         ids=["ecflex", "ecflexitprimed"])
+def test_ecflex_survives_the_states_it_carries_into_day_2(tmp_path, modes):
+    """The smallest runs that fail on a carried state sitting on a tolerance
+    edge: ECFlex's own day LP, and ECFlexItPrimed's SoloFlex priming."""
     assert _run(["--generate", "members=6", "--seed", "7", "--dt", "1.0", "--days", "3",
-                 "--modes", "ecflex", "--out", str(tmp_path)]) == 0
+                 "--modes", *modes, "--out", str(tmp_path)]) == 0
 
 
 def test_a_rejected_lp_names_mode_and_day(tmp_path, capsys):
@@ -484,6 +503,38 @@ def test_a_rerun_replaces_its_files_instead_of_writing_through_them(tmp_path, na
     assert not list((tmp_path / "out").glob("*.tmp"))
 
 
+@pytest.mark.parametrize("target", ["report", "checkpoint"])
+def test_a_write_that_fails_leaves_no_temp_file(tmp_path, monkeypatch, capsys, target):
+    """A disk that fills up while a report or a checkpoint is written ends
+    the run with exit 2, removes the temp file and keeps the old file."""
+    args = ["--generate", "members=2", "--seed", "1", "--dt", "1.0", "--modes", "solofix",
+            "--out", str(tmp_path)]
+    assert _run(args) == 0
+    written = (tmp_path / "schedules.csv").read_bytes()
+
+    def full_disk(*_):
+        raise OSError(28, "No space left on device")
+
+    if target == "report":
+        monkeypatch.setattr(reporting, "_write_schedule_rows", full_disk)
+    else:
+        (tmp_path / "checkpoint" / "SoloFix_0000.json").unlink()
+        write_bytes = Path.write_bytes
+
+        def half_written(path, data):
+            if path.parent.name != "checkpoint":
+                return write_bytes(path, data)
+            write_bytes(path, data[: len(data) // 2])
+            full_disk()
+
+        monkeypatch.setattr(Path, "write_bytes", half_written)
+    capsys.readouterr()
+    assert _run(args) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert (tmp_path / "schedules.csv").read_bytes() == written
+
+
 def test_checkpoint_invalidated_when_settings_change(tmp_path):
     out = tmp_path / "out"
     args = ["--generate", GEN, "--seed", "5", "--days", "1", "--dt", "1.0",
@@ -740,7 +791,7 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
             == (tmp_path / "linprog" / name).read_bytes(), name
 
     cold_ecflex = solve_with_linprog(
-        central._DayModel(day, central.PlannerMode.EC_FLEX, None, False, None).problem)
+        central._DayModel(day, central.PlannerMode.EC_FLEX, None, None).problem)
     assert ecflex.objective_value == pytest.approx(cold_ecflex.objective, rel=TOL_OPT)
     assert central.verify_day_schedule(day.scenario, ecflex) == []
     for mode in warm:

@@ -327,7 +327,7 @@ def community():
 
 
 def _day_lp(scenario) -> LpProblem:
-    return _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, False, None).problem
+    return _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, None).problem
 
 
 def _member_agent(scenario) -> MemberAgent:
@@ -409,7 +409,7 @@ def test_structural_edit_drops_the_attached_model():
 def _pinned_day_lp(scenario):
     """The ECFlex day LP with every device power bound to its reference, and
     those columns with their flexible bounds."""
-    model = _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, False, None)
+    model = _DayModel(SolvedDay(scenario, 0), PlannerMode.EC_FLEX, None, None)
     p = model.problem
     cols = np.concatenate([c for c, _ in model._power])
     refs = np.concatenate([r for _, r in model._power])
