@@ -19,7 +19,9 @@ instead of re-solving; a checkpoint is only reused when the scenario content,
 run parameters (``--days`` aside) and checkpoint format hash identically, and
 a file only when its digest shows it holds the bytes written for that run,
 mode and day.  A scenario file is parsed only when a day must be solved, so a
-complete resume parses none.
+complete resume parses none.  ``schedules.csv`` is rendered only when the
+checkpoints its rows come from, or the file's bytes, changed since its last
+write, so a complete resume leaves it in place and rewrites the other reports.
 
 Exit codes: 0 success, 1 solve/runtime failure (diagnostic names the mode
 and day), 2 usage or input errors.
@@ -202,6 +204,11 @@ class _Checkpoint:
     :meth:`load` is ``None`` and touches no file; the first :meth:`store`
     makes the directory, removes the stale files and writes ``meta.json``.
     So a run that fails before it has a result to store writes nothing here.
+
+    ``meta.json`` also holds the record of the last ``schedules.csv`` written
+    (see :func:`reporting.write_report`).  Its source is :meth:`source`, a
+    hash of the report's modes and of the digest of every checkpoint its rows
+    come from, which identifies the rows as long as the format does.
     """
 
     def __init__(self, out_dir: Path, fingerprint: str):
@@ -209,20 +216,25 @@ class _Checkpoint:
         self.meta = self.dir / "meta.json"
         self.fingerprint = fingerprint
         self.current = False
+        self.schedules = None  # the record of schedules.csv in meta.json
+        self.digests: dict[tuple[str, int], str] = {}  # of each (mode, day) loaded or stored
         if self.meta.exists():
             try:
-                self.current = json.loads(self.meta.read_text())["fingerprint"] == fingerprint
+                meta = json.loads(self.meta.read_text())
+                self.current = meta["fingerprint"] == fingerprint
+                self.schedules = meta.get("schedules") if self.current else None
             except (ValueError, KeyError, TypeError):  # not UTF-8, not JSON, not an object
                 pass
 
     def _path(self, mode: str, day: int) -> Path:
         return self.dir / f"{mode}_{day:04d}.json"
 
-    def _head(self, mode: str, day: int, rest: bytes) -> bytes:
-        """The :data:`_HEAD` bytes that precede ``rest`` in the file of ``mode`` on ``day``."""
+    def _digest(self, mode: str, day: int, rest: bytes) -> str:
+        """The digest of the file of ``mode`` on ``day`` whose bytes after the
+        first :data:`_HEAD` are ``rest``."""
         digest = hashlib.sha256(f"{self.fingerprint} {mode} {day}\n".encode())
         digest.update(rest)
-        return b'{"sha256":"%s",' % digest.hexdigest().encode()
+        return digest.hexdigest()
 
     def load(self, mode: str, day: int):
         path = self._path(mode, day)
@@ -232,26 +244,61 @@ class _Checkpoint:
             raw = path.read_bytes()
         except OSError as exc:
             raise UsageError(f"cannot read the checkpoint: {exc}") from exc
-        if raw[:_HEAD] != self._head(mode, day, raw[_HEAD:]):
+        digest = self._digest(mode, day, raw[_HEAD:])
+        if raw[:_HEAD] != _head(digest):
             log.warning("%s day %d: unreadable checkpoint %s (its bytes are not those written "
                         "for this run, mode and day); recomputing", mode, day, path.name)
             return None
         doc = json.loads(raw)
+        self.digests[mode, day] = digest
         return reporting.schedule_from_dict(doc["schedule"]), doc["traces"]
 
     def store(self, mode: str, day: int, sched, trace_lines: list[str]) -> None:
         doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_lines}
         rest = json.dumps(doc, separators=(",", ":"))[1:].encode()  # after the "{"
+        digest = self._digest(mode, day, rest)
         try:
             if not self.current:
                 self.dir.mkdir(parents=True, exist_ok=True)
                 for item in self.dir.glob("*.json"):
                     item.unlink()
-                _write_atomic(self.meta, json.dumps({"fingerprint": self.fingerprint}).encode())
+                self._write_meta(None)
                 self.current = True
-            _write_atomic(self._path(mode, day), self._head(mode, day, rest) + rest)
+            _write_atomic(self._path(mode, day), _head(digest) + rest)
         except OSError as exc:
             raise UsageError(f"cannot write the checkpoint: {exc}") from exc
+        self.digests[mode, day] = digest
+
+    def source(self, modes: list[str], days: int) -> str:
+        """The key of the ``schedules.csv`` rows of ``modes``, in that order,
+        over ``days``: the SHA-256 of the mode list and of each mode's
+        checkpoint digests, day by day.  Every (mode, day) must have been
+        loaded or stored."""
+        key = hashlib.sha256(json.dumps(modes).encode())
+        for mode in modes:
+            for day in range(days):
+                key.update(self.digests[mode, day].encode())
+        return key.hexdigest()
+
+    def record_schedules(self, record: dict) -> None:
+        """Store ``record`` as the record of ``schedules.csv``, unless it is stored."""
+        if record != self.schedules:
+            try:
+                self._write_meta(record)
+            except OSError as exc:
+                raise UsageError(f"cannot write the checkpoint: {exc}") from exc
+            self.schedules = record
+
+    def _write_meta(self, schedules: dict | None) -> None:
+        meta = {"fingerprint": self.fingerprint}
+        if schedules is not None:
+            meta["schedules"] = schedules
+        _write_atomic(self.meta, json.dumps(meta).encode())
+
+
+def _head(digest: str) -> bytes:
+    """The first :data:`_HEAD` bytes of a checkpoint file with ``digest``."""
+    return b'{"sha256":"%s",' % digest.encode()
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -261,7 +308,9 @@ def _write_atomic(path: Path, data: bytes) -> None:
 
 
 #: Version of the checkpoint files; raised whenever their layout, or what the
-#: planners or the settlement write, changes, so older checkpoints are recomputed.
+#: planners or the settlement write, changes, or the ``schedules.csv`` rows
+#: rendered from the same schedules change, so older checkpoints are recomputed
+#: and a kept ``schedules.csv`` is rendered again.
 CHECKPOINT_FORMAT = 7
 
 
@@ -455,7 +504,9 @@ def run(config: RunConfig) -> reporting.ReportFiles:
     benefits = billing.individual_benefits(results, baseline)
     try:
         return reporting.write_report(
-            report, results, config.out_dir, benefits=benefits, traces=traces)
+            report, results, config.out_dir, benefits=benefits, traces=traces,
+            schedules_source=checkpoint.source(config.modes, days),
+            schedules_record=checkpoint.schedules, store_record=checkpoint.record_schedules)
     except OSError as exc:
         raise UsageError(f"cannot write the report: {exc}") from exc
 

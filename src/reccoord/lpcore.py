@@ -55,7 +55,8 @@ import os
 import queue
 import sys
 import threading
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Literal, NamedTuple
 
@@ -84,10 +85,18 @@ class LpError(Exception):
 
 @dataclass
 class LpSolution:
+    """A solve's result, and the HiGHS run behind it: its simplex
+    iterations, whether it started from an earlier basis, and its wall time
+    in seconds.  The run's fields are not part of equality, and no report,
+    checkpoint or trace holds them."""
+
     status: LpStatus
     objective: float | None
     x: np.ndarray | None
     message: str = ""
+    iterations: int = field(default=0, compare=False)
+    warm: bool = field(default=False, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
 
 #: A CSC matrix as the arrays ``(indptr, indices, data)``.
@@ -300,18 +309,20 @@ def _bound_arrays(lb, ub, size: int, name_of) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _solution(problem: LpProblem, status: LpStatus, x: np.ndarray | None,
-              message: str) -> LpSolution:
+              message: str, **run) -> LpSolution:
     """A solver's result; an optimal point violating the problem is a numeric error.
+    ``run`` are the :class:`LpSolution` fields of the solver run.
 
     The objective is summed without BLAS: a dot product of a day LP's length
     wakes OpenBLAS's worker threads, which then spin beside the solver."""
     if status is LpStatus.OPTIMAL:
         violation = problem.max_violation(x)
         if violation <= TOL_FEAS:
-            return LpSolution(status, float(np.sum(problem.objective_vector() * x)), x, message)
+            return LpSolution(status, float(np.sum(problem.objective_vector() * x)), x, message,
+                              **run)
         status = LpStatus.NUMERIC_ERROR
         message = f"solver returned an infeasible point (violation {violation:.3e})"
-    return LpSolution(status, None, None, message)
+    return LpSolution(status, None, None, message, **run)
 
 
 #: SciPy's HiGHS extension, or None until :func:`_load_highs` loads it.
@@ -376,8 +387,8 @@ class _HighsModel:
     """A HiGHS model attached to one problem; edits reach it as in-place diffs.
 
     ``fresh`` says that the last run saw the model as it is now, ``ran``
-    that a run has left a basis to start from, and ``warm`` that the last run
-    started from one.
+    that a run has left a basis to start from, ``warm`` that the last run
+    started from one, and ``seconds`` how long that run took.
     """
 
     def __init__(self, problem: LpProblem):
@@ -386,6 +397,7 @@ class _HighsModel:
         except ImportError as exc:
             raise LpError(f"cannot load the HiGHS solver: {exc}") from exc
         self.fresh = self.ran = self.warm = False
+        self.seconds = 0.0
         a, self.lhs, self.rhs = problem._highs_layout()
         self.lb, self.ub = problem.bounds()
         shape = problem.num_constraints, problem.num_variables
@@ -433,9 +445,11 @@ def _synced(problem: LpProblem) -> _HighsModel:
 def _run(model: _HighsModel, warm: bool = False) -> None:
     """A HiGHS run, cold unless ``warm`` (then from the basis of the last run);
     releases the GIL, so it may run on the helper thread."""
+    start = time.perf_counter()
     if not warm:
         model.highs.clearSolver()
     model.highs.run()
+    model.seconds = time.perf_counter() - start
     model.fresh = model.ran = True
     model.warm = warm
 
@@ -530,9 +544,11 @@ def solve_lp(problem: LpProblem, warm: bool = False) -> LpSolution:
 
 
 def _read(problem: LpProblem, model: _HighsModel) -> LpSolution:
-    """The checked result of the model's last run."""
+    """The checked result of the model's last run, and that run's figures."""
     h = model.highs
     status = h.getModelStatus()
     ours = _HIGHS_STATUS.get(status, LpStatus.NUMERIC_ERROR)
     x = np.array(h.getSolution().col_value) if ours is LpStatus.OPTIMAL else None
-    return _solution(problem, ours, x, h.modelStatusToString(status))
+    return _solution(problem, ours, x, h.modelStatusToString(status),
+                     iterations=h.getInfo().simplex_iteration_count, warm=model.warm,
+                     seconds=model.seconds)

@@ -12,6 +12,13 @@ cells are quoted once by the same ``csv`` dialect as the other files into a
 ``%`` template of the day, and each step's values are formatted by one ``%``,
 except ``+0.0`` values, written as a literal ``0``.
 
+A re-run need not render ``schedules.csv`` again.  Given a *source*, a key
+of what the rows are rendered from, :func:`write_report` keeps the file in
+place when the record of its last write names that source and the file still
+hashes to the record's SHA-256; the caller stores the record of each new
+write (see :class:`reccoord.cli._Checkpoint`).  The other three reports are
+rewritten on every call.
+
 ``trace.jsonl`` holds one :func:`trace_line` per coordination round.  A run
 serializes each round once; the checkpoint keeps those lines and the report
 writes them as they are.
@@ -30,12 +37,13 @@ from __future__ import annotations
 
 import base64
 import csv
+import hashlib
 import io
 import json
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -94,6 +102,33 @@ def _rewrite(path: Path) -> Iterator[TextIO]:
         yield handle
 
 
+#: Bytes read per call when a file is hashed.
+_CHUNK = 1 << 20
+
+
+def _sha256(path: Path) -> str | None:
+    """The SHA-256 of the file at ``path``, read in :data:`_CHUNK`-byte
+    pieces so that a large report is never held whole; None if it cannot be
+    read (missing, or a directory in its place)."""
+    digest = hashlib.sha256()
+    try:
+        with path.open("rb") as handle:
+            while chunk := handle.read(_CHUNK):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _holds(path: Path, source: str, record: object) -> bool:
+    """Whether ``record`` was stored for ``path`` rendered from ``source`` and
+    the file still hashes to it; a record of any other shape holds nothing."""
+    if not isinstance(record, dict) or record.get("source") != source:
+        return False
+    digest = _sha256(path)
+    return digest is not None and record.get("sha256") == digest
+
+
 def _csv_writer(handle: TextIO):
     return csv.writer(handle, lineterminator="\n")
 
@@ -137,13 +172,24 @@ def trace_line(trace: IterationTrace) -> str:
 def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                  out_dir: str | Path,
                  benefits: Mapping[str, Sequence[MemberBenefit]] | None = None,
-                 traces: Iterable[str] = ()) -> ReportFiles:
+                 traces: Iterable[str] = (), schedules_source: str | None = None,
+                 schedules_record: object = None,
+                 store_record: Callable[[dict], None] | None = None) -> ReportFiles:
     """Write the four report files under ``out_dir`` (created if missing).
 
     ``traces`` are the rounds' :func:`trace_line` strings, written as given.
     Each file replaces the one of an earlier run as :func:`replacing` does:
     no earlier report is truncated or written through, so a re-run into the
     same directory does not wait for the old files' pages to reach the disk.
+
+    ``schedules_source`` is a key of ``schedules``: equal keys must render
+    equal rows.  With one, ``schedules.csv`` is kept in place when
+    ``schedules_record``, the record an earlier call stored, names the same
+    source and the file still hashes to it.  Otherwise the file is rendered
+    and hashed, and ``store_record`` is called with its new record,
+    ``{"source": schedules_source, "sha256": <hex>}``; it must be given with
+    a source.  Without a source the file is always rendered and no record is
+    made.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,11 +224,15 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                 writer.writerow([b.member_id, mode, _fmt(b.bill_delta_eur),
                                  _fmt(b.discomfort_delta_eur), _fmt(b.flex_revenue_eur)])
 
-    with _rewrite(files.schedules_csv) as handle:
-        _csv_writer(handle).writerow(["mode", "day", "t", "member", "variable", "value"])
-        for mode, day_schedules in schedules.items():
-            for sched in day_schedules:
-                _write_schedule_rows(handle, mode, sched)
+    if schedules_source is None or not _holds(files.schedules_csv, schedules_source,
+                                              schedules_record):
+        with _rewrite(files.schedules_csv) as handle:
+            _csv_writer(handle).writerow(["mode", "day", "t", "member", "variable", "value"])
+            for mode, day_schedules in schedules.items():
+                for sched in day_schedules:
+                    _write_schedule_rows(handle, mode, sched)
+        if schedules_source is not None:
+            store_record({"source": schedules_source, "sha256": _sha256(files.schedules_csv)})
 
     with _rewrite(files.trace_jsonl) as fh:
         fh.writelines(f"{line}\n" for line in traces)

@@ -506,11 +506,14 @@ def test_a_rerun_replaces_its_files_instead_of_writing_through_them(tmp_path, na
 @pytest.mark.parametrize("target", ["report", "checkpoint"])
 def test_a_write_that_fails_leaves_no_temp_file(tmp_path, monkeypatch, capsys, target):
     """A disk that fills up while a report or a checkpoint is written ends
-    the run with exit 2, removes the temp file and keeps the old file."""
+    the run with exit 2, removes the temp file and keeps the old file.  The
+    old ``schedules.csv`` has one byte flipped, so the run must render it."""
     args = ["--generate", "members=2", "--seed", "1", "--dt", "1.0", "--modes", "solofix",
             "--out", str(tmp_path)]
     assert _run(args) == 0
-    written = (tmp_path / "schedules.csv").read_bytes()
+    written = bytearray((tmp_path / "schedules.csv").read_bytes())
+    written[-2] ^= 1
+    (tmp_path / "schedules.csv").write_bytes(written)
 
     def full_disk(*_):
         raise OSError(28, "No space left on device")
@@ -533,6 +536,154 @@ def test_a_write_that_fails_leaves_no_temp_file(tmp_path, monkeypatch, capsys, t
     assert "No space left on device" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.tmp"))
     assert (tmp_path / "schedules.csv").read_bytes() == written
+
+
+def _schedules_args(path: Path, out: Path, modes: str = "solofix,ecfix,ecflexit",
+                    days: str = "2") -> list[str]:
+    return ["--scenario", str(path), "--modes", modes, "--key", "equal", "--days", days,
+            "--out", str(out)]
+
+
+def _count_renders(monkeypatch) -> list[tuple[str, int]]:
+    """The (mode, day) of every ``schedules.csv`` day rendered from now on."""
+    renders, write_rows = [], reporting._write_schedule_rows
+
+    def counting(handle, mode, sched):
+        renders.append((mode, sched.day))
+        return write_rows(handle, mode, sched)
+
+    monkeypatch.setattr(reporting, "_write_schedule_rows", counting)
+    return renders
+
+
+def _no_render(monkeypatch) -> None:
+    def fail(*_):
+        raise AssertionError("schedules.csv was rendered")
+
+    monkeypatch.setattr(reporting, "_write_schedule_rows", fail)
+
+
+def _stat(path: Path) -> tuple[int, int]:
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
+
+
+def test_a_complete_resume_leaves_schedules_csv_in_place(tmp_path, monkeypatch):
+    """The rows are a function of the checkpoints, so a resume that holds the
+    same checkpoints renders no row and leaves the file as it is."""
+    args = _schedules_args(_two_day_file(tmp_path), tmp_path / "out")
+    assert _run(args) == 0
+    cold = {name: (tmp_path / "out" / name).read_bytes() for name in REPORTS}
+    before = _stat(tmp_path / "out" / "schedules.csv")
+    _no_render(monkeypatch)
+    assert _run(args) == 0
+    assert _stat(tmp_path / "out" / "schedules.csv") == before
+    for name in REPORTS:
+        assert (tmp_path / "out" / name).read_bytes() == cold[name], name
+
+
+def test_toggling_trace_leaves_schedules_csv_in_place(tmp_path, monkeypatch):
+    path = _two_day_file(tmp_path)
+    assert _run([*_schedules_args(path, tmp_path / "traced"), "--trace"]) == 0
+    out = tmp_path / "out"
+    assert _run(_schedules_args(path, out)) == 0
+    assert (out / "trace.jsonl").read_bytes() == b""
+    before = _stat(out / "schedules.csv")
+    _no_render(monkeypatch)
+    assert _run([*_schedules_args(path, out), "--trace"]) == 0
+    assert _stat(out / "schedules.csv") == before
+    for name in REPORTS:
+        assert (out / name).read_bytes() == (tmp_path / "traced" / name).read_bytes(), name
+
+
+def _flip_byte(path: Path) -> None:
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(data)
+
+
+def _edit_meta(change):
+    def edit(out: Path, args: list[str]) -> None:
+        meta = out / "checkpoint" / "meta.json"
+        meta.write_text(change(json.loads(meta.read_text())))
+    return edit
+
+
+def _recompute_a_changed_day(out: Path, args: list[str]) -> None:
+    """Store an edited SoloFix day 1 as a valid checkpoint and render it,
+    then delete that checkpoint so the next run computes the day again."""
+    meta = json.loads((out / "checkpoint" / "meta.json").read_text())
+    checkpoint = cli._Checkpoint(out, meta["fingerprint"])
+    sched, traces = checkpoint.load("SoloFix", 1)
+    sched.members[0].series["pinj"][3] += 1.0
+    checkpoint.store("SoloFix", 1, sched, traces)
+    assert _run(args) == 0
+    (out / "checkpoint" / "SoloFix_0001.json").unlink()
+
+
+@pytest.mark.parametrize("edit, days, modes", [
+    (lambda out, _: _flip_byte(out / "schedules.csv"), "2", None),
+    (lambda out, _: (out / "schedules.csv").unlink(), "2", None),
+    (_edit_meta(lambda meta: "{"), "2", None),
+    (_edit_meta(lambda meta: json.dumps({**meta, "schedules": [meta["schedules"]]})),
+     "2", None),
+    (_edit_meta(lambda meta: json.dumps({**meta, "schedules": meta["schedules"]["sha256"]})),
+     "2", None),
+    (_edit_meta(lambda meta: json.dumps({**meta, "schedules": {**meta["schedules"],
+                                                                 "sha256": 0}})), "2", None),
+    (lambda *_: None, "2", "ecflexit,ecfix,solofix"),
+    (lambda *_: None, "1", None),
+    (_recompute_a_changed_day, "2", None),
+], ids=["flipped-byte", "deleted", "meta-not-json", "record-a-list",
+        "record-a-string", "sha256-not-a-string", "modes-reversed", "one-more-day",
+        "recomputed-day"])
+def test_schedules_csv_is_rendered_again_when_its_record_does_not_hold(
+        tmp_path, monkeypatch, edit, days, modes):
+    """A changed file, a record that is missing or not one, and other rows
+    (another mode order, one more day, a day recomputed to other numbers)
+    each make the run render ``schedules.csv`` to a cold run's bytes and
+    store its record; the run after renders nothing."""
+    path, out = _two_day_file(tmp_path), tmp_path / "out"
+    first = _schedules_args(path, out, days=days)
+    second = _schedules_args(path, out, **({"modes": modes} if modes else {}))
+    assert _run(first) == 0
+    edit(out, first)
+    renders = _count_renders(monkeypatch)
+    assert _run(second) == 0
+    assert renders
+    assert _run([*second[:-1], str(tmp_path / "cold")]) == 0
+    for name in REPORTS:
+        assert (out / name).read_bytes() == (tmp_path / "cold" / name).read_bytes(), name
+    record = json.loads((out / "checkpoint" / "meta.json").read_text())["schedules"]
+    assert record["sha256"] == hashlib.sha256((out / "schedules.csv").read_bytes()).hexdigest()
+    renders.clear()
+    assert _run(second) == 0
+    assert renders == []
+
+
+def test_a_meta_json_without_the_record_renders_once_and_solves_nothing(tmp_path, monkeypatch):
+    """A checkpoint written before ``meta.json`` held the record is reused as
+    it is; only ``schedules.csv`` is rendered, once, and ``meta.json`` gains
+    the record after the fingerprint."""
+    args = _schedules_args(_two_day_file(tmp_path), tmp_path / "out")
+    assert _run(args) == 0
+    checkpoints = {p.name: p.read_bytes() for p in (tmp_path / "out" / "checkpoint").iterdir()}
+    meta = json.loads(checkpoints.pop("meta.json"))
+    assert list(meta) == ["fingerprint", "schedules"]
+    assert list(meta["schedules"]) == ["source", "sha256"]
+    (tmp_path / "out" / "checkpoint" / "meta.json").write_text(
+        json.dumps({"fingerprint": meta["fingerprint"]}))
+    solves, renders = _count_solves(monkeypatch), _count_renders(monkeypatch)
+    assert _run(args) == 0
+    assert solves == []
+    assert renders == [(mode, day) for mode in ("SoloFix", "ECFix", "ECFlexIt")
+                       for day in (0, 1)]
+    assert json.loads((tmp_path / "out" / "checkpoint" / "meta.json").read_text()) == meta
+    renders.clear()
+    assert _run(args) == 0
+    assert renders == []
+    for name, data in checkpoints.items():
+        assert (tmp_path / "out" / "checkpoint" / name).read_bytes() == data, name
 
 
 def test_checkpoint_invalidated_when_settings_change(tmp_path):

@@ -480,6 +480,40 @@ def test_warm_without_a_basis_to_start_from_runs_cold(community, monkeypatch):
     assert _same_bits(got.x, solve_with_linprog(p).x)
 
 
+def _time_runs(monkeypatch) -> list[float]:
+    """The wall time of every HiGHS run from now on, as ``_run`` records it."""
+    times, run = [], lpcore._run
+
+    def timed(model, warm=False):
+        run(model, warm)
+        times.append(model.seconds)
+
+    monkeypatch.setattr(lpcore, "_run", timed)
+    return times
+
+
+def test_a_solution_reports_the_highs_run_behind_it(community, monkeypatch):
+    """A member LP solved cold, then warm from that basis: each solution holds
+    its run's simplex iterations, whether it was warm, and its wall time;
+    none of them is part of equality."""
+    agent = _member_agent(community)
+    problem = _limit_member(agent, 1.0)
+    times = _time_runs(monkeypatch)
+    cold = solve_lp(problem, warm=True)  # no basis yet: cold
+    cold_iterations = problem._attached.highs.getInfo().simplex_iteration_count
+    _limit_member(agent, 0.3)
+    warm = solve_lp(problem, warm=True)
+    assert (cold.warm, warm.warm) == (False, True)
+    assert cold.iterations == cold_iterations > 0
+    assert warm.iterations == problem._attached.highs.getInfo().simplex_iteration_count
+    assert [cold.seconds, warm.seconds] == times and min(times) > 0
+    assert solve_lp(problem, warm=True).seconds == warm.seconds  # not run again
+
+    solution = lpcore.LpSolution(LpStatus.OPTIMAL, 1.0, None, "Optimal")
+    assert solution == lpcore.LpSolution(LpStatus.OPTIMAL, 1.0, None, "Optimal",
+                                         iterations=7, warm=True, seconds=0.5)
+
+
 def _stop_warm_runs(monkeypatch) -> list[tuple[bool, LpStatus | None]]:
     """Warm HiGHS runs stopped before their first simplex iteration; returns
     the record of every run: started warm, and the status it ended with."""
@@ -501,14 +535,17 @@ def _stop_warm_runs(monkeypatch) -> list[tuple[bool, LpStatus | None]]:
 
 def test_a_warm_run_that_stops_short_is_run_again_cold(community, monkeypatch):
     """A warm run that does not end optimal is run again cold, once, and the
-    cold result is the answer."""
+    cold result is the answer, with the cold run's figures."""
     agent = _member_agent(community)
     problem = _limit_member(agent, 1.0)
     record = _stop_warm_runs(monkeypatch)
+    times = _time_runs(monkeypatch)
     assert solve_lp(problem, warm=True).status is LpStatus.OPTIMAL  # no basis yet: cold
     _limit_member(agent, 0.3)
     got = solve_lp(problem, warm=True)
     assert record == [(False, LpStatus.OPTIMAL), (True, None), (False, LpStatus.OPTIMAL)]
+    assert got.warm is False and got.seconds == times[-1]
+    assert got.iterations == problem._attached.highs.getInfo().simplex_iteration_count > 0
     want = solve_with_linprog(problem)
     assert got.status is want.status is LpStatus.OPTIMAL
     assert _same_bits(got.x, want.x)
