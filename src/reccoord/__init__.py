@@ -1,7 +1,7 @@
 """Scheduling and decentralized flexibility coordination for energy communities."""
 
-from .billing import (Bill, BillingError, MemberBenefit, ModeSummary, Report,
-                      activation_price, compute_bill, individual_benefits, summarize)
+from .billing import (Bill, BillingError, MemberBenefit, ModeSummary, activation_price,
+                      compute_bill, individual_benefits, summarize)
 from .central import (CarriedState, DayLpError, DaySchedule, DeviceRefs, FlexRefs,
                       InfeasibleDayError, MemberDaySchedule, PlannerMode, PlannerError,
                       SolvedDay, SolverFailureError, default_refs, final_states,

@@ -9,7 +9,7 @@ binary-float residue; schedule-dependent aggregation stays in floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -138,10 +138,16 @@ class MemberBenefit:
 
 @dataclass(frozen=True)
 class ModeSummary:
-    """Community-level aggregates for one mode, over all days run; the fields
-    after ``mode`` are the rows of ``summary.csv``, in order."""
+    """Community-level aggregates for one mode, over all days run; its fields
+    are the rows of ``summary.csv``, in order.
 
-    mode: str
+    The two gaps compare a decentralized mode's bill with ECFlex's, on both
+    published bases: ``raw_deviation`` is the extra cost as a share of the
+    centralized bill, ``savings_gap`` as a share of the centralized savings
+    over SoloFix.  They are None on every other mode, without the modes they
+    compare with, and where their base is zero.
+    """
+
     bill_eur: float
     discomfort_ev_eur: float
     discomfort_wb_eur: float
@@ -151,21 +157,8 @@ class ModeSummary:
     activated_wb_kwh: float
     activated_hp_kwh: float
     bss_discharge_kwh: float
-
-
-@dataclass(frozen=True)
-class Report:
-    """Scenario-level aggregates mirroring the result tables: per-mode bills,
-    discomforts, shifted energies, plus centralized-vs-decentralized gaps."""
-
-    modes: tuple[ModeSummary, ...]
-    gaps: Mapping[str, float]
-
-    def mode(self, name: str) -> ModeSummary:
-        for m in self.modes:
-            if m.mode == name:
-                return m
-        raise KeyError(name)
+    raw_deviation: float | None = None
+    savings_gap: float | None = None
 
 
 def _shifted_energy_kwh(power: np.ndarray | None, ref: np.ndarray | None,
@@ -181,8 +174,9 @@ def _shifted_energy_kwh(power: np.ndarray | None, ref: np.ndarray | None,
     return float(0.5 * np.sum(np.abs(power - ref)) * dt_hours)
 
 
-def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
-    """Aggregate per-mode day schedules into the community result table.
+def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> dict[str, ModeSummary]:
+    """Aggregate per-mode day schedules into the community result table, one
+    :class:`ModeSummary` per mode in the order of ``results``.
 
     Shifted ("activated") energy is measured against the reference profiles
     each schedule was built with, so self-consumption-primed modes report
@@ -190,7 +184,7 @@ def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
     """
     if not results:
         raise BillingError("summarize needs at least one mode")
-    summaries = []
+    summaries = {}
     for mode, schedules in results.items():
         bill = dis_bss = 0.0
         discomfort = {spec.name: 0.0 for spec in DEVICES}
@@ -207,39 +201,23 @@ def summarize(results: Mapping[str, Iterable["DaySchedule"]]) -> Report:
                         series.get(spec.power), m.refs.get(spec.name), dt)
                 if "pdis" in series:
                     dis_bss += float(np.sum(series["pdis"])) * dt
-        summaries.append(ModeSummary(
-            mode=mode, bill_eur=bill, activated_kwh=sum(activated.values()),
+        summaries[mode] = ModeSummary(
+            bill_eur=bill, activated_kwh=sum(activated.values()),
             bss_discharge_kwh=dis_bss,
             **{f"discomfort_{name}_eur": eur for name, eur in discomfort.items()},
-            **{f"activated_{name}_kwh": kwh for name, kwh in activated.items()}))
+            **{f"activated_{name}_kwh": kwh for name, kwh in activated.items()})
 
-    return Report(modes=tuple(summaries),
-                  gaps=_gap_metrics({s.mode: s for s in summaries}))
-
-
-def _gap_metrics(by_mode: Mapping[str, ModeSummary]) -> dict[str, float]:
-    """Decentralized-vs-centralized bill gaps, on both published bases.
-
-    ``*_savings_gap``: extra cost as a share of the centralized savings over
-    the solitary baseline.  ``*_raw_deviation``: extra cost as a share of the
-    centralized bill itself.
-    """
-    gaps: dict[str, float] = {}
-    central = by_mode.get("ECFlex")
-    if central is None:
-        return gaps
-    solofix = by_mode.get("SoloFix")
-    for name, summary in by_mode.items():
-        if not name.startswith("ECFlexIt"):
+    central, solofix = summaries.get("ECFlex"), summaries.get("SoloFix")
+    for mode, summary in summaries.items():
+        if central is None or not mode.startswith("ECFlexIt"):
             continue
+        extra = summary.bill_eur - central.bill_eur
         if abs(central.bill_eur) > 1e-12:
-            gaps[f"{name}_raw_deviation"] = (
-                (summary.bill_eur - central.bill_eur) / abs(central.bill_eur))
+            summary = replace(summary, raw_deviation=extra / abs(central.bill_eur))
         if solofix is not None and solofix.bill_eur - central.bill_eur > 1e-12:
-            gaps[f"{name}_savings_gap"] = (
-                (summary.bill_eur - central.bill_eur)
-                / (solofix.bill_eur - central.bill_eur))
-    return gaps
+            summary = replace(summary, savings_gap=extra / (solofix.bill_eur - central.bill_eur))
+        summaries[mode] = summary
+    return summaries
 
 
 def individual_benefits(results: Mapping[str, Iterable["DaySchedule"]],

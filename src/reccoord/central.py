@@ -539,6 +539,9 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
     Re-simulates every device from its power schedule, recomputes hinge
     discomforts and bills, and checks the power balances, daily conservation
     and community matching.  Returns human-readable problems; empty = clean.
+    A scenario member the schedule lacks, a schedule member the scenario
+    lacks, a missing series, device reference or bill are problems too; a
+    member lacking a series or reference is checked no further.
     """
     s = day_scenario
     dt = s.horizon.dt_hours
@@ -553,9 +556,25 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
     ecom_total = np.zeros(s.horizon.steps_per_day)
     icom_total = np.zeros(s.horizon.steps_per_day)
 
+    by_id = {ms.member_id: ms for ms in sched.members}
+    for member_id in sorted(by_id.keys() - {m.id for m in s.members}):
+        problems.append(f"{member_id}: not a member of the scenario")
     for m in s.members:
-        ms = sched.member(m.id)
+        ms = by_id.get(m.id)
+        if ms is None:
+            problems.append(f"{m.id}: missing from the schedule")
+            continue
         ss = ms.series
+        devices = [spec for spec in DEVICES if getattr(m, spec.name) is not None]
+        tags = ["pinj", "ppv", "iret", "eret", "icom", "ecom"]
+        if m.bss is not None:
+            tags += ["pcha", "pdis", "socb"]
+        tags += [tag for spec in devices for tag in (spec.power, spec.state, spec.discomfort)]
+        missing = [tag for tag in tags if tag not in ss]
+        missing += [f"{spec.name} reference" for spec in devices if spec.name not in ms.refs]
+        if missing:
+            problems.append(f"{m.id}: missing {', '.join(missing)}")
+            continue
         state = initial_states.get(m.id, {})
         inj, pv = ss["pinj"], ss["ppv"]
         iret, eret, icom, ecom = ss["iret"], ss["eret"], ss["icom"], ss["ecom"]
@@ -587,8 +606,11 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
                   f"{m.id}: community exchange in a solo mode")
 
         bill = billing.compute_bill(m.id, iret, eret, icom, ecom, s.prices, dt)
-        check(abs(bill.total_eur - ms.bill.total_eur) <= tol,
-              f"{m.id}: stored bill {ms.bill.total_eur} != recomputed {bill.total_eur}")
+        if ms.bill is None:
+            problems.append(f"{m.id}: no bill")
+        else:
+            check(abs(bill.total_eur - ms.bill.total_eur) <= tol,
+                  f"{m.id}: stored bill {ms.bill.total_eur} != recomputed {bill.total_eur}")
 
         if m.bss is not None:
             cha, dis, level = ss["pcha"], ss["pdis"], ss["socb"]
@@ -604,10 +626,8 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
             check(np.min(dis) >= -tol and np.max(dis) <= m.bss.max_power_kw + tol,
                   f"{m.id}: battery discharge power out of bounds")
 
-        for spec in DEVICES:
+        for spec in devices:
             device = getattr(m, spec.name)
-            if device is None:
-                continue
             what = f"{m.id}: {spec.label}"
             power, level = ss[spec.power], ss[spec.state]
             traj = spec.simulate(device, power, dt, state.get(spec.name))

@@ -102,7 +102,9 @@ _GENERATE_KEYS = {
 }
 
 
-def _parse_generate(text: str, seed: int, days: int, dt_hours: float) -> SyntheticConfig:
+def _parse_generate(text: str, **given) -> SyntheticConfig:
+    """The generator settings of ``--generate``'s ``text`` and the ``given``
+    fields not None; :class:`SyntheticConfig` supplies every other one."""
     kwargs = {}
     for item in text.split(","):
         item = item.strip()
@@ -122,7 +124,7 @@ def _parse_generate(text: str, seed: int, days: int, dt_hours: float) -> Synthet
             raise UsageError(f"--generate {key} needs a {conv.__name__}, got {value!r}")
     if "members" not in kwargs:
         raise UsageError("--generate needs at least members=N")
-    return SyntheticConfig(seed=seed, num_days=days, dt_hours=dt_hours, **kwargs)
+    return SyntheticConfig(**{k: v for k, v in given.items() if v is not None}, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--generate", metavar="K=V,...",
                      help="synthesize a scenario, e.g. members=20,wb=0.7,pv=147")
     run.add_argument("--seed", type=int,
-                     help="generator seed (default 0, only with --generate)")
+                     help=f"generator seed (default {SyntheticConfig.seed}, "
+                          "only with --generate)")
     run.add_argument("--modes", required=True,
                      help="comma list: solofix,soloflex,ecfix,ecflex,ecflexit,"
                           "ecflexitprimed")
@@ -146,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="repartition key for decentralized modes")
     run.add_argument("--days", type=int, help="number of days to run")
     run.add_argument("--dt", type=float,
-                     help="generator step length in hours (default 0.25, "
-                          "only with --generate)")
+                     help="generator step length in hours (default "
+                          f"{SyntheticConfig.dt_hours}, only with --generate)")
     run.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     run.add_argument("--trace", action="store_true",
                      help="write the coordination iteration trace")
@@ -160,10 +163,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     modes = _parse_modes(args.modes)
     generate = None
     if args.generate is not None:
-        days = args.days if args.days is not None else 1
-        dt = args.dt if args.dt is not None else 0.25
-        seed = args.seed if args.seed is not None else 0
-        generate = _parse_generate(args.generate, seed, days, dt)
+        generate = _parse_generate(args.generate, seed=args.seed, num_days=args.days,
+                                   dt_hours=args.dt)
     elif args.dt is not None:
         raise UsageError("--dt only applies to --generate; file scenarios "
                          "carry their own resolution")
@@ -205,10 +206,11 @@ class _Checkpoint:
     makes the directory, removes the stale files and writes ``meta.json``.
     So a run that fails before it has a result to store writes nothing here.
 
-    ``meta.json`` also holds the record of the last ``schedules.csv`` written
-    (see :func:`reporting.write_report`).  Its source is :meth:`source`, a
-    hash of the report's modes and of the digest of every checkpoint its rows
-    come from, which identifies the rows as long as the format does.
+    ``meta.json`` also holds the record of the last ``schedules.csv`` written,
+    ``{"source": ..., "sha256": ...}``.  Its source is :meth:`source`, a hash
+    of the report's modes and of the digest of every checkpoint its rows come
+    from, which identifies the rows as long as the format does; the file is
+    kept while the record names the run's source and the file's bytes.
     """
 
     def __init__(self, out_dir: Path, fingerprint: str):
@@ -280,8 +282,19 @@ class _Checkpoint:
                 key.update(self.digests[mode, day].encode())
         return key.hexdigest()
 
-    def record_schedules(self, record: dict) -> None:
-        """Store ``record`` as the record of ``schedules.csv``, unless it is stored."""
+    def holds_schedules(self, path: Path, source: str) -> bool:
+        """Whether the stored record names ``source`` and the file at ``path``
+        still hashes to it; a record of any other shape holds nothing."""
+        record = self.schedules
+        if not isinstance(record, dict) or record.get("source") != source:
+            return False
+        digest = _sha256(path)
+        return digest is not None and record.get("sha256") == digest
+
+    def record_schedules(self, path: Path, source: str) -> None:
+        """Store the record of the file at ``path`` rendered from ``source``,
+        unless it is stored."""
+        record = {"source": source, "sha256": _sha256(path)}
         if record != self.schedules:
             try:
                 self._write_meta(record)
@@ -299,6 +312,24 @@ class _Checkpoint:
 def _head(digest: str) -> bytes:
     """The first :data:`_HEAD` bytes of a checkpoint file with ``digest``."""
     return b'{"sha256":"%s",' % digest.encode()
+
+
+#: Bytes read per call when a file is hashed.
+_CHUNK = 1 << 20
+
+
+def _sha256(path: Path) -> str | None:
+    """The SHA-256 of the file at ``path``, read in :data:`_CHUNK`-byte
+    pieces so that a large report is never held whole; None if it cannot be
+    read (missing, or a directory in its place)."""
+    digest = hashlib.sha256()
+    try:
+        with path.open("rb") as handle:
+            while chunk := handle.read(_CHUNK):
+                digest.update(chunk)
+    except OSError:
+        return None
+    return digest.hexdigest()
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
@@ -499,16 +530,20 @@ def run(config: RunConfig) -> reporting.ReportFiles:
     results = {mode_name: schedules[mode_name] for mode_name in config.modes}
     traces = [t for mode_name in config.modes for t in mode_traces[mode_name]]
 
-    report = billing.summarize(results)
+    summaries = billing.summarize(results)
     baseline = next((m for m in ("ECFix", "SoloFix") if m in results), config.modes[0])
     benefits = billing.individual_benefits(results, baseline)
+    source = checkpoint.source(config.modes, days)
+    schedules_csv = reporting.ReportFiles.under(config.out_dir).schedules_csv
+    keep = checkpoint.holds_schedules(schedules_csv, source)
     try:
-        return reporting.write_report(
-            report, results, config.out_dir, benefits=benefits, traces=traces,
-            schedules_source=checkpoint.source(config.modes, days),
-            schedules_record=checkpoint.schedules, store_record=checkpoint.record_schedules)
+        files = reporting.write_report(summaries, results, config.out_dir, benefits=benefits,
+                                       traces=traces, keep_schedules=keep)
     except OSError as exc:
         raise UsageError(f"cannot write the report: {exc}") from exc
+    if not keep:
+        checkpoint.record_schedules(schedules_csv, source)
+    return files
 
 
 def main(argv: list[str] | None = None) -> int:

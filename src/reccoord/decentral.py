@@ -44,7 +44,7 @@ good, the warm run can end on another of them than a cold solve would.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -265,14 +265,12 @@ class MemberAgent:
 def run_ecflexit(solved: SolvedDay, key: str = "equal",
                  primed: bool = False, max_iterations: int = 100,
                  initial_states: Mapping[str, CarriedState] | None = None,
-                 evaluation_order: Sequence[str] | None = None,
                  ) -> tuple[DaySchedule, list[IterationTrace]]:
     """Run the full decentralized coordination for the day of ``solved``.
 
     With ``primed``, members first re-optimize their references for
     individual self-consumption; the coordination then works on the residual.
-    ``evaluation_order`` only schedules the member subproblem calls; any
-    permutation produces identical results.  The centralized solves (the
+    The centralized solves (the
     priming and the ECFix start) go through ``solved``; the schedules it
     hands back are only read.
     """
@@ -292,11 +290,6 @@ def run_ecflexit(solved: SolvedDay, key: str = "equal",
     ecfix = solve_centralized(solved, PlannerMode.EC_FIX, refs=refs, initial_states=states)
     request = initial_request(ecfix)
 
-    member_ids = [m.id for m in day_s.members]
-    order = list(evaluation_order) if evaluation_order is not None else list(member_ids)
-    if sorted(order) != sorted(member_ids):
-        raise DecentralError("evaluation_order must be a permutation of the member ids")
-
     price = billing.activation_price(day_s.prices)
     agents = {
         m.id: MemberAgent(m, refs[m.id], states.get(m.id, {}), dt, ecfix.member(m.id), price)
@@ -314,19 +307,15 @@ def run_ecflexit(solved: SolvedDay, key: str = "equal",
             raise IterationLimitError(traces)
         iteration += 1
 
-        # each phase's member LPs run concurrently first; the loops read them,
-        # calling the members in ``order`` and keeping their shifts in member order
-        run_ahead([agents[uid].stage(request.up_kw, request.down_kw)
-                   for uid in order if agents[uid].member.has_flexibility], warm=True)
-        offers = {uid: agents[uid].offer(request) for uid in order}
-        offers = {uid: offers[uid] for uid in member_ids}
+        # each phase's member LPs run concurrently first; the loops read them
+        run_ahead([agent.stage(request.up_kw, request.down_kw)
+                   for agent in agents.values() if agent.member.has_flexibility], warm=True)
+        offers = {uid: agent.offer(request) for uid, agent in agents.items()}
         bounds = refine_bounds(offers, request, key)
-        run_ahead([agents[uid].stage(bounds[uid].up_kw, bounds[uid].down_kw)
-                   for uid in order
-                   if agents[uid].member.has_flexibility and not bounds[uid].empty],
-                  warm=True)
-        activations = {uid: agents[uid].activate(bounds[uid]) for uid in order}
-        activations = {uid: activations[uid] for uid in member_ids}
+        run_ahead([agent.stage(bounds[uid].up_kw, bounds[uid].down_kw)
+                   for uid, agent in agents.items()
+                   if agent.member.has_flexibility and not bounds[uid].empty], warm=True)
+        activations = {uid: agent.activate(bounds[uid]) for uid, agent in agents.items()}
 
         # summed in member order
         up_total = sum((act.up_kw for act in activations.values()), 0.0)

@@ -12,12 +12,11 @@ cells are quoted once by the same ``csv`` dialect as the other files into a
 ``%`` template of the day, and each step's values are formatted by one ``%``,
 except ``+0.0`` values, written as a literal ``0``.
 
-A re-run need not render ``schedules.csv`` again.  Given a *source*, a key
-of what the rows are rendered from, :func:`write_report` keeps the file in
-place when the record of its last write names that source and the file still
-hashes to the record's SHA-256; the caller stores the record of each new
-write (see :class:`reccoord.cli._Checkpoint`).  The other three reports are
-rewritten on every call.
+A re-run need not render ``schedules.csv`` again: with ``keep_schedules``
+the caller vouches that the file holds the rows of the schedules given, and
+:func:`write_report` leaves it in place (:class:`reccoord.cli._Checkpoint`
+decides that from the checkpoints the rows come from).  The other three
+reports are rewritten on every call.
 
 ``trace.jsonl`` holds one :func:`trace_line` per coordination round.  A run
 serializes each round once; the checkpoint keeps those lines and the report
@@ -37,28 +36,18 @@ from __future__ import annotations
 
 import base64
 import csv
-import hashlib
 import io
 import json
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .billing import Bill, MemberBenefit, ModeSummary, Report
+from .billing import Bill, MemberBenefit, ModeSummary
 from .central import SERIES, DaySchedule, MemberDaySchedule
 from .decentral import IterationTrace
-
-#: Fixed row order of the summary table: the fields of a mode's summary.
-SUMMARY_METRICS = tuple(f.name for f in fields(ModeSummary) if f.name != "mode")
-
-#: Gap metrics appear as extra summary rows under the decentralized mode column.
-GAP_ROWS = (
-    ("raw_deviation", "_raw_deviation"),
-    ("savings_gap", "_savings_gap"),
-)
 
 
 @dataclass(frozen=True)
@@ -67,6 +56,12 @@ class ReportFiles:
     benefits_csv: Path
     schedules_csv: Path
     trace_jsonl: Path
+
+    @classmethod
+    def under(cls, out: Path) -> ReportFiles:
+        """The report files of the directory ``out``."""
+        return cls(out / "summary.csv", out / "benefits.csv", out / "schedules.csv",
+                   out / "trace.jsonl")
 
 
 def _fmt(value: float) -> str:
@@ -100,33 +95,6 @@ def _rewrite(path: Path) -> Iterator[TextIO]:
     """A text handle whose bytes replace ``path`` (see :func:`replacing`) once it closes."""
     with replacing(path) as tmp, tmp.open("w", encoding="utf-8", newline="") as handle:
         yield handle
-
-
-#: Bytes read per call when a file is hashed.
-_CHUNK = 1 << 20
-
-
-def _sha256(path: Path) -> str | None:
-    """The SHA-256 of the file at ``path``, read in :data:`_CHUNK`-byte
-    pieces so that a large report is never held whole; None if it cannot be
-    read (missing, or a directory in its place)."""
-    digest = hashlib.sha256()
-    try:
-        with path.open("rb") as handle:
-            while chunk := handle.read(_CHUNK):
-                digest.update(chunk)
-    except OSError:
-        return None
-    return digest.hexdigest()
-
-
-def _holds(path: Path, source: str, record: object) -> bool:
-    """Whether ``record`` was stored for ``path`` rendered from ``source`` and
-    the file still hashes to it; a record of any other shape holds nothing."""
-    if not isinstance(record, dict) or record.get("source") != source:
-        return False
-    digest = _sha256(path)
-    return digest is not None and record.get("sha256") == digest
 
 
 def _csv_writer(handle: TextIO):
@@ -169,51 +137,32 @@ def trace_line(trace: IterationTrace) -> str:
     return json.dumps(trace.to_dict(), separators=(",", ":"))
 
 
-def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
-                 out_dir: str | Path,
+def write_report(summaries: Mapping[str, ModeSummary],
+                 schedules: Mapping[str, Sequence[DaySchedule]], out_dir: str | Path,
                  benefits: Mapping[str, Sequence[MemberBenefit]] | None = None,
-                 traces: Iterable[str] = (), schedules_source: str | None = None,
-                 schedules_record: object = None,
-                 store_record: Callable[[dict], None] | None = None) -> ReportFiles:
+                 traces: Iterable[str] = (), keep_schedules: bool = False) -> ReportFiles:
     """Write the four report files under ``out_dir`` (created if missing).
 
-    ``traces`` are the rounds' :func:`trace_line` strings, written as given.
+    ``summary.csv`` has a column per mode of ``summaries`` and a row per
+    :class:`~reccoord.billing.ModeSummary` field, a None value written as a
+    blank cell and a row None under every mode left out.  ``traces`` are the
+    rounds' :func:`trace_line` strings, written as given.  With
+    ``keep_schedules`` the ``schedules.csv`` in place is kept as it is.
     Each file replaces the one of an earlier run as :func:`replacing` does:
     no earlier report is truncated or written through, so a re-run into the
     same directory does not wait for the old files' pages to reach the disk.
-
-    ``schedules_source`` is a key of ``schedules``: equal keys must render
-    equal rows.  With one, ``schedules.csv`` is kept in place when
-    ``schedules_record``, the record an earlier call stored, names the same
-    source and the file still hashes to it.  Otherwise the file is rendered
-    and hashed, and ``store_record`` is called with its new record,
-    ``{"source": schedules_source, "sha256": <hex>}``; it must be given with
-    a source.  Without a source the file is always rendered and no record is
-    made.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = ReportFiles(
-        summary_csv=out / "summary.csv",
-        benefits_csv=out / "benefits.csv",
-        schedules_csv=out / "schedules.csv",
-        trace_jsonl=out / "trace.jsonl",
-    )
+    files = ReportFiles.under(out)
 
-    modes = [s.mode for s in report.modes]
     with _rewrite(files.summary_csv) as handle:
         writer = _csv_writer(handle)
-        writer.writerow(["metric", *modes])
-        if modes:
-            for metric in SUMMARY_METRICS:
-                writer.writerow(
-                    [metric, *[_fmt(getattr(report.mode(m), metric)) for m in modes]])
-            for row_name, suffix in GAP_ROWS:
-                values = {m: report.gaps[m + suffix]
-                          for m in modes if (m + suffix) in report.gaps}
-                if values:
-                    writer.writerow([row_name,
-                                     *[_fmt(values[m]) if m in values else "" for m in modes]])
+        writer.writerow(["metric", *summaries])
+        for metric in fields(ModeSummary):
+            values = [getattr(s, metric.name) for s in summaries.values()]
+            if any(v is not None for v in values):
+                writer.writerow([metric.name, *["" if v is None else _fmt(v) for v in values]])
 
     with _rewrite(files.benefits_csv) as handle:
         writer = _csv_writer(handle)
@@ -224,15 +173,12 @@ def write_report(report: Report, schedules: Mapping[str, Sequence[DaySchedule]],
                 writer.writerow([b.member_id, mode, _fmt(b.bill_delta_eur),
                                  _fmt(b.discomfort_delta_eur), _fmt(b.flex_revenue_eur)])
 
-    if schedules_source is None or not _holds(files.schedules_csv, schedules_source,
-                                              schedules_record):
+    if not keep_schedules:
         with _rewrite(files.schedules_csv) as handle:
             _csv_writer(handle).writerow(["mode", "day", "t", "member", "variable", "value"])
             for mode, day_schedules in schedules.items():
                 for sched in day_schedules:
                     _write_schedule_rows(handle, mode, sched)
-        if schedules_source is not None:
-            store_record({"source": schedules_source, "sha256": _sha256(files.schedules_csv)})
 
     with _rewrite(files.trace_jsonl) as fh:
         fh.writelines(f"{line}\n" for line in traces)

@@ -349,7 +349,7 @@ def _check_series(out: list[Violation], path: str, arr: np.ndarray, n: int,
 
 
 def _every(out: list[Violation], path: str, bad: np.ndarray, message: str) -> None:
-    """Report every step flagged in ``bad``."""
+    """A violation at every step flagged in ``bad``."""
     out.extend(Violation(f"{path}[{t}]", message) for t in np.flatnonzero(bad).tolist())
 
 

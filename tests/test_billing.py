@@ -112,31 +112,41 @@ def test_shifted_energy_counts_each_displaced_kwh_once():
     sched = _day("ECFlex", [_member(
         "u1", 4, wb_power=[2.0, 0.0, 0.0, 0.0], ref_wb=[0.0, 0.0, 2.0, 0.0])])
     report = summarize({"ECFlex": [sched]})
-    assert report.mode("ECFlex").activated_wb_kwh == pytest.approx(2.0)
-    assert report.mode("ECFlex").activated_kwh == pytest.approx(2.0)
+    assert report["ECFlex"].activated_wb_kwh == pytest.approx(2.0)
+    assert report["ECFlex"].activated_kwh == pytest.approx(2.0)
 
 
 def test_unchanged_schedules_report_zero_activation():
     sched = _day("ECFix", [_member("u1", 4, wb_power=[1, 0, 1, 0], ref_wb=[1, 0, 1, 0])])
     report = summarize({"ECFix": [sched]})
-    assert report.mode("ECFix").activated_kwh == 0.0
+    assert report["ECFix"].activated_kwh == 0.0
 
 
 def test_bss_discharge_energy_totalled():
     sched = _day("SoloFlex", [_member("u1", 4, bss_discharge=[1.0, 0.5, 0.0, 0.0])])
     report = summarize({"SoloFlex": [sched]})
-    assert report.mode("SoloFlex").bss_discharge_kwh == pytest.approx(1.5)
+    assert report["SoloFlex"].bss_discharge_kwh == pytest.approx(1.5)
 
 
-def test_gap_metrics_on_both_bases():
-    results = {
-        "SoloFix": [_day("SoloFix", [_member("u1", 2, bill_total=10.0)])],
-        "ECFlex": [_day("ECFlex", [_member("u1", 2, bill_total=6.0)])],
-        "ECFlexIt": [_day("ECFlexIt", [_member("u1", 2, bill_total=7.0)])],
-    }
-    report = summarize(results)
-    assert report.gaps["ECFlexIt_raw_deviation"] == pytest.approx(1.0 / 6.0)
-    assert report.gaps["ECFlexIt_savings_gap"] == pytest.approx(0.25)
+#: Each mode's bill in the gap tests: ECFlexIt spends 1 EUR more than ECFlex,
+#: a sixth of ECFlex's bill and a quarter of its 4 EUR saving over SoloFix.
+GAP_BILLS = {"SoloFix": 10.0, "ECFlex": 6.0, "ECFlexIt": 7.0}
+
+
+@pytest.mark.parametrize("modes, raw_deviation, savings_gap", [
+    (("SoloFix", "ECFlexIt"), None, None),
+    (("ECFlex", "ECFlexIt"), 1.0 / 6.0, None),
+    (("SoloFix", "ECFlex", "ECFlexIt"), 1.0 / 6.0, 0.25),
+], ids=["no-ecflex", "no-solofix", "both"])
+def test_gap_metrics_on_both_bases(modes, raw_deviation, savings_gap):
+    """Only the decentralized mode has gaps, each only where ECFlex, and for
+    ``savings_gap`` SoloFix, ran."""
+    report = summarize({m: [_day(m, [_member("u1", 2, bill_total=GAP_BILLS[m])])]
+                        for m in modes})
+    assert list(report) == list(modes)
+    for mode, summary in report.items():
+        want = (raw_deviation, savings_gap) if mode == "ECFlexIt" else (None, None)
+        assert (summary.raw_deviation, summary.savings_gap) == pytest.approx(want)
 
 
 def test_summarize_requires_a_mode():

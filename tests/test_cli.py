@@ -71,6 +71,15 @@ def test_the_readme_lists_every_run_flag():
     assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == flags
 
 
+def test_the_readme_library_sketch_runs(capsys):
+    """The README's ``python`` block runs as written and prints both gaps."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (sketch,) = re.findall(r"\n```python\n(.*?)\n```", readme, flags=re.S)
+    exec(compile(sketch, "README.md", "exec"), {})
+    raw_deviation, savings_gap = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= raw_deviation < 1.0 and 0.0 <= savings_gap < 1.0
+
+
 def test_decentral_mode_without_key_is_a_usage_error(tmp_path, capsys):
     code = _run(["--generate", GEN, "--modes", "ecflexit", "--out", str(tmp_path)])
     assert code == 2
@@ -135,6 +144,16 @@ def test_a_directory_in_place_of_a_checkpoint_file_is_a_usage_error(tmp_path, ca
     assert _run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("flags, given", [
+    ([], {}),
+    (["--seed", "5", "--days", "2", "--dt", "1.0"], {"seed": 5, "num_days": 2, "dt_hours": 1.0}),
+], ids=["defaults", "given"])
+def test_generator_flags_not_given_take_the_generator_defaults(flags, given):
+    args = cli.build_parser().parse_args(
+        ["run", "--generate", "members=3", "--modes", "solofix", *flags])
+    assert cli._config_from_args(args).generate == SyntheticConfig(members=3, **given)
 
 
 @pytest.mark.parametrize("flag", [["--seed", "99"], ["--dt", "1.0"]])
@@ -570,13 +589,26 @@ def _stat(path: Path) -> tuple[int, int]:
 
 def test_a_complete_resume_leaves_schedules_csv_in_place(tmp_path, monkeypatch):
     """The rows are a function of the checkpoints, so a resume that holds the
-    same checkpoints renders no row and leaves the file as it is."""
+    same checkpoints renders no row and leaves the file as it is, hashing it
+    once and writing no ``meta.json``."""
     args = _schedules_args(_two_day_file(tmp_path), tmp_path / "out")
     assert _run(args) == 0
     cold = {name: (tmp_path / "out" / name).read_bytes() for name in REPORTS}
     before = _stat(tmp_path / "out" / "schedules.csv")
     _no_render(monkeypatch)
+    hashed, sha256 = [], cli._sha256
+
+    def counting(path):
+        hashed.append(path.name)
+        return sha256(path)
+
+    def no_meta(*_):
+        raise AssertionError("meta.json was written")
+
+    monkeypatch.setattr(cli, "_sha256", counting)
+    monkeypatch.setattr(cli._Checkpoint, "_write_meta", no_meta)
     assert _run(args) == 0
+    assert hashed == ["schedules.csv"]
     assert _stat(tmp_path / "out" / "schedules.csv") == before
     for name in REPORTS:
         assert (tmp_path / "out" / name).read_bytes() == cold[name], name

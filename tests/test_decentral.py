@@ -248,18 +248,6 @@ class TestRunLoop:
         booked = sum(m.flex_revenue_eur for m in sched.members)
         assert booked == pytest.approx(from_traces, abs=1e-9)
 
-    def test_member_evaluation_order_is_irrelevant(self):
-        s = generate_synthetic(SyntheticConfig(members=5, seed=11, dt_hours=1.0,
-                                               pv_total_kwp=18.0))
-        ids = [m.id for m in s.members]
-        sched_a, traces_a = run_ecflexit(SolvedDay(s, 0), key="equal")
-        sched_b, traces_b = run_ecflexit(SolvedDay(s, 0), key="equal",
-                                         evaluation_order=list(reversed(ids)))
-        dump_a = json.dumps([t.to_dict() for t in traces_a])
-        dump_b = json.dumps([t.to_dict() for t in traces_b])
-        assert dump_a == dump_b
-        assert sched_a.community_bill_eur == sched_b.community_bill_eur
-
     @pytest.mark.parametrize("primed", [False, True])
     def test_running_member_lps_ahead_changes_no_bit(self, monkeypatch, primed):
         """Concurrent member solves (two threads even on one CPU) give the
@@ -323,13 +311,6 @@ class TestRunLoop:
             run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=1)
         assert str(err.value) == "iteration cap exceeded after 1 iterations"
         assert len(err.value.traces) == 1
-
-    def test_bad_evaluation_order_rejected(self):
-        s = generate_synthetic(SyntheticConfig(members=3, seed=1, dt_hours=1.0))
-        from reccoord.decentral import DecentralError
-
-        with pytest.raises(DecentralError, match="permutation"):
-            run_ecflexit(SolvedDay(s, 0), key="equal", evaluation_order=["u01"])
 
     def test_plain_variant_survives_a_depleting_handoff(self):
         """Members may profitably end a day below their planned state; the

@@ -1,4 +1,4 @@
-"""Report writers: byte stability, fixed layouts, round-trips."""
+"""Writers of the report files: byte stability, fixed layouts, round-trips."""
 
 from __future__ import annotations
 
@@ -6,12 +6,13 @@ import base64
 import csv
 import io
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from reccoord import reporting
-from reccoord.billing import Report, individual_benefits, summarize
+from reccoord.billing import ModeSummary, individual_benefits, summarize
 from reccoord.central import (DaySchedule, MemberDaySchedule, PlannerMode, SolvedDay,
                               solve_centralized)
 from reccoord.decentral import run_ecflexit
@@ -33,7 +34,7 @@ def toy_results():
 
 
 def test_empty_report_writes_headers_only(tmp_path):
-    files = write_report(Report(modes=(), gaps={}), {}, tmp_path)
+    files = write_report({}, {}, tmp_path)
     assert files.summary_csv.read_text() == "metric\n"
     assert files.benefits_csv.read_text().startswith("member_id,mode,")
     assert files.benefits_csv.read_text().count("\n") == 1
@@ -41,18 +42,29 @@ def test_empty_report_writes_headers_only(tmp_path):
     assert files.trace_jsonl.read_text() == ""
 
 
-def test_summary_has_one_column_per_mode_and_gap_rows(toy_results, tmp_path):
-    _, results, _ = toy_results
+@pytest.mark.parametrize("modes, gap_rows", [
+    (("SoloFix", "ECFlexIt"), ()),
+    (("ECFlex", "ECFlexIt"), ("raw_deviation",)),
+    (("SoloFix", "ECFlex", "ECFlexIt"), ("raw_deviation", "savings_gap")),
+], ids=["no-ecflex", "no-solofix", "both"])
+def test_summary_has_one_column_per_mode_and_gap_rows(toy_results, tmp_path, modes, gap_rows):
+    """A row per summary field, a gap row only where some mode has the gap,
+    and a blank cell under each mode without it."""
+    _, all_results, _ = toy_results
+    results = {m: all_results[m] for m in modes}
     report = summarize(results)
-    files = write_report(report, results, tmp_path)
-    lines = files.summary_csv.read_text().splitlines()
-    assert lines[0] == "metric,SoloFix,ECFlex,ECFlexIt"
-    metrics = [line.split(",")[0] for line in lines[1:]]
-    assert "bill_eur" in metrics
-    assert "raw_deviation" in metrics
-    assert "savings_gap" in metrics
+    lines = write_report(report, results, tmp_path).summary_csv.read_text().splitlines()
+    assert lines[0] == ",".join(["metric", *modes])
+    gaps = ("raw_deviation", "savings_gap")
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        f.name for f in fields(ModeSummary) if f.name not in gaps or f.name in gap_rows]
     for line in lines[1:]:
-        assert len(line.split(",")) == 4
+        metric = line.split(",")[0]
+        values = [getattr(report[m], metric) for m in modes]
+        assert line == ",".join([metric, *("" if v is None else f"{v:.9g}" for v in values)])
+    for name in gap_rows:
+        assert [getattr(report[m], name) is None for m in modes] == [
+            m != "ECFlexIt" for m in modes]
 
 
 def test_identical_inputs_produce_identical_bytes(toy_results, tmp_path):
@@ -194,7 +206,7 @@ def _hand_built_schedules(members=ODD_MEMBERS):
 
 
 def _written(schedules, out) -> bytes:
-    files = write_report(Report(modes=(), gaps={}), schedules, out)
+    files = write_report({}, schedules, out)
     return files.schedules_csv.read_bytes()
 
 

@@ -1,6 +1,7 @@
-"""Strength of the independent verifier: a clean schedule passes, and each
+"""Strength of the independent verifier: a clean schedule passes, each
 single corruption of a device's state, power, daily energy or discomfort is
-reported against the member that owns the device."""
+reported against the member that owns the device, and a schedule missing a
+member, a series, a reference or a bill is reported, not raised on."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from reccoord.central import PlannerMode, SolvedDay, solve_centralized, verify_day_schedule
-from reccoord.scenario import Scenario
+from reccoord.scenario import Scenario, SyntheticConfig, generate_synthetic
 from helpers import make_member, make_scenario, simple_bss, simple_ev, simple_hp, simple_wb
 
 N = 24  # hourly steps
@@ -128,3 +129,38 @@ def test_boiler_above_its_maximum(solved):
     hottest = float(np.max(solved.member("flex").series["twb"]))
     _assert_flags_flex(_problems(_with_device("wb", temp_max=np.full(N, hottest - 0.01)),
                                  solved))
+
+
+@pytest.fixture(scope="module")
+def solofix_day():
+    """A synthetic SoloFix day of u01 (EV and heat pump), u02 and u03 (boilers)."""
+    solved = SolvedDay(generate_synthetic(SyntheticConfig(members=3, seed=0, dt_hours=1.0)), 0)
+    return solved.scenario, solve_centralized(solved, PlannerMode.SOLO_FIX)
+
+
+def _first_member(**changes):
+    """An edit of a schedule's members that changes the first one."""
+    def edit(members):
+        first = members[0]
+        return [replace(first, **{k: change(getattr(first, k)) for k, change in changes.items()}),
+                *members[1:]]
+    return edit
+
+
+def _without(key):
+    return lambda arrays: {k: v for k, v in arrays.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda members: members[:-1], "u03: missing from the schedule"),
+    (lambda members: [*members, replace(members[0], member_id="u04")],
+     "u04: not a member of the scenario"),
+    (_first_member(series=_without("iret")), "u01: missing iret"),
+    (_first_member(refs=_without("hp")), "u01: missing hp reference"),
+    (_first_member(bill=lambda bill: None), "u01: no bill"),
+], ids=["member-missing", "member-unknown", "series-missing", "reference-missing",
+        "bill-missing"])
+def test_a_malformed_schedule_is_a_problem_not_an_error(solofix_day, edit, problem):
+    day, sched = solofix_day
+    assert verify_day_schedule(day, sched) == []
+    assert verify_day_schedule(day, replace(sched, members=edit(sched.members))) == [problem]
