@@ -38,6 +38,7 @@ the same references and carried states, as on the first day.  A fresh
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -539,9 +540,11 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
     Re-simulates every device from its power schedule, recomputes hinge
     discomforts and bills, and checks the power balances, daily conservation
     and community matching.  Returns human-readable problems; empty = clean.
-    A scenario member the schedule lacks, a schedule member the scenario
-    lacks, a missing series, device reference or bill are problems too; a
-    member lacking a series or reference is checked no further.
+    A scenario member the schedule lacks or lists more than once, a schedule
+    member the scenario lacks, a missing series, device reference or bill and
+    a series or reference of another number of steps than the day's are
+    problems too; a member lacking a series or reference, or holding one of
+    the wrong length, is checked no further.
     """
     s = day_scenario
     dt = s.horizon.dt_hours
@@ -553,9 +556,14 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
         if not cond:
             problems.append(message)
 
-    ecom_total = np.zeros(s.horizon.steps_per_day)
-    icom_total = np.zeros(s.horizon.steps_per_day)
+    steps = s.horizon.steps_per_day
+    ecom_total = np.zeros(steps)
+    icom_total = np.zeros(steps)
 
+    listed = Counter(ms.member_id for ms in sched.members)
+    for member_id, times in listed.items():
+        if times > 1:
+            problems.append(f"{member_id}: listed {times} times in the schedule")
     by_id = {ms.member_id: ms for ms in sched.members}
     for member_id in sorted(by_id.keys() - {m.id for m in s.members}):
         problems.append(f"{member_id}: not a member of the scenario")
@@ -574,6 +582,13 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
         missing += [f"{spec.name} reference" for spec in devices if spec.name not in ms.refs]
         if missing:
             problems.append(f"{m.id}: missing {', '.join(missing)}")
+            continue
+        arrays = [*ss.items()]
+        arrays += [(f"{spec.name} reference", ms.refs[spec.name]) for spec in devices]
+        wrong = [f"{m.id}: {name} has {np.size(arr)} steps, not {steps}"
+                 for name, arr in arrays if np.shape(arr) != (steps,)]
+        if wrong:
+            problems += wrong
             continue
         state = initial_states.get(m.id, {})
         inj, pv = ss["pinj"], ss["ppv"]

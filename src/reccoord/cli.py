@@ -17,11 +17,12 @@ reports list the modes in the order given.  Every completed (mode, day) is
 checkpointed under ``<out>/checkpoint/`` so that interrupted long runs resume
 instead of re-solving; a checkpoint is only reused when the scenario content,
 run parameters (``--days`` aside) and checkpoint format hash identically, and
-a file only when its digest shows it holds the bytes written for that run,
-mode and day.  A scenario file is parsed only when a day must be solved, so a
-complete resume parses none.  ``schedules.csv`` is rendered only when the
-checkpoints its rows come from, or the file's bytes, changed since its last
-write, so a complete resume leaves it in place and rewrites the other reports.
+a (mode, day)'s pair of files only when their digests show they hold the
+bytes written for that run, mode and day.  A scenario file is parsed only
+when a day must be solved, so a complete resume parses none.
+``schedules.csv`` is rendered only when the checkpoints its rows come from,
+or the file's bytes, changed since its last write, so a complete resume
+leaves it in place and rewrites the other reports.
 
 Exit codes: 0 success, 1 solve/runtime failure (diagnostic names the mode
 and day), 2 usage or input errors.
@@ -35,6 +36,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,23 +189,36 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 # Checkpointed execution
 
 
-#: Length of a checkpoint file's digest key: ``{"sha256":"<64 hex>",``.
+#: Length of a checkpoint ``.json``'s digest key: ``{"sha256":"<64 hex>",``.
 _HEAD = 77
 
 
 class _Checkpoint:
     """Per-(mode, day) result cache keyed by a hash of scenario and settings.
 
-    A file is one JSON object whose first key is ``sha256``: its first
-    :data:`_HEAD` bytes are ``{"sha256":"<64 hex>",`` and the rest completes
-    the object.  The digest is the SHA-256 of ``"<fingerprint> <mode> <day>\n"``
-    followed by that rest, so a file is reused only as the bytes written for
-    this run, mode and day; any other file, truncated, edited or copied from
-    another mode, day or run, is recomputed before any of it is parsed.
+    A (mode, day) is a pair of files: ``<mode>_<dddd>.f8``, the schedule's
+    arrays as raw little-endian float64 bytes back to back, and
+    ``<mode>_<dddd>.json``, the rest (see :func:`reporting.schedule_to_dict`)
+    with the SHA-256 of the ``.f8`` under ``arrays_sha256``.  The ``.json`` is
+    one JSON object whose first key is ``sha256``: its first :data:`_HEAD`
+    bytes are ``{"sha256":"<64 hex>",`` and the rest completes the object.
+    That digest is the SHA-256 of ``"<fingerprint> <mode> <day>\n"`` followed
+    by that rest, so a ``.json`` is reused only as the bytes written for this
+    run, mode and day, and through the hash it holds, so is its ``.f8``,
+    which must also hold as many float64s as the ``.json``'s lengths add up
+    to.  Any other pair, a file truncated, edited, missing or copied from
+    another mode, day or run, is recomputed with a warning naming the file
+    and why; the ``.json`` is checked before any of it is parsed.  The
+    ``.f8`` is read whole into one buffer, and the schedule's arrays are
+    views into it.
+
+    :meth:`store` writes the ``.f8`` first and the ``.json`` second, so a
+    crash between the two leaves a ``.json`` whose hash the new ``.f8`` does
+    not match, and the pair is recomputed.
 
     Opening only reads ``meta.json``.  Under a missing or stale one every
     :meth:`load` is ``None`` and touches no file; the first :meth:`store`
-    makes the directory, removes the stale files and writes ``meta.json``.
+    makes the directory, removes the stale pairs and writes ``meta.json``.
     So a run that fails before it has a result to store writes nothing here.
 
     ``meta.json`` also holds the record of the last ``schedules.csv`` written,
@@ -228,45 +243,67 @@ class _Checkpoint:
             except (ValueError, KeyError, TypeError):  # not UTF-8, not JSON, not an object
                 pass
 
-    def _path(self, mode: str, day: int) -> Path:
-        return self.dir / f"{mode}_{day:04d}.json"
+    def _paths(self, mode: str, day: int) -> tuple[Path, Path]:
+        """The ``.json`` and the ``.f8`` file of ``mode`` on ``day``."""
+        stem = f"{mode}_{day:04d}"
+        return self.dir / f"{stem}.json", self.dir / f"{stem}.f8"
 
     def _digest(self, mode: str, day: int, rest: bytes) -> str:
-        """The digest of the file of ``mode`` on ``day`` whose bytes after the
-        first :data:`_HEAD` are ``rest``."""
+        """The digest of the ``.json`` of ``mode`` on ``day`` whose bytes after
+        the first :data:`_HEAD` are ``rest``."""
         digest = hashlib.sha256(f"{self.fingerprint} {mode} {day}\n".encode())
         digest.update(rest)
         return digest.hexdigest()
 
     def load(self, mode: str, day: int):
-        path = self._path(mode, day)
+        path, arrays_path = self._paths(mode, day)
         if not self.current or not path.exists():
             return None
+
+        def unreadable(name: str, reason: str) -> None:
+            log.warning("%s day %d: unreadable checkpoint %s (%s); recomputing",
+                        mode, day, name, reason)
+
         try:
             raw = path.read_bytes()
         except OSError as exc:
             raise UsageError(f"cannot read the checkpoint: {exc}") from exc
         digest = self._digest(mode, day, raw[_HEAD:])
         if raw[:_HEAD] != _head(digest):
-            log.warning("%s day %d: unreadable checkpoint %s (its bytes are not those written "
-                        "for this run, mode and day); recomputing", mode, day, path.name)
-            return None
+            return unreadable(path.name, "its bytes are not those written for this run, "
+                                         "mode and day")
         doc = json.loads(raw)
+        try:
+            data = _read_whole(arrays_path)
+        except FileNotFoundError:
+            return unreadable(arrays_path.name, "no such file")
+        except OSError as exc:
+            raise UsageError(f"cannot read the checkpoint: {exc}") from exc
+        try:
+            sched = reporting.schedule_from_dict(doc["schedule"], data)
+        except ValueError as exc:
+            return unreadable(arrays_path.name, str(exc))
+        if hashlib.sha256(data).hexdigest() != doc["arrays_sha256"]:
+            return unreadable(arrays_path.name, f"its bytes are not those {path.name} records")
         self.digests[mode, day] = digest
-        return reporting.schedule_from_dict(doc["schedule"]), doc["traces"]
+        return sched, doc["traces"]
 
     def store(self, mode: str, day: int, sched, trace_lines: list[str]) -> None:
-        doc = {"schedule": reporting.schedule_to_dict(sched), "traces": trace_lines}
+        schedule, data = reporting.schedule_to_dict(sched)
+        doc = {"arrays_sha256": hashlib.sha256(data).hexdigest(), "schedule": schedule,
+               "traces": trace_lines}
         rest = json.dumps(doc, separators=(",", ":"))[1:].encode()  # after the "{"
         digest = self._digest(mode, day, rest)
+        path, arrays_path = self._paths(mode, day)
         try:
             if not self.current:
                 self.dir.mkdir(parents=True, exist_ok=True)
-                for item in self.dir.glob("*.json"):
+                for item in [*self.dir.glob("*.json"), *self.dir.glob("*.f8")]:
                     item.unlink()
                 self._write_meta(None)
                 self.current = True
-            _write_atomic(self._path(mode, day), _head(digest) + rest)
+            _write_atomic(arrays_path, data)
+            _write_atomic(path, _head(digest) + rest)
         except OSError as exc:
             raise UsageError(f"cannot write the checkpoint: {exc}") from exc
         self.digests[mode, day] = digest
@@ -310,7 +347,7 @@ class _Checkpoint:
 
 
 def _head(digest: str) -> bytes:
-    """The first :data:`_HEAD` bytes of a checkpoint file with ``digest``."""
+    """The first :data:`_HEAD` bytes of a checkpoint ``.json`` with ``digest``."""
     return b'{"sha256":"%s",' % digest.encode()
 
 
@@ -332,6 +369,15 @@ def _sha256(path: Path) -> str | None:
     return digest.hexdigest()
 
 
+def _read_whole(path: Path) -> bytearray:
+    """The bytes of the file at ``path`` in one writable buffer, filled by
+    one ``readinto``."""
+    with path.open("rb", buffering=0) as handle:
+        data = bytearray(os.fstat(handle.fileno()).st_size)
+        del data[handle.readinto(data):]  # the file was cut while being read
+    return data
+
+
 def _write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` by ``data`` as :func:`reporting.replacing` does."""
     with reporting.replacing(path) as tmp:
@@ -342,7 +388,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
 #: planners or the settlement write, changes, or the ``schedules.csv`` rows
 #: rendered from the same schedules change, so older checkpoints are recomputed
 #: and a kept ``schedules.csv`` is rendered again.
-CHECKPOINT_FORMAT = 7
+CHECKPOINT_FORMAT = 8
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:

@@ -22,19 +22,20 @@ reports are rewritten on every call.
 serializes each round once; the checkpoint keeps those lines and the report
 writes them as they are.
 
-Checkpoints (format 7) store each member's ``series`` and ``refs`` arrays as
-the base64 of their little-endian float64 bytes, which round-trips every
-value bit for bit, NaN, infinities, ``-0.0`` and subnormals included.  The
-files are about 20% larger than decimal JSON lists, a zero costing 12
-characters, but nothing is formatted or parsed as decimal text.  Whether a
-file is reused is decided before it reaches :func:`schedule_from_dict`, by
-its digest (see :class:`reccoord.cli._Checkpoint`); the decoder still
-rejects what is not an :func:`_encode` object, for any caller.
+Checkpoints (format 8) keep a schedule's numbers apart from its document:
+:func:`schedule_to_dict` gives the document, in which each member's
+``series`` and ``refs`` map a tag to its array's length, and the arrays'
+little-endian float64 bytes back to back, in document order.  The bytes
+round-trip every value bit for bit, NaN, infinities, ``-0.0`` and subnormals
+included, and nothing is formatted or parsed as text.
+:func:`schedule_from_dict` gives the arrays as views into the bytes it is
+handed, one buffer for the whole schedule.  Whether a checkpoint is reused is
+decided by its digests (see :class:`reccoord.cli._Checkpoint`); the decoder
+still rejects lengths that do not match the bytes, for any caller.
 """
 
 from __future__ import annotations
 
-import base64
 import csv
 import io
 import json
@@ -190,37 +191,57 @@ def write_report(summaries: Mapping[str, ModeSummary],
 # Schedule (de)serialization, used for day-level checkpointing
 
 
-def _encode(arrays: Mapping[str, np.ndarray | None]) -> dict[str, str]:
-    return {key: base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
-            for key, arr in arrays.items() if arr is not None}
+def schedule_to_dict(sched: DaySchedule) -> tuple[dict, bytes]:
+    """``sched`` as its checkpoint document and the bytes of its arrays.
 
+    Each member's ``series`` and ``refs`` hold the length of each array, and
+    the bytes are the arrays' little-endian float64 values, member by member,
+    ``series`` before ``refs``, each in its tag order."""
+    arrays: list[np.ndarray] = []
 
-def _decode(doc) -> dict[str, np.ndarray]:
-    """The arrays of an :func:`_encode` object; ``TypeError`` or ``ValueError``
-    (bad base64, a byte count not a multiple of 8) for anything else."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"arrays are {type(doc).__name__}, not an object")
-    arrays = {}
-    for key, text in doc.items():
-        if not isinstance(text, str):
-            raise TypeError(f"array {key} is {type(text).__name__}, not a string")
-        raw = base64.b64decode(text, validate=True)
-        if len(raw) % 8:
-            raise ValueError(f"array {key} holds {len(raw)} bytes, not whole float64s")
-        arrays[key] = np.frombuffer(raw, "<f8").astype(np.float64)  # a writable copy
-    return arrays
+    def lengths(named: Mapping[str, np.ndarray | None]) -> dict[str, int]:
+        out = {}
+        for key, arr in named.items():
+            if arr is not None:
+                arrays.append(np.asarray(arr, dtype="<f8").ravel())
+                out[key] = arrays[-1].size
+        return out
 
-
-def schedule_to_dict(sched: DaySchedule) -> dict:
-    members = [{**vars(m), "series": _encode(m.series), "refs": _encode(m.refs),
+    members = [{**vars(m), "series": lengths(m.series), "refs": lengths(m.refs),
                 "bill": None if m.bill is None else asdict(m.bill)}
                for m in sched.members]
-    return {**vars(sched), "members": members}
+    return {**vars(sched), "members": members}, b"".join(a.tobytes() for a in arrays)
 
 
-def schedule_from_dict(doc: dict) -> DaySchedule:
-    members = [MemberDaySchedule(**{**m, "series": _decode(m["series"]),
-                                    "refs": _decode(m["refs"]),
+def schedule_from_dict(doc: dict, data) -> DaySchedule:
+    """The schedule of a :func:`schedule_to_dict` document and its array bytes.
+
+    Each array is a view into ``data``, writable when ``data`` is (a read-only
+    buffer is copied once).  ``TypeError`` for lengths that are not a mapping
+    of counts, ``ValueError`` when ``data`` is not whole float64s or holds
+    another number of them than the lengths add up to."""
+    if len(data) % 8:
+        raise ValueError(f"its {len(data)} bytes are not whole float64s")
+    values = np.frombuffer(data, "<f8")
+    if not values.flags.writeable:
+        values = values.copy()
+    offset = 0
+
+    def views(lengths) -> dict[str, np.ndarray]:
+        nonlocal offset
+        if not isinstance(lengths, dict):
+            raise TypeError(f"arrays are {type(lengths).__name__}, not an object")
+        out = {}
+        for key, n in lengths.items():
+            if type(n) is not int or n < 0:
+                raise TypeError(f"array {key} has length {n!r}, not a count")
+            out[key] = values[offset:offset + n]
+            offset += n
+        return out
+
+    members = [MemberDaySchedule(**{**m, "series": views(m["series"]), "refs": views(m["refs"]),
                                     "bill": None if m["bill"] is None else Bill(**m["bill"])})
                for m in doc["members"]]
+    if offset != values.size:
+        raise ValueError(f"it holds {values.size} float64s, the arrays declare {offset}")
     return DaySchedule(**{**doc, "members": members})

@@ -1,11 +1,12 @@
 """Hand-built scenario fixtures, a multi-day loop, the ``linprog`` reference
 solve, the exact rational equal key, the per-cell ``schedules.csv``
-reference writer and reader, and fresh interpreters with or without a HiGHS
-solver, shared across the test modules."""
+reference writer and reader, a schedule's checkpoint form, and fresh
+interpreters with or without a HiGHS solver, shared across the test modules."""
 
 from __future__ import annotations
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from scipy.sparse import csc_array
 from reccoord import lpcore
 from reccoord.central import SERIES, SolvedDay, final_states
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
+from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
                                Prices, Scenario, WbParams)
 
@@ -172,6 +174,13 @@ def load_schedules_csv(path: str | Path) -> list[dict]:
             record["value"] = float(record["value"])
             rows.append(record)
     return rows
+
+
+def encoded(sched) -> tuple[str, bytes]:
+    """``sched``'s checkpoint form: its document as JSON text and its array
+    bytes, equal for two schedules only if every value is equal bit for bit."""
+    doc, data = schedule_to_dict(sched)
+    return json.dumps(doc), data
 
 
 def equal_key_fraction(offers, request: float) -> np.ndarray:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -18,10 +17,9 @@ from reccoord.central import (InfeasibleDayError, PlannerError,
 from reccoord.decentral import run_ecflexit
 from reccoord.devices import DEVICES, simulate_wb
 from reccoord.lpcore import TOL_OPT, LpProblem, LpStatus, solve_lp
-from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic, load_bundled_scenario
-from helpers import (make_member, make_scenario, run_days, series, simple_bss, simple_ev,
-                     simple_hp, simple_wb)
+from helpers import (encoded, make_member, make_scenario, run_days, series, simple_bss,
+                     simple_ev, simple_hp, simple_wb)
 
 DT6 = 6.0  # four-step day
 
@@ -495,7 +493,7 @@ class TestSolvedDay:
         shared = solve_centralized(solved, PlannerMode.EC_FIX)
         assert builds == [PlannerMode.EC_FLEX]
         assert shared.mode == "ECFix"
-        assert json.dumps(schedule_to_dict(shared)) == json.dumps(schedule_to_dict(alone))
+        assert encoded(shared) == encoded(alone)
         assert verify_day_schedule(solved.scenario, shared) == []
 
     def test_a_hit_needs_the_same_lp(self, scenario, monkeypatch):
@@ -534,12 +532,12 @@ class TestSolvedDay:
         solved = SolvedDay(scenario, 0)
         shared = [solve_centralized(solved, mode)
                   for mode in (PlannerMode.EC_FIX, PlannerMode.SOLO_FLEX)]
-        before = [json.dumps(schedule_to_dict(sched)) for sched in shared]
+        before = [encoded(sched) for sched in shared]
         builds = self._count_builds(monkeypatch)
         for primed in (False, True):
             run_ecflexit(solved, key="equal", primed=primed)
         assert builds == [PlannerMode.EC_FIX]  # the primed references' own
-        assert [json.dumps(schedule_to_dict(sched)) for sched in shared] == before
+        assert [encoded(sched) for sched in shared] == before
 
     def test_failures_are_not_stored(self):
         ev = simple_ev(4, power_ref=np.zeros(4), plugged=[1, 0, 0, 0],

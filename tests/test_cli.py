@@ -130,14 +130,16 @@ def test_out_holding_a_directory_in_place_of_an_output_file_is_a_usage_error(
     assert not list(tmp_path.glob("*.tmp"))
 
 
-@pytest.mark.parametrize("name", ["SoloFix_0000.json", "SoloFix_0000.json.tmp"])
+@pytest.mark.parametrize("name", ["SoloFix_0000.json", "SoloFix_0000.json.tmp",
+                                  "SoloFix_0000.f8", "SoloFix_0000.f8.tmp"])
 def test_a_directory_in_place_of_a_checkpoint_file_is_a_usage_error(tmp_path, capsys, name):
-    """The checkpoint of a run is read where it was, or written through its
-    ``.tmp`` twin; a directory at either path stops the run naming it."""
+    """Each file of a checkpoint pair is read where it was, or written through
+    its ``.tmp`` twin once the file is gone; a directory at any of these paths
+    stops the run naming it."""
     args = ["--generate", "members=2", "--seed", "1", "--dt", "1.0", "--modes", "solofix",
             "--out", str(tmp_path)]
     assert _run(args) == 0
-    (tmp_path / "checkpoint" / "SoloFix_0000.json").unlink()
+    (tmp_path / "checkpoint" / name.removesuffix(".tmp")).unlink()
     path = tmp_path / "checkpoint" / name
     path.mkdir()
     capsys.readouterr()
@@ -470,9 +472,9 @@ def test_a_resume_parses_the_scenario_once_at_the_first_day_it_solves(tmp_path, 
         events.append("parse")
         return load(data)
 
-    def decoding(doc):
+    def decoding(doc, data):
         events.append(("read", doc["mode"], doc["day"]))
-        return decode(doc)
+        return decode(doc, data)
 
     monkeypatch.setattr(cli, "load_scenario", parsing)
     monkeypatch.setattr(reporting, "schedule_from_dict", decoding)
@@ -775,7 +777,7 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
     resume = tmp_path / "resume"
     assert _run([*args, "--out", str(resume)]) == 0
     checkpoint = resume / "checkpoint" / "ECFlexIt_0000.json"
-    intact = checkpoint.read_bytes()
+    intact, intact_arrays = checkpoint.read_bytes(), checkpoint.with_suffix(".f8").read_bytes()
     # compact JSON: an edit below changes the bytes of what it edits only
     assert json.dumps(json.loads(intact), separators=(",", ":")).encode() == intact
     checkpoint.write_bytes(intact[: len(intact) // 2])
@@ -784,6 +786,7 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
     assert f"ECFlexIt day 0: unreadable checkpoint ECFlexIt_0000.json ({NOT_WRITTEN_HERE})" \
         in caplog.text
     assert checkpoint.read_bytes() == intact
+    assert checkpoint.with_suffix(".f8").read_bytes() == intact_arrays
     assert not list((resume / "checkpoint").glob("*.tmp"))
     for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
         assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), name
@@ -807,13 +810,12 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
     def copy(source, mode):  # ``source`` copied byte for byte over ``mode``'s day 0
         return lambda: shutil.copyfile(source, resume / "checkpoint" / f"{mode}_0000.json")
 
-    # every member's ``key[tag]`` cut to its first ``chars`` base64 characters;
-    # 32 characters are 24 bytes, 3 whole float64s
-    def cut(members, key, tag, chars=32):
+    # every member's ``key[tag]`` declared ``length`` values long
+    def cut(members, key, tag, length=3):
         assert any(tag in m[key] for m in members)
         for m in members:
             if tag in m[key]:
-                m[key][tag] = m[key][tag][:chars]
+                m[key][tag] = length
 
     def drop(members, key, tag):  # the first member holding ``key[tag]`` loses it
         next(m for m in members if tag in m[key])[key].pop(tag)
@@ -829,12 +831,6 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
             m[key] = value
         else:
             m[key][tag] = value
-
-    # the first member's ``key[tag]`` with its 10th base64 character changed: the
-    # top bits of its first value's exponent, and the same number of bytes
-    def recode(members, key, tag):
-        text = members[0][key][tag]
-        members[0][key][tag] = text[:9] + ("B" if text[9] != "B" else "C") + text[10:]
 
     def lines(change):  # ``change`` applied to the list of trace lines
         return lambda doc: doc.update(traces=change(doc["traces"]))
@@ -862,12 +858,12 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
          edit_schedule("ECFlex", lambda ms: replace(ms, "series", [1]))),
         ("series a list of floats", "ECFlex",
          edit_schedule("ECFlex", lambda ms: replace(ms, "series", [0.0] * 24, "pinj"))),
-        ("ref not a string", "ECFlexIt",
+        ("ref length another count", "ECFlexIt",
          edit_schedule("ECFlexIt", lambda ms: replace(ms, "refs", 5, "wb"))),
-        ("series not base64", "ECFlex",
+        ("series length a string", "ECFlex",
          edit_schedule("ECFlex", lambda ms: replace(ms, "series", "AAAA!AAA", "pinj"))),
-        ("series not whole float64s", "ECFlexIt",
-         edit_schedule("ECFlexIt", lambda ms: cut(ms, "series", "pinj", chars=28))),
+        ("series length not whole", "ECFlexIt",
+         edit_schedule("ECFlexIt", lambda ms: cut(ms, "series", "pinj", length=2.5))),
         ("traces not a list", "ECFlexIt", edit("ECFlexIt", lambda doc: doc.update(traces=5))),
         ("trace not a line", "ECFlexIt", edit("ECFlexIt", lambda doc: doc.update(traces=[1]))),
         ("trace line broken in two", "ECFlexIt",
@@ -899,8 +895,6 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         ("community bill another float", "ECFlex",
          edit("ECFlex", lambda doc: doc["schedule"].update(
              community_bill_eur=doc["schedule"]["community_bill_eur"] + 1.0))),
-        ("series character changed", "ECFlexIt",
-         edit_schedule("ECFlexIt", lambda ms: recode(ms, "series", "pinj"))),
         ("checkpoint of another mode", "ECFix",
          copy(resume / "checkpoint" / "ECFlex_0000.json", "ECFix")),
         ("checkpoint of another run", "ECFlexIt",
@@ -917,6 +911,137 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
         for name in ("summary.csv", "benefits.csv", "schedules.csv", "trace.jsonl"):
             assert (tmp_path / "full" / name).read_bytes() == (resume / name).read_bytes(), \
                 (case, name)
+
+
+#: A two-day run whose checkpoint pairs the tests below take apart.
+PAIR_ARGS = ["--generate", GEN, "--seed", "5", "--modes", "ecflex,ecfix,ecflexit",
+             "--key", "equal", "--days", "2", "--dt", "1.0", "--trace"]
+
+
+@pytest.fixture(scope="module")
+def paired(tmp_path_factory):
+    """The output directory of a cold :data:`PAIR_ARGS` run."""
+    out = tmp_path_factory.mktemp("paired") / "out"
+    assert _run([*PAIR_ARGS, "--out", str(out)]) == 0
+    return out
+
+
+def _resume_copy(paired: Path, tmp_path: Path) -> Path:
+    out = tmp_path / "out"
+    shutil.copytree(paired, out)
+    return out
+
+
+def _resign(path: Path, change) -> None:
+    """The checkpoint ``.json`` at ``path`` with ``change`` applied to its
+    document and signed again for its run, mode and day, as a store would."""
+    fingerprint = json.loads((path.parent / "meta.json").read_text())["fingerprint"]
+    doc = json.loads(path.read_bytes())
+    del doc["sha256"]
+    change(doc)
+    rest = json.dumps(doc, separators=(",", ":"))[1:].encode()
+    mode, day = path.stem.rsplit("_", 1)
+    digest = cli._Checkpoint(path.parent.parent, fingerprint)._digest(mode, int(day), rest)
+    path.write_bytes(cli._head(digest) + rest)
+
+
+def _shorten_first_pinj(doc) -> None:
+    doc["schedule"]["members"][0]["series"]["pinj"] -= 1
+
+
+def _copy_sidecar(source: str, target: str):
+    def corrupt(checkpoint: Path) -> None:
+        data = (checkpoint / source).read_bytes()
+        assert data != (checkpoint / target).read_bytes()
+        (checkpoint / target).write_bytes(data)
+    return corrupt
+
+
+#: Why a sidecar is recomputed whose bytes are not those its ``.json`` records.
+NOT_RECORDED = "its bytes are not those {} records"
+
+
+@pytest.mark.parametrize("name, corrupt, reason", [
+    ("ECFlexIt_0001.f8", lambda cp: (cp / "ECFlexIt_0001.f8").unlink(), "no such file"),
+    ("ECFlex_0000.f8", lambda cp: (cp / "ECFlex_0000.f8").write_bytes(
+        (cp / "ECFlex_0000.f8").read_bytes()[:-4]), "bytes are not whole float64s"),
+    ("ECFix_0001.f8", lambda cp: _flip_byte(cp / "ECFix_0001.f8"),
+     NOT_RECORDED.format("ECFix_0001.json")),
+    ("ECFlexIt_0000.f8", lambda cp: _resign(cp / "ECFlexIt_0000.json", _shorten_first_pinj),
+     "the arrays declare"),
+    ("ECFix_0000.f8", _copy_sidecar("ECFlex_0000.f8", "ECFix_0000.f8"),
+     NOT_RECORDED.format("ECFix_0000.json")),
+    ("ECFix_0000.f8", _copy_sidecar("ECFix_0001.f8", "ECFix_0000.f8"),
+     NOT_RECORDED.format("ECFix_0000.json")),
+], ids=["missing", "cut-by-4-bytes", "byte-flipped", "lengths-not-its-size",
+        "of-another-mode", "of-another-day"])
+def test_a_sidecar_that_does_not_fit_its_json_is_recomputed(paired, tmp_path, caplog, name,
+                                                            corrupt, reason):
+    """A ``.f8`` is reused only whole and as the bytes its ``.json`` records;
+    any other is recomputed with a warning naming it and why, and the pair and
+    the reports come out as the cold run wrote them."""
+    out = _resume_copy(paired, tmp_path)
+    checkpoint = out / "checkpoint"
+    corrupt(checkpoint)
+    with caplog.at_level("WARNING", logger="reccoord.cli"):
+        assert _run([*PAIR_ARGS, "--out", str(out)]) == 0
+    mode, day = name.removesuffix(".f8").rsplit("_", 1)
+    assert f"{mode} day {int(day)}: unreadable checkpoint {name} (" in caplog.text
+    assert reason in caplog.text
+    assert caplog.text.count("unreadable checkpoint") == 1
+    for path in (paired / "checkpoint").iterdir():
+        if path.name != "meta.json":
+            assert (checkpoint / path.name).read_bytes() == path.read_bytes(), path.name
+    for name in REPORTS:
+        assert (out / name).read_bytes() == (paired / name).read_bytes(), name
+
+
+def test_an_interrupted_store_is_recomputed(paired, tmp_path, caplog, monkeypatch):
+    """A store writes the ``.f8`` before the ``.json``: cut short between the
+    two, it leaves a fresh ``.f8`` beside the older ``.json``, and the next
+    run recomputes that pair."""
+    out = _resume_copy(paired, tmp_path)
+    path = out / "checkpoint" / "ECFlexIt_0000.json"
+    older = path.read_bytes()
+    doc = json.loads(older)
+    sched = reporting.schedule_from_dict(doc["schedule"],
+                                         bytearray(path.with_suffix(".f8").read_bytes()))
+    sched.members[0].series["pinj"][0] += 1.0  # a result with other numbers
+    write = cli._write_atomic
+
+    def crash_after_the_sidecar(target, data):
+        write(target, data)
+        if target.suffix == ".f8":
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_write_atomic", crash_after_the_sidecar)
+    fingerprint = json.loads((out / "checkpoint" / "meta.json").read_text())["fingerprint"]
+    with pytest.raises(KeyboardInterrupt):
+        cli._Checkpoint(out, fingerprint).store("ECFlexIt", 0, sched, doc["traces"])
+    monkeypatch.undo()
+    assert path.read_bytes() == older
+    assert path.with_suffix(".f8").read_bytes() \
+        != (paired / "checkpoint" / "ECFlexIt_0000.f8").read_bytes()
+
+    with caplog.at_level("WARNING", logger="reccoord.cli"):
+        assert _run([*PAIR_ARGS, "--out", str(out)]) == 0
+    assert "ECFlexIt day 0: unreadable checkpoint ECFlexIt_0000.f8 (" \
+        + NOT_RECORDED.format("ECFlexIt_0000.json") in caplog.text
+    for name in ("ECFlexIt_0000.json", "ECFlexIt_0000.f8"):
+        assert (out / "checkpoint" / name).read_bytes() \
+            == (paired / "checkpoint" / name).read_bytes(), name
+    for name in REPORTS:
+        assert (out / name).read_bytes() == (paired / name).read_bytes(), name
+
+
+def test_a_stale_checkpoint_leaves_no_file_behind(paired, tmp_path):
+    """The first store under another fingerprint removes every pair of the
+    old one, sidecars included."""
+    out = _resume_copy(paired, tmp_path)
+    assert _run(["--generate", GEN, "--seed", "5", "--modes", "ecfix", "--key", "cascade",
+                 "--days", "1", "--dt", "1.0", "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "checkpoint").iterdir()) \
+        == ["ECFix_0000.f8", "ECFix_0000.json", "meta.json"]
 
 
 #: The series tags a member's schedule holds for each device it owns.
@@ -978,8 +1103,9 @@ def test_lp_backends_write_identical_reports(tmp_path, monkeypatch):
     assert ecflex.objective_value == pytest.approx(cold_ecflex.objective, rel=TOL_OPT)
     assert central.verify_day_schedule(day.scenario, ecflex) == []
     for mode in warm:
-        doc = json.loads((tmp_path / "warm" / "checkpoint" / f"{mode}_0000.json").read_text())
-        sched = reporting.schedule_from_dict(doc["schedule"])
+        path = tmp_path / "warm" / "checkpoint" / f"{mode}_0000.json"
+        sched = reporting.schedule_from_dict(json.loads(path.read_text())["schedule"],
+                                             path.with_suffix(".f8").read_bytes())
         assert central.verify_day_schedule(day.scenario, sched) == [], mode
 
 

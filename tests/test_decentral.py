@@ -16,10 +16,9 @@ from reccoord.central import (PlannerMode, SolvedDay, default_refs, final_states
 from reccoord.decentral import (IterationLimitError, MemberAgent, Shift, initial_request,
                                 refine_bounds, run_ecflexit, settle_community)
 from reccoord.lpcore import TOL_OPT, LpStatus
-from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import SyntheticConfig, generate_synthetic
-from helpers import (make_member, make_scenario, run_days, series, simple_ev, simple_wb,
-                     solve_with_linprog)
+from helpers import (encoded, make_member, make_scenario, run_days, series, simple_ev,
+                     simple_wb, solve_with_linprog)
 
 
 def _agent(scenario, member_id: str) -> MemberAgent:
@@ -267,7 +266,7 @@ class TestRunLoop:
         assert len(traces_a) > 1
         assert json.dumps([t.to_dict() for t in traces_a]) \
             == json.dumps([t.to_dict() for t in traces_b])
-        assert json.dumps(schedule_to_dict(sched_a)) == json.dumps(schedule_to_dict(sched_b))
+        assert encoded(sched_a) == encoded(sched_b)
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_warm_member_solves_reach_the_cold_optimum_in_fewer_iterations(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import csv
 import io
 import json
@@ -110,11 +109,17 @@ def test_trace_lines_are_valid_json(toy_results, tmp_path):
         assert {"day", "iteration", "offers", "bounds", "activations"} <= set(doc)
 
 
+def _round_trip(sched: DaySchedule) -> DaySchedule:
+    """``sched`` through its checkpoint form: the document as JSON text and
+    the array bytes in a buffer of their own, as a checkpoint load reads them."""
+    doc, data = schedule_to_dict(sched)
+    return schedule_from_dict(json.loads(json.dumps(doc)), bytearray(data))
+
+
 def test_schedule_serialization_round_trip(toy_results):
     _, results, _ = toy_results
     sched = results["ECFlexIt"][0]
-    doc = json.loads(json.dumps(schedule_to_dict(sched)))
-    back = schedule_from_dict(doc)
+    back = _round_trip(sched)
     assert back.mode == sched.mode
     assert back.community_bill_eur == sched.community_bill_eur
     for original, restored in zip(sched.members, back.members):
@@ -134,40 +139,57 @@ def test_checkpoint_arrays_round_trip_bit_for_bit():
         community_discomfort_eur=0.0,
         members=[MemberDaySchedule("u01", {"pinj": values, "ppv": -values},
                                    refs={"wb": values[::-1]})])
-    back = schedule_from_dict(json.loads(json.dumps(schedule_to_dict(sched))))
-    (original,), (restored,) = sched.members, back.members
-    for what in ("series", "refs"):
-        arrays, restored_arrays = getattr(original, what), getattr(restored, what)
-        assert list(restored_arrays) == list(arrays)
-        for tag, arr in arrays.items():
-            assert restored_arrays[tag].dtype == np.float64
-            assert restored_arrays[tag].flags.writeable
-            assert restored_arrays[tag].tobytes() == arr.tobytes(), (what, tag)
+    doc, data = schedule_to_dict(sched)
+    # the arrays back to back, in document order, and their lengths in the document
+    assert data == values.tobytes() + (-values).tobytes() + values[::-1].tobytes()
+    assert doc["members"][0]["series"] == {"pinj": values.size, "ppv": values.size}
+    assert doc["members"][0]["refs"] == {"wb": values.size}
+    for buffer in (bytearray(data), data):  # a read-only buffer is copied
+        back = schedule_from_dict(json.loads(json.dumps(doc)), buffer)
+        (original,), (restored,) = sched.members, back.members
+        for what in ("series", "refs"):
+            arrays, restored_arrays = getattr(original, what), getattr(restored, what)
+            assert list(restored_arrays) == list(arrays)
+            for tag, arr in arrays.items():
+                assert restored_arrays[tag].dtype == np.float64
+                assert restored_arrays[tag].flags.writeable
+                assert restored_arrays[tag].tobytes() == arr.tobytes(), (what, tag)
 
 
-def _b64(*floats) -> str:
-    return base64.b64encode(np.array(floats, dtype="<f8").tobytes()).decode()
+def test_checkpoint_arrays_are_views_into_one_buffer():
+    sched = DaySchedule(
+        mode="SoloFix", day=0, dt_hours=1.0, objective_value=0.0, community_bill_eur=0.0,
+        community_discomfort_eur=0.0,
+        members=[MemberDaySchedule(f"u0{i}", {"pinj": np.full(3, float(i))}) for i in (1, 2)])
+    doc, data = schedule_to_dict(sched)
+    buffer = bytearray(data)
+    back = schedule_from_dict(doc, buffer)
+    back.members[1].series["pinj"][0] = 7.0
+    assert np.frombuffer(buffer, "<f8").tolist() == [1.0, 1.0, 1.0, 7.0, 2.0, 2.0]
 
 
-@pytest.mark.parametrize("series", [
-    [1],                                   # not an object
-    {"pinj": [0.0, 1.0]},                  # a decimal list, not a string
-    {"pinj": 5},
-    {"pinj": "AAAA!AAA"},                  # not base64
-    {"pinj": "AAAA"},                      # 3 bytes
-    {"pinj": _b64(1.0, 2.0)[:-4]},         # 16 bytes cut to 13
+ONE = np.array([1.0], dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("arrays, data", [
+    ([1], ONE),                            # not an object
+    ({"pinj": [0.0, 1.0]}, ONE),           # a decimal list, not a count
+    ({"pinj": 5}, ONE),                    # more values than the bytes hold
+    ({"pinj": "AAAA!AAA"}, ONE),           # a string, as format 7's base64, not a count
+    ({"pinj": 1}, b"\0" * 3),              # 3 bytes
+    ({"pinj": 1}, np.array([1.0, 2.0]).tobytes()[:-4]),  # 16 bytes cut to 12
 ], ids=["array", "list", "number", "bad-base64", "3-bytes", "cut"])
-def test_undecodable_checkpoint_arrays_are_rejected(series):
+def test_undecodable_checkpoint_arrays_are_rejected(arrays, data):
     doc = {"mode": "SoloFix", "day": 0, "dt_hours": 1.0, "objective_value": 0.0,
            "community_bill_eur": 0.0, "community_discomfort_eur": 0.0,
-           "members": [{"member_id": "u01", "series": {"pinj": _b64(1.0)}, "refs": {},
+           "members": [{"member_id": "u01", "series": {"pinj": 1}, "refs": {},
                         "bill": None, "discomfort_total_eur": 0.0, "flex_revenue_eur": 0.0}]}
-    assert schedule_from_dict(doc).members[0].series["pinj"].tolist() == [1.0]
+    assert schedule_from_dict(doc, ONE).members[0].series["pinj"].tolist() == [1.0]
     for key in ("series", "refs"):
         bad = json.loads(json.dumps(doc))
-        bad["members"][0][key] = series
+        bad["members"][0][key] = arrays
         with pytest.raises((ValueError, TypeError)):
-            schedule_from_dict(bad)
+            schedule_from_dict(bad, data)
 
 
 #: Member ids that need ``csv`` quoting (or, for ``\r``, none under the report

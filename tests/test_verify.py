@@ -1,7 +1,8 @@
 """Strength of the independent verifier: a clean schedule passes, each
 single corruption of a device's state, power, daily energy or discomfort is
 reported against the member that owns the device, and a schedule missing a
-member, a series, a reference or a bill is reported, not raised on."""
+member, a series, a reference or a bill, listing a member twice or holding a
+series of another length is reported, not raised on."""
 
 from __future__ import annotations
 
@@ -158,8 +159,13 @@ def _without(key):
     (_first_member(series=_without("iret")), "u01: missing iret"),
     (_first_member(refs=_without("hp")), "u01: missing hp reference"),
     (_first_member(bill=lambda bill: None), "u01: no bill"),
+    (lambda members: [*members, members[0]], "u01: listed 2 times in the schedule"),
+    (_first_member(series=lambda series: {**series, "pinj": series["pinj"][:-1]}),
+     "u01: pinj has 23 steps, not 24"),
+    (_first_member(refs=lambda refs: {**refs, "hp": np.append(refs["hp"], 0.0)}),
+     "u01: hp reference has 25 steps, not 24"),
 ], ids=["member-missing", "member-unknown", "series-missing", "reference-missing",
-        "bill-missing"])
+        "bill-missing", "member-twice", "series-short", "reference-long"])
 def test_a_malformed_schedule_is_a_problem_not_an_error(solofix_day, edit, problem):
     day, sched = solofix_day
     assert verify_day_schedule(day, sched) == []
