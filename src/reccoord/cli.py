@@ -64,15 +64,12 @@ class RunConfig:
     days: int | None
     out_dir: Path
     trace: bool = False
-    max_iterations: int = 100
 
     def __post_init__(self) -> None:
         if not self.modes:
             raise UsageError("at least one mode is required")
         if self.days is not None and self.days < 1:
             raise UsageError("--days must be at least 1")
-        if self.max_iterations < 1:
-            raise UsageError("--max-iters must be at least 1")
         if any(m.startswith("ECFlexIt") for m in self.modes) and self.key is None:
             raise UsageError("decentralized modes require --key "
                              "(equal, prorate or cascade)")
@@ -156,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     run.add_argument("--trace", action="store_true",
                      help="write the coordination iteration trace")
-    run.add_argument("--max-iters", type=int, default=100,
-                     help="iteration cap of the coordination loop")
     return parser
 
 
@@ -181,7 +176,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         days=args.days,
         out_dir=args.out,
         trace=args.trace,
-        max_iterations=args.max_iters,
     )
 
 
@@ -240,6 +234,8 @@ class _Checkpoint:
                 meta = json.loads(self.meta.read_text())
                 self.current = meta["fingerprint"] == fingerprint
                 self.schedules = meta.get("schedules") if self.current else None
+            except OSError as exc:
+                raise UsageError(f"cannot read the checkpoint: {exc}") from exc
             except (ValueError, KeyError, TypeError):  # not UTF-8, not JSON, not an object
                 pass
 
@@ -401,7 +397,6 @@ def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:
     settings = {
         "checkpoint_format": CHECKPOINT_FORMAT,
         "key": config.key,
-        "max_iterations": config.max_iterations,
     }
     h.update(json.dumps(settings, sort_keys=True).encode())
     return h.hexdigest()
@@ -453,7 +448,7 @@ def _solve_day(solved: central.SolvedDay, mode_name: str,
         if mode_name.startswith("ECFlexIt"):
             sched, traces = decentral.run_ecflexit(
                 solved, key=config.key, primed=mode_name == "ECFlexItPrimed",
-                max_iterations=config.max_iterations, initial_states=carried)
+                initial_states=carried)
         else:
             sched, traces = central.solve_centralized(
                 solved, PlannerMode(mode_name), initial_states=carried), []

@@ -18,10 +18,14 @@ functions (:func:`initial_request`, :func:`refine_bounds`,
 :func:`settle_community`) consume only offers, activations, aggregate
 requests and net injections.  The final settlement shares each step's
 matched volume pro rata over exporters and over importers, the same closed
-form that gives the centralized planners' legs.  Running members in any order
-yields identical results: within an iteration every subproblem depends only
-on the shared request and the member's own committed state, and all
-aggregation happens in canonical member order.
+form that gives the centralized planners' legs.  Solving the members' LPs of
+a phase in any order yields identical results: within an iteration every
+subproblem depends only on the shared request and the member's own committed
+state, and all aggregation happens in scenario member order.  The order of
+the members in the scenario is another matter: it moves the decentralized
+community bills and the per-member bills, because where several dispatches
+are equally cheap, which one HiGHS returns depends on it (the README's
+caveat).
 
 :func:`run_ecflexit` works on one :class:`~reccoord.central.SolvedDay` and
 takes the priming and the ECFix start from the schedules it holds, if any.
@@ -65,6 +69,10 @@ EPSILON_KWH = 1e-6
 #: Request and offer entries below this many kW are flushed to zero, so solver
 #: dust cannot leave both directions nominally "open" at one step.
 REQUEST_DUST_KW = 1e-9
+
+#: Rounds a coordination may run before it fails with
+#: :class:`IterationLimitError`.
+MAX_ITERATIONS = 100
 
 
 class DecentralError(Exception):
@@ -262,8 +270,7 @@ class MemberAgent:
 # The coordination loop
 
 
-def run_ecflexit(solved: SolvedDay, key: str = "equal",
-                 primed: bool = False, max_iterations: int = 100,
+def run_ecflexit(solved: SolvedDay, key: str = "equal", primed: bool = False,
                  initial_states: Mapping[str, CarriedState] | None = None,
                  ) -> tuple[DaySchedule, list[IterationTrace]]:
     """Run the full decentralized coordination for the day of ``solved``.
@@ -303,7 +310,7 @@ def run_ecflexit(solved: SolvedDay, key: str = "equal",
         down_open = bool(np.any(request.down_kw * dt > EPSILON_KWH))
         if not (up_open and down_open):
             break
-        if iteration >= max_iterations:
+        if iteration >= MAX_ITERATIONS:
             raise IterationLimitError(traces)
         iteration += 1
 

@@ -1,7 +1,8 @@
 """Hand-built scenario fixtures, a multi-day loop, the ``linprog`` reference
 solve, the exact rational equal key, the per-cell ``schedules.csv``
-reference writer and reader, a schedule's checkpoint form, and fresh
-interpreters with or without a HiGHS solver, shared across the test modules."""
+reference writer and reader, a schedule's checkpoint form, fresh
+interpreters with or without a HiGHS solver, and runs killed at a file write
+and resumed, shared across the test modules."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from reccoord import lpcore
+from reccoord import cli, lpcore
 from reccoord.central import SERIES, SolvedDay, final_states
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
 from reccoord.reporting import schedule_to_dict
@@ -219,3 +220,68 @@ def scipy_without_highs(root: Path) -> Path:
     where.mkdir(parents=True)
     (root / "scipy" / "__init__.py").write_text("raise ImportError('scipy/__init__.py ran')\n")
     return where
+
+
+#: The code of :func:`run_crashing`'s interpreter, after ``AT`` and ``ARGV``.
+_CRASHING = """
+import contextlib, json, os, sys
+from reccoord import cli, reporting
+
+replacing, written = reporting.replacing, []
+
+@contextlib.contextmanager
+def crashing(path):
+    with replacing(path) as tmp:
+        yield tmp
+        written.append(path.name)
+        if AT in (len(written), path.name):
+            os._exit(9)  # the new bytes are in the temp file, not yet in place
+
+reporting.replacing = crashing
+code = cli.main(ARGV)
+print(json.dumps(written))
+sys.exit(code)
+"""
+
+
+def run_crashing(argv: list[str], at: int | str | None) -> subprocess.CompletedProcess:
+    """``reccoord.cli.main(argv)`` run by a fresh interpreter (see
+    :func:`run_python`) that ends with exit code 9 inside one file write: the
+    ``at``-th, or the first of the file named ``at``, once its bytes are in
+    the temp file and before they replace the file.  Every checkpoint and
+    report write goes through :func:`reccoord.reporting.replacing`, where the
+    writes are counted.  A run that reaches its end prints the names of the
+    files it wrote, in order, as a JSON list on its last line."""
+    return run_python(f"AT, ARGV = {at!r}, {argv!r}", _CRASHING)
+
+
+def check_crash_resumes_as_cold(argv: list[str], at: int | str, cold: Path, out: Path) -> None:
+    """Kill the run of ``argv`` into ``out`` at the write ``at`` (see
+    :func:`run_crashing`), resume it, and check that ``out`` then holds the
+    files the run's cold, uninterrupted run left in ``cold``, byte for byte:
+    the reports, ``scenario.json``, every checkpoint pair and ``meta.json``,
+    and no ``*.tmp``."""
+    crashed = run_crashing([*argv, "--out", str(out)], at)
+    assert crashed.returncode == 9, (at, crashed.returncode, crashed.stderr)
+    assert cli.main([*argv, "--out", str(out)]) == 0, at
+
+    def files(root: Path) -> dict[str, bytes]:
+        return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    got, want = files(out), files(cold)
+    assert sorted(got) == sorted(want), at
+    for name, data in want.items():
+        assert got[name] == data, (at, name)
+
+
+def crash_at_every_write(argv: list[str], root: Path) -> None:
+    """:func:`check_crash_resumes_as_cold` at every file write of the run of
+    ``argv``, each into its own directory under ``root``, after a cold run
+    into ``root/cold`` has counted the writes."""
+    root = Path(root)
+    cold = run_crashing([*argv, "--out", str(root / "cold")], None)
+    assert cold.returncode == 0, cold.stderr
+    written = json.loads(cold.stdout.splitlines()[-1])
+    for k, name in enumerate(written, start=1):
+        check_crash_resumes_as_cold(argv, k, root / "cold", root / f"crash-{k}")
+        print(f"killed at write {k} of {len(written)} ({name}): resumed to the cold run's files")

@@ -18,7 +18,7 @@ from reccoord.devices import DEVICES, simulate_bss, simulate_ev, simulate_hp, si
 from reccoord.kor import cascade_key, equal_key, get_key, prorate_key
 from reccoord.scenario import (SyntheticConfig, generate_synthetic,
                                load_bundled_scenario)
-from reccoord.decentral import run_ecflexit
+from reccoord.decentral import MAX_ITERATIONS, run_ecflexit
 from helpers import (flat_prices, make_member, make_scenario, run_days, series, simple_hp,
                      simple_wb)
 
@@ -264,8 +264,8 @@ def test_criterion_9_termination_and_order_independence():
                               dt_hours=1.0,
                               pv_total_kwp=8.0 + 2 * seed)
         s = generate_synthetic(cfg)
-        _, traces = run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=100)
-        assert len(traces) <= 100
+        _, traces = run_ecflexit(SolvedDay(s, 0), key="equal")
+        assert len(traces) <= MAX_ITERATIONS
         terminated += 1
     assert terminated == 8
     _ok(9, "coordination terminates within the cap")

@@ -19,7 +19,8 @@ from reccoord.cli import main
 from reccoord.lpcore import TOL_OPT
 from reccoord.scenario import (Scenario, SyntheticConfig, dump_scenario, generate_synthetic,
                                load_scenario)
-from helpers import run_python, scipy_without_highs, solve_with_linprog
+from helpers import (check_crash_resumes_as_cold, run_python, scipy_without_highs,
+                     solve_with_linprog)
 
 GEN = "members=4,wb=0.5,ev=0.25,hp=0.25,bss=0.25,pv=16"
 
@@ -50,8 +51,9 @@ def test_gap_rows_emitted_when_both_schemes_run(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--key", "fifo"],
-                                   ["--key", "equal", "--allow-curtailment"]],
-                         ids=["key-fifo", "allow-curtailment"])
+                                   ["--key", "equal", "--allow-curtailment"],
+                                   ["--key", "equal", "--max-iters", "5"]],
+                         ids=["key-fifo", "allow-curtailment", "max-iters"])
 def test_unknown_key_name_is_a_usage_error(tmp_path, capsys, flags):
     """argparse rejects a choice it does not know and a flag it does not have."""
     with pytest.raises(SystemExit) as err:
@@ -131,11 +133,12 @@ def test_out_holding_a_directory_in_place_of_an_output_file_is_a_usage_error(
 
 
 @pytest.mark.parametrize("name", ["SoloFix_0000.json", "SoloFix_0000.json.tmp",
-                                  "SoloFix_0000.f8", "SoloFix_0000.f8.tmp"])
+                                  "SoloFix_0000.f8", "SoloFix_0000.f8.tmp",
+                                  "meta.json", "meta.json.tmp"])
 def test_a_directory_in_place_of_a_checkpoint_file_is_a_usage_error(tmp_path, capsys, name):
-    """Each file of a checkpoint pair is read where it was, or written through
-    its ``.tmp`` twin once the file is gone; a directory at any of these paths
-    stops the run naming it."""
+    """Each checkpoint file is read where it was, or written through its
+    ``.tmp`` twin once the file is gone; a directory at any of these paths
+    stops the run naming it and whether it was read or written."""
     args = ["--generate", "members=2", "--seed", "1", "--dt", "1.0", "--modes", "solofix",
             "--out", str(tmp_path)]
     assert _run(args) == 0
@@ -146,6 +149,8 @@ def test_a_directory_in_place_of_a_checkpoint_file_is_a_usage_error(tmp_path, ca
     assert _run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+    verb = "write" if name.endswith(".tmp") else "read"
+    assert err.startswith(f"error: cannot {verb} the checkpoint: "), err
 
 
 @pytest.mark.parametrize("flags, given", [
@@ -321,10 +326,11 @@ def test_a_failing_member_subproblem_names_mode_and_day(tmp_path, capsys, monkey
     assert err.startswith("error: ECFlexIt day 0: member ") and err.count("\n") == 1
 
 
-def test_the_iteration_cap_names_mode_and_day_once(tmp_path, capsys):
+def test_the_iteration_cap_names_mode_and_day_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(decentral, "MAX_ITERATIONS", 1)
     bundled = Path(cli.__file__).parent / "data" / "community20.json"
     code = _run(["--scenario", str(bundled), "--modes", "ecflexit", "--key", "equal",
-                 "--days", "1", "--max-iters", "1", "--out", str(tmp_path)])
+                 "--days", "1", "--out", str(tmp_path)])
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: ECFlexIt day 0: iteration cap exceeded after 1 iterations\n"
@@ -1253,6 +1259,29 @@ def test_reports_do_not_depend_on_the_solve_order(tmp_path, monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
+#: The run killed below: :data:`GOLDEN_ARGS` over two days (the later --days wins).
+CRASH_ARGS = ["run", *GOLDEN_ARGS, "--days", "2"]
+
+
+@pytest.fixture(scope="module")
+def cold_two_days(tmp_path_factory):
+    """The output directory of an uninterrupted :data:`CRASH_ARGS` run."""
+    out = tmp_path_factory.mktemp("cold") / "out"
+    assert main([*CRASH_ARGS, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("at", ["ECFlex_0000.f8", "ECFlex_0000.json", "trace.jsonl"],
+                         ids=["first-checkpoint-write", "between-f8-and-json",
+                              "last-report-write"])
+def test_a_run_killed_at_a_file_write_resumes_to_the_cold_runs_files(cold_two_days, tmp_path,
+                                                                      at):
+    """A process ended inside the write of ``at``, its bytes in the temp file
+    and not yet in place, leaves a directory its resume completes to the
+    cold run's files; every write of the run is killed this way in CI."""
+    check_crash_resumes_as_cold(CRASH_ARGS, at, cold_two_days, tmp_path / "out")
+
+
 def test_each_solved_mode_day_gives_back_memory_once(tmp_path, monkeypatch):
     """The heap is trimmed once after each (mode, day) solved, and never for
     one the checkpoint holds."""
@@ -1288,14 +1317,6 @@ def test_a_c_library_without_malloc_trim_writes_the_same_reports(tmp_path, monke
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_SHA256}
     assert got == GOLDEN_SHA256
-
-
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_max_iters_below_one_is_a_usage_error(tmp_path, capsys, value):
-    code = _run(["--generate", "members=2", "--modes", "ecflexit", "--key", "equal",
-                 "--max-iters", value, "--out", str(tmp_path)])
-    assert code == 2
-    assert "--max-iters must be at least 1" in capsys.readouterr().err
 
 
 def test_trace_dicts_are_kept_only_with_trace(tmp_path):

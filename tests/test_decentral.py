@@ -304,10 +304,11 @@ class TestRunLoop:
         run_ecflexit(SolvedDay(s, 0), key="equal", primed=primed)
         assert warm < sum(iterations)
 
-    def test_iteration_cap_raises_with_the_trace_attached(self):
+    def test_iteration_cap_raises_with_the_trace_attached(self, monkeypatch):
+        monkeypatch.setattr(decentral, "MAX_ITERATIONS", 1)
         s = generate_synthetic(SyntheticConfig(members=4, seed=7, dt_hours=1.0, pv_total_kwp=20.0))
         with pytest.raises(IterationLimitError) as err:
-            run_ecflexit(SolvedDay(s, 0), key="equal", max_iterations=1)
+            run_ecflexit(SolvedDay(s, 0), key="equal")
         assert str(err.value) == "iteration cap exceeded after 1 iterations"
         assert len(err.value.traces) == 1
 

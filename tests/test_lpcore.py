@@ -963,6 +963,16 @@ def test_a_day_solve_wakes_no_blas_thread():
         central.solve_lp = recording
         solved = central.SolvedDay(generate_synthetic(SyntheticConfig(
             members=24, seed=3, num_days=1)), 0)
+        # the BLAS workers also spin after they start, and after the set-up's
+        # own calls: open the window once the other threads idled for 0.1 s
+        me, deadline = threading.get_native_id(), time.monotonic() + 5.0
+        settled = cpu_ms()
+        while time.monotonic() < deadline:
+            time.sleep(0.1)
+            now = cpu_ms()
+            if all(ms == settled.get(tid, 0.0) for tid, ms in now.items() if tid != me):
+                break
+            settled = now
         before = cpu_ms()
         for mode in (PlannerMode.SOLO_FIX, PlannerMode.EC_FIX, PlannerMode.SOLO_FLEX):
             central.solve_centralized(solved, mode)
