@@ -47,7 +47,7 @@ import numpy as np
 
 from . import billing
 from .devices import DEVICES, simulate_bss
-from .lpcore import LpProblem, LpSolution, LpStatus, solve_lp
+from .lpcore import TOL_OPT, LpProblem, LpSolution, LpStatus, solve_lp
 from .scenario import Member, Scenario
 
 
@@ -538,13 +538,16 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
     """Check a day schedule against its day's scenario without reading LP internals.
 
     Re-simulates every device from its power schedule, recomputes hinge
-    discomforts and bills, and checks the power balances, daily conservation
-    and community matching.  Returns human-readable problems; empty = clean.
+    discomforts and bills, and checks the power balances, daily conservation,
+    community matching, the day's bill and discomfort totals against the sums
+    of the recomputed ones and the objective against their sum (within
+    ``TOL_OPT`` relative).  Returns human-readable problems; empty = clean.
     A scenario member the schedule lacks or lists more than once, a schedule
     member the scenario lacks, a missing series, device reference or bill and
     a series or reference of another number of steps than the day's are
     problems too; a member lacking a series or reference, or holding one of
-    the wrong length, is checked no further.
+    the wrong length, is checked no further, and with any of these the day's
+    totals and objective are not checked.
     """
     s = day_scenario
     dt = s.horizon.dt_hours
@@ -559,6 +562,7 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
     steps = s.horizon.steps_per_day
     ecom_total = np.zeros(steps)
     icom_total = np.zeros(steps)
+    bill_total = discomfort_total = 0.0
 
     listed = Counter(ms.member_id for ms in sched.members)
     for member_id, times in listed.items():
@@ -567,10 +571,12 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
     by_id = {ms.member_id: ms for ms in sched.members}
     for member_id in sorted(by_id.keys() - {m.id for m in s.members}):
         problems.append(f"{member_id}: not a member of the scenario")
+    whole = not problems  # every member listed once, with all its arrays
     for m in s.members:
         ms = by_id.get(m.id)
         if ms is None:
             problems.append(f"{m.id}: missing from the schedule")
+            whole = False
             continue
         ss = ms.series
         devices = [spec for spec in DEVICES if getattr(m, spec.name) is not None]
@@ -582,6 +588,7 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
         missing += [f"{spec.name} reference" for spec in devices if spec.name not in ms.refs]
         if missing:
             problems.append(f"{m.id}: missing {', '.join(missing)}")
+            whole = False
             continue
         arrays = [*ss.items()]
         arrays += [(f"{spec.name} reference", ms.refs[spec.name]) for spec in devices]
@@ -589,6 +596,7 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
                  for name, arr in arrays if np.shape(arr) != (steps,)]
         if wrong:
             problems += wrong
+            whole = False
             continue
         state = initial_states.get(m.id, {})
         inj, pv = ss["pinj"], ss["ppv"]
@@ -621,6 +629,7 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
                   f"{m.id}: community exchange in a solo mode")
 
         bill = billing.compute_bill(m.id, iret, eret, icom, ecom, s.prices, dt)
+        bill_total += bill.total_eur
         if ms.bill is None:
             problems.append(f"{m.id}: no bill")
         else:
@@ -656,9 +665,21 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
                   f"{what} power out of bounds")
             check(abs(float(np.sum(power - ms.refs[spec.name]))) * dt <= tol,
                   f"{what} daily energy not conserved")
-            check(np.max(np.abs(spec.hinge(device, traj) - ss[spec.discomfort])) <= tol,
+            hinge = spec.hinge(device, traj)
+            discomfort_total += float(np.sum(hinge))
+            check(np.max(np.abs(hinge - ss[spec.discomfort])) <= tol,
                   f"{what} discomfort mismatch")
 
     check(np.max(np.abs(ecom_total - icom_total)) <= tol,
           f"community exchange imbalance {np.max(np.abs(ecom_total - icom_total)):.3e}")
+    if whole:
+        check(abs(sched.community_bill_eur - bill_total) <= tol,
+              f"community bill {sched.community_bill_eur} != recomputed {bill_total}")
+        check(abs(sched.community_discomfort_eur - discomfort_total) <= tol,
+              f"community discomfort {sched.community_discomfort_eur} "
+              f"!= recomputed {discomfort_total}")
+        objective = bill_total + discomfort_total
+        check(abs(sched.objective_value - objective)
+              <= TOL_OPT * max(1.0, abs(sched.objective_value)),
+              f"objective {sched.objective_value} != bill plus discomfort {objective}")
     return problems

@@ -36,7 +36,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,8 +202,8 @@ class _Checkpoint:
     to.  Any other pair, a file truncated, edited, missing or copied from
     another mode, day or run, is recomputed with a warning naming the file
     and why; the ``.json`` is checked before any of it is parsed.  The
-    ``.f8`` is read whole into one buffer, and the schedule's arrays are
-    views into it.
+    ``.f8`` is read whole into one ``bytes``, and the schedule's arrays are
+    read-only views into it.
 
     :meth:`store` writes the ``.f8`` first and the ``.json`` second, so a
     crash between the two leaves a ``.json`` whose hash the new ``.f8`` does
@@ -270,7 +269,7 @@ class _Checkpoint:
                                          "mode and day")
         doc = json.loads(raw)
         try:
-            data = _read_whole(arrays_path)
+            data = arrays_path.read_bytes()
         except FileNotFoundError:
             return unreadable(arrays_path.name, "no such file")
         except OSError as exc:
@@ -363,15 +362,6 @@ def _sha256(path: Path) -> str | None:
     except OSError:
         return None
     return digest.hexdigest()
-
-
-def _read_whole(path: Path) -> bytearray:
-    """The bytes of the file at ``path`` in one writable buffer, filled by
-    one ``readinto``."""
-    with path.open("rb", buffering=0) as handle:
-        data = bytearray(os.fstat(handle.fileno()).st_size)
-        del data[handle.readinto(data):]  # the file was cut while being read
-    return data
 
 
 def _write_atomic(path: Path, data: bytes) -> None:

@@ -28,9 +28,10 @@ little-endian float64 bytes back to back, in document order.  The bytes
 round-trip every value bit for bit, NaN, infinities, ``-0.0`` and subnormals
 included, and nothing is formatted or parsed as text.
 :func:`schedule_from_dict` gives the arrays as views into the bytes it is
-handed, one buffer for the whole schedule.  Whether a checkpoint is reused is
-decided by its digests (see :class:`reccoord.cli._Checkpoint`); the decoder
-still rejects lengths that do not match the bytes, for any caller.
+handed, one buffer for the whole schedule, read-only when those bytes are.
+Whether a checkpoint is reused is decided by its digests (see
+:class:`reccoord.cli._Checkpoint`); the decoder still rejects lengths that do
+not match the bytes, for any caller.
 """
 
 from __future__ import annotations
@@ -209,15 +210,13 @@ def schedule_to_dict(sched: DaySchedule) -> tuple[dict, bytes]:
 def schedule_from_dict(doc: dict, data) -> DaySchedule:
     """The schedule of a :func:`schedule_to_dict` document and its array bytes.
 
-    Each array is a view into ``data``, writable when ``data`` is (a read-only
-    buffer is copied once).  ``TypeError`` for lengths that are not a mapping
-    of counts, ``ValueError`` when ``data`` is not whole float64s or holds
-    another number of them than the lengths add up to."""
+    Each array is a view into ``data``, writable only when ``data`` is.
+    ``TypeError`` for lengths that are not a mapping of counts, ``ValueError``
+    when ``data`` is not whole float64s or holds another number of them than
+    the lengths add up to."""
     if len(data) % 8:
         raise ValueError(f"its {len(data)} bytes are not whole float64s")
     values = np.frombuffer(data, "<f8")
-    if not values.flags.writeable:
-        values = values.copy()
     offset = 0
 
     def views(lengths) -> dict[str, np.ndarray]:

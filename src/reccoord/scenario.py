@@ -519,23 +519,6 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _parse_thermal_limit(obj: dict, where: str) -> np.ndarray:
-    """Accept ``temp_limit`` directly or the (temp_ref, temp_set) pair.
-
-    When the pair is given, the effective limit is the elementwise minimum of
-    the two series.
-    """
-    if "temp_limit" in obj and obj["temp_limit"] is not None:
-        return _series(obj["temp_limit"], f"{where}.temp_limit")
-    if "temp_ref" in obj and "temp_set" in obj:
-        ref = _series(obj["temp_ref"], f"{where}.temp_ref")
-        set_ = _series(obj["temp_set"], f"{where}.temp_set")
-        if len(ref) != len(set_):
-            raise ScenarioParseError(f"{where}: temp_ref and temp_set lengths differ")
-        return np.minimum(ref, set_)
-    raise ScenarioParseError(f"{where}: need temp_limit or the (temp_ref, temp_set) pair")
-
-
 #: Scalar field annotations -> the type a document value must convert to.
 _SCALAR_TYPES = {"int": int, "float": float}
 
@@ -544,18 +527,16 @@ def _parse(cls: type, obj: Any, where: str, **given: Any) -> Any:
     """A ``cls`` instance from document object ``obj``, one key per field in
     declaration order; ``given`` holds fields already read.  A series goes
     through :func:`_series`, a scalar through :func:`_scalar` with its
-    annotated type, a device slot (unless absent or null) through its class
-    and ``temp_limit`` through :func:`_parse_thermal_limit`; a missing key
-    with a default takes the default, and unknown keys are ignored."""
+    annotated type and a device slot (unless absent or null) through its
+    class; a missing key with a default takes the default, and unknown keys
+    are ignored."""
     if not isinstance(obj, dict):
         raise ScenarioParseError(f"{where}: expected an object")
     for f in fields(cls):
         name, path = f.name, f"{where}.{f.name}"
         if name in given or (name not in obj and f.default is not MISSING):
             continue
-        if name == "temp_limit":
-            given[name] = _parse_thermal_limit(obj, where)
-        elif name in DEVICE_PARAMS:
+        if name in DEVICE_PARAMS:
             if obj[name] is not None:
                 given[name] = _parse(DEVICE_PARAMS[name], obj[name], path)
         elif name in getattr(cls, "_SERIES", ()):
@@ -590,11 +571,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 #: Document keys whose arrays :func:`load_scenario` decodes straight into
-#: read-only float64 vectors: every per-step series field, and the pair a
-#: thermal limit may be given by.
+#: read-only float64 vectors: every per-step series field.
 _SERIES_KEYS = frozenset(
     name for cls in (Prices, Member, *DEVICE_PARAMS.values()) for name in cls._SERIES
-) | {"temp_ref", "temp_set"}
+)
 
 
 def _decode_series(obj: dict) -> dict:

@@ -655,7 +655,9 @@ def _recompute_a_changed_day(out: Path, args: list[str]) -> None:
     meta = json.loads((out / "checkpoint" / "meta.json").read_text())
     checkpoint = cli._Checkpoint(out, meta["fingerprint"])
     sched, traces = checkpoint.load("SoloFix", 1)
-    sched.members[0].series["pinj"][3] += 1.0
+    series = sched.members[0].series
+    series["pinj"] = series["pinj"].copy()
+    series["pinj"][3] += 1.0
     checkpoint.store("SoloFix", 1, sched, traces)
     assert _run(args) == 0
     (out / "checkpoint" / "SoloFix_0001.json").unlink()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +136,62 @@ def test_equal_key_on_arrays_has_the_bits_of_the_exact_split():
                                  for t in range(len(request))])
         assert fast.shape == offers.shape
         assert np.array_equal(fast.view(np.uint64), exact.view(np.uint64)), members
+
+
+def _prorate_fraction(offers, request: float) -> np.ndarray:
+    """The prorate key of one step on exact rationals: each offer's share of
+    the request, ``offer / Σ offers · request``, capped by the offer."""
+    caps = [Fraction(float(c)) for c in offers]
+    total, req = sum(caps, Fraction(0)), Fraction(float(request))
+    if total == 0:
+        return np.zeros(len(caps))
+    return np.array([float(min(c / total * req, c)) for c in caps])
+
+
+def _water_filling_fraction(offers, request: float) -> np.ndarray:
+    """The cascade key of one step in closed form: ``min(offer, λ)``, where the
+    level ``λ`` places ``min(request, Σ offers)``.  ``λ`` is found on exact
+    rationals, walking the offers in ascending order: it is the equal share
+    of the request left over the offers not yet passed, at the first offer
+    that share does not exceed; past every offer, each offer is filled."""
+    caps = [Fraction(float(c)) for c in offers]
+    left, level = Fraction(float(request)), max(caps, default=Fraction(0))
+    for i, cap in enumerate(sorted(caps)):
+        share = left / (len(caps) - i)
+        if share <= cap:
+            level = share
+            break
+        left -= cap
+    return np.array([float(min(c, level)) for c in caps])
+
+
+def _key_cases(rng, cases: int):
+    """Random ``(members, steps)`` offers and their requests: the edge values of
+    :func:`_edge_case_steps`, columns of small integers (tied and zero
+    offers), and requests of zero, of the total offer and above it."""
+    for _ in range(cases):
+        members, steps = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        offers, request = _edge_case_steps(rng, members, steps)
+        small = rng.random(steps) < 0.4
+        offers[:, small] = rng.integers(0, 4, (members, int(small.sum())))
+        total, pick = offers.sum(axis=0), rng.random(steps)
+        at, above = (0.15 <= pick) & (pick < 0.3), (0.3 <= pick) & (pick < 0.4)
+        request[pick < 0.15] = 0.0
+        request[at] = total[at]
+        request[above] = 2.0 * total[above] + 1.0
+        yield offers, request
+
+
+@pytest.mark.parametrize("key, reference", [(prorate_key, _prorate_fraction),
+                                            (cascade_key, _water_filling_fraction)],
+                         ids=["prorate", "cascade"])
+def test_exact_keys_have_the_bits_of_their_references(key, reference):
+    for offers, request in _key_cases(np.random.default_rng(38), 1500):
+        fast = key(offers, request)
+        exact = np.column_stack([reference(offers[:, t], request[t])
+                                 for t in range(len(request))])
+        assert fast.shape == offers.shape
+        assert np.array_equal(fast.view(np.uint64), exact.view(np.uint64)), (offers, request)
 
 
 @pytest.mark.parametrize("name", ["equal", "prorate", "cascade"])

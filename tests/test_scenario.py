@@ -142,7 +142,7 @@ def test_soc_init_out_of_window_is_a_validation_error():
     assert any("soc_init out of [soc_min,soc_max]" in str(v) for v in err.value.violations)
 
 
-def test_thermal_limit_accepts_ref_set_pair():
+def test_thermal_limit_given_as_ref_set_pair_is_a_parse_error():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["members"][0]["hp"] = {
         "thermal_coeff": 0.2, "max_power_kw": 3.0, "cop": 3.0, "temp_init": 20.0,
@@ -152,8 +152,8 @@ def test_thermal_limit_accepts_ref_set_pair():
         "power_ref_kw": [0.1] * 4,
         "reluctance_eur": 1.0,
     }
-    s = load_scenario(json.dumps(doc))
-    assert list(s.members[0].hp.temp_limit) == [19.0, 20.0, 19.0, 19.5]
+    with pytest.raises(ScenarioParseError, match="missing required field 'temp_limit'"):
+        load_scenario(json.dumps(doc))
 
 
 def test_ev_reference_power_while_unplugged_is_flagged():

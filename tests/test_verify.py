@@ -1,6 +1,7 @@
 """Strength of the independent verifier: a clean schedule passes, each
 single corruption of a device's state, power, daily energy or discomfort is
-reported against the member that owns the device, and a schedule missing a
+reported against the member that owns the device, a day's bill, discomfort
+or objective off its members' is reported once, and a schedule missing a
 member, a series, a reference or a bill, listing a member twice or holding a
 series of another length is reported, not raised on."""
 
@@ -130,6 +131,20 @@ def test_boiler_above_its_maximum(solved):
     hottest = float(np.max(solved.member("flex").series["twb"]))
     _assert_flags_flex(_problems(_with_device("wb", temp_max=np.full(N, hottest - 0.01)),
                                  solved))
+
+
+@pytest.mark.parametrize("field, problem", [
+    ("community_bill_eur", "community bill "),
+    ("community_discomfort_eur", "community discomfort "),
+    ("objective_value", "objective "),
+], ids=["bill", "discomfort", "objective"])
+def test_a_day_total_off_its_members(solved, field, problem):
+    """The day's bill and discomfort are the sums of the members' recomputed
+    ones, and the objective is their sum (relative to its size)."""
+    value = getattr(solved, field)
+    edited = replace(solved, **{field: value + 1e-3 * max(1.0, abs(value))})
+    problems = verify_day_schedule(SCENARIO.for_day(0), edited)
+    assert len(problems) == 1 and problems[0].startswith(problem), problems
 
 
 @pytest.fixture(scope="module")
