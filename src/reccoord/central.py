@@ -539,15 +539,23 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
 
     Re-simulates every device from its power schedule, recomputes hinge
     discomforts and bills, and checks the power balances, daily conservation,
-    community matching, the day's bill and discomfort totals against the sums
-    of the recomputed ones and the objective against their sum (within
-    ``TOL_OPT`` relative).  Returns human-readable problems; empty = clean.
+    community matching, each step's community legs against the settlement
+    re-derived from the net injections, the day's bill and discomfort totals
+    against the sums of the recomputed ones and the objective against their
+    sum (within ``TOL_OPT`` relative).  Returns human-readable problems;
+    empty = clean.
     A scenario member the schedule lacks or lists more than once, a schedule
     member the scenario lacks, a missing series, device reference or bill and
     a series or reference of another number of steps than the day's are
     problems too; a member lacking a series or reference, or holding one of
-    the wrong length, is checked no further, and with any of these the day's
-    totals and objective are not checked.
+    the wrong length, is checked no further, and with any of these the
+    community balance and legs, the day's totals and the objective are not
+    checked.
+
+    The community legs are re-derived per step: the matched volume is
+    ``min(supply, demand)`` of the members' exports and imports (the positive
+    and negative parts of ``pinj``), 0 in a solo mode, and each member's
+    ``ecom`` and ``icom`` is its pro-rata share of it.
     """
     s = day_scenario
     dt = s.horizon.dt_hours
@@ -562,6 +570,10 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
     steps = s.horizon.steps_per_day
     ecom_total = np.zeros(steps)
     icom_total = np.zeros(steps)
+    supply = np.zeros(steps)
+    demand = np.zeros(steps)
+    legs = []
+    solo = sched.mode.startswith(("SoloFix", "SoloFlex"))
     bill_total = discomfort_total = 0.0
 
     listed = Counter(ms.member_id for ms in sched.members)
@@ -623,8 +635,12 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
 
         ecom_total += ecom
         icom_total += icom
+        exports, imports = np.maximum(inj, 0.0), np.maximum(-inj, 0.0)
+        supply += exports
+        demand += imports
+        legs.append((m.id, exports, imports, ecom, icom))
 
-        if sched.mode.startswith(("SoloFix", "SoloFlex")):
+        if solo:
             check(np.max(icom) <= tol and np.max(ecom) <= tol,
                   f"{m.id}: community exchange in a solo mode")
 
@@ -670,9 +686,18 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
             check(np.max(np.abs(hinge - ss[spec.discomfort])) <= tol,
                   f"{what} discomfort mismatch")
 
-    check(np.max(np.abs(ecom_total - icom_total)) <= tol,
-          f"community exchange imbalance {np.max(np.abs(ecom_total - icom_total)):.3e}")
     if whole:
+        check(np.max(np.abs(ecom_total - icom_total)) <= tol,
+              f"community exchange imbalance {np.max(np.abs(ecom_total - icom_total)):.3e}")
+        matched = np.zeros(steps) if solo else np.minimum(supply, demand)
+        off = max(np.max(np.abs(ecom_total - matched)), np.max(np.abs(icom_total - matched)))
+        check(off <= tol, f"community legs off the matched volume by {off:.3e}")
+        export_share = np.divide(matched, supply, out=np.zeros(steps), where=supply > 0.0)
+        import_share = np.divide(matched, demand, out=np.zeros(steps), where=demand > 0.0)
+        for member_id, exports, imports, ecom, icom in legs:
+            off = max(np.max(np.abs(ecom - exports * export_share)),
+                      np.max(np.abs(icom - imports * import_share)))
+            check(off <= tol, f"{member_id}: community legs off the pro-rata share by {off:.3e}")
         check(abs(sched.community_bill_eur - bill_total) <= tol,
               f"community bill {sched.community_bill_eur} != recomputed {bill_total}")
         check(abs(sched.community_discomfort_eur - discomfort_total) <= tol,

@@ -11,9 +11,10 @@ scalar request are one step.  Every key guarantees, per step,
 The equal key runs in float64 on all steps at once and gives the bits of
 exact rational arithmetic: its one division is correctly rounded, and the
 minimum against a representable cap commutes with rounding.  The prorate and
-cascade keys run on exact rationals per step, so that shares and caps
-compose without float drift; results are converted back to floats at the
-end.  NaN, infinite and negative inputs are rejected.
+cascade keys are exact where a step has a positive request and a positive
+offer: there each positive offer gets ``min(offer, level)``, with its level
+found on exact rationals and the minimum rounded once; every other entry is
+``+0.0``.  NaN, infinite and negative inputs are rejected.
 """
 
 from __future__ import annotations
@@ -62,56 +63,52 @@ def equal_key(offers, request) -> np.ndarray:
     return np.where((caps > 0.0) & (req > 0.0), np.minimum(share, caps), 0.0)
 
 
-def _per_step(split: Callable[[list[Fraction], Fraction], list[Fraction]],
-              offers, request) -> np.ndarray:
-    """The exact ``split`` of one step applied to every step."""
+def _exact(levels: Callable[[list[Fraction], Fraction], list[Fraction]],
+           offers, request) -> np.ndarray:
+    """``min(offer, level)`` for each positive offer at each step with a
+    positive request, ``levels`` giving the offers' levels in ``Fraction``s."""
     caps, req = _inputs(offers, request)
     columns = caps.reshape(len(caps), req.size)
-    out = np.empty(columns.shape)
-    for t, r in enumerate(req.flat):
-        out[:, t] = [float(a) for a in split([Fraction(c) for c in columns[:, t]],
-                                             Fraction(r))]
+    steps = req.reshape(-1)
+    out = np.zeros(columns.shape)
+    for t in np.flatnonzero((steps > 0.0) & (columns > 0.0).any(axis=0)):
+        rows = np.flatnonzero(columns[:, t] > 0.0)
+        offered = [Fraction(c) for c in columns[rows, t].tolist()]
+        out[rows, t] = [float(min(c, level))
+                        for c, level in zip(offered, levels(offered, Fraction(steps[t])))]
     return out.reshape(caps.shape)
 
 
 def prorate_key(offers, request) -> np.ndarray:
     """Split the request proportionally to each member's offered capacity."""
-    return _per_step(_prorate, offers, request)
+    return _exact(_prorated, offers, request)
 
 
-def _prorate(caps: list[Fraction], req: Fraction) -> list[Fraction]:
-    total = sum(caps, Fraction(0))
-    if total == 0 or req == 0:
-        return [Fraction(0)] * len(caps)
-    return [min(c / total * req, c) for c in caps]
+def _prorated(caps: list[Fraction], req: Fraction) -> list[Fraction]:
+    total = sum(caps)
+    return [c / total * req for c in caps]
 
 
 def cascade_key(offers, request) -> np.ndarray:
-    """Iterated equal splits over members with remaining capacity.
+    """Max-min fair split: each member gets ``min(offer, λ)``, where the water
+    level ``λ`` places ``min(request, sum(offers))``.
 
-    Re-offers the undershoot of each equal round to the members that still
-    have headroom, so the dispatched total is exactly
-    ``min(request, sum(offers))``.
-
-    The rational arithmetic makes zero-thresholds safe: every round either
-    saturates a member exactly or exhausts the request exactly, so the loop
-    runs at most ``len(offers) + 1`` times per step.
+    This is where iterated equal splits over the members with headroom end
+    (progressive filling).  Walking the offers in ascending order, ``λ`` is
+    the equal share of the request still left at the first offer that share
+    does not exceed; with no such offer, every offer is filled.
     """
-    return _per_step(_cascade, offers, request)
+    return _exact(_water_level, offers, request)
 
 
-def _cascade(caps: list[Fraction], req: Fraction) -> list[Fraction]:
-    act = [Fraction(0)] * len(caps)
-    remaining_req = req
-    while remaining_req > 0:
-        providers = [u for u, c in enumerate(caps) if c - act[u] > 0]
-        if not providers:
-            break
-        share = remaining_req / len(providers)
-        for u in providers:
-            act[u] = min(caps[u], act[u] + share)
-        remaining_req = req - sum(act, Fraction(0))
-    return act
+def _water_level(caps: list[Fraction], req: Fraction) -> list[Fraction]:
+    left = req
+    for i, cap in enumerate(sorted(caps)):
+        share = left / (len(caps) - i)
+        if share <= cap:
+            return [share] * len(caps)
+        left -= cap
+    return caps
 
 
 KEYS = {

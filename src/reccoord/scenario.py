@@ -85,13 +85,23 @@ def _series(values: Any, path: str) -> np.ndarray:
     return arr.view()
 
 
+def _document_series(values: Any, path: str) -> np.ndarray:
+    """A document's series through :func:`_series`; a list holding a string,
+    a boolean or null is a parse error naming ``path``.  A nested list is
+    left to :func:`_series`, which names its shape."""
+    if isinstance(values, list) and not set(map(type, values)) <= {int, float, list}:
+        raise ScenarioParseError(f"{path}: expected a flat numeric array")
+    return _series(values, path)
+
+
 def _scalar(conv: type, value: Any, path: str) -> Any:
     """``conv(value)``; a value it cannot convert exactly is a parse error
-    naming ``path``: a bool, for ``int`` a float with a fractional part, and
-    a number out of the float range (the horizon's arithmetic is in floats)."""
+    naming ``path``: a bool, a string, for ``int`` a float with a fractional
+    part, and a number out of the float range (the horizon's arithmetic is in
+    floats)."""
     try:
-        if isinstance(value, bool) or (conv is int and isinstance(value, float)
-                                       and not value.is_integer()):
+        if isinstance(value, (bool, str)) or (conv is int and isinstance(value, float)
+                                              and not value.is_integer()):
             raise ValueError
         if conv is int:
             float(value)  # an OverflowError beyond the float range
@@ -526,7 +536,7 @@ _SCALAR_TYPES = {"int": int, "float": float}
 def _parse(cls: type, obj: Any, where: str, **given: Any) -> Any:
     """A ``cls`` instance from document object ``obj``, one key per field in
     declaration order; ``given`` holds fields already read.  A series goes
-    through :func:`_series`, a scalar through :func:`_scalar` with its
+    through :func:`_document_series`, a scalar through :func:`_scalar` with its
     annotated type and a device slot (unless absent or null) through its
     class; a missing key with a default takes the default, and unknown keys
     are ignored."""
@@ -540,7 +550,7 @@ def _parse(cls: type, obj: Any, where: str, **given: Any) -> Any:
             if obj[name] is not None:
                 given[name] = _parse(DEVICE_PARAMS[name], obj[name], path)
         elif name in getattr(cls, "_SERIES", ()):
-            given[name] = _series(_require(obj, name, where), path)
+            given[name] = _document_series(_require(obj, name, where), path)
         else:
             given[name] = _scalar(_SCALAR_TYPES[f.type], _require(obj, name, where), path)
     return cls(**given)
@@ -578,14 +588,14 @@ _SERIES_KEYS = frozenset(
 
 
 def _decode_series(obj: dict) -> dict:
-    """``json.loads`` object hook: each flat numeric list under a series key
-    as a read-only float64 vector, made as soon as the object holding it
-    closes.  A list that does not convert stays a list, for the parser to
-    reject naming its field."""
+    """``json.loads`` object hook: each flat list of JSON numbers under a
+    series key as a read-only float64 vector, made as soon as the object
+    holding it closes.  A list that does not convert stays a list, for the
+    parser to reject naming its field."""
     for key in _SERIES_KEYS.intersection(obj):
         if isinstance(obj[key], list):
             try:
-                obj[key] = _series(obj[key], key)
+                obj[key] = _document_series(obj[key], key)
             except ScenarioParseError:
                 pass
     return obj

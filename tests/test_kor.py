@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from reccoord.kor import cascade_key, equal_key, get_key, prorate_key
+from reccoord.kor import _inputs, cascade_key, equal_key, get_key, prorate_key
 from helpers import equal_key_fraction
 
 
@@ -182,9 +184,48 @@ def _key_cases(rng, cases: int):
         yield offers, request
 
 
+# The keys as they were before they split only the steps with a request and
+# an offer: a ``Fraction`` for every member at every step, and cascade as
+# rounds of equal splits.  The rounds do not share the water level's walk.
+
+def _per_step(split: Callable[[list[Fraction], Fraction], list[Fraction]],
+              offers, request) -> np.ndarray:
+    """The exact ``split`` of one step applied to every step."""
+    caps, req = _inputs(offers, request)
+    columns = caps.reshape(len(caps), req.size)
+    out = np.empty(columns.shape)
+    for t, r in enumerate(req.flat):
+        out[:, t] = [float(a) for a in split([Fraction(c) for c in columns[:, t]],
+                                             Fraction(r))]
+    return out.reshape(caps.shape)
+
+
+def _prorate(caps: list[Fraction], req: Fraction) -> list[Fraction]:
+    total = sum(caps, Fraction(0))
+    if total == 0 or req == 0:
+        return [Fraction(0)] * len(caps)
+    return [min(c / total * req, c) for c in caps]
+
+
+def _cascade(caps: list[Fraction], req: Fraction) -> list[Fraction]:
+    act = [Fraction(0)] * len(caps)
+    remaining_req = req
+    while remaining_req > 0:
+        providers = [u for u, c in enumerate(caps) if c - act[u] > 0]
+        if not providers:
+            break
+        share = remaining_req / len(providers)
+        for u in providers:
+            act[u] = min(caps[u], act[u] + share)
+        remaining_req = req - sum(act, Fraction(0))
+    return act
+
+
 @pytest.mark.parametrize("key, reference", [(prorate_key, _prorate_fraction),
-                                            (cascade_key, _water_filling_fraction)],
-                         ids=["prorate", "cascade"])
+                                            (cascade_key, _water_filling_fraction),
+                                            (prorate_key, partial(_per_step, _prorate)),
+                                            (cascade_key, partial(_per_step, _cascade))],
+                         ids=["prorate", "cascade", "prorate-per-step", "cascade-rounds"])
 def test_exact_keys_have_the_bits_of_their_references(key, reference):
     for offers, request in _key_cases(np.random.default_rng(38), 1500):
         fast = key(offers, request)

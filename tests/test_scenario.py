@@ -14,8 +14,8 @@ import pytest
 from reccoord.scenario import (DEVICE_PARAMS, Member, ScenarioParseError,
                                ScenarioValidationError, SyntheticConfig, SyntheticConfigError,
                                Violation, dump_scenario, generate_synthetic,
-                               load_bundled_scenario, load_scenario, scenario_to_dict,
-                               validate_scenario)
+                               load_bundled_scenario, load_scenario, scenario_from_dict,
+                               scenario_to_dict, validate_scenario)
 from helpers import (make_member, make_scenario, simple_bss, simple_ev, simple_hp,
                      simple_wb)
 
@@ -71,6 +71,24 @@ def _member_bss(doc, **changes):
                                 "soc_init": 0.5, **changes}
 
 
+#: Edits that put a value other than a JSON number where a number belongs,
+#: with the parse error each one makes.
+_NOT_NUMBERS = [
+    (lambda d: d["horizon"].update(dt_hours="6"), "horizon.dt_hours: expected float, got '6'"),
+    (lambda d: d["horizon"].update(num_days="1"), "horizon.num_days: expected int, got '1'"),
+    (lambda d: d["members"][0]["fixed_load_kw"].__setitem__(1, "0.4"),
+     "members[0] (id=u01).fixed_load_kw: expected a flat numeric array"),
+    (lambda d: d["prices"].update(community_fee=[True] * 4),
+     "prices.community_fee: expected a flat numeric array"),
+    (lambda d: d["members"][0]["pv_max_kw"].__setitem__(2, True),
+     "members[0] (id=u01).pv_max_kw: expected a flat numeric array"),
+    (lambda d: d["members"][0]["fixed_load_kw"].__setitem__(0, None),
+     "members[0] (id=u01).fixed_load_kw: expected a flat numeric array"),
+]
+_NOT_NUMBER_IDS = ["float-numeric-string", "int-numeric-string", "series-string",
+                   "series-all-bool", "series-bool-among-floats", "series-null"]
+
+
 @pytest.mark.parametrize("data, message", [
     (json.dumps(MINIMAL_DOC).encode().replace(b"u01", b"u\xff1"),
      "document is not UTF-8: 'utf-8' codec can't decode byte 0xff"),
@@ -109,14 +127,26 @@ def _member_bss(doc, **changes):
      "members[0].id: expected a string, got None"),
     (_edited(lambda d: d["members"].append(dict(d["members"][0], id=1))),
      "members[1].id: expected a string, got 1"),
+    *[(_edited(edit), message) for edit, message in _NOT_NUMBERS],
 ], ids=["not-utf8", "series-of-strings", "nested-series", "scalar-string", "scalar-null",
         "int-string", "int-fraction", "int-bool", "int-infinite", "float-bool",
         "device-float-bool", "prices-null", "horizon-array", "series-overflow",
-        "float-overflow", "int-overflow", "int-beyond-digit-limit", "id-null", "id-number"])
+        "float-overflow", "int-overflow", "int-beyond-digit-limit", "id-null", "id-number",
+        *_NOT_NUMBER_IDS])
 def test_malformed_document_is_a_parse_error_naming_the_field(data, message):
     with pytest.raises(ScenarioParseError) as err:
         load_scenario(data)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("edit, message", _NOT_NUMBERS, ids=_NOT_NUMBER_IDS)
+def test_a_parsed_document_must_hold_json_numbers_too(edit, message):
+    """The dictionary path, without the loader's decoding of series."""
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    edit(doc)
+    with pytest.raises(ScenarioParseError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
 
 
 def test_integral_float_is_an_int():

@@ -1,7 +1,8 @@
 """Strength of the independent verifier: a clean schedule passes, each
 single corruption of a device's state, power, daily energy or discomfort is
 reported against the member that owns the device, a day's bill, discomfort
-or objective off its members' is reported once, and a schedule missing a
+or objective off its members' is reported once, community legs off the
+settlement of the net injections are reported, and a schedule missing a
 member, a series, a reference or a bill, listing a member twice or holding a
 series of another length is reported, not raised on."""
 
@@ -12,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reccoord import billing
 from reccoord.central import PlannerMode, SolvedDay, solve_centralized, verify_day_schedule
 from reccoord.scenario import Scenario, SyntheticConfig, generate_synthetic
 from helpers import make_member, make_scenario, simple_bss, simple_ev, simple_hp, simple_wb
@@ -185,3 +187,60 @@ def test_a_malformed_schedule_is_a_problem_not_an_error(solofix_day, edit, probl
     day, sched = solofix_day
     assert verify_day_schedule(day, sched) == []
     assert verify_day_schedule(day, replace(sched, members=edit(sched.members))) == [problem]
+
+
+@pytest.fixture(scope="module")
+def ecfix_day():
+    """A synthetic ECFix day whose hour 7 has two exporters in the community,
+    u01 and u03, and one importer, u02, all trading with the retailer too."""
+    solved = SolvedDay(generate_synthetic(SyntheticConfig(members=3, seed=1, dt_hours=1.0)), 0)
+    return solved.scenario, solve_centralized(solved, PlannerMode.EC_FIX)
+
+
+def _moved(day: Scenario, sched, t: int, moves):
+    """``sched`` with ``moves`` (member id -> tag -> kW added at step ``t``)
+    applied, and the member bills, the day's bill and the objective
+    recomputed to match, so that only the community legs are off."""
+    members = []
+    for ms in sched.members:
+        series = dict(ms.series)
+        for tag, kw in moves.get(ms.member_id, {}).items():
+            series[tag] = np.array(series[tag])
+            series[tag][t] += kw
+        bill = billing.compute_bill(ms.member_id, series["iret"], series["eret"],
+                                    series["icom"], series["ecom"], day.prices, sched.dt_hours)
+        members.append(replace(ms, series=series, bill=bill))
+    community_bill = sum(ms.bill.total_eur for ms in members)
+    return replace(sched, members=members, community_bill_eur=community_bill,
+                   objective_value=sched.objective_value - sched.community_bill_eur
+                   + community_bill)
+
+
+@pytest.mark.parametrize("moves, problems", [
+    ({"u03": {"ecom": -1.0, "eret": 1.0}, "u02": {"icom": -1.0, "iret": 1.0}},
+     ["community legs off the matched volume by 1.000e+00",
+      "u02: community legs off the pro-rata share by 1.000e+00",
+      "u03: community legs off the pro-rata share by 1.000e+00"]),
+    ({"u01": {"ecom": -0.1, "eret": 0.1}, "u03": {"ecom": 0.1, "eret": -0.1}},
+     ["u01: community legs off the pro-rata share by 1.000e-01",
+      "u03: community legs off the pro-rata share by 1.000e-01"]),
+], ids=["matched-kwh-to-the-retailer", "matched-volume-to-another-exporter"])
+def test_community_legs_off_the_settlement(ecfix_day, moves, problems):
+    """Each step matches ``min(supply, demand)`` of the net injections and
+    shares it pro rata, whatever bills were written to match the legs."""
+    day, sched = ecfix_day
+    t = 7
+    legs = {ms.member_id: ms.series for ms in sched.members}
+    assert [legs[u]["ecom"][t] > 0.1 for u in ("u01", "u02", "u03")] == [True, False, True]
+    assert legs["u02"]["icom"][t] > 1.0 and legs["u03"]["ecom"][t] > 1.0
+    assert min(legs[u]["eret"][t] for u in ("u01", "u03")) > 0.1
+    assert verify_day_schedule(day, sched) == []
+    assert verify_day_schedule(day, _moved(day, sched, t, moves)) == problems
+
+
+def test_a_member_missing_from_a_community_day_unbalances_nothing(ecfix_day):
+    """The community's totals are not checked over a part of the members."""
+    day, sched = ecfix_day
+    assert np.max(sched.member("u03").series["ecom"]) > 0.1
+    assert verify_day_schedule(day, replace(sched, members=sched.members[:-1])) == [
+        "u03: missing from the schedule"]
