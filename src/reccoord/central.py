@@ -537,28 +537,41 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
                         initial_states: Mapping[str, CarriedState] | None = None) -> list[str]:
     """Check a day schedule against its day's scenario without reading LP internals.
 
-    Re-simulates every device from its power schedule, recomputes hinge
-    discomforts and bills, and checks the power balances, daily conservation,
-    community matching, each step's community legs against the settlement
-    re-derived from the net injections, the day's bill and discomfort totals
-    against the sums of the recomputed ones and the objective against their
-    sum (within ``TOL_OPT`` relative).  Returns human-readable problems;
-    empty = clean.
+    Re-derives each member's settled day and compares each derived group with
+    the stored series once, one problem per member and group: the PV
+    production (the scenario's ``pv_max_kw``), the net injection ``pinj``
+    (the stored PV less the fixed load, the device powers and the battery's
+    net charge), the battery's SoC, each device's state and hinge discomfort
+    and, once every member is whole, the community's matched volume and each
+    member's four legs in the settlement of the stored ``pinj``.  It checks
+    the SoC window and its recovery, the power ratings, the state floors and
+    ceilings, each device's daily energy against the schedule's reference and
+    against the scenario's ``power_ref_kw``, each member's bill recomputed
+    from its stored legs, the day's bill and discomfort totals against their
+    sums and the objective against theirs (within ``TOL_OPT`` relative).
+    Returns human-readable problems; empty = clean.
+
+    The settlement is re-derived per step: the matched volume is
+    ``min(supply, demand)`` of the members' exports and imports (the positive
+    and negative parts of ``pinj``), 0 in a solo mode, and ``sum(ecom)`` and
+    ``sum(icom)`` must equal it; each member's ``ecom`` and ``icom`` is its
+    pro-rata share of it, and its ``eret`` and ``iret`` the rest of its
+    export and import.  A member's legs are off by the larger of their gap to
+    these and their residual in ``eret + ecom - iret - icom = pinj``.
+
+    A device's daily energy may not leave the scenario's: a planner that
+    changes a reference's energy to reach a carried state must hand that
+    change to this check explicitly.
+
     A scenario member the schedule lacks or lists more than once, a schedule
     member the scenario lacks, a missing series, device reference or bill and
     a series or reference of another number of steps than the day's are
     problems too; a member lacking a series or reference, or holding one of
     the wrong length, is checked no further, and with any of these the
-    community balance and legs, the day's totals and the objective are not
-    checked.
-
-    The community legs are re-derived per step: the matched volume is
-    ``min(supply, demand)`` of the members' exports and imports (the positive
-    and negative parts of ``pinj``), 0 in a solo mode, and each member's
-    ``ecom`` and ``icom`` is its pro-rata share of it.
+    settlement, the day's totals and the objective are not checked.
     """
     s = day_scenario
-    dt = s.horizon.dt_hours
+    dt, steps, prices = s.horizon.dt_hours, s.horizon.steps_per_day, s.prices
     tol = TOL_VERIFY
     problems: list[str] = []
     initial_states = initial_states or {}
@@ -567,13 +580,11 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
         if not cond:
             problems.append(message)
 
-    steps = s.horizon.steps_per_day
-    ecom_total = np.zeros(steps)
-    icom_total = np.zeros(steps)
-    supply = np.zeros(steps)
-    demand = np.zeros(steps)
-    legs = []
-    solo = sched.mode.startswith(("SoloFix", "SoloFlex"))
+    def gap(derived, stored, axis=None):
+        """The largest deviation (NaN if either holds one, so never within ``tol``)."""
+        return np.max(np.abs(np.subtract(derived, stored)), axis=axis, initial=0.0)
+
+    settled = []  # (member id, series) of each member checked in full
     bill_total = discomfort_total = 0.0
 
     listed = Counter(ms.member_id for ms in sched.members)
@@ -610,53 +621,28 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
             problems += wrong
             whole = False
             continue
+        settled.append((m.id, ss))
         state = initial_states.get(m.id, {})
-        inj, pv = ss["pinj"], ss["ppv"]
-        iret, eret, icom, ecom = ss["iret"], ss["eret"], ss["icom"], ss["ecom"]
-        flex = np.zeros_like(inj)
-        for spec in DEVICES:
-            if spec.power in ss:
-                flex = flex + ss[spec.power]
 
-        check(np.min(pv) >= -tol and np.max(pv - m.pv_max_kw) <= tol,
-              f"{m.id}: PV production outside availability")
+        off = gap(m.pv_max_kw, ss["ppv"])
+        check(off <= tol, f"{m.id}: PV production off its availability by {off:.3e}")
+        off = gap(ss["ppv"] - m.fixed_load_kw - ms.total_flexible_kw, ss["pinj"])
+        check(off <= tol, f"{m.id}: physical balance violated by {off:.3e}")
 
-        phys = pv + ss.get("pdis", 0.0) - m.fixed_load_kw - flex - ss.get("pcha", 0.0) - inj
-        check(np.max(np.abs(phys)) <= tol,
-              f"{m.id}: physical balance violated by {np.max(np.abs(phys)):.3e}")
-
-        virt = eret + ecom - iret - icom - inj
-        check(np.max(np.abs(virt)) <= tol,
-              f"{m.id}: virtual balance violated by {np.max(np.abs(virt)):.3e}")
-
-        for name, arr in (("import_retailer", iret), ("export_retailer", eret),
-                          ("import_community", icom), ("export_community", ecom)):
-            check(np.min(arr) >= -tol, f"{m.id}: negative {name}")
-
-        ecom_total += ecom
-        icom_total += icom
-        exports, imports = np.maximum(inj, 0.0), np.maximum(-inj, 0.0)
-        supply += exports
-        demand += imports
-        legs.append((m.id, exports, imports, ecom, icom))
-
-        if solo:
-            check(np.max(icom) <= tol and np.max(ecom) <= tol,
-                  f"{m.id}: community exchange in a solo mode")
-
-        bill = billing.compute_bill(m.id, iret, eret, icom, ecom, s.prices, dt)
-        bill_total += bill.total_eur
+        bill = dt * float(np.sum(prices.import_price * ss["iret"] - prices.export_price * ss["eret"]
+                                 + prices.community_fee * (ss["icom"] + ss["ecom"])))
+        bill_total += bill
         if ms.bill is None:
             problems.append(f"{m.id}: no bill")
         else:
-            check(abs(bill.total_eur - ms.bill.total_eur) <= tol,
-                  f"{m.id}: stored bill {ms.bill.total_eur} != recomputed {bill.total_eur}")
+            check(abs(bill - ms.bill.total_eur) <= tol,
+                  f"{m.id}: stored bill {ms.bill.total_eur} != recomputed {bill}")
 
         if m.bss is not None:
             cha, dis, level = ss["pcha"], ss["pdis"], ss["socb"]
             soc = simulate_bss(m.bss, cha, dis, dt)
-            check(np.max(np.abs(soc - level)) <= tol,
-                  f"{m.id}: battery SoC mismatch {np.max(np.abs(soc - level)):.3e}")
+            off = gap(soc, level)
+            check(off <= tol, f"{m.id}: battery SoC mismatch {off:.3e}")
             check(np.min(level) >= m.bss.soc_min - tol and np.max(level) <= m.bss.soc_max + tol,
                   f"{m.id}: battery SoC out of bounds")
             check(abs(soc[-1] - m.bss.soc_init) <= tol,
@@ -671,8 +657,8 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
             what = f"{m.id}: {spec.label}"
             power, level = ss[spec.power], ss[spec.state]
             traj = spec.simulate(device, power, dt, state.get(spec.name))
-            check(np.max(np.abs(traj - level)) <= tol,
-                  f"{what} state mismatch {np.max(np.abs(traj - level)):.3e}")
+            off = gap(traj, level)
+            check(off <= tol, f"{what} state mismatch {off:.3e}")
             if spec.ceiling is not None:
                 check(np.max(traj - spec.ceiling(device)) <= tol, f"{what} state above ceiling")
             if spec.floor is not None:
@@ -681,23 +667,28 @@ def verify_day_schedule(day_scenario: Scenario, sched: DaySchedule,
                   f"{what} power out of bounds")
             check(abs(float(np.sum(power - ms.refs[spec.name]))) * dt <= tol,
                   f"{what} daily energy not conserved")
+            check(abs(float(np.sum(power - device.power_ref_kw))) * dt <= tol,
+                  f"{what} daily energy off the scenario's")
             hinge = spec.hinge(device, traj)
             discomfort_total += float(np.sum(hinge))
-            check(np.max(np.abs(hinge - ss[spec.discomfort])) <= tol,
-                  f"{what} discomfort mismatch")
+            check(gap(hinge, ss[spec.discomfort]) <= tol, f"{what} discomfort mismatch")
 
     if whole:
-        check(np.max(np.abs(ecom_total - icom_total)) <= tol,
-              f"community exchange imbalance {np.max(np.abs(ecom_total - icom_total)):.3e}")
+        inj, iret, eret, icom, ecom = (np.reshape([ss[tag] for _, ss in settled], (-1, steps))
+                                       for tag in ("pinj", "iret", "eret", "icom", "ecom"))
+        exports, imports = np.maximum(inj, 0.0), np.maximum(-inj, 0.0)
+        supply, demand = exports.sum(axis=0), imports.sum(axis=0)
+        solo = sched.mode.startswith(("SoloFix", "SoloFlex"))
         matched = np.zeros(steps) if solo else np.minimum(supply, demand)
-        off = max(np.max(np.abs(ecom_total - matched)), np.max(np.abs(icom_total - matched)))
+        ecom_due = exports * np.divide(matched, supply, out=np.zeros(steps), where=supply > 0.0)
+        icom_due = imports * np.divide(matched, demand, out=np.zeros(steps), where=demand > 0.0)
+        sold, bought = ecom.sum(axis=0), icom.sum(axis=0)
+        off = gap([matched, matched, sold], [sold, bought, bought])
         check(off <= tol, f"community legs off the matched volume by {off:.3e}")
-        export_share = np.divide(matched, supply, out=np.zeros(steps), where=supply > 0.0)
-        import_share = np.divide(matched, demand, out=np.zeros(steps), where=demand > 0.0)
-        for member_id, exports, imports, ecom, icom in legs:
-            off = max(np.max(np.abs(ecom - exports * export_share)),
-                      np.max(np.abs(icom - imports * import_share)))
-            check(off <= tol, f"{member_id}: community legs off the pro-rata share by {off:.3e}")
+        due = [ecom_due, icom_due, exports - ecom_due, imports - icom_due, inj]
+        stored = [ecom, icom, eret, iret, eret + ecom - iret - icom]
+        for (member_id, _), off in zip(settled, gap(due, stored, axis=(0, 2))):
+            check(off <= tol, f"{member_id}: legs off the settlement by {off:.3e}")
         check(abs(sched.community_bill_eur - bill_total) <= tol,
               f"community bill {sched.community_bill_eur} != recomputed {bill_total}")
         check(abs(sched.community_discomfort_eur - discomfort_total) <= tol,

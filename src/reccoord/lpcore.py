@@ -398,21 +398,17 @@ class _HighsModel:
             raise LpError(f"cannot load the HiGHS solver: {exc}") from exc
         self.fresh = self.ran = self.warm = False
         self.seconds = 0.0
-        a, self.lhs, self.rhs = problem._highs_layout()
+        (start, index, value), self.lhs, self.rhs = problem._highs_layout()
         self.lb, self.ub = problem.bounds()
-        shape = problem.num_constraints, problem.num_variables
-        lp = highs.HighsLp()
-        lp.num_row_, lp.num_col_ = shape
-        lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
-        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a
-        lp.col_cost_ = problem.objective_vector()
-        lp.col_lower_, lp.col_upper_ = self.lb, self.ub
-        lp.row_lower_, lp.row_upper_ = self.lhs, self.rhs
         self.highs = highs._Highs()
-        for key, value in _HIGHS_OPTIONS:
-            self.highs.setOptionValue(key, value)
-        if self.highs.passModel(lp) == highs.HighsStatus.kError:
+        for key, option in _HIGHS_OPTIONS:
+            self.highs.setOptionValue(key, option)
+        status = self.highs.passModel(
+            problem.num_variables, problem.num_constraints, value.size,
+            int(highs.MatrixFormat.kColwise), int(highs.ObjSense.kMinimize), 0.0,
+            problem.objective_vector(), self.lb, self.ub, self.lhs, self.rhs,
+            start, index, value, np.zeros(problem.num_variables, dtype=np.int32))
+        if status == highs.HighsStatus.kError:
             raise LpError(f"HiGHS rejected the {problem.name} LP")
 
     def sync(self, problem: LpProblem) -> None:

@@ -1,8 +1,9 @@
-"""Hand-built scenario fixtures, a multi-day loop, the ``linprog`` reference
-solve, the exact rational equal key, the per-cell ``schedules.csv``
-reference writer and reader, a schedule's checkpoint form, fresh
-interpreters with or without a HiGHS solver, and runs killed at a file write
-and resumed, shared across the test modules."""
+"""Hand-built scenario fixtures, a multi-day loop, schedules rewritten with
+their money re-derived, the ``linprog`` reference solve, the exact rational
+equal key, the per-cell ``schedules.csv`` reference writer and reader, a
+schedule's checkpoint form, fresh interpreters with or without a HiGHS
+solver, and runs killed at a file write and resumed, shared across the test
+modules."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,8 +21,8 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
-from reccoord import cli, lpcore
-from reccoord.central import SERIES, SolvedDay, final_states
+from reccoord import billing, cli, lpcore
+from reccoord.central import SERIES, SolvedDay, discomfort_eur, final_states
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
 from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
@@ -131,6 +133,32 @@ def run_days(scenario: Scenario, solve_day, num_days: int | None = None) -> list
         schedules.append(solve_day(SolvedDay(scenario, day), carried))
         carried = final_states(schedules[-1])
     return schedules
+
+
+def rewritten(day: Scenario, sched, edits, settle: bool = False):
+    """``sched`` with ``edits`` applied (member id -> tag -> function of a
+    copy of the old series, giving the new one), every member's legs
+    re-settled from its ``pinj`` if ``settle``, and the member bills, the
+    day's bill and discomfort and the objective re-derived from the series,
+    so that only what the edits leave inconsistent is off."""
+    members = []
+    for ms in sched.members:
+        series = dict(ms.series)
+        for tag, edit in edits.get(ms.member_id, {}).items():
+            series[tag] = edit(np.array(series[tag]))
+        members.append(replace(ms, series=series))
+    if settle:
+        legs = billing.settle_community({ms.member_id: ms.series["pinj"] for ms in members},
+                                        community=not sched.mode.startswith("Solo"))
+        for ms in members:
+            ms.series.update(legs[ms.member_id])
+    for ms in members:
+        ms.bill = billing.compute_bill(ms.member_id, *(ms.series[tag] for tag in (
+            "iret", "eret", "icom", "ecom")), day.prices, sched.dt_hours)
+    bill = sum(ms.bill.total_eur for ms in members)
+    discomfort = sum(discomfort_eur(ms) for ms in members)
+    return replace(sched, members=members, community_bill_eur=bill,
+                   community_discomfort_eur=discomfort, objective_value=bill + discomfort)
 
 
 def solve_with_linprog(problem: LpProblem) -> LpSolution:

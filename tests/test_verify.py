@@ -1,10 +1,13 @@
 """Strength of the independent verifier: a clean schedule passes, each
-single corruption of a device's state, power, daily energy or discomfort is
-reported against the member that owns the device, a day's bill, discomfort
-or objective off its members' is reported once, community legs off the
-settlement of the net injections are reported, and a schedule missing a
-member, a series, a reference or a bill, listing a member twice or holding a
-series of another length is reported, not raised on."""
+single corruption of a device's state, power or discomfort, and a daily
+energy off the schedule's or the scenario's reference, is reported once
+against the member that owns the device, a day's bill, discomfort or
+objective off its members' is reported once, PV production off its
+availability is reported, each member's four legs off the settlement of the
+net injections are reported once per member and the matched volume once per
+day, whatever money was rewritten to match, and a schedule missing a member,
+a series, a reference or a bill, listing a member twice, holding a series of
+another length or a negative leg is reported, not raised on."""
 
 from __future__ import annotations
 
@@ -13,10 +16,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from reccoord import billing
 from reccoord.central import PlannerMode, SolvedDay, solve_centralized, verify_day_schedule
+from reccoord.decentral import run_ecflexit
+from reccoord.devices import DEVICES
 from reccoord.scenario import Scenario, SyntheticConfig, generate_synthetic
-from helpers import make_member, make_scenario, simple_bss, simple_ev, simple_hp, simple_wb
+from helpers import (make_member, make_scenario, rewritten, simple_bss, simple_ev, simple_hp,
+                     simple_wb)
 
 N = 24  # hourly steps
 
@@ -114,6 +119,24 @@ def test_daily_energy_off_the_reference(solved, device):
     _assert_flags_flex(_problems(SCENARIO, solved, refs={device: ref}))
 
 
+@pytest.mark.parametrize("device", ["ev", "wb", "hp"])
+def test_daily_energy_off_the_scenario(solved, device):
+    """A reference whose energy moved together with its power is caught
+    against the scenario's, with the state, discomfort, injection, legs and
+    money re-derived to match."""
+    spec = next(spec for spec in DEVICES if spec.name == device)
+    params = getattr(SCENARIO.members[0], device)
+    flex = solved.member("flex")
+    power = _bumped(3, 0.01)(np.array(flex.series[spec.power]))
+    traj = spec.simulate(params, power, SCENARIO.horizon.dt_hours)
+    edits = {spec.power: lambda _: power, spec.state: lambda _: traj,
+             spec.discomfort: lambda _: spec.hinge(params, traj), "pinj": _bumped(3, -0.01)}
+    sched = rewritten(SCENARIO.for_day(0), solved, {"flex": edits}, settle=True)
+    sched.members[0].refs = {**flex.refs, device: _bumped(3, 0.01)(np.array(flex.refs[device]))}
+    problems = verify_day_schedule(SCENARIO.for_day(0), sched)
+    assert problems == [f"flex: {spec.label} daily energy off the scenario's"]
+
+
 @pytest.mark.parametrize("tag", ["jev", "jwb", "jhp"])
 def test_discomfort_series_off(solved, tag):
     _assert_flags_flex(_problems(SCENARIO, solved, series={tag: _bumped(5, 1e-3)}))
@@ -190,57 +213,78 @@ def test_a_malformed_schedule_is_a_problem_not_an_error(solofix_day, edit, probl
 
 
 @pytest.fixture(scope="module")
-def ecfix_day():
-    """A synthetic ECFix day whose hour 7 has two exporters in the community,
-    u01 and u03, and one importer, u02, all trading with the retailer too."""
+def seed_one():
+    """The day of a synthetic community of three (seed 1, hourly) solved
+    under a mode on first use: u01 (boiler and heat pump) and u03 (EV)
+    export at hour 7 and u02 (boiler) imports."""
     solved = SolvedDay(generate_synthetic(SyntheticConfig(members=3, seed=1, dt_hours=1.0)), 0)
-    return solved.scenario, solve_centralized(solved, PlannerMode.EC_FIX)
+    schedules = {}
+
+    def day(mode: str):
+        if mode not in schedules:
+            schedules[mode] = (run_ecflexit(solved)[0] if mode == "ECFlexIt"
+                               else solve_centralized(solved, PlannerMode(mode)))
+        return solved.scenario, schedules[mode]
+    return day
 
 
-def _moved(day: Scenario, sched, t: int, moves):
-    """``sched`` with ``moves`` (member id -> tag -> kW added at step ``t``)
-    applied, and the member bills, the day's bill and the objective
-    recomputed to match, so that only the community legs are off."""
-    members = []
-    for ms in sched.members:
-        series = dict(ms.series)
-        for tag, kw in moves.get(ms.member_id, {}).items():
-            series[tag] = np.array(series[tag])
-            series[tag][t] += kw
-        bill = billing.compute_bill(ms.member_id, series["iret"], series["eret"],
-                                    series["icom"], series["ecom"], day.prices, sched.dt_hours)
-        members.append(replace(ms, series=series, bill=bill))
-    community_bill = sum(ms.bill.total_eur for ms in members)
-    return replace(sched, members=members, community_bill_eur=community_bill,
-                   objective_value=sched.objective_value - sched.community_bill_eur
-                   + community_bill)
-
-
-@pytest.mark.parametrize("moves, problems", [
-    ({"u03": {"ecom": -1.0, "eret": 1.0}, "u02": {"icom": -1.0, "iret": 1.0}},
+@pytest.mark.parametrize("mode, moves, problems", [
+    ("ECFix", {"u03": {"ecom": -1.0, "eret": 1.0}, "u02": {"icom": -1.0, "iret": 1.0}},
      ["community legs off the matched volume by 1.000e+00",
-      "u02: community legs off the pro-rata share by 1.000e+00",
-      "u03: community legs off the pro-rata share by 1.000e+00"]),
-    ({"u01": {"ecom": -0.1, "eret": 0.1}, "u03": {"ecom": 0.1, "eret": -0.1}},
-     ["u01: community legs off the pro-rata share by 1.000e-01",
-      "u03: community legs off the pro-rata share by 1.000e-01"]),
-], ids=["matched-kwh-to-the-retailer", "matched-volume-to-another-exporter"])
-def test_community_legs_off_the_settlement(ecfix_day, moves, problems):
-    """Each step matches ``min(supply, demand)`` of the net injections and
-    shares it pro rata, whatever bills were written to match the legs."""
-    day, sched = ecfix_day
+      "u02: legs off the settlement by 1.000e+00",
+      "u03: legs off the settlement by 1.000e+00"]),
+    ("ECFix", {"u01": {"ecom": -0.1, "eret": 0.1}, "u03": {"ecom": 0.1, "eret": -0.1}},
+     ["u01: legs off the settlement by 1.000e-01",
+      "u03: legs off the settlement by 1.000e-01"]),
+    ("ECFlexIt", {"u01": {"iret": 0.5, "eret": 0.5}},
+     ["u01: legs off the settlement by 5.000e-01"]),
+    ("SoloFix", {"u01": {"eret": -0.5, "ecom": 0.5}, "u02": {"iret": -0.5, "icom": 0.5}},
+     ["community legs off the matched volume by 5.000e-01",
+      "u01: legs off the settlement by 5.000e-01",
+      "u02: legs off the settlement by 5.000e-01"]),
+], ids=["matched-kwh-to-the-retailer", "matched-volume-to-another-exporter",
+        "retailer-legs-both-raised", "solo-exchange-in-the-community"])
+def test_community_legs_off_the_settlement(seed_one, mode, moves, problems):
+    """Each step matches ``min(supply, demand)`` of the net injections (0 in
+    a solo mode), shares it pro rata and leaves the rest to the retailer,
+    whatever bills were written to match the legs; each member's legs and
+    the matched volume are reported once."""
+    day, sched = seed_one(mode)
     t = 7
-    legs = {ms.member_id: ms.series for ms in sched.members}
-    assert [legs[u]["ecom"][t] > 0.1 for u in ("u01", "u02", "u03")] == [True, False, True]
-    assert legs["u02"]["icom"][t] > 1.0 and legs["u03"]["ecom"][t] > 1.0
-    assert min(legs[u]["eret"][t] for u in ("u01", "u03")) > 0.1
+    edits = {u: {tag: _bumped(t, kw) for tag, kw in tags.items()} for u, tags in moves.items()}
+    edited = rewritten(day, sched, edits)
+    assert all(edited.member(u).series[tag][t] >= 0.0 for u, tags in moves.items() for tag in tags)
     assert verify_day_schedule(day, sched) == []
-    assert verify_day_schedule(day, _moved(day, sched, t, moves)) == problems
+    assert verify_day_schedule(day, edited) == problems
 
 
-def test_a_member_missing_from_a_community_day_unbalances_nothing(ecfix_day):
+def test_a_negative_leg_is_a_problem_not_an_error(seed_one):
+    """Legs the billing code refuses are reported, with the bill they change."""
+    day, sched = seed_one("ECFix")
+    u01 = sched.member("u01")
+    assert u01.series["eret"][3] == 0.0 and u01.series["iret"][3] > 0.0
+    series = {**u01.series, **{tag: _bumped(3, -0.5)(np.array(u01.series[tag]))
+                               for tag in ("iret", "eret")}}
+    edited = replace(sched, members=[replace(u01, series=series), *sched.members[1:]])
+    problems = verify_day_schedule(day, edited)
+    prefixes = ("u01: stored bill ", "u01: legs off the settlement by 5.000e-01",
+                "community bill ", "objective ")
+    assert len(problems) == 4 and all(map(str.startswith, problems, prefixes)), problems
+
+
+def test_pv_below_its_availability(seed_one):
+    """PV production is the scenario's availability, even when the net
+    injection and the legs follow a curtailment."""
+    day, sched = seed_one("ECFix")
+    assert sched.member("u01").series["ppv"][12] > 1.0
+    edits = {"u01": {"ppv": _bumped(12, -0.5), "pinj": _bumped(12, -0.5)}}
+    assert verify_day_schedule(day, rewritten(day, sched, edits, settle=True)) == [
+        "u01: PV production off its availability by 5.000e-01"]
+
+
+def test_a_member_missing_from_a_community_day_unbalances_nothing(seed_one):
     """The community's totals are not checked over a part of the members."""
-    day, sched = ecfix_day
+    day, sched = seed_one("ECFix")
     assert np.max(sched.member("u03").series["ecom"]) > 0.1
     assert verify_day_schedule(day, replace(sched, members=sched.members[:-1])) == [
         "u03: missing from the schedule"]
