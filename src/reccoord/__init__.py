@@ -1,6 +1,6 @@
 """Scheduling and decentralized flexibility coordination for energy communities."""
 
-from .billing import (Bill, BillingError, MemberBenefit, ModeSummary, activation_price,
+from .billing import (BillingError, MemberBenefit, ModeSummary, activation_price,
                       compute_bill, individual_benefits, summarize)
 from .central import (CarriedState, DayLpError, DaySchedule, DeviceRefs, FlexRefs,
                       InfeasibleDayError, MemberDaySchedule, PlannerMode, PlannerError,

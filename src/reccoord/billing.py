@@ -1,4 +1,4 @@
-"""Bill arithmetic, exchange settlement, activation pricing, benefit
+"""Member bills, exchange settlement, activation pricing, benefit
 individualization, summaries.
 
 Money arithmetic that feeds user-facing numbers (the activation reward in
@@ -26,20 +26,9 @@ class BillingError(ValueError):
     """Inconsistent billing inputs (length mismatch, non-positive reward)."""
 
 
-@dataclass(frozen=True)
-class Bill:
-    """One member's bill split: total = retailer cost - revenue + community fees."""
-
-    member_id: str
-    retailer_cost_eur: float
-    retailer_revenue_eur: float
-    community_fees_eur: float
-    total_eur: float
-
-
-def compute_bill(member_id: str, iret, eret, icom, ecom,
-                 prices: Prices, dt_hours: float) -> Bill:
-    """Bill for one member over one horizon slice.
+def compute_bill(iret, eret, icom, ecom, prices: Prices, dt_hours: float) -> float:
+    """One member's bill over one horizon slice, in EUR: retailer cost minus
+    retailer revenue plus community fees.
 
     ``iret``/``eret`` are the per-step retailer imports and exports and
     ``icom``/``ecom`` the community ones, in kW.  Retailer imports are charged
@@ -58,13 +47,7 @@ def compute_bill(member_id: str, iret, eret, icom, ecom,
     cost = float(dt_hours * np.sum(prices.import_price * iret))
     revenue = float(dt_hours * np.sum(prices.export_price * eret))
     fees = float(dt_hours * np.sum(prices.community_fee * (icom + ecom)))
-    return Bill(
-        member_id=member_id,
-        retailer_cost_eur=cost,
-        retailer_revenue_eur=revenue,
-        community_fees_eur=fees,
-        total_eur=cost - revenue + fees,
-    )
+    return cost - revenue + fees
 
 
 def settle_community(injections: Mapping[str, np.ndarray],
@@ -237,7 +220,7 @@ def individual_benefits(results: Mapping[str, Iterable["DaySchedule"]],
         revenue: dict[str, float] = {}
         for sched in schedules:
             for m in sched.members:
-                bills[m.member_id] = bills.get(m.member_id, 0.0) + m.bill.total_eur
+                bills[m.member_id] = bills.get(m.member_id, 0.0) + m.bill_eur
                 discomfort[m.member_id] = (discomfort.get(m.member_id, 0.0)
                                            + m.discomfort_total_eur)
                 revenue[m.member_id] = revenue.get(m.member_id, 0.0) + m.flex_revenue_eur

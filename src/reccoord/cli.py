@@ -374,7 +374,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
 #: planners or the settlement write, changes, or the ``schedules.csv`` rows
 #: rendered from the same schedules change, so older checkpoints are recomputed
 #: and a kept ``schedules.csv`` is rendered again.
-CHECKPOINT_FORMAT = 8
+CHECKPOINT_FORMAT = 9
 
 
 def _fingerprint(scenario_bytes: bytes, config: RunConfig) -> str:

@@ -21,12 +21,15 @@ reports are rewritten on every call.
 serializes each round once; the checkpoint keeps those lines and the report
 writes them as they are.
 
-Checkpoints (format 8) keep a schedule's numbers apart from its document:
+Checkpoints (format 9) keep a schedule's numbers apart from its document:
 :func:`schedule_to_dict` gives the document, in which each member's
 ``series`` and ``refs`` map a tag to its array's length, and the arrays'
-little-endian float64 bytes back to back, in document order.  The bytes
-round-trip every value bit for bit, NaN, infinities, ``-0.0`` and subnormals
-included, and nothing is formatted or parsed as text.
+little-endian float64 bytes back to back, in document order.  Besides the
+arrays, the document holds the LP's objective and each member's bill and
+flexibility revenue; a member's discomfort and the day's bill and discomfort
+are sums taken where they are read, and not stored.  The bytes round-trip
+every value bit for bit, NaN, infinities, ``-0.0`` and subnormals included,
+and nothing is formatted or parsed as text.
 :func:`schedule_from_dict` gives the arrays as views into the bytes it is
 handed, one buffer for the whole schedule, read-only when those bytes are.
 Whether a checkpoint is reused is decided by its digests (see
@@ -40,13 +43,13 @@ import csv
 import io
 import json
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .billing import Bill, MemberBenefit, ModeSummary
+from .billing import MemberBenefit, ModeSummary
 from .central import SERIES, DaySchedule, MemberDaySchedule
 from .decentral import IterationTrace
 
@@ -201,8 +204,7 @@ def schedule_to_dict(sched: DaySchedule) -> tuple[dict, bytes]:
                 out[key] = arrays[-1].size
         return out
 
-    members = [{**vars(m), "series": lengths(m.series), "refs": lengths(m.refs),
-                "bill": None if m.bill is None else asdict(m.bill)}
+    members = [{**vars(m), "series": lengths(m.series), "refs": lengths(m.refs)}
                for m in sched.members]
     return {**vars(sched), "members": members}, b"".join(a.tobytes() for a in arrays)
 
@@ -231,8 +233,7 @@ def schedule_from_dict(doc: dict, data) -> DaySchedule:
             offset += n
         return out
 
-    members = [MemberDaySchedule(**{**m, "series": views(m["series"]), "refs": views(m["refs"]),
-                                    "bill": None if m["bill"] is None else Bill(**m["bill"])})
+    members = [MemberDaySchedule(**{**m, "series": views(m["series"]), "refs": views(m["refs"])})
                for m in doc["members"]]
     if offset != values.size:
         raise ValueError(f"it holds {values.size} float64s, the arrays declare {offset}")

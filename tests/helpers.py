@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from reccoord import billing, cli, lpcore
-from reccoord.central import SERIES, SolvedDay, discomfort_eur, final_states
+from reccoord.central import SERIES, SolvedDay, final_states
 from reccoord.lpcore import LpProblem, LpSolution, LpStatus
 from reccoord.reporting import schedule_to_dict
 from reccoord.scenario import (BssParams, EvParams, Horizon, HpParams, Member,
@@ -138,9 +138,9 @@ def run_days(scenario: Scenario, solve_day, num_days: int | None = None) -> list
 def rewritten(day: Scenario, sched, edits, settle: bool = False):
     """``sched`` with ``edits`` applied (member id -> tag -> function of a
     copy of the old series, giving the new one), every member's legs
-    re-settled from its ``pinj`` if ``settle``, and the member bills, the
-    day's bill and discomfort and the objective re-derived from the series,
-    so that only what the edits leave inconsistent is off."""
+    re-settled from its ``pinj`` if ``settle``, and the member bills and the
+    objective re-derived from the series, so that only what the edits leave
+    inconsistent is off (the day's totals are the members' sums)."""
     members = []
     for ms in sched.members:
         series = dict(ms.series)
@@ -153,12 +153,11 @@ def rewritten(day: Scenario, sched, edits, settle: bool = False):
         for ms in members:
             ms.series.update(legs[ms.member_id])
     for ms in members:
-        ms.bill = billing.compute_bill(ms.member_id, *(ms.series[tag] for tag in (
+        ms.bill_eur = billing.compute_bill(*(ms.series[tag] for tag in (
             "iret", "eret", "icom", "ecom")), day.prices, sched.dt_hours)
-    bill = sum(ms.bill.total_eur for ms in members)
-    discomfort = sum(discomfort_eur(ms) for ms in members)
-    return replace(sched, members=members, community_bill_eur=bill,
-                   community_discomfort_eur=discomfort, objective_value=bill + discomfort)
+    out = replace(sched, members=members)
+    out.objective_value = out.community_bill_eur + out.community_discomfort_eur
+    return out
 
 
 def solve_with_linprog(problem: LpProblem) -> LpSolution:

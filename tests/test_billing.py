@@ -13,47 +13,46 @@ from helpers import flat_prices
 
 def test_zero_exchanges_cost_nothing():
     prices = flat_prices(4)
-    bill = compute_bill("u", np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4),
+    bill = compute_bill(np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4),
                         prices, dt_hours=6.0)
-    assert bill.total_eur == 0.0
+    assert bill == 0.0
 
 
 def test_one_kwh_retail_import_at_reference_tariffs():
     prices = flat_prices(1)
-    bill = compute_bill("u", [1.0], [0.0], [0.0], [0.0], prices, dt_hours=1.0)
-    assert bill.total_eur == pytest.approx(0.40)
-    assert bill.retailer_cost_eur == pytest.approx(0.40)
+    bill = compute_bill([1.0], [0.0], [0.0], [0.0], prices, dt_hours=1.0)
+    assert bill == pytest.approx(0.40)
 
 
 def test_community_fee_charged_both_ways():
     prices = flat_prices(1)
-    bill = compute_bill("u", [0.0], [0.0], [1.0], [1.0], prices, dt_hours=1.0)
-    assert bill.total_eur == pytest.approx(0.02)
-    assert bill.community_fees_eur == pytest.approx(0.02)
+    bill = compute_bill([0.0], [0.0], [1.0], [1.0], prices, dt_hours=1.0)
+    assert bill == pytest.approx(0.02)
 
 
 def test_total_is_cost_minus_revenue_plus_fees():
     prices = flat_prices(3, imp=0.37, exp=0.13, fee=0.02)
     rng = np.random.default_rng(3)
     iret, eret, icom, ecom = rng.uniform(0, 2, size=(4, 3))
-    bill = compute_bill("u", iret, eret, icom, ecom, prices, dt_hours=0.5)
-    assert bill.total_eur == bill.retailer_cost_eur - bill.retailer_revenue_eur \
-        + bill.community_fees_eur
+    bill = compute_bill(iret, eret, icom, ecom, prices, dt_hours=0.5)
+    cost, revenue, fees = 0.5 * 0.37 * sum(iret), 0.5 * 0.13 * sum(eret), \
+        0.5 * 0.02 * (sum(icom) + sum(ecom))
+    assert bill == pytest.approx(cost - revenue + fees, rel=1e-12)
 
 
 def test_bill_is_linear_in_volumes():
     prices = flat_prices(4)
     rng = np.random.default_rng(11)
     iret, eret, icom, ecom = rng.uniform(0, 3, size=(4, 4))
-    one = compute_bill("u", iret, eret, icom, ecom, prices, 0.25)
-    two = compute_bill("u", 2 * iret, 2 * eret, 2 * icom, 2 * ecom, prices, 0.25)
-    assert two.total_eur == pytest.approx(2 * one.total_eur)
+    one = compute_bill(iret, eret, icom, ecom, prices, 0.25)
+    two = compute_bill(2 * iret, 2 * eret, 2 * icom, 2 * ecom, prices, 0.25)
+    assert two == pytest.approx(2 * one)
 
 
 def test_length_mismatch_rejected():
     prices = flat_prices(4)
     with pytest.raises(BillingError, match="length"):
-        compute_bill("u", np.zeros(3), np.zeros(4), np.zeros(4), np.zeros(4), prices, 1.0)
+        compute_bill(np.zeros(3), np.zeros(4), np.zeros(4), np.zeros(4), prices, 1.0)
 
 
 def test_activation_price_reference_tariffs_exact():
@@ -79,8 +78,6 @@ def _member(member_id: str, n: int, *, bill_total: float = 0.0,
             wb_power=None, ref_wb=None, ev_power=None, ref_ev=None,
             discomfort: float = 0.0, revenue: float = 0.0,
             bss_discharge=None) -> MemberDaySchedule:
-    from reccoord.billing import Bill
-
     def arr(values):
         return None if values is None else np.asarray(values, dtype=float)
 
@@ -93,18 +90,15 @@ def _member(member_id: str, n: int, *, bill_total: float = 0.0,
         series=series,
         refs={name: arr(ref) for name, ref in (("ev", ref_ev), ("wb", ref_wb))
               if ref is not None},
-        bill=Bill(member_id, max(bill_total, 0.0), max(-bill_total, 0.0), 0.0, bill_total),
-        discomfort_total_eur=discomfort,
+        bill_eur=bill_total,
         flex_revenue_eur=revenue,
     )
 
 
 def _day(mode: str, members, dt: float = 1.0) -> DaySchedule:
-    bill = sum(m.bill.total_eur for m in members)
-    disc = sum(m.discomfort_total_eur for m in members)
     return DaySchedule(mode=mode, day=0, dt_hours=dt, members=list(members),
-                       objective_value=bill + disc, community_bill_eur=bill,
-                       community_discomfort_eur=disc)
+                       objective_value=sum(m.bill_eur + m.discomfort_total_eur
+                                           for m in members))
 
 
 def test_shifted_energy_counts_each_displaced_kwh_once():

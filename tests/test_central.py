@@ -189,7 +189,7 @@ def _member_bill_gap(name: str, mode: str) -> float:
     """The largest move of a member's bill of ``mode`` when the members of
     ``name`` are reversed."""
     given, reversed_ = (_day0(name, reverse)[1][mode] for reverse in (False, True))
-    return max(abs(m.bill.total_eur - reversed_.member(m.member_id).bill.total_eur)
+    return max(abs(m.bill_eur - reversed_.member(m.member_id).bill_eur)
                for m in given.members)
 
 

@@ -893,16 +893,16 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, caplog):
          edit("ECFlex", lambda doc: doc["schedule"].update(dt_hours=0.25))),
         ("day not an integer", "ECFlexIt",
          edit("ECFlexIt", lambda doc: doc["schedule"].update(day=0.0))),
-        ("bill null", "ECFlex", edit_schedule("ECFlex", lambda ms: replace(ms, "bill", None))),
-        ("community bill a string", "ECFlexIt",
-         edit("ECFlexIt", lambda doc: doc["schedule"].update(community_bill_eur="x"))),
-        ("bill total an integer", "ECFlex",
-         edit_schedule("ECFlex", lambda ms: ms[0]["bill"].update(total_eur=1))),
+        ("bill null", "ECFlex", edit_schedule("ECFlex", lambda ms: replace(ms, "bill_eur", None))),
+        ("objective a string", "ECFlexIt",
+         edit("ECFlexIt", lambda doc: doc["schedule"].update(objective_value="x"))),
+        ("bill an integer", "ECFlex",
+         edit_schedule("ECFlex", lambda ms: replace(ms, "bill_eur", 1))),
         ("revenue null", "ECFlexIt",
          edit_schedule("ECFlexIt", lambda ms: replace(ms, "flex_revenue_eur", None))),
-        ("community bill another float", "ECFlex",
+        ("objective another float", "ECFlex",
          edit("ECFlex", lambda doc: doc["schedule"].update(
-             community_bill_eur=doc["schedule"]["community_bill_eur"] + 1.0))),
+             objective_value=doc["schedule"]["objective_value"] + 1.0))),
         ("checkpoint of another mode", "ECFix",
          copy(resume / "checkpoint" / "ECFlex_0000.json", "ECFix")),
         ("checkpoint of another run", "ECFlexIt",

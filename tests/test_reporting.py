@@ -124,7 +124,7 @@ def test_schedule_serialization_round_trip(toy_results):
     assert back.community_bill_eur == sched.community_bill_eur
     for original, restored in zip(sched.members, back.members):
         assert restored.member_id == original.member_id
-        assert restored.bill.total_eur == original.bill.total_eur
+        assert restored.bill_eur == original.bill_eur
         np.testing.assert_array_equal(restored.series["pinj"], original.series["pinj"])
         if original.series.get("pwb") is None:
             assert restored.series.get("pwb") is None
@@ -135,8 +135,7 @@ def test_schedule_serialization_round_trip(toy_results):
 def test_checkpoint_arrays_round_trip_bit_for_bit():
     values = np.array([*SPECIAL_VALUES, 5e-324])
     sched = DaySchedule(
-        mode="ECFlexIt", day=0, dt_hours=1.0, objective_value=0.0, community_bill_eur=0.0,
-        community_discomfort_eur=0.0,
+        mode="ECFlexIt", day=0, dt_hours=1.0, objective_value=0.0,
         members=[MemberDaySchedule("u01", {"pinj": values, "ppv": -values},
                                    refs={"wb": values[::-1]})])
     doc, data = schedule_to_dict(sched)
@@ -159,8 +158,7 @@ def test_checkpoint_arrays_round_trip_bit_for_bit():
 
 def test_checkpoint_arrays_are_views_into_one_buffer():
     sched = DaySchedule(
-        mode="SoloFix", day=0, dt_hours=1.0, objective_value=0.0, community_bill_eur=0.0,
-        community_discomfort_eur=0.0,
+        mode="SoloFix", day=0, dt_hours=1.0, objective_value=0.0,
         members=[MemberDaySchedule(f"u0{i}", {"pinj": np.full(3, float(i))}) for i in (1, 2)])
     doc, data = schedule_to_dict(sched)
     buffer = bytearray(data)
@@ -182,9 +180,8 @@ ONE = np.array([1.0], dtype="<f8").tobytes()
 ], ids=["array", "list", "number", "bad-base64", "3-bytes", "cut"])
 def test_undecodable_checkpoint_arrays_are_rejected(arrays, data):
     doc = {"mode": "SoloFix", "day": 0, "dt_hours": 1.0, "objective_value": 0.0,
-           "community_bill_eur": 0.0, "community_discomfort_eur": 0.0,
            "members": [{"member_id": "u01", "series": {"pinj": 1}, "refs": {},
-                        "bill": None, "discomfort_total_eur": 0.0, "flex_revenue_eur": 0.0}]}
+                        "bill_eur": None, "flex_revenue_eur": 0.0}]}
     assert schedule_from_dict(doc, ONE).members[0].series["pinj"].tolist() == [1.0]
     for key in ("series", "refs"):
         bad = json.loads(json.dumps(doc))
@@ -218,8 +215,7 @@ def _hand_built(mode: str, day: int, members=ODD_MEMBERS, steps: int = 3) -> Day
         for j, v in enumerate(SPECIAL_VALUES):  # every special value somewhere
             values.flat[(k + 7 * j) % values.size] = v
         built.append(MemberDaySchedule(member_id, dict(zip(tags, values))))
-    return DaySchedule(mode=mode, day=day, dt_hours=1.0, members=built, objective_value=0.0,
-                       community_bill_eur=0.0, community_discomfort_eur=0.0)
+    return DaySchedule(mode=mode, day=day, dt_hours=1.0, members=built, objective_value=0.0)
 
 
 def _hand_built_schedules(members=ODD_MEMBERS):

@@ -1,8 +1,8 @@
 """Strength of the independent verifier: a clean schedule passes, each
 single corruption of a device's state, power or discomfort, and a daily
 energy off the schedule's or the scenario's reference, is reported once
-against the member that owns the device, a day's bill, discomfort or
-objective off its members' is reported once, PV production off its
+against the member that owns the device, a day's objective off its members'
+bills and discomforts is reported once, PV production off its
 availability is reported, each member's four legs off the settlement of the
 net injections are reported once per member and the matched volume once per
 day, whatever money was rewritten to match, and a schedule missing a member,
@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from reccoord.billing import individual_benefits
 from reccoord.central import PlannerMode, SolvedDay, solve_centralized, verify_day_schedule
 from reccoord.decentral import run_ecflexit
 from reccoord.devices import DEVICES
@@ -159,13 +160,11 @@ def test_boiler_above_its_maximum(solved):
 
 
 @pytest.mark.parametrize("field, problem", [
-    ("community_bill_eur", "community bill "),
-    ("community_discomfort_eur", "community discomfort "),
     ("objective_value", "objective "),
-], ids=["bill", "discomfort", "objective"])
+], ids=["objective"])
 def test_a_day_total_off_its_members(solved, field, problem):
-    """The day's bill and discomfort are the sums of the members' recomputed
-    ones, and the objective is their sum (relative to its size)."""
+    """The objective is the sum of the members' recomputed bills and
+    discomforts (relative to its size)."""
     value = getattr(solved, field)
     edited = replace(solved, **{field: value + 1e-3 * max(1.0, abs(value))})
     problems = verify_day_schedule(SCENARIO.for_day(0), edited)
@@ -198,7 +197,7 @@ def _without(key):
      "u04: not a member of the scenario"),
     (_first_member(series=_without("iret")), "u01: missing iret"),
     (_first_member(refs=_without("hp")), "u01: missing hp reference"),
-    (_first_member(bill=lambda bill: None), "u01: no bill"),
+    (_first_member(bill_eur=lambda bill: None), "u01: no bill"),
     (lambda members: [*members, members[0]], "u01: listed 2 times in the schedule"),
     (_first_member(series=lambda series: {**series, "pinj": series["pinj"][:-1]}),
      "u01: pinj has 23 steps, not 24"),
@@ -268,8 +267,26 @@ def test_a_negative_leg_is_a_problem_not_an_error(seed_one):
     edited = replace(sched, members=[replace(u01, series=series), *sched.members[1:]])
     problems = verify_day_schedule(day, edited)
     prefixes = ("u01: stored bill ", "u01: legs off the settlement by 5.000e-01",
-                "community bill ", "objective ")
-    assert len(problems) == 4 and all(map(str.startswith, problems, prefixes)), problems
+                "objective ")
+    assert len(problems) == 3 and all(map(str.startswith, problems, prefixes)), problems
+
+
+def test_a_discomfort_series_off_moves_its_benefit_and_is_reported(seed_one):
+    """A member's discomfort is the sum of its series: raising u01's boiler
+    discomfort by 1.0 at one step moves its SoloFlex discomfort delta against
+    SoloFix by 1.0, and the verifier reports the series once."""
+    day, fix = seed_one("SoloFix")
+    _, flex = seed_one("SoloFlex")
+    u01 = flex.member("u01")
+    series = {**u01.series, "jwb": _bumped(5, 1.0)(np.array(u01.series["jwb"]))}
+    edited = replace(flex, members=[replace(u01, series=series), *flex.members[1:]])
+
+    def u01_delta(sched) -> float:
+        benefits = individual_benefits({"SoloFix": [fix], "SoloFlex": [sched]}, "SoloFix")
+        return next(b for b in benefits["SoloFlex"] if b.member_id == "u01").discomfort_delta_eur
+
+    assert u01_delta(edited) - u01_delta(flex) == 1.0
+    assert verify_day_schedule(day, edited) == ["u01: boiler discomfort mismatch"]
 
 
 def test_pv_below_its_availability(seed_one):
